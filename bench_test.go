@@ -123,6 +123,7 @@ func BenchmarkTable3(b *testing.B) {
 			}
 		})
 		b.Run(name+"/Random", func(b *testing.B) {
+			b.ReportAllocs()
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
 				if _, ok := strategy.Random(e.Lattice, e.Truth, rng, 0); !ok {
@@ -130,7 +131,19 @@ func BenchmarkTable3(b *testing.B) {
 				}
 			}
 		})
+		// RandomMean is the Table 3 column: 1024 trials, each seeded
+		// afresh, so the lane includes the per-trial seeding cost that
+		// the single-RNG Random lane never pays.
+		b.Run(name+"/RandomMean", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := strategy.RandomMean(e.Lattice, e.Truth, 1, 1024); !ok {
+					b.Fatal("strategy failed")
+				}
+			}
+		})
 		b.Run(name+"/Optimal", func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				strategy.Optimal(e.Lattice, e.Truth, 0)
 			}

@@ -30,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -87,12 +88,15 @@ func run(addr string, cfg server.Config, shutdownTimeout time.Duration) error {
 	}
 	go svc.Janitor(rootCtx, 0)
 
+	var fresh newConns
 	httpSrv := &http.Server{
 		Addr:        addr,
 		Handler:     svc.Handler(),
 		BaseContext: func(net.Listener) context.Context { return rootCtx },
 		ReadTimeout: 2 * time.Minute,
+		ConnState:   fresh.track,
 	}
+	httpSrv.RegisterOnShutdown(fresh.closeAll)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -131,4 +135,42 @@ func run(addr string, cfg server.Config, shutdownTimeout time.Duration) error {
 	}
 	fmt.Fprintln(os.Stderr, "cabled: stopped")
 	return nil
+}
+
+// newConns tracks connections that have not sent a request yet
+// (http.StateNew). Shutdown counts such a connection as idle only after 5
+// s, so one left by a client's connection pool would hold the drain past
+// a shorter -shutdown-timeout, and the exit would skip the final
+// snapshots. They carry no acknowledged request, so closeAll, run once
+// Shutdown has closed the listeners, closes them, and any connection
+// reaching StateNew afterwards is closed on arrival.
+type newConns struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]bool
+	closed bool
+}
+
+func (n *newConns) track(c net.Conn, st http.ConnState) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(n.conns, c)
+	case n.closed:
+		c.Close()
+	default:
+		if n.conns == nil {
+			n.conns = map[net.Conn]bool{}
+		}
+		n.conns[c] = true
+	}
+}
+
+func (n *newConns) closeAll() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.closed = true
+	for c := range n.conns {
+		c.Close()
+	}
 }

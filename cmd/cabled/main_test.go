@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -272,6 +273,48 @@ func TestSnapshotKillRestart(t *testing.T) {
 		if tc.Label != want {
 			t.Errorf("class %d label %q after restart, want %q", i, tc.Label, want)
 		}
+	}
+}
+
+// TestDrainClosesUnusedConns: a connection that was dialed but never sent
+// a request, as a client's connection pool leaves behind, must not hold
+// the SIGTERM drain. cabled must exit 0 well inside its 5 s grace period.
+func TestDrainClosesUnusedConns(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("SIGTERM delivery is POSIX-only")
+	}
+	bin := filepath.Join(t.TempDir(), "cabled")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	p := startCabled(t, bin, t.TempDir())
+	defer p.cmd.Process.Kill()
+
+	raw, err := net.Dial("tcp", p.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// The server accepts connections in dial order, so once a request on a
+	// later connection is answered, the raw one has been accepted too.
+	if code := p.get(t, "/v1/sessions", nil); code != http.StatusOK {
+		t.Fatalf("list sessions: %d", code)
+	}
+
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	exit := make(chan error, 1)
+	go func() { exit <- p.cmd.Wait() }()
+	select {
+	case err := <-exit:
+		if err != nil {
+			t.Fatalf("cabled exited uncleanly with an unused connection open: %v", err)
+		}
+	case <-time.After(3 * time.Second):
+		p.cmd.Process.Kill()
+		t.Fatal("cabled did not drain within 3 s with an unused connection open")
 	}
 }
 

@@ -8,6 +8,7 @@ package repro
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -26,6 +27,8 @@ import (
 )
 
 var binDir string
+
+var update = flag.Bool("update", false, "rewrite testdata/paper_all.golden from the current cmd/paper")
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "repro-bin")
@@ -280,6 +283,61 @@ func TestEndToEndPaperTool(t *testing.T) {
 	if code == 0 {
 		t.Error("paper accepted unknown figure")
 	}
+}
+
+// TestPaperAllGolden pins the whole `paper -all` output byte for byte,
+// except Table 2's build-time column, the only field that differs between
+// runs. Regenerate with go test -run TestPaperAllGolden -update.
+func TestPaperAllGolden(t *testing.T) {
+	out, code := runTool(t, "", "paper", "-all")
+	if code != 0 {
+		t.Fatalf("paper -all (%d):\n%s", code, out)
+	}
+	got := maskBuildTimes(out)
+	path := filepath.Join("testdata", "paper_all.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("paper -all differs from %s at line %d:\n got: %q\nwant: %q", path, i+1, g, w)
+		}
+	}
+}
+
+// maskBuildTimes replaces the build time ending each Table 2 row, with
+// its width-dependent padding, by a fixed marker.
+func maskBuildTimes(out string) string {
+	lines := strings.Split(out, "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "Table 2:") {
+			continue
+		}
+		// Skip the column header; rows run to the blank line.
+		for j := i + 2; j < len(lines) && lines[j] != ""; j++ {
+			k := strings.LastIndexByte(lines[j], ' ')
+			lines[j] = strings.TrimRight(lines[j][:k], " ") + " <build-time>"
+		}
+	}
+	return strings.Join(lines, "\n")
 }
 
 func TestToolUsageErrors(t *testing.T) {

@@ -115,6 +115,25 @@ func IntersectInto(dst, a, b *Set) *Set {
 	return dst
 }
 
+// DifferenceInto sets dst = a \ b, reusing dst's storage, and returns dst.
+// dst may alias a but not b. It is the allocation-free set difference for
+// hot loops that recompute a remainder into a scratch set.
+func DifferenceInto(dst, a, b *Set) *Set {
+	n := len(a.words)
+	if cap(dst.words) < n {
+		dst.words = make([]uint64, n)
+	} else {
+		dst.words = dst.words[:n]
+	}
+	m := min(n, len(b.words))
+	for i := 0; i < m; i++ {
+		dst.words[i] = a.words[i] &^ b.words[i]
+	}
+	copy(dst.words[m:], a.words[m:])
+	dst.pop = 0
+	return dst
+}
+
 // IntersectEqualsInto sets dst = a ∩ b, reusing dst's storage, and reports
 // whether the intersection equals a — that is, whether a ⊆ b. It fuses the
 // SubsetOf + IntersectInto double pass the lattice builder's inner loop
@@ -308,13 +327,6 @@ func Union(s, t *Set) *Set {
 func Intersect(s, t *Set) *Set {
 	u := s.Clone()
 	u.IntersectWith(t)
-	return u
-}
-
-// Difference returns a new set holding s \ t.
-func Difference(s, t *Set) *Set {
-	u := s.Clone()
-	u.DifferenceWith(t)
 	return u
 }
 

@@ -70,8 +70,8 @@ func TestSetAlgebra(t *testing.T) {
 	if got := Intersect(a, b).Elems(); !equalInts(got, []int{3, 200}) {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := Difference(a, b).Elems(); !equalInts(got, []int{1, 5}) {
-		t.Errorf("Difference = %v", got)
+	if got := DifferenceInto(FromSlice([]int{0, 7, 900}), a, b).Elems(); !equalInts(got, []int{1, 5}) {
+		t.Errorf("DifferenceInto = %v", got)
 	}
 	// Originals untouched.
 	if !equalInts(a.Elems(), []int{1, 3, 5, 200}) || !equalInts(b.Elems(), []int{3, 4, 200, 300}) {
@@ -189,7 +189,8 @@ func TestQuickAlgebraLaws(t *testing.T) {
 			return false
 		}
 		// De Morgan via difference: a \ (b ∪ c) = (a\b) ∩ (a\c).
-		if !Difference(a, Union(b, c)).Equal(Intersect(Difference(a, b), Difference(a, c))) {
+		diff := func(x, y *Set) *Set { return DifferenceInto(&Set{}, x, y) }
+		if !diff(a, Union(b, c)).Equal(Intersect(diff(a, b), diff(a, c))) {
 			return false
 		}
 		// Subset facts.

@@ -1,0 +1,109 @@
+package strategy_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/cable"
+	"repro/internal/concept"
+	"repro/internal/exp"
+	"repro/internal/specs"
+	"repro/internal/strategy"
+	"repro/internal/wellformed"
+)
+
+// checkOracles requires RandomMean to return the oracle's mean bit for bit
+// with the same ok flag, and OptimalPlan to return the oracle's ops, cost
+// and ok under budgets that cut the search short and under the default.
+func checkOracles(t *testing.T, where string, l *concept.Lattice, ref []cable.Label, seed int64, trials int) {
+	t.Helper()
+	mean, ok := strategy.RandomMean(l, ref, seed, trials)
+	wantMean, wantOK := oracleRandomMean(l, ref, seed, trials)
+	if math.Float64bits(mean) != math.Float64bits(wantMean) || ok != wantOK {
+		t.Fatalf("%s: RandomMean(seed %d) = %v, %v; oracle %v, %v", where, seed, mean, ok, wantMean, wantOK)
+	}
+	for _, budget := range []int{1, 2, 5, 0} {
+		plan, cost, ok := strategy.OptimalPlan(l, ref, budget)
+		wantPlan, wantCost, wantOK := oracleOptimalPlan(l, ref, budget)
+		if !slices.Equal(plan.Ops, wantPlan.Ops) || cost != wantCost || ok != wantOK {
+			t.Fatalf("%s: OptimalPlan(budget %d) = %v, %v, %v; oracle %v, %v, %v",
+				where, budget, plan, cost, ok, wantPlan, wantCost, wantOK)
+		}
+	}
+}
+
+// TestOracleShippedSpecs runs the differential check on every shipped
+// spec's Table 3 lattice, at the paper's trial count, under the default
+// workload seed and two others.
+func TestOracleShippedSpecs(t *testing.T) {
+	for _, seed := range []int64{exp.DefaultConfig().Seed, 1, 99} {
+		cfg := exp.DefaultConfig()
+		cfg.Seed = seed
+		for _, sp := range specs.All() {
+			e, err := exp.Prepare(sp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkOracles(t, fmt.Sprintf("%s seed %d", sp.Name, seed), e.Lattice, e.Truth, seed, cfg.RandomTrials)
+		}
+	}
+}
+
+// Property: strategy success coincides with lattice well-formedness,
+// Optimal lower-bounds the other strategies, and RandomMean and OptimalPlan
+// match their oracles, across random contexts and labelings.
+func TestPropStrategiesVsWellFormedness(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 120; iter++ {
+		no := 1 + rng.Intn(7)
+		na := 1 + rng.Intn(6)
+		objs := make([]string, no)
+		for i := range objs {
+			objs[i] = fmt.Sprintf("o%d", i)
+		}
+		attrs := make([]string, na)
+		for i := range attrs {
+			attrs[i] = fmt.Sprintf("a%d", i)
+		}
+		ctx := concept.NewContext(objs, attrs)
+		for o := 0; o < no; o++ {
+			for a := 0; a < na; a++ {
+				if rng.Intn(2) == 0 {
+					ctx.Relate(o, a)
+				}
+			}
+		}
+		l := concept.Build(ctx)
+		ref := make([]cable.Label, no)
+		for i := range ref {
+			if rng.Intn(2) == 0 {
+				ref[i] = cable.Good
+			} else {
+				ref[i] = cable.Bad
+			}
+		}
+		wf, _ := wellformed.Check(l, ref)
+		checkOracles(t, fmt.Sprintf("iter %d (well-formed %v)", iter, wf), l, ref, int64(iter), 64)
+		tdCost, td := strategy.TopDown(l, ref)
+		buCost, bu := strategy.BottomUp(l, ref)
+		exCost, ex := strategy.Expert(l, ref)
+		optCost, opt := strategy.Optimal(l, ref, 0)
+		if td != wf || bu != wf || ex != wf || opt != wf {
+			t.Fatalf("iter %d: success mismatch wf=%v td=%v bu=%v ex=%v opt=%v\n%s",
+				iter, wf, td, bu, ex, opt, l)
+		}
+		if wf {
+			if optCost.Total() > tdCost.Total() || optCost.Total() > buCost.Total() || optCost.Total() > exCost.Total() {
+				t.Fatalf("iter %d: Optimal %s beaten (td %s, bu %s, ex %s)",
+					iter, optCost, tdCost, buCost, exCost)
+			}
+			rdCost, rd := strategy.Random(l, ref, rng, 0)
+			if !rd || rdCost.Total() < optCost.Total() {
+				t.Fatalf("iter %d: Random %s vs Optimal %s (ok=%v)", iter, rdCost, optCost, rd)
+			}
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package strategy
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/cable"
 	"repro/internal/concept"
@@ -35,47 +37,51 @@ func OptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (Plan, Co
 		maxStates = DefaultOptimalBudget
 	}
 	n := len(ref)
-	start := bitset.New(n)
 	if n == 0 {
 		return Plan{}, Cost{}, true
 	}
-	type node struct {
+	// states is the BFS queue, in visiting order, and also the search
+	// tree: each state keeps its parent and the op reaching it, so only the
+	// goal's plan is ever built. Successors are assembled in scratch sets
+	// and cloned only when new.
+	type state struct {
 		labeled *bitset.Set
-		plan    Plan
+		parent  int
+		op      Op
 	}
-	visited := map[string]bool{start.Key(): true}
-	frontier := []node{{labeled: start}}
+	states := []state{{labeled: bitset.New(n), parent: -1}}
+	visited := map[string]bool{states[0].labeled.Key(): true}
+	succ := bitset.New(n)
 	var keyBuf []byte // reused AppendKey scratch; visited lookups stay alloc-free
-	for len(frontier) > 0 {
-		next := frontier[:0:0]
-		for _, cur := range frontier {
-			for _, c := range l.Concepts() {
-				un := bitset.Difference(c.Extent, cur.labeled)
-				if un.Empty() {
-					continue
-				}
-				label, ok := r.uniformLabel(un)
-				if !ok {
-					continue
-				}
-				plan := Plan{Ops: append(append([]Op(nil), cur.plan.Ops...), Op{Concept: c.ID, Label: label})}
-				succ := bitset.Union(cur.labeled, un)
-				if succ.Len() == n {
-					k := len(plan.Ops)
-					return plan, Cost{Inspections: k, Labelings: k}, true
-				}
-				keyBuf = succ.AppendKey(keyBuf[:0])
-				if visited[string(keyBuf)] {
-					continue
-				}
-				visited[string(keyBuf)] = true
-				if len(visited) > maxStates {
-					return Plan{}, Cost{}, false
-				}
-				next = append(next, node{labeled: succ, plan: plan})
+	for cur := 0; cur < len(states); cur++ {
+		labeled := states[cur].labeled
+		for _, c := range l.Concepts() {
+			label, ok := r.uniformLabel(bitset.DifferenceInto(r.un, c.Extent, labeled))
+			if !ok {
+				continue
 			}
+			op := Op{Concept: c.ID, Label: label}
+			succ.CopyFrom(labeled).UnionWith(c.Extent)
+			if succ.Len() == n {
+				var plan Plan
+				for s := cur; s > 0; s = states[s].parent {
+					plan.Ops = append(plan.Ops, states[s].op)
+				}
+				slices.Reverse(plan.Ops)
+				plan.Ops = append(plan.Ops, op)
+				k := len(plan.Ops)
+				return plan, Cost{Inspections: k, Labelings: k}, true
+			}
+			keyBuf = succ.AppendKey(keyBuf[:0])
+			if visited[string(keyBuf)] {
+				continue
+			}
+			visited[string(keyBuf)] = true
+			if len(visited) > maxStates {
+				return Plan{}, Cost{}, false
+			}
+			states = append(states, state{labeled: succ.Clone(), parent: cur, op: op})
 		}
-		frontier = next
 	}
 	// No plan reaches the full labeling: the lattice is not well-formed.
 	return Plan{}, Cost{}, false

@@ -78,13 +78,9 @@ type planRun struct {
 }
 
 func (r *planRun) visit(id int) bool {
-	label, _ := r.uniformLabel(r.unlabeledIn(id))
-	if r.run.visit(id) {
-		r.plan.Ops = append(r.plan.Ops, Op{Concept: id, Label: label})
-		return true
-	}
-	r.plan.Ops = append(r.plan.Ops, Op{Concept: id})
-	return false
+	label, ok := r.run.visit(id)
+	r.plan.Ops = append(r.plan.Ops, Op{Concept: id, Label: label})
+	return ok
 }
 
 // TopDownPlan is TopDown returning the full operation sequence.
@@ -149,28 +145,11 @@ func ExpertPlan(l *concept.Lattice, ref []cable.Label) (Plan, Cost, bool) {
 
 // RandomPlan is Random returning the full operation sequence.
 func RandomPlan(l *concept.Lattice, ref []cable.Label, rng *rand.Rand, maxOps int) (Plan, Cost, bool) {
-	r0, err := newRun(l, ref)
+	r, err := newRun(l, ref)
 	if err != nil {
 		return Plan{}, Cost{}, false
 	}
-	r := &planRun{run: r0}
-	if maxOps <= 0 {
-		maxOps = 1000 * l.Len()
-	}
-	for !r.done() {
-		var candidates []int
-		for _, c := range l.Concepts() {
-			if !r.fullyLabeled(c.ID) {
-				candidates = append(candidates, c.ID)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		r.visit(candidates[rng.Intn(len(candidates))])
-		if r.cost.Total() > maxOps {
-			return r.plan, r.cost, false
-		}
-	}
-	return r.plan, r.cost, true
+	var plan Plan
+	ok := r.randomWalk(rng, maxOps, &plan)
+	return plan, r.cost, ok
 }

@@ -48,12 +48,19 @@ func (c Cost) String() string {
 }
 
 // run tracks a strategy execution over a lattice toward a reference
-// labeling.
+// labeling. Its helpers allocate nothing: remainders go to the un scratch
+// set, and uniformity is a word-level subset test against the objects
+// sharing a reference label.
 type run struct {
 	l       *concept.Lattice
 	ref     []cable.Label
 	labeled *bitset.Set
 	cost    Cost
+	// sameLabel[o] is the set of objects whose reference label is ref[o].
+	sameLabel []*bitset.Set
+	// un is unlabeledIn's result; cands is the Random walk's candidates.
+	un    *bitset.Set
+	cands []int
 }
 
 func newRun(l *concept.Lattice, ref []cable.Label) (*run, error) {
@@ -61,17 +68,33 @@ func newRun(l *concept.Lattice, ref []cable.Label) (*run, error) {
 		return nil, fmt.Errorf("strategy: %d reference labels for %d objects",
 			len(ref), l.Context().NumObjects())
 	}
+	byLabel := map[cable.Label]*bitset.Set{}
+	sameLabel := make([]*bitset.Set, len(ref))
 	for i, lb := range ref {
 		if lb == cable.Unlabeled {
 			return nil, fmt.Errorf("strategy: reference labeling leaves object %d unlabeled", i)
 		}
+		objs := byLabel[lb]
+		if objs == nil {
+			objs = bitset.New(len(ref))
+			byLabel[lb] = objs
+		}
+		objs.Add(i)
+		sameLabel[i] = objs
 	}
-	return &run{l: l, ref: ref, labeled: bitset.New(len(ref))}, nil
+	return &run{l: l, ref: ref, labeled: bitset.New(len(ref)), sameLabel: sameLabel, un: bitset.New(len(ref))}, nil
 }
 
-// unlabeledIn returns the concept's objects not yet labeled.
+// reset returns the run to the all-unlabeled state at zero cost.
+func (r *run) reset() {
+	r.labeled.Clear()
+	r.cost = Cost{}
+}
+
+// unlabeledIn returns the concept's objects not yet labeled. The result is
+// the run's scratch set, valid until the next call.
 func (r *run) unlabeledIn(id int) *bitset.Set {
-	return bitset.Difference(r.l.Concept(id).Extent, r.labeled)
+	return bitset.DifferenceInto(r.un, r.l.Concept(id).Extent, r.labeled)
 }
 
 // fullyLabeled reports whether the concept has no unlabeled traces.
@@ -82,33 +105,25 @@ func (r *run) fullyLabeled(id int) bool {
 // uniformLabel returns the common reference label of the objects, or ok =
 // false if they disagree or the set is empty.
 func (r *run) uniformLabel(x *bitset.Set) (cable.Label, bool) {
-	label := cable.Unlabeled
-	ok := true
-	x.Range(func(o int) bool {
-		if label == cable.Unlabeled {
-			label = r.ref[o]
-			return true
-		}
-		if r.ref[o] != label {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return label, ok && label != cable.Unlabeled
+	o := x.Min()
+	if o < 0 || !x.SubsetOf(r.sameLabel[o]) {
+		return cable.Unlabeled, false
+	}
+	return r.ref[o], true
 }
 
 // visit inspects a concept (cost) and labels its unlabeled traces if they
-// are uniform (cost). It reports whether a labeling happened.
-func (r *run) visit(id int) bool {
+// are uniform (cost). It returns the label applied and whether a labeling
+// happened.
+func (r *run) visit(id int) (cable.Label, bool) {
 	r.cost.Inspections++
 	un := r.unlabeledIn(id)
-	if _, ok := r.uniformLabel(un); !ok {
-		return false
+	label, ok := r.uniformLabel(un)
+	if ok {
+		r.cost.Labelings++
+		r.labeled.UnionWith(un)
 	}
-	r.cost.Labelings++
-	r.labeled.UnionWith(un)
-	return true
+	return label, ok
 }
 
 func (r *run) done() bool { return r.labeled.Len() == len(r.ref) }
@@ -133,7 +148,7 @@ func TopDown(l *concept.Lattice, ref []cable.Label) (Cost, bool) {
 			if r.fullyLabeled(id) {
 				continue
 			}
-			if r.visit(id) {
+			if _, ok := r.visit(id); ok {
 				progress = true
 			}
 		}
@@ -175,7 +190,7 @@ func BottomUp(l *concept.Lattice, ref []cable.Label) (Cost, bool) {
 		if ready < 0 {
 			return r.cost, false
 		}
-		if !r.visit(ready) {
+		if _, ok := r.visit(ready); !ok {
 			// Mixed remainder: the lattice is not well-formed.
 			return r.cost, false
 		}
@@ -192,59 +207,88 @@ func Random(l *concept.Lattice, ref []cable.Label, rng *rand.Rand, maxOps int) (
 	if err != nil {
 		return Cost{}, false
 	}
+	ok := r.randomWalk(rng, maxOps, nil)
+	return r.cost, ok
+}
+
+// randomWalk runs the Random strategy from the run's current state,
+// appending each visit to plan when plan is non-nil. It reports false when
+// the walk exceeds maxOps (0 means 1000 × the number of concepts).
+func (r *run) randomWalk(rng *rand.Rand, maxOps int, plan *Plan) bool {
 	if maxOps <= 0 {
-		maxOps = 1000 * l.Len()
+		maxOps = 1000 * r.l.Len()
 	}
-	for !r.done() {
-		var candidates []int
-		for _, c := range l.Concepts() {
-			if !r.fullyLabeled(c.ID) {
-				candidates = append(candidates, c.ID)
-			}
+	// The labeled set only grows, so a fully labeled concept stays fully
+	// labeled: filtering the candidates in place after each labeling
+	// leaves the same list, in lattice order, as rebuilding it before each
+	// draw would, and so the same draws.
+	r.cands = r.cands[:0]
+	for _, c := range r.l.Concepts() {
+		if !r.fullyLabeled(c.ID) {
+			r.cands = append(r.cands, c.ID)
 		}
-		if len(candidates) == 0 {
-			break
+	}
+	for !r.done() && len(r.cands) > 0 {
+		id := r.cands[rng.Intn(len(r.cands))]
+		label, ok := r.visit(id)
+		if plan != nil {
+			plan.Ops = append(plan.Ops, Op{Concept: id, Label: label})
 		}
-		r.visit(candidates[rng.Intn(len(candidates))])
 		if r.cost.Total() > maxOps {
-			return r.cost, false
+			return false
+		}
+		if ok {
+			kept := r.cands[:0]
+			for _, c := range r.cands {
+				if !r.fullyLabeled(c) {
+					kept = append(kept, c)
+				}
+			}
+			r.cands = kept
 		}
 	}
-	return r.cost, true
+	return true
 }
 
 // RandomMean runs Random trials times (the paper uses 1024) and returns
-// the arithmetic mean total cost over the trials. Trials run in parallel,
-// each seeded deterministically from the base seed, so the result is
-// reproducible regardless of scheduling.
+// the arithmetic mean total cost over the trials. Trial i draws from
+// rand.NewSource(seed+i)'s stream, so the result is reproducible
+// regardless of scheduling. Trials run on a GOMAXPROCS worker pool whose
+// workers reseed one source and reset one run per trial instead of
+// building them afresh.
 func RandomMean(l *concept.Lattice, ref []cable.Label, seed int64, trials int) (float64, bool) {
 	if trials <= 0 {
 		return 0, false
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > trials {
-		workers = trials
+	runs := make([]*run, min(runtime.GOMAXPROCS(0), trials))
+	for w := range runs {
+		r, err := newRun(l, ref)
+		if err != nil {
+			return 0, false
+		}
+		runs[w] = r
 	}
 	costs := make([]int, trials)
 	failed := make([]bool, trials)
 	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
+	var next atomic.Int64
+	for _, r := range runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			rng := rand.New(new(trialSource))
 			for {
-				i := int(atomic.AddInt64(&next, 1))
+				i := int(next.Add(1)) - 1
 				if i >= trials {
 					return
 				}
-				rng := rand.New(rand.NewSource(seed + int64(i)))
-				c, ok := Random(l, ref, rng, 0)
-				if !ok {
+				rng.Seed(seed + int64(i))
+				r.reset()
+				if !r.randomWalk(rng, 0, nil) {
 					failed[i] = true
 					return
 				}
-				costs[i] = c.Total()
+				costs[i] = r.cost.Total()
 			}
 		}()
 	}

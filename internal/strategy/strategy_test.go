@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -161,57 +160,26 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// Property: strategy success coincides with lattice well-formedness, and
-// Optimal lower-bounds the other strategies, across random contexts and
-// labelings.
-func TestPropStrategiesVsWellFormedness(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 120; iter++ {
-		no := 1 + rng.Intn(7)
-		na := 1 + rng.Intn(6)
-		objs := make([]string, no)
-		for i := range objs {
-			objs[i] = fmt.Sprintf("o%d", i)
+// TestRandomTrialAllocFree pins RandomMean's per-trial steady state:
+// reseeding the worker's source, resetting its run and walking a Random
+// trial allocates nothing.
+func TestRandomTrialAllocFree(t *testing.T) {
+	l, ref := stdioFixture(t)
+	r, err := newRun(l, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(new(trialSource))
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		rng.Seed(seed)
+		r.reset()
+		if !r.randomWalk(rng, 0, nil) {
+			t.Fatalf("seed %d: Random trial failed on a well-formed lattice", seed)
 		}
-		attrs := make([]string, na)
-		for i := range attrs {
-			attrs[i] = fmt.Sprintf("a%d", i)
-		}
-		ctx := concept.NewContext(objs, attrs)
-		for o := 0; o < no; o++ {
-			for a := 0; a < na; a++ {
-				if rng.Intn(2) == 0 {
-					ctx.Relate(o, a)
-				}
-			}
-		}
-		l := concept.Build(ctx)
-		ref := make([]cable.Label, no)
-		for i := range ref {
-			if rng.Intn(2) == 0 {
-				ref[i] = cable.Good
-			} else {
-				ref[i] = cable.Bad
-			}
-		}
-		wf, _ := wellformed.Check(l, ref)
-		tdCost, td := TopDown(l, ref)
-		buCost, bu := BottomUp(l, ref)
-		exCost, ex := Expert(l, ref)
-		optCost, opt := Optimal(l, ref, 0)
-		if td != wf || bu != wf || ex != wf || opt != wf {
-			t.Fatalf("iter %d: success mismatch wf=%v td=%v bu=%v ex=%v opt=%v\n%s",
-				iter, wf, td, bu, ex, opt, l)
-		}
-		if wf {
-			if optCost.Total() > tdCost.Total() || optCost.Total() > buCost.Total() || optCost.Total() > exCost.Total() {
-				t.Fatalf("iter %d: Optimal %s beaten (td %s, bu %s, ex %s)",
-					iter, optCost, tdCost, buCost, exCost)
-			}
-			rdCost, rd := Random(l, ref, rng, 0)
-			if !rd || rdCost.Total() < optCost.Total() {
-				t.Fatalf("iter %d: Random %s vs Optimal %s (ok=%v)", iter, rdCost, optCost, rd)
-			}
-		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a reset-and-walk Random trial allocates %v times, want 0", allocs)
 	}
 }
