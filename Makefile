@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt cablevet speclint speclint-corpus build test race bench-smoke bench obs-smoke fuzz-smoke cabled-smoke snapshot-smoke stream-smoke godin-multicore
+.PHONY: ci vet fmt cablevet speclint speclint-corpus build test race bench-smoke bench obs-smoke fuzz-smoke cabled-smoke snapshot-smoke stream-smoke godin-multicore perfbench-smoke
 
-ci: fmt vet cablevet speclint speclint-corpus build race bench-smoke obs-smoke fuzz-smoke cabled-smoke snapshot-smoke stream-smoke godin-multicore
+ci: fmt vet cablevet speclint speclint-corpus build race bench-smoke obs-smoke fuzz-smoke cabled-smoke snapshot-smoke stream-smoke godin-multicore perfbench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -108,6 +108,13 @@ godin-multicore:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 	    -run 'TestPropParallelGodinDeterministic|TestParallelGodinDeterministicBigCorpus|TestGodinPrunedMatchesLegacy|TestPropParallelLinkCoversDeterministic|TestBigCorpusParallelDeterministic' \
 	    ./internal/concept
+
+# perfbench's own suite, the end-to-end correctness gate of the benchmark
+# workloads: bulk re-derives its lattice sizes with the naive builder after
+# incremental adds, and the paper rows are pinned. perfbench is its own
+# module, so it runs under the module settings perfbench/run.sh uses.
+perfbench-smoke:
+	cd perfbench && GOFLAGS=-mod=mod GOWORK=off GOTOOLCHAIN=local GOPROXY=off $(GO) test -count=1 .
 
 # Full measured run; writes BENCH_lattice.json (name → ns/op, allocs/op)
 # and BENCH_obs_snapshot.txt (phase-attributed metrics snapshot).

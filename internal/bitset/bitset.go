@@ -395,9 +395,8 @@ func (s *Set) Elems() []int {
 }
 
 // AppendElems32 appends the set's elements, in increasing order, to dst as
-// int32 values and returns the extended slice. It is the sparse projection
-// used for the long tail of small sets over wide universes: iterating a
-// handful of elements beats sweeping hundreds of mostly-zero words.
+// int32 values and returns the extended slice, so a caller can materialize
+// a reusable element list without allocating per call.
 func (s *Set) AppendElems32(dst []int32) []int32 {
 	for wi, w := range s.words {
 		base := int32(wi * wordBits)
@@ -407,21 +406,6 @@ func (s *Set) AppendElems32(dst []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// SparseSubsetOf reports whether every element of the sparse set elems
-// (int32 elements, any order, no negatives) is in t. For a set of k
-// elements over a universe of w words this costs O(k) instead of the O(w)
-// of the dense SubsetOf — the win that motivates keeping sparse projections
-// of small extents during cover linking.
-func SparseSubsetOf(elems []int32, t *Set) bool {
-	for _, e := range elems {
-		w := int(e) / wordBits
-		if w >= len(t.words) || t.words[w]&(1<<uint(int(e)%wordBits)) == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Words returns the set's backing words with trailing zero words trimmed.

@@ -172,29 +172,6 @@ func TestAppendElems32(t *testing.T) {
 	}
 }
 
-func TestSparseSubsetOf(t *testing.T) {
-	t1 := FromSlice([]int{1, 3, 64, 500})
-	if !SparseSubsetOf([]int32{1, 500}, t1) {
-		t.Fatalf("SparseSubsetOf({1,500}, %v) = false", t1)
-	}
-	if SparseSubsetOf([]int32{1, 2}, t1) {
-		t.Fatalf("SparseSubsetOf({1,2}, %v) = true", t1)
-	}
-	if SparseSubsetOf([]int32{1000}, t1) {
-		t.Fatalf("element beyond t's words must refute subset")
-	}
-	if !SparseSubsetOf(nil, &Set{}) {
-		t.Fatalf("empty sparse set is a subset of anything")
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 300; i++ {
-		a, b := randomSet(rng, 400), randomSet(rng, 400)
-		if got, want := SparseSubsetOf(a.AppendElems32(nil), b), a.SubsetOf(b); got != want {
-			t.Fatalf("SparseSubsetOf disagrees with SubsetOf: got %v want %v", got, want)
-		}
-	}
-}
-
 func TestArena(t *testing.T) {
 	a := NewArena()
 	// Sets from the same slab must be independent.

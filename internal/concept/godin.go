@@ -105,8 +105,9 @@ type rowCache struct {
 }
 
 // godinScratch bundles the reusable per-insertion state of the pruned Godin
-// step. BuildCtx keeps one for the whole build; AddObjectCtx caches one on
-// the lattice so repeated incremental adds stay allocation-light.
+// step and of the cover repair that follows an incremental add. BuildCtx
+// keeps one for the whole build; AddObjectCtx caches one on the lattice so
+// repeated incremental adds stay allocation-light.
 type godinScratch struct {
 	inter  bitset.Set // intersection scratch (must not alias its operands)
 	mask   bitset.Set // candidate mask: union of inverted-index rows
@@ -119,6 +120,16 @@ type godinScratch struct {
 	workers    int // resolved worker bound (≥1)
 	pool       *godinPool
 	poolWanted bool // BuildCtx amortizes rounds over a persistent pool
+
+	// Cover-repair state (see coverParents): seen[id] == gen marks id as a
+	// candidate of the current concept, sizes holds the candidates' extent
+	// sizes, and coverCand and covers are the candidate and accepted-cover
+	// lists.
+	seen      []int32
+	gen       int32
+	sizes     []int32
+	coverCand []int32
+	covers    []int32
 }
 
 // closePool releases the persistent worker pool, if one was started.

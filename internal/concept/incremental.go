@@ -21,11 +21,9 @@ import (
 // time, so adding object n to a lattice over objects 0..n-1 replays exactly
 // the loop iteration the full rebuild would run next — the concept set,
 // concept IDs, and extents come out identical by construction. Only the
-// cover edges need repair, and the affected region is provably small: when
-// the new row spawns no new concepts the Hasse diagram is unchanged, and
-// when it does, parent lists change only for the new concepts and for old
-// concepts lying strictly below one of them (a broken or inserted cover
-// edge at c requires a new concept strictly above c).
+// cover edges and the query tables need repair, and Godin's generator lemma
+// confines the cover repair to the new concepts plus one old concept per new
+// concept (see repairCoversAfterAdd).
 //
 // Removal is not order-stable in general — deleting an early object can
 // flip the discovery order of later concepts and hence their IDs — so only
@@ -100,6 +98,16 @@ func (l *Lattice) AddObjectCtx(cc context.Context, name string, row *bitset.Set)
 		l.arena = bitset.NewArena()
 	}
 	l.repsEnsure()
+	g := l.godin
+	if g == nil {
+		workers := l.workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		g = &godinScratch{workers: workers}
+		l.godin = g
+	}
+	g.godinWordsEnsure(l)
 
 	o := l.ctx.NumObjects()
 	l.ctx.addObject(name, row)
@@ -113,31 +121,21 @@ func (l *Lattice) AddObjectCtx(cc context.Context, name string, row *bitset.Set)
 	firstNew := len(l.concepts)
 	//cablevet:ignore ctxpropagate one add is atomic: cc was checked before mutation began, and aborting mid-insertion would tear the lattice
 	if l.legacyGodin {
-		scratch := &bitset.Set{}
-		l.godinLegacy(o, row, scratch)
+		l.godinLegacy(o, row, &g.inter)
 		key := string(row.AppendKey(nil))
 		if _, dup := l.repRows[key]; !dup {
 			l.repRows[key] = &rowCache{}
 			l.reps = append(l.reps, int32(o))
 		}
+		g.godinWordsEnsure(l) // the legacy scan does not extend the word table
 	} else {
 		l.invEnsure()
-		g := l.godin
-		if g == nil {
-			workers := l.workers
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			g = &godinScratch{workers: workers}
-			l.godin = g
-		}
-		g.godinWordsEnsure(l)
 		l.godinInsert(o, row, g)
 	}
 
-	l.repairCoversAfterAdd(firstNew)
+	l.repairCoversAfterAdd(firstNew, g)
 	l.rescanTopBottom()
-	l.updateTablesAfterAdd(o)
+	l.updateTablesAfterAdd(o, &g.inter)
 	obs.Count("lattice.incr.adds", 1)
 	return nil
 }
@@ -145,11 +143,12 @@ func (l *Lattice) AddObjectCtx(cc context.Context, name string, row *bitset.Set)
 // updateTablesAfterAdd extends the query tables for one appended object.
 // The ObjectConcept entries of earlier objects are stable under an add —
 // concept IDs never change, intents are immutable, and old rows are
-// untouched, so each σ({o'}) resolves to the same concept — which reduces
-// the table work from numObj index lookups to one. AttributeConcept depends
-// on the (changed) object columns and is recomputed; attribute universes
-// are small.
-func (l *Lattice) updateTablesAfterAdd(o int) {
+// untouched, so each σ({o'}) resolves to the same concept — which leaves one
+// index lookup for γo. AttributeConcept changes only for the attributes a of
+// the new row: τ({a}) gains o, so μa's intent becomes
+// σ(τ({a}) ∪ {o}) = intent(μa) ∩ row, a closed intent the index resolves
+// directly.
+func (l *Lattice) updateTablesAfterAdd(o int, scratch *bitset.Set) {
 	if len(l.objConcept) != o || len(l.attrConcept) != l.ctx.NumAttributes() {
 		// A lattice whose tables were never built (or are from a foreign
 		// constructor) gets the full pass.
@@ -158,138 +157,126 @@ func (l *Lattice) updateTablesAfterAdd(o int) {
 	}
 	sp := obs.StartSpan("lattice.tables")
 	defer sp.End()
-	id := l.idx.lookup(l.concepts, l.ctx.Attributes(o))
+	row := l.ctx.Attributes(o)
+	id := l.idx.lookup(l.concepts, row)
 	if id < 0 {
 		panic("concept: object row is not a closed intent")
 	}
 	l.objConcept = append(l.objConcept, id)
-	scratch := &bitset.Set{}
-	for a := range l.attrConcept {
-		l.ctx.SigmaInto(scratch, l.ctx.Objects(a))
+	row.Range(func(a int) bool {
+		bitset.IntersectInto(scratch, l.concepts[l.attrConcept[a]].Intent, row)
 		id := l.idx.lookup(l.concepts, scratch)
 		if id < 0 {
 			panic("concept: attribute closure is not a closed intent")
 		}
 		l.attrConcept[a] = id
-	}
+		return true
+	})
 }
 
 // repairCoversAfterAdd fixes the Hasse diagram after the Godin step
-// appended concepts firstNew.. (if any). When no concepts were born the
-// diagram is unchanged: extent inclusion among old concepts is preserved by
-// the add (if intent(d) ⊆ intent(c) and c gains o then intent(d) ⊆ row, so
-// d gains o too), and a changed cover at c would require a concept strictly
-// between c and an old neighbour — a new concept. By the same argument,
-// when concepts were born, parent lists change only for the new concepts
-// and for old concepts strictly below one of them; everything else keeps
-// its list, and children lists are patched from the per-concept diffs.
-func (l *Lattice) repairCoversAfterAdd(firstNew int) {
+// appended concepts firstNew.. (if any), touching only the new concepts and
+// their generators. When no concepts were born the diagram is unchanged:
+// extent inclusion among old concepts is preserved by the add (if
+// intent(d) ⊆ intent(c) and c gains o then intent(d) ⊆ row, so d gains o
+// too), and a changed cover would need a concept strictly between two old
+// neighbours — a new concept.
+//
+// The generator of a new concept n is the old concept g with the largest
+// extent whose intent strictly contains intent(n): extent(g) = τ(intent(n))
+// over the old objects, so intent(g) is the old closure of intent(n), the
+// smallest old intent containing it, and the bottom always qualifies. The
+// add never modifies g (intent(g) ⊆ row would make intent(n) an old
+// intent), distinct new concepts have distinct generators, and every old
+// concept c below n has extent(c) ⊆ extent(g), so c sits at or below g.
+// Hence:
+//   - an old concept c that generates nothing keeps its parents: g lies
+//     strictly between c and any new n above it, so n is no cover of c and
+//     splits no old cover edge of c;
+//   - g gains n as a cover and loses exactly its old covers that lie above
+//     n, and no other new concept is between g and its remaining covers;
+//   - the new concepts get their covers from coverParents.
+//
+// Children lists are patched from the same edits.
+func (l *Lattice) repairCoversAfterAdd(firstNew int, g *godinScratch) {
 	n := len(l.concepts)
-	if n == firstNew {
-		return
-	}
-	// Extend the edge tables; new concepts' children fill in from diffs.
 	for ci := firstNew; ci < n; ci++ {
 		l.parents = append(l.parents, nil)
 		l.children = append(l.children, []int{})
 	}
-	// Affected set: new concepts plus old concepts strictly below one.
-	// c < n in the lattice order iff intent(n) ⊂ intent(c); intents are
-	// unique per concept and new intents are novel, so SubsetOf is strict.
-	affected := make([]bool, firstNew)
-	recompute := make([]int, 0, n-firstNew)
+	words := g.words
 	for ci := firstNew; ci < n; ci++ {
-		nc := l.concepts[ci]
+		// The generator has the smallest intent of the old concepts whose
+		// intent contains intent(ci); every such intent contains it.
+		gen := -1
 		for cj := 0; cj < firstNew; cj++ {
-			if !affected[cj] && nc.Intent.SubsetOf(l.concepts[cj].Intent) {
-				affected[cj] = true
+			if l.intentSubset(words, int32(ci), int32(cj)) &&
+				(gen < 0 || l.intentSubset(words, int32(cj), int32(gen))) {
+				gen = cj
 			}
 		}
-		recompute = append(recompute, ci)
-	}
-	for cj := range affected {
-		if affected[cj] {
-			recompute = append(recompute, cj)
-		}
-	}
-	seen := make([]int32, n)
-	scratch := &bitset.Set{}
-	var gen int32
-	for _, ci := range recompute {
-		gen++
-		np := l.coverParents(ci, scratch, seen, gen)
-		old := l.parents[ci] // nil for new concepts
-		l.parents[ci] = np
-		// Patch children from the sorted old/new diff.
-		i, j := 0, 0
-		for i < len(old) || j < len(np) {
-			switch {
-			case j >= len(np) || (i < len(old) && old[i] < np[j]):
-				l.children[old[i]] = removeSortedInt(l.children[old[i]], ci)
-				i++
-			case i >= len(old) || np[j] < old[i]:
-				l.children[np[j]] = insertSortedInt(l.children[np[j]], ci)
-				j++
-			default:
-				i++
-				j++
+		kept := l.parents[gen][:0]
+		for _, p := range l.parents[gen] {
+			if l.intentSubset(words, int32(p), int32(ci)) {
+				l.children[p] = removeSortedInt(l.children[p], gen)
+				continue
 			}
+			kept = append(kept, p)
+		}
+		l.parents[gen] = insertSortedInt(kept, ci)
+		l.children[ci] = insertSortedInt(l.children[ci], gen)
+
+		l.parents[ci] = l.coverParents(ci, g)
+		for _, p := range l.parents[ci] {
+			l.children[p] = insertSortedInt(l.children[p], ci)
 		}
 	}
 }
 
-// coverParents recomputes the upper covers of concept ci from scratch,
-// mirroring linkCovers' per-concept scan exactly: candidates are the
-// closures σ(extent ∪ {o}) over one representative o per distinct row,
-// deduplicated, ordered by (extent size, ID), and filtered so a candidate
-// survives iff no earlier-accepted cover sits inside it — which leaves
-// precisely the minimal candidates, independent of collection order. The
-// returned list is re-sorted ascending by ID, matching the rebuild's merge.
-func (l *Lattice) coverParents(ci int, scratch *bitset.Set, seen []int32, gen int32) []int {
-	c := l.concepts[ci]
-	if c.Extent.Len() == l.ctx.NumObjects() {
-		return []int{} // the top concept has no parents
+// coverParents computes the upper covers of concept ci the way linkCovers
+// does: the candidates are the closures σ(extent ∪ {o}) = intent ∩ row(o)
+// over one representative o per distinct row, deduplicated, and
+// minimalCovers keeps the minimal ones. The returned list is re-sorted
+// ascending by ID, matching the rebuild's merge.
+func (l *Lattice) coverParents(ci int, g *godinScratch) []int {
+	n := len(l.concepts)
+	if len(g.seen) < n {
+		g.seen = append(g.seen, make([]int32, n-len(g.seen))...)
+		g.sizes = append(g.sizes, make([]int32, n-len(g.sizes))...)
 	}
-	var cand []int32
+	g.gen++
+	if g.gen == 0 { // stamp wrapped: reset and restart generations
+		clear(g.seen)
+		g.gen = 1
+	}
+	c := l.concepts[ci]
+	words := g.words
+	cand := g.coverCand[:0]
 	for _, rep := range l.reps {
 		ro := int(rep)
 		if c.Extent.Has(ro) {
 			continue
 		}
-		bitset.IntersectInto(scratch, c.Intent, l.ctx.Attributes(ro))
-		id := l.idx.lookup(l.concepts, scratch)
+		var id int
+		if words != nil {
+			id = l.idx.lookupWord(words, words[ci]&word0(l.ctx.Attributes(ro)))
+		} else {
+			bitset.IntersectInto(&g.inter, c.Intent, l.ctx.Attributes(ro))
+			id = l.idx.lookup(l.concepts, &g.inter)
+		}
 		if id < 0 {
 			panic("concept: closure missing from intent index")
 		}
-		if seen[id] != gen {
-			seen[id] = gen
+		if g.seen[id] != g.gen {
+			g.seen[id] = g.gen
+			g.sizes[id] = int32(l.concepts[id].Extent.Len())
 			cand = append(cand, int32(id))
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool {
-		a, b := cand[i], cand[j]
-		sa, sb := l.concepts[a].Extent.Len(), l.concepts[b].Extent.Len()
-		if sa != sb {
-			return sa < sb
-		}
-		return a < b
-	})
-	acc := cand[:0]
-	for _, cj := range cand {
-		ce := l.concepts[cj].Extent
-		dominated := false
-		for _, k := range acc {
-			if l.concepts[k].Extent.SubsetOf(ce) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			acc = append(acc, cj)
-		}
-	}
-	out := make([]int, len(acc))
-	for i, cj := range acc {
+	g.coverCand = cand
+	g.covers = l.minimalCovers(g.covers[:0], cand, g.sizes, words)
+	out := make([]int, len(g.covers))
+	for i, cj := range g.covers {
 		out[i] = int(cj)
 	}
 	insertionSortInts(out)

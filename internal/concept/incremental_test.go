@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/event"
+	"repro/internal/fa"
 	"repro/internal/trace"
 	"repro/internal/xtrace"
 )
@@ -50,44 +52,80 @@ func requireByteIdentical(t *testing.T, got, want *Lattice, msg string) {
 // sequences on small random contexts, pinning the lattice against a full
 // rebuild after every single operation. Small universes hit every path
 // hard: duplicate rows, novel rows, new top concepts, removals of both
-// representative and duplicate objects, and shrinking to zero objects.
+// representative and duplicate objects, and shrinking to zero objects. The
+// second shape has more than 64 attributes, so the one-word fast paths are
+// off and generator search, cover repair and the attribute-table update run
+// on Sets; its rows use a few positions on both sides of the word boundary
+// so they still nest and collide like a small universe's.
 func TestIncrementalMatchesRebuildSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for iter := 0; iter < 120; iter++ {
 		c := randomContext(rng, 8, 6)
-		l := Build(c)
-		for step := 0; step < 12; step++ {
-			var msg string
-			if rng.Intn(2) == 0 || l.Context().NumObjects() == 0 {
-				na := l.Context().NumAttributes()
-				row := bitset.New(na)
-				if n := l.Context().NumObjects(); n > 0 && rng.Intn(3) == 0 {
-					row = l.Context().Attributes(rng.Intn(n)).Clone()
-				} else {
-					for a := 0; a < na; a++ {
-						if rng.Intn(3) == 0 {
-							row.Add(a)
-						}
-					}
-				}
-				msg = fmt.Sprintf("iter %d step %d: add %s", iter, step, row)
-				if err := l.AddObjectCtx(context.Background(), fmt.Sprintf("x%d.%d", iter, step), row); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				o := rng.Intn(l.Context().NumObjects())
-				msg = fmt.Sprintf("iter %d step %d: remove %d", iter, step, o)
-				if err := l.RemoveObjectCtx(context.Background(), o); err != nil {
-					t.Fatal(err)
-				}
+		pinIncrementalSteps(t, rng, c, nil, fmt.Sprintf("iter %d", iter))
+	}
+	wide := []int{0, 5, 63, 64, 65, 90}
+	for iter := 0; iter < 40; iter++ {
+		c := NewContext(nil, make([]string, 96))
+		for o := rng.Intn(8); o > 0; o-- {
+			c.addObject("w", randomRow(rng, 96, wide))
+		}
+		pinIncrementalSteps(t, rng, c, wide, fmt.Sprintf("wide iter %d", iter))
+	}
+}
+
+// randomRow draws a row over na attributes holding each of the given
+// positions (all attributes when nil) with probability 1/3.
+func randomRow(rng *rand.Rand, na int, positions []int) *bitset.Set {
+	row := bitset.New(na)
+	if positions == nil {
+		for a := 0; a < na; a++ {
+			if rng.Intn(3) == 0 {
+				row.Add(a)
 			}
-			rebuilt, err := BuildCtx(context.Background(), l.Context().clone(), WithWorkers(1))
-			if err != nil {
+		}
+		return row
+	}
+	for _, a := range positions {
+		if rng.Intn(3) == 0 {
+			row.Add(a)
+		}
+	}
+	return row
+}
+
+// pinIncrementalSteps builds c, then runs 12 random adds (new rows over
+// positions, see randomRow, or copies of existing rows) and removals,
+// requiring the lattice to match a full rebuild after each.
+func pinIncrementalSteps(t *testing.T, rng *rand.Rand, c *Context, positions []int, label string) {
+	t.Helper()
+	l := Build(c)
+	for step := 0; step < 12; step++ {
+		var msg string
+		if rng.Intn(2) == 0 || l.Context().NumObjects() == 0 {
+			na := l.Context().NumAttributes()
+			var row *bitset.Set
+			if n := l.Context().NumObjects(); n > 0 && rng.Intn(3) == 0 {
+				row = l.Context().Attributes(rng.Intn(n)).Clone()
+			} else {
+				row = randomRow(rng, na, positions)
+			}
+			msg = fmt.Sprintf("%s step %d: add %s", label, step, row)
+			if err := l.AddObjectCtx(context.Background(), fmt.Sprintf("x%s.%d", label, step), row); err != nil {
 				t.Fatal(err)
 			}
-			requireByteIdentical(t, l, rebuilt, msg)
-			checkLatticeInvariants(t, l)
+		} else {
+			o := rng.Intn(l.Context().NumObjects())
+			msg = fmt.Sprintf("%s step %d: remove %d", label, step, o)
+			if err := l.RemoveObjectCtx(context.Background(), o); err != nil {
+				t.Fatal(err)
+			}
 		}
+		rebuilt, err := BuildCtx(context.Background(), l.Context().clone(), WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireByteIdentical(t, l, rebuilt, msg)
+		checkLatticeInvariants(t, l)
 	}
 }
 
@@ -210,14 +248,61 @@ func benchFreshTraces(b *testing.B) []trace.Trace {
 	return freshSet.Representatives()
 }
 
+// bulkShapedCorpus draws the corpus shape of perfbench's bulk workload:
+// classes distinct traces of 2 to 6 events over 24 operations, Zipf-skewed
+// so a few operations are common and most are rare, under the unordered
+// template (a trace's row is the set of operations it uses). It returns
+// the template, the corpus, and novel further traces whose rows are new to
+// the corpus and to each other.
+func bulkShapedCorpus(classes, novel int) (*fa.FA, []trace.Trace, []trace.Trace) {
+	const ops = 24
+	alpha := make([]event.Event, ops)
+	for i := range alpha {
+		alpha[i] = event.Call(fmt.Sprintf("op%02d", i), "X")
+	}
+	ref := fa.Unordered(alpha)
+	rng := rand.New(rand.NewSource(20030609))
+	z := rand.NewZipf(rng, 1.05, 1, ops-1)
+	draw := func(id string) trace.Trace {
+		evs := make([]string, 2+rng.Intn(5))
+		for j := range evs {
+			evs[j] = fmt.Sprintf("op%02d(X)", z.Uint64())
+		}
+		return trace.ParseEvents(id, evs...)
+	}
+	set := &trace.Set{}
+	for i := 0; set.NumClasses() < classes; i++ {
+		set.Add(draw(fmt.Sprintf("t%d", i)))
+	}
+	corpus := set.Representatives()
+	rows := map[string]bool{}
+	for _, t := range corpus {
+		row, _ := ref.Executed(t)
+		rows[row.Key()] = true
+	}
+	var fresh []trace.Trace
+	for i := 0; len(fresh) < novel; i++ {
+		t := draw(fmt.Sprintf("n%d", i))
+		row, _ := ref.Executed(t)
+		if !rows[row.Key()] {
+			rows[row.Key()] = true
+			fresh = append(fresh, t)
+		}
+	}
+	return ref, corpus, fresh
+}
+
 // BenchmarkIncremental measures the incremental lanes against the full
 // rebuild they replace at production corpus scale. AddTrace/Pruned is the
 // streaming-ingestion hot path (the production pruned Godin step);
 // AddTrace/Unpruned keeps the legacy full-scan insertion as the baseline
-// the pruning speedup is read against; AddRemoveTrace restores the corpus
-// every iteration (the remove is the duplicate-row fast path by
-// construction); Rebuild is the baseline the ≥10× acceptance ratio is read
-// against.
+// the pruning speedup is read against; both mostly add rows the big corpus
+// already has. AddTrace/Novel adds only rows new to the lattice, over a
+// bulk-shaped corpus, so every add spawns concepts and repairs covers,
+// including the case where the bottom concept is a generator.
+// AddRemoveTrace restores the corpus every iteration (the remove is the
+// duplicate-row fast path by construction); Rebuild is the baseline the
+// ≥10× acceptance ratio is read against.
 func BenchmarkIncremental(b *testing.B) {
 	fc, err := bigCorpusContext()
 	if err != nil {
@@ -257,6 +342,35 @@ func BenchmarkIncremental(b *testing.B) {
 	}
 	b.Run("AddTrace/Pruned", addLane())
 	b.Run("AddTrace/Unpruned", addLane(withLegacyGodin()))
+	b.Run("AddTrace/Novel", func(b *testing.B) {
+		bulkRef, bulkCorpus, novel := bulkShapedCorpus(1000, 256)
+		cx, err := TraceContext(bulkCorpus, bulkRef)
+		if err != nil {
+			b.Fatal(err)
+		}
+		build := func() *Lattice {
+			l, err := BuildCtx(context.Background(), cx.clone(), WithWorkers(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return l
+		}
+		l := build()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Reset the lattice (untimed) once every novel row is in, so
+			// each add brings a row the lattice has not seen.
+			if i > 0 && i%len(novel) == 0 {
+				b.StopTimer()
+				l = build()
+				b.StartTimer()
+			}
+			if err := l.AddTraceCtx(context.Background(), novel[i%len(novel)], bulkRef); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("AddRemoveTrace", func(b *testing.B) {
 		l := build(b)
 		base := l.Context().NumObjects()

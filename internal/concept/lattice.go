@@ -271,18 +271,6 @@ func tauUpToArena(a *bitset.Arena, ctx *Context, y *bitset.Set, limit int) *bits
 	return out
 }
 
-// Cutoffs for the sparse extent projection linkCovers keeps for the long
-// tail of small concepts over wide object universes: only contexts whose
-// extents span at least sparseMinWords words build projections, and only
-// extents with at most sparseMaxElems elements get one. Both were chosen on
-// BenchmarkLatticeBig (dense subset tests win below ~512 objects; above,
-// iterating ≤48 elements beats sweeping 100+ words). Package variables so
-// property tests can force the sparse path on small contexts.
-var (
-	sparseMinWords = 8
-	sparseMaxElems = 48
-)
-
 // linkChunk is the stride of the parallel cover-linking scan: workers claim
 // chunks of this many concepts from an atomic counter, and cancellation is
 // checked between chunks.
@@ -306,12 +294,12 @@ const linkChunk = 64
 // distinct context row is scanned — duplicate rows yield identical closures
 // and identical extent membership, so at trace-corpus scale (many traces,
 // few distinct transition sets) the scan shrinks by orders of magnitude;
-// (2) accepted covers with small extents over wide universes are tested via
-// sparse element lists instead of dense word sweeps; (3) concepts are
-// partitioned across a worker pool — per-concept work touches only
-// read-only shared state, so workers claim chunks from an atomic counter
-// and write disjoint out-slots, making the result bit-identical to the
-// serial scan for any worker count.
+// (2) domination among candidates is tested on intents, which span the
+// attribute universe rather than the (much wider) object universe (see
+// minimalCovers); (3) concepts are partitioned across a worker pool —
+// per-concept work touches only read-only shared state, so workers claim
+// chunks from an atomic counter and write disjoint out-slots, making the
+// result bit-identical to the serial scan for any worker count.
 func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 	sp := obs.StartSpan("lattice.link_covers")
 	defer sp.End()
@@ -360,9 +348,10 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 	emptyID := l.idx.lookup(l.concepts, &bitset.Set{})
 
 	// On one-word attribute universes (≤64 attributes — every shipped
-	// corpus) intents and rows fit in registers: the closure is one AND and
+	// corpus) intents and rows fit in registers: the closure is one AND,
 	// known intents are probed through a flat word table, skipping the
-	// Set-walking Equal in the index probe.
+	// Set-walking Equal in the index probe, and a domination test is one
+	// AND-NOT.
 	var intentWord []uint64
 	var repWord []uint64
 	if l.ctx.NumAttributes() <= wordBitsPerSet {
@@ -374,39 +363,6 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 		for k, rep := range reps {
 			repWord[k] = word0(l.ctx.Attributes(int(rep)))
 		}
-	}
-
-	// Sparse projections of small extents, carved from one slab.
-	var sparse [][]int32
-	if wordsFor(numObj) >= sparseMinWords {
-		sparse = make([][]int32, n)
-		total := 0
-		for i := range sizes {
-			if int(sizes[i]) <= sparseMaxElems {
-				total += int(sizes[i])
-			}
-		}
-		slab := make([]int32, 0, total)
-		for i, c := range l.concepts {
-			if int(sizes[i]) <= sparseMaxElems {
-				start := len(slab)
-				slab = c.Extent.AppendElems32(slab)
-				sparse[i] = slab[start:len(slab):len(slab)]
-			}
-		}
-	}
-
-	less := func(a, b int32) bool {
-		if sizes[a] != sizes[b] {
-			return sizes[a] < sizes[b]
-		}
-		return a < b
-	}
-	cmp32 := func(a, b int32) int {
-		if sizes[a] != sizes[b] {
-			return int(sizes[a] - sizes[b])
-		}
-		return int(a - b)
 	}
 
 	// out[ci] receives ci's covers; each worker writes only the slots of
@@ -495,19 +451,11 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 			}
 			cand = append(cand, int32(emptyID))
 		}
-		// Size-layer order: ascending extent size, ties by ID for
-		// determinism (the total order also erases any candidate-order
-		// difference versus the unpruned per-rep scan). Insertion sort for
-		// the short lists that dominate; slices.SortFunc above the cutoff.
-		if len(cand) <= insertionSortCutoff {
-			for i := 1; i < len(cand); i++ {
-				for j := i; j > 0 && less(cand[j], cand[j-1]); j-- {
-					cand[j], cand[j-1] = cand[j-1], cand[j]
-				}
-			}
-		} else {
-			slices.SortFunc(cand, cmp32)
+		if cap(w.block)-len(w.block) < 256 {
+			w.block = make([]int32, 0, 4096) // retired blocks stay referenced by out
 		}
+		start := len(w.block)
+		w.block = l.minimalCovers(w.block, cand, sizes, intentWord)
 		w.cand = cand
 		w.cands += int64(len(cand))
 		if len(cand) > 0 {
@@ -516,30 +464,6 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 				if sizes[cand[i]] != sizes[cand[i-1]] {
 					w.layers++
 				}
-			}
-		}
-		// A candidate is a cover iff no cover accepted from an earlier
-		// (smaller) layer sits inside it.
-		if cap(w.block)-len(w.block) < 256 {
-			w.block = make([]int32, 0, 4096) // retired blocks stay referenced by out
-		}
-		start := len(w.block)
-		for _, cj := range cand {
-			ce := l.concepts[cj].Extent
-			dominated := false
-			for _, k := range w.block[start:] {
-				if sparse != nil && sparse[k] != nil {
-					if bitset.SparseSubsetOf(sparse[k], ce) {
-						dominated = true
-						break
-					}
-				} else if l.concepts[k].Extent.SubsetOf(ce) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				w.block = append(w.block, cj)
 			}
 		}
 		out[ci] = w.block[start:len(w.block):len(w.block)]
@@ -660,6 +584,64 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 }
 
 func wordsFor(n int) int { return (n + 63) / 64 }
+
+// minimalCovers appends to dst the upper covers of one concept among its
+// candidate upper bounds cand, and returns the extended slice. It sorts cand
+// in place by (extent size, ID) — a linear extension of the lattice order,
+// ID-tiebroken for determinism (the total order also erases any difference
+// in how callers collected the candidates) — and keeps each candidate that
+// no earlier-kept one lies below, which leaves exactly the minimal
+// candidates. Insertion sort for the short lists that dominate,
+// slices.SortFunc above the cutoff.
+//
+// Domination is tested on intents: extent(k) ⊆ extent(j) ⇔ intent(j) ⊆
+// intent(k), and intents span the attribute universe instead of the object
+// universe. sizes holds the extent size of every candidate; words is the
+// flat intent-word table on one-word universes (≤64 attributes), where a
+// test is one AND-NOT, and nil above, where it is Set.SubsetOf.
+func (l *Lattice) minimalCovers(dst, cand, sizes []int32, words []uint64) []int32 {
+	if len(cand) <= insertionSortCutoff {
+		for i := 1; i < len(cand); i++ {
+			for j := i; j > 0 && bySizeID(sizes, cand[j], cand[j-1]) < 0; j-- {
+				cand[j], cand[j-1] = cand[j-1], cand[j]
+			}
+		}
+	} else {
+		slices.SortFunc(cand, func(a, b int32) int { return bySizeID(sizes, a, b) })
+	}
+	start := len(dst)
+	for _, cj := range cand {
+		dominated := false
+		for _, k := range dst[start:] {
+			if l.intentSubset(words, cj, k) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			dst = append(dst, cj)
+		}
+	}
+	return dst
+}
+
+// bySizeID orders concept IDs by (extent size, ID).
+func bySizeID(sizes []int32, a, b int32) int {
+	if sizes[a] != sizes[b] {
+		return int(sizes[a] - sizes[b])
+	}
+	return int(a - b)
+}
+
+// intentSubset reports intent(a) ⊆ intent(b), i.e. concept b lies at or
+// below concept a. words is the flat intent-word table on one-word
+// attribute universes and nil above them.
+func (l *Lattice) intentSubset(words []uint64, a, b int32) bool {
+	if words != nil {
+		return words[a]&^words[b] == 0
+	}
+	return l.concepts[a].Intent.SubsetOf(l.concepts[b].Intent)
+}
 
 // insertionSortCutoff is the length above which candidate and cover-list
 // sorts switch from insertion sort (branch-cheap on the short lists that

@@ -32,17 +32,17 @@ func denseRandomContext(rng *rand.Rand, objs, attrs int) *Context {
 // TestPropParallelLinkCoversDeterministic pins the layer-parallel cover
 // scan to the serial one: for any worker count the resulting lattice —
 // concept order, parents, children, top, bottom, query tables — must be
-// identical, including on the sparse-projection domination path (forced
-// here by shrinking the cutoffs, since the test contexts are far below the
-// production sparseMinWords threshold). Run under -race this also checks
+// identical, on the one-word intent path and, for the last input (more
+// than 64 attributes), on the Set path. Run under -race this also checks
 // the pool's only shared writes (disjoint out slots) are clean.
 func TestPropParallelLinkCoversDeterministic(t *testing.T) {
-	defer func(mw, me int) { sparseMinWords, sparseMaxElems = mw, me }(sparseMinWords, sparseMaxElems)
-	sparseMinWords, sparseMaxElems = 1, 6
-
 	rng := rand.New(rand.NewSource(41))
-	for iter := 0; iter < 8; iter++ {
-		c := denseRandomContext(rng, 40+rng.Intn(20), 14)
+	for iter := 0; iter < 9; iter++ {
+		attrs := 14
+		if iter == 8 {
+			attrs = 70
+		}
+		c := denseRandomContext(rng, 40+rng.Intn(20), attrs)
 		serial, err := BuildCtx(context.Background(), c, WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)
@@ -82,16 +82,18 @@ func TestPropParallelLinkCoversDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelLinkCoversMatchesOracle cross-checks the parallel scan (with
-// sparse projections forced on) against the independent all-pairs oracle,
-// not just against the serial twin.
+// TestParallelLinkCoversMatchesOracle cross-checks the parallel scan
+// against the independent all-pairs oracle, not just against the serial
+// twin; the last input has more than 64 attributes, so intent domination
+// takes the Set path.
 func TestParallelLinkCoversMatchesOracle(t *testing.T) {
-	defer func(mw, me int) { sparseMinWords, sparseMaxElems = mw, me }(sparseMinWords, sparseMaxElems)
-	sparseMinWords, sparseMaxElems = 1, 4
-
 	rng := rand.New(rand.NewSource(43))
-	for iter := 0; iter < 5; iter++ {
-		c := denseRandomContext(rng, 45, 13)
+	for iter := 0; iter < 6; iter++ {
+		objs, attrs := 45, 13
+		if iter == 5 {
+			objs, attrs = 30, 70
+		}
+		c := denseRandomContext(rng, objs, attrs)
 		l, err := BuildCtx(context.Background(), c, WithWorkers(4))
 		if err != nil {
 			t.Fatal(err)

@@ -2,10 +2,15 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,4 +278,121 @@ func TestEvictionConcurrentWithRequests(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// cancelAfterFirst is a request context whose Err reports nil on its
+// first call and context.Canceled from the second on: a deadline expiring,
+// or a client disconnecting, while the handler is already running.
+type cancelAfterFirst struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *cancelAfterFirst) Err() error {
+	if c.calls.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// serveCancelling sends one request straight to srv's handler under a
+// cancelAfterFirst context and returns the response status.
+func serveCancelling(srv *Server, method, path, body string) int {
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	req = req.WithContext(&cancelAfterFirst{Context: context.Background()})
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	return rec.Code
+}
+
+// sessionClasses returns a session's classes (key, count, label).
+func (c *client) sessionClasses(sid string) []apiv1.TraceClass {
+	c.t.Helper()
+	var traces apiv1.TraceList
+	if code := c.do("GET", "/v1/sessions/"+sid+"/traces", nil, &traces); code != 200 {
+		c.t.Fatalf("list traces of %s: status %d", sid, code)
+	}
+	return traces.Traces
+}
+
+// requireBatchAtomic checks that a batch answered with status either fully
+// applied (200: want more classes than before) or not at all (anything
+// else: the session is unchanged), then labels the newest class and
+// returns the live classes.
+func requireBatchAtomic(t *testing.T, c *client, sid string, code, before, want int) []apiv1.TraceClass {
+	t.Helper()
+	live := c.sessionClasses(sid)
+	if code == http.StatusOK && len(live) != want || code != http.StatusOK && len(live) != before {
+		t.Fatalf("status %d with %d live classes (%d before, %d after a full batch)", code, len(live), before, want)
+	}
+	idx := len(live) - 1
+	var lr apiv1.LabelResponse
+	if code := c.do("POST", "/v1/sessions/"+sid+"/label", apiv1.LabelRequest{Trace: &idx, Label: "bad"}, &lr); code != 200 {
+		t.Fatalf("label class %d: status %d", idx, code)
+	}
+	return c.sessionClasses(sid)
+}
+
+// A cancellation that lands while an add-traces batch is being applied
+// must not half-apply it: the response status agrees with the live class
+// count, and a restart restores exactly the live classes and labels.
+func TestAddTracesCancelledMidBatchIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	srv, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	sid := c.mustCreate(violationFixture(t)).SessionID
+	before := len(c.sessionClasses(sid))
+
+	var text strings.Builder
+	batch := trace.NewSet(
+		trace.ParseEvents("n0", "X = popen()", "fwrite(X)"),
+		trace.ParseEvents("n1", "X = fopen()", "fwrite(X)", "pclose(X)"),
+	)
+	if err := trace.Write(&text, batch); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(apiv1.AddTracesRequest{Traces: text.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := serveCancelling(srv, "POST", "/v1/sessions/"+sid+"/traces", string(body))
+	live := requireBatchAtomic(t, c, sid, code, before, before+2)
+
+	_, c2 := restartServer(t, dir, obs.New())
+	if got := c2.sessionClasses(sid); !reflect.DeepEqual(got, live) {
+		t.Fatalf("restored classes %+v, live before the restart %+v", got, live)
+	}
+}
+
+// The stream path: the checker consumes the batch before its violations
+// reach the session, so a cancellation landing between two violation adds
+// must still apply and log the whole batch.
+func TestStreamEventsCancelledMidBatchIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	srv, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	sid := c.mustCreate(violationFixture(t)).SessionID
+	before := len(c.sessionClasses(sid))
+	st := c.openStream(sid, stdioSpec, 8)
+
+	// Two violations, both new classes: "X = popen(); X = fopen()" and,
+	// after the reset, "X = fopen()".
+	code := serveCancelling(srv, "POST", "/v1/streams/"+st.StreamID+"/events",
+		ndjson("X = popen()", "X = fopen()", "X = fopen()"))
+	live := requireBatchAtomic(t, c, sid, code, before, before+2)
+	var info apiv1.StreamInfo
+	if code := c.do("GET", "/v1/streams/"+st.StreamID, nil, &info); code != 200 {
+		t.Fatalf("get stream: %d", code)
+	}
+
+	_, c2 := restartServer(t, dir, obs.New())
+	if got := c2.sessionClasses(sid); !reflect.DeepEqual(got, live) {
+		t.Fatalf("restored classes %+v, live before the restart %+v", got, live)
+	}
+	var restored apiv1.StreamInfo
+	if code := c2.do("GET", "/v1/streams/"+st.StreamID, nil, &restored); code != 200 {
+		t.Fatalf("stream not restored: %d", code)
+	}
+	if restored.Events != info.Events || restored.Violations != info.Violations {
+		t.Fatalf("restored stream %d events / %d violations, live had %d / %d",
+			restored.Events, restored.Violations, info.Events, info.Violations)
+	}
 }

@@ -644,7 +644,10 @@ func (s *Server) walLabelDiff(id string, sess *cable.Session, before []cable.Lab
 // handleAddTraces ingests additional traces into a live session without
 // rebuilding its lattice: duplicates bump class multiplicities, novel
 // traces run the incremental lattice-maintenance path. The batch is
-// validated up front so a rejected trace leaves the session unchanged.
+// validated and its WAL records encoded up front so a rejected trace
+// leaves the session unchanged, and cancellation is honoured once, before
+// the first mutation: a batch cut short midway would leave live classes
+// that the response denies and the WAL never records.
 func (s *Server) handleAddTraces(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req apiv1.AddTracesRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -662,31 +665,16 @@ func (s *Server) handleAddTraces(ctx context.Context, w http.ResponseWriter, r *
 			return 0, nil, badRequest(errors.New("cannot add traces to a focus session; add them to the parent"))
 		}
 		ref := sess.Ref()
+		var traces []trace.Trace
+		var walRecs [][]byte
 		for _, cl := range in.Classes() {
 			if _, ok := ref.Executed(cl.Rep); !ok {
 				return 0, nil, validationFailed(fmt.Errorf("reference FA %q rejects trace %q", ref.Name(), cl.Rep.ID))
 			}
-		}
-		if e.latticeShared {
-			// Copy-on-write: the cache may still serve this lattice to a
-			// re-upload of the original corpus, so mutate a private copy.
-			sess.DetachLattice()
-			e.latticeShared = false
-		}
-		added, newClasses := 0, 0
-		var walRecs [][]byte
-		for _, cl := range in.Classes() {
 			for j := 0; j < cl.Count; j++ {
 				t := cl.Rep
 				t.ID = cl.IDs[j]
-				_, isNew, err := sess.AddTraceCtx(ctx, t)
-				if err != nil {
-					return 0, nil, err
-				}
-				added++
-				if isNew {
-					newClasses++
-				}
+				traces = append(traces, t)
 				if s.persist != nil {
 					rec, err := walAddRecord(t)
 					if err != nil {
@@ -696,10 +684,36 @@ func (s *Server) handleAddTraces(ctx context.Context, w http.ResponseWriter, r *
 				}
 			}
 		}
+		if err := ctx.Err(); err != nil {
+			return 0, nil, err
+		}
+		if e.latticeShared {
+			// Copy-on-write: the cache may still serve this lattice to a
+			// re-upload of the original corpus, so mutate a private copy.
+			sess.DetachLattice()
+			e.latticeShared = false
+		}
+		added, newClasses := 0, 0
+		var addErr error
+		applyCtx := context.WithoutCancel(ctx)
+		for _, t := range traces {
+			_, isNew, err := sess.AddTraceCtx(applyCtx, t)
+			if err != nil {
+				addErr = err
+				break
+			}
+			added++
+			if isNew {
+				newClasses++
+			}
+		}
 		if s.persist != nil {
-			if err := s.persist.appendWAL(e.id, walRecs); err != nil {
+			if err := s.persist.appendWAL(e.id, walRecs[:added]); err != nil {
 				s.metrics.Counter("server.snapshot.errors").Inc()
 			}
+		}
+		if addErr != nil {
+			return 0, nil, addErr
 		}
 		return http.StatusOK, apiv1.AddTracesResponse{
 			Added:       added,

@@ -30,6 +30,7 @@ import (
 	"repro/internal/server/apiv1"
 	"repro/internal/speclint"
 	"repro/internal/stream"
+	"repro/internal/trace"
 )
 
 // maxStreamBatch bounds one NDJSON batch body.
@@ -167,6 +168,10 @@ func violationDTO(v stream.Violation) apiv1.StreamViolation {
 // lattice classes. Violation trace IDs carry provenance:
 // "<streamID>@<offset>". The stream's current state rides along into
 // the session's WAL so a crash resumes the stream where it left off.
+// The stream checker has already consumed the batch, so it is applied
+// whole and logged whatever ctx says: its WAL records are encoded before
+// the first mutation, and the adds run under a context that is never
+// cancelled.
 func (s *Server) appendViolations(ctx context.Context, se *streamEntry, violations []stream.Violation, state stream.State, closed bool) (int, error) {
 	if len(violations) == 0 && s.persist == nil {
 		return 0, nil
@@ -184,21 +189,29 @@ func (s *Server) appendViolations(ctx context.Context, se *streamEntry, violatio
 		res.entry.mu.Lock()
 		defer res.entry.mu.Unlock()
 		e, sess := res.entry, res.session
+		traces := make([]trace.Trace, len(violations))
+		var walRecs [][]byte
+		for i, v := range violations {
+			traces[i] = v.Trace
+			traces[i].ID = fmt.Sprintf("%s@%d", se.id, v.Offset)
+			if s.persist != nil {
+				rec, err := walAddRecord(traces[i])
+				if err != nil {
+					return err
+				}
+				walRecs = append(walRecs, rec)
+			}
+		}
 		if len(violations) > 0 && e.latticeShared {
 			// Copy-on-write, as in handleAddTraces: the cache may still
 			// serve this lattice to re-uploads of the original corpus.
 			sess.DetachLattice()
 			e.latticeShared = false
 		}
-		var walRecs [][]byte
-		for _, v := range violations {
-			t := v.Trace
-			t.ID = fmt.Sprintf("%s@%d", se.id, v.Offset)
-			_, isNew, err := sess.AddTraceCtx(ctx, t)
+		logged := walRecs[:0] // the records of the traces the session took
+		for i, t := range traces {
+			_, isNew, err := sess.AddTraceCtx(context.WithoutCancel(ctx), t)
 			if err != nil {
-				if ctx.Err() != nil {
-					return err
-				}
 				// The session's reference FA rejects the window — it can
 				// happen when the stream checks the reference FA itself, or
 				// when the window carries events outside the session
@@ -211,16 +224,12 @@ func (s *Server) appendViolations(ctx context.Context, se *streamEntry, violatio
 				newClasses++
 			}
 			if s.persist != nil {
-				rec, err := walAddRecord(t)
-				if err != nil {
-					return err
-				}
-				walRecs = append(walRecs, rec)
+				logged = append(logged, walRecs[i])
 			}
 		}
 		if s.persist != nil {
-			walRecs = append(walRecs, walStreamRecord(se.id, se.spec, closed, state))
-			if err := s.persist.appendWAL(e.id, walRecs); err != nil {
+			logged = append(logged, walStreamRecord(se.id, se.spec, closed, state))
+			if err := s.persist.appendWAL(e.id, logged); err != nil {
 				s.metrics.Counter("server.snapshot.errors").Inc()
 			}
 		}
