@@ -100,13 +100,15 @@ stream-smoke:
 	$(GO) test -race -run 'TestStreamSmoke|TestStreamSoak' -count=1 \
 	    ./cmd/cabled ./internal/server
 
-# Multi-core determinism: the parallel Godin and linkCovers properties are
-# only meaningful when goroutines actually interleave, and the 1-core
-# reference container never schedules them concurrently. Force 4 procs so
-# CI exercises real cross-core interleavings of the classify/merge path.
+# Multi-core determinism of the lattice build. The Godin insertion step is
+# serial; the one worker pool left is linkCovers', and its properties are
+# only meaningful when goroutines actually interleave. Force 4 procs under
+# -race so CI exercises cross-core interleavings of the pool: the
+# byte-identity checks against the serial scan and the full-scan oracle,
+# the all-pairs oracle check, and the cancellation path.
 godin-multicore:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-	    -run 'TestPropParallelGodinDeterministic|TestParallelGodinDeterministicBigCorpus|TestGodinPrunedMatchesLegacy|TestPropParallelLinkCoversDeterministic|TestBigCorpusParallelDeterministic' \
+	    -run 'TestPropParallelGodinDeterministic|TestParallelGodinDeterministicBigCorpus|TestGodinPrunedMatchesLegacy|TestPropParallelLinkCoversDeterministic|TestBigCorpusParallelDeterministic|TestParallelLinkCoversMatchesOracle|TestBuildCancelledDuringLinkCovers' \
 	    ./internal/concept
 
 # perfbench's own suite, the end-to-end correctness gate of the benchmark

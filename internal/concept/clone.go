@@ -14,9 +14,7 @@ func (l *Lattice) Clone() *Lattice {
 		bottom:  l.bottom,
 		arena:   arena,
 		workers: l.workers,
-		// reps/repRows/inv stay nil for lazy rebuild; the insertion-step
-		// pinning travels with the copy.
-		legacyGodin: l.legacyGodin,
+		// reps/repRows/inv stay nil for lazy rebuild.
 	}
 	headers := make([]Concept, len(l.concepts))
 	nl.concepts = make([]*Concept, len(l.concepts))

@@ -2,18 +2,15 @@ package concept
 
 import (
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 )
 
-// This file implements the pruned — and, above a candidate threshold,
-// parallel — Godin object-insertion step shared by BuildCtx and
-// AddObjectCtx. The legacy full scan it replaces (godinLegacy, retained as
-// the differential oracle) intersects the new row against every existing
-// concept. The pruned step cuts that three ways, each byte-identical to the
-// full scan by construction:
+// This file implements the pruned Godin object-insertion step shared by
+// BuildCtx and AddObjectCtx. The full scan it replaces (kept in
+// godin_test.go as the buildLegacy oracle) intersects the new row against
+// every existing concept. The pruned step cuts that two ways, each
+// byte-identical to the full scan by construction:
 //
 //  1. Candidate pruning. An inverted index keeps, per attribute, the set of
 //     concept IDs whose intent contains it. Only concepts sharing at least
@@ -39,19 +36,6 @@ import (
 //     every distinct row is itself a closed intent, so there are at most as
 //     many distinct rows as concepts) this removes almost all insertions
 //     from the scan path.
-//
-//  3. Parallel classification. When the candidate set is large the
-//     intersection scan is classified by a worker pool first: workers claim
-//     godinChunk strides off an atomic counter, intersect with private
-//     scratch, and record per-candidate verdicts (modified / known intent /
-//     potential novel intent) against the read-only pre-insertion state.
-//     A serial merge then walks the verdicts in ascending candidate order
-//     and applies them with exactly the serial scan's effects: "modified"
-//     and "known" verdicts are state-independent, and "potential" verdicts
-//     are re-probed against the live index because an earlier candidate of
-//     the same insertion may have just created the intent. All mutation
-//     (arena carving, extent Adds, index and inverted-index inserts)
-//     happens in the merge, on one goroutine.
 
 // invIndex is the per-attribute inverted concept index: attr[a] holds the
 // IDs of the concepts whose intent contains attribute a, and empty the ID
@@ -114,13 +98,6 @@ type godinScratch struct {
 	keyBuf []byte
 	words  []uint64 // flat intent words, one per concept (one-word universes)
 
-	// Parallel classification state.
-	cand       []int32
-	kind       []uint8
-	workers    int // resolved worker bound (≥1)
-	pool       *godinPool
-	poolWanted bool // BuildCtx amortizes rounds over a persistent pool
-
 	// Cover-repair state (see coverParents): seen[id] == gen marks id as a
 	// candidate of the current concept, sizes holds the candidates' extent
 	// sizes, and coverCand and covers are the candidate and accepted-cover
@@ -132,18 +109,11 @@ type godinScratch struct {
 	covers    []int32
 }
 
-// closePool releases the persistent worker pool, if one was started.
-func (g *godinScratch) closePool() {
-	if g.pool != nil {
-		g.pool.close()
-		g.pool = nil
-	}
-}
-
 // godinInsert replays the Godin loop iteration for object o, whose row must
 // already be the context's own row o. The caller must have ensured the
 // inverted index (invEnsure) and the row-representative tables (repsEnsure
-// or build-time maintenance). The result is byte-identical to godinLegacy.
+// or build-time maintenance). The result is byte-identical to the full scan
+// (buildLegacy in godin_test.go).
 func (l *Lattice) godinInsert(o int, row *bitset.Set, g *godinScratch) {
 	g.keyBuf = row.AppendKey(g.keyBuf[:0])
 	if rc, dup := l.repRows[string(g.keyBuf)]; dup {
@@ -177,8 +147,8 @@ func (l *Lattice) godinReplay(o int, row *bitset.Set, rc *rowCache) {
 	rc.upTo = n
 }
 
-// godinScan is the first-occurrence path: the pruned (and possibly
-// parallel) intersection scan over the candidate concepts.
+// godinScan is the first-occurrence path: the pruned intersection scan over
+// the candidate concepts.
 func (l *Lattice) godinScan(o int, row *bitset.Set, g *godinScratch, rc *rowCache) {
 	n := len(l.concepts)
 	mask := &g.mask
@@ -187,21 +157,15 @@ func (l *Lattice) godinScan(o int, row *bitset.Set, g *godinScratch, rc *rowCach
 		mask.UnionWith(&l.inv.attr[a])
 		return true
 	})
-	candCount := mask.Len()
 	// Concepts outside the mask intersect the row to ∅. If an ∅-intent
 	// concept exists it gains o below (like any intent ⊆ row); otherwise the
 	// first outside position is where the full scan creates it.
 	preEmpty := l.inv.empty
 	emptyAt := -1
-	if preEmpty < 0 && candCount < n {
+	if preEmpty < 0 && mask.Len() < n {
 		emptyAt = firstAbsent(mask, n)
 	}
-	ids := rc.ids[:0]
-	if g.workers > 1 && candCount >= parGodinMinCand {
-		ids = l.godinScanParallel(o, row, g, emptyAt, ids)
-	} else {
-		ids = l.godinScanSerial(o, row, g, emptyAt, ids)
-	}
+	ids := l.godinScanSerial(o, row, g, emptyAt, rc.ids[:0])
 	if preEmpty >= 0 {
 		c := l.concepts[preEmpty]
 		l.arena.EnsureBits(c.Extent, o+1)
@@ -348,197 +312,4 @@ func firstAbsent(s *bitset.Set, n int) int {
 		}
 	}
 	return -1
-}
-
-// Verdicts of the parallel classification pass.
-const (
-	godinMod  = 1 // intent ⊆ row: the concept gains o
-	godinSkip = 2 // intersection was already an intent before this insertion
-	godinPot  = 3 // potential novel intent: re-probed at merge
-)
-
-// parGodinMinCand gates the parallel scan: below this many candidates one
-// round of cross-goroutine handoff costs more than the scan it would
-// split. Package variable so the determinism property tests can force tiny
-// parallel rounds.
-var parGodinMinCand = 1024
-
-// godinChunk is the stride workers claim off the shared counter.
-const godinChunk = 64
-
-// godinRound is one parallel classification round over a materialized
-// candidate list. Workers read only pre-insertion state — concept intents
-// (immutable), the intent index (read-only until the merge) — and write
-// disjoint kind slots, so the round needs no locks beyond the WaitGroup.
-type godinRound struct {
-	l    *Lattice
-	row  *bitset.Set
-	cand []int32
-	kind []uint8
-	next atomic.Int64
-	wg   sync.WaitGroup
-}
-
-func (r *godinRound) work(scratch *bitset.Set) {
-	n := len(r.cand)
-	for {
-		lo := int(r.next.Add(godinChunk)) - godinChunk
-		if lo >= n {
-			return
-		}
-		hi := lo + godinChunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			c := r.l.concepts[r.cand[i]]
-			switch {
-			case bitset.IntersectEqualsInto(scratch, c.Intent, r.row):
-				r.kind[i] = godinMod
-			case r.l.idx.lookup(r.l.concepts, scratch) >= 0:
-				r.kind[i] = godinSkip
-			default:
-				r.kind[i] = godinPot
-			}
-		}
-	}
-}
-
-// godinPool is a persistent set of classification workers: BuildCtx runs
-// one round per inserted object, and spawning goroutines per round would
-// dominate the rounds themselves. Workers block on the ticket channel;
-// each round posts one ticket per worker, the caller works too, and the
-// round's WaitGroup is the barrier before the serial merge.
-type godinPool struct {
-	tickets chan *godinRound
-	scratch []bitset.Set
-	n       int
-}
-
-func newGodinPool(n int) *godinPool {
-	p := &godinPool{tickets: make(chan *godinRound, n), scratch: make([]bitset.Set, n), n: n}
-	for i := 0; i < n; i++ {
-		sc := &p.scratch[i]
-		go func() {
-			for r := range p.tickets {
-				r.work(sc)
-				r.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-func (p *godinPool) run(r *godinRound, callerScratch *bitset.Set) {
-	r.wg.Add(p.n)
-	for i := 0; i < p.n; i++ {
-		p.tickets <- r
-	}
-	r.work(callerScratch)
-	r.wg.Wait()
-}
-
-func (p *godinPool) close() { close(p.tickets) }
-
-// runEphemeral runs the round on workers-1 throwaway goroutines plus the
-// caller — the shape AddObjectCtx uses, where at most one round per call
-// makes a persistent pool pointless.
-func (r *godinRound) runEphemeral(workers int, callerScratch *bitset.Set) {
-	r.wg.Add(workers - 1)
-	for i := 0; i < workers-1; i++ {
-		go func() {
-			defer r.wg.Done()
-			var sc bitset.Set
-			r.work(&sc)
-		}()
-	}
-	r.work(callerScratch)
-	r.wg.Wait()
-}
-
-// godinScanParallel classifies the candidates with the worker pool, then
-// merges the verdicts serially in ascending candidate order, replaying
-// exactly the serial scan's effects (see the file comment for why this is
-// byte-identical for any worker count).
-func (l *Lattice) godinScanParallel(o int, row *bitset.Set, g *godinScratch, emptyAt int, ids []int32) []int32 {
-	g.cand = g.mask.AppendElems32(g.cand[:0])
-	cand := g.cand
-	if cap(g.kind) < len(cand) {
-		g.kind = make([]uint8, len(cand))
-	}
-	kind := g.kind[:len(cand)]
-
-	workers := g.workers
-	if maxW := (len(cand) + godinChunk - 1) / godinChunk; workers > maxW {
-		workers = maxW
-	}
-	r := &godinRound{l: l, row: row, cand: cand, kind: kind}
-	if workers <= 1 {
-		r.work(&g.inter)
-	} else if g.poolWanted {
-		if g.pool == nil {
-			// The pool holds workers-1 goroutines sized at first use; the
-			// caller is the remaining worker.
-			g.pool = newGodinPool(g.workers - 1)
-		}
-		// Post only as many tickets as this round can use; skipping the
-		// handoff to workers the stride count can't feed is cheaper than
-		// letting them spin on an exhausted counter.
-		r.wg.Add(workers - 1)
-		for i := 0; i < workers-1; i++ {
-			g.pool.tickets <- r
-		}
-		r.work(&g.inter)
-		r.wg.Wait()
-	} else {
-		r.runEphemeral(workers, &g.inter)
-	}
-
-	inter := &g.inter
-	for i, ci := range cand {
-		if emptyAt >= 0 && int(ci) > emptyAt {
-			ids = append(ids, l.spawnEmpty(o, g))
-			emptyAt = -1
-		}
-		c := l.concepts[ci]
-		switch kind[i] {
-		case godinMod:
-			l.arena.EnsureBits(c.Extent, o+1)
-			c.Extent.Add(o)
-			ids = append(ids, ci)
-		case godinSkip:
-			// Already an intent before this insertion; still one now.
-		default:
-			bitset.IntersectInto(inter, c.Intent, row)
-			if l.idx.lookup(l.concepts, inter) >= 0 {
-				continue
-			}
-			ids = append(ids, l.spawn(o, inter, g))
-		}
-	}
-	if emptyAt >= 0 {
-		ids = append(ids, l.spawnEmpty(o, g))
-	}
-	return ids
-}
-
-// godinLegacy is the pre-pruning Godin iteration — a full scan of the
-// pre-insertion concept snapshot — retained as the differential oracle for
-// the pruned path (TestGodinPrunedMatchesLegacy) and as the unpruned
-// baseline the incremental benchmarks compare against.
-func (l *Lattice) godinLegacy(o int, row *bitset.Set, scratch *bitset.Set) {
-	n := len(l.concepts)
-	for i := 0; i < n; i++ {
-		c := l.concepts[i]
-		if bitset.IntersectEqualsInto(scratch, c.Intent, row) {
-			l.arena.EnsureBits(c.Extent, o+1)
-			c.Extent.Add(o)
-			continue
-		}
-		if l.idx.lookup(l.concepts, scratch) >= 0 {
-			continue
-		}
-		inter := l.arena.Clone(scratch)
-		l.newConcept(tauUpToArena(l.arena, l.ctx, inter, o), inter)
-	}
 }

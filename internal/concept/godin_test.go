@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/bitset"
 )
 
 // snapshotBytes serializes the lattice; byte equality of snapshots is the
@@ -20,17 +22,47 @@ func snapshotBytes(t testing.TB, l *Lattice) []byte {
 	return buf.Bytes()
 }
 
-// TestPropParallelGodinDeterministic pins the tentpole property: the pruned
-// Godin insertion step — serial or parallel at any worker count — produces
-// a lattice byte-identical (WriteSnapshot) to both the Workers=1 pruned
-// build and the retained legacy full-scan build, over randomized corpora
-// spanning the one-word fast path (≤64 attributes) and the general path.
-// parGodinMinCand is forced down so the parallel classify/merge actually
-// runs on test-size candidate sets.
-func TestPropParallelGodinDeterministic(t *testing.T) {
-	defer func(mc int) { parGodinMinCand = mc }(parGodinMinCand)
-	parGodinMinCand = 1
+// godinLegacy is the pre-pruning Godin iteration: a full scan of the
+// pre-insertion concept snapshot, intersecting the row with every intent.
+func (l *Lattice) godinLegacy(o int, row *bitset.Set, scratch *bitset.Set) {
+	n := len(l.concepts)
+	for i := 0; i < n; i++ {
+		c := l.concepts[i]
+		if bitset.IntersectEqualsInto(scratch, c.Intent, row) {
+			l.arena.EnsureBits(c.Extent, o+1)
+			c.Extent.Add(o)
+			continue
+		}
+		if l.idx.lookup(l.concepts, scratch) >= 0 {
+			continue
+		}
+		inter := l.arena.Clone(scratch)
+		l.newConcept(tauUpToArena(l.arena, l.ctx, inter, o), inter)
+	}
+}
 
+// buildLegacy is the differential oracle for the pruned Godin step: Build's
+// seed and loop with the full scan per object, then finalize.
+func buildLegacy(ctx *Context) *Lattice {
+	arena := bitset.NewArena()
+	l := &Lattice{ctx: ctx, arena: arena}
+	numObj, numAttr := ctx.NumObjects(), ctx.NumAttributes()
+	l.idx.initFor(256)
+	l.newConcept(arena.Set(numObj, numObj), arena.Set(numAttr, numAttr).FillFull(numAttr))
+	scratch := &bitset.Set{}
+	for o := 0; o < numObj; o++ {
+		l.godinLegacy(o, ctx.Attributes(o), scratch)
+	}
+	l.finalize()
+	return l
+}
+
+// TestPropParallelGodinDeterministic pins the tentpole property: the pruned
+// Godin insertion step, with cover linking at any worker count, produces a
+// lattice byte-identical (WriteSnapshot) to the full-scan oracle
+// buildLegacy, over randomized corpora spanning the one-word fast path
+// (≤64 attributes) and the general path.
+func TestPropParallelGodinDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	iters := 40
 	if testing.Short() {
@@ -47,18 +79,14 @@ func TestPropParallelGodinDeterministic(t *testing.T) {
 			// Past one word: exercises the general (Set-walking) scan.
 			c = randomContext(rng, 30, 100)
 		}
-		legacy, err := BuildCtx(context.Background(), c, WithWorkers(1), withLegacyGodin())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := snapshotBytes(t, legacy)
+		want := snapshotBytes(t, buildLegacy(c))
 		for _, workers := range []int{1, 2, 8} {
 			l, err := BuildCtx(context.Background(), c, WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := snapshotBytes(t, l); !bytes.Equal(got, want) {
-				t.Fatalf("iter %d: pruned build (workers=%d) snapshot differs from legacy serial build on\n%s",
+				t.Fatalf("iter %d: pruned build (workers=%d) snapshot differs from the legacy full scan on\n%s",
 					iter, workers, c)
 			}
 			checkLatticeInvariants(t, l)
@@ -70,36 +98,29 @@ func TestPropParallelGodinDeterministic(t *testing.T) {
 // mid-size slice of the >10⁴-class xtrace fixture — real duplicate-row
 // replay territory (thousands of trace classes, few distinct rows).
 func TestParallelGodinDeterministicBigCorpus(t *testing.T) {
-	defer func(mc int) { parGodinMinCand = mc }(parGodinMinCand)
-	parGodinMinCand = 1
-
 	set := bigCorpusClasses(4000)
 	fc, err := TraceContext(set.Representatives(), bigCorpusRef())
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := BuildCtx(context.Background(), fc, WithWorkers(1), withLegacyGodin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotBytes(t, legacy)
+	want := snapshotBytes(t, buildLegacy(fc))
 	for _, workers := range []int{1, 2, 8} {
 		l, err := BuildCtx(context.Background(), fc, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := snapshotBytes(t, l); !bytes.Equal(got, want) {
-			t.Fatalf("pruned big-corpus build (workers=%d) snapshot differs from legacy serial build", workers)
+			t.Fatalf("pruned big-corpus build (workers=%d) snapshot differs from the legacy full scan", workers)
 		}
 	}
 }
 
 // TestGodinPrunedMatchesLegacy is the pruned-vs-unpruned differential over
-// incremental add sequences: a pruned lattice and a legacy-pinned lattice
-// start from the same prefix context and receive the same rows through
-// AddObjectCtx one at a time, staying byte-identical at every step. This
-// exercises the replay cache, the lazily built inverted index, and the
-// incremental updateTablesAfterAdd against the legacy loop.
+// incremental add sequences: a pruned lattice built over a prefix context
+// receives the remaining rows through AddObjectCtx one at a time, and after
+// every add it must be byte-identical to buildLegacy over the grown
+// context. This exercises the replay cache, the lazily built inverted
+// index, and the incremental updateTablesAfterAdd against the legacy loop.
 func TestGodinPrunedMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(99173))
 	iters := 30
@@ -132,34 +153,29 @@ func TestGodinPrunedMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := BuildCtx(context.Background(), prefix(), WithWorkers(1), withLegacyGodin())
-		if err != nil {
-			t.Fatal(err)
-		}
 		for o := base; o < no; o++ {
-			name := fmt.Sprintf("o%d", o)
-			if err := pruned.AddObjectCtx(context.Background(), name, full.Attributes(o)); err != nil {
+			if err := pruned.AddObjectCtx(context.Background(), fmt.Sprintf("o%d", o), full.Attributes(o)); err != nil {
 				t.Fatal(err)
 			}
-			if err := legacy.AddObjectCtx(context.Background(), name, full.Attributes(o)); err != nil {
-				t.Fatal(err)
-			}
+			legacy := buildLegacy(pruned.Context().clone())
 			if !bytes.Equal(snapshotBytes(t, pruned), snapshotBytes(t, legacy)) {
 				t.Fatalf("iter %d: pruned and legacy lattices diverge after adding object %d of\n%s",
 					iter, o, full)
 			}
+			requireByteIdentical(t, pruned, legacy, fmt.Sprintf("iter %d: pruned vs legacy after adding object %d", iter, o))
 		}
-		requireByteIdentical(t, pruned, legacy, "pruned vs legacy after adds")
 	}
 }
 
-// BenchmarkParallel publishes the worker-scaling curves of the phases that
-// honor WithWorkers — the Godin insertion scan inside Build, the cover
-// linking pass, and the incremental add. Worker counts are sub-benchmark
-// names (w1..w8) so the bench pipeline keys them stably; on a single-core
-// box the curves are flat and only the multi-core lane shows speedup.
+// BenchmarkParallel publishes the worker-scaling curve of the one phase
+// that honors WithWorkers, cover linking, alone (LinkCovers) and inside a
+// full Build. The fixture is the bulk-shaped corpus (1000 classes over 24
+// operations, 1328 concepts), well above linkCovers' two-chunk cut-in, so
+// every lane above w1 runs the pool. Worker counts are sub-benchmark names
+// (w1..w8) so the bench pipeline keys them stably.
 func BenchmarkParallel(b *testing.B) {
-	fc, err := bigCorpusContext()
+	ref, corpus, _ := bulkShapedCorpus(1000, 0)
+	fc, err := TraceContext(corpus, ref)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -187,35 +203,6 @@ func BenchmarkParallel(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if err := l.linkCovers(context.Background(), w); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	})
-	b.Run("AddTrace", func(b *testing.B) {
-		ref := bigCorpusRef()
-		for _, w := range workerCounts {
-			b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-				l, err := BuildCtx(context.Background(), fc.clone(), WithWorkers(w))
-				if err != nil {
-					b.Fatal(err)
-				}
-				fresh := benchFreshTraces(b)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i > 0 && i%256 == 0 {
-						b.StopTimer()
-						l, err = BuildCtx(context.Background(), fc.clone(), WithWorkers(w))
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.StartTimer()
-					}
-					tr := fresh[i%len(fresh)]
-					tr.ID = fmt.Sprintf("bench-par-add-%d-%d", w, i)
-					if err := l.AddTraceCtx(context.Background(), tr, ref); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -3,7 +3,6 @@ package concept
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/bitset"
@@ -98,13 +97,10 @@ func (l *Lattice) AddObjectCtx(cc context.Context, name string, row *bitset.Set)
 		l.arena = bitset.NewArena()
 	}
 	l.repsEnsure()
+	l.invEnsure()
 	g := l.godin
 	if g == nil {
-		workers := l.workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		g = &godinScratch{workers: workers}
+		g = &godinScratch{}
 		l.godin = g
 	}
 	g.godinWordsEnsure(l)
@@ -114,24 +110,11 @@ func (l *Lattice) AddObjectCtx(cc context.Context, name string, row *bitset.Set)
 	row = l.ctx.Attributes(o) // the context's own copy
 
 	// Godin step: replay exactly the loop iteration BuildCtx would run for
-	// object o — the pruned scan by default, the legacy full scan when the
-	// lattice is pinned to it. Either way the new object joins reps iff its
-	// row is novel, and it must be there before cover repair: candidate
-	// generation is complete only over all distinct rows.
+	// object o. The new object joins reps iff its row is novel, and it must
+	// be there before cover repair: candidate generation is complete only
+	// over all distinct rows.
 	firstNew := len(l.concepts)
-	//cablevet:ignore ctxpropagate one add is atomic: cc was checked before mutation began, and aborting mid-insertion would tear the lattice
-	if l.legacyGodin {
-		l.godinLegacy(o, row, &g.inter)
-		key := string(row.AppendKey(nil))
-		if _, dup := l.repRows[key]; !dup {
-			l.repRows[key] = &rowCache{}
-			l.reps = append(l.reps, int32(o))
-		}
-		g.godinWordsEnsure(l) // the legacy scan does not extend the word table
-	} else {
-		l.invEnsure()
-		l.godinInsert(o, row, g)
-	}
+	l.godinInsert(o, row, g)
 
 	l.repairCoversAfterAdd(firstNew, g)
 	l.rescanTopBottom()
@@ -152,7 +135,7 @@ func (l *Lattice) updateTablesAfterAdd(o int, scratch *bitset.Set) {
 	if len(l.objConcept) != o || len(l.attrConcept) != l.ctx.NumAttributes() {
 		// A lattice whose tables were never built (or are from a foreign
 		// constructor) gets the full pass.
-		l.buildTables()
+		l.mustBuildTables()
 		return
 	}
 	sp := obs.StartSpan("lattice.tables")
@@ -339,7 +322,7 @@ func (l *Lattice) RemoveObjectCtx(cc context.Context, o int) error {
 			}
 		}
 		l.rescanTopBottom()
-		l.buildTables()
+		l.mustBuildTables()
 		obs.Count("lattice.incr.removes", 1)
 		return nil
 	}
@@ -348,11 +331,7 @@ func (l *Lattice) RemoveObjectCtx(cc context.Context, o int) error {
 	// update. The copy keeps the lattice intact if the replay is cancelled.
 	nctx := l.ctx.clone()
 	nctx.removeObject(o)
-	opts := []BuildOption{WithWorkers(l.workers)}
-	if l.legacyGodin {
-		opts = append(opts, withLegacyGodin())
-	}
-	nl, err := BuildCtx(cc, nctx, opts...)
+	nl, err := BuildCtx(cc, nctx, WithWorkers(l.workers))
 	if err != nil {
 		return err
 	}
@@ -378,7 +357,6 @@ func (l *Lattice) adopt(nl *Lattice) {
 	l.inv = nl.inv
 	l.hdr = nl.hdr
 	l.godin = nil // intent-word cache indexes the old concept set
-	l.legacyGodin = nl.legacyGodin
 }
 
 // repsEnsure lazily builds the row-representative tables (one object per

@@ -294,10 +294,9 @@ func bulkShapedCorpus(classes, novel int) (*fa.FA, []trace.Trace, []trace.Trace)
 
 // BenchmarkIncremental measures the incremental lanes against the full
 // rebuild they replace at production corpus scale. AddTrace/Pruned is the
-// streaming-ingestion hot path (the production pruned Godin step);
-// AddTrace/Unpruned keeps the legacy full-scan insertion as the baseline
-// the pruning speedup is read against; both mostly add rows the big corpus
-// already has. AddTrace/Novel adds only rows new to the lattice, over a
+// streaming-ingestion hot path (the production pruned Godin step); it
+// mostly adds rows the big corpus already has. AddTrace/Novel adds only
+// rows new to the lattice, over a
 // bulk-shaped corpus, so every add spawns concepts and repairs covers,
 // including the case where the bottom concept is a generator.
 // AddRemoveTrace restores the corpus every iteration (the remove is the
@@ -311,37 +310,33 @@ func BenchmarkIncremental(b *testing.B) {
 	ref := bigCorpusRef()
 	corpus := bigCorpusClasses(60000).Representatives()
 	fresh := benchFreshTraces(b)
-	build := func(b *testing.B, opts ...BuildOption) *Lattice {
-		l, err := BuildCtx(context.Background(), fc.clone(), append([]BuildOption{WithWorkers(1)}, opts...)...)
+	build := func(b *testing.B) *Lattice {
+		l, err := BuildCtx(context.Background(), fc.clone(), WithWorkers(1))
 		if err != nil {
 			b.Fatal(err)
 		}
 		return l
 	}
-	addLane := func(opts ...BuildOption) func(*testing.B) {
-		return func(b *testing.B) {
-			l := build(b, opts...)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Reset the lattice (untimed) every 256 adds: without this,
-				// large b.N measures adds against an ever-growing corpus
-				// instead of the marginal add at baseline size.
-				if i > 0 && i%256 == 0 {
-					b.StopTimer()
-					l = build(b, opts...)
-					b.StartTimer()
-				}
-				tr := fresh[i%len(fresh)]
-				tr.ID = fmt.Sprintf("bench-add-%d", i)
-				if err := l.AddTraceCtx(context.Background(), tr, ref); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("AddTrace/Pruned", func(b *testing.B) {
+		l := build(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Reset the lattice (untimed) every 256 adds: without this,
+			// large b.N measures adds against an ever-growing corpus
+			// instead of the marginal add at baseline size.
+			if i > 0 && i%256 == 0 {
+				b.StopTimer()
+				l = build(b)
+				b.StartTimer()
+			}
+			tr := fresh[i%len(fresh)]
+			tr.ID = fmt.Sprintf("bench-add-%d", i)
+			if err := l.AddTraceCtx(context.Background(), tr, ref); err != nil {
+				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("AddTrace/Pruned", addLane())
-	b.Run("AddTrace/Unpruned", addLane(withLegacyGodin()))
+	})
 	b.Run("AddTrace/Novel", func(b *testing.B) {
 		bulkRef, bulkCorpus, novel := bulkShapedCorpus(1000, 256)
 		cx, err := TraceContext(bulkCorpus, bulkRef)

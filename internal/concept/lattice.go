@@ -70,10 +70,6 @@ type Lattice struct {
 	hdr []Concept
 	// godin caches the insertion scratch across incremental adds.
 	godin *godinScratch
-	// legacyGodin pins this lattice to the unpruned full-scan insertion
-	// step, for differential tests and the unpruned benchmark baseline; it
-	// is inherited by incremental maintenance and replay rebuilds.
-	legacyGodin bool
 }
 
 // newConcept appends a concept with the next ID, indexing its intent in idx
@@ -98,22 +94,14 @@ func (l *Lattice) newConcept(extent, intent *bitset.Set) *Concept {
 type BuildOption func(*buildConfig)
 
 type buildConfig struct {
-	workers     int
-	legacyGodin bool
+	workers int
 }
 
-// WithWorkers bounds the worker pool the build's parallel phases (the Godin
-// insertion scan and cover linking) may use. 0 — and omitting the option —
-// means GOMAXPROCS; 1 forces the serial paths.
+// WithWorkers bounds the worker pool of the build's one parallel phase,
+// cover linking; the Godin insertion step is serial. 0 — and omitting the
+// option — means GOMAXPROCS; 1 forces the serial scan.
 func WithWorkers(n int) BuildOption {
 	return func(c *buildConfig) { c.workers = n }
-}
-
-// withLegacyGodin forces the unpruned full-scan Godin step. Unexported: it
-// exists for the pruned-vs-legacy differential tests and the unpruned
-// benchmark baseline, not for callers.
-func withLegacyGodin() BuildOption {
-	return func(c *buildConfig) { c.legacyGodin = true }
 }
 
 func applyOptions(opts []BuildOption) buildConfig {
@@ -153,12 +141,12 @@ func BuildCtx(cc context.Context, ctx *Context, opts ...BuildOption) (*Lattice, 
 	sp := obs.StartSpan("lattice.build")
 	defer sp.End()
 	arena := bitset.NewArena()
-	l := &Lattice{ctx: ctx, arena: arena, workers: cfg.workers, legacyGodin: cfg.legacyGodin}
+	l := &Lattice{ctx: ctx, arena: arena, workers: cfg.workers}
 	numObj, numAttr := ctx.NumObjects(), ctx.NumAttributes()
 	l.idx.initFor(256)
-	if !cfg.legacyGodin {
-		l.inv = newInvIndex(numAttr)
-	}
+	l.inv = newInvIndex(numAttr)
+	l.repRows = make(map[string]*rowCache, numObj)
+	l.reps = make([]int32, 0, numObj)
 
 	// Seed with the bottom concept: intent = all attributes, extent = the
 	// objects (none yet) having all of them. Keeping the bottom in the
@@ -167,38 +155,16 @@ func BuildCtx(cc context.Context, ctx *Context, opts ...BuildOption) (*Lattice, 
 	// never leaves the arena.
 	l.newConcept(arena.Set(numObj, numObj), arena.Set(numAttr, numAttr).FillFull(numAttr))
 
+	g := &godinScratch{}
+	g.godinWordsEnsure(l)
 	done := cc.Done()
-	if cfg.legacyGodin {
-		// The scratch intersection lives on the heap (IntersectEqualsInto's
-		// dst must not alias its operands) and is only materialized into the
-		// arena when it is a novel intent.
-		scratch := &bitset.Set{}
-		for o := 0; o < numObj; o++ {
-			select {
-			case <-done:
-				return nil, cc.Err()
-			default:
-			}
-			l.godinLegacy(o, ctx.Attributes(o), scratch)
+	for o := 0; o < numObj; o++ {
+		select {
+		case <-done:
+			return nil, cc.Err()
+		default:
 		}
-	} else {
-		workers := cfg.workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		g := &godinScratch{workers: workers, poolWanted: workers > 1}
-		defer g.closePool()
-		l.repRows = make(map[string]*rowCache, numObj)
-		l.reps = make([]int32, 0, numObj)
-		g.godinWordsEnsure(l)
-		for o := 0; o < numObj; o++ {
-			select {
-			case <-done:
-				return nil, cc.Err()
-			default:
-			}
-			l.godinInsert(o, ctx.Attributes(o), g)
-		}
+		l.godinInsert(o, ctx.Attributes(o), g)
 	}
 	if err := l.finalizeCtx(cc, cfg.workers); err != nil {
 		return nil, err
@@ -228,14 +194,16 @@ func (l *Lattice) finalizeCtx(cc context.Context, workers int) error {
 	if err := l.linkCovers(cc, workers); err != nil {
 		return err
 	}
-	l.buildTables()
+	l.mustBuildTables()
 	return nil
 }
 
 // buildTables precomputes the ObjectConcept and AttributeConcept lookup
 // tables. γo has intent σ({o}) = row(o); μa has intent σ(τ({a})). Both are
-// closed intents, so the index resolves them directly.
-func (l *Lattice) buildTables() {
+// closed intents of a well-formed lattice, so the index resolves them
+// directly; a miss is reported as an error, which is how ReadSnapshot
+// rejects a corrupt snapshot.
+func (l *Lattice) buildTables() error {
 	sp := obs.StartSpan("lattice.tables")
 	defer sp.End()
 	scratch := &bitset.Set{}
@@ -243,7 +211,7 @@ func (l *Lattice) buildTables() {
 	for o := range l.objConcept {
 		id := l.idx.lookup(l.concepts, l.ctx.Attributes(o))
 		if id < 0 {
-			panic("concept: object row is not a closed intent")
+			return fmt.Errorf("row of object %d is not a closed intent", o)
 		}
 		l.objConcept[o] = id
 	}
@@ -252,9 +220,18 @@ func (l *Lattice) buildTables() {
 		l.ctx.SigmaInto(scratch, l.ctx.Objects(a))
 		id := l.idx.lookup(l.concepts, scratch)
 		if id < 0 {
-			panic("concept: attribute closure is not a closed intent")
+			return fmt.Errorf("closure of attribute %d is not a closed intent", a)
 		}
 		l.attrConcept[a] = id
+	}
+	return nil
+}
+
+// mustBuildTables is buildTables for lattices this package built or
+// maintained, where a miss is a programming error.
+func (l *Lattice) mustBuildTables() {
+	if err := l.buildTables(); err != nil {
+		panic("concept: " + err.Error())
 	}
 }
 
@@ -305,8 +282,8 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 	defer sp.End()
 	n := len(l.concepts)
 	l.parents = make([][]int, n)
-	l.children = make([][]int, n)
 	if n == 0 {
+		l.children = [][]int{}
 		l.top, l.bottom = 0, 0
 		return nil
 	}
@@ -546,8 +523,7 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 	obs.Count("lattice.linkcovers.candidates", totalCands)
 
 	// Deterministic merge: per-concept covers re-sorted ascending by ID into
-	// one parent slab; children recovered by a counting pass, filled in
-	// ascending ci order so each list comes out sorted.
+	// one parent slab, then the children derived from them.
 	totalEdges := 0
 	for _, cs := range out {
 		totalEdges += len(cs)
@@ -563,24 +539,34 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 		l.parents[ci] = p
 		pos += len(cs)
 	}
+	l.children = childrenOf(l.parents, totalEdges)
+	return nil
+}
+
+// childrenOf derives the downward cover lists from the upward ones: a
+// counting pass sizes each list inside one slab of totalEdges entries, and
+// filling in ascending concept order leaves every list sorted.
+func childrenOf(parents [][]int, totalEdges int) [][]int {
+	n := len(parents)
 	childCount := make([]int, n)
-	for _, cs := range out {
-		for _, cj := range cs {
-			childCount[cj]++
+	for _, ps := range parents {
+		for _, p := range ps {
+			childCount[p]++
 		}
 	}
+	children := make([][]int, n)
 	childSlab := make([]int, totalEdges)
-	pos = 0
+	pos := 0
 	for i, cnt := range childCount {
-		l.children[i] = childSlab[pos : pos : pos+cnt]
+		children[i] = childSlab[pos : pos : pos+cnt]
 		pos += cnt
 	}
-	for ci := 0; ci < n; ci++ {
-		for _, p := range l.parents[ci] {
-			l.children[p] = append(l.children[p], ci)
+	for ci, ps := range parents {
+		for _, p := range ps {
+			children[p] = append(children[p], ci)
 		}
 	}
-	return nil
+	return children
 }
 
 func wordsFor(n int) int { return (n + 63) / 64 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
@@ -79,6 +80,33 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		if _, err := ReadSnapshot(bytes.NewReader(orig[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
+	}
+}
+
+// TestSnapshotRejectsUnclosedRow covers the last validation ReadSnapshot
+// runs, rebuilding the γ/μ tables: a snapshot with a valid CRC whose object
+// row is not a closed intent of its concepts must come back as an error,
+// not a panic. The input is a built lattice whose context row is tampered
+// with before WriteSnapshot, so the CRC covers the bad row.
+func TestSnapshotRejectsUnclosedRow(t *testing.T) {
+	c := NewContext([]string{"frog", "dog", "eagle"}, []string{"swims", "barks", "flies"})
+	for o := 0; o < 3; o++ {
+		c.Relate(o, o)
+	}
+	l := Build(c)
+	// The diagonal's intents are ∅, the singletons and the full set, so
+	// {swims, barks} is not closed.
+	l.Context().Attributes(0).Add(1)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, l); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err == nil {
+		t.Fatal("snapshot with an unclosed object row accepted")
+	}
+	if want := "row of object 0 is not a closed intent"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to mention %q", err, want)
 	}
 }
 

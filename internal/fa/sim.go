@@ -8,9 +8,9 @@ import (
 // The public simulation methods are thin wrappers over the automaton's
 // compiled plan (see Sim): the plan is built once per FA and cached, so
 // per-call users and plan-sharing worker pools run the same code path.
-// The original per-call loops survive below as legacy* — the reference
-// implementations that the differential tests and benchmarks pin the
-// compiled simulator against.
+// The original per-call loops live in sim_legacy_test.go as legacy* — the
+// reference implementations that the differential tests and benchmarks pin
+// the compiled simulator against.
 
 // Accepts reports whether some run of the automaton accepts the trace.
 func (f *FA) Accepts(t trace.Trace) bool {
@@ -49,104 +49,6 @@ func (f *FA) AcceptsAll(traces []trace.Trace) bool {
 		}
 	}
 	return true
-}
-
-// legacyAccepts is the original per-call simulation loop: a fresh frontier
-// bitset per event and a string render + compare per (state, event) pair.
-func (f *FA) legacyAccepts(t trace.Trace) bool {
-	cur := f.start.Clone()
-	for _, e := range t.Events {
-		next := bitset.New(f.numStates)
-		cur.Range(func(s int) bool {
-			for _, ti := range f.matching(State(s), e) {
-				next.Add(int(f.trans[ti].To))
-			}
-			return true
-		})
-		cur = next
-		if cur.Empty() {
-			return false
-		}
-	}
-	return cur.Intersects(f.accept)
-}
-
-// legacyRejectsAt is the original RejectsAt loop (see legacyAccepts).
-func (f *FA) legacyRejectsAt(t trace.Trace) int {
-	cur := f.start.Clone()
-	for i, e := range t.Events {
-		next := bitset.New(f.numStates)
-		cur.Range(func(s int) bool {
-			for _, ti := range f.matching(State(s), e) {
-				next.Add(int(f.trans[ti].To))
-			}
-			return true
-		})
-		if next.Empty() {
-			return i
-		}
-		cur = next
-	}
-	if cur.Intersects(f.accept) {
-		return -1
-	}
-	return len(t.Events)
-}
-
-// legacyExecuted is the original forward/backward product (see Executed for
-// the algorithm), allocating per-position bitsets and comparing labels by
-// rendered string.
-func (f *FA) legacyExecuted(t trace.Trace) (executed *bitset.Set, ok bool) {
-	n := len(t.Events)
-	fwd := make([]*bitset.Set, n+1)
-	fwd[0] = f.start.Clone()
-	for i, e := range t.Events {
-		next := bitset.New(f.numStates)
-		fwd[i].Range(func(s int) bool {
-			for _, ti := range f.matching(State(s), e) {
-				next.Add(int(f.trans[ti].To))
-			}
-			return true
-		})
-		fwd[i+1] = next
-	}
-	executed = bitset.New(len(f.trans))
-	if !fwd[n].Intersects(f.accept) {
-		return executed, false
-	}
-	bwd := make([]*bitset.Set, n+1)
-	bwd[n] = bitset.Intersect(fwd[n], f.accept)
-	for i := n - 1; i >= 0; i-- {
-		e := t.Events[i]
-		prev := bitset.New(f.numStates)
-		key := e.String()
-		// A state p belongs in bwd[i] if it has a matching transition into
-		// bwd[i+1]; we scan transitions entering states of bwd[i+1].
-		bwd[i+1].Range(func(q int) bool {
-			for _, ti := range f.byTo[q] {
-				tr := f.trans[ti]
-				if IsWildcard(tr.Label) || tr.Label.String() == key {
-					prev.Add(int(tr.From))
-				}
-			}
-			return true
-		})
-		prev.IntersectWith(fwd[i])
-		bwd[i] = prev
-	}
-	for i, e := range t.Events {
-		key := e.String()
-		fwd[i].Range(func(p int) bool {
-			for _, ti := range f.byFrom[p] {
-				tr := f.trans[ti]
-				if (IsWildcard(tr.Label) || tr.Label.String() == key) && bwd[i+1].Has(int(tr.To)) {
-					executed.Add(ti)
-				}
-			}
-			return true
-		})
-	}
-	return executed, true
 }
 
 // AcceptingRun returns one accepting sequence of transition indices for the

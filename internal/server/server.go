@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -313,6 +314,9 @@ func (s *Server) handleCreateSession(ctx context.Context, w http.ResponseWriter,
 	if err := decodeJSON(r, &req); err != nil {
 		return err
 	}
+	if req.Workers < 0 {
+		return badRequest(fmt.Errorf("workers: %d is negative", req.Workers))
+	}
 	set, err := trace.Read(strings.NewReader(req.Traces))
 	if err != nil {
 		return badRequest(fmt.Errorf("traces: %w", err))
@@ -324,10 +328,14 @@ func (s *Server) handleCreateSession(ctx context.Context, w http.ResponseWriter,
 	if err != nil {
 		return badRequest(fmt.Errorf("ref_fa: %w", err))
 	}
+	// The worker count sizes goroutine pools (up to one goroutine per trace
+	// class in the simulation fan-out and one per 64 concepts in cover
+	// linking), so it is clamped to the cores the process may use.
 	workers := req.Workers
 	if workers == 0 {
 		workers = s.cfg.Workers
 	}
+	workers = min(workers, runtime.GOMAXPROCS(0))
 	key := cacheKey(set, ref)
 	opts := []cable.Option{
 		cable.WithContext(ctx),

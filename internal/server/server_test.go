@@ -616,6 +616,27 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestCreateSessionWorkersBound pins the bound on the client-chosen worker
+// count: a negative value gets the bad_request envelope, and a huge one is
+// clamped to GOMAXPROCS rather than sizing goroutine pools, so the session
+// still builds the lattice the server default builds.
+func TestCreateSessionWorkersBound(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	fx := fixtureFrom(t, combinatorialSet(10))
+	fx.Workers = -1
+	var apiErr apiv1.Error
+	if code := c.do("POST", "/v1/sessions", fx, &apiErr); code != http.StatusBadRequest || apiErr.Code != "bad_request" {
+		t.Fatalf("workers -1: status %d code %q, want 400 bad_request", code, apiErr.Code)
+	}
+	fx.Workers = 0
+	want := c.mustCreate(fx)
+	fx.Workers = 1 << 20
+	got := c.mustCreate(fx)
+	if got.NumConcepts != want.NumConcepts {
+		t.Fatalf("workers 1<<20: %d concepts, workers 0 built %d", got.NumConcepts, want.NumConcepts)
+	}
+}
+
 func TestSuggestRoundTrip(t *testing.T) {
 	// Label a mixed concept good/bad, ask for a template, and feed the
 	// suggested FA straight back into a focus request.

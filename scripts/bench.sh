@@ -96,12 +96,12 @@ to_json < "$TMP_STREAM" > BENCH_stream.json
 echo "wrote BENCH_stream.json"
 
 # The multi-core lane: worker-scaling curves (1/2/4/8 workers as w1..w8
-# sub-benchmarks) for the phases that honor WithWorkers — the Godin
-# insertion scan inside Build, cover linking, and the incremental add. The
-# speedup only shows on a multi-core box, so the lane raises GOMAXPROCS to
-# at least 8 when the hardware has the cores; on the 1-core reference
-# container the curves are flat and only the determinism property is
-# exercised (the file is still written so BENCH_summary.json is stable).
+# sub-benchmarks) for the one phase that honors WithWorkers, cover
+# linking, alone (LinkCovers) and inside a full Build. The fixture is the
+# bulk-shaped corpus (1000 classes, 24 attributes, 1328 concepts), large
+# enough that every lane above w1 runs the pool. GOMAXPROCS is the online
+# core count capped at 8, so on a 1-core box the curves are flat (the file
+# is still written so BENCH_summary.json is stable).
 CORES="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 PAR_PROCS="$CORES"
 if [ "$CORES" -lt 8 ]; then PAR_PROCS="$CORES"; else PAR_PROCS=8; fi
