@@ -48,8 +48,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# A one-iteration pass over the lattice-engine, compiled-simulator, stream
-# and labeling-strategy benchmarks: catches benchmark-code rot without
+# A one-iteration pass over the lattice-engine, compiled-simulator, stream,
+# trace-I/O and labeling-strategy benchmarks: catches benchmark-code rot without
 # paying for stable measurements.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkLatticeBig|BenchmarkBitset|BenchmarkArena|BenchmarkIncremental|BenchmarkParallel|BenchmarkSortInts' \
@@ -58,6 +58,7 @@ bench-smoke:
 	    -benchtime 1x ./internal/fa ./internal/concept
 	$(GO) test -run '^$$' -bench 'BenchmarkFeed|BenchmarkManyStreams|BenchmarkIngest|BenchmarkStreamPump' \
 	    -benchtime 1x ./internal/stream ./internal/server
+	$(GO) test -run '^$$' -bench 'BenchmarkRead|BenchmarkWrite' -benchtime 1x ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkTable3' -benchtime 1x .
 
 # Run cmd/paper with -metrics and assert the snapshot attributes time to
@@ -67,11 +68,14 @@ obs-smoke:
 	    | grep -q '^span    lattice.build '
 
 # Short fuzz passes over the three text-format round-trip properties
-# (traces, automata, Burmeister contexts) and the two semantic-engine
-# differential properties (determinization vs. the NFA, complement and
-# self-inclusion vs. the bounded oracle).
+# (traces, automata, Burmeister contexts), the trace reader against its
+# line-by-line oracle, every parseable event through a trace file, and the
+# two semantic-engine differential properties (determinization vs. the
+# NFA, complement and self-inclusion vs. the bounded oracle).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMatchesOracle$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzEventRoundTrip$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzFAIO$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzConceptIO$$' -fuzztime 5s ./internal/concept
 	$(GO) test -run '^$$' -fuzz '^FuzzDeterminize$$' -fuzztime 5s ./internal/fa/lang

@@ -328,14 +328,15 @@ func (s *Session) LabelTraces(id int, sel Selector, label Label) (int, error) {
 // the reference FA rejects the trace, or cc is done — the session is
 // unchanged.
 func (s *Session) AddTraceCtx(cc context.Context, t trace.Trace) (class int, isNew bool, err error) {
-	if i := s.set.ClassOf(t); i >= 0 {
-		class, _ = s.set.Add(t)
-		return class, false, nil
-	}
-	if err := s.lattice.AddTraceCtx(cc, t, s.ref); err != nil {
+	class, isNew, err = s.set.AddChecked(t, func() error {
+		return s.lattice.AddTraceCtx(cc, t, s.ref)
+	})
+	if err != nil {
 		return 0, false, err
 	}
-	class, _ = s.set.Add(t)
+	if !isNew {
+		return class, false, nil
+	}
 	s.traces = append(s.traces, s.set.Class(class).Rep)
 	s.labels = append(s.labels, Unlabeled)
 	s.metrics.Gauge("cable.session.trace_classes").Set(int64(len(s.traces)))

@@ -127,14 +127,16 @@ func (e Event) Rename(subst map[string]string) Event {
 //
 //	[def =] op ( [use {, use}] )
 //
-// Whitespace around tokens is ignored. Parse returns an error for malformed
-// input rather than guessing.
+// Whitespace around tokens is ignored. No name may start with '#', the
+// comment marker of the trace, automaton and label file formats, so every
+// event Parse accepts can be written to those files and read back. Parse
+// returns an error for malformed input rather than guessing.
 func Parse(s string) (Event, error) {
 	var e Event
 	rest := strings.TrimSpace(s)
 	if eq := strings.Index(rest, "="); eq >= 0 {
 		def := strings.TrimSpace(rest[:eq])
-		if def == "" || strings.ContainsAny(def, "(), \t\n\r") {
+		if !validName(def, "(), \t\n\r") {
 			return e, fmt.Errorf("event: bad result binding in %q", s)
 		}
 		e.Def = def
@@ -145,7 +147,7 @@ func Parse(s string) (Event, error) {
 		return e, fmt.Errorf("event: missing argument list in %q", s)
 	}
 	op := strings.TrimSpace(rest[:open])
-	if op == "" || strings.ContainsAny(op, "(), \t\n\r") {
+	if !validName(op, "(), \t\n\r") {
 		return e, fmt.Errorf("event: bad operation name in %q", s)
 	}
 	e.Op = op
@@ -153,13 +155,19 @@ func Parse(s string) (Event, error) {
 	if args != "" {
 		for _, a := range strings.Split(args, ",") {
 			a = strings.TrimSpace(a)
-			if a == "" || strings.ContainsAny(a, "() \t\n\r") {
+			if !validName(a, "() \t\n\r") {
 				return e, fmt.Errorf("event: bad argument in %q", s)
 			}
 			e.Uses = append(e.Uses, a)
 		}
 	}
 	return e, nil
+}
+
+// validName reports whether name is non-empty, does not start with '#',
+// and contains none of the bytes in banned.
+func validName(name, banned string) bool {
+	return name != "" && name[0] != '#' && !strings.ContainsAny(name, banned)
 }
 
 // MustParse is Parse that panics on error; it is intended for literals in

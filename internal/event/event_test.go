@@ -59,6 +59,9 @@ func TestParseErrors(t *testing.T) {
 		"(a)",        // missing op
 		"X = fopen(", // unterminated
 		"fclose(X",   // unterminated
+		"#x()",       // op starts with the comment marker
+		"#X = f()",   // so does the binding
+		"f(#a)",      // and an argument
 	} {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", s)

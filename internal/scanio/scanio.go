@@ -21,16 +21,14 @@ import (
 // memory for adversarial inputs.
 const MaxLineBytes = 4 << 20
 
-// initialBufBytes is the scanner's starting buffer; it grows on demand
-// up to MaxLineBytes, so short-line files never pay for the cap.
-const initialBufBytes = 64 * 1024
-
 // NewScanner returns a line scanner over r configured with the shared
-// buffer policy. Callers should report scanner failures via LineError
-// so oversized lines are diagnosed consistently.
+// buffer policy: the buffer starts at bufio's 4 KiB and doubles on demand
+// up to MaxLineBytes, so short inputs never pay for the cap. Callers
+// should report scanner failures via LineError so oversized lines are
+// diagnosed consistently.
 func NewScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, initialBufBytes), MaxLineBytes)
+	sc.Buffer(nil, MaxLineBytes)
 	return sc
 }
 

@@ -3,6 +3,7 @@ package scanio
 import (
 	"bufio"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -55,5 +56,27 @@ func TestLineErrorGeneric(t *testing.T) {
 	}
 	if !errors.Is(got, cause) {
 		t.Error("cause not wrapped")
+	}
+}
+
+// A short input must not pay for a large first buffer: scanning a few
+// lines allocates under 8 KiB (bufio's 4 KiB start plus the scanner and
+// reader), where a 64 KiB first buffer would show.
+func TestScannerSmallInputAllocatesLittle(t *testing.T) {
+	const runs = 100
+	in := "trace a\n  X = fopen()\n  fclose(X)\nend\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sc := NewScanner(strings.NewReader(in))
+		for sc.Scan() {
+		}
+		if sc.Err() != nil {
+			t.Fatal(sc.Err())
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 8<<10 {
+		t.Fatalf("scanning %d bytes allocated %d bytes, want under 8 KiB", len(in), per)
 	}
 }

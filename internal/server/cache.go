@@ -58,8 +58,8 @@ func cacheKey(set *trace.Set, ref *fa.FA) string {
 		h.Write([]byte(b.String()))
 	}
 	var n [8]byte
-	for _, t := range set.Representatives() {
-		k := t.Key()
+	for i := 0; i < set.NumClasses(); i++ {
+		k := set.ClassKey(i)
 		binary.LittleEndian.PutUint64(n[:], uint64(len(k)))
 		h.Write(n[:])
 		h.Write([]byte(k))

@@ -396,3 +396,114 @@ func TestStreamEventsCancelledMidBatchIsAtomic(t *testing.T) {
 			restored.Events, restored.Violations, info.Events, info.Violations)
 	}
 }
+
+// anyRefFixture is violationFixture under a one-state reference FA with a
+// wildcard loop, so a session accepts every stream violation as a class.
+func anyRefFixture(t *testing.T) apiv1.CreateSessionRequest {
+	t.Helper()
+	req := violationFixture(t)
+	req.RefFA = "fa any\nstates 1\nstart 0\naccept 0\nedge 0 0 *()\nend\n"
+	return req
+}
+
+// streamRestart sends events as one stream batch to a fresh session, then
+// restarts the server from its snapshot directory. It returns the batch's
+// reply, the session's classes before the restart, and the restarted
+// server's client, session ID and metrics.
+func streamRestart(t *testing.T, events ...string) (apiv1.StreamEventsResponse, []apiv1.TraceClass, *client, string, *obs.Metrics) {
+	t.Helper()
+	dir := t.TempDir()
+	_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	sid := c.mustCreate(anyRefFixture(t)).SessionID
+	st := c.openStream(sid, stdioSpec, 8)
+	var resp apiv1.StreamEventsResponse
+	if code := c.postRaw("/v1/streams/"+st.StreamID+"/events", ndjson(events...), &resp); code != http.StatusOK {
+		t.Fatalf("stream events: status %d", code)
+	}
+	live := c.sessionClasses(sid)
+	m := obs.New()
+	_, c2 := restartServer(t, dir, m)
+	return resp, live, c2, sid, m
+}
+
+// The trace file format reads a line starting with '#' as a comment, so a
+// violation "X = popen(); #x()", once acknowledged, would restore as
+// "X = popen()". Such an event must be refused at ingest instead: every
+// acknowledged violation restores verbatim.
+func TestHashEventViolationSurvivesRestart(t *testing.T) {
+	resp, live, c2, sid, _ := streamRestart(t, "X = popen()", "#x()")
+	restored := c2.sessionClasses(sid)
+	if !reflect.DeepEqual(restored, live) {
+		t.Fatalf("restored classes %+v, live before the restart %+v", restored, live)
+	}
+	keys := map[string]bool{}
+	for _, tc := range restored {
+		keys[tc.Key] = true
+	}
+	for _, v := range resp.Violations {
+		if !keys[v.Trace] {
+			t.Fatalf("acknowledged violation %q is not a class after the restart: %+v", v.Trace, restored)
+		}
+	}
+}
+
+// A violation binding a variable named trace ("trace = open()") must not
+// read back as a nested record header, which would fail the whole
+// session's restore.
+func TestTraceBindingViolationSurvivesRestart(t *testing.T) {
+	resp, live, c2, sid, m := streamRestart(t, "trace = open()")
+	if len(resp.Violations) != 1 || resp.Violations[0].Trace != "trace = open()" {
+		t.Fatalf("violations %+v, want the one trace \"trace = open()\"", resp.Violations)
+	}
+	if code := c2.do("GET", "/v1/sessions/"+sid, nil, nil); code != http.StatusOK {
+		t.Fatalf("session after restart: status %d, server.snapshot.load_errors = %d",
+			code, m.Counter("server.snapshot.load_errors").Value())
+	}
+	if restored := c2.sessionClasses(sid); !reflect.DeepEqual(restored, live) {
+		t.Fatalf("restored classes %+v, live before the restart %+v", restored, live)
+	}
+}
+
+// The snapshot and WAL in testdata/snapv1 were written by the server before
+// trace reading was rewritten: a session created from violationFixture,
+// two labels, one added trace, and a stream batch whose violation became a
+// class. Files in the version 1 formats must keep restoring to exactly
+// that session, stream included.
+func TestVersion1SnapshotRestores(t *testing.T) {
+	const sid, streamID = "908d0724d6f7de1f4fca14f546b9aa74", "8338e8920367f434990a4dc0b3e099fb"
+	dir := t.TempDir()
+	for _, ext := range []string{".snap", ".wal"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "snapv1", sid+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sid+ext), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := obs.New()
+	_, c := restartServer(t, dir, m)
+	if rep := m.Counter("server.snapshot.replay").Value(); rep != 4 {
+		t.Errorf("server.snapshot.replay = %d, want 4 (two labels, the added trace, the violation)", rep)
+	}
+	want := []apiv1.TraceClass{
+		{Index: 0, Key: "X = popen(); pclose(X)", Count: 2, Label: "bad"},
+		{Index: 1, Key: "X = popen(); fread(X); pclose(X)", Count: 1, Label: "good"},
+		{Index: 2, Key: "X = popen(); fwrite(X); pclose(X)", Count: 1},
+		{Index: 3, Key: "X = popen(); fread(X)", Count: 1},
+		{Index: 4, Key: "X = fopen(); fread(X)", Count: 1},
+		{Index: 5, Key: "X = fopen(); pclose(X)", Count: 1},
+		{Index: 6, Key: "X = popen(); fwrite(X); fwrite(X); pclose(X)", Count: 1},
+		{Index: 7, Key: "X = popen(); fread(X); X = popen()", Count: 1},
+	}
+	if got := c.sessionClasses(sid); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored classes %+v, want %+v", got, want)
+	}
+	var info apiv1.StreamInfo
+	if code := c.do("GET", "/v1/streams/"+streamID, nil, &info); code != http.StatusOK {
+		t.Fatalf("stream not restored: %d", code)
+	}
+	if info.Events != 3 || info.Violations != 1 {
+		t.Fatalf("restored stream has %d events / %d violations, want 3 / 1", info.Events, info.Violations)
+	}
+}

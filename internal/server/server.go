@@ -574,12 +574,12 @@ func (s *Server) handleListTraces(ctx context.Context, w http.ResponseWriter, r 
 	return s.withSession(w, r, func(e *entry, sess *cable.Session) (int, any, error) {
 		list := apiv1.TraceList{Traces: []apiv1.TraceClass{}}
 		labels := sess.Labels()
-		for i, t := range sess.Representatives() {
+		for i := range sess.Representatives() {
 			count, err := sess.Multiplicity(i)
 			if err != nil {
 				return 0, nil, err
 			}
-			tc := apiv1.TraceClass{Index: i, Key: t.Key(), Count: count}
+			tc := apiv1.TraceClass{Index: i, Key: sess.Set().ClassKey(i), Count: count}
 			if labels[i] != cable.Unlabeled {
 				tc.Label = string(labels[i])
 			}
@@ -636,13 +636,12 @@ func (s *Server) walLabelDiff(id string, sess *cable.Session, before []cable.Lab
 		return
 	}
 	after := sess.Labels()
-	reps := sess.Representatives()
 	var recs [][]byte
 	for i := range after {
 		if i < len(before) && before[i] == after[i] {
 			continue
 		}
-		recs = append(recs, walLabelRecord(reps[i].Key(), string(after[i])))
+		recs = append(recs, walLabelRecord(sess.Set().ClassKey(i), string(after[i])))
 	}
 	if err := s.persist.appendWAL(id, recs); err != nil {
 		s.metrics.Counter("server.snapshot.errors").Inc()
@@ -833,10 +832,9 @@ func (s *Server) handleEndFocus(ctx context.Context, w http.ResponseWriter, r *h
 func (s *Server) handleExportLabels(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	return s.withSession(w, r, func(e *entry, sess *cable.Session) (int, any, error) {
 		export := apiv1.LabelsExport{Labels: []apiv1.LabelLine{}}
-		reps := sess.Representatives()
 		for i, l := range sess.Labels() {
 			if l != cable.Unlabeled {
-				export.Labels = append(export.Labels, apiv1.LabelLine{Label: string(l), Key: reps[i].Key()})
+				export.Labels = append(export.Labels, apiv1.LabelLine{Label: string(l), Key: sess.Set().ClassKey(i)})
 			}
 		}
 		return http.StatusOK, export, nil

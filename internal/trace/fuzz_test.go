@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/event"
+	"repro/internal/scanio"
 )
 
 // FuzzTraceRoundTrip checks the Write → Read identity in depth: any set
@@ -87,6 +91,123 @@ func FuzzRead(f *testing.F) {
 		if again.Total() != set.Total() || again.NumClasses() != set.NumClasses() {
 			t.Fatalf("round trip changed shape: %d/%d -> %d/%d",
 				set.Total(), set.NumClasses(), again.Total(), again.NumClasses())
+		}
+	})
+}
+
+// FuzzReadMatchesOracle checks Read, which interns event lines, keys each
+// record in one reused buffer and cuts events from a slab, against the
+// line-by-line oracle reader: the same error, at the same line, or the
+// same classes — same order, keys, counts, IDs and events. Whatever both
+// accept must also write the oracle writer's bytes.
+func FuzzReadMatchesOracle(f *testing.F) {
+	for _, seed := range []string{
+		"trace a\n  X = fopen()\n  fclose(X)\nend\ntrace b\n  X = fopen()\n  fclose(X)\nend\n",
+		"trace\nend\ntrace\n  f()\nend\ntrace c\nend\n",
+		"# c\n\ntrace a\n  f( x ,y )\n  f(x, y)\nend\ntrace b\n  f(x, y)\n  f( x ,y )\nend\n",
+		"trace a\n  trace = open()\n  use(trace)\nend\n",
+		"trace =\nend\ntrace = open()\n",
+		"trace a\n  #x()\nend\n",
+		"trace a b\nend\n",
+		"trace a\ntrace b\nend\n",
+		"trace a\n  trace  =  open()\n  trace\u00a0= f()\nend\n",
+		"trace\u00a0a\nend\n",
+		"trace a\u00a0b\n  f()\nend\n",
+		"trace a\u2028b\n  f()\nend\n",
+		"trace\u00a0a\n  f()\nend\n",
+		"trace a\n  X\u00a0= f( \u0085y)\nend\n",
+		"end\n",
+		"  f()\n",
+		"trace a\n  f()\n",
+		"trace a\n  not an event\nend\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := Read(strings.NewReader(s))
+		want, wantErr := oracleRead(strings.NewReader(s))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("Read error %v, oracle error %v", err, wantErr)
+		}
+		if err != nil {
+			if err.Error() != wantErr.Error() {
+				t.Fatalf("Read error %q, oracle error %q", err, wantErr)
+			}
+			var le, wantLE *scanio.Error
+			if errors.As(err, &le) != errors.As(wantErr, &wantLE) || le != nil && le.Line != wantLE.Line {
+				t.Fatalf("Read error %#v, oracle error %#v", err, wantErr)
+			}
+			return
+		}
+		requireSameClasses(t, got, want)
+		var buf, wantBuf bytes.Buffer
+		if err := Write(&buf, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracleWrite(&wantBuf, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), wantBuf.Bytes()) {
+			t.Fatalf("Write emitted %q, the oracle writer %q", buf.Bytes(), wantBuf.Bytes())
+		}
+	})
+}
+
+// requireSameClasses fails unless got and want hold the same classes in
+// the same order, and got's stored class keys are the rendered keys.
+func requireSameClasses(t *testing.T, got, want *Set) {
+	t.Helper()
+	if got.Total() != want.Total() || got.NumClasses() != want.NumClasses() {
+		t.Fatalf("%d traces in %d classes, want %d in %d",
+			got.Total(), got.NumClasses(), want.Total(), want.NumClasses())
+	}
+	for i := 0; i < want.NumClasses(); i++ {
+		g, w := got.Class(i), want.Class(i)
+		if g.Rep.Key() != w.Rep.Key() || got.ClassKey(i) != w.Rep.Key() {
+			t.Fatalf("class %d: key %q (stored %q), want %q", i, g.Rep.Key(), got.ClassKey(i), w.Rep.Key())
+		}
+		if !g.Rep.Equal(w.Rep) || g.Rep.ID != w.Rep.ID || g.Count != w.Count ||
+			strings.Join(g.IDs, "\x00") != strings.Join(w.IDs, "\x00") {
+			t.Fatalf("class %d = %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+// FuzzEventRoundTrip checks that every event event.Parse accepts survives
+// Write then Read as the only event of a trace. Event lines must never be
+// mistaken for comments or record headers.
+func FuzzEventRoundTrip(f *testing.F) {
+	for _, seed := range []string{
+		"X = fopen()",
+		"fclose(X)",
+		"*()",
+		"trace = open()",
+		"trace()",
+		"X = trace(trace)",
+		"end = f()",
+		"end()",
+		"#x()",
+		"X = #y()",
+		"  spaced   (  x , y )  ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		e, err := event.Parse(s)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, NewSet(New("t", e))); err != nil {
+			t.Fatalf("Write of %q: %v", e, err)
+		}
+		text := buf.String()
+		set, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("event %q does not read back from %q: %v", e, text, err)
+		}
+		if set.Total() != 1 || len(set.Class(0).Rep.Events) != 1 || !set.Class(0).Rep.Events[0].Equal(e) {
+			t.Fatalf("event %q read back from %q as %q", e, text, set.Class(0).Rep.Key())
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/event"
 	"repro/internal/scanio"
 )
 
@@ -55,5 +56,72 @@ func TestReadOverlongLineError(t *testing.T) {
 	}
 	if !strings.Contains(msg, "4194304-byte limit") {
 		t.Errorf("error does not spell out the limit: %q", msg)
+	}
+}
+
+// Read shares parsed events between classes and cuts every class's events
+// from one slab. Growing or re-slicing one representative's events must
+// never show through in another class.
+func TestReadClassesDoNotShareCapacity(t *testing.T) {
+	in := "trace a\n  X = open()\n  use(X)\nend\n" +
+		"trace b\n  X = open()\nend\n" +
+		"trace c\n  X = open()\n  use(X)\n  close(X)\nend\n" +
+		"trace d\nend\n" +
+		"trace e\n  use(X)\nend\n"
+	set, err := Read(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, set.NumClasses())
+	for i := range keys {
+		keys[i] = set.Class(i).Rep.Key()
+	}
+	junk := event.MustParse("J = junk(J)")
+	for i := 0; i < set.NumClasses(); i++ {
+		evs := set.Class(i).Rep.Events
+		_ = append(evs, junk, junk)
+		full := evs[:cap(evs)]
+		for j := len(evs); j < len(full); j++ {
+			full[j] = junk
+		}
+		for k := range keys {
+			if got := set.Class(k).Rep.Key(); got != keys[k] {
+				t.Fatalf("growing class %d changed class %d from %q to %q", i, k, keys[k], got)
+			}
+		}
+		if cap(evs) != len(evs) {
+			t.Fatalf("class %d: events have capacity %d beyond their length %d", i, cap(evs), len(evs))
+		}
+	}
+}
+
+// Write renders records with AppendString instead of fmt; its bytes must
+// stay exactly those of the fmt-based writer.
+func TestWriteMatchesOracle(t *testing.T) {
+	bulk, err := Read(bytes.NewReader(bulkShapedText(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, set := range map[string]*Set{
+		"bulk":  bulk,
+		"empty": {},
+		"mixed": NewSet(
+			tr("", "X = fopen()", "Y = XCreateGC(D, W)"),
+			tr("b"),
+			tr("c", "trace = open()", "use(trace)"),
+			tr("", "X = fopen()", "Y = XCreateGC(D, W)"),
+			New("long", event.Call(strings.Repeat("f", 5000), strings.Repeat("x", 5000))),
+		),
+	} {
+		var got, want bytes.Buffer
+		if err := Write(&got, set); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := oracleWrite(&want, set); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: Write emitted\n%q\nthe fmt writer\n%q", name, got.Bytes(), want.Bytes())
+		}
 	}
 }

@@ -17,6 +17,11 @@ import (
 // Trace is a finite sequence of events with an optional provenance ID.
 // Equality and dedup ignore the ID: two traces are identical iff their event
 // sequences are identical.
+//
+// Traces share their events freely: Read gives every occurrence of an event
+// line the same event.Event, Uses slice included, and cuts the events of
+// all its classes from one slab. Treat Events, and each event's Uses, as
+// immutable; Rename and Project return fresh slices.
 type Trace struct {
 	// ID records where the trace came from, e.g. "xclock:run2:#17".
 	ID string
@@ -158,6 +163,7 @@ type Class struct {
 // classes. The zero value is an empty set ready to use.
 type Set struct {
 	classes []Class
+	keys    []string       // keys[i] is the key of classes[i]
 	index   map[string]int // trace key -> index into classes
 	total   int
 }
@@ -174,20 +180,38 @@ func NewSet(traces ...Trace) *Set {
 // Add inserts a trace. It returns the index of the trace's class and whether
 // the class is new.
 func (s *Set) Add(t Trace) (class int, isNew bool) {
+	class, isNew, _ = s.AddChecked(t, nil)
+	return class, isNew
+}
+
+// AddChecked is Add for callers that must vet a trace before it starts a
+// new class: check, when not nil, runs only for a trace identical to none
+// in the set, and if it fails the set is left unchanged and its error is
+// returned with class -1. The trace is keyed once, in a stack buffer, and
+// only a new class stores its key (see ClassKey).
+func (s *Set) AddChecked(t Trace, check func() error) (class int, isNew bool, err error) {
+	var buf [256]byte
+	key := t.AppendKey(buf[:0])
+	if i, ok := s.index[string(key)]; ok {
+		s.total++
+		s.classes[i].Count++
+		s.classes[i].IDs = append(s.classes[i].IDs, t.ID)
+		return i, false, nil
+	}
+	if check != nil {
+		if err := check(); err != nil {
+			return -1, false, err
+		}
+	}
 	if s.index == nil {
 		s.index = map[string]int{}
 	}
-	key := t.Key()
-	s.total++
-	if i, ok := s.index[key]; ok {
-		s.classes[i].Count++
-		s.classes[i].IDs = append(s.classes[i].IDs, t.ID)
-		return i, false
-	}
 	i := len(s.classes)
-	s.index[key] = i
+	s.keys = append(s.keys, string(key))
+	s.index[s.keys[i]] = i
 	s.classes = append(s.classes, Class{Rep: t, Count: 1, IDs: []string{t.ID}})
-	return i, true
+	s.total++
+	return i, true, nil
 }
 
 // AddAll inserts every trace of another set, with multiplicities.
@@ -213,6 +237,10 @@ func (s *Set) Classes() []Class { return s.classes }
 
 // Class returns the i'th class.
 func (s *Set) Class(i int) Class { return s.classes[i] }
+
+// ClassKey returns the key (see Trace.Key) of the i'th class, computed once
+// when the class was added.
+func (s *Set) ClassKey(i int) string { return s.keys[i] }
 
 // Representatives returns one trace per class, in insertion order. This is
 // the object set from which the paper builds concept lattices.
