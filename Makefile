@@ -48,18 +48,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# A one-iteration pass over the lattice-engine, compiled-simulator, stream,
-# trace-I/O and labeling-strategy benchmarks: catches benchmark-code rot without
-# paying for stable measurements.
+# A one-iteration pass over the lattice-engine (Table 2 included),
+# compiled-simulator, stream, trace-I/O and labeling-strategy benchmarks:
+# catches benchmark-code rot without paying for stable measurements.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkLatticeBig|BenchmarkBitset|BenchmarkArena|BenchmarkIncremental|BenchmarkParallel|BenchmarkSortInts' \
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkLatticeBig|BenchmarkBitset|BenchmarkArena|BenchmarkIncremental|BenchmarkParallel|BenchmarkSortInts' \
 	    -benchtime 1x ./internal/concept ./internal/bitset
 	$(GO) test -run '^$$' -bench 'BenchmarkExecuted|BenchmarkExecutedAll|BenchmarkAccepts|BenchmarkTraceContext' \
 	    -benchtime 1x ./internal/fa ./internal/concept
 	$(GO) test -run '^$$' -bench 'BenchmarkFeed|BenchmarkManyStreams|BenchmarkIngest|BenchmarkStreamPump' \
 	    -benchtime 1x ./internal/stream ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkRead|BenchmarkWrite' -benchtime 1x ./internal/trace
-	$(GO) test -run '^$$' -bench 'BenchmarkTable3' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkTable2_Lattice|BenchmarkLatticeOps|BenchmarkTable3' -benchtime 1x .
 
 # Run cmd/paper with -metrics and assert the snapshot attributes time to
 # the pipeline phases (a span line for lattice.build must be present).

@@ -216,48 +216,21 @@ func (l *Lattice) repairCoversAfterAdd(firstNew int, g *godinScratch) {
 	}
 }
 
-// coverParents computes the upper covers of concept ci the way linkCovers
-// does: the candidates are the closures σ(extent ∪ {o}) = intent ∩ row(o)
-// over one representative o per distinct row, deduplicated, and
-// minimalCovers keeps the minimal ones. The returned list is re-sorted
-// ascending by ID, matching the rebuild's merge.
+// coverParents computes the upper covers of concept ci as linkCovers does:
+// coverGen collects the candidates and minimalCovers keeps the minimal
+// ones. The returned list is re-sorted ascending by ID, matching the
+// rebuild's merge. The generator probes every rep on its row path, having
+// no per-attribute rep index to keep current across adds.
 func (l *Lattice) coverParents(ci int, g *godinScratch) []int {
-	n := len(l.concepts)
-	if len(g.seen) < n {
-		g.seen = append(g.seen, make([]int32, n-len(g.seen))...)
+	if n := len(l.concepts); len(g.sizes) < n {
 		g.sizes = append(g.sizes, make([]int32, n-len(g.sizes))...)
 	}
-	g.gen++
-	if g.gen == 0 { // stamp wrapped: reset and restart generations
-		clear(g.seen)
-		g.gen = 1
+	g.cover.l, g.cover.words = l, g.words // words grows with every spawned concept
+	cand := g.cover.next(ci)
+	for _, id := range cand {
+		g.sizes[id] = int32(l.concepts[id].Extent.Len())
 	}
-	c := l.concepts[ci]
-	words := g.words
-	cand := g.coverCand[:0]
-	for _, rep := range l.reps {
-		ro := int(rep)
-		if c.Extent.Has(ro) {
-			continue
-		}
-		var id int
-		if words != nil {
-			id = l.idx.lookupWord(words, words[ci]&word0(l.ctx.Attributes(ro)))
-		} else {
-			bitset.IntersectInto(&g.inter, c.Intent, l.ctx.Attributes(ro))
-			id = l.idx.lookup(l.concepts, &g.inter)
-		}
-		if id < 0 {
-			panic("concept: closure missing from intent index")
-		}
-		if g.seen[id] != g.gen {
-			g.seen[id] = g.gen
-			g.sizes[id] = int32(l.concepts[id].Extent.Len())
-			cand = append(cand, int32(id))
-		}
-	}
-	g.coverCand = cand
-	g.covers = l.minimalCovers(g.covers[:0], cand, g.sizes, words)
+	g.covers = l.minimalCovers(g.covers[:0], cand, g.sizes, g.words)
 	out := make([]int, len(g.covers))
 	for i, cj := range g.covers {
 		out[i] = int(cj)

@@ -3,6 +3,7 @@ package concept
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strings"
@@ -256,27 +257,23 @@ const linkChunk = 64
 // linkCovers computes the Hasse diagram: c is a child of d iff
 // extent(c) ⊂ extent(d) with no concept strictly between.
 //
-// For each concept c = (X, Y) the upper covers are found through the intent
-// index rather than by scanning all concepts: for every object o ∉ X the
-// closure σ(X ∪ {o}) = Y ∩ row(o) is a closed intent, so the concept
-// immediately above c that absorbs o is a single hash lookup. Every concept
-// strictly above c is ≥ one of these candidates, so the upper covers are
-// exactly the candidates that are minimal by extent inclusion — determined
-// by testing candidates one extent-size layer at a time against the covers
-// already accepted from smaller layers. Worst case O(n·|O|) lookups plus a
-// few subset tests among candidates, versus the all-pairs-plus-dominated
-// scan (cubic in concept count) this replaces.
+// Each concept's upper covers are found through the intent index rather
+// than by scanning all concepts: coverGen collects a candidate set of
+// concepts strictly above it that contains every cover — its closed
+// proper sub-intents or its closures with one object per distinct row,
+// whichever takes fewer index probes — and minimalCovers keeps the
+// candidates minimal by extent inclusion, testing one extent-size layer at
+// a time against the covers already accepted from smaller layers, on
+// intents, which span the attribute universe rather than the (much wider)
+// object universe. A concept with intent Y costs at most min(2^|Y|−1,
+// distinct rows) probes plus a few subset tests among candidates, versus
+// the all-pairs-plus-dominated scan (cubic in concept count) this
+// replaces.
 //
-// Three refinements over the direct form: (1) only one representative per
-// distinct context row is scanned — duplicate rows yield identical closures
-// and identical extent membership, so at trace-corpus scale (many traces,
-// few distinct transition sets) the scan shrinks by orders of magnitude;
-// (2) domination among candidates is tested on intents, which span the
-// attribute universe rather than the (much wider) object universe (see
-// minimalCovers); (3) concepts are partitioned across a worker pool —
-// per-concept work touches only read-only shared state, so workers claim
-// chunks from an atomic counter and write disjoint out-slots, making the
-// result bit-identical to the serial scan for any worker count.
+// Concepts are partitioned across a worker pool — per-concept work touches
+// only read-only shared state, so workers claim chunks from an atomic
+// counter and write disjoint out-slots, making the result bit-identical to
+// the serial scan for any worker count.
 func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 	sp := obs.StartSpan("lattice.link_covers")
 	defer sp.End()
@@ -298,47 +295,25 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 			l.bottom = i
 		}
 	}
-	numObj := l.ctx.NumObjects()
 
 	// One representative object per distinct context row — the same dedup
 	// the pruned Godin step maintains, so builds that already paid for it
-	// reuse it here.
+	// reuse it here. attrReps, emptyID and words are the read-only state
+	// every worker's coverGen shares.
 	l.repsEnsure()
-	reps := l.reps
-
-	// attrReps[a] is the set of rep POSITIONS (indices into reps) whose row
-	// contains attribute a. The union over a concept's intent is exactly the
-	// reps whose closure against that intent is non-empty: reps outside the
-	// union close to ∅, and since a rep inside the extent always carries the
-	// whole intent, every outside rep is automatically outside the extent
-	// too. They all name one candidate — the ∅-intent concept — which must
-	// exist whenever any of them does (intersections of closed intents are
-	// closed), so the per-rep scan collapses to the in-mask reps plus at
-	// most one appended candidate.
 	attrReps := make([]bitset.Set, l.ctx.NumAttributes())
-	for k, rep := range reps {
+	for k, rep := range l.reps {
 		l.ctx.Attributes(int(rep)).Range(func(a int) bool {
 			attrReps[a].Add(k)
 			return true
 		})
 	}
 	emptyID := l.idx.lookup(l.concepts, &bitset.Set{})
-
-	// On one-word attribute universes (≤64 attributes — every shipped
-	// corpus) intents and rows fit in registers: the closure is one AND,
-	// known intents are probed through a flat word table, skipping the
-	// Set-walking Equal in the index probe, and a domination test is one
-	// AND-NOT.
-	var intentWord []uint64
-	var repWord []uint64
+	var words []uint64
 	if l.ctx.NumAttributes() <= wordBitsPerSet {
-		intentWord = make([]uint64, n)
+		words = make([]uint64, n)
 		for i, c := range l.concepts {
-			intentWord[i] = word0(c.Intent)
-		}
-		repWord = make([]uint64, len(reps))
-		for k, rep := range reps {
-			repWord[k] = word0(l.ctx.Attributes(int(rep)))
+			words[i] = word0(c.Intent)
 		}
 	}
 
@@ -347,93 +322,31 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 	// pool's WaitGroup.
 	out := make([][]int32, n)
 	type lcWorker struct {
-		scratch bitset.Set
-		mask    bitset.Set // union of attrReps rows over the concept's intent
-		seen    []int32    // seen[id] == gen marks id as a candidate of the current concept
-		gen     int32
-		cand    []int32
-		block   []int32 // cover output; out slices point into retired blocks
-		layers  int64
-		cands   int64
-		busy    time.Duration
+		cover  coverGen
+		block  []int32 // cover output; out slices point into retired blocks
+		layers int64
+		cands  int64
+		busy   time.Duration
 	}
 	newWorker := func() *lcWorker {
 		return &lcWorker{
-			seen:  make([]int32, n),
-			cand:  make([]int32, 0, len(reps)),
+			cover: coverGen{
+				l: l, words: words, attrReps: attrReps, emptyID: emptyID,
+				// The sub-intent path runs only when it has fewer subsets
+				// to probe than there are reps; the row path finds at most
+				// one candidate per rep, plus ∅.
+				cand: make([]int32, 0, len(l.reps)+1),
+			},
 			block: make([]int32, 0, 4096),
 		}
 	}
 	process := func(w *lcWorker, ci int) {
-		if int(sizes[ci]) == numObj {
-			return // the top concept has no parents
-		}
-		c := l.concepts[ci]
-		w.gen++
-		if w.gen == 0 { // stamp wrapped: reset and restart generations
-			for i := range w.seen {
-				w.seen[i] = 0
-			}
-			w.gen = 1
-		}
-		// Collect the deduplicated candidate set {concept(Y ∩ row(o))},
-		// visiting only reps sharing ≥1 attribute with the intent; the reps
-		// outside the mask collapse into the single ∅-intent candidate.
-		w.mask.Clear()
-		c.Intent.Range(func(a int) bool {
-			w.mask.UnionWith(&attrReps[a])
-			return true
-		})
-		cand := w.cand[:0]
-		if intentWord != nil {
-			yw := intentWord[ci]
-			w.mask.Range(func(k int) bool {
-				if c.Extent.Has(int(reps[k])) {
-					return true
-				}
-				id := l.idx.lookupWord(intentWord, yw&repWord[k])
-				if id < 0 {
-					panic("concept: closure missing from intent index")
-				}
-				if w.seen[id] != w.gen {
-					w.seen[id] = w.gen
-					cand = append(cand, int32(id))
-				}
-				return true
-			})
-		} else {
-			w.mask.Range(func(k int) bool {
-				o := int(reps[k])
-				if c.Extent.Has(o) {
-					return true
-				}
-				bitset.IntersectInto(&w.scratch, c.Intent, l.ctx.Attributes(o))
-				id := l.idx.lookup(l.concepts, &w.scratch)
-				if id < 0 {
-					panic("concept: closure missing from intent index")
-				}
-				if w.seen[id] != w.gen {
-					w.seen[id] = w.gen
-					cand = append(cand, int32(id))
-				}
-				return true
-			})
-		}
-		if w.mask.Len() < len(reps) {
-			// Some rep is disjoint from the intent, so ∅ is a closed intent
-			// and its concept is a candidate (in-mask reps never produce it:
-			// their closures contain a shared attribute).
-			if emptyID < 0 {
-				panic("concept: closure missing from intent index")
-			}
-			cand = append(cand, int32(emptyID))
-		}
+		cand := w.cover.next(ci)
 		if cap(w.block)-len(w.block) < 256 {
 			w.block = make([]int32, 0, 4096) // retired blocks stay referenced by out
 		}
 		start := len(w.block)
-		w.block = l.minimalCovers(w.block, cand, sizes, intentWord)
-		w.cand = cand
+		w.block = l.minimalCovers(w.block, cand, sizes, words)
 		w.cands += int64(len(cand))
 		if len(cand) > 0 {
 			w.layers++
@@ -458,23 +371,23 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 			return false
 		}
 	}
-	var totalLayers, totalCands int64
+	var ws []*lcWorker
 	if workers <= 1 || n < 2*linkChunk {
 		w := newWorker()
+		ws = []*lcWorker{w}
 		for ci := 0; ci < n; ci++ {
 			if ci%linkChunk == 0 && cancelled() {
 				return cc.Err()
 			}
 			process(w, ci)
 		}
-		totalLayers, totalCands = w.layers, w.cands
 		obs.SetGauge("lattice.linkcovers.workers", 1)
 	} else {
 		numChunks := (n + linkChunk - 1) / linkChunk
 		if workers > numChunks {
 			workers = numChunks
 		}
-		ws := make([]*lcWorker, workers)
+		pool := make([]*lcWorker, workers)
 		var next atomic.Int64
 		next.Store(-1)
 		start := time.Now()
@@ -484,7 +397,7 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 			go func(wi int) {
 				defer wg.Done()
 				w := newWorker()
-				ws[wi] = w
+				pool[wi] = w
 				for !cancelled() {
 					chunk := int(next.Add(1))
 					if chunk >= numChunks {
@@ -507,10 +420,7 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 			return cc.Err()
 		}
 		elapsed := time.Since(start)
-		for _, w := range ws {
-			totalLayers += w.layers
-			totalCands += w.cands
-		}
+		ws = pool
 		obs.SetGauge("lattice.linkcovers.workers", int64(workers))
 		if m := obs.Default(); m != nil && elapsed > 0 {
 			util := m.Histogram("lattice.linkcovers.worker_util_pct")
@@ -519,8 +429,17 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 			}
 		}
 	}
+	var totalLayers, totalCands, subsetProbes, repProbes int64
+	for _, w := range ws {
+		totalLayers += w.layers
+		totalCands += w.cands
+		subsetProbes += w.cover.subsetProbes
+		repProbes += w.cover.repProbes
+	}
 	obs.Count("lattice.linkcovers.layers", totalLayers)
 	obs.Count("lattice.linkcovers.candidates", totalCands)
+	obs.Count("lattice.linkcovers.subset_probes", subsetProbes)
+	obs.Count("lattice.linkcovers.rep_probes", repProbes)
 
 	// Deterministic merge: per-concept covers re-sorted ascending by ID into
 	// one parent slab, then the children derived from them.
@@ -541,6 +460,142 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 	}
 	l.children = childrenOf(l.parents, totalEdges)
 	return nil
+}
+
+// coverGen collects cover candidates one concept at a time: a deduplicated
+// list of concepts strictly above the concept that contains all of its
+// upper covers, which minimalCovers reduces to exactly the covers.
+// linkCovers runs one per worker; coverParents keeps one in the Godin
+// scratch for incremental adds.
+//
+// A concept c = (X, Y) has two such lists, and next takes whichever costs
+// fewer intent-index probes:
+//
+//   - Sub-intents (one-word universes only): every proper subset of Y
+//     that is a closed intent, 2^|Y|−1 probes. A concept lies strictly
+//     above c iff its intent is a proper subset of Y, so the hits are
+//     exactly the concepts above c, each found once.
+//   - Row closures: σ(X ∪ {o}) = Y ∩ row(o) for each representative o ∉ X
+//     of a distinct context row, at most one probe per representative.
+//     Each is a closed intent strictly above c, and every concept d
+//     strictly above c has some o ∉ X in its extent, so d lies at or above
+//     the closure for o's representative, which has o's row.
+//
+// Traces execute few of their FA's transitions, so on trace corpora the
+// sub-intents are the cheaper list for every concept but the bottom. Row
+// closures stay for large intents (the bottom, dense and contranominal
+// contexts) and for universes over 64 attributes, whose intents are not
+// one word.
+type coverGen struct {
+	l *Lattice
+	// words is the flat per-concept intent-word table on one-word
+	// universes and nil above them.
+	words []uint64
+	// attrReps[a], when set, holds the positions in l.reps of the reps
+	// whose row contains attribute a, so the row path visits only the
+	// union over Y: every rep outside it closes to ∅ (and so lies outside
+	// X), and all of those name one candidate, the ∅-intent concept
+	// emptyID, which exists whenever any of them does (intersections of
+	// closed intents are closed). nil means visit every rep.
+	attrReps []bitset.Set
+	emptyID  int
+
+	cand    []int32
+	seen    []int32 // seen[id] == gen marks id as a row-closure candidate of the current concept
+	gen     int32
+	mask    bitset.Set // union of attrReps over the current intent
+	scratch bitset.Set // closure scratch on the Set path
+
+	// subsetProbes and repProbes count the index probes of each path.
+	subsetProbes, repProbes int64
+}
+
+// next returns the cover candidates of concept ci in no particular order;
+// the slice is reused by the next call.
+func (g *coverGen) next(ci int) []int32 {
+	l := g.l
+	c := l.concepts[ci]
+	g.cand = g.cand[:0]
+	if c.Extent.Len() == l.ctx.NumObjects() {
+		// The top has nothing above it. This also keeps an empty intent off
+		// the sub-intent path, where probing ∅ would find c itself.
+		return g.cand
+	}
+	if g.words != nil {
+		// The sub-intents cost 2^|Y|−1 probes, the rows at most one per
+		// rep. The guard keeps a 64-attribute intent from overflowing the
+		// shift to 0.
+		yw := g.words[ci]
+		if pc := bits.OnesCount64(yw); pc < 64 && uint64(1)<<pc-1 < uint64(len(l.reps)) {
+			for s := (yw - 1) & yw; ; s = (s - 1) & yw {
+				if id := l.idx.lookupWord(g.words, s); id >= 0 {
+					g.cand = append(g.cand, int32(id))
+				}
+				if s == 0 {
+					break
+				}
+			}
+			g.subsetProbes += 1<<pc - 1
+			return g.cand
+		}
+	}
+	if len(g.seen) < len(l.concepts) {
+		g.seen = append(g.seen, make([]int32, len(l.concepts)-len(g.seen))...)
+	}
+	g.gen++
+	if g.gen == 0 { // stamp wrapped: reset and restart generations
+		clear(g.seen)
+		g.gen = 1
+	}
+	if g.attrReps == nil {
+		for k := range l.reps {
+			g.probeRep(c, k)
+		}
+		return g.cand
+	}
+	g.mask.Clear()
+	c.Intent.Range(func(a int) bool {
+		g.mask.UnionWith(&g.attrReps[a])
+		return true
+	})
+	g.mask.Range(func(k int) bool {
+		g.probeRep(c, k)
+		return true
+	})
+	if g.mask.Len() < len(l.reps) {
+		// In-mask reps never produce ∅: their closures keep a shared
+		// attribute.
+		if g.emptyID < 0 {
+			panic("concept: closure missing from intent index")
+		}
+		g.cand = append(g.cand, int32(g.emptyID))
+	}
+	return g.cand
+}
+
+// probeRep adds the closure of c with rep k to the candidates, unless the
+// rep lies in c's extent.
+func (g *coverGen) probeRep(c *Concept, k int) {
+	l := g.l
+	o := int(l.reps[k])
+	if c.Extent.Has(o) {
+		return
+	}
+	var id int
+	if g.words != nil {
+		id = l.idx.lookupWord(g.words, g.words[c.ID]&word0(l.ctx.Attributes(o)))
+	} else {
+		bitset.IntersectInto(&g.scratch, c.Intent, l.ctx.Attributes(o))
+		id = l.idx.lookup(l.concepts, &g.scratch)
+	}
+	if id < 0 {
+		panic("concept: closure missing from intent index")
+	}
+	g.repProbes++
+	if g.seen[id] != g.gen {
+		g.seen[id] = g.gen
+		g.cand = append(g.cand, int32(id))
+	}
 }
 
 // childrenOf derives the downward cover lists from the upward ones: a

@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"repro/internal/cable"
-	"repro/internal/concept"
 	"repro/internal/fa"
 	"repro/internal/learn"
 	"repro/internal/mine"
@@ -109,13 +108,6 @@ func ReferenceFA(set *trace.Set) *fa.FA {
 		}
 	}
 	return learn.DefaultLearner.MustLearn("reference", all).FA
-}
-
-// BuildLattice is the one-call Step 1 for callers that manage labeling
-// themselves: the concept lattice over a trace set's class representatives
-// and a reference FA.
-func BuildLattice(set *trace.Set, ref *fa.FA) (*concept.Lattice, error) {
-	return concept.BuildFromTraces(set.Representatives(), ref)
 }
 
 // FixSpec performs Step 3 of the testing workflow: extend the specification

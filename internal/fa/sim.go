@@ -40,17 +40,6 @@ func (f *FA) Executed(t trace.Trace) (executed *bitset.Set, ok bool) {
 	return f.Sim().Executed(t)
 }
 
-// AcceptsAll reports whether every trace in the slice is accepted.
-func (f *FA) AcceptsAll(traces []trace.Trace) bool {
-	s := f.Sim()
-	for _, t := range traces {
-		if !s.Accepts(t) {
-			return false
-		}
-	}
-	return true
-}
-
 // AcceptingRun returns one accepting sequence of transition indices for the
 // trace, or nil if the trace is rejected. Used by summaries that want to
 // show a witness path.

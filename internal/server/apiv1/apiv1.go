@@ -346,7 +346,9 @@ type StreamEventsResponse struct {
 	// NewClasses is how many violation traces started a new class in the
 	// owning session's lattice.
 	NewClasses int `json:"new_classes,omitempty"`
-	// Errors lists the rejected lines (code "bad_request", line set).
+	// Errors lists the rejected lines (code "bad_request", line set),
+	// then a failure that ended the batch early, such as a body over the
+	// size limit (code "too_large").
 	Errors []Error `json:"errors,omitempty"`
 }
 
@@ -366,9 +368,9 @@ type CloseStreamResponse struct {
 // endpoint reuses it for per-line errors.
 type Error struct {
 	// Code is a stable machine-readable slug: "bad_request", "not_found",
-	// "session_busy", "deadline", "draining", "validation_failed", or
-	// "internal". Codes are API surface — new failures may add codes, but
-	// existing codes never change meaning.
+	// "session_busy", "deadline", "draining", "validation_failed",
+	// "too_large", or "internal". Codes are API surface — new failures may
+	// add codes, but existing codes never change meaning.
 	Code string `json:"code"`
 	// Message is human-readable detail.
 	Message string `json:"message"`

@@ -20,7 +20,7 @@ import (
 // lattice build on it.
 func (s *Server) handleLint(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req apiv1.LintRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		return err
 	}
 	spec, err := fa.Read(strings.NewReader(req.FA))

@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -196,6 +195,12 @@ func validationFailed(err error) error {
 	return &httpError{status: http.StatusUnprocessableEntity, code: "validation_failed", err: err}
 }
 
+// tooLarge marks a request body refused for exceeding its size limit.
+func tooLarge(err *http.MaxBytesError) error {
+	return &httpError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+		err: fmt.Errorf("request body exceeds the %d-byte limit", err.Limit)}
+}
+
 // classify maps domain errors that handlers pass through untouched:
 // cable's sentinel errors to 404, context errors to deadline/drain
 // statuses, everything else to 500. The codes are the stable v1 set
@@ -242,12 +247,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxJSONBody bounds one JSON request body.
+const maxJSONBody = 64 << 20
+
 // decodeJSON reads a request body into v, rejecting unknown fields so
-// typos in client payloads fail loudly instead of silently defaulting.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
+// typos in client payloads fail loudly instead of silently defaulting. A
+// body over maxJSONBody is refused with a 413, not cut short into a
+// syntax error.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return tooLarge(mbe)
+		}
 		return badRequest(fmt.Errorf("decoding request: %w", err))
 	}
 	return nil
@@ -311,7 +325,7 @@ func parseSelector(sel *apiv1.Selector) (cable.Selector, error) {
 
 func (s *Server) handleCreateSession(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req apiv1.CreateSessionRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		return err
 	}
 	if req.Workers < 0 {
@@ -591,7 +605,7 @@ func (s *Server) handleListTraces(ctx context.Context, w http.ResponseWriter, r 
 
 func (s *Server) handleLabel(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req apiv1.LabelRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		return err
 	}
 	if req.Label == "" {
@@ -657,7 +671,7 @@ func (s *Server) walLabelDiff(id string, sess *cable.Session, before []cable.Lab
 // that the response denies and the WAL never records.
 func (s *Server) handleAddTraces(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req apiv1.AddTracesRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		return err
 	}
 	in, err := trace.Read(strings.NewReader(req.Traces))
@@ -733,7 +747,7 @@ func (s *Server) handleAddTraces(ctx context.Context, w http.ResponseWriter, r *
 
 func (s *Server) handleSuggest(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req apiv1.SuggestRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		return err
 	}
 	return s.withSession(w, r, func(e *entry, sess *cable.Session) (int, any, error) {
@@ -754,7 +768,7 @@ func (s *Server) handleSuggest(ctx context.Context, w http.ResponseWriter, r *ht
 
 func (s *Server) handleFocus(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req apiv1.FocusRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		return err
 	}
 	ref, err := fa.Read(strings.NewReader(req.RefFA))

@@ -716,3 +716,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// A JSON body over maxJSONBody gets a 413 too_large envelope instead of
+// being cut short into a 400 syntax error.
+func TestJSONBodyOverLimit(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	body := io.MultiReader(strings.NewReader(`{"traces": "`), io.LimitReader(&cycleReader{unit: strings.Repeat("x", 4096)}, maxJSONBody))
+	var apiErr apiv1.Error
+	if code := c.postReader("/v1/sessions", body, &apiErr); code != http.StatusRequestEntityTooLarge || apiErr.Code != "too_large" {
+		t.Fatalf("status %d, envelope %+v; want 413 too_large", code, apiErr)
+	}
+}

@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -33,12 +32,13 @@ import (
 	"repro/internal/trace"
 )
 
-// maxStreamBatch bounds one NDJSON batch body.
+// maxStreamBatch bounds one NDJSON batch body; the lines before the limit
+// are applied and the rest is refused with a too_large line error.
 const maxStreamBatch = 64 << 20
 
 func (s *Server) handleOpenStream(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req apiv1.OpenStreamRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		return err
 	}
 	if req.SessionID == "" {
@@ -245,6 +245,9 @@ func (s *Server) handleStreamEvents(ctx context.Context, w http.ResponseWriter, 
 	if !ok {
 		return notFound(fmt.Errorf("no stream %q", id))
 	}
+	// Built outside the stream lock: it holds w, though over the limit it
+	// only marks the connection for closing and writes nothing.
+	body := http.MaxBytesReader(w, r.Body, maxStreamBatch)
 	var violations []stream.Violation
 	var state stream.State
 	accepted, issues, fatal := 0, []stream.LineIssue(nil), error(nil)
@@ -258,7 +261,7 @@ func (s *Server) handleStreamEvents(ctx context.Context, w http.ResponseWriter, 
 		// The body is consumed under the stream lock on purpose: events
 		// must apply in arrival order per stream, and the lock scopes to
 		// this one stream only.
-		accepted, issues, fatal = stream.Ingest(se.checker, io.LimitReader(r.Body, maxStreamBatch),
+		accepted, issues, fatal = stream.Ingest(se.checker, body,
 			func(v stream.Violation) { violations = append(violations, v) })
 		state = se.checker.State()
 	}()
@@ -284,10 +287,14 @@ func (s *Server) handleStreamEvents(ctx context.Context, w http.ResponseWriter, 
 		resp.Errors = append(resp.Errors, errorEnvelope("bad_request", iss.Err))
 	}
 	if fatal != nil {
-		// Unreadable remainder (oversized line, transport failure): the
-		// lines fed so far are applied; report the failure as a final
-		// line error so the client sees the partial progress.
-		resp.Errors = append(resp.Errors, errorEnvelope("bad_request", fatal))
+		// Unreadable remainder (oversized batch or line, transport
+		// failure): the lines fed so far are applied; report the failure
+		// as a final line error so the client sees the partial progress.
+		code := "bad_request"
+		if errors.As(fatal, new(*http.MaxBytesError)) {
+			code = "too_large"
+		}
+		resp.Errors = append(resp.Errors, errorEnvelope(code, fatal))
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil

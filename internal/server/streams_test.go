@@ -43,7 +43,13 @@ func ndjson(events ...string) string {
 // postRaw sends a non-JSON body (NDJSON batches) and decodes the reply.
 func (c *client) postRaw(path, body string, out any) int {
 	c.t.Helper()
-	resp, err := c.http.Post(c.base+path, "application/x-ndjson", strings.NewReader(body))
+	return c.postReader(path, strings.NewReader(body), out)
+}
+
+// postReader is postRaw streaming the body from r.
+func (c *client) postReader(path string, r io.Reader, out any) int {
+	c.t.Helper()
+	resp, err := c.http.Post(c.base+path, "application/x-ndjson", r)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -272,6 +278,53 @@ func TestStreamDefaultSpec(t *testing.T) {
 	}
 	if sinfo.NumTraces != created.NumTraces {
 		t.Errorf("rejected window mutated the session: %d classes", sinfo.NumTraces)
+	}
+}
+
+// cycleReader repeats unit without end, so a test can send a body past a
+// server limit without holding it in memory.
+type cycleReader struct {
+	unit string
+	off  int
+}
+
+func (c *cycleReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		k := copy(p[n:], c.unit[c.off:])
+		n += k
+		c.off = (c.off + k) % len(c.unit)
+	}
+	return n, nil
+}
+
+// A batch over maxStreamBatch keeps the lines before the limit applied
+// and reports the rest as one too_large line error, instead of dropping
+// every byte past the limit without a word. The limit falls inside an
+// event line, which is neither fed nor reported as malformed.
+func TestStreamBatchOverLimit(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	created := c.mustCreate(violationFixture(t))
+	opened := c.openStream(created.SessionID, "", 0)
+
+	head := ndjson("X = popen()", "fread(X)")
+	pad := strings.Repeat(" ", 4095) + "\n" // blank lines, skipped
+	ev := ndjson("fread(X)")
+	// head, then blank lines, then event lines: ten whole ones fit under
+	// the limit, and it falls in the middle of the eleventh.
+	padBytes := int64(maxStreamBatch - len(head) - 10*len(ev) - len(ev)/2)
+	body := io.MultiReader(strings.NewReader(head),
+		io.LimitReader(&cycleReader{unit: pad}, padBytes), &cycleReader{unit: ev})
+	var resp apiv1.StreamEventsResponse
+	if code := c.postReader("/v1/streams/"+opened.StreamID+"/events", body, &resp); code != http.StatusOK {
+		t.Fatalf("events: status %d", code)
+	}
+	if resp.Accepted != 12 || resp.Events != 12 || len(resp.Violations) != 0 {
+		t.Errorf("accepted %d, events %d, %d violations; want the 12 events before the limit, none violating",
+			resp.Accepted, resp.Events, len(resp.Violations))
+	}
+	if len(resp.Errors) != 1 || resp.Errors[0].Code != "too_large" || resp.Errors[0].Line == 0 {
+		t.Fatalf("errors = %+v, want one too_large line error", resp.Errors)
 	}
 }
 

@@ -118,17 +118,24 @@ type LineIssue struct {
 // skipped, well-formed lines are fed, and violations are delivered to
 // onViolation (which may be nil) in stream order as they fire. It
 // returns the number of events accepted. The error return is fatal-only
-// — an unreadable source (oversized line, transport failure) or a feed
-// into a finalized checker; in both cases the counts and issues up to
-// that point are still meaningful.
+// — an unreadable source (oversized line, transport failure, a body over
+// its size limit) or a feed into a finalized checker; in both cases the
+// counts and issues up to that point are still meaningful. A line the
+// source failed in the middle of is not fed: the error is reported at
+// that line instead.
 func Ingest(c *Checker, r io.Reader, onViolation func(Violation)) (accepted int, issues []LineIssue, err error) {
 	const subsystem = "stream"
 	sim := c.cur.Sim()
 	sc := scanio.NewScanner(r)
+	sc.Split(scanTerminatedLines)
 	line := 0
 	for sc.Scan() {
+		tok := sc.Bytes()
+		if tok[len(tok)-1] != '\n' && sc.Err() != nil {
+			break // the read failed in the middle of this line
+		}
 		line++
-		raw := bytes.TrimSpace(sc.Bytes())
+		raw := bytes.TrimSpace(tok)
 		if len(raw) == 0 {
 			continue
 		}
@@ -154,4 +161,17 @@ func Ingest(c *Checker, r io.Reader, onViolation func(Violation)) (accepted int,
 		return accepted, issues, scanio.LineError(subsystem, line+1, serr)
 	}
 	return accepted, issues, nil
+}
+
+// scanTerminatedLines is bufio.ScanLines keeping each line's newline, so
+// Ingest can tell an unterminated last line: the scanner has already
+// recorded the read error, if any, that ended it.
+func scanTerminatedLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }

@@ -145,10 +145,6 @@ func (c *Checker) Violations() int { return c.violations }
 // windows over the checker's lifetime.
 func (c *Checker) Truncations() uint64 { return c.truncations }
 
-// Finalized reports whether Finalize has run; a finalized checker
-// accepts no further events.
-func (c *Checker) Finalized() bool { return c.finalized }
-
 // Accepting reports whether the current frontier contains an accepting
 // state — closing the stream right now would not raise an
 // incomplete-protocol violation.

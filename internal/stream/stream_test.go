@@ -2,8 +2,10 @@ package stream
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/event"
 	"repro/internal/fa"
@@ -238,6 +240,20 @@ func TestIngestFatalAfterFinalize(t *testing.T) {
 	accepted, _, err := Ingest(c, strings.NewReader(`{"event": "use(X)"}`), nil)
 	if err == nil || accepted != 0 {
 		t.Fatalf("ingest into finalized checker: accepted=%d err=%v", accepted, err)
+	}
+}
+
+// A read that fails in the middle of a line ends the batch at that line:
+// the lines before it stay fed, and the fragment is neither fed nor
+// reported as malformed.
+func TestIngestReadFailureMidLine(t *testing.T) {
+	c := New(protocolFA(t).Sim(), Config{})
+	boom := errors.New("boom")
+	src := io.MultiReader(strings.NewReader("{\"event\": \"X = open()\"}\n{\"event\": \"use"), iotest.ErrReader(boom))
+	accepted, issues, err := Ingest(c, src, nil)
+	var se *scanio.Error
+	if accepted != 1 || len(issues) != 0 || !errors.As(err, &se) || se.Line != 2 || !errors.Is(err, boom) {
+		t.Fatalf("accepted=%d issues=%+v err=%v; want 1 fed, no issues, boom at line 2", accepted, issues, err)
 	}
 }
 
