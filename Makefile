@@ -49,12 +49,13 @@ race:
 	$(GO) test -race ./...
 
 # A one-iteration pass over the lattice-engine (Table 2 included),
-# compiled-simulator, stream, trace-I/O and labeling-strategy benchmarks:
-# catches benchmark-code rot without paying for stable measurements.
+# compiled-simulator, language-engine, stream, trace-I/O and
+# labeling-strategy benchmarks: catches benchmark-code rot without paying
+# for stable measurements.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkLatticeBig|BenchmarkBitset|BenchmarkArena|BenchmarkIncremental|BenchmarkParallel|BenchmarkSortInts' \
 	    -benchtime 1x ./internal/concept ./internal/bitset
-	$(GO) test -run '^$$' -bench 'BenchmarkExecuted|BenchmarkExecutedAll|BenchmarkAccepts|BenchmarkTraceContext' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExecuted|BenchmarkExecutedAll|BenchmarkAccepts|BenchmarkTraceContext|BenchmarkLang' \
 	    -benchtime 1x ./internal/fa ./internal/concept
 	$(GO) test -run '^$$' -bench 'BenchmarkFeed|BenchmarkManyStreams|BenchmarkIngest|BenchmarkStreamPump' \
 	    -benchtime 1x ./internal/stream ./internal/server
@@ -78,8 +79,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventRoundTrip$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzFAIO$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzConceptIO$$' -fuzztime 5s ./internal/concept
-	$(GO) test -run '^$$' -fuzz '^FuzzDeterminize$$' -fuzztime 5s ./internal/fa/lang
-	$(GO) test -run '^$$' -fuzz '^FuzzComplementInclusion$$' -fuzztime 5s ./internal/fa/lang
+	$(GO) test -run '^$$' -fuzz '^FuzzDeterminize$$' -fuzztime 5s ./internal/fa
+	$(GO) test -run '^$$' -fuzz '^FuzzComplementInclusion$$' -fuzztime 5s ./internal/fa
 
 # Build the real cabled binary, exercise the API over TCP, and assert a
 # clean SIGTERM shutdown while a lattice build is in flight. The server

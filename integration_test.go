@@ -28,7 +28,7 @@ import (
 
 var binDir string
 
-var update = flag.Bool("update", false, "rewrite testdata/paper_all.golden from the current cmd/paper")
+var update = flag.Bool("update", false, "rewrite the testdata goldens (paper_all.golden, corpus.golden) from the current code")
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "repro-bin")

@@ -122,7 +122,7 @@ func FixSpec(spec *fa.FA, session *Session) (*fa.FA, error) {
 		return spec, nil
 	}
 	goodFA := ReferenceFA(good).WithName(spec.Name() + "+good")
-	fixed, err := fa.Union(spec, goodFA).Minimize()
+	fixed, err := fa.Minimize(fa.Union(spec, goodFA))
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ func RelearnGood(session *Session, miner mine.Miner) (*fa.FA, error) {
 	if out == nil {
 		return nil, fmt.Errorf("core: no traces labeled good")
 	}
-	min, err := out.Minimize()
+	min, err := fa.Minimize(out)
 	if err != nil {
 		return nil, err
 	}

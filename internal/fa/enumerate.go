@@ -62,29 +62,12 @@ func (f *FA) Enumerate(maxLen, limit int) []trace.Trace {
 // property tests and the workload generator to draw sentences from a
 // specification's language.
 func (f *FA) Sample(rng *rand.Rand, maxLen int) (trace.Trace, bool) {
-	// Precompute states that can reach acceptance so the walk never strays
-	// into dead states.
-	live := bitset.New(f.numStates)
-	var stack []int
-	f.accept.Range(func(s int) bool {
-		live.Add(s)
-		stack = append(stack, s)
-		return true
-	})
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ti := range f.byTo[s] {
-			from := int(f.trans[ti].From)
-			if !live.Has(from) {
-				live.Add(from)
-				stack = append(stack, from)
-			}
-		}
-	}
+	// States that can reach acceptance, so the walk never strays into
+	// dead states.
+	live := Coreachable(f)
 	starts := []int{}
 	f.start.Range(func(s int) bool {
-		if live.Has(s) {
+		if live[s] {
 			starts = append(starts, s)
 		}
 		return true
@@ -98,7 +81,7 @@ func (f *FA) Sample(rng *rand.Rand, maxLen int) (trace.Trace, bool) {
 		canStop := f.accept.Has(cur)
 		var outs []int
 		for _, ti := range f.byFrom[cur] {
-			if live.Has(int(f.trans[ti].To)) && !IsWildcard(f.trans[ti].Label) {
+			if live[f.trans[ti].To] && !IsWildcard(f.trans[ti].Label) {
 				outs = append(outs, ti)
 			}
 		}

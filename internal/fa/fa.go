@@ -5,14 +5,16 @@
 // supports nondeterministic automata with multiple start states, simulation
 // of traces, computation of the set of transitions a trace executes on its
 // accepting runs (the context relation R of Section 3.2 of the paper),
-// determinization, minimization, boolean combinations, language equivalence,
+// determinization into dense complete DFAs, Hopcroft minimization,
+// products, language inclusion and equivalence with verified witnesses,
 // bounded language enumeration, the Focus templates of Section 4.1, and DOT
 // and text serialization.
 //
 // A transition labeled with the reserved wildcard event (see Wildcard)
 // matches any event; wildcards appear in the name-projection Focus template.
-// Subset-construction-based operations require wildcards to be expanded over
-// a concrete alphabet first (ExpandWildcards).
+// Determinize expands them over an explicit analysis alphabet
+// (JointAlphabet adds one fresh symbol for the events outside it); Minimize
+// rejects them.
 package fa
 
 import (
@@ -278,6 +280,38 @@ func (f *FA) IsDeterministic() bool {
 		}
 	}
 	return true
+}
+
+// Reachable marks the states reachable from a start state.
+func Reachable(f *FA) []bool {
+	return f.closure(f.start, f.byFrom, func(t Transition) State { return t.To })
+}
+
+// Coreachable marks the states from which some accepting state is
+// reachable.
+func Coreachable(f *FA) []bool {
+	return f.closure(f.accept, f.byTo, func(t Transition) State { return t.From })
+}
+
+// closure marks the seeds and every state reachable from them over the
+// transition lists adj, where step gives a transition's far end.
+func (f *FA) closure(seeds *bitset.Set, adj [][]int, step func(Transition) State) []bool {
+	seen := make([]bool, f.numStates)
+	stack := seeds.Elems()
+	for _, s := range stack {
+		seen[s] = true
+	}
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, ti := range adj[s] {
+			if n := int(step(f.trans[ti])); !seen[n] {
+				seen[n] = true
+				stack = append(stack, n)
+			}
+		}
+	}
+	return seen
 }
 
 // outgoing returns the transition indices leaving s whose label matches e.

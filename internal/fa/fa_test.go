@@ -227,11 +227,11 @@ func TestDeterminizePreservesLanguage(t *testing.T) {
 	b.EdgeStr(s[1], "b()", s[3])
 	b.EdgeStr(s[2], "c()", s[3])
 	f := b.MustBuild()
-	d, err := f.Determinize()
+	d, err := Determinize(f, f.Alphabet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.IsDeterministic() {
+	if !d.FA("det").IsDeterministic() {
 		t.Fatal("Determinize returned nondeterministic automaton")
 	}
 	for _, c := range []struct {
@@ -260,7 +260,7 @@ func TestMinimize(t *testing.T) {
 	b.EdgeStr(s[1], "b()", s[3])
 	b.EdgeStr(s[2], "b()", s[4])
 	f := b.MustBuild()
-	m, err := f.Minimize()
+	m, err := Minimize(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,6 +270,12 @@ func TestMinimize(t *testing.T) {
 	eq, err := Equivalent(f, m)
 	if err != nil || !eq {
 		t.Errorf("Equivalent(f, minimize(f)) = %v, %v", eq, err)
+	}
+	// A wildcard matches events outside the automaton's alphabet, which no
+	// automaton over that alphabet can: Minimize refuses it.
+	alpha := []event.Event{event.MustParse("a()"), event.MustParse("b()")}
+	if _, err := Minimize(NameProjection(alpha, "Z")); err == nil {
+		t.Error("Minimize accepted a wildcard automaton")
 	}
 }
 
@@ -290,11 +296,11 @@ func TestEquivalent(t *testing.T) {
 
 func TestComplement(t *testing.T) {
 	f := buggyStdio()
-	alpha := f.Alphabet()
-	comp, err := f.Complement(alpha)
+	d, err := Determinize(f, f.Alphabet())
 	if err != nil {
 		t.Fatal(err)
 	}
+	comp := d.Complement()
 	for _, c := range []trace.Trace{
 		tr("X = fopen()", "fclose(X)"),
 		tr("X = fopen()"),
@@ -310,7 +316,7 @@ func TestComplement(t *testing.T) {
 func TestIntersect(t *testing.T) {
 	f := buggyStdio()
 	fixed := fixedStdio()
-	both := Intersect(f, fixed)
+	both := intersect(t, f, fixed)
 	// fopen;fclose is in both; popen;fclose only in buggy; popen;pclose only
 	// in fixed.
 	if !both.Accepts(tr("X = fopen()", "fclose(X)")) {
@@ -463,24 +469,6 @@ func TestSample(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("Sample never produced an accepted trace")
-	}
-}
-
-func TestExpandWildcards(t *testing.T) {
-	alpha := []event.Event{event.MustParse("a()"), event.MustParse("b()")}
-	p := NameProjection(alpha, "Z") // all alphabet events lack Z: wildcard only
-	exp := p.ExpandWildcards(alpha)
-	if exp.HasWildcard() {
-		t.Fatal("ExpandWildcards left a wildcard")
-	}
-	if !exp.Accepts(tr("a()", "b()")) {
-		t.Error("expanded automaton rejects in-alphabet trace")
-	}
-	if exp.Accepts(tr("c()")) {
-		t.Error("expanded automaton accepts out-of-alphabet trace")
-	}
-	if _, err := p.Determinize(); err == nil {
-		t.Error("Determinize accepted wildcard automaton")
 	}
 }
 

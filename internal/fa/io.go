@@ -22,7 +22,8 @@ import (
 //	end
 //
 // Blank lines and lines beginning with # are ignored. The wildcard label is
-// written "*()".
+// written "*()". A record has one states line, declaring at most 65,536
+// states.
 
 // Write serializes the automaton.
 func Write(w io.Writer, f *FA) error {
@@ -54,10 +55,10 @@ func Write(w io.Writer, f *FA) error {
 func Read(r io.Reader) (*FA, error) {
 	sc := scanio.NewScanner(r)
 	var (
-		b       *Builder
-		states  int
-		haveEnd bool
-		lineno  int
+		b          *Builder
+		haveStates bool
+		haveEnd    bool
+		lineno     int
 	)
 	parseStates := func(fields []string) ([]State, error) {
 		out := make([]State, 0, len(fields))
@@ -94,15 +95,18 @@ func Read(r io.Reader) (*FA, error) {
 			if b == nil || len(fields) != 2 {
 				return nil, scanio.LineError("fa", lineno, fmt.Errorf("bad states line"))
 			}
+			if haveStates {
+				return nil, scanio.LineError("fa", lineno, fmt.Errorf("duplicate states line"))
+			}
 			// maxStates bounds the declared count before States
-			// allocates: an absurd value would otherwise panic in make
-			// instead of returning a parse error.
-			const maxStates = 1 << 24
+			// allocates: automata arrive as client text (cabled), and the
+			// largest one the pipeline builds has 11 states.
+			const maxStates = 1 << 16
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 0 || n > maxStates {
-				return nil, scanio.LineError("fa", lineno, fmt.Errorf("bad state count %q", fields[1]))
+				return nil, scanio.LineError("fa", lineno, fmt.Errorf("bad state count %q (at most %d)", fields[1], maxStates))
 			}
-			states = n
+			haveStates = true
 			b.States(n)
 		case "start":
 			if b == nil {
@@ -157,7 +161,6 @@ func Read(r io.Reader) (*FA, error) {
 	if !haveEnd {
 		return nil, fmt.Errorf("fa: missing end") //cablevet:ignore errwrapline whole-input error, no line to blame
 	}
-	_ = states
 	return b.Build()
 }
 

@@ -23,6 +23,10 @@ func TestReadErrorsCarryLineNumbers(t *testing.T) {
 		// An absurd declared count must be a parse error, not a panic in
 		// the builder's state allocation.
 		{"huge state count", "fa x\nstates 7000000000000000000\nend\n", "fa: line 2: bad state count"},
+		// A 40-byte file must not make the reader allocate millions of
+		// states, and a second states line must not add to the first.
+		{"state count over bound", "fa x\nstates 16777216\nstart 0\naccept\nend\n", "fa: line 2: bad state count"},
+		{"second states line", "fa x\nstates 2\nstates 3\nstart 0\naccept\nend\n", "fa: line 3: duplicate states line"},
 		{"start outside record", "start 0\n", "fa: line 1: start outside record"},
 		{"unknown directive", "fa x\nstates 1\nwobble\nend\n", "fa: line 3: unknown directive"},
 	}

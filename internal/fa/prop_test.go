@@ -38,6 +38,36 @@ func randomFA(rng *rand.Rand) *FA {
 	return b.MustBuild()
 }
 
+// determinized is the trimmed automaton of f's DFA over f's own alphabet.
+func determinized(t testing.TB, f *FA) *FA {
+	t.Helper()
+	d, err := Determinize(f, f.Alphabet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.FA(f.Name()).Trim()
+}
+
+// intersect is the trimmed product of f and g over their joint alphabet,
+// accepting where both do.
+func intersect(t testing.TB, f, g *FA) *FA {
+	t.Helper()
+	alpha := JointAlphabet(f, g)
+	df, err := Determinize(f, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := Determinize(g, alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Product(df, dg, func(x, y bool) bool { return x && y })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.FA(f.Name() + "&" + g.Name()).Trim()
+}
+
 func randomTrace(rng *rand.Rand, maxLen int) trace.Trace {
 	alpha := []string{"a()", "b()", "c()"}
 	n := rng.Intn(maxLen + 1)
@@ -52,11 +82,8 @@ func TestPropDeterminizeMinimizePreserveLanguage(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 150; iter++ {
 		f := randomFA(rng)
-		d, err := f.Determinize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := f.Minimize()
+		d := determinized(t, f)
+		m, err := Minimize(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +105,12 @@ func TestPropBooleanOps(t *testing.T) {
 	alpha, _ := event.ParseAll("a()", "b()", "c()")
 	for iter := 0; iter < 100; iter++ {
 		f, g := randomFA(rng), randomFA(rng)
-		comp, err := f.Complement(alpha)
+		d, err := Determinize(f, alpha)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inter := Intersect(f, g)
+		comp := d.Complement()
+		inter := intersect(t, f, g)
 		uni := Union(f, g)
 		for k := 0; k < 20; k++ {
 			tc := randomTrace(rng, 6)
@@ -106,22 +134,18 @@ func TestPropMinimalIsMinimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 80; iter++ {
 		f := randomFA(rng)
-		m1, err := f.Minimize()
+		m1, err := Minimize(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, err := m1.Minimize()
+		m2, err := Minimize(m1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m2.NumStates() != m1.NumStates() {
 			t.Fatalf("iter %d: re-minimization changed size %d -> %d", iter, m1.NumStates(), m2.NumStates())
 		}
-		d, err := f.Determinize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m1.NumStates() > d.NumStates() {
+		if d := determinized(t, f); m1.NumStates() > d.NumStates() {
 			t.Fatalf("iter %d: minimal (%d) bigger than determinized (%d)", iter, m1.NumStates(), d.NumStates())
 		}
 	}

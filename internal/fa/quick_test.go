@@ -22,10 +22,7 @@ func traceFromSeed(seed int64, maxLen int) trace.Trace {
 func TestQuickDeterminizeSound(t *testing.T) {
 	err := quick.Check(func(faSeed, trSeed int64) bool {
 		f := faFromSeed(faSeed)
-		d, err := f.Determinize()
-		if err != nil {
-			return false
-		}
+		d := determinized(t, f)
 		tc := traceFromSeed(trSeed, 6)
 		return d.Accepts(tc) == f.Accepts(tc)
 	}, &quick.Config{MaxCount: 250})
@@ -70,7 +67,7 @@ func TestQuickUnionIntersectDuality(t *testing.T) {
 		a, b := faFromSeed(aSeed), faFromSeed(bSeed)
 		tc := traceFromSeed(trSeed, 5)
 		u := Union(a, b).Accepts(tc)
-		i := Intersect(a, b).Accepts(tc)
+		i := intersect(t, a, b).Accepts(tc)
 		aa, ab := a.Accepts(tc), b.Accepts(tc)
 		return u == (aa || ab) && i == (aa && ab)
 	}, &quick.Config{MaxCount: 200})

@@ -23,8 +23,8 @@ import (
 //
 // "." is the wildcard, matching any single event. Compilation is Thompson's
 // construction with ε-transitions eliminated on the fly; the result is an
-// NFA that Determinize/Minimize can process further (after ExpandWildcards
-// if "." was used).
+// NFA that Determinize can process further, and Minimize too if "." was
+// not used.
 
 // Compile parses the pattern and returns an automaton for its language.
 func Compile(name, pattern string) (*FA, error) {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/fa"
-	"repro/internal/fa/lang"
 )
 
 // LintAll runs every automaton-only rule: the structural v1 set (Lint)
@@ -15,15 +14,15 @@ func LintAll(f *fa.FA) []Finding {
 	return append(Lint(f), Semantic(f)...)
 }
 
-// Semantic runs the single-spec semantic rules on internal/fa/lang:
+// Semantic runs the single-spec semantic rules on internal/fa's DFA engine:
 // per-transition redundancy (removing the transition leaves the language
 // unchanged) and state-merge suggestions (distinct states with the same
 // residual language). Findings come out in rule order, sub-ordered by
 // transition and state index.
 func Semantic(f *fa.FA) []Finding {
 	var out []Finding
-	reach := lang.Reachable(f)
-	coreach := lang.Coreachable(f)
+	reach := fa.Reachable(f)
+	coreach := fa.Coreachable(f)
 
 	// Redundancy: only transitions the automaton can take on an accepting
 	// path are candidates — dead transitions are trivially removable and
@@ -32,7 +31,7 @@ func Semantic(f *fa.FA) []Finding {
 		if !reach[int(t.From)] || !coreach[int(t.To)] {
 			continue
 		}
-		eq, _, err := lang.Equivalent(f, withoutTransition(f, i))
+		eq, err := fa.Equivalent(f, withoutTransition(f, i))
 		if err == nil && eq {
 			out = append(out, Finding{
 				Spec: f.Name(), Rule: RuleRedundantTransition,
@@ -43,7 +42,7 @@ func Semantic(f *fa.FA) []Finding {
 
 	// Merge suggestions only make sense when states are the author's own
 	// (deterministic automata); EquivalentStates rejects the rest.
-	if groups, err := lang.EquivalentStates(f); err == nil {
+	if groups, err := fa.EquivalentStates(f); err == nil {
 		for _, g := range groups {
 			out = append(out, Finding{
 				Spec: f.Name(), Rule: RuleMergeableStates,
@@ -93,7 +92,7 @@ func stateList(states []int) string {
 // failure surfaces as an error, never as a finding.
 func Diff(spec, ref *fa.FA) ([]Finding, error) {
 	var out []Finding
-	inc, w, err := lang.Includes(spec, ref)
+	inc, w, err := fa.Includes(spec, ref)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +103,7 @@ func Diff(spec, ref *fa.FA) ([]Finding, error) {
 			Witness: w.Key(),
 		})
 	}
-	inc, w, err = lang.Includes(ref, spec)
+	inc, w, err = fa.Includes(ref, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -131,11 +130,11 @@ func Corpus(fas []*fa.FA) ([]Finding, error) {
 			if !alphabetsIntersect(a, b) {
 				continue
 			}
-			ab, wAB, err := lang.Includes(a, b)
+			ab, wAB, err := fa.Includes(a, b)
 			if err != nil {
 				return nil, err
 			}
-			ba, wBA, err := lang.Includes(b, a)
+			ba, wBA, err := fa.Includes(b, a)
 			if err != nil {
 				return nil, err
 			}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/fa"
-	"repro/internal/fa/lang"
 	"repro/internal/specs"
 )
 
@@ -161,7 +160,7 @@ func TestCorpusWitnessGolden(t *testing.T) {
 			t.Fatalf("%s: no seeded buggy FA", sp.Name)
 		}
 		// The seeding guarantees L(correct) ⊆ L(buggy), strictly.
-		if inc, _, err := lang.Includes(sp.FA, sp.Buggy); err != nil || !inc {
+		if inc, _, err := fa.Includes(sp.FA, sp.Buggy); err != nil || !inc {
 			t.Fatalf("%s: correct language not contained in buggy (inc=%v, err=%v)", sp.Name, inc, err)
 		}
 		findings, err := Diff(sp.Buggy, sp.FA)

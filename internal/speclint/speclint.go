@@ -20,13 +20,12 @@ import (
 	"sort"
 
 	"repro/internal/fa"
-	"repro/internal/fa/lang"
 	"repro/internal/trace"
 )
 
 // Rule names, used in Finding.Rule and in diagnostics filtering. The
 // first five are the structural v1 rules; the rest are the semantic v2
-// rules built on internal/fa/lang.
+// rules built on internal/fa's DFA engine.
 const (
 	RuleUnreachableState    = "unreachable-state"
 	RuleDeadTransition      = "dead-transition"
@@ -64,7 +63,7 @@ type Finding struct {
 	// Witness, when set, is the trace key of a concrete counterexample
 	// backing the finding — e.g. a trace the spec accepts but its
 	// reference rejects. Witness traces are re-executed through fa.Sim
-	// before they are reported (internal/fa/lang enforces this).
+	// before they are reported (fa.Includes enforces this).
 	Witness string `json:"witness,omitempty"`
 }
 
@@ -78,8 +77,8 @@ func (f Finding) String() string {
 // by state and transition index, so reports are deterministic.
 func Lint(f *fa.FA) []Finding {
 	var out []Finding
-	reach := lang.Reachable(f)
-	coreach := lang.Coreachable(f)
+	reach := fa.Reachable(f)
+	coreach := fa.Coreachable(f)
 
 	for s := 0; s < f.NumStates(); s++ {
 		if !reach[s] {
@@ -219,7 +218,7 @@ func ambiguity(f *fa.FA) []Finding {
 // alphabet) and ask whether the complement's language is empty. An
 // automaton the engine cannot compile is never reported vacuous.
 func vacuous(f *fa.FA) bool {
-	d, err := lang.Compile(f, f.Alphabet())
+	d, err := fa.Determinize(f, f.Alphabet())
 	if err != nil {
 		return false
 	}

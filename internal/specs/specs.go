@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"repro/internal/fa"
-	"repro/internal/fa/lang"
 	"repro/internal/xtrace"
 )
 
@@ -94,7 +93,7 @@ func deriveFA(name string, m xtrace.Model, include func(xtrace.Scenario) bool) (
 	if err != nil {
 		return nil, err
 	}
-	min, err := nfa.Minimize()
+	min, err := fa.Minimize(nfa)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +102,7 @@ func deriveFA(name string, m xtrace.Model, include func(xtrace.Scenario) bool) (
 
 // BuggyFA derives the seeded buggy specification: the good templates plus
 // the first error-mode scenario whose behaviours the correct FA rejects.
-// The result's language strictly contains the correct one — lang.Includes
+// The result's language strictly contains the correct one — fa.Includes
 // verifies the strictness, so a separating witness is guaranteed to
 // exist.
 func BuggyFA(name string, m xtrace.Model) (*fa.FA, error) {
@@ -122,7 +121,7 @@ func BuggyFA(name string, m xtrace.Model) (*fa.FA, error) {
 		if err != nil {
 			return nil, err
 		}
-		inc, _, err := lang.Includes(buggy, correct)
+		inc, _, err := fa.Includes(buggy, correct)
 		if err != nil {
 			return nil, err
 		}

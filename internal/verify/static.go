@@ -3,7 +3,6 @@ package verify
 import (
 	"fmt"
 
-	"repro/internal/event"
 	"repro/internal/fa"
 	"repro/internal/trace"
 )
@@ -15,19 +14,18 @@ import (
 // alphabet as specifications — each accepted word is a possible per-object
 // scenario of the program — and the verifier reports the shortest words
 // the program can produce that the specification rejects, via the product
-// of the program with the specification's complement.
+// of the program with the specification's complement over their joint
+// alphabet (fa.JointAlphabet), so wildcard specifications check exactly.
 
 // Static reports up to limit violation traces of length at most maxLen
 // that the program model can produce but the specification rejects,
 // shortest first. The returned traces carry IDs "static#<n>". An empty
 // result means the program conforms to the specification up to maxLen.
 func Static(program, spec *fa.FA, maxLen, limit int) ([]Violation, error) {
-	alphabet := unionAlphabet(program, spec)
-	notSpec, err := spec.Complement(alphabet)
+	bad, err := violating(program, spec)
 	if err != nil {
-		return nil, fmt.Errorf("verify: complementing %q: %v", spec.Name(), err)
+		return nil, fmt.Errorf("verify: %q against %q: %w", program.Name(), spec.Name(), err)
 	}
-	bad := fa.Intersect(program, notSpec)
 	sim := spec.Sim()
 	var out []Violation
 	for i, t := range bad.Enumerate(maxLen, limit) {
@@ -41,19 +39,32 @@ func Static(program, spec *fa.FA, maxLen, limit int) ([]Violation, error) {
 	return out, nil
 }
 
-// Conforms reports whether every behaviour of the program model is
-// accepted by the specification: L(program) ⊆ L(spec). Exact (not bounded):
-// it checks emptiness of program ∩ ¬spec.
-func Conforms(program, spec *fa.FA) (bool, error) {
-	alphabet := unionAlphabet(program, spec)
-	notSpec, err := spec.Complement(alphabet)
+// violating returns the trimmed product of the program's and the
+// specification's DFAs over their joint alphabet that accepts exactly the
+// program behaviours the specification rejects.
+func violating(program, spec *fa.FA) (*fa.FA, error) {
+	alpha := fa.JointAlphabet(program, spec)
+	dp, err := fa.Determinize(program, alpha)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	bad := fa.Intersect(program, notSpec).Trim()
-	// After trimming, a nonempty language means some accepting state
-	// remains reachable.
-	return len(bad.AcceptStates()) == 0, nil
+	ds, err := fa.Determinize(spec, alpha)
+	if err != nil {
+		return nil, err
+	}
+	bad, err := fa.Product(dp, ds, func(p, s bool) bool { return p && !s })
+	if err != nil {
+		return nil, err
+	}
+	return bad.FA(program.Name() + "&!" + spec.Name()).Trim(), nil
+}
+
+// Conforms reports whether every behaviour of the program model is
+// accepted by the specification: L(program) ⊆ L(spec). Exact (not
+// bounded): it checks emptiness of program ∩ ¬spec.
+func Conforms(program, spec *fa.FA) (bool, error) {
+	ok, _, err := fa.Includes(program, spec)
+	return ok, err
 }
 
 // StaticSet is Static collected into a trace set ready for a Cable
@@ -68,32 +79,4 @@ func StaticSet(program, spec *fa.FA, maxLen, limit int) (*trace.Set, []Violation
 		set.Add(v.Trace)
 	}
 	return set, violations, nil
-}
-
-func unionAlphabet(a, b *fa.FA) []event.Event {
-	seen := map[string]event.Event{}
-	for _, e := range a.Alphabet() {
-		seen[e.String()] = e
-	}
-	for _, e := range b.Alphabet() {
-		seen[e.String()] = e
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	out := make([]event.Event, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, seen[k])
-	}
-	return out
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }

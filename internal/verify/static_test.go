@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fa"
 	"repro/internal/specs"
 	"repro/internal/trace"
 )
@@ -126,5 +127,68 @@ func TestConformsAcrossCorpus(t *testing.T) {
 		if len(violations) == 0 {
 			t.Errorf("%s: Conforms=false but no bounded violation found", s.Name)
 		}
+	}
+}
+
+// TestStaticWildcardSpec checks a specification with a wildcard against a
+// program model: Static must report exactly the program's bounded
+// behaviours the specification rejects, in shortlex order, and Conforms
+// must agree with it.
+func TestStaticWildcardSpec(t *testing.T) {
+	spec := fa.MustCompile("open-any-close", "X = fopen() . fclose(X)")
+	program := fa.MustCompile("prog", "X = fopen() (fread(X) | fwrite(X))? (fread(X) | fclose(X))?")
+	const maxLen, limit = 10, 100
+	var want []string
+	for _, tr := range program.Enumerate(maxLen, 1<<16) {
+		if !spec.Accepts(tr) && len(want) < limit {
+			want = append(want, tr.Key())
+		}
+	}
+	got, err := Static(program, spec, maxLen, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Static found %d violations, the bounded oracle %d: %v", len(got), len(want), want)
+	}
+	for i, v := range got {
+		if v.Trace.Key() != want[i] {
+			t.Errorf("violation %d = %q, want %q", i, v.Trace.Key(), want[i])
+		}
+	}
+	ok, err := Conforms(program, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok != (len(want) == 0) {
+		t.Errorf("Conforms = %v with %d bounded violations", ok, len(want))
+	}
+	conforming := fa.MustCompile("good", "X = fopen() (fread(X) | fwrite(X)) fclose(X)")
+	if ok, err := Conforms(conforming, spec); err != nil || !ok {
+		t.Errorf("Conforms(good program) = %v, %v", ok, err)
+	}
+	if vs, err := Static(conforming, spec, maxLen, limit); err != nil || len(vs) != 0 {
+		t.Errorf("Static(good program) = %v, %v", vs, err)
+	}
+	// A wildcard in the program stands for any event, including events
+	// neither automaton names; the joint alphabet's fresh other() symbol
+	// reports that behaviour.
+	wild := fa.MustCompile("any-middle", "X = fopen() . fclose(X)")
+	exact := fa.MustCompile("read-middle", "X = fopen() fread(X) fclose(X)")
+	vs, err := Static(wild, exact, maxLen, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, v := range vs {
+		keys = append(keys, v.Trace.Key())
+	}
+	want = []string{
+		"X = fopen(); X = fopen(); fclose(X)",
+		"X = fopen(); fclose(X); fclose(X)",
+		"X = fopen(); other(); fclose(X)",
+	}
+	if strings.Join(keys, "|") != strings.Join(want, "|") {
+		t.Errorf("Static(wildcard program) = %q, want %q", keys, want)
 	}
 }

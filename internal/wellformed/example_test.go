@@ -19,7 +19,7 @@ func Example() {
 	// the degenerate reference of the paper's example. (The raw Thompson
 	// construction has more states, whose extra transitions would already
 	// distinguish the traces.)
-	ref, err := fa.MustCompile("foo", "foo()*").Minimize()
+	ref, err := fa.Minimize(fa.MustCompile("foo", "foo()*"))
 	if err != nil {
 		panic(err)
 	}

@@ -116,12 +116,12 @@ GOMAXPROCS="$PAR_PROCS" go test -run '^$' -bench 'BenchmarkParallel|BenchmarkSor
 to_json < "$TMP_PAR" > BENCH_parallel.json
 echo "wrote BENCH_parallel.json"
 
-# The semantic-analysis engine (internal/fa/lang): subset-construction
+# The language engine (internal/fa's DFA half): subset-construction
 # determinization, Hopcroft minimization, and the witness-producing
 # inclusion check, on the X11-scale corpus union and the bigger
 # program-model union.
 go test -run '^$' -bench 'BenchmarkLangDeterminize|BenchmarkLangMinimize|BenchmarkLangInclusion' \
-    -benchmem -benchtime "$BENCHTIME" ./internal/fa/lang | tee -a "$TMP_SPECLINT"
+    -benchmem -benchtime "$BENCHTIME" ./internal/fa | tee -a "$TMP_SPECLINT"
 
 to_json < "$TMP_SPECLINT" > BENCH_speclint.json
 echo "wrote BENCH_speclint.json"
