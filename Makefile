@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt cablevet speclint speclint-corpus build test race bench-smoke bench obs-smoke fuzz-smoke cabled-smoke snapshot-smoke stream-smoke godin-multicore perfbench-smoke
+.PHONY: ci vet fmt cablevet speclint speclint-corpus build test race bench-smoke bench obs-smoke fuzz-smoke cabled-smoke snapshot-smoke stream-smoke perfbench-smoke
 
-ci: fmt vet cablevet speclint speclint-corpus build race bench-smoke obs-smoke fuzz-smoke cabled-smoke snapshot-smoke stream-smoke godin-multicore perfbench-smoke
+ci: fmt vet cablevet speclint speclint-corpus build race bench-smoke obs-smoke fuzz-smoke cabled-smoke snapshot-smoke stream-smoke perfbench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -53,7 +53,7 @@ race:
 # labeling-strategy benchmarks: catches benchmark-code rot without paying
 # for stable measurements.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkLatticeBig|BenchmarkBitset|BenchmarkArena|BenchmarkIncremental|BenchmarkParallel|BenchmarkSortInts' \
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkLatticeBig|BenchmarkBitset|BenchmarkArena|BenchmarkIncremental|BenchmarkBulkShaped|BenchmarkSortInts' \
 	    -benchtime 1x ./internal/concept ./internal/bitset
 	$(GO) test -run '^$$' -bench 'BenchmarkExecuted|BenchmarkExecutedAll|BenchmarkAccepts|BenchmarkTraceContext|BenchmarkLang' \
 	    -benchtime 1x ./internal/fa ./internal/concept
@@ -104,17 +104,6 @@ snapshot-smoke:
 stream-smoke:
 	$(GO) test -race -run 'TestStreamSmoke|TestStreamSoak' -count=1 \
 	    ./cmd/cabled ./internal/server
-
-# Multi-core determinism of the lattice build. The Godin insertion step is
-# serial; the one worker pool left is linkCovers', and its properties are
-# only meaningful when goroutines actually interleave. Force 4 procs under
-# -race so CI exercises cross-core interleavings of the pool: the
-# byte-identity checks against the serial scan and the full-scan oracle,
-# the all-pairs oracle check, and the cancellation path.
-godin-multicore:
-	GOMAXPROCS=4 $(GO) test -race -count=1 \
-	    -run 'TestPropParallelGodinDeterministic|TestParallelGodinDeterministicBigCorpus|TestGodinPrunedMatchesLegacy|TestPropParallelLinkCoversDeterministic|TestBigCorpusParallelDeterministic|TestParallelLinkCoversMatchesOracle|TestBuildCancelledDuringLinkCovers' \
-	    ./internal/concept
 
 # perfbench's own suite, the end-to-end correctness gate of the benchmark
 # workloads: bulk re-derives its lattice sizes with the naive builder after

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	cabled [-addr :8372] [-request-timeout 30s] [-idle-timeout 30m]
-//	       [-cache-size 64] [-workers 0] [-snapshot-dir DIR] [-metrics]
+//	       [-cache-size 64] [-snapshot-dir DIR] [-metrics]
 //
 // The API is versioned under /v1; see API.md at the repository root for
 // the endpoint reference and a curl walkthrough. On SIGINT/SIGTERM the
@@ -45,7 +45,6 @@ func main() {
 		idleTimeout     = flag.Duration("idle-timeout", 30*time.Minute, "evict sessions untouched for this long (0 disables)")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "grace period for draining on SIGTERM")
 		cacheSize       = flag.Int("cache-size", 64, "lattice LRU capacity (0 disables the cache)")
-		workers         = flag.Int("workers", 0, "default lattice-build parallelism (0 = GOMAXPROCS)")
 		snapshotDir     = flag.String("snapshot-dir", "", "persist sessions here and restore them on boot (empty disables)")
 		metrics         = flag.Bool("metrics", false, "collect metrics; snapshot on exit and live at /v1/metrics")
 		cpuprofile      = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -61,7 +60,6 @@ func main() {
 		RequestTimeout: *requestTimeout,
 		IdleTimeout:    *idleTimeout,
 		CacheSize:      *cacheSize,
-		Workers:        *workers,
 		SnapshotDir:    *snapshotDir,
 	}, *shutdownTimeout); err != nil {
 		stop()

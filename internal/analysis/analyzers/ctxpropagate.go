@@ -59,8 +59,8 @@ func ctxParam(pass *analysis.Pass, decl *ast.FuncDecl) (types.Object, string) {
 
 // checkCtxLoops reports outermost loops that never reference ctx. A
 // reference anywhere inside the loop counts — a Done() select, an
-// Err() check, or passing ctx to a callee (including through a closure,
-// which is how forEachPar distributes cancellation to workers).
+// Err() check, or passing ctx to a callee (including through a closure
+// that captures it).
 func checkCtxLoops(pass *analysis.Pass, fb funcBody) {
 	obj, name := ctxParam(pass, fb.decl)
 	if obj == nil {
@@ -87,9 +87,8 @@ func checkCtxLoops(pass *analysis.Pass, fb funcBody) {
 }
 
 // referencesCtx reports whether the subtree mentions the ctx object.
-// Unlike mentionsObj it descends into function literals: a worker
-// closure that captures ctx is exactly how parallel loops propagate
-// cancellation.
+// Unlike mentionsObj it descends into function literals: a closure that
+// captures ctx propagates cancellation to whatever runs it.
 func referencesCtx(pass *analysis.Pass, n ast.Node, obj types.Object) bool {
 	found := false
 	ast.Inspect(n, func(n ast.Node) bool {

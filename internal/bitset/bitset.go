@@ -434,28 +434,6 @@ func (s *Set) LoadWords(ws []uint64) {
 	s.pop = 0
 }
 
-// RemoveShift deletes i and renumbers every element greater than i down by
-// one, so the set over universe {0..n-1} becomes the corresponding set over
-// {0..n-2}. It is the extent/column update for removing one object from a
-// formal context. Negative or out-of-range i is a no-op.
-func (s *Set) RemoveShift(i int) {
-	if i < 0 {
-		return
-	}
-	w := i / wordBits
-	if w >= len(s.words) {
-		return
-	}
-	keep := uint64(1)<<uint(i%wordBits) - 1
-	cur := s.words[w]
-	s.words[w] = (cur & keep) | ((cur >> 1) &^ keep)
-	for k := w + 1; k < len(s.words); k++ {
-		s.words[k-1] |= s.words[k] << (wordBits - 1)
-		s.words[k] >>= 1
-	}
-	s.pop = 0
-}
-
 // Range calls f on each element in increasing order; if f returns false the
 // iteration stops early.
 func (s *Set) Range(f func(i int) bool) {

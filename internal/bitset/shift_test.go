@@ -6,56 +6,6 @@ import (
 	"testing"
 )
 
-// removeShiftNaive is the per-element oracle for RemoveShift: drop i,
-// renumber everything above it down by one.
-func removeShiftNaive(s *Set, i int) *Set {
-	out := &Set{}
-	s.Range(func(e int) bool {
-		switch {
-		case e < i:
-			out.Add(e)
-		case e > i:
-			out.Add(e - 1)
-		}
-		return true
-	})
-	return out
-}
-
-func TestRemoveShift(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for round := 0; round < 200; round++ {
-		n := 1 + rng.Intn(200)
-		s := &Set{}
-		for e := 0; e < n; e++ {
-			if rng.Intn(3) != 0 {
-				s.Add(e)
-			}
-		}
-		i := rng.Intn(n)
-		want := removeShiftNaive(s, i)
-		s.RemoveShift(i)
-		if !s.Equal(want) {
-			t.Fatalf("RemoveShift(%d) = %v, want %v", i, s, want)
-		}
-	}
-	// Word-boundary edges: bits 0, 63, 64, 127 of a two-word set.
-	for _, i := range []int{0, 63, 64, 127} {
-		s := Full(128)
-		s.RemoveShift(i)
-		if got := s.Len(); got != 127 {
-			t.Fatalf("RemoveShift(%d) on Full(128): len %d, want 127", i, got)
-		}
-	}
-	// Out of range and negative are no-ops.
-	s := FromSlice([]int{1, 2})
-	s.RemoveShift(-1)
-	s.RemoveShift(500)
-	if !s.Equal(FromSlice([]int{1, 2})) {
-		t.Fatalf("out-of-range RemoveShift mutated the set: %v", s)
-	}
-}
-
 func TestWordsLoadWordsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 100; round++ {

@@ -19,7 +19,6 @@ type config struct {
 	ctx     context.Context
 	learner learn.Learner
 	metrics *obs.Metrics
-	workers int
 	lattice *concept.Lattice
 }
 
@@ -59,14 +58,6 @@ func WithLearner(l learn.Learner) Option {
 // default. A nil registry disables instrumentation for this session.
 func WithObs(m *obs.Metrics) Option {
 	return func(c *config) { c.metrics = m }
-}
-
-// WithWorkers bounds the parallelism of the per-trace FA simulations
-// during lattice construction; 0 (the default) uses GOMAXPROCS, 1 forces a
-// serial build. A service hosting many concurrent builds uses this to stop
-// one session from monopolizing the machine.
-func WithWorkers(n int) Option {
-	return func(c *config) { c.workers = n }
 }
 
 // WithLattice supplies a pre-built lattice instead of building one, so a

@@ -78,7 +78,7 @@ func (s State) String() string {
 }
 
 // Session is a Cable debugging session. Its configuration (learner,
-// worker bound, metrics registry) is fixed at construction via Options;
+// metrics registry) is fixed at construction via Options;
 // only the labels mutate afterwards, so guarding a session with one mutex
 // makes it safe for concurrent clients.
 type Session struct {
@@ -88,14 +88,13 @@ type Session struct {
 	lattice *concept.Lattice
 	labels  []Label
 	learner learn.Learner
-	workers int
 	metrics *obs.Metrics
 }
 
 // NewSession builds a session: the context objects are the set's class
 // representatives, the attributes the reference FA's transitions. The
 // reference FA must accept every trace. Options configure the build
-// (WithContext, WithWorkers, WithLattice) and the session itself
+// (WithContext, WithLattice) and the session itself
 // (WithLearner, WithObs); the zero option set reproduces the historical
 // behavior exactly.
 func NewSession(set *trace.Set, ref *fa.FA, opts ...Option) (*Session, error) {
@@ -111,7 +110,7 @@ func NewSession(set *trace.Set, ref *fa.FA, opts ...Option) (*Session, error) {
 		}
 	} else {
 		var err error
-		lattice, err = concept.BuildFromTracesCtx(cfg.ctx, reps, ref, cfg.workers)
+		lattice, err = concept.BuildFromTracesCtx(cfg.ctx, reps, ref)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +123,6 @@ func NewSession(set *trace.Set, ref *fa.FA, opts ...Option) (*Session, error) {
 		lattice: lattice,
 		labels:  make([]Label, len(reps)),
 		learner: cfg.learner,
-		workers: cfg.workers,
 		metrics: cfg.metrics,
 	}, nil
 }
@@ -132,7 +130,7 @@ func NewSession(set *trace.Set, ref *fa.FA, opts ...Option) (*Session, error) {
 // options reconstructs the session's configuration, so Focus sub-sessions
 // inherit it.
 func (s *Session) options() []Option {
-	return []Option{WithLearner(s.learner), WithWorkers(s.workers), WithObs(s.metrics)}
+	return []Option{WithLearner(s.learner), WithObs(s.metrics)}
 }
 
 // Lattice returns the session's concept lattice.

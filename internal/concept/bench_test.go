@@ -101,7 +101,7 @@ func BenchmarkLinkCovers(b *testing.B) {
 	b.Run("Fast", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			l.linkCovers(context.Background(), 1)
+			l.linkCovers(context.Background())
 		}
 	})
 	b.Run("AllPairs", func(b *testing.B) {

@@ -3,7 +3,6 @@ package concept
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -115,42 +114,29 @@ func TestBigCorpusScale(t *testing.T) {
 
 // TestBigCorpusParallelDeterministic builds the lattice of a mid-size
 // slice of the corpus (real sparse-path territory: thousands of objects,
-// hundreds of extent words) serially and with a worker pool and requires
-// identical results. The independent O(n²·|O|) AllPairs oracle runs only
-// without -short.
+// hundreds of extent words) twice, the second time from a copy of the
+// context, and requires identical results: no build step may depend on
+// map iteration order or on state the first build left behind. (The name
+// dates from when the second build linked covers with a worker pool.) The
+// independent O(n²·|O|) AllPairs oracle runs only without -short.
 func TestBigCorpusParallelDeterministic(t *testing.T) {
 	set := bigCorpusClasses(4000)
 	fc, err := TraceContext(set.Representatives(), bigCorpusRef())
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := BuildCtx(context.Background(), fc, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := BuildCtx(context.Background(), fc, WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Len() != serial.Len() {
-		t.Fatalf("parallel build: %d concepts, serial %d", par.Len(), serial.Len())
-	}
-	if !reflect.DeepEqual(par.parents, serial.parents) || !reflect.DeepEqual(par.children, serial.children) {
-		t.Fatalf("parallel covers differ from serial")
-	}
-	if par.top != serial.top || par.bottom != serial.bottom {
-		t.Fatalf("parallel top/bottom differ from serial")
-	}
+	l := Build(fc)
+	requireByteIdentical(t, Build(fc.clone()), l, "second build")
 	if testing.Short() {
 		t.Skip("AllPairs oracle at big-corpus scale under -short")
 	}
-	parents, children := linkCoversAllPairs(serial)
+	parents, children := linkCoversAllPairs(l)
 	for i := range parents {
 		insertionSortInts(parents[i])
 		insertionSortInts(children[i])
 	}
-	for id := range serial.concepts {
-		if !equalInts(serial.Parents(id), parents[id]) || !equalInts(serial.Children(id), children[id]) {
+	for id := range l.concepts {
+		if !equalInts(l.Parents(id), parents[id]) || !equalInts(l.Children(id), children[id]) {
 			t.Fatalf("covers of %d disagree with the all-pairs oracle", id)
 		}
 	}
@@ -179,7 +165,7 @@ func BenchmarkLatticeBig(b *testing.B) {
 	b.Run("LinkCovers", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := l.linkCovers(context.Background(), 1); err != nil {
+			if err := l.linkCovers(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,11 +9,10 @@ import "repro/internal/bitset"
 func (l *Lattice) Clone() *Lattice {
 	arena := bitset.NewArena()
 	nl := &Lattice{
-		ctx:     l.ctx.clone(),
-		top:     l.top,
-		bottom:  l.bottom,
-		arena:   arena,
-		workers: l.workers,
+		ctx:    l.ctx.clone(),
+		top:    l.top,
+		bottom: l.bottom,
+		arena:  arena,
 		// reps/repRows/inv stay nil for lazy rebuild.
 	}
 	headers := make([]Concept, len(l.concepts))

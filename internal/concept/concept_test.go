@@ -285,7 +285,7 @@ func TestTopDownOrder(t *testing.T) {
 func TestNaiveMatchesIncremental(t *testing.T) {
 	a := Build(animals())
 	b := BuildNaive(animals())
-	if !Equal(a, b) {
+	if !equalLattices(a, b) {
 		t.Fatalf("builders disagree:\nincremental:\n%s\nnaive:\n%s", a, b)
 	}
 }
@@ -313,7 +313,7 @@ func TestEmptyAndDegenerateContexts(t *testing.T) {
 	if l.Len() != 1 {
 		t.Errorf("identical rows: %d concepts, want 1", l.Len())
 	}
-	if !Equal(Build(c), BuildNaive(c)) {
+	if !equalLattices(Build(c), BuildNaive(c)) {
 		t.Error("builders disagree on degenerate context")
 	}
 }
@@ -357,4 +357,38 @@ func TestTree(t *testing.T) {
 	if !strings.Contains(custom, "XLABELX") {
 		t.Error("custom label ignored")
 	}
+}
+
+// equalLattices reports whether two lattices over the same context have the same
+// concepts (extent/intent pairs) and the same cover relation, regardless of
+// concept numbering.
+func equalLattices(a, b *Lattice) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	// Map concepts by intent key.
+	bByIntent := map[string]*Concept{}
+	for _, c := range b.concepts {
+		bByIntent[c.Intent.Key()] = c
+	}
+	for _, ca := range a.concepts {
+		cb, ok := bByIntent[ca.Intent.Key()]
+		if !ok || !ca.Extent.Equal(cb.Extent) {
+			return false
+		}
+		// Compare parent sets by intent keys.
+		pa := map[string]bool{}
+		for _, p := range a.parents[ca.ID] {
+			pa[a.concepts[p].Intent.Key()] = true
+		}
+		if len(pa) != len(b.parents[cb.ID]) {
+			return false
+		}
+		for _, p := range b.parents[cb.ID] {
+			if !pa[b.concepts[p].Intent.Key()] {
+				return false
+			}
+		}
+	}
+	return true
 }

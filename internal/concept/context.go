@@ -100,16 +100,6 @@ func (c *Context) addObject(name string, row *bitset.Set) {
 	})
 }
 
-// removeObject deletes object o, renumbering every later object down by
-// one in both the row table and the attribute columns.
-func (c *Context) removeObject(o int) {
-	c.objNames = append(c.objNames[:o], c.objNames[o+1:]...)
-	c.rows = append(c.rows[:o], c.rows[o+1:]...)
-	for _, col := range c.cols {
-		col.RemoveShift(o)
-	}
-}
-
 // clone returns an independent deep copy of the context.
 func (c *Context) clone() *Context {
 	out := &Context{

@@ -58,10 +58,9 @@ func buildLegacy(ctx *Context) *Lattice {
 }
 
 // TestPropParallelGodinDeterministic pins the tentpole property: the pruned
-// Godin insertion step, with cover linking at any worker count, produces a
-// lattice byte-identical (WriteSnapshot) to the full-scan oracle
-// buildLegacy, over randomized corpora spanning the one-word fast path
-// (≤64 attributes) and the general path.
+// Godin insertion step produces a lattice byte-identical (WriteSnapshot)
+// to the full-scan oracle buildLegacy, over randomized corpora spanning
+// the one-word fast path (≤64 attributes) and the general path.
 func TestPropParallelGodinDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	iters := 40
@@ -80,17 +79,11 @@ func TestPropParallelGodinDeterministic(t *testing.T) {
 			c = randomContext(rng, 30, 100)
 		}
 		want := snapshotBytes(t, buildLegacy(c))
-		for _, workers := range []int{1, 2, 8} {
-			l, err := BuildCtx(context.Background(), c, WithWorkers(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := snapshotBytes(t, l); !bytes.Equal(got, want) {
-				t.Fatalf("iter %d: pruned build (workers=%d) snapshot differs from the legacy full scan on\n%s",
-					iter, workers, c)
-			}
-			checkLatticeInvariants(t, l)
+		l := Build(c)
+		if got := snapshotBytes(t, l); !bytes.Equal(got, want) {
+			t.Fatalf("iter %d: pruned build snapshot differs from the legacy full scan on\n%s", iter, c)
 		}
+		checkLatticeInvariants(t, l)
 	}
 }
 
@@ -103,15 +96,8 @@ func TestParallelGodinDeterministicBigCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := snapshotBytes(t, buildLegacy(fc))
-	for _, workers := range []int{1, 2, 8} {
-		l, err := BuildCtx(context.Background(), fc, WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := snapshotBytes(t, l); !bytes.Equal(got, want) {
-			t.Fatalf("pruned big-corpus build (workers=%d) snapshot differs from the legacy full scan", workers)
-		}
+	if got, want := snapshotBytes(t, Build(fc)), snapshotBytes(t, buildLegacy(fc)); !bytes.Equal(got, want) {
+		t.Fatal("pruned big-corpus build snapshot differs from the legacy full scan")
 	}
 }
 
@@ -149,10 +135,7 @@ func TestGodinPrunedMatchesLegacy(t *testing.T) {
 			}
 			return c
 		}
-		pruned, err := BuildCtx(context.Background(), prefix(), WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
+		pruned := Build(prefix())
 		for o := base; o < no; o++ {
 			if err := pruned.AddObjectCtx(context.Background(), fmt.Sprintf("o%d", o), full.Attributes(o)); err != nil {
 				t.Fatal(err)
@@ -167,46 +150,31 @@ func TestGodinPrunedMatchesLegacy(t *testing.T) {
 	}
 }
 
-// BenchmarkParallel publishes the worker-scaling curve of the one phase
-// that honors WithWorkers, cover linking, alone (LinkCovers) and inside a
-// full Build. The fixture is the bulk-shaped corpus (1000 classes over 24
-// operations, 1328 concepts), well above linkCovers' two-chunk cut-in, so
-// every lane above w1 runs the pool. Worker counts are sub-benchmark names
-// (w1..w8) so the bench pipeline keys them stably.
-func BenchmarkParallel(b *testing.B) {
+// BenchmarkBulkShaped measures cover linking alone (LinkCovers) and
+// inside a full Build on the bulk-shaped corpus (1000 classes over 24
+// operations, 1328 concepts), the lattice shape of perfbench's bulk
+// workload.
+func BenchmarkBulkShaped(b *testing.B) {
 	ref, corpus, _ := bulkShapedCorpus(1000, 0)
 	fc, err := TraceContext(corpus, ref)
 	if err != nil {
 		b.Fatal(err)
 	}
-	workerCounts := []int{1, 2, 4, 8}
 	b.Run("Build", func(b *testing.B) {
-		for _, w := range workerCounts {
-			b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					l, err := BuildCtx(context.Background(), fc, WithWorkers(w))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if l.Len() == 0 {
-						b.Fatal("empty lattice")
-					}
-				}
-			})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if Build(fc).Len() == 0 {
+				b.Fatal("empty lattice")
+			}
 		}
 	})
 	b.Run("LinkCovers", func(b *testing.B) {
 		l := Build(fc)
-		for _, w := range workerCounts {
-			b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := l.linkCovers(context.Background(), w); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := l.linkCovers(context.Background()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -48,11 +48,10 @@ func requireByteIdentical(t *testing.T, got, want *Lattice, msg string) {
 	}
 }
 
-// TestIncrementalMatchesRebuildSmall drives dense random add/remove
-// sequences on small random contexts, pinning the lattice against a full
-// rebuild after every single operation. Small universes hit every path
-// hard: duplicate rows, novel rows, new top concepts, removals of both
-// representative and duplicate objects, and shrinking to zero objects. The
+// TestIncrementalMatchesRebuildSmall drives dense random add sequences on
+// small random contexts, pinning the lattice against a full rebuild after
+// every single add. Small universes hit every path hard: duplicate rows,
+// novel rows, new top concepts, and adds to a context with no objects. The
 // second shape has more than 64 attributes, so the one-word fast paths are
 // off and generator search, cover repair and the attribute-table update run
 // on Sets; its rows use a few positions on both sides of the word boundary
@@ -94,45 +93,31 @@ func randomRow(rng *rand.Rand, na int, positions []int) *bitset.Set {
 }
 
 // pinIncrementalSteps builds c, then runs 12 random adds (new rows over
-// positions, see randomRow, or copies of existing rows) and removals,
-// requiring the lattice to match a full rebuild after each.
+// positions, see randomRow, or copies of existing rows), requiring the
+// lattice to match a full rebuild after each.
 func pinIncrementalSteps(t *testing.T, rng *rand.Rand, c *Context, positions []int, label string) {
 	t.Helper()
 	l := Build(c)
 	for step := 0; step < 12; step++ {
-		var msg string
-		if rng.Intn(2) == 0 || l.Context().NumObjects() == 0 {
-			na := l.Context().NumAttributes()
-			var row *bitset.Set
-			if n := l.Context().NumObjects(); n > 0 && rng.Intn(3) == 0 {
-				row = l.Context().Attributes(rng.Intn(n)).Clone()
-			} else {
-				row = randomRow(rng, na, positions)
-			}
-			msg = fmt.Sprintf("%s step %d: add %s", label, step, row)
-			if err := l.AddObjectCtx(context.Background(), fmt.Sprintf("x%s.%d", label, step), row); err != nil {
-				t.Fatal(err)
-			}
+		var row *bitset.Set
+		if n := l.Context().NumObjects(); n > 0 && rng.Intn(3) == 0 {
+			row = l.Context().Attributes(rng.Intn(n)).Clone()
 		} else {
-			o := rng.Intn(l.Context().NumObjects())
-			msg = fmt.Sprintf("%s step %d: remove %d", label, step, o)
-			if err := l.RemoveObjectCtx(context.Background(), o); err != nil {
-				t.Fatal(err)
-			}
+			row = randomRow(rng, l.Context().NumAttributes(), positions)
 		}
-		rebuilt, err := BuildCtx(context.Background(), l.Context().clone(), WithWorkers(1))
-		if err != nil {
+		if err := l.AddObjectCtx(context.Background(), fmt.Sprintf("x%s.%d", label, step), row); err != nil {
 			t.Fatal(err)
 		}
-		requireByteIdentical(t, l, rebuilt, msg)
+		requireByteIdentical(t, l, Build(l.Context().clone()), fmt.Sprintf("%s step %d: add %s", label, step, row))
 		checkLatticeInvariants(t, l)
 	}
 }
 
-// TestIncrementalMatchesRebuild is the production-scale pin: random
-// add/remove sequences on the >10⁴-class xtrace corpus, compared table by
-// table against a full rebuild after every operation, for both a serial
-// and a parallel build configuration.
+// TestIncrementalMatchesRebuild is the production-scale pin: adds on the
+// >10⁴-class xtrace corpus, compared table by table against a full
+// rebuild after every add. The two lanes keep the names they had when
+// each built with that many cover-linking workers; builds are serial now,
+// so a lane's number only seeds its random choice of adds.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("big corpus incremental pin under -short")
@@ -148,18 +133,11 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 	fresh := freshSet.Representatives()
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			l, err := BuildCtx(context.Background(), fc.clone(), WithWorkers(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
+			l := Build(fc.clone())
 			rng := rand.New(rand.NewSource(int64(1000 + workers)))
 			pin := func(msg string) {
 				t.Helper()
-				rebuilt, err := BuildCtx(context.Background(), l.Context().clone(), WithWorkers(workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireByteIdentical(t, l, rebuilt, msg)
+				requireByteIdentical(t, l, Build(l.Context().clone()), msg)
 			}
 			// Three adds: fresh classes from a different generator seed.
 			for i := 0; i < 3; i++ {
@@ -170,35 +148,17 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 				pin(fmt.Sprintf("add fresh class %q", tr.ID))
 			}
 			// A guaranteed duplicate-row add: re-adding an existing
-			// representative must spawn no concepts, and removing it again
-			// must take the in-place fast path.
+			// representative must spawn no concepts and no row
+			// representative.
+			reps := len(l.reps)
 			dup := corpus[rng.Intn(len(corpus))]
 			if err := l.AddTraceCtx(context.Background(), dup, ref); err != nil {
 				t.Fatal(err)
 			}
 			pin("add duplicate-row class")
-			dupIdx := l.Context().NumObjects() - 1
-			l.repsEnsure()
-			if l.isRep(dupIdx) {
-				t.Fatalf("duplicate-row object %d became a row representative", dupIdx)
+			if len(l.reps) != reps {
+				t.Fatalf("duplicate-row object %d became a row representative", l.Context().NumObjects()-1)
 			}
-			if err := l.RemoveTraceCtx(context.Background(), dupIdx); err != nil {
-				t.Fatal(err)
-			}
-			pin("remove duplicate-row class (fast path)")
-			// A representative removal: forces the replay path.
-			l.repsEnsure()
-			repIdx := int(l.reps[rng.Intn(len(l.reps))])
-			if err := l.RemoveTraceCtx(context.Background(), repIdx); err != nil {
-				t.Fatal(err)
-			}
-			pin(fmt.Sprintf("remove representative %d (replay path)", repIdx))
-			// And one random removal.
-			o := rng.Intn(l.Context().NumObjects())
-			if err := l.RemoveTraceCtx(context.Background(), o); err != nil {
-				t.Fatal(err)
-			}
-			pin(fmt.Sprintf("remove random object %d", o))
 		})
 	}
 }
@@ -211,10 +171,7 @@ func TestCloneIndependent(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		c := randomContext(rng, 8, 6)
 		orig := Build(c)
-		before, err := BuildCtx(context.Background(), orig.Context().clone(), WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
+		before := Build(orig.Context().clone())
 		cl := orig.Clone()
 		requireByteIdentical(t, cl, orig, "clone differs from original")
 		row := bitset.New(orig.Context().NumAttributes())
@@ -231,11 +188,7 @@ func TestCloneIndependent(t *testing.T) {
 		}
 		// The original must still match its own pre-clone rebuild.
 		requireByteIdentical(t, orig, before, "original mutated through clone")
-		rebuilt, err := BuildCtx(context.Background(), cl.Context().clone(), WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireByteIdentical(t, cl, rebuilt, "mutated clone")
+		requireByteIdentical(t, cl, Build(cl.Context().clone()), "mutated clone")
 	}
 }
 
@@ -296,29 +249,20 @@ func bulkShapedCorpus(classes, novel int) (*fa.FA, []trace.Trace, []trace.Trace)
 // rebuild they replace at production corpus scale. AddTrace/Pruned is the
 // streaming-ingestion hot path (the production pruned Godin step); it
 // mostly adds rows the big corpus already has. AddTrace/Novel adds only
-// rows new to the lattice, over a
-// bulk-shaped corpus, so every add spawns concepts and repairs covers,
-// including the case where the bottom concept is a generator.
-// AddRemoveTrace restores the corpus every iteration (the remove is the
-// duplicate-row fast path by construction); Rebuild is the baseline the
-// ≥10× acceptance ratio is read against.
+// rows new to the lattice, over a bulk-shaped corpus, so every add spawns
+// concepts and repairs covers, including the case where the bottom
+// concept is a generator. Rebuild is the baseline the ≥10× acceptance
+// ratio is read against.
 func BenchmarkIncremental(b *testing.B) {
 	fc, err := bigCorpusContext()
 	if err != nil {
 		b.Fatal(err)
 	}
 	ref := bigCorpusRef()
-	corpus := bigCorpusClasses(60000).Representatives()
 	fresh := benchFreshTraces(b)
-	build := func(b *testing.B) *Lattice {
-		l, err := BuildCtx(context.Background(), fc.clone(), WithWorkers(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return l
-	}
+	build := func() *Lattice { return Build(fc.clone()) }
 	b.Run("AddTrace/Pruned", func(b *testing.B) {
-		l := build(b)
+		l := build()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -327,7 +271,7 @@ func BenchmarkIncremental(b *testing.B) {
 			// instead of the marginal add at baseline size.
 			if i > 0 && i%256 == 0 {
 				b.StopTimer()
-				l = build(b)
+				l = build()
 				b.StartTimer()
 			}
 			tr := fresh[i%len(fresh)]
@@ -343,13 +287,7 @@ func BenchmarkIncremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		build := func() *Lattice {
-			l, err := BuildCtx(context.Background(), cx.clone(), WithWorkers(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			return l
-		}
+		build := func() *Lattice { return Build(cx.clone()) }
 		l := build()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -366,30 +304,10 @@ func BenchmarkIncremental(b *testing.B) {
 			}
 		}
 	})
-	b.Run("AddRemoveTrace", func(b *testing.B) {
-		l := build(b)
-		base := l.Context().NumObjects()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr := corpus[i%len(corpus)]
-			tr.ID = fmt.Sprintf("bench-cycle-%d", i)
-			if err := l.AddTraceCtx(context.Background(), tr, ref); err != nil {
-				b.Fatal(err)
-			}
-			if err := l.RemoveTraceCtx(context.Background(), base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("Rebuild", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			l, err := BuildCtx(context.Background(), fc, WithWorkers(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if l.Len() == 0 {
+			if Build(fc).Len() == 0 {
 				b.Fatal("empty lattice")
 			}
 		}

@@ -15,7 +15,7 @@ import (
 //
 // Writes (insert, grow) must come from one goroutine; once the builder is
 // done the table is read-only and lookup is safe to call concurrently,
-// which is what lets the layer-parallel linkCovers workers share it.
+// which is what lets concurrent queries (Find, Meet, Join) share it.
 type intentIndex struct {
 	ids  []int32 // concept ID + 1; 0 = empty slot
 	mask uint64

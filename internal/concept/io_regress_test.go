@@ -47,7 +47,7 @@ func TestReadContextErrorsCarryLineNumbers(t *testing.T) {
 }
 
 // TestTraceContextCtxCancelled pins the ctxpropagate dogfood fix: a
-// pre-cancelled context aborts TraceContextCtx (and hence
+// pre-cancelled context aborts context assembly (and hence
 // BuildFromTracesCtx) before any simulation work, returning ctx.Err().
 func TestTraceContextCtxCancelled(t *testing.T) {
 	set := trace.NewSet(
@@ -57,10 +57,10 @@ func TestTraceContextCtxCancelled(t *testing.T) {
 	ref := fa.FromTraces(set.Alphabet())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := TraceContextCtx(ctx, set.Representatives(), ref, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TraceContextCtx on cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := traceContext(ctx, set.Representatives(), ref); !errors.Is(err, context.Canceled) {
+		t.Fatalf("traceContext on cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, err := BuildFromTracesCtx(ctx, set.Representatives(), ref, 1); !errors.Is(err, context.Canceled) {
+	if _, err := BuildFromTracesCtx(ctx, set.Representatives(), ref); !errors.Is(err, context.Canceled) {
 		t.Fatalf("BuildFromTracesCtx on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

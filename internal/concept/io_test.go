@@ -90,7 +90,7 @@ func TestPropContextRoundTrip(t *testing.T) {
 		}
 		assertSameContext(t, c, got)
 		// The lattice of the round-tripped context matches too.
-		if !Equal(Build(c), Build(got)) {
+		if !equalLattices(Build(c), Build(got)) {
 			t.Fatalf("iter %d: lattice changed across round trip", iter)
 		}
 	}

@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/obs"
@@ -52,10 +49,6 @@ type Lattice struct {
 	// poolarena check).
 	arena *bitset.Arena
 
-	// workers is the worker bound the lattice was built with; incremental
-	// removals that fall back to an in-place replay rebuild reuse it.
-	workers int
-
 	// reps holds one representative object per distinct context row in
 	// first-occurrence order (the dedup both linkCovers and the pruned Godin
 	// step rely on), and repRows maps each distinct row key to its replay
@@ -91,27 +84,15 @@ func (l *Lattice) newConcept(extent, intent *bitset.Set) *Concept {
 	return c
 }
 
-// BuildOption configures a lattice build.
-type BuildOption func(*buildConfig)
+// BuildOption is accepted and ignored by BuildCtx.
+//
+// Deprecated: builds take no options.
+type BuildOption struct{}
 
-type buildConfig struct {
-	workers int
-}
-
-// WithWorkers bounds the worker pool of the build's one parallel phase,
-// cover linking; the Godin insertion step is serial. 0 — and omitting the
-// option — means GOMAXPROCS; 1 forces the serial scan.
-func WithWorkers(n int) BuildOption {
-	return func(c *buildConfig) { c.workers = n }
-}
-
-func applyOptions(opts []BuildOption) buildConfig {
-	var cfg buildConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return cfg
-}
+// WithWorkers returns a BuildOption. n is ignored: builds are serial.
+//
+// Deprecated: omit it.
+func WithWorkers(n int) BuildOption { return BuildOption{} }
 
 // Build constructs the concept lattice of a context by incremental object
 // insertion in the style of Godin et al.'s Algorithm 1: objects are added
@@ -136,13 +117,12 @@ func Build(ctx *Context) *Lattice {
 // All extent and intent storage is carved from one per-build arena, so a
 // build performs O(1) heap allocations for set storage regardless of
 // concept count; the arena is owned by (and dies with) the returned
-// Lattice.
-func BuildCtx(cc context.Context, ctx *Context, opts ...BuildOption) (*Lattice, error) {
-	cfg := applyOptions(opts)
+// Lattice. The options are ignored (see BuildOption).
+func BuildCtx(cc context.Context, ctx *Context, _ ...BuildOption) (*Lattice, error) {
 	sp := obs.StartSpan("lattice.build")
 	defer sp.End()
 	arena := bitset.NewArena()
-	l := &Lattice{ctx: ctx, arena: arena, workers: cfg.workers}
+	l := &Lattice{ctx: ctx, arena: arena}
 	numObj, numAttr := ctx.NumObjects(), ctx.NumAttributes()
 	l.idx.initFor(256)
 	l.inv = newInvIndex(numAttr)
@@ -167,32 +147,31 @@ func BuildCtx(cc context.Context, ctx *Context, opts ...BuildOption) (*Lattice, 
 		}
 		l.godinInsert(o, ctx.Attributes(o), g)
 	}
-	if err := l.finalizeCtx(cc, cfg.workers); err != nil {
+	if err := l.finalizeCtx(cc); err != nil {
 		return nil, err
 	}
 	obs.Observe("lattice.concepts", int64(len(l.concepts)))
 	return l, nil
 }
 
-// finalize computes the Hasse diagram and the query tables serially; used
-// by builders (BuildNaive) that populate l.concepts directly.
+// finalize computes the Hasse diagram and the query tables; used by
+// builders (BuildNaive) that populate l.concepts directly.
 func (l *Lattice) finalize() {
-	if err := l.finalizeCtx(context.Background(), 1); err != nil {
+	if err := l.finalizeCtx(context.Background()); err != nil {
 		panic("concept: finalize: " + err.Error())
 	}
 }
 
-// finalizeCtx is finalize with cancellation and a worker bound for the
-// cover-linking scan. The intent index is built here if the constructing
-// algorithm did not maintain one incrementally.
-func (l *Lattice) finalizeCtx(cc context.Context, workers int) error {
+// finalizeCtx is finalize with cancellation. The intent index is built
+// here if the constructing algorithm did not maintain one incrementally.
+func (l *Lattice) finalizeCtx(cc context.Context) error {
 	if l.idx.n == 0 && len(l.concepts) > 0 {
 		l.idx.initFor(len(l.concepts))
 		for _, c := range l.concepts {
 			l.idx.insert(l.concepts, c.ID)
 		}
 	}
-	if err := l.linkCovers(cc, workers); err != nil {
+	if err := l.linkCovers(cc); err != nil {
 		return err
 	}
 	l.mustBuildTables()
@@ -249,9 +228,8 @@ func tauUpToArena(a *bitset.Arena, ctx *Context, y *bitset.Set, limit int) *bits
 	return out
 }
 
-// linkChunk is the stride of the parallel cover-linking scan: workers claim
-// chunks of this many concepts from an atomic counter, and cancellation is
-// checked between chunks.
+// linkChunk is the number of concepts the cover-linking scan handles
+// between cancellation checks.
 const linkChunk = 64
 
 // linkCovers computes the Hasse diagram: c is a child of d iff
@@ -269,12 +247,7 @@ const linkChunk = 64
 // distinct rows) probes plus a few subset tests among candidates, versus
 // the all-pairs-plus-dominated scan (cubic in concept count) this
 // replaces.
-//
-// Concepts are partitioned across a worker pool — per-concept work touches
-// only read-only shared state, so workers claim chunks from an atomic
-// counter and write disjoint out-slots, making the result bit-identical to
-// the serial scan for any worker count.
-func (l *Lattice) linkCovers(cc context.Context, workers int) error {
+func (l *Lattice) linkCovers(cc context.Context) error {
 	sp := obs.StartSpan("lattice.link_covers")
 	defer sp.End()
 	n := len(l.concepts)
@@ -298,8 +271,7 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 
 	// One representative object per distinct context row — the same dedup
 	// the pruned Godin step maintains, so builds that already paid for it
-	// reuse it here. attrReps, emptyID and words are the read-only state
-	// every worker's coverGen shares.
+	// reuse it here.
 	l.repsEnsure()
 	attrReps := make([]bitset.Set, l.ctx.NumAttributes())
 	for k, rep := range l.reps {
@@ -308,7 +280,6 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 			return true
 		})
 	}
-	emptyID := l.idx.lookup(l.concepts, &bitset.Set{})
 	var words []uint64
 	if l.ctx.NumAttributes() <= wordBitsPerSet {
 		words = make([]uint64, n)
@@ -316,156 +287,68 @@ func (l *Lattice) linkCovers(cc context.Context, workers int) error {
 			words[i] = word0(c.Intent)
 		}
 	}
+	cover := coverGen{
+		l: l, words: words, attrReps: attrReps,
+		emptyID: l.idx.lookup(l.concepts, &bitset.Set{}),
+		// The sub-intent path runs only when it has fewer subsets to probe
+		// than there are reps; the row path finds at most one candidate per
+		// rep, plus ∅.
+		cand: make([]int32, 0, len(l.reps)+1),
+	}
 
-	// out[ci] receives ci's covers; each worker writes only the slots of
-	// chunks it claimed, so the slice needs no synchronization beyond the
-	// pool's WaitGroup.
-	out := make([][]int32, n)
-	type lcWorker struct {
-		cover  coverGen
-		block  []int32 // cover output; out slices point into retired blocks
-		layers int64
-		cands  int64
-		busy   time.Duration
-	}
-	newWorker := func() *lcWorker {
-		return &lcWorker{
-			cover: coverGen{
-				l: l, words: words, attrReps: attrReps, emptyID: emptyID,
-				// The sub-intent path runs only when it has fewer subsets
-				// to probe than there are reps; the row path finds at most
-				// one candidate per rep, plus ∅.
-				cand: make([]int32, 0, len(l.reps)+1),
-			},
-			block: make([]int32, 0, 4096),
+	// covers holds every concept's covers back to back: concept ci's are
+	// covers[ends[ci-1]:ends[ci]].
+	covers := make([]int32, 0, 4096)
+	ends := make([]int32, n)
+	done := cc.Done()
+	var layers, cands int64
+	for ci := 0; ci < n; ci++ {
+		if ci%linkChunk == 0 {
+			select {
+			case <-done:
+				return cc.Err()
+			default:
+			}
 		}
-	}
-	process := func(w *lcWorker, ci int) {
-		cand := w.cover.next(ci)
-		if cap(w.block)-len(w.block) < 256 {
-			w.block = make([]int32, 0, 4096) // retired blocks stay referenced by out
-		}
-		start := len(w.block)
-		w.block = l.minimalCovers(w.block, cand, sizes, words)
-		w.cands += int64(len(cand))
+		cand := cover.next(ci)
+		covers = l.minimalCovers(covers, cand, sizes, words)
+		ends[ci] = int32(len(covers))
+		cands += int64(len(cand))
 		if len(cand) > 0 {
-			w.layers++
+			layers++
 			for i := 1; i < len(cand); i++ {
 				if sizes[cand[i]] != sizes[cand[i-1]] {
-					w.layers++
+					layers++
 				}
 			}
 		}
-		out[ci] = w.block[start:len(w.block):len(w.block)]
 	}
+	obs.Count("lattice.linkcovers.layers", layers)
+	obs.Count("lattice.linkcovers.candidates", cands)
+	obs.Count("lattice.linkcovers.subset_probes", cover.subsetProbes)
+	obs.Count("lattice.linkcovers.rep_probes", cover.repProbes)
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	done := cc.Done()
-	cancelled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	var ws []*lcWorker
-	if workers <= 1 || n < 2*linkChunk {
-		w := newWorker()
-		ws = []*lcWorker{w}
-		for ci := 0; ci < n; ci++ {
-			if ci%linkChunk == 0 && cancelled() {
-				return cc.Err()
-			}
-			process(w, ci)
-		}
-		obs.SetGauge("lattice.linkcovers.workers", 1)
-	} else {
-		numChunks := (n + linkChunk - 1) / linkChunk
-		if workers > numChunks {
-			workers = numChunks
-		}
-		pool := make([]*lcWorker, workers)
-		var next atomic.Int64
-		next.Store(-1)
-		start := time.Now()
-		var wg sync.WaitGroup
-		for wi := 0; wi < workers; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				w := newWorker()
-				pool[wi] = w
-				for !cancelled() {
-					chunk := int(next.Add(1))
-					if chunk >= numChunks {
-						return
-					}
-					hi := (chunk + 1) * linkChunk
-					if hi > n {
-						hi = n
-					}
-					t0 := time.Now()
-					for ci := chunk * linkChunk; ci < hi; ci++ {
-						process(w, ci)
-					}
-					w.busy += time.Since(t0)
-				}
-			}(wi)
-		}
-		wg.Wait()
-		if cancelled() {
-			return cc.Err()
-		}
-		elapsed := time.Since(start)
-		ws = pool
-		obs.SetGauge("lattice.linkcovers.workers", int64(workers))
-		if m := obs.Default(); m != nil && elapsed > 0 {
-			util := m.Histogram("lattice.linkcovers.worker_util_pct")
-			for _, w := range ws {
-				util.Observe(int64(100 * w.busy / elapsed))
-			}
-		}
-	}
-	var totalLayers, totalCands, subsetProbes, repProbes int64
-	for _, w := range ws {
-		totalLayers += w.layers
-		totalCands += w.cands
-		subsetProbes += w.cover.subsetProbes
-		repProbes += w.cover.repProbes
-	}
-	obs.Count("lattice.linkcovers.layers", totalLayers)
-	obs.Count("lattice.linkcovers.candidates", totalCands)
-	obs.Count("lattice.linkcovers.subset_probes", subsetProbes)
-	obs.Count("lattice.linkcovers.rep_probes", repProbes)
-
-	// Deterministic merge: per-concept covers re-sorted ascending by ID into
-	// one parent slab, then the children derived from them.
-	totalEdges := 0
-	for _, cs := range out {
-		totalEdges += len(cs)
-	}
-	parentSlab := make([]int, totalEdges)
-	pos := 0
-	for ci, cs := range out {
-		p := parentSlab[pos : pos : pos+len(cs)]
-		for _, cj := range cs {
+	// Each concept's covers re-sorted ascending by ID into one parent slab,
+	// then the children derived from them.
+	parentSlab := make([]int, len(covers))
+	start := 0
+	for ci, end := range ends {
+		p := parentSlab[start:start:end]
+		for _, cj := range covers[start:end] {
 			p = append(p, int(cj))
 		}
 		insertionSortInts(p)
 		l.parents[ci] = p
-		pos += len(cs)
+		start = int(end)
 	}
-	l.children = childrenOf(l.parents, totalEdges)
+	l.children = childrenOf(l.parents, len(covers))
 	return nil
 }
 
 // coverGen collects cover candidates one concept at a time: a deduplicated
 // list of concepts strictly above the concept that contains all of its
 // upper covers, which minimalCovers reduces to exactly the covers.
-// linkCovers runs one per worker; coverParents keeps one in the Godin
+// linkCovers runs one per build; coverParents keeps one in the Godin
 // scratch for incremental adds.
 //
 // A concept c = (X, Y) has two such lists, and next takes whichever costs

@@ -58,37 +58,3 @@ func sortKeysBySize(keys []string, intents map[string]*bitset.Set) {
 		}
 	}
 }
-
-// Equal reports whether two lattices over the same context have the same
-// concepts (extent/intent pairs) and the same cover relation, regardless of
-// concept numbering.
-func Equal(a, b *Lattice) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	// Map concepts by intent key.
-	bByIntent := map[string]*Concept{}
-	for _, c := range b.concepts {
-		bByIntent[c.Intent.Key()] = c
-	}
-	for _, ca := range a.concepts {
-		cb, ok := bByIntent[ca.Intent.Key()]
-		if !ok || !ca.Extent.Equal(cb.Extent) {
-			return false
-		}
-		// Compare parent sets by intent keys.
-		pa := map[string]bool{}
-		for _, p := range a.parents[ca.ID] {
-			pa[a.concepts[p].Intent.Key()] = true
-		}
-		if len(pa) != len(b.parents[cb.ID]) {
-			return false
-		}
-		for _, p := range b.parents[cb.ID] {
-			if !pa[b.concepts[p].Intent.Key()] {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -4,15 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// denseRandomContext builds a context dense enough to yield well over
-// 2*linkChunk concepts, so worker counts > 1 actually enter the parallel
-// pool instead of the small-lattice serial path.
+// denseRandomContext builds a random context in which each object has
+// each attribute with probability 1/3.
 func denseRandomContext(rng *rand.Rand, objs, attrs int) *Context {
 	names := func(prefix string, n int) []string {
 		out := make([]string, n)
@@ -32,63 +30,9 @@ func denseRandomContext(rng *rand.Rand, objs, attrs int) *Context {
 	return c
 }
 
-// TestPropParallelLinkCoversDeterministic pins the layer-parallel cover
-// scan to the serial one: for any worker count the resulting lattice —
-// concept order, parents, children, top, bottom, query tables — must be
-// identical, on the one-word intent path and, for the last input (more
-// than 64 attributes), on the Set path. Run under -race this also checks
-// the pool's only shared writes (disjoint out slots) are clean.
-func TestPropParallelLinkCoversDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for iter := 0; iter < 9; iter++ {
-		attrs := 14
-		if iter == 8 {
-			attrs = 70
-		}
-		c := denseRandomContext(rng, 40+rng.Intn(20), attrs)
-		serial, err := BuildCtx(context.Background(), c, WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Len() < 2*linkChunk {
-			t.Fatalf("iter %d: fixture too small to exercise the pool (%d concepts)", iter, serial.Len())
-		}
-		for _, workers := range []int{2, 8} {
-			par, err := BuildCtx(context.Background(), c, WithWorkers(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Len() != serial.Len() {
-				t.Fatalf("iter %d workers=%d: %d concepts vs %d serial", iter, workers, par.Len(), serial.Len())
-			}
-			for id, sc := range serial.concepts {
-				pc := par.concepts[id]
-				if !sc.Extent.Equal(pc.Extent) || !sc.Intent.Equal(pc.Intent) {
-					t.Fatalf("iter %d workers=%d: concept %d differs", iter, workers, id)
-				}
-			}
-			if !reflect.DeepEqual(par.parents, serial.parents) {
-				t.Fatalf("iter %d workers=%d: parents differ", iter, workers)
-			}
-			if !reflect.DeepEqual(par.children, serial.children) {
-				t.Fatalf("iter %d workers=%d: children differ", iter, workers)
-			}
-			if par.top != serial.top || par.bottom != serial.bottom {
-				t.Fatalf("iter %d workers=%d: top/bottom %d/%d vs %d/%d",
-					iter, workers, par.top, par.bottom, serial.top, serial.bottom)
-			}
-			if !reflect.DeepEqual(par.objConcept, serial.objConcept) ||
-				!reflect.DeepEqual(par.attrConcept, serial.attrConcept) {
-				t.Fatalf("iter %d workers=%d: query tables differ", iter, workers)
-			}
-		}
-	}
-}
-
-// TestParallelLinkCoversMatchesOracle cross-checks the parallel scan
-// against the independent all-pairs oracle, not just against the serial
-// twin, and checks that each fixture reaches the candidate paths it is
-// there for (coverGen's probe counters):
+// TestParallelLinkCoversMatchesOracle cross-checks the cover scan against
+// the independent all-pairs oracle, and checks that each fixture reaches
+// the candidate paths it is there for (coverGen's probe counters):
 //   - random dense contexts; the last has more than 64 attributes, so
 //     candidates come from rows and domination takes the Set path;
 //   - the bulk-shaped corpus, where every concept but the bottom probes
@@ -133,11 +77,8 @@ func TestParallelLinkCoversMatchesOracle(t *testing.T) {
 
 	for _, fx := range fixtures {
 		m := obs.Enable()
-		l, err := BuildCtx(context.Background(), fx.ctx, WithWorkers(4))
+		l := Build(fx.ctx)
 		obs.Disable()
-		if err != nil {
-			t.Fatal(err)
-		}
 		parents, children := linkCoversAllPairs(l)
 		for i := range parents {
 			insertionSortInts(parents[i])
@@ -145,10 +86,10 @@ func TestParallelLinkCoversMatchesOracle(t *testing.T) {
 		}
 		for id := range l.concepts {
 			if !equalInts(l.Parents(id), parents[id]) {
-				t.Fatalf("%s: parents of %d: parallel %v, all-pairs %v", fx.name, id, l.Parents(id), parents[id])
+				t.Fatalf("%s: parents of %d: linkCovers %v, all-pairs %v", fx.name, id, l.Parents(id), parents[id])
 			}
 			if !equalInts(l.Children(id), children[id]) {
-				t.Fatalf("%s: children of %d: parallel %v, all-pairs %v", fx.name, id, l.Children(id), children[id])
+				t.Fatalf("%s: children of %d: linkCovers %v, all-pairs %v", fx.name, id, l.Children(id), children[id])
 			}
 		}
 		subset := m.Counter("lattice.linkcovers.subset_probes").Value()
@@ -182,21 +123,19 @@ func contranominalContext(k int) *Context {
 	return c
 }
 
-// TestBuildCancelledDuringLinkCovers exercises the pool's cancellation
+// TestBuildCancelledDuringLinkCovers exercises the scan's cancellation
 // path: a context cancelled before the build reaches cover linking must
-// surface ctx.Err() from both the serial and the parallel scan.
+// surface ctx.Err().
 func TestBuildCancelledDuringLinkCovers(t *testing.T) {
 	c := denseRandomContext(rand.New(rand.NewSource(5)), 40, 12)
 	l := Build(c)
 	cc, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		if err := l.linkCovers(cc, workers); err != context.Canceled {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
+	if err := l.linkCovers(cc); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// Relink uncancelled so the lattice is left consistent.
-	if err := l.linkCovers(context.Background(), 4); err != nil {
+	if err := l.linkCovers(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	checkLatticeInvariants(t, l)

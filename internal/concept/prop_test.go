@@ -3,7 +3,6 @@ package concept
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/bitset"
@@ -38,11 +37,11 @@ func TestPropBuildersAgree(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		c := randomContext(rng, 10, 8)
 		opt, naive := Build(c), BuildNaive(c)
-		if !Equal(opt, naive) {
+		if !equalLattices(opt, naive) {
 			t.Fatalf("iter %d: builders disagree on\n%s\nincremental:\n%s\nnaive:\n%s",
 				iter, c, opt, naive)
 		}
-		// Equal covers concepts and cover edges up to renumbering; check
+		// equalLattices covers concepts and cover edges up to renumbering; check
 		// top and bottom by their defining sets too.
 		if !opt.Concept(opt.Top()).Extent.Equal(naive.Concept(naive.Top()).Extent) {
 			t.Fatalf("iter %d: top extents disagree", iter)
@@ -317,43 +316,6 @@ func TestTraceContextRejectsUnrecognized(t *testing.T) {
 	_, err := TraceContext([]trace.Trace{trace.ParseEvents("bad", "zzz()")}, ref)
 	if err == nil {
 		t.Fatal("TraceContext accepted unrecognized trace")
-	}
-}
-
-func TestTraceContextParallelDeterministic(t *testing.T) {
-	// The per-trace FA simulations fan out over workers; the assembled
-	// context (and thus the lattice) must be identical to a serial run.
-	b := fa.NewBuilder("ref")
-	s := b.States(1)
-	b.Start(s[0])
-	b.Accept(s[0])
-	for _, ev := range []string{"X = fopen()", "X = popen()", "fread(X)", "fwrite(X)", "fclose(X)", "pclose(X)"} {
-		b.EdgeStr(s[0], ev, s[0])
-	}
-	ref := b.MustBuild()
-	rng := rand.New(rand.NewSource(53))
-	ops := []string{"X = fopen()", "X = popen()", "fread(X)", "fwrite(X)", "fclose(X)", "pclose(X)"}
-	var traces []trace.Trace
-	for i := 0; i < 40; i++ {
-		var evs []string
-		for n := 1 + rng.Intn(6); n > 0; n-- {
-			evs = append(evs, ops[rng.Intn(len(ops))])
-		}
-		traces = append(traces, trace.ParseEvents(fmt.Sprintf("t%d", i), evs...))
-	}
-	prev := runtime.GOMAXPROCS(1)
-	serial, errS := BuildFromTraces(traces, ref)
-	runtime.GOMAXPROCS(4)
-	parallel, errP := BuildFromTraces(traces, ref)
-	runtime.GOMAXPROCS(prev)
-	if errS != nil || errP != nil {
-		t.Fatal(errS, errP)
-	}
-	if !Equal(serial, parallel) {
-		t.Fatal("parallel TraceContext produced a different lattice than serial")
-	}
-	if serial.Top() != parallel.Top() || serial.Bottom() != parallel.Bottom() {
-		t.Fatal("parallel TraceContext renumbered top/bottom")
 	}
 }
 

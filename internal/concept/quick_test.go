@@ -37,7 +37,7 @@ func contextFromSeed(seed int64, objs, attrs uint8) *Context {
 func TestQuickBuildersAgree(t *testing.T) {
 	err := quick.Check(func(seed int64, objs, attrs uint8) bool {
 		c := contextFromSeed(seed, objs, attrs)
-		return Equal(Build(c), BuildNaive(c))
+		return equalLattices(Build(c), BuildNaive(c))
 	}, &quick.Config{MaxCount: 150})
 	if err != nil {
 		t.Fatal(err)

@@ -44,11 +44,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err := restored.AddObjectCtx(context.Background(), "post-restore", row); err != nil {
 			t.Fatal(err)
 		}
-		rebuilt, err := BuildCtx(context.Background(), restored.Context().clone(), WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireByteIdentical(t, restored, rebuilt, fmt.Sprintf("iter %d: add after restore", iter))
+		requireByteIdentical(t, restored, Build(restored.Context().clone()), fmt.Sprintf("iter %d: add after restore", iter))
 	}
 }
 

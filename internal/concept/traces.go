@@ -12,13 +12,7 @@ import (
 // TraceContext builds the formal context of Section 3.2 from a set of traces
 // and a reference FA: objects are the traces, attributes are the FA's
 // transitions, and (o, a) ∈ R iff transition a lies on some accepting run of
-// the FA on o. It is TraceContextCtx without cancellation or a worker bound.
-func TraceContext(traces []trace.Trace, ref *fa.FA) (*Context, error) {
-	return TraceContextCtx(context.Background(), traces, ref, 0)
-}
-
-// TraceContextCtx is TraceContext with cancellation and an explicit worker
-// bound (0 means GOMAXPROCS).
+// the FA on o.
 //
 // Every trace must be accepted by the reference FA — the paper requires a
 // reference FA that "recognizes (at least)" the traces being clustered. A
@@ -26,14 +20,26 @@ func TraceContext(traces []trace.Trace, ref *fa.FA) (*Context, error) {
 // reference FA (fa.FromTraces always works).
 //
 // The reference FA is compiled once (fa.Sim) and the batch simulation
-// dedups to one representative per identical-event trace class before
-// fanning out over a bounded worker pool: duplicate traces share the class
-// representative's executed-transition set, so the relation — assembled in
-// input order and therefore identical to a serial per-trace run — costs one
-// simulation per class, not per trace. Cancellation is checked between
-// classes: once ctx is done no new simulation starts and ctx.Err() is
-// returned.
+// dedups to one representative per identical-event trace class: duplicate
+// traces share the class representative's executed-transition set, so the
+// relation costs one simulation per class, not per trace.
+func TraceContext(traces []trace.Trace, ref *fa.FA) (*Context, error) {
+	return traceContext(context.Background(), traces, ref)
+}
+
+// TraceContextCtx is TraceContext with cancellation. The workers argument
+// is ignored: context assembly is serial.
+//
+// Deprecated: use TraceContext, or BuildFromTracesCtx for a cancellable
+// build.
 func TraceContextCtx(ctx context.Context, traces []trace.Trace, ref *fa.FA, workers int) (*Context, error) {
+	return traceContext(ctx, traces, ref)
+}
+
+// traceContext is TraceContext with cancellation: it is checked between
+// trace classes, and once ctx is done no new simulation starts and
+// ctx.Err() is returned.
+func traceContext(ctx context.Context, traces []trace.Trace, ref *fa.FA) (*Context, error) {
 	sp := obs.StartSpan("concept.context")
 	defer sp.End()
 	obs.Count("concept.context.traces", int64(len(traces)))
@@ -67,7 +73,7 @@ func TraceContextCtx(ctx context.Context, traces []trace.Trace, ref *fa.FA, work
 		attrNames[i] = tr.String()
 	}
 	fc := NewContext(objNames, attrNames)
-	executed, accepted, err := ref.Sim().ExecutedAllCtx(ctx, traces, workers)
+	executed, accepted, err := ref.Sim().ExecutedAllCtx(ctx, traces)
 	if err != nil {
 		return nil, err
 	}
@@ -90,16 +96,16 @@ func TraceContextCtx(ctx context.Context, traces []trace.Trace, ref *fa.FA, work
 // compute the context of traces × executed transitions and construct its
 // concept lattice.
 func BuildFromTraces(traces []trace.Trace, ref *fa.FA) (*Lattice, error) {
-	return BuildFromTracesCtx(context.Background(), traces, ref, 0)
+	return BuildFromTracesCtx(context.Background(), traces, ref)
 }
 
-// BuildFromTracesCtx is BuildFromTraces with cancellation and a worker
-// bound, for callers serving remote requests: a done ctx aborts both the
-// context computation and the lattice construction between work items.
-func BuildFromTracesCtx(ctx context.Context, traces []trace.Trace, ref *fa.FA, workers int) (*Lattice, error) {
-	fc, err := TraceContextCtx(ctx, traces, ref, workers)
+// BuildFromTracesCtx is BuildFromTraces with cancellation, for callers
+// serving remote requests: a done ctx aborts both the context computation
+// and the lattice construction between work items.
+func BuildFromTracesCtx(ctx context.Context, traces []trace.Trace, ref *fa.FA) (*Lattice, error) {
+	fc, err := traceContext(ctx, traces, ref)
 	if err != nil {
 		return nil, err
 	}
-	return BuildCtx(ctx, fc, WithWorkers(workers))
+	return BuildCtx(ctx, fc)
 }

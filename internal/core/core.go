@@ -54,30 +54,6 @@ func DebugViolations(spec *fa.FA, scenarios *trace.Set) (*Session, []verify.Viol
 	return session, raw, nil
 }
 
-// DebugProgram runs the static variant of the testing workflow: check a
-// program model against the specification with the product-based verifier
-// (verify.Static), and build the debugging session over the reported
-// violation traces (bounded by maxLen events per trace and limit traces).
-// When the program conforms up to the bound, it returns (nil, nil, nil).
-func DebugProgram(program, spec *fa.FA, maxLen, limit int) (*Session, []verify.Violation, error) {
-	violations, err := verify.Static(program, spec, maxLen, limit)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(violations) == 0 {
-		return nil, nil, nil
-	}
-	set := &trace.Set{}
-	for _, v := range violations {
-		set.Add(v.Trace)
-	}
-	session, err := cable.NewSession(set, ReferenceFA(set))
-	if err != nil {
-		return nil, nil, err
-	}
-	return session, violations, nil
-}
-
 // DebugMined builds a session for a mined specification's scenario traces,
 // using the mined FA itself as the reference (the expert "already has one:
 // the FA from the miner's buggy specification"). If the mined FA rejects

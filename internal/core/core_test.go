@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/cable"
+	"repro/internal/fa"
 	"repro/internal/mine"
 	"repro/internal/specs"
 	"repro/internal/trace"
+	"repro/internal/verify"
 	"repro/internal/xtrace"
 )
 
@@ -228,7 +230,7 @@ func TestDebugProgramStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	session, violations, err := DebugProgram(program, specs.FigureOneFA(), 8, 100)
+	session, violations, err := debugProgram(program, specs.FigureOneFA(), 8, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +258,7 @@ func TestDebugProgramStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	session, violations, err = DebugProgram(good, stdio.FA, 8, 100)
+	session, violations, err = debugProgram(good, stdio.FA, 8, 100)
 	if err != nil || session != nil || violations != nil {
 		t.Errorf("conforming program produced a session: %v %v %v", session, violations, err)
 	}
@@ -269,4 +271,28 @@ func must[T any](v T, err error) T {
 		panic(err)
 	}
 	return v
+}
+
+// debugProgram runs the static variant of the testing workflow: check a
+// program model against the specification with the product-based verifier
+// (verify.Static), and build the debugging session over the reported
+// violation traces (bounded by maxLen events per trace and limit traces).
+// When the program conforms up to the bound, it returns (nil, nil, nil).
+func debugProgram(program, spec *fa.FA, maxLen, limit int) (*Session, []verify.Violation, error) {
+	violations, err := verify.Static(program, spec, maxLen, limit)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(violations) == 0 {
+		return nil, nil, nil
+	}
+	set := &trace.Set{}
+	for _, v := range violations {
+		set.Add(v.Trace)
+	}
+	session, err := cable.NewSession(set, ReferenceFA(set))
+	if err != nil {
+		return nil, nil, err
+	}
+	return session, violations, nil
 }

@@ -25,9 +25,9 @@ import (
 
 // Config controls experiment scale and determinism.
 type Config struct {
-	// Context, when non-nil, cancels in-flight sweeps early: the parallel
-	// drivers check it between work items and return its error. Nil means
-	// context.Background().
+	// Context, when non-nil, cancels in-flight sweeps early: the sweep
+	// drivers check it before each item, and lattice builds between work
+	// items, and return its error. Nil means context.Background().
 	Context context.Context
 	// Seed drives workload generation; rows are deterministic per seed.
 	Seed int64
@@ -41,12 +41,9 @@ type Config struct {
 	// Scale overrides the number of scenario draws per specification; nil
 	// uses DefaultScale.
 	Scale func(specName string) int
-	// Workers bounds the per-spec parallelism of the sweep drivers (Table2,
-	// Table3, LatticeGrowth, AdvantageSweep) and flows into each lattice
-	// build, whose Godin insertion scan and cover linking are themselves
-	// worker-parallel (and byte-deterministic for every setting): 0 uses
-	// GOMAXPROCS, 1 forces serial paths. Results are gathered in input
-	// order, so the tables are identical for every setting.
+	// Workers is ignored: the sweeps and lattice builds are serial.
+	//
+	// Deprecated: leave it unset.
 	Workers int
 }
 
@@ -167,7 +164,7 @@ func Prepare(spec specs.Spec, cfg Config) (*Experiment, error) {
 		if err != nil {
 			return nil, err
 		}
-		l, err := concept.BuildFromTracesCtx(cfg.ctx(), set.Representatives(), res.FA, cfg.Workers)
+		l, err := concept.BuildFromTracesCtx(cfg.ctx(), set.Representatives(), res.FA)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +181,7 @@ func Prepare(spec specs.Spec, cfg Config) (*Experiment, error) {
 	best := time.Duration(0)
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		if _, err := concept.BuildFromTracesCtx(cfg.ctx(), set.Representatives(), chosen, cfg.Workers); err != nil {
+		if _, err := concept.BuildFromTracesCtx(cfg.ctx(), set.Representatives(), chosen); err != nil {
 			return nil, err
 		}
 		if d := time.Since(start); i == 0 || d < best {

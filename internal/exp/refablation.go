@@ -92,7 +92,7 @@ func ReferenceAblation(specName string, cfg Config) ([]RefRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		lattice, err := concept.BuildFromTracesCtx(cfg.ctx(), set.Representatives(), ref, cfg.Workers)
+		lattice, err := concept.BuildFromTracesCtx(cfg.ctx(), set.Representatives(), ref)
 		if err != nil {
 			return nil, err
 		}

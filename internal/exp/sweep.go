@@ -22,21 +22,26 @@ type GrowthPoint struct {
 // transition count and resulting lattice size — the data behind Section
 // 5.2's observation that "the size of the lattices generated for our
 // specifications varied roughly linearly with the number of FA
-// transitions" despite the exponential worst case.
+// transitions" despite the exponential worst case. It stops at the first
+// error, and checks cfg.Context before each specification.
 func LatticeGrowth(cfg Config) ([]GrowthPoint, error) {
-	all := specs.All()
-	return parMap(cfg.ctx(), len(all), cfg.Workers, func(i int) (GrowthPoint, error) {
-		e, err := Prepare(all[i], cfg)
-		if err != nil {
-			return GrowthPoint{}, err
+	var pts []GrowthPoint
+	for _, spec := range specs.All() {
+		if err := cfg.ctx().Err(); err != nil {
+			return nil, err
 		}
-		return GrowthPoint{
-			Spec:     all[i].Name,
+		e, err := Prepare(spec, cfg)
+		if err != nil {
+			return nil, err
+		}
+		pts = append(pts, GrowthPoint{
+			Spec:     spec.Name,
 			Attrs:    e.Ref.NumTransitions(),
 			Objects:  e.Set.NumClasses(),
 			Concepts: e.Lattice.Len(),
-		}, nil
-	})
+		})
+	}
+	return pts, nil
 }
 
 // LinearFit returns the least-squares slope, intercept, and correlation
@@ -94,36 +99,41 @@ type ScalePoint struct {
 // AdvantageSweep grows one specification's workload and measures how
 // Cable's advantage over Baseline scales — Section 5.3's "the advantage of
 // using Cable increases as the number of different scenario traces
-// increases".
+// increases". It stops at the first error, and checks cfg.Context before
+// each size.
 func AdvantageSweep(specName string, cfg Config, sizes []int) ([]ScalePoint, error) {
 	spec, ok := specs.ByName(specName)
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown spec %q", specName)
 	}
-	return parMap(cfg.ctx(), len(sizes), cfg.Workers, func(i int) (ScalePoint, error) {
+	var pts []ScalePoint
+	for _, size := range sizes {
+		if err := cfg.ctx().Err(); err != nil {
+			return nil, err
+		}
 		c := cfg
-		size := sizes[i]
 		c.Scale = func(string) int { return size }
 		e, err := Prepare(spec, c)
 		if err != nil {
-			return ScalePoint{}, err
+			return nil, err
 		}
 		expert, ok := strategy.Expert(e.Lattice, e.Truth)
 		if !ok {
-			return ScalePoint{}, fmt.Errorf("exp: Expert failed at size %d", size)
+			return nil, fmt.Errorf("exp: Expert failed at size %d", size)
 		}
 		td, ok := strategy.TopDown(e.Lattice, e.Truth)
 		if !ok {
-			return ScalePoint{}, fmt.Errorf("exp: TopDown failed at size %d", size)
+			return nil, fmt.Errorf("exp: TopDown failed at size %d", size)
 		}
-		return ScalePoint{
+		pts = append(pts, ScalePoint{
 			Scenarios: e.Set.Total(),
 			Unique:    e.Set.NumClasses(),
 			Baseline:  strategy.Baseline(e.Lattice).Total(),
 			Expert:    expert.Total(),
 			TopDown:   td.Total(),
-		}, nil
-	})
+		})
+	}
+	return pts, nil
 }
 
 // FormatSweep renders the advantage sweep.

@@ -53,26 +53,30 @@ type Table2Row struct {
 	BuildTime time.Duration // best-of-three lattice construction time
 }
 
-// Table2 prepares every specification and measures lattice construction.
-// Specs are prepared on a worker pool (cfg.Workers) with rows gathered in
-// corpus order.
+// Table2 prepares every specification, in corpus order, and measures
+// lattice construction. It stops at the first error, and checks
+// cfg.Context before each specification.
 func Table2(cfg Config) ([]Table2Row, error) {
-	all := specs.All()
-	return parMap(cfg.ctx(), len(all), cfg.Workers, func(i int) (Table2Row, error) {
-		e, err := Prepare(all[i], cfg)
-		if err != nil {
-			return Table2Row{}, err
+	var rows []Table2Row
+	for _, spec := range specs.All() {
+		if err := cfg.ctx().Err(); err != nil {
+			return nil, err
 		}
-		return Table2Row{
-			Name:      all[i].Name,
+		e, err := Prepare(spec, cfg)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, Table2Row{
+			Name:      spec.Name,
 			Scenarios: e.Set.Total(),
 			Unique:    e.Set.NumClasses(),
 			Attrs:     e.Ref.NumTransitions(),
 			RefKind:   e.RefKind,
 			Concepts:  e.Lattice.Len(),
 			BuildTime: e.BuildTime,
-		}, nil
-	})
+		})
+	}
+	return rows, nil
 }
 
 // FormatTable2 renders Table 2 as aligned text.
@@ -94,22 +98,26 @@ type Table3Row struct {
 	Strategies
 }
 
-// Table3 prepares every specification and measures every labeling method.
-// Specs run on a worker pool (cfg.Workers) with rows gathered in corpus
-// order.
+// Table3 prepares every specification, in corpus order, and measures
+// every labeling method. It stops at the first error, and checks
+// cfg.Context before each specification.
 func Table3(cfg Config) ([]Table3Row, error) {
-	all := specs.All()
-	return parMap(cfg.ctx(), len(all), cfg.Workers, func(i int) (Table3Row, error) {
-		e, err := Prepare(all[i], cfg)
+	var rows []Table3Row
+	for _, spec := range specs.All() {
+		if err := cfg.ctx().Err(); err != nil {
+			return nil, err
+		}
+		e, err := Prepare(spec, cfg)
 		if err != nil {
-			return Table3Row{}, err
+			return nil, err
 		}
 		st, err := e.RunStrategies(cfg)
 		if err != nil {
-			return Table3Row{}, err
+			return nil, err
 		}
-		return Table3Row{Name: all[i].Name, Strategies: st}, nil
-	})
+		rows = append(rows, Table3Row{Name: spec.Name, Strategies: st})
+	}
+	return rows, nil
 }
 
 // FormatTable3 renders Table 3 as aligned text; unmeasurable Optimal

@@ -2,9 +2,7 @@ package fa
 
 import (
 	"context"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/event"
@@ -26,8 +24,8 @@ import (
 //     pass of Executed.
 //   - Scratch state (frontier bitsets, the per-position forward frontiers,
 //     symbol and key buffers) lives in a sync.Pool, so steady-state
-//     simulation allocates nothing and one Sim can be shared by a worker
-//     pool.
+//     simulation allocates nothing and one Sim can be shared across
+//     goroutines.
 //   - Executed results are memoized per identical-event trace class (keyed
 //     by trace.Trace.AppendKey), so a class is simulated exactly once no
 //     matter how many duplicate traces replay it; ExecutedAll batches that
@@ -426,16 +424,15 @@ func (s *Sim) executedInto(sc *simScratch, t trace.Trace, out *bitset.Set) bool 
 // acceptance of traces[i], and identical traces share one set pointer. The
 // sets are memo-backed and must be treated as read-only.
 func (s *Sim) ExecutedAll(traces []trace.Trace) ([]*bitset.Set, []bool) {
-	sets, oks, _ := s.ExecutedAllCtx(context.Background(), traces, 1)
+	sets, oks, _ := s.ExecutedAllCtx(context.Background(), traces)
 	return sets, oks
 }
 
-// ExecutedAllCtx is ExecutedAll fanned out over a bounded worker pool
-// (workers 0 means GOMAXPROCS, 1 is serial). Only one representative per
-// identical-event class is simulated; class members share the resulting
-// set. Cancellation is checked between classes; once ctx is done no new
-// simulation starts and ctx.Err() is returned.
-func (s *Sim) ExecutedAllCtx(ctx context.Context, traces []trace.Trace, workers int) ([]*bitset.Set, []bool, error) {
+// ExecutedAllCtx is ExecutedAll with cancellation. Only one representative
+// per identical-event class is simulated; class members share the
+// resulting set. Cancellation is checked between classes; once ctx is done
+// no new simulation starts and ctx.Err() is returned.
+func (s *Sim) ExecutedAllCtx(ctx context.Context, traces []trace.Trace) ([]*bitset.Set, []bool, error) {
 	sp := obs.StartSpan("fa.executedall")
 	defer sp.End()
 	classOf := make([]int, len(traces))
@@ -467,10 +464,13 @@ func (s *Sim) ExecutedAllCtx(ctx context.Context, traces []trace.Trace, workers 
 	obs.Count("fa.executedall.classes", int64(len(reps)))
 	repSets := make([]*bitset.Set, len(reps))
 	repOks := make([]bool, len(reps))
-	if err := forEachPar(ctx, len(reps), workers, func(c int) {
-		repSets[c], repOks[c] = s.ExecutedShared(traces[reps[c]])
-	}); err != nil {
-		return nil, nil, err
+	for c, i := range reps {
+		select {
+		case <-done:
+			return nil, nil, ctx.Err()
+		default:
+		}
+		repSets[c], repOks[c] = s.ExecutedShared(traces[i])
 	}
 	sets := make([]*bitset.Set, len(traces))
 	oks := make([]bool, len(traces))
@@ -485,56 +485,4 @@ func (s *Sim) ExecutedAllCtx(ctx context.Context, traces []trace.Trace, workers 
 		sets[i], oks[i] = repSets[c], repOks[c]
 	}
 	return sets, oks, nil
-}
-
-// forEachPar runs f(i) for i in [0, n) over up to `workers` goroutines
-// (0 means GOMAXPROCS, bounded by n). Cancellation is checked before each
-// item; once ctx is done no new item is claimed and ctx.Err() is returned
-// after in-flight items finish.
-func forEachPar(ctx context.Context, n, workers int, f func(i int)) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	done := ctx.Done()
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-			f(i)
-		}
-		return nil
-	}
-	var next int64 = -1
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					cancelled.Store(true)
-					return
-				default:
-				}
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		return ctx.Err()
-	}
-	return nil
 }

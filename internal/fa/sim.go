@@ -7,7 +7,7 @@ import (
 
 // The public simulation methods are thin wrappers over the automaton's
 // compiled plan (see Sim): the plan is built once per FA and cached, so
-// per-call users and plan-sharing worker pools run the same code path.
+// per-call users and goroutines sharing the plan run the same code path.
 // The original per-call loops live in sim_legacy_test.go as legacy* — the
 // reference implementations that the differential tests and benchmarks pin
 // the compiled simulator against.

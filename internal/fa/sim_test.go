@@ -198,7 +198,7 @@ func TestSimExecutedAllSharesClassSets(t *testing.T) {
 	dup := trace.ParseEvents("dup", "X = fopen()", "fread(X)", "fclose(X)") // same class as a
 	rejected := trace.ParseEvents("r", "fread(X)")
 	traces := []trace.Trace{a, b, dup, rejected, a}
-	sets, oks, err := sim.ExecutedAllCtx(context.Background(), traces, 4)
+	sets, oks, err := sim.ExecutedAllCtx(context.Background(), traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestSimExecutedAllCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	traces := []trace.Trace{trace.ParseEvents("", "X = fopen()", "fclose(X)")}
-	if _, _, err := f.Sim().ExecutedAllCtx(ctx, traces, 1); err != context.Canceled {
+	if _, _, err := f.Sim().ExecutedAllCtx(ctx, traces); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -358,7 +358,7 @@ func TestSimSharedAcrossGoroutines(t *testing.T) {
 					return
 				}
 				if round%10 == 0 {
-					sets, oks, err := sim.ExecutedAllCtx(context.Background(), traces, 2)
+					sets, oks, err := sim.ExecutedAllCtx(context.Background(), traces)
 					if err != nil {
 						errs <- err.Error()
 						return

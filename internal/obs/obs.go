@@ -17,8 +17,8 @@
 //
 // Span names follow a "<layer>.<phase>" convention (trace.read,
 // fa.compile, fa.accepts, fa.rejectsat, fa.executed, fa.executedall,
-// concept.context, lattice.build, lattice.link_covers,
-// cable.session, exp.prepare, exp.parmap) so a snapshot reads as a
+// concept.context, lattice.build, lattice.link_covers, lattice.tables,
+// lattice.incr.add, cable.session, exp.prepare) so a snapshot reads as a
 // phase-attributed profile of the Cable pipeline; see DESIGN.md's
 // Observability section.
 package obs
@@ -276,9 +276,6 @@ func StartSpan(name string) Span { return Default().StartSpan(name) }
 
 // Count adds n to the named counter on the default registry.
 func Count(name string, n int64) { Default().Counter(name).Add(n) }
-
-// SetGauge sets the named gauge on the default registry.
-func SetGauge(name string, v int64) { Default().Gauge(name).Set(v) }
 
 // Observe records a sample in the named histogram on the default registry.
 func Observe(name string, v int64) { Default().Histogram(name).Observe(v) }

@@ -94,11 +94,10 @@ func TestEnableDisableDefault(t *testing.T) {
 		t.Fatal("Default() is not the enabled registry")
 	}
 	Count("c", 2)
-	SetGauge("g", 9)
 	Observe("h", 5)
 	StartSpan("s").End()
 	snap := m.Snapshot()
-	if snap.Counters["c"] != 2 || snap.Gauges["g"] != 9 {
+	if snap.Counters["c"] != 2 {
 		t.Errorf("package-level helpers did not hit the default registry: %+v", snap)
 	}
 	if snap.Hists["h"].Count != 1 || snap.Hists["s"].Count != 1 {
@@ -121,7 +120,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		sp := StartSpan("fa.executed")
 		Count("fa.executed.rejected", 1)
 		Observe("lattice.concepts", 42)
-		SetGauge("exp.parmap.workers", 4)
+		Default().Gauge("cable.session.concepts").Set(4)
 		sp.End()
 	})
 	if allocs != 0 {

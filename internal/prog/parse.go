@@ -24,15 +24,6 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse is Parse that panics on error, for program literals.
-func MustParse(src string) *Program {
-	p, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // --- Lexer -------------------------------------------------------------------
 
 type token struct {

@@ -58,7 +58,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestCompileLanguage(t *testing.T) {
-	p := MustParse(leakySrc)
+	p := mustParse(leakySrc)
 	f, err := p.Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestCompileLanguage(t *testing.T) {
 }
 
 func TestCompileChoiceOpt(t *testing.T) {
-	p := MustParse(`prog c { choice { a(); } or { b(); } or { skip; } opt { z(); } }`)
+	p := mustParse(`prog c { choice { a(); } or { b(); } or { skip; } opt { z(); } }`)
 	f, err := p.Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestCompileChoiceOpt(t *testing.T) {
 func TestExecuteProducesCompiledBehaviour(t *testing.T) {
 	// Every executed run's per-object projection is accepted by the
 	// compiled automaton (single-object program: rename to match).
-	p := MustParse(leakySrc)
+	p := mustParse(leakySrc)
 	f, err := p.Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestExecuteProducesCompiledBehaviour(t *testing.T) {
 }
 
 func TestExecuteLoopBound(t *testing.T) {
-	p := MustParse(`prog spin { loop { tick(); } }`)
+	p := mustParse(`prog spin { loop { tick(); } }`)
 	rng := rand.New(rand.NewSource(1))
 	events, _ := p.Execute(rng, 1, ExecOptions{LoopContinue: 0.999999, MaxSteps: 50})
 	if len(events) > 50 {
@@ -131,7 +131,7 @@ func TestExecuteLoopBound(t *testing.T) {
 }
 
 func TestRunsDistinctObjects(t *testing.T) {
-	p := MustParse(leakySrc)
+	p := mustParse(leakySrc)
 	runs := p.Runs(rand.New(rand.NewSource(2)), 10, ExecOptions{})
 	seen := map[int]bool{}
 	for _, r := range runs {
@@ -149,7 +149,7 @@ func TestRunsDistinctObjects(t *testing.T) {
 func TestStaticCheckOfProgram(t *testing.T) {
 	// End to end: compile the leaky program and statically verify it
 	// against the correct stdio specification — the leak is reported.
-	p := MustParse(leakySrc)
+	p := mustParse(leakySrc)
 	program, err := p.Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestStaticCheckOfProgram(t *testing.T) {
 	}
 
 	// The repaired program conforms.
-	fixed := MustParse(`
+	fixed := mustParse(`
 prog fixed {
   X := fopen();
   loop { fread(X); }
@@ -197,7 +197,7 @@ func TestMineFromProgramRuns(t *testing.T) {
 	// Dynamic pipeline: execute the program, mine a spec, confirm the
 	// mined spec accepts both the close and leak behaviours (the bug the
 	// debugging method then removes).
-	p := MustParse(leakySrc)
+	p := mustParse(leakySrc)
 	runs := p.Runs(rand.New(rand.NewSource(7)), 60, ExecOptions{})
 	miner := mine.Miner{FrontEnd: mine.FrontEnd{Seeds: []string{"fopen"}, FollowDerived: true}}
 	mined, scenarios, err := miner.Mine("leaky-mined", runs)
@@ -216,7 +216,7 @@ func TestMineFromProgramRuns(t *testing.T) {
 }
 
 func TestVarsAndProject(t *testing.T) {
-	p := MustParse(`
+	p := mustParse(`
 prog two {
   X := fopen();
   Y := popen();
@@ -260,7 +260,7 @@ func TestProjectionMatchesFrontEnd(t *testing.T) {
 	// The static projection and the dynamic front end agree: every
 	// scenario the front end extracts from an execution is accepted by the
 	// corresponding projection's automaton.
-	p := MustParse(leakySrc)
+	p := mustParse(leakySrc)
 	proj, err := p.Project("X").Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -275,4 +275,13 @@ func TestProjectionMatchesFrontEnd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mustParse is Parse that panics on error, for program literals.
+func mustParse(src string) *Program {
+	p, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }

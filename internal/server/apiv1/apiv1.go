@@ -20,9 +20,9 @@ type CreateSessionRequest struct {
 	// RefFA is the internal/fa text format of the reference automaton
 	// whose executed-transition rows form the concept context.
 	RefFA string `json:"ref_fa"`
-	// Workers bounds lattice-build parallelism; 0 uses the server's
-	// default. Negative values are rejected with bad_request, and values
-	// above the server's GOMAXPROCS are clamped to it.
+	// Workers is accepted for compatibility with v1 clients and has no
+	// effect: lattice builds are serial. A negative value is still
+	// rejected with bad_request.
 	Workers int `json:"workers,omitempty"`
 }
 

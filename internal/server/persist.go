@@ -604,7 +604,6 @@ func (s *Server) loadOne(ctx context.Context, id string) error {
 	sess, err := cable.NewSession(set, ref,
 		cable.WithContext(ctx),
 		cable.WithObs(s.metrics),
-		cable.WithWorkers(s.cfg.Workers),
 		cable.WithLattice(lattice))
 	if err != nil {
 		return fmt.Errorf("server: snapshot %s: %w", id, err)

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -41,9 +40,6 @@ type Config struct {
 	IdleTimeout time.Duration
 	// CacheSize is the lattice LRU capacity; 0 disables the cache.
 	CacheSize int
-	// Workers caps lattice-build parallelism for requests that do not
-	// set their own; 0 uses GOMAXPROCS.
-	Workers int
 	// SnapshotDir, when non-empty, enables crash-safe session
 	// persistence: a snapshot per session plus a write-ahead log of
 	// labeling actions (see persist.go). Empty disables persistence.
@@ -342,19 +338,10 @@ func (s *Server) handleCreateSession(ctx context.Context, w http.ResponseWriter,
 	if err != nil {
 		return badRequest(fmt.Errorf("ref_fa: %w", err))
 	}
-	// The worker count sizes goroutine pools (up to one goroutine per trace
-	// class in the simulation fan-out and one per 64 concepts in cover
-	// linking), so it is clamped to the cores the process may use.
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.Workers
-	}
-	workers = min(workers, runtime.GOMAXPROCS(0))
 	key := cacheKey(set, ref)
 	opts := []cable.Option{
 		cable.WithContext(ctx),
 		cable.WithObs(s.metrics),
-		cable.WithWorkers(workers),
 	}
 	hit := false
 	if l := s.cache.Get(key); l != nil {

@@ -616,10 +616,9 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
-// TestCreateSessionWorkersBound pins the bound on the client-chosen worker
-// count: a negative value gets the bad_request envelope, and a huge one is
-// clamped to GOMAXPROCS rather than sizing goroutine pools, so the session
-// still builds the lattice the server default builds.
+// TestCreateSessionWorkersBound pins the v1 workers field: a negative
+// value gets the bad_request envelope, and any other value is ignored, so
+// a huge one builds the lattice the default builds.
 func TestCreateSessionWorkersBound(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	fx := fixtureFrom(t, combinatorialSet(10))

@@ -79,7 +79,7 @@ func TestSeededDefects(t *testing.T) {
 			trace.ParseEvents("t0", "f()", "h()"),
 			trace.ParseEvents("t1", "f()"),
 		}
-		expect(t, LintWithTraces(loadFA(t, "mismatch.fa"), traces), []string{
+		expect(t, lintWithTraces(loadFA(t, "mismatch.fa"), traces), []string{
 			"mismatch: alphabet-mismatch: event h() appears in the traces but no spec transition matches it",
 			"mismatch: alphabet-mismatch: event g() labels a spec transition but occurs in no trace",
 		})
@@ -95,7 +95,7 @@ func TestMismatchWildcardSuppression(t *testing.T) {
 	b.Accept(s[1])
 	b.EdgeStr(s[0], "f()", s[1])
 	b.WildcardEdge(s[1], s[1])
-	got := LintWithTraces(b.MustBuild(), []trace.Trace{trace.ParseEvents("t0", "g()")})
+	got := lintWithTraces(b.MustBuild(), []trace.Trace{trace.ParseEvents("t0", "g()")})
 	expect(t, got, []string{
 		"wild: alphabet-mismatch: event f() labels a spec transition but occurs in no trace",
 	})
@@ -134,20 +134,47 @@ func TestFigureOneStructurallyClean(t *testing.T) {
 	}
 }
 
+// TestRulesStable pins every rule name: clients see it as the rule field
+// of each finding (cable lint, POST /v1/lint).
 func TestRulesStable(t *testing.T) {
 	want := []string{
-		RuleUnreachableState, RuleDeadTransition, RuleAmbiguity,
-		RuleVacuous, RuleAlphabetMismatch,
-		RuleRedundantTransition, RuleMergeableStates,
-		RuleLanguageDiff, RuleSubsumedSpec, RuleDuplicateSpec,
+		"unreachable-state", "dead-transition", "ambiguity",
+		"vacuous-acceptance", "alphabet-mismatch",
+		"redundant-transition", "mergeable-states",
+		"language-diff", "subsumed-spec", "duplicate-spec",
 	}
-	got := Rules()
+	got := rules()
 	if len(got) != len(want) {
-		t.Fatalf("Rules() = %v", got)
+		t.Fatalf("rules() = %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("Rules()[%d] = %q, want %q", i, got[i], want[i])
+			t.Errorf("rules()[%d] = %q, want %q", i, got[i], want[i])
 		}
+	}
+}
+
+// lintWithTraces runs Lint plus the alphabet-mismatch rule against a
+// trace corpus: events the traces use but no spec transition can match
+// (the spec silently rejects every such trace), and events the spec
+// spells out but no trace ever performs (dead vocabulary, often a typo
+// in the spec).
+func lintWithTraces(f *fa.FA, traces []trace.Trace) []Finding {
+	return append(Lint(f), AlphabetFindings(f, traces)...)
+}
+
+// rules lists every rule name in report order.
+func rules() []string {
+	return []string{
+		RuleUnreachableState,
+		RuleDeadTransition,
+		RuleAmbiguity,
+		RuleVacuous,
+		RuleAlphabetMismatch,
+		RuleRedundantTransition,
+		RuleMergeableStates,
+		RuleLanguageDiff,
+		RuleSubsumedSpec,
+		RuleDuplicateSpec,
 	}
 }

@@ -2,7 +2,6 @@ package strategy
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"repro/internal/cable"
@@ -83,34 +82,6 @@ func (r *planRun) visit(id int) bool {
 	return ok
 }
 
-// TopDownPlan is TopDown returning the full operation sequence.
-func TopDownPlan(l *concept.Lattice, ref []cable.Label) (Plan, Cost, bool) {
-	r0, err := newRun(l, ref)
-	if err != nil {
-		return Plan{}, Cost{}, false
-	}
-	r := &planRun{run: r0}
-	order := l.TopDownOrder()
-	for !r.done() {
-		progress := false
-		for _, id := range order {
-			if r.done() {
-				break
-			}
-			if r.fullyLabeled(id) {
-				continue
-			}
-			if r.visit(id) {
-				progress = true
-			}
-		}
-		if !progress {
-			return r.plan, r.cost, false
-		}
-	}
-	return r.plan, r.cost, true
-}
-
 // ExpertPlan is Expert returning the full operation sequence (excluding
 // the final verification inspection, which targets the top concept).
 func ExpertPlan(l *concept.Lattice, ref []cable.Label) (Plan, Cost, bool) {
@@ -141,15 +112,4 @@ func ExpertPlan(l *concept.Lattice, ref []cable.Label) (Plan, Cost, bool) {
 	r.cost.Inspections++
 	r.plan.Ops = append(r.plan.Ops, Op{Concept: l.Top()}) // Step 2b check
 	return r.plan, r.cost, true
-}
-
-// RandomPlan is Random returning the full operation sequence.
-func RandomPlan(l *concept.Lattice, ref []cable.Label, rng *rand.Rand, maxOps int) (Plan, Cost, bool) {
-	r, err := newRun(l, ref)
-	if err != nil {
-		return Plan{}, Cost{}, false
-	}
-	var plan Plan
-	ok := r.randomWalk(rng, maxOps, &plan)
-	return plan, r.cost, ok
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cable"
+	"repro/internal/concept"
 	"repro/internal/fa"
 	"repro/internal/trace"
 )
@@ -32,9 +33,9 @@ func TestPlanCostMatchesStrategyCost(t *testing.T) {
 	s, ref := sessionFixture(t)
 	l := s.Lattice()
 
-	plan, cost, ok := TopDownPlan(l, ref)
+	plan, cost, ok := topDownPlan(l, ref)
 	if !ok {
-		t.Fatal("TopDownPlan failed")
+		t.Fatal("topDownPlan failed")
 	}
 	direct, _ := TopDown(l, ref)
 	if plan.Cost() != cost || cost != direct {
@@ -51,7 +52,7 @@ func TestPlanCostMatchesStrategyCost(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(4))
-	rplan, rcost, ok := RandomPlan(l, ref, rng, 0)
+	rplan, rcost, ok := randomPlan(l, ref, rng, 0)
 	if !ok || rplan.Cost() != rcost {
 		t.Errorf("Random plan cost %v vs %v (ok=%v)", rplan.Cost(), rcost, ok)
 	}
@@ -59,7 +60,7 @@ func TestPlanCostMatchesStrategyCost(t *testing.T) {
 
 func TestPlanApplyReproducesLabeling(t *testing.T) {
 	s, ref := sessionFixture(t)
-	plan, _, ok := TopDownPlan(s.Lattice(), ref)
+	plan, _, ok := topDownPlan(s.Lattice(), ref)
 	if !ok {
 		t.Fatal("plan failed")
 	}
@@ -117,7 +118,7 @@ func TestRandomPlanApplyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
 		s, ref := sessionFixture(t)
-		plan, _, ok := RandomPlan(s.Lattice(), ref, rng, 0)
+		plan, _, ok := randomPlan(s.Lattice(), ref, rng, 0)
 		if !ok {
 			t.Fatal("random plan failed")
 		}
@@ -156,7 +157,7 @@ func TestOptimalPlanAchievesLabeling(t *testing.T) {
 		}
 	}
 	// And no shorter plan exists among the other strategies' plans.
-	tdPlan, _, _ := TopDownPlan(s.Lattice(), ref)
+	tdPlan, _, _ := topDownPlan(s.Lattice(), ref)
 	if len(plan.Ops) > len(tdPlan.Ops) {
 		t.Errorf("optimal plan (%d ops) longer than top-down (%d)", len(plan.Ops), len(tdPlan.Ops))
 	}
@@ -169,4 +170,43 @@ func must[T any](v T, err error) T {
 		panic(err)
 	}
 	return v
+}
+
+// topDownPlan is TopDown returning the full operation sequence.
+func topDownPlan(l *concept.Lattice, ref []cable.Label) (Plan, Cost, bool) {
+	r0, err := newRun(l, ref)
+	if err != nil {
+		return Plan{}, Cost{}, false
+	}
+	r := &planRun{run: r0}
+	order := l.TopDownOrder()
+	for !r.done() {
+		progress := false
+		for _, id := range order {
+			if r.done() {
+				break
+			}
+			if r.fullyLabeled(id) {
+				continue
+			}
+			if r.visit(id) {
+				progress = true
+			}
+		}
+		if !progress {
+			return r.plan, r.cost, false
+		}
+	}
+	return r.plan, r.cost, true
+}
+
+// randomPlan is Random returning the full operation sequence.
+func randomPlan(l *concept.Lattice, ref []cable.Label, rng *rand.Rand, maxOps int) (Plan, Cost, bool) {
+	r, err := newRun(l, ref)
+	if err != nil {
+		return Plan{}, Cost{}, false
+	}
+	var plan Plan
+	ok := r.randomWalk(rng, maxOps, &plan)
+	return plan, r.cost, ok
 }

@@ -18,9 +18,6 @@ package strategy
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/cable"
@@ -252,53 +249,25 @@ func (r *run) randomWalk(rng *rand.Rand, maxOps int, plan *Plan) bool {
 
 // RandomMean runs Random trials times (the paper uses 1024) and returns
 // the arithmetic mean total cost over the trials. Trial i draws from
-// rand.NewSource(seed+i)'s stream, so the result is reproducible
-// regardless of scheduling. Trials run on a GOMAXPROCS worker pool whose
-// workers reseed one source and reset one run per trial instead of
-// building them afresh.
+// rand.NewSource(seed+i)'s stream; the trials reseed one source and reset
+// one run instead of building them afresh.
 func RandomMean(l *concept.Lattice, ref []cable.Label, seed int64, trials int) (float64, bool) {
 	if trials <= 0 {
 		return 0, false
 	}
-	runs := make([]*run, min(runtime.GOMAXPROCS(0), trials))
-	for w := range runs {
-		r, err := newRun(l, ref)
-		if err != nil {
-			return 0, false
-		}
-		runs[w] = r
+	r, err := newRun(l, ref)
+	if err != nil {
+		return 0, false
 	}
-	costs := make([]int, trials)
-	failed := make([]bool, trials)
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for _, r := range runs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(new(trialSource))
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= trials {
-					return
-				}
-				rng.Seed(seed + int64(i))
-				r.reset()
-				if !r.randomWalk(rng, 0, nil) {
-					failed[i] = true
-					return
-				}
-				costs[i] = r.cost.Total()
-			}
-		}()
-	}
-	wg.Wait()
+	rng := rand.New(new(trialSource))
 	sum := 0
 	for i := 0; i < trials; i++ {
-		if failed[i] {
+		rng.Seed(seed + int64(i))
+		r.reset()
+		if !r.randomWalk(rng, 0, nil) {
 			return 0, false
 		}
-		sum += costs[i]
+		sum += r.cost.Total()
 	}
 	return float64(sum) / float64(trials), true
 }

@@ -40,7 +40,7 @@ func TestCheckerMatchesPackageFunctions(t *testing.T) {
 	}
 
 	acc, rej := chk.Partition(set)
-	wantAcc, wantRej := Partition(spec, set)
+	wantAcc, wantRej := partition(spec, set)
 	if acc.Total() != wantAcc.Total() || rej.Total() != wantRej.Total() {
 		t.Fatalf("Partition: got %d/%d, want %d/%d",
 			acc.Total(), rej.Total(), wantAcc.Total(), wantRej.Total())

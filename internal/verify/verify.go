@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/fa"
-	"repro/internal/mine"
 	"repro/internal/trace"
 )
 
@@ -118,29 +117,8 @@ func (c *Checker) Partition(set *trace.Set) (accepted, rejected *trace.Set) {
 	return accepted, rejected
 }
 
-// Check simulates each trace against the specification and returns the
-// violations in input order. The specification is compiled once (fa.Sim)
-// and the plan reused across all traces.
-func Check(spec *fa.FA, traces []trace.Trace) []Violation {
-	return NewChecker(spec).Check(traces)
-}
-
 // CheckSet checks every trace of a set (duplicates included) and returns
 // the violating traces as a set alongside the per-class violations.
 func CheckSet(spec *fa.FA, set *trace.Set) (*trace.Set, []Violation) {
 	return NewChecker(spec).CheckSet(set)
-}
-
-// CheckRuns extracts scenarios from whole-program runs with the front end
-// and checks each against the specification — the "test a specification
-// against a program" workflow of Section 2.1.
-func CheckRuns(spec *fa.FA, fe mine.FrontEnd, runs []mine.Run) (*trace.Set, []Violation) {
-	return CheckSet(spec, fe.ExtractAll(runs))
-}
-
-// Partition splits a set into the traces the specification accepts and the
-// traces it rejects, preserving multiplicities. Debugging sessions use it
-// to separate violations from conforming scenarios.
-func Partition(spec *fa.FA, set *trace.Set) (accepted, rejected *trace.Set) {
-	return NewChecker(spec).Partition(set)
 }

@@ -33,7 +33,7 @@ func TestCheck(t *testing.T) {
 		tr("pclose", "X = popen()", "pclose(X)"),
 		tr("leak", "X = fopen()", "fread(X)"),
 	}
-	vs := Check(spec, traces)
+	vs := check(spec, traces)
 	if len(vs) != 2 {
 		t.Fatalf("got %d violations, want 2", len(vs))
 	}
@@ -62,7 +62,7 @@ func TestCheckSetAndPartition(t *testing.T) {
 	if vset.Total() != 2 || vset.NumClasses() != 1 || len(vs) != 2 {
 		t.Fatalf("vset Total=%d Classes=%d len(vs)=%d", vset.Total(), vset.NumClasses(), len(vs))
 	}
-	acc, rej := Partition(spec, set)
+	acc, rej := partition(spec, set)
 	if acc.Total() != 1 || rej.Total() != 2 {
 		t.Fatalf("Partition: acc=%d rej=%d", acc.Total(), rej.Total())
 	}
@@ -80,7 +80,7 @@ func TestCheckRuns(t *testing.T) {
 		},
 	}}
 	fe := mine.FrontEnd{Seeds: []string{"fopen", "popen"}}
-	vset, vs := CheckRuns(spec, fe, runs)
+	vset, vs := checkRuns(spec, fe, runs)
 	if vset.Total() != 1 || len(vs) != 1 {
 		t.Fatalf("got %d violations", len(vs))
 	}
@@ -90,7 +90,7 @@ func TestCheckRuns(t *testing.T) {
 }
 
 func TestCheckEmpty(t *testing.T) {
-	if vs := Check(buggyStdio(), nil); vs != nil {
+	if vs := check(buggyStdio(), nil); vs != nil {
 		t.Errorf("violations on empty input: %v", vs)
 	}
 }
@@ -132,4 +132,25 @@ func TestExplain(t *testing.T) {
 	if !ok || len(exp.Expected) != 2 { // fopen/popen from the start state
 		t.Errorf("start-state explanation = %+v", exp)
 	}
+}
+
+// checkRuns extracts scenarios from whole-program runs with the front end
+// and checks each against the specification — the "test a specification
+// against a program" workflow of Section 2.1.
+func checkRuns(spec *fa.FA, fe mine.FrontEnd, runs []mine.Run) (*trace.Set, []Violation) {
+	return CheckSet(spec, fe.ExtractAll(runs))
+}
+
+// check simulates each trace against the specification and returns the
+// violations in input order. The specification is compiled once (fa.Sim)
+// and the plan reused across all traces.
+func check(spec *fa.FA, traces []trace.Trace) []Violation {
+	return NewChecker(spec).Check(traces)
+}
+
+// partition splits a set into the traces the specification accepts and the
+// traces it rejects, preserving multiplicities. Debugging sessions use it
+// to separate violations from conforming scenarios.
+func partition(spec *fa.FA, set *trace.Set) (accepted, rejected *trace.Set) {
+	return NewChecker(spec).Partition(set)
 }

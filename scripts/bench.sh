@@ -16,9 +16,8 @@ TMP_FA="$(mktemp)"
 TMP_BIG="$(mktemp)"
 TMP_INCR="$(mktemp)"
 TMP_STREAM="$(mktemp)"
-TMP_PAR="$(mktemp)"
 TMP_SPECLINT="$(mktemp)"
-trap 'rm -f "$TMP" "$TMP_FA" "$TMP_BIG" "$TMP_INCR" "$TMP_STREAM" "$TMP_PAR" "$TMP_SPECLINT"' EXIT
+trap 'rm -f "$TMP" "$TMP_FA" "$TMP_BIG" "$TMP_INCR" "$TMP_STREAM" "$TMP_SPECLINT"' EXIT
 
 # to_json converts `go test -bench` output on stdin to a {name: {ns_per_op,
 # allocs_per_op}} JSON object.
@@ -43,10 +42,11 @@ END   { printf("\n}\n") }
 }
 
 # Table-2 lattice construction (the paper's headline cost), the
-# cover-linking and query micro-benchmarks, and the bitset kernels.
+# cover-linking and query micro-benchmarks, Build and cover linking on the
+# bulk-shaped corpus, the cover-list sort, and the bitset kernels.
 go test -run '^$' -bench 'BenchmarkTable2_Lattice|BenchmarkLatticeOps' \
     -benchmem -benchtime "$BENCHTIME" . | tee -a "$TMP"
-go test -run '^$' -bench 'BenchmarkBuild$|BenchmarkLinkCovers|BenchmarkLatticeQueries' \
+go test -run '^$' -bench 'BenchmarkBuild$|BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkBulkShaped|BenchmarkSortInts' \
     -benchmem -benchtime "$BENCHTIME" ./internal/concept | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkBitset|BenchmarkArena' \
     -benchmem -benchtime "$BENCHTIME" ./internal/bitset | tee -a "$TMP"
@@ -74,9 +74,9 @@ to_json < "$TMP_FA" > BENCH_fa.json
 echo "wrote BENCH_fa.json"
 
 # Incremental maintenance: one AddTraceCtx against a built lattice vs the
-# full BuildCtx rebuild it replaces, plus the remove paths. The add/rebuild
-# ratio is the headline number (the server's add-traces endpoint rides on
-# it); the acceptance bar is >=10x.
+# full BuildCtx rebuild it replaces. The add/rebuild ratio is the headline
+# number (the server's add-traces endpoint rides on it); the acceptance bar
+# is >=10x.
 go test -run '^$' -bench 'BenchmarkIncremental' \
     -benchmem -benchtime "$BENCHTIME" ./internal/concept | tee -a "$TMP_INCR"
 
@@ -94,27 +94,6 @@ go test -run '^$' -bench 'BenchmarkStreamPump' \
 
 to_json < "$TMP_STREAM" > BENCH_stream.json
 echo "wrote BENCH_stream.json"
-
-# The multi-core lane: worker-scaling curves (1/2/4/8 workers as w1..w8
-# sub-benchmarks) for the one phase that honors WithWorkers, cover
-# linking, alone (LinkCovers) and inside a full Build. The fixture is the
-# bulk-shaped corpus (1000 classes, 24 attributes, 1328 concepts), large
-# enough that every lane above w1 runs the pool. GOMAXPROCS is the online
-# core count capped at 8, so on a 1-core box the curves are flat (the file
-# is still written so BENCH_summary.json is stable).
-CORES="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
-PAR_PROCS="$CORES"
-if [ "$CORES" -lt 8 ]; then PAR_PROCS="$CORES"; else PAR_PROCS=8; fi
-if [ "$CORES" -gt 1 ]; then
-    echo "multi-core lane: GOMAXPROCS=$PAR_PROCS ($CORES cores online)"
-else
-    echo "multi-core lane: single core online; scaling curves will be flat"
-fi
-GOMAXPROCS="$PAR_PROCS" go test -run '^$' -bench 'BenchmarkParallel|BenchmarkSortInts' \
-    -benchmem -benchtime "$BENCHTIME" ./internal/concept | tee -a "$TMP_PAR"
-
-to_json < "$TMP_PAR" > BENCH_parallel.json
-echo "wrote BENCH_parallel.json"
 
 # The language engine (internal/fa's DFA half): subset-construction
 # determinization, Hopcroft minimization, and the witness-producing
@@ -144,9 +123,6 @@ echo "wrote BENCH_speclint.json"
     echo '  ,'
     echo '  "stream":'
     sed 's/^/    /' BENCH_stream.json
-    echo '  ,'
-    echo '  "parallel":'
-    sed 's/^/    /' BENCH_parallel.json
     echo '  ,'
     echo '  "speclint":'
     sed 's/^/    /' BENCH_speclint.json
