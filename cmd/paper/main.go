@@ -37,6 +37,18 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
+	// Reject flag values the run cannot honour before doing any work.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "table" && (*table < 1 || *table > 3) {
+			usageError("-table %d: want 1, 2 or 3", *table)
+		}
+	})
+	if *budget < 0 {
+		usageError("-optbudget %d: want 0 (the default budget) or a positive state count", *budget)
+	}
+	if *trials < 1 {
+		usageError("-trials %d: want at least 1", *trials)
+	}
 	var err error
 	stop, err = obs.SetupCLI(obs.CLIConfig{Metrics: *metrics, CPUProfile: *cpuprofile, MemProfile: *memprofile})
 	die(err)
@@ -125,6 +137,13 @@ func main() {
 // stop flushes profiles and the metrics snapshot; die must run it before
 // os.Exit, which skips deferred calls.
 var stop = func() {}
+
+// usageError reports a flag value that cannot be honoured and exits with
+// status 2, as flag does for malformed flags.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "paper: "+format+"\n", args...)
+	os.Exit(2)
+}
 
 func die(err error) {
 	if err != nil {

@@ -344,17 +344,27 @@ func TestToolUsageErrors(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		args []string
+		// flag, when set, is the flag a status-2 usage message must name.
+		flag string
 	}{
-		{"strauss", nil},
-		{"tsverify", nil},
-		{"cable", nil},
-		{"paper", nil},
-		{"fca", nil},
-		{"tsverify", []string{"-fa", "/nonexistent", "-traces", "/nonexistent"}},
-		{"cable", []string{"-traces", "/nonexistent"}},
+		{"strauss", nil, ""},
+		{"tsverify", nil, ""},
+		{"cable", nil, ""},
+		{"paper", nil, ""},
+		{"fca", nil, ""},
+		{"tsverify", []string{"-fa", "/nonexistent", "-traces", "/nonexistent"}, ""},
+		{"cable", []string{"-traces", "/nonexistent"}, ""},
+		{"paper", []string{"-table", "4"}, "-table"},
+		{"paper", []string{"-table", "-1"}, "-table"},
+		{"paper", []string{"-table", "3", "-optbudget", "-5"}, "-optbudget"},
+		{"paper", []string{"-table", "3", "-trials", "0"}, "-trials"},
+		{"paper", []string{"-table", "3", "-trials", "-1"}, "-trials"},
 	} {
-		if _, code := runTool(t, "", c.name, c.args...); code == 0 {
+		out, code := runTool(t, "", c.name, c.args...)
+		if code == 0 {
 			t.Errorf("%s %v succeeded, want nonzero exit", c.name, c.args)
+		} else if c.flag != "" && (code != 2 || !strings.Contains(out, c.flag)) {
+			t.Errorf("%s %v: exit %d, output %q; want exit 2 naming %s", c.name, c.args, code, out, c.flag)
 		}
 	}
 }

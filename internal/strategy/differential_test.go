@@ -18,6 +18,8 @@ import (
 // checkOracles requires RandomMean to return the oracle's mean bit for bit
 // with the same ok flag, and OptimalPlan to return the oracle's ops, cost
 // and ok under budgets that cut the search short and under the default.
+// The budgets of 1000 and 5000 states stop the shipped RegionsBig and
+// XtFree searches after their state tables have grown.
 func checkOracles(t *testing.T, where string, l *concept.Lattice, ref []cable.Label, seed int64, trials int) {
 	t.Helper()
 	mean, ok := strategy.RandomMean(l, ref, seed, trials)
@@ -25,7 +27,7 @@ func checkOracles(t *testing.T, where string, l *concept.Lattice, ref []cable.La
 	if math.Float64bits(mean) != math.Float64bits(wantMean) || ok != wantOK {
 		t.Fatalf("%s: RandomMean(seed %d) = %v, %v; oracle %v, %v", where, seed, mean, ok, wantMean, wantOK)
 	}
-	for _, budget := range []int{1, 2, 5, 0} {
+	for _, budget := range []int{1, 2, 5, 1000, 5000, 0} {
 		plan, cost, ok := strategy.OptimalPlan(l, ref, budget)
 		wantPlan, wantCost, wantOK := oracleOptimalPlan(l, ref, budget)
 		if !slices.Equal(plan.Ops, wantPlan.Ops) || cost != wantCost || ok != wantOK {
@@ -52,6 +54,43 @@ func TestOracleShippedSpecs(t *testing.T) {
 	}
 }
 
+// randomLattice builds the lattice of a random context with no objects and
+// na attributes. Objects come in runs of run consecutive objects that share
+// one random attribute row, each attribute present with probability 1/2.
+func randomLattice(rng *rand.Rand, no, na, run int) *concept.Lattice {
+	objs := make([]string, no)
+	for i := range objs {
+		objs[i] = fmt.Sprintf("o%d", i)
+	}
+	attrs := make([]string, na)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("a%d", i)
+	}
+	ctx := concept.NewContext(objs, attrs)
+	row := make([]bool, na)
+	for o := 0; o < no; o++ {
+		if o%run == 0 {
+			for a := range row {
+				row[a] = rng.Intn(2) == 0
+			}
+		}
+		for a, has := range row {
+			if has {
+				ctx.Relate(o, a)
+			}
+		}
+	}
+	return concept.Build(ctx)
+}
+
+// randomLabel returns Good or Bad with probability 1/2 each.
+func randomLabel(rng *rand.Rand) cable.Label {
+	if rng.Intn(2) == 0 {
+		return cable.Good
+	}
+	return cable.Bad
+}
+
 // Property: strategy success coincides with lattice well-formedness,
 // Optimal lower-bounds the other strategies, and RandomMean and OptimalPlan
 // match their oracles, across random contexts and labelings.
@@ -60,30 +99,10 @@ func TestPropStrategiesVsWellFormedness(t *testing.T) {
 	for iter := 0; iter < 120; iter++ {
 		no := 1 + rng.Intn(7)
 		na := 1 + rng.Intn(6)
-		objs := make([]string, no)
-		for i := range objs {
-			objs[i] = fmt.Sprintf("o%d", i)
-		}
-		attrs := make([]string, na)
-		for i := range attrs {
-			attrs[i] = fmt.Sprintf("a%d", i)
-		}
-		ctx := concept.NewContext(objs, attrs)
-		for o := 0; o < no; o++ {
-			for a := 0; a < na; a++ {
-				if rng.Intn(2) == 0 {
-					ctx.Relate(o, a)
-				}
-			}
-		}
-		l := concept.Build(ctx)
+		l := randomLattice(rng, no, na, 1)
 		ref := make([]cable.Label, no)
 		for i := range ref {
-			if rng.Intn(2) == 0 {
-				ref[i] = cable.Good
-			} else {
-				ref[i] = cable.Bad
-			}
+			ref[i] = randomLabel(rng)
 		}
 		wf, _ := wellformed.Check(l, ref)
 		checkOracles(t, fmt.Sprintf("iter %d (well-formed %v)", iter, wf), l, ref, int64(iter), 64)
@@ -105,5 +124,37 @@ func TestPropStrategiesVsWellFormedness(t *testing.T) {
 				t.Fatalf("iter %d: Random %s vs Optimal %s (ok=%v)", iter, rdCost, optCost, rd)
 			}
 		}
+	}
+
+	// Contexts of one word, two words and more than two. Objects share
+	// rows in runs of 40, so row classes straddle word boundaries and some
+	// states differ only past the first word. Labeling objects by their
+	// rows is well-formed; labeling each object on its own almost never
+	// is. Three attributes keep each lattice to at most eight concepts and
+	// each search small.
+	seen := map[bool]bool{}
+	for _, no := range []int{63, 64, 65, 127, 128, 129, 200} {
+		for _, byRow := range []bool{true, false} {
+			l := randomLattice(rng, no, 3, 40)
+			rowLabel := map[string]cable.Label{}
+			ref := make([]cable.Label, no)
+			for o := range ref {
+				row := l.Context().Attributes(o).Key()
+				if _, ok := rowLabel[row]; !ok || !byRow {
+					rowLabel[row] = randomLabel(rng)
+				}
+				ref[o] = rowLabel[row]
+			}
+			wf, _ := wellformed.Check(l, ref)
+			seen[wf] = true
+			where := fmt.Sprintf("%d objects (well-formed %v)", no, wf)
+			checkOracles(t, where, l, ref, int64(no), 64)
+			if _, ok := strategy.Optimal(l, ref, 0); ok != wf {
+				t.Fatalf("%s: Optimal ok = %v", where, ok)
+			}
+		}
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("wide contexts were all well-formed = %v", seen[true])
 	}
 }

@@ -1,9 +1,9 @@
 package strategy
 
 import (
+	"math/bits"
 	"slices"
 
-	"repro/internal/bitset"
 	"repro/internal/cable"
 	"repro/internal/concept"
 )
@@ -28,9 +28,13 @@ func Optimal(l *concept.Lattice, ref []cable.Label, maxStates int) (Cost, bool) 
 
 // OptimalPlan is Optimal returning a witness: one minimum-length sequence
 // of (inspect, label) operations achieving the reference labeling.
+//
+// Every set the search touches is a row of ⌈n/64⌉ words over the n
+// objects: the concept extents and the per-label object sets are built as
+// rows once per call, and the states live in one stateSlab, so after that
+// set-up the search allocates only when the slab doubles.
 func OptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (Plan, Cost, bool) {
-	r, err := newRun(l, ref)
-	if err != nil {
+	if checkRef(l, ref) != nil {
 		return Plan{}, Cost{}, false
 	}
 	if maxStates <= 0 {
@@ -40,47 +44,82 @@ func OptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (Plan, Co
 	if n == 0 {
 		return Plan{}, Cost{}, true
 	}
-	// states is the BFS queue, in visiting order, and also the search
-	// tree: each state keeps its parent and the op reaching it, so only the
-	// goal's plan is ever built. Successors are assembled in scratch sets
-	// and cloned only when new.
-	type state struct {
-		labeled *bitset.Set
-		parent  int
-		op      Op
+	concepts := l.Concepts()
+	w := (n + 63) / 64
+	// labels lists the distinct reference labels; labelOf[o] numbers o's,
+	// and label k's objects are the row lab[k*w:][:w].
+	labels := make([]cable.Label, 0, 2)
+	labelOf := make([]int32, n)
+	for o, lb := range ref {
+		k := slices.Index(labels, lb)
+		if k < 0 {
+			k = len(labels)
+			labels = append(labels, lb)
+		}
+		labelOf[o] = int32(k)
 	}
-	states := []state{{labeled: bitset.New(n), parent: -1}}
-	visited := map[string]bool{states[0].labeled.Key(): true}
-	succ := bitset.New(n)
-	var keyBuf []byte // reused AppendKey scratch; visited lookups stay alloc-free
-	for cur := 0; cur < len(states); cur++ {
-		labeled := states[cur].labeled
-		for _, c := range l.Concepts() {
-			label, ok := r.uniformLabel(bitset.DifferenceInto(r.un, c.Extent, labeled))
-			if !ok {
+	words := make([]uint64, (len(concepts)+len(labels)+2)*w)
+	ext, words := words[:len(concepts)*w], words[len(concepts)*w:]
+	lab, words := words[:len(labels)*w], words[len(labels)*w:]
+	all, succ := words[:w], words[w:]
+	for o, k := range labelOf {
+		lab[int(k)*w+o/64] |= 1 << (o % 64)
+		all[o/64] |= 1 << (o % 64)
+	}
+	// mixed[ci] reports whether concept ci's extent carries more than one
+	// label; every non-empty remainder of an unmixed extent is labelable.
+	mixed := make([]bool, len(concepts))
+	for ci, c := range concepts {
+		e := ext[ci*w:][:w]
+		copy(e, c.Extent.Words())
+		if o := c.Extent.Min(); o >= 0 {
+			mixed[ci] = firstIn(e, lab[int(labelOf[o])*w:][:w]) >= 0
+		}
+	}
+
+	s := newStateSlab(w, len(concepts))
+	for cur := 0; cur < s.len(); cur++ {
+		row := s.row(cur)
+		for ci := range concepts {
+			e := ext[ci*w:][:w]
+			// The remainder e \ row is labelable iff it is non-empty and
+			// lies within the label row of its first object, which only
+			// a mixed extent can fail.
+			o := firstIn(e, row)
+			if o < 0 {
 				continue
 			}
-			op := Op{Concept: c.ID, Label: label}
-			succ.CopyFrom(labeled).UnionWith(c.Extent)
-			if succ.Len() == n {
-				var plan Plan
-				for s := cur; s > 0; s = states[s].parent {
-					plan.Ops = append(plan.Ops, states[s].op)
+			if mixed[ci] {
+				lr := lab[int(labelOf[o])*w:][:w]
+				i := o / 64
+				for i < w && e[i]&^row[i]&^lr[i] == 0 {
+					i++
 				}
-				slices.Reverse(plan.Ops)
-				plan.Ops = append(plan.Ops, op)
+				if i < w {
+					continue
+				}
+			}
+			// missing is non-zero iff the successor leaves an object
+			// unlabeled.
+			var missing uint64
+			for j := range succ {
+				succ[j] = row[j] | e[j]
+				missing |= succ[j] ^ all[j]
+			}
+			if missing == 0 {
+				plan := s.planTo(cur, concepts, ref)
+				plan.Ops = append(plan.Ops, Op{Concept: concepts[ci].ID, Label: ref[o]})
 				k := len(plan.Ops)
 				return plan, Cost{Inspections: k, Labelings: k}, true
 			}
-			keyBuf = succ.AppendKey(keyBuf[:0])
-			if visited[string(keyBuf)] {
+			slot, found := s.lookup(succ, hashRow(succ))
+			if found {
 				continue
 			}
-			visited[string(keyBuf)] = true
-			if len(visited) > maxStates {
+			s.add(succ, slot, cur, ci)
+			if s.len() > maxStates { // the count includes the start state
 				return Plan{}, Cost{}, false
 			}
-			states = append(states, state{labeled: succ.Clone(), parent: cur, op: op})
 		}
 	}
 	// No plan reaches the full labeling: the lattice is not well-formed.
@@ -89,3 +128,127 @@ func OptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (Plan, Co
 
 // DefaultOptimalBudget is the default bound on explored labeling states.
 const DefaultOptimalBudget = 200000
+
+// stateSlab holds the states of one Optimal search as w-word rows (bit o
+// set iff object o is labeled). rows keeps them in visiting order and is
+// also the BFS queue; parent and via record, per state, the state it was
+// reached from and the index of the concept whose remainder was labeled,
+// so only the goal's plan is ever built.
+//
+// seen is an open-addressing table with linear probing whose slots hold
+// the rows themselves, so a probe compares words in place. An all-zero
+// slot is empty: every successor labels a non-empty remainder, so the
+// empty start state is the only all-zero row, and it is never looked up.
+// The table stays at most half full; when it would pass that, it doubles
+// together with the slab's capacity, so the search allocates once per
+// doubling and never per state.
+type stateSlab struct {
+	w      int
+	rows   []uint64
+	parent []int32
+	via    []int32
+	seen   []uint64
+	mask   uint64 // slot count - 1
+	shift  uint   // 64 - log2(slot count)
+}
+
+// newStateSlab returns a slab holding only the empty start state, with a
+// table sized for the first level of a search over the given number of
+// concepts.
+func newStateSlab(w, concepts int) stateSlab {
+	s := stateSlab{w: w}
+	slots := 16
+	for slots < 4*concepts {
+		slots *= 2
+	}
+	s.resize(slots)
+	s.rows = append(s.rows, make([]uint64, w)...)
+	s.parent = append(s.parent, -1)
+	s.via = append(s.via, -1)
+	return s
+}
+
+func (s *stateSlab) len() int { return len(s.parent) }
+
+func (s *stateSlab) row(k int) []uint64 { return s.rows[k*s.w:][:s.w] }
+
+// lookup probes the table for row, whose hashRow is h. It returns row's
+// slot and true if row is a state, or else the empty slot where the probe
+// ended and false. The caller hashes so that lookup inlines.
+func (s *stateSlab) lookup(row []uint64, h uint64) (uint64, bool) {
+	for i := h >> s.shift; ; i = (i + 1) & s.mask {
+		// One pass over the slot tells row from an empty slot.
+		var diff, used uint64
+		for j, x := range s.seen[int(i)*s.w:][:s.w] {
+			diff |= x ^ row[j]
+			used |= x
+		}
+		if diff == 0 || used == 0 {
+			return i, diff == 0
+		}
+	}
+}
+
+// add makes row, which lookup found missing at the empty slot i, a state
+// reached from parent via concept index via.
+func (s *stateSlab) add(row []uint64, i uint64, parent, via int) {
+	// The table holds every state but the start; keep it at most half full.
+	if slots := len(s.seen) / s.w; 2*len(s.parent) > slots {
+		s.resize(2 * slots)
+		i, _ = s.lookup(row, hashRow(row))
+	}
+	copy(s.seen[int(i)*s.w:], row)
+	s.rows = append(s.rows, row...)
+	s.parent = append(s.parent, int32(parent))
+	s.via = append(s.via, int32(via))
+}
+
+// resize rebuilds the table with the given power-of-two slot count and
+// grows the slab to hold as many states as the table may.
+func (s *stateSlab) resize(slots int) {
+	s.seen = make([]uint64, slots*s.w)
+	s.mask = uint64(slots - 1)
+	s.shift = uint(64 - bits.TrailingZeros(uint(slots)))
+	states := slots/2 + 1
+	s.rows = slices.Grow(s.rows, states*s.w-len(s.rows))
+	s.parent = slices.Grow(s.parent, states-len(s.parent))
+	s.via = slices.Grow(s.via, states-len(s.via))
+	for k := 1; k < s.len(); k++ {
+		row := s.row(k)
+		i, _ := s.lookup(row, hashRow(row))
+		copy(s.seen[int(i)*s.w:], row)
+	}
+}
+
+// planTo returns the ops leading from the start state to state k.
+func (s *stateSlab) planTo(k int, concepts []*concept.Concept, ref []cable.Label) Plan {
+	var ops []Op
+	for ; k > 0; k = int(s.parent[k]) {
+		// The objects k added to its parent are the labeled remainder.
+		o := firstIn(s.row(k), s.row(int(s.parent[k])))
+		ops = append(ops, Op{Concept: concepts[s.via[k]].ID, Label: ref[o]})
+	}
+	slices.Reverse(ops)
+	return Plan{Ops: ops}
+}
+
+// firstIn returns the smallest object in row a but not in row b, or -1.
+func firstIn(a, b []uint64) int {
+	for i := range a {
+		if d := a[i] &^ b[i]; d != 0 {
+			return i*64 + bits.TrailingZeros64(d)
+		}
+	}
+	return -1
+}
+
+// hashRow hashes a row's words multiplicatively (Fibonacci hashing); the
+// table indexes by the product's high bits, which depend on every input
+// bit.
+func hashRow(row []uint64) uint64 {
+	var h uint64
+	for _, x := range row {
+		h = (h ^ x) * 0x9e3779b97f4a7c15
+	}
+	return h
+}

@@ -82,8 +82,8 @@ func (r *planRun) visit(id int) bool {
 	return ok
 }
 
-// ExpertPlan is Expert returning the full operation sequence (excluding
-// the final verification inspection, which targets the top concept).
+// ExpertPlan is Expert returning its full operation sequence, which ends
+// with the Step 2b verification inspection of the top concept.
 func ExpertPlan(l *concept.Lattice, ref []cable.Label) (Plan, Cost, bool) {
 	r0, err := newRun(l, ref)
 	if err != nil {

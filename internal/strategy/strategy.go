@@ -60,17 +60,28 @@ type run struct {
 	cands []int
 }
 
-func newRun(l *concept.Lattice, ref []cable.Label) (*run, error) {
+// checkRef reports why ref cannot be a reference labeling of l's objects,
+// or nil if it can.
+func checkRef(l *concept.Lattice, ref []cable.Label) error {
 	if len(ref) != l.Context().NumObjects() {
-		return nil, fmt.Errorf("strategy: %d reference labels for %d objects",
+		return fmt.Errorf("strategy: %d reference labels for %d objects",
 			len(ref), l.Context().NumObjects())
+	}
+	for i, lb := range ref {
+		if lb == cable.Unlabeled {
+			return fmt.Errorf("strategy: reference labeling leaves object %d unlabeled", i)
+		}
+	}
+	return nil
+}
+
+func newRun(l *concept.Lattice, ref []cable.Label) (*run, error) {
+	if err := checkRef(l, ref); err != nil {
+		return nil, err
 	}
 	byLabel := map[cable.Label]*bitset.Set{}
 	sameLabel := make([]*bitset.Set, len(ref))
 	for i, lb := range ref {
-		if lb == cable.Unlabeled {
-			return nil, fmt.Errorf("strategy: reference labeling leaves object %d unlabeled", i)
-		}
 		objs := byLabel[lb]
 		if objs == nil {
 			objs = bitset.New(len(ref))
@@ -286,32 +297,8 @@ func Baseline(l *concept.Lattice) Cost {
 // covering the most unlabeled traces among those whose remainders are
 // uniform; a final verification inspection of the good traces at the top
 // concept (Step 2b) is charged at the end. It fails on lattices that are
-// not well-formed.
+// not well-formed. ExpertPlan returns the same cost with the steps.
 func Expert(l *concept.Lattice, ref []cable.Label) (Cost, bool) {
-	r, err := newRun(l, ref)
-	if err != nil {
-		return Cost{}, false
-	}
-	for !r.done() {
-		best, bestCover := -1, 0
-		for _, c := range l.Concepts() {
-			un := r.unlabeledIn(c.ID)
-			if un.Empty() {
-				continue
-			}
-			if _, ok := r.uniformLabel(un); !ok {
-				continue
-			}
-			if cover := un.Len(); cover > bestCover {
-				best, bestCover = c.ID, cover
-			}
-		}
-		if best < 0 {
-			return r.cost, false
-		}
-		r.visit(best)
-	}
-	// Step 2b: check the labeling by viewing the FA of the good traces.
-	r.cost.Inspections++
-	return r.cost, true
+	_, cost, ok := ExpertPlan(l, ref)
+	return cost, ok
 }
