@@ -49,9 +49,9 @@ race:
 	$(GO) test -race ./...
 
 # A one-iteration pass over the lattice-engine (Table 2 included),
-# compiled-simulator, language-engine, stream, trace-I/O and
-# labeling-strategy benchmarks: catches benchmark-code rot without paying
-# for stable measurements.
+# compiled-simulator, language-engine, stream, trace-I/O,
+# labeling-strategy, learner and enumeration benchmarks: catches
+# benchmark-code rot without paying for stable measurements.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkLatticeBig|BenchmarkBitset|BenchmarkArena|BenchmarkIncremental|BenchmarkBulkShaped|BenchmarkSortInts' \
 	    -benchtime 1x ./internal/concept ./internal/bitset
@@ -61,6 +61,7 @@ bench-smoke:
 	    -benchtime 1x ./internal/stream ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkRead|BenchmarkWrite' -benchtime 1x ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2_Lattice|BenchmarkLatticeOps|BenchmarkTable3' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkLearn|BenchmarkEnumerate' -benchtime 1x ./internal/learn ./internal/fa
 
 # Run cmd/paper with -metrics and assert the snapshot attributes time to
 # the pipeline phases (a span line for lattice.build must be present).
@@ -70,9 +71,10 @@ obs-smoke:
 
 # Short fuzz passes over the three text-format round-trip properties
 # (traces, automata, Burmeister contexts), the trace reader against its
-# line-by-line oracle, every parseable event through a trace file, and the
+# line-by-line oracle, every parseable event through a trace file, the
 # two semantic-engine differential properties (determinization vs. the
-# NFA, complement and self-inclusion vs. the bounded oracle).
+# NFA, complement and self-inclusion vs. the bounded oracle), and the
+# sk-strings and k-tails learners against their map-and-string oracles.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatchesOracle$$' -fuzztime 10s ./internal/trace
@@ -81,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzConceptIO$$' -fuzztime 5s ./internal/concept
 	$(GO) test -run '^$$' -fuzz '^FuzzDeterminize$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzComplementInclusion$$' -fuzztime 5s ./internal/fa
+	$(GO) test -run '^$$' -fuzz '^FuzzLearnMatchesOracle$$' -fuzztime 5s ./internal/learn
 
 # Build the real cabled binary, exercise the API over TCP, and assert a
 # clean SIGTERM shutdown while a lattice build is in flight. The server

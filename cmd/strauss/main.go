@@ -38,6 +38,16 @@ func main() {
 		s         = flag.Float64("s", learn.DefaultLearner.S, "sk-strings probability mass")
 	)
 	flag.Parse()
+	// Reject flag values the learner cannot honour before doing any work.
+	if *k < 1 {
+		usageError("-k %d: want at least 1", *k)
+	}
+	if !(*s > 0 && *s <= 1) {
+		usageError("-s %v: want a probability mass in (0, 1]", *s)
+	}
+	if *coreAt < 0 {
+		usageError("-core %d: want 0 (off) or a positive count", *coreAt)
+	}
 
 	backend := mine.BackEnd{
 		Learner:       learn.Learner{K: *k, S: *s, Agreement: learn.And},
@@ -158,6 +168,13 @@ func writeTraces(path string, set *trace.Set) error {
 		err = cerr
 	}
 	return err
+}
+
+// usageError reports a flag value that cannot be honoured and exits with
+// status 2, as flag does for malformed flags.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "strauss: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func die(err error) {

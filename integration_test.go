@@ -341,6 +341,14 @@ func maskBuildTimes(out string) string {
 }
 
 func TestToolUsageErrors(t *testing.T) {
+	// A valid scenario file, so strauss's flag cases fail only because of
+	// the flag under test.
+	good := filepath.Join(t.TempDir(), "good.txt")
+	if err := os.WriteFile(good, []byte(
+		"trace a\nX = fopen()\nfread(X)\nfclose(X)\nend\n"+
+			"trace b\nX = fopen()\nfwrite(X)\nfclose(X)\nend\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
 		args []string
@@ -359,6 +367,12 @@ func TestToolUsageErrors(t *testing.T) {
 		{"paper", []string{"-table", "3", "-optbudget", "-5"}, "-optbudget"},
 		{"paper", []string{"-table", "3", "-trials", "0"}, "-trials"},
 		{"paper", []string{"-table", "3", "-trials", "-1"}, "-trials"},
+		{"strauss", []string{"-relearn", good, "-k", "0"}, "-k"},
+		{"strauss", []string{"-relearn", good, "-k", "-3"}, "-k"},
+		{"strauss", []string{"-relearn", good, "-s", "0"}, "-s"},
+		{"strauss", []string{"-relearn", good, "-s", "1.5"}, "-s"},
+		{"strauss", []string{"-relearn", good, "-s", "NaN"}, "-s"},
+		{"strauss", []string{"-relearn", good, "-core", "-2"}, "-core"},
 	} {
 		out, code := runTool(t, "", c.name, c.args...)
 		if code == 0 {

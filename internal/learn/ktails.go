@@ -1,7 +1,7 @@
 package learn
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/trace"
@@ -28,38 +28,34 @@ func (l KTails) Learn(name string, traces []trace.Trace) (*Result, error) {
 		k = 2
 	}
 	p := buildPTA(traces)
+	sc := newKScan()
+	first := map[string]int32{} // signature → its first state in the scan
+	var (
+		sig   []byte
+		pairs [][2]int32 // (first state of a signature, a later state with it)
+	)
 	for {
-		merged := false
-		// Group current states by their k-tail signature and merge each
-		// group; recompute until no group has two members (signatures
-		// change as merges fold the automaton).
-		states := p.states()
-		groups := map[string][]int{}
-		for _, s := range states {
-			sig := p.ktailSignature(s, k)
-			groups[sig] = append(groups[sig], s)
-		}
-		keys := make([]string, 0, len(groups))
-		for key := range groups {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			group := groups[key]
-			if len(group) < 2 {
-				continue
-			}
-			base := p.find(group[0])
-			for _, other := range group[1:] {
-				if p.find(other) != base {
-					p.merge(base, other)
-					base = p.find(base)
-					merged = true
-				}
+		// Pair every state with the first state of its k-tail signature,
+		// then merge the pairs; recompute until no signature is shared
+		// (signatures change as merges fold the automaton). The merge
+		// order within a scan does not matter: folding reaches the same
+		// partition.
+		sc.order = p.states(sc.order)
+		clear(first)
+		pairs = pairs[:0]
+		for _, s := range sc.order {
+			sig = sc.ktailSignature(p, s, k, sig[:0])
+			if f, ok := first[string(sig)]; ok {
+				pairs = append(pairs, [2]int32{f, s})
+			} else {
+				first[string(sig)] = s
 			}
 		}
-		if !merged {
+		if len(pairs) == 0 {
 			break
+		}
+		for _, pr := range pairs {
+			p.merge(pr[0], pr[1])
 		}
 	}
 	return p.freeze(name)
@@ -74,26 +70,39 @@ func (l KTails) MustLearn(name string, traces []trace.Trace) *Result {
 	return r
 }
 
-// ktailSignature renders the set of accepting suffixes of length ≤ k from
-// state s, canonically ordered. The end marker distinguishes "can stop
-// here" from "has continuations".
-func (p *pta) ktailSignature(s int, k int) string {
-	var tails []string
-	var walk func(state int, depth int, prefix string)
-	walk = func(state int, depth int, prefix string) {
-		state = p.find(state)
-		n := p.nodes[state]
-		if n.end > 0 {
-			tails = append(tails, prefix+endMark)
+// ktailSignature appends to dst the accepting suffixes of length ≤ k from
+// state s, as keys in byte order joined by \x01. The end marker
+// distinguishes "can stop here" from "has continuations".
+func (sc *kscan) ktailSignature(p *pta, s int32, k int, dst []byte) []byte {
+	sc.ent = sc.ent[:0]
+	sc.buf = sc.buf[:0]
+	sc.tails(p, s, 0, k)
+	slices.SortFunc(sc.ent, func(a, b kstring) int { return strings.Compare(sc.keys[a.key], sc.keys[b.key]) })
+	for i, ks := range sc.ent {
+		if i > 0 {
+			dst = append(dst, '\x01')
 		}
-		if depth == k {
-			return
-		}
-		for _, key := range sortedKeys(n.out) {
-			walk(n.out[key].to, depth+1, prefix+key+"\x00")
-		}
+		dst = append(dst, sc.keys[ks.key]...)
 	}
-	walk(s, 0, "")
-	sort.Strings(tails)
-	return strings.Join(tails, "\x01")
+	return dst
+}
+
+// tails appends the accepting suffixes of length ≤ k from state s, reached
+// along the labels in buf, to ent.
+func (sc *kscan) tails(p *pta, s int32, depth, k int) {
+	n := &p.nodes[p.find(s)]
+	if n.end > 0 {
+		sc.buf = append(sc.buf, endMark...)
+		sc.ent = append(sc.ent, kstring{key: sc.intern()})
+		sc.buf = sc.buf[:len(sc.buf)-len(endMark)]
+	}
+	if depth == k {
+		return
+	}
+	mark := len(sc.buf)
+	for _, e := range n.edges {
+		sc.buf = append(append(sc.buf, p.render[e.label]...), 0)
+		sc.tails(p, e.to, depth+1, k)
+		sc.buf = sc.buf[:mark]
+	}
 }

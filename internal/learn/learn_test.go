@@ -1,8 +1,12 @@
 package learn
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/fa"
 
 	"repro/internal/trace"
 )
@@ -234,5 +238,22 @@ func TestLearnedLanguageContainsPTA(t *testing.T) {
 		if !res.FA.Accepts(tc) {
 			t.Errorf("learned FA rejects PTA sentence %q", tc.Key())
 		}
+	}
+}
+
+// TestLearnNaNSIsOutOfRange: S = NaN fails every comparison, so it used to
+// pass the range check and keep every k-string in the top set, learning 8
+// states from figure8 where S = 0.5 learns 7. It now takes the default,
+// like any other S outside (0, 1].
+func TestLearnNaNSIsOutOfRange(t *testing.T) {
+	write := func(l Learner) string {
+		var buf bytes.Buffer
+		if err := fa.Write(&buf, l.MustLearn("spec", figure8()).FA); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if got, want := write(Learner{S: math.NaN()}), write(Learner{S: 0.5}); got != want {
+		t.Errorf("S = NaN learned\n%s\nwant the S = 0.5 automaton\n%s", got, want)
 	}
 }

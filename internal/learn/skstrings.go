@@ -1,7 +1,9 @@
 package learn
 
 import (
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/trace"
 )
@@ -45,27 +47,23 @@ var DefaultLearner = Learner{K: 2, S: 0.5, Agreement: And}
 // empty.
 const endMark = "$"
 
-// kstring is a bounded-length suffix string with its probability.
-type kstring struct {
-	key  string
-	prob float64
-}
-
 // Learn builds the prefix-tree acceptor of the traces and merges states per
 // the sk-strings criterion, returning the learned automaton with
 // frequencies. An empty trace set yields a single-state automaton accepting
-// nothing.
+// nothing. A K or S out of range (K ≤ 0; S ≤ 0, S > 1 or NaN) takes
+// DefaultLearner's value.
 func (l Learner) Learn(name string, traces []trace.Trace) (*Result, error) {
 	if l.K <= 0 {
 		l.K = DefaultLearner.K
 	}
-	if l.S <= 0 || l.S > 1 {
+	if l.S <= 0 || l.S > 1 || math.IsNaN(l.S) {
 		l.S = DefaultLearner.S
 	}
 	p := buildPTA(traces)
+	sc := newKScan()
 	merges := 0
 	for {
-		a, b := l.findMergeable(p)
+		a, b := sc.findMergeable(p, l)
 		if a < 0 {
 			break
 		}
@@ -78,81 +76,152 @@ func (l Learner) Learn(name string, traces []trace.Trace) (*Result, error) {
 	return p.freeze(name)
 }
 
+// kscan is one Learn call's k-string scratch, reused by every scan.
+//
+// A k-string's key is the byte string label\x00…label\x00 of its labels'
+// renderings, followed by endMark when the trace ends within k events.
+// Keys are interned once per call, so states compare k-strings by ID, and
+// ties in probability sort by the key bytes.
+type kscan struct {
+	ids  map[string]int32 // key bytes → key ID
+	keys []string         // key ID → key bytes
+	buf  []byte           // key bytes of the path being walked
+
+	order []int32 // live states in BFS order
+	// ent holds every state's k-strings: state i of order owns
+	// ent[lo[i]:lo[i+1]], sorted by probability descending and then by
+	// key, and the first ntop[i] of them are its top k-strings.
+	ent  []kstring
+	lo   []int32
+	ntop []int32
+	// at[key] is the index in ent of the key's latest entry, which lets a
+	// state add the probabilities of repeated keys into one entry.
+	at []int32
+	// rows holds state i's key set as row i of ⌈len(keys)/64⌉ words.
+	rows []uint64
+}
+
+// kstring is a bounded-length suffix string with its probability.
+type kstring struct {
+	key  int32
+	prob float64
+}
+
+func newKScan() *kscan { return &kscan{ids: map[string]int32{}} }
+
+// intern returns the ID of the key in buf.
+func (sc *kscan) intern() int32 {
+	id, ok := sc.ids[string(sc.buf)]
+	if !ok {
+		id = int32(len(sc.keys))
+		key := string(sc.buf)
+		sc.ids[key] = id
+		sc.keys = append(sc.keys, key)
+		sc.at = append(sc.at, -1)
+	}
+	return id
+}
+
 // findMergeable scans state pairs in BFS order and returns the first pair
 // satisfying the agreement criterion, or (-1, -1).
-func (l Learner) findMergeable(p *pta) (int, int) {
-	order := p.states()
-	strs := make(map[int][]kstring, len(order))
-	for _, s := range order {
-		strs[s] = p.kstrings(s, l.K)
+func (sc *kscan) findMergeable(p *pta, l Learner) (int32, int32) {
+	sc.order = p.states(sc.order)
+	sc.ent, sc.lo, sc.ntop = sc.ent[:0], sc.lo[:0], sc.ntop[:0]
+	for _, s := range sc.order {
+		lo := len(sc.ent)
+		sc.lo = append(sc.lo, int32(lo))
+		sc.buf = sc.buf[:0]
+		sc.kstrings(p, s, 0, l.K, 1, lo)
+		strs := sc.ent[lo:]
+		slices.SortFunc(strs, func(a, b kstring) int {
+			if a.prob != b.prob {
+				if a.prob > b.prob {
+					return -1
+				}
+				return 1
+			}
+			return strings.Compare(sc.keys[a.key], sc.keys[b.key])
+		})
+		sc.ntop = append(sc.ntop, int32(top(strs, l.S)))
 	}
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			if l.agree(strs[order[i]], strs[order[j]]) {
-				return order[i], order[j]
+	sc.lo = append(sc.lo, int32(len(sc.ent)))
+
+	words := (len(sc.keys) + 63) / 64
+	sc.rows = slices.Grow(sc.rows[:0], len(sc.order)*words)[:len(sc.order)*words]
+	clear(sc.rows)
+	for i := range sc.order {
+		row := sc.rows[i*words : (i+1)*words]
+		for _, ks := range sc.ent[sc.lo[i]:sc.lo[i+1]] {
+			row[ks.key>>6] |= 1 << (ks.key & 63)
+		}
+	}
+
+	for i := range sc.order {
+		if sc.lo[i] == sc.lo[i+1] {
+			// A state with no k-strings (dead) agrees with nothing; merging
+			// it anywhere would be unconstrained generalization.
+			continue
+		}
+		for j := i + 1; j < len(sc.order); j++ {
+			if sc.lo[j] != sc.lo[j+1] && sc.agree(i, j, words, l.Agreement) {
+				return sc.order[i], sc.order[j]
 			}
 		}
 	}
 	return -1, -1
 }
 
-// kstrings enumerates the strings of length ≤ k leaving state s with their
-// probabilities, sorted by probability descending (ties by key for
-// determinism). Strings of length < k end with the end marker; strings cut
-// off at length k do not.
-func (p *pta) kstrings(s int, k int) []kstring {
-	var out []kstring
-	var walk func(state int, depth int, prefix string, prob float64)
-	walk = func(state int, depth int, prefix string, prob float64) {
-		state = p.find(state)
-		total := p.outTotal(state)
-		if total == 0 {
-			// Dead state with no endings: contributes nothing.
-			return
-		}
-		n := p.nodes[state]
-		if n.end > 0 {
-			out = append(out, kstring{key: prefix + endMark, prob: prob * float64(n.end) / float64(total)})
-		}
-		if depth == k {
-			if len(n.out) > 0 {
-				// Remaining mass for strings truncated at depth k.
-				edgeMass := float64(total-n.end) / float64(total)
-				if prefix != "" {
-					out = append(out, kstring{key: prefix, prob: prob * edgeMass})
-				}
+// kstrings appends the strings of length ≤ k leaving state s, reached with
+// probability prob along the labels in buf, to the entries of the state
+// whose entries start at ent[lo]. Strings of length < k end with the end
+// marker; strings cut off at length k do not.
+func (sc *kscan) kstrings(p *pta, s int32, depth, k int, prob float64, lo int) {
+	n := &p.nodes[p.find(s)]
+	total := n.total
+	if total == 0 {
+		// Dead state with no endings: contributes nothing.
+		return
+	}
+	if n.end > 0 {
+		sc.buf = append(sc.buf, endMark...)
+		sc.add(prob*float64(n.end)/float64(total), lo)
+		sc.buf = sc.buf[:len(sc.buf)-len(endMark)]
+	}
+	if depth == k {
+		if len(n.edges) > 0 {
+			// Remaining mass for strings truncated at depth k.
+			edgeMass := float64(total-n.end) / float64(total)
+			if len(sc.buf) > 0 {
+				sc.add(prob*edgeMass, lo)
 			}
-			return
 		}
-		for _, key := range sortedKeys(n.out) {
-			e := n.out[key]
-			walk(e.to, depth+1, prefix+key+"\x00", prob*float64(e.count)/float64(total))
-		}
+		return
 	}
-	walk(s, 0, "", 1)
-	// Aggregate duplicates (merging can create repeated keys via different
-	// paths of equal rendering — not possible in a deterministic automaton,
-	// but keep the invariant robust).
-	agg := map[string]float64{}
-	for _, ks := range out {
-		agg[ks.key] += ks.prob
+	mark := len(sc.buf)
+	for _, e := range n.edges {
+		sc.buf = append(append(sc.buf, p.render[e.label]...), 0)
+		sc.kstrings(p, e.to, depth+1, k, prob*float64(e.count)/float64(total), lo)
+		sc.buf = sc.buf[:mark]
 	}
-	res := make([]kstring, 0, len(agg))
-	for key, prob := range agg {
-		res = append(res, kstring{key: key, prob: prob})
-	}
-	sort.Slice(res, func(i, j int) bool {
-		if res[i].prob != res[j].prob {
-			return res[i].prob > res[j].prob
-		}
-		return res[i].key < res[j].key
-	})
-	return res
 }
 
-// top returns the prefix of strs covering at least fraction s of the
-// probability mass.
-func top(strs []kstring, s float64) []kstring {
+// add records the k-string in buf with its probability, adding it to the
+// state's entry for the same key if there is one. Distinct paths of a
+// deterministic automaton have distinct keys unless a rendering contains
+// a NUL byte, but repeats are summed in walk order all the same.
+func (sc *kscan) add(prob float64, lo int) {
+	id := sc.intern()
+	if i := sc.at[id]; int(i) >= lo && int(i) < len(sc.ent) && sc.ent[i].key == id {
+		sc.ent[i].prob += prob
+		return
+	}
+	sc.at[id] = int32(len(sc.ent))
+	sc.ent = append(sc.ent, kstring{key: id, prob: prob})
+}
+
+// top returns the length of the prefix of strs covering at least fraction
+// s of the probability mass.
+func top(strs []kstring, s float64) int {
 	var mass, limit float64
 	for _, ks := range strs {
 		limit += ks.prob
@@ -161,43 +230,28 @@ func top(strs []kstring, s float64) []kstring {
 	for i, ks := range strs {
 		mass += ks.prob
 		if mass >= limit-1e-12 {
-			return strs[:i+1]
+			return i + 1
 		}
 	}
-	return strs
+	return len(strs)
 }
 
-// agree applies the agreement criterion to two states' k-string
-// distributions.
-func (l Learner) agree(a, b []kstring) bool {
-	if len(a) == 0 || len(b) == 0 {
-		// A state with no k-strings (dead) agrees with nothing; merging it
-		// anywhere would be unconstrained generalization.
-		return false
+// agree applies the agreement criterion to the k-strings of states i and
+// j of the scan, both non-empty.
+func (sc *kscan) agree(i, j, words int, agreement Agreement) bool {
+	iInJ := sc.covered(i, j, words)
+	if agreement == Or {
+		return iInJ || sc.covered(j, i, words)
 	}
-	inB := keySet(b)
-	inA := keySet(a)
-	aTop := top(a, l.S)
-	bTop := top(b, l.S)
-	aInB := covered(aTop, inB)
-	bInA := covered(bTop, inA)
-	if l.Agreement == Or {
-		return aInB || bInA
-	}
-	return aInB && bInA
+	return iInJ && sc.covered(j, i, words)
 }
 
-func keySet(strs []kstring) map[string]bool {
-	m := make(map[string]bool, len(strs))
-	for _, ks := range strs {
-		m[ks.key] = true
-	}
-	return m
-}
-
-func covered(topStrs []kstring, in map[string]bool) bool {
-	for _, ks := range topStrs {
-		if !in[ks.key] {
+// covered reports whether every top k-string of state i is a k-string of
+// state j.
+func (sc *kscan) covered(i, j, words int) bool {
+	row := sc.rows[j*words : (j+1)*words]
+	for _, ks := range sc.ent[sc.lo[i] : sc.lo[i]+sc.ntop[i]] {
+		if row[ks.key>>6]&(1<<(ks.key&63)) == 0 {
 			return false
 		}
 	}
