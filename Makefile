@@ -55,7 +55,7 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkLatticeBig|BenchmarkBitset|BenchmarkArena|BenchmarkIncremental|BenchmarkBulkShaped|BenchmarkSortInts' \
 	    -benchtime 1x ./internal/concept ./internal/bitset
-	$(GO) test -run '^$$' -bench 'BenchmarkExecuted|BenchmarkExecutedAll|BenchmarkAccepts|BenchmarkTraceContext|BenchmarkLang' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExecuted|BenchmarkAccepts|BenchmarkTraceContext|BenchmarkLang' \
 	    -benchtime 1x ./internal/fa ./internal/concept
 	$(GO) test -run '^$$' -bench 'BenchmarkFeed|BenchmarkManyStreams|BenchmarkIngest|BenchmarkStreamPump' \
 	    -benchtime 1x ./internal/stream ./internal/server

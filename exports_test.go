@@ -14,13 +14,16 @@ import (
 )
 
 // TestExportedFuncsHaveCallers fails when an exported top-level function
-// declared under internal/ has no reference outside its own declaration
-// in the non-test files of this module and of perfbench: such a function
-// is dead code, or test code that belongs in a _test.go file. A reference
-// is a pkg.Name selector from another package, or an identifier in the
-// declaring package that does not name a field, a method or a composite
-// literal key. The check is syntactic: it does not resolve scopes, so a
-// local name that shadows a function still counts as a reference.
+// or method declared under internal/ has no reference outside its own
+// declaration in the non-test files of this module and of perfbench: such
+// a function is dead code, or test code that belongs in a _test.go file.
+// A reference to a function is a pkg.Name selector from another package,
+// or an identifier in the declaring package that does not name a field, a
+// method or a composite literal key. A reference to a method is any x.Name
+// selector other than a pkg.Name selector into this module. The check is
+// syntactic: it does not resolve scopes or types, so a local name that
+// shadows a function, or any selector of the same name (os.Rename for a
+// Rename method), counts as a reference.
 func TestExportedFuncsHaveCallers(t *testing.T) {
 	// testOnlyExports lists the exported functions under internal/ that
 	// no non-test code calls, with the reason each stays: another
@@ -35,16 +38,30 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 		"internal/strategy.Random":           "the root benchmarks run single Random trials",
 		"internal/xtrace.Opt":                "concept's big-corpus fixture marks optional model steps with it",
 	}
+	// testOnlyMethods is testOnlyExports for methods, keyed
+	// "<directory>.<receiver type>.<name>". Besides methods another
+	// package's tests call, it lists methods that satisfy an interface
+	// and are only called through it.
+	testOnlyMethods := map[string]string{
+		"internal/bitset.Arena.Int32s":        "the poolarena analyzer's testdata calls it",
+		"internal/fa.FA.Sample":               "concept's benchmarks draw their traces with it",
+		"internal/scanio.Error.Unwrap":        "errors.Is and errors.As call it through the Unwrap() error interface",
+		"internal/server.httpError.Unwrap":    "errors.Is and errors.As call it through the Unwrap() error interface",
+		"internal/strategy.trialSource.Int63": "rand.Rand calls it through the rand.Source interface",
+	}
 	type funcDecl struct {
 		key      string // "<directory>.<name>"
 		pos, end token.Pos
 	}
-	var decls []funcDecl
+	var decls, methods []funcDecl
 	// selectors holds "<directory>.<name>" for every pkg.Name selector
 	// into this module; idents holds the positions of the exported
-	// identifiers each directory's files use, keyed the same way.
+	// identifiers each directory's files use, keyed the same way;
+	// fieldSels holds the positions of every other x.Name selector, keyed
+	// by Name.
 	selectors := map[string]bool{}
 	idents := map[string][]token.Pos{}
+	fieldSels := map[string][]token.Pos{}
 	fset := token.NewFileSet()
 
 	parseTree := func(root string) {
@@ -89,8 +106,13 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 					continue
 				}
 				notRef[fd.Name] = true
-				if fd.Recv == nil && fd.Name.IsExported() && strings.HasPrefix(dir, "internal/") {
+				if !fd.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
+					continue
+				}
+				if fd.Recv == nil {
 					decls = append(decls, funcDecl{dir + "." + fd.Name.Name, fd.Pos(), fd.End()})
+				} else {
+					methods = append(methods, funcDecl{dir + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name, fd.Pos(), fd.End()})
 				}
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -103,6 +125,7 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 						}
 					}
 					notRef[n.Sel] = true
+					fieldSels[n.Sel.Name] = append(fieldSels[n.Sel.Name], n.Sel.Pos())
 				case *ast.Field:
 					for _, id := range n.Names {
 						notRef[id] = true
@@ -127,34 +150,66 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 	parseTree(".")
 	parseTree("perfbench")
 
-	var missing []string
-	seen := map[string]bool{}
-	for _, d := range decls {
-		seen[d.key] = true
-		used := selectors[d.key]
-		for _, pos := range idents[d.key] {
+	// outside reports whether a position lies outside the declaration.
+	outside := func(d funcDecl, positions []token.Pos) bool {
+		for _, pos := range positions {
 			if pos < d.pos || pos >= d.end {
-				used = true
+				return true
 			}
 		}
-		_, allowed := testOnlyExports[d.key]
-		switch {
-		case !used && !allowed:
-			missing = append(missing, d.key)
-		case used && allowed:
-			t.Errorf("%s has a non-test caller now; drop it from testOnlyExports", d.key)
+		return false
+	}
+	var missing []string
+	// check collects the declarations nothing outside tests uses, and
+	// fails on allowlist entries that are stale.
+	check := func(decls []funcDecl, allowed map[string]string, list, kind string, used func(funcDecl) bool) {
+		seen := map[string]bool{}
+		for _, d := range decls {
+			seen[d.key] = true
+			_, ok := allowed[d.key]
+			switch u := used(d); {
+			case !u && !ok:
+				missing = append(missing, d.key)
+			case u && ok:
+				t.Errorf("%s has a non-test caller now; drop it from %s", d.key, list)
+			}
+		}
+		for key := range allowed {
+			if !seen[key] {
+				t.Errorf("%s lists %s, which is not an exported %s any more", list, key, kind)
+			}
 		}
 	}
-	for key := range testOnlyExports {
-		if !seen[key] {
-			t.Errorf("testOnlyExports lists %s, which is not an exported function any more", key)
-		}
-	}
+	check(decls, testOnlyExports, "testOnlyExports", "function", func(d funcDecl) bool {
+		return selectors[d.key] || outside(d, idents[d.key])
+	})
+	check(methods, testOnlyMethods, "testOnlyMethods", "method", func(d funcDecl) bool {
+		return outside(d, fieldSels[d.key[strings.LastIndex(d.key, ".")+1:]])
+	})
 	sort.Strings(missing)
 	for _, key := range missing {
-		t.Errorf("%s is exported but nothing outside tests calls it: delete it, move it into the _test.go file of its caller, or list it in testOnlyExports with the reason", key)
+		t.Errorf("%s is exported but nothing outside tests calls it: delete it, move it into the _test.go file of its caller, or list it in testOnlyExports or testOnlyMethods with the reason", key)
 	}
-	if len(decls) == 0 {
-		t.Fatal("found no exported functions under internal/")
+	if len(decls) == 0 || len(methods) == 0 {
+		t.Fatal("found no exported functions or methods under internal/")
+	}
+}
+
+// recvType returns the type name of a method receiver: T for T, *T, T[P]
+// and *T[P].
+func recvType(x ast.Expr) string {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return "?"
+		}
 	}
 }

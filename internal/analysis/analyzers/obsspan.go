@@ -13,8 +13,8 @@ import (
 //	sp := obs.StartSpan("phase")
 //	defer sp.End()
 //
-// but an explicit sp.End() before each return (the memoization fast-path
-// style of fa.ExecutedShared) also satisfies the checker. A span that is
+// but an explicit sp.End() before each return (for a fast path that
+// returns before the timed work) also satisfies the checker. A span that is
 // started and never ended silently loses its phase from every metrics
 // snapshot — exactly the kind of drift no test notices.
 var ObsSpan = &analysis.Analyzer{

@@ -275,16 +275,6 @@ func (s *Set) Clear() {
 	s.pop = 1
 }
 
-// trim drops trailing zero words so that structurally equal sets compare
-// equal regardless of construction history.
-func (s *Set) trim() {
-	n := len(s.words)
-	for n > 0 && s.words[n-1] == 0 {
-		n--
-	}
-	s.words = s.words[:n]
-}
-
 // UnionWith adds every element of t to s.
 func (s *Set) UnionWith(t *Set) {
 	s.ensure(len(t.words) - 1)
@@ -365,11 +355,6 @@ func (s *Set) SubsetOf(t *Set) bool {
 	return true
 }
 
-// ProperSubsetOf reports whether s ⊂ t strictly.
-func (s *Set) ProperSubsetOf(t *Set) bool {
-	return s.SubsetOf(t) && !s.Equal(t)
-}
-
 // Intersects reports whether s and t share at least one element.
 func (s *Set) Intersects(t *Set) bool {
 	n := len(s.words)
@@ -392,20 +377,6 @@ func (s *Set) Elems() []int {
 		return true
 	})
 	return out
-}
-
-// AppendElems32 appends the set's elements, in increasing order, to dst as
-// int32 values and returns the extended slice, so a caller can materialize
-// a reusable element list without allocating per call.
-func (s *Set) AppendElems32(dst []int32) []int32 {
-	for wi, w := range s.words {
-		base := int32(wi * wordBits)
-		for w != 0 {
-			dst = append(dst, base+int32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // Words returns the set's backing words with trailing zero words trimmed.

@@ -85,9 +85,6 @@ func TestSubsetAndEqual(t *testing.T) {
 	if !a.SubsetOf(b) || b.SubsetOf(a) {
 		t.Error("SubsetOf wrong")
 	}
-	if !a.ProperSubsetOf(b) || a.ProperSubsetOf(a) {
-		t.Error("ProperSubsetOf wrong")
-	}
 	// Equal must ignore trailing zero words.
 	c := New(1024)
 	c.Add(1)

@@ -158,20 +158,6 @@ func TestEnsureReuseZeroesStaleWords(t *testing.T) {
 	}
 }
 
-func TestAppendElems32(t *testing.T) {
-	s := FromSlice([]int{0, 63, 64, 129, 500})
-	got := s.AppendElems32(nil)
-	want := []int32{0, 63, 64, 129, 500}
-	if len(got) != len(want) {
-		t.Fatalf("AppendElems32 = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendElems32 = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestArena(t *testing.T) {
 	a := NewArena()
 	// Sets from the same slab must be independent.

@@ -156,8 +156,8 @@ func TestLabelReplacement(t *testing.T) {
 		t.Fatalf("relabeled %d, want %d", n, s.NumTraces())
 	}
 	for i := 0; i < s.NumTraces(); i++ {
-		if must(s.LabelOf(i)) != Bad {
-			t.Fatalf("trace %d label = %q", i, must(s.LabelOf(i)))
+		if s.Labels()[i] != Bad {
+			t.Fatalf("trace %d label = %q", i, s.Labels()[i])
 		}
 	}
 	// Labeling with the same label changes nothing.
@@ -274,7 +274,7 @@ func TestFocusCarriesLabelsIn(t *testing.T) {
 	}
 	goodIn := 0
 	for i := 0; i < sub.Session().NumTraces(); i++ {
-		if must(sub.Session().LabelOf(i)) == Good {
+		if sub.Session().Labels()[i] == Good {
 			goodIn++
 		}
 	}

@@ -24,7 +24,7 @@ type Focus struct {
 // Focus creates a focused sub-session over the selected traces of the
 // concept, clustered by ref. Labels already assigned in the parent are
 // carried into the sub-session. The sub-session inherits the parent's
-// configuration (learner, metrics); opts override it — a service
+// configuration (the metrics registry); opts override it — a service
 // passes WithContext to bound the sub-lattice build by the request.
 // ErrBadConcept reports an out-of-range concept ID.
 func (s *Session) Focus(id int, sel Selector, ref *fa.FA, opts ...Option) (*Focus, error) {

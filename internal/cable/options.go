@@ -4,20 +4,17 @@ import (
 	"context"
 
 	"repro/internal/concept"
-	"repro/internal/learn"
 	"repro/internal/obs"
 )
 
 // Option configures NewSession (and Session.Focus, whose sub-session
-// inherits the parent's configuration unless overridden). The options
-// replace the former post-hoc SetLearner mutator: a Session's
+// inherits the parent's configuration unless overridden). A Session's
 // configuration is fixed at construction, which is what makes sessions
 // safe to share behind a per-session lock in a concurrent service.
 type Option func(*config)
 
 type config struct {
 	ctx     context.Context
-	learner learn.Learner
 	metrics *obs.Metrics
 	lattice *concept.Lattice
 }
@@ -25,7 +22,6 @@ type config struct {
 func buildConfig(opts []Option) config {
 	cfg := config{
 		ctx:     context.Background(),
-		learner: learn.DefaultLearner,
 		metrics: obs.Default(),
 	}
 	for _, o := range opts {
@@ -45,12 +41,6 @@ func WithContext(ctx context.Context) Option {
 			c.ctx = ctx
 		}
 	}
-}
-
-// WithLearner sets the FA learner used by Show FA summaries; the default
-// is learn.DefaultLearner.
-func WithLearner(l learn.Learner) Option {
-	return func(c *config) { c.learner = l }
 }
 
 // WithObs directs the session's instrumentation (trace-class and concept

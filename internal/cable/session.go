@@ -21,7 +21,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/concept"
 	"repro/internal/fa"
-	"repro/internal/learn"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -77,8 +76,8 @@ func (s State) String() string {
 	}
 }
 
-// Session is a Cable debugging session. Its configuration (learner,
-// metrics registry) is fixed at construction via Options;
+// Session is a Cable debugging session. Its configuration (the metrics
+// registry) is fixed at construction via Options;
 // only the labels mutate afterwards, so guarding a session with one mutex
 // makes it safe for concurrent clients.
 type Session struct {
@@ -87,16 +86,14 @@ type Session struct {
 	ref     *fa.FA
 	lattice *concept.Lattice
 	labels  []Label
-	learner learn.Learner
 	metrics *obs.Metrics
 }
 
 // NewSession builds a session: the context objects are the set's class
 // representatives, the attributes the reference FA's transitions. The
 // reference FA must accept every trace. Options configure the build
-// (WithContext, WithLattice) and the session itself
-// (WithLearner, WithObs); the zero option set reproduces the historical
-// behavior exactly.
+// (WithContext, WithLattice) and the session itself (WithObs); the zero
+// option set reproduces the historical behavior exactly.
 func NewSession(set *trace.Set, ref *fa.FA, opts ...Option) (*Session, error) {
 	cfg := buildConfig(opts)
 	sp := cfg.metrics.StartSpan("cable.session")
@@ -122,7 +119,6 @@ func NewSession(set *trace.Set, ref *fa.FA, opts ...Option) (*Session, error) {
 		ref:     ref,
 		lattice: lattice,
 		labels:  make([]Label, len(reps)),
-		learner: cfg.learner,
 		metrics: cfg.metrics,
 	}, nil
 }
@@ -130,7 +126,7 @@ func NewSession(set *trace.Set, ref *fa.FA, opts ...Option) (*Session, error) {
 // options reconstructs the session's configuration, so Focus sub-sessions
 // inherit it.
 func (s *Session) options() []Option {
-	return []Option{WithLearner(s.learner), WithObs(s.metrics)}
+	return []Option{WithObs(s.metrics)}
 }
 
 // Lattice returns the session's concept lattice.
@@ -181,15 +177,6 @@ func (s *Session) Multiplicity(i int) (int, error) {
 		return 0, s.badTrace(i)
 	}
 	return s.set.Class(i).Count, nil
-}
-
-// LabelOf returns the label of object i, or ErrBadTrace when i is out of
-// range.
-func (s *Session) LabelOf(i int) (Label, error) {
-	if !s.ValidTrace(i) {
-		return Unlabeled, s.badTrace(i)
-	}
-	return s.labels[i], nil
 }
 
 // Labels returns a copy of the current labeling.

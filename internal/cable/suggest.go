@@ -6,6 +6,7 @@ import (
 	"repro/internal/concept"
 	"repro/internal/fa"
 	"repro/internal/trace"
+	"repro/internal/wellformed"
 )
 
 // This file automates Section 4.1's Focus-template selection. When a
@@ -75,15 +76,10 @@ func (s *Session) SuggestFocus(id int) (Suggestion, error) {
 	return Suggestion{}, fmt.Errorf("cable: no template separates the labels of concept %d; label by hand or supply a custom FA", id)
 }
 
-// separates reports whether, under the candidate reference FA, no two
-// traces with different (non-empty) labels share an executed-transition
-// row's closure — precisely: the candidate lattice restricted to labeled
-// traces is well-formed. We check the sufficient, cheap condition that
-// differently-labeled traces never have identical executed-transition
-// sets, and then verify full separability by building the (small) lattice
-// and checking that every concept's labeled traces can be peeled: we reuse
-// the recursive well-formedness on the labeled subset with unlabeled
-// traces removed.
+// separates reports whether the candidate reference FA accepts every
+// trace and its lattice over the labeled traces is well-formed for their
+// labels (Section 4.3, wellformed.Check), so labeling through it can tell
+// the labels apart. Unlabeled traces only need to be accepted.
 func separates(ref *fa.FA, traces []trace.Trace, labels []Label) bool {
 	var labeled []trace.Trace
 	var labeledLabels []Label
@@ -106,75 +102,8 @@ func separates(ref *fa.FA, traces []trace.Trace, labels []Label) bool {
 	if err != nil {
 		return false
 	}
-	return wellFormedFor(lattice, labeledLabels)
-}
-
-// wellFormedFor is the Section 4.3 check, inlined here to avoid an import
-// cycle with internal/wellformed (which imports this package for Label).
-func wellFormedFor(l *concept.Lattice, labels []Label) bool {
-	memo := make([]int8, l.Len())
-	var rec func(id int) bool
-	rec = func(id int) bool {
-		switch memo[id] {
-		case 1:
-			return true
-		case 2:
-			return false
-		}
-		uniformAll := true
-		first, seen := Unlabeled, false
-		l.Concept(id).Extent.Range(func(o int) bool {
-			if !seen {
-				first, seen = labels[o], true
-				return true
-			}
-			if labels[o] != first {
-				uniformAll = false
-				return false
-			}
-			return true
-		})
-		if uniformAll {
-			memo[id] = 1
-			return true
-		}
-		ok := true
-		for _, ch := range l.Children(id) {
-			if !rec(ch) {
-				ok = false
-			}
-		}
-		if ok {
-			proper := l.Concept(id).Extent.Clone()
-			for _, ch := range l.Children(id) {
-				proper.DifferenceWith(l.Concept(ch).Extent)
-			}
-			first, seen = Unlabeled, false
-			proper.Range(func(o int) bool {
-				if !seen {
-					first, seen = labels[o], true
-					return true
-				}
-				if labels[o] != first {
-					ok = false
-					return false
-				}
-				return true
-			})
-		}
-		if ok {
-			memo[id] = 1
-		} else {
-			memo[id] = 2
-		}
-		return ok
-	}
-	for _, c := range l.Concepts() {
-		if !rec(c.ID) {
-			return false
-		}
-	}
-	return true
+	ok, _ := wellformed.Check(lattice, labeledLabels)
+	return ok
 }
 
 func namesOf(traces []trace.Trace) []string {

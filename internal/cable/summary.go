@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/fa"
+	"repro/internal/learn"
 	"repro/internal/trace"
 )
 
@@ -12,8 +13,8 @@ import (
 // transitions, and Show traces, each over a selectable subset of a
 // concept's traces.
 
-// ShowFA infers an FA from the selected traces of the concept with the
-// session's learner — "the most frequently used summary because the FA is
+// ShowFA infers an FA from the selected traces of the concept with
+// learn.DefaultLearner — "the most frequently used summary because the FA is
 // often short and clear". With SelectLabel on the top concept after all
 // labeling is done, it summarizes an entire label class. ErrBadConcept
 // reports an out-of-range concept ID.
@@ -31,7 +32,7 @@ func (s *Session) ShowFA(id int, sel Selector) (*fa.FA, error) {
 			traces = append(traces, c.Rep)
 		}
 	}
-	res, err := s.learner.Learn(fmt.Sprintf("concept-%d", id), traces)
+	res, err := learn.DefaultLearner.Learn(fmt.Sprintf("concept-%d", id), traces)
 	if err != nil {
 		return nil, err
 	}

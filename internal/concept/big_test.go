@@ -2,7 +2,6 @@ package concept
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -168,14 +167,6 @@ func BenchmarkLatticeBig(b *testing.B) {
 			if err := l.linkCovers(context.Background()); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("Find", func(b *testing.B) {
-		b.ReportAllocs()
-		rng := rand.New(rand.NewSource(7))
-		x := l.Concept(rng.Intn(l.Len())).Extent
-		for i := 0; i < b.N; i++ {
-			l.Find(x)
 		}
 	})
 }

@@ -132,7 +132,7 @@ func TestLatticeOrderAndCovers(t *testing.T) {
 				if mid.ID == c.ID || mid.ID == p {
 					continue
 				}
-				if c.Extent.ProperSubsetOf(mid.Extent) && mid.Extent.ProperSubsetOf(l.Concept(p).Extent) {
+				if properSubset(c.Extent, mid.Extent) && properSubset(mid.Extent, l.Concept(p).Extent) {
 					t.Errorf("c%d between c%d and its cover c%d", mid.ID, c.ID, p)
 				}
 			}
@@ -392,3 +392,42 @@ func equalLattices(a, b *Lattice) bool {
 	}
 	return true
 }
+
+// The lattice and context queries below have no caller outside tests; the
+// property tests phrase the order and closure laws with them.
+
+// Leq reports whether concept a ≤ concept b in the lattice order
+// (extent(a) ⊆ extent(b)).
+func (l *Lattice) Leq(a, b int) bool {
+	return l.concepts[a].Extent.SubsetOf(l.concepts[b].Extent)
+}
+
+// Find returns the most specific concept whose extent contains all the
+// given objects: the concept (τ(σ(X)), σ(X)). ok is false when the object
+// set references objects outside the context or the closure is missing
+// from a stale index.
+func (l *Lattice) Find(objects *bitset.Set) (id int, ok bool) {
+	// Reject foreign object sets up front: Sigma indexes context rows by
+	// object, so an out-of-range bit would panic inside it.
+	numObj := l.ctx.NumObjects()
+	inRange := true
+	objects.Range(func(o int) bool {
+		if o >= numObj {
+			inRange = false
+			return false
+		}
+		return true
+	})
+	if !inRange {
+		return 0, false
+	}
+	return l.byIntent(l.ctx.Sigma(objects))
+}
+
+// IsConcept reports whether (extent, intent) is a formal concept of c.
+func (c *Context) IsConcept(extent, intent *bitset.Set) bool {
+	return c.Sigma(extent).Equal(intent) && c.Tau(intent).Equal(extent)
+}
+
+// properSubset reports whether a ⊂ b strictly.
+func properSubset(a, b *bitset.Set) bool { return a.SubsetOf(b) && !a.Equal(b) }

@@ -155,11 +155,6 @@ func (c *Context) TauInto(dst, y *bitset.Set) *bitset.Set {
 // higher similarity.
 func (c *Context) Similarity(x *bitset.Set) int { return c.Sigma(x).Len() }
 
-// IsConcept reports whether (extent, intent) is a formal concept of c.
-func (c *Context) IsConcept(extent, intent *bitset.Set) bool {
-	return c.Sigma(extent).Equal(intent) && c.Tau(intent).Equal(extent)
-}
-
 // String renders the context as a cross table (objects as rows).
 func (c *Context) String() string {
 	var b strings.Builder

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/obs"
@@ -628,12 +627,6 @@ func (l *Lattice) Children(id int) []int {
 	return l.children[id]
 }
 
-// Leq reports whether concept a ≤ concept b in the lattice order
-// (extent(a) ⊆ extent(b)).
-func (l *Lattice) Leq(a, b int) bool {
-	return l.concepts[a].Extent.SubsetOf(l.concepts[b].Extent)
-}
-
 // Meet returns the ID of the greatest lower bound of a and b: the concept
 // with extent closure of extent(a) ∩ extent(b). ok is false when either ID
 // is out of range or the lattice's index no longer matches its context (a
@@ -670,36 +663,6 @@ func (l *Lattice) byIntent(intent *bitset.Set) (id int, ok bool) {
 		return 0, false
 	}
 	return id, true
-}
-
-// findScratch pools the σ(X) scratch sets Find uses, making lookups
-// allocation-free under concurrent query load (the lattice server hits
-// Find from many request goroutines).
-var findScratch = sync.Pool{New: func() any { return new(bitset.Set) }}
-
-// Find returns the most specific concept whose extent contains all the
-// given objects: the concept (τ(σ(X)), σ(X)). ok is false — instead of the
-// panic earlier versions raised — when the object set references objects
-// outside the context or the closure is missing from a stale index.
-func (l *Lattice) Find(objects *bitset.Set) (id int, ok bool) {
-	// Reject foreign object sets up front: Sigma indexes context rows by
-	// object, so an out-of-range bit would panic inside it.
-	numObj := l.ctx.NumObjects()
-	inRange := true
-	objects.Range(func(o int) bool {
-		if o >= numObj {
-			inRange = false
-			return false
-		}
-		return true
-	})
-	if !inRange {
-		return 0, false
-	}
-	sc := findScratch.Get().(*bitset.Set)
-	id, ok = l.byIntent(l.ctx.SigmaInto(sc, objects))
-	findScratch.Put(sc)
-	return id, ok
 }
 
 // AttributeConcept returns the ID of the maximal concept whose intent

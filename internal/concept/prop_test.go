@@ -1,9 +1,11 @@
 package concept
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/fa"
@@ -72,14 +74,14 @@ func checkLatticeInvariants(t *testing.T, l *Lattice) {
 			t.Fatalf("concept %d has no children but is not the bottom", c.ID)
 		}
 		for _, p := range l.Parents(c.ID) {
-			if !c.Extent.ProperSubsetOf(l.Concept(p).Extent) {
+			if !properSubset(c.Extent, l.Concept(p).Extent) {
 				t.Fatalf("parent %d of %d does not strictly contain it", p, c.ID)
 			}
 			// Cover minimality: nothing strictly between.
 			for _, mid := range l.Concepts() {
 				if mid.ID != c.ID && mid.ID != p &&
-					c.Extent.ProperSubsetOf(mid.Extent) &&
-					mid.Extent.ProperSubsetOf(l.Concept(p).Extent) {
+					properSubset(c.Extent, mid.Extent) &&
+					properSubset(mid.Extent, l.Concept(p).Extent) {
 					t.Fatalf("concept %d lies between %d and its cover %d", mid.ID, c.ID, p)
 				}
 			}
@@ -122,7 +124,7 @@ func TestPropIndexedQueriesMatchScan(t *testing.T) {
 		for o := 0; o < c.NumObjects(); o++ {
 			got := l.ObjectConcept(o)
 			for _, cc := range l.Concepts() {
-				if cc.Extent.Has(o) && cc.Extent.ProperSubsetOf(l.Concept(got).Extent) {
+				if cc.Extent.Has(o) && properSubset(cc.Extent, l.Concept(got).Extent) {
 					t.Fatalf("iter %d: ObjectConcept(%d) = %d is not minimal (%d smaller)", iter, o, got, cc.ID)
 				}
 			}
@@ -134,7 +136,7 @@ func TestPropIndexedQueriesMatchScan(t *testing.T) {
 		for a := 0; a < c.NumAttributes(); a++ {
 			got := l.AttributeConcept(a)
 			for _, cc := range l.Concepts() {
-				if cc.Intent.Has(a) && l.Concept(got).Extent.ProperSubsetOf(cc.Extent) {
+				if cc.Intent.Has(a) && properSubset(l.Concept(got).Extent, cc.Extent) {
 					t.Fatalf("iter %d: AttributeConcept(%d) = %d is not maximal (%d larger)", iter, a, got, cc.ID)
 				}
 			}
@@ -316,6 +318,65 @@ func TestTraceContextRejectsUnrecognized(t *testing.T) {
 	_, err := TraceContext([]trace.Trace{trace.ParseEvents("bad", "zzz()")}, ref)
 	if err == nil {
 		t.Fatal("TraceContext accepted unrecognized trace")
+	}
+}
+
+// TestTraceContextSimulatesEachTrace pins TraceContext's contract now that
+// it simulates every trace it is given: a duplicate trace gets a row equal
+// to its class's, every row is the trace's executed-transition set, the
+// error names the first rejected trace in input order, and a done ctx
+// returns ctx.Err().
+func TestTraceContextSimulatesEachTrace(t *testing.T) {
+	b := fa.NewBuilder("stdio")
+	s := b.States(3)
+	b.Start(s[0])
+	b.Accept(s[2])
+	b.EdgeStr(s[0], "X = fopen()", s[1])
+	b.EdgeStr(s[1], "fread(X)", s[1])
+	b.EdgeStr(s[1], "fwrite(X)", s[1])
+	b.EdgeStr(s[1], "fclose(X)", s[2])
+	ref := b.MustBuild()
+	a := trace.ParseEvents("a", "X = fopen()", "fread(X)", "fclose(X)")
+	short := trace.ParseEvents("short", "X = fopen()", "fclose(X)")
+	dup := trace.ParseEvents("dup", "X = fopen()", "fread(X)", "fclose(X)")
+	traces := []trace.Trace{a, short, dup, a}
+
+	fc, err := TraceContext(traces, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for o, tr := range traces {
+		want, ok := ref.Executed(tr)
+		if !ok || !fc.Attributes(o).Equal(want) {
+			t.Errorf("row %d (%s) = %s, want %s", o, tr.Key(), fc.Attributes(o), want)
+		}
+	}
+	if !fc.Attributes(0).Equal(fc.Attributes(2)) || !fc.Attributes(0).Equal(fc.Attributes(3)) {
+		t.Error("identical traces got different rows")
+	}
+	if fc.Attributes(0).Equal(fc.Attributes(1)) {
+		t.Error("traces of different classes got equal rows")
+	}
+	if got := fc.ObjectName(2); got != "dup" {
+		t.Errorf("object 2 named %q, want dup", got)
+	}
+
+	rejected := []trace.Trace{
+		a,
+		trace.ParseEvents("leak", "X = fopen()", "fread(X)"),
+		short,
+		trace.ParseEvents("stray", "fread(X)"),
+	}
+	_, err = TraceContext(rejected, ref)
+	want := `concept: reference FA "stdio" rejects trace "leak" (X = fopen(); fread(X))`
+	if err == nil || err.Error() != want {
+		t.Errorf("error = %v, want %s", err, want)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), -time.Second)
+	defer cancel()
+	if _, err := traceContext(ctx, traces, ref); err != context.DeadlineExceeded {
+		t.Errorf("traceContext on an expired ctx: err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

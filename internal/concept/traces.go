@@ -19,10 +19,10 @@ import (
 // rejected trace yields an error naming it, so callers can pick a coarser
 // reference FA (fa.FromTraces always works).
 //
-// The reference FA is compiled once (fa.Sim) and the batch simulation
-// dedups to one representative per identical-event trace class: duplicate
-// traces share the class representative's executed-transition set, so the
-// relation costs one simulation per class, not per trace.
+// The reference FA is compiled once (fa.Sim) and every trace is simulated
+// once. Callers pass class representatives (trace.Set.Representatives), so
+// the relation costs one simulation per class of identical traces; a
+// duplicate trace is simulated again and gets an equal row.
 func TraceContext(traces []trace.Trace, ref *fa.FA) (*Context, error) {
 	return traceContext(context.Background(), traces, ref)
 }
@@ -36,15 +36,15 @@ func TraceContextCtx(ctx context.Context, traces []trace.Trace, ref *fa.FA, work
 	return traceContext(ctx, traces, ref)
 }
 
-// traceContext is TraceContext with cancellation: it is checked between
-// trace classes, and once ctx is done no new simulation starts and
-// ctx.Err() is returned.
+// traceContext is TraceContext with cancellation: ctx is checked before
+// each trace is simulated, and once it is done no new simulation starts
+// and ctx.Err() is returned.
 func traceContext(ctx context.Context, traces []trace.Trace, ref *fa.FA) (*Context, error) {
 	sp := obs.StartSpan("concept.context")
 	defer sp.End()
 	obs.Count("concept.context.traces", int64(len(traces)))
-	// Strided cancellation checks keep the naming and relation loops
-	// responsive on very large inputs without paying a select per item.
+	// Strided cancellation checks keep the naming loops responsive on very
+	// large inputs without paying a select per name.
 	done := ctx.Done()
 	cancelled := func() bool {
 		select {
@@ -73,18 +73,16 @@ func traceContext(ctx context.Context, traces []trace.Trace, ref *fa.FA) (*Conte
 		attrNames[i] = tr.String()
 	}
 	fc := NewContext(objNames, attrNames)
-	executed, accepted, err := ref.Sim().ExecutedAllCtx(ctx, traces)
-	if err != nil {
-		return nil, err
-	}
-	for o := range traces {
-		if o&1023 == 0 && cancelled() {
+	sim := ref.Sim()
+	for o, t := range traces {
+		if cancelled() {
 			return nil, ctx.Err()
 		}
-		if !accepted[o] {
-			return nil, fmt.Errorf("concept: reference FA %q rejects trace %q (%s)", ref.Name(), objNames[o], traces[o].Key())
+		executed, ok := sim.Executed(t)
+		if !ok {
+			return nil, fmt.Errorf("concept: reference FA %q rejects trace %q (%s)", ref.Name(), objNames[o], t.Key())
 		}
-		executed[o].Range(func(a int) bool {
+		executed.Range(func(a int) bool {
 			fc.Relate(o, a)
 			return true
 		})

@@ -53,16 +53,11 @@ func (in *Interner) Intern(e Event) int {
 	return id
 }
 
-// Lookup returns the symbol for e, or ok=false if e was never interned.
-func (in *Interner) Lookup(e Event) (id int, ok bool) {
-	id, ok = in.ids[e.String()]
-	return id, ok
-}
-
-// LookupKey is Lookup keyed by the bytes of the event's canonical rendering
-// (see AppendString). The []byte-keyed map access compiles to an
-// allocation-free lookup, so simulators can map trace events to symbols
-// with zero steady-state allocations.
+// LookupKey returns the symbol of the event whose canonical rendering (see
+// AppendString) is exactly key, or ok=false if no such event was interned.
+// The []byte-keyed map access compiles to an allocation-free lookup, so
+// simulators can map trace events to symbols with zero steady-state
+// allocations.
 func (in *Interner) LookupKey(key []byte) (id int, ok bool) {
 	id, ok = in.ids[string(key)]
 	return id, ok

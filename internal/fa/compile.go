@@ -1,7 +1,6 @@
 package fa
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/bitset"
@@ -23,17 +22,15 @@ import (
 //     backward CSR (predecessors per (state, symbol)) drives the backward
 //     pass of Executed.
 //   - Scratch state (frontier bitsets, the per-position forward frontiers,
-//     symbol and key buffers) lives in a sync.Pool, so steady-state
+//     symbol and rendering buffers) lives in a sync.Pool, so steady-state
 //     simulation allocates nothing and one Sim can be shared across
 //     goroutines.
-//   - Executed results are memoized per identical-event trace class (keyed
-//     by trace.Trace.AppendKey), so a class is simulated exactly once no
-//     matter how many duplicate traces replay it; ExecutedAll batches that
-//     dedup over a whole trace slice.
 //
-// A Sim is immutable after compilation apart from the scratch pool and the
-// memo table, both of which are safe for concurrent use: all methods may be
-// called from multiple goroutines.
+// A Sim is immutable after compilation apart from the scratch pool, which
+// is safe for concurrent use: all methods may be called from multiple
+// goroutines. It keeps no per-trace state: callers that want one
+// simulation per class of identical traces pass class representatives
+// (trace.Set.Representatives).
 //
 // Obtain a Sim with FA.Sim(), which compiles on first use and caches the
 // plan for the automaton's lifetime.
@@ -67,16 +64,6 @@ type Sim struct {
 	wbT    []int32
 
 	pool sync.Pool // *simScratch
-
-	mu   sync.RWMutex
-	memo map[string]memoEntry // trace class key -> executed set
-}
-
-// memoEntry is one memoized Executed result. The set is shared by every
-// caller and must be treated as read-only.
-type memoEntry struct {
-	set *bitset.Set
-	ok  bool
 }
 
 // simScratch is the reusable per-simulation state. One scratch is checked
@@ -85,7 +72,6 @@ type memoEntry struct {
 type simScratch struct {
 	syms   []int32       // per-event symbol IDs of the current trace (-1 = unknown)
 	evBuf  []byte        // event rendering buffer for symbol lookup
-	keyBuf []byte        // trace class key buffer for memo lookup
 	cur    *bitset.Set   // rolling frontier
 	nxt    *bitset.Set   // rolling frontier
 	bwdCur *bitset.Set   // rolling backward frontier
@@ -124,7 +110,6 @@ func newSim(f *FA) *Sim {
 		interner:  event.NewInterner(),
 		start:     f.start,
 		accept:    f.accept,
-		memo:      make(map[string]memoEntry),
 	}
 	// Intern every non-wildcard label; symOf maps the FA's label IDs to
 	// dense symbol IDs, with -1 marking the wildcard.
@@ -207,9 +192,6 @@ func newSim(f *FA) *Sim {
 
 func (s *Sim) get() *simScratch   { return s.pool.Get().(*simScratch) }
 func (s *Sim) put(sc *simScratch) { s.pool.Put(sc) }
-
-// NumSymbols returns the number of distinct non-wildcard transition labels.
-func (s *Sim) NumSymbols() int { return s.numSyms }
 
 // FA returns the automaton this plan was compiled from.
 func (s *Sim) FA() *FA { return s.fa }
@@ -312,9 +294,7 @@ func (s *Sim) RejectsAt(t trace.Trace) int {
 // Executed returns the set of transition indices on at least one accepting
 // run of the automaton on the trace — the relation R of Section 3.2 (see
 // FA.Executed). The returned set is fresh and owned by the caller; apart
-// from it, steady-state calls allocate nothing. Callers replaying many
-// duplicate traces should prefer ExecutedShared or ExecutedAll, which
-// memoize per identical-event class.
+// from it, steady-state calls allocate nothing.
 func (s *Sim) Executed(t trace.Trace) (*bitset.Set, bool) {
 	sp := obs.StartSpan("fa.executed")
 	defer sp.End()
@@ -326,42 +306,6 @@ func (s *Sim) Executed(t trace.Trace) (*bitset.Set, bool) {
 	if !ok {
 		obs.Count("fa.executed.rejected", 1)
 	}
-	return out, ok
-}
-
-// ExecutedShared is Executed with class-level memoization: the first call
-// for an identical-event trace class simulates it, and every later call —
-// from any goroutine — returns the same cached set with zero allocations.
-// The returned set is shared and must be treated as read-only.
-func (s *Sim) ExecutedShared(t trace.Trace) (*bitset.Set, bool) {
-	sc := s.get()
-	sc.keyBuf = t.AppendKey(sc.keyBuf[:0])
-	s.mu.RLock()
-	e, hit := s.memo[string(sc.keyBuf)]
-	s.mu.RUnlock()
-	if hit {
-		s.put(sc)
-		obs.Count("fa.executed.memo_hits", 1)
-		return e.set, e.ok
-	}
-	sp := obs.StartSpan("fa.executed")
-	obs.Count("fa.executed.events", int64(len(t.Events)))
-	out := bitset.New(len(s.fa.trans))
-	ok := s.executedInto(sc, t, out)
-	sp.End()
-	if !ok {
-		obs.Count("fa.executed.rejected", 1)
-	}
-	s.mu.Lock()
-	if e, again := s.memo[string(sc.keyBuf)]; again {
-		// A racing caller computed the class first; adopt its canonical set
-		// so every member of a class shares one pointer.
-		out, ok = e.set, e.ok
-	} else {
-		s.memo[string(sc.keyBuf)] = memoEntry{set: out, ok: ok}
-	}
-	s.mu.Unlock()
-	s.put(sc)
 	return out, ok
 }
 
@@ -417,72 +361,4 @@ func (s *Sim) executedInto(sc *simScratch, t trace.Trace, out *bitset.Set) bool 
 		bwdCur, bwdNext = bwdNext, bwdCur
 	}
 	return true
-}
-
-// ExecutedAll simulates every trace, memoizing per identical-event class so
-// each class is simulated exactly once: result i is the executed set and
-// acceptance of traces[i], and identical traces share one set pointer. The
-// sets are memo-backed and must be treated as read-only.
-func (s *Sim) ExecutedAll(traces []trace.Trace) ([]*bitset.Set, []bool) {
-	sets, oks, _ := s.ExecutedAllCtx(context.Background(), traces)
-	return sets, oks
-}
-
-// ExecutedAllCtx is ExecutedAll with cancellation. Only one representative
-// per identical-event class is simulated; class members share the
-// resulting set. Cancellation is checked between classes; once ctx is done
-// no new simulation starts and ctx.Err() is returned.
-func (s *Sim) ExecutedAllCtx(ctx context.Context, traces []trace.Trace) ([]*bitset.Set, []bool, error) {
-	sp := obs.StartSpan("fa.executedall")
-	defer sp.End()
-	classOf := make([]int, len(traces))
-	var reps []int // index into traces of each class representative
-	seen := make(map[string]int, len(traces))
-	var buf []byte
-	// The dedup pass hashes every trace key; on huge batches that is real
-	// work, so honor cancellation on a stride like the simulation loop.
-	done := ctx.Done()
-	for i, t := range traces {
-		if i&1023 == 0 {
-			select {
-			case <-done:
-				return nil, nil, ctx.Err()
-			default:
-			}
-		}
-		buf = t.AppendKey(buf[:0])
-		if c, ok := seen[string(buf)]; ok {
-			classOf[i] = c
-			continue
-		}
-		c := len(reps)
-		seen[string(buf)] = c
-		reps = append(reps, i)
-		classOf[i] = c
-	}
-	obs.Count("fa.executedall.traces", int64(len(traces)))
-	obs.Count("fa.executedall.classes", int64(len(reps)))
-	repSets := make([]*bitset.Set, len(reps))
-	repOks := make([]bool, len(reps))
-	for c, i := range reps {
-		select {
-		case <-done:
-			return nil, nil, ctx.Err()
-		default:
-		}
-		repSets[c], repOks[c] = s.ExecutedShared(traces[i])
-	}
-	sets := make([]*bitset.Set, len(traces))
-	oks := make([]bool, len(traces))
-	for i, c := range classOf {
-		if i&8191 == 0 {
-			select {
-			case <-done:
-				return nil, nil, ctx.Err()
-			default:
-			}
-		}
-		sets[i], oks[i] = repSets[c], repOks[c]
-	}
-	return sets, oks, nil
 }

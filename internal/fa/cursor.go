@@ -54,9 +54,6 @@ func (c *Cursor) Step(e event.Event) bool {
 	return !c.cur.Empty()
 }
 
-// Alive reports whether at least one run of the automaton survives.
-func (c *Cursor) Alive() bool { return !c.cur.Empty() }
-
 // Accepting reports whether some surviving run is in an accepting state —
 // i.e. whether the events consumed so far form a word of the language.
 func (c *Cursor) Accepting() bool { return c.cur.Intersects(c.sim.accept) }

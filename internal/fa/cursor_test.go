@@ -41,7 +41,7 @@ func TestCursorMatchesRejectsAt(t *testing.T) {
 				if died != want {
 					t.Fatalf("trace %q: cursor died at %d, RejectsAt = %d", tt.Key(), died, want)
 				}
-				if cur.Alive() {
+				if len(cur.States(nil)) > 0 {
 					t.Fatalf("trace %q: cursor alive after dead Step", tt.Key())
 				}
 			}

@@ -232,12 +232,6 @@ func (f *FA) StartStates() []State { return toStates(f.start) }
 // AcceptStates returns the accepting states in increasing order.
 func (f *FA) AcceptStates() []State { return toStates(f.accept) }
 
-// IsStart reports whether s is a start state.
-func (f *FA) IsStart(s State) bool { return f.start.Has(int(s)) }
-
-// IsAccept reports whether s is accepting.
-func (f *FA) IsAccept(s State) bool { return f.accept.Has(int(s)) }
-
 // HasWildcard reports whether any transition is labeled by the wildcard.
 func (f *FA) HasWildcard() bool { return f.hasWildcard }
 
@@ -312,19 +306,6 @@ func (f *FA) closure(seeds *bitset.Set, adj [][]int, step func(Transition) State
 		}
 	}
 	return seen
-}
-
-// outgoing returns the transition indices leaving s whose label matches e.
-func (f *FA) matching(s State, e event.Event) []int {
-	var out []int
-	key := e.String()
-	for _, ti := range f.byFrom[s] {
-		t := f.trans[ti]
-		if IsWildcard(t.Label) || t.Label.String() == key {
-			out = append(out, ti)
-		}
-	}
-	return out
 }
 
 func toStates(s *bitset.Set) []State {

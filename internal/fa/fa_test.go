@@ -161,38 +161,6 @@ func TestExecutedExcludesDeadBranches(t *testing.T) {
 	}
 }
 
-func TestAcceptingRun(t *testing.T) {
-	f := buggyStdio()
-	run := f.AcceptingRun(tr("X = fopen()", "fread(X)", "fclose(X)"))
-	if len(run) != 3 {
-		t.Fatalf("run length = %d", len(run))
-	}
-	// The run must be a connected path from a start to an accept state with
-	// matching labels.
-	want := []string{"X = fopen()", "fread(X)", "fclose(X)"}
-	prev := State(-1)
-	for i, ti := range run {
-		tran := f.Transition(ti)
-		if tran.Label.String() != want[i] {
-			t.Errorf("run[%d] label = %s, want %s", i, tran.Label, want[i])
-		}
-		if i == 0 {
-			if !f.IsStart(tran.From) {
-				t.Error("run does not begin at a start state")
-			}
-		} else if tran.From != prev {
-			t.Error("run is not connected")
-		}
-		prev = tran.To
-	}
-	if !f.IsAccept(prev) {
-		t.Error("run does not end at an accepting state")
-	}
-	if f.AcceptingRun(tr("X = fopen()")) != nil {
-		t.Error("AcceptingRun returned a run for a rejected trace")
-	}
-}
-
 func TestIsDeterministic(t *testing.T) {
 	if !buggyStdio().IsDeterministic() {
 		t.Error("buggyStdio should be deterministic")

@@ -191,7 +191,7 @@ func bruteExecuted(f *FA, t trace.Trace) (*bitset.Set, bool) {
 	var dfs func(state State, i int, path []int)
 	dfs = func(state State, i int, path []int) {
 		if i == len(t.Events) {
-			if f.IsAccept(state) {
+			if f.accept.Has(int(state)) {
 				accepted = true
 				for _, ti := range path {
 					out.Add(ti)

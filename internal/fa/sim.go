@@ -39,48 +39,3 @@ func (f *FA) RejectsAt(t trace.Trace) int {
 func (f *FA) Executed(t trace.Trace) (executed *bitset.Set, ok bool) {
 	return f.Sim().Executed(t)
 }
-
-// AcceptingRun returns one accepting sequence of transition indices for the
-// trace, or nil if the trace is rejected. Used by summaries that want to
-// show a witness path.
-func (f *FA) AcceptingRun(t trace.Trace) []int {
-	n := len(t.Events)
-	fwd := make([]*bitset.Set, n+1)
-	fwd[0] = f.start.Clone()
-	for i, e := range t.Events {
-		next := bitset.New(f.numStates)
-		fwd[i].Range(func(s int) bool {
-			for _, ti := range f.matching(State(s), e) {
-				next.Add(int(f.trans[ti].To))
-			}
-			return true
-		})
-		fwd[i+1] = next
-	}
-	final := bitset.Intersect(fwd[n], f.accept)
-	if final.Empty() {
-		return nil
-	}
-	// Walk backwards choosing any predecessor.
-	run := make([]int, n)
-	target := State(final.Min())
-	for i := n - 1; i >= 0; i-- {
-		key := t.Events[i].String()
-		found := false
-		for _, ti := range f.byTo[target] {
-			tr := f.trans[ti]
-			if (IsWildcard(tr.Label) || tr.Label.String() == key) && fwd[i].Has(int(tr.From)) {
-				run[i] = ti
-				target = tr.From
-				found = true
-				break
-			}
-		}
-		if !found {
-			// Unreachable given final was derived from fwd, but keep the
-			// invariant explicit.
-			return nil
-		}
-	}
-	return run
-}

@@ -62,10 +62,9 @@ func benchTraces(f *FA, n int) []trace.Trace {
 }
 
 // BenchmarkExecuted compares the legacy per-call simulation loop with the
-// compiled plan, and with the memoized shared path on a repeating trace
-// mix. This is the acceptance benchmark for the compiled simulator: the
-// Compiled variant must be >=3x faster and >=10x lighter in allocations
-// than Legacy.
+// compiled plan. This is the acceptance benchmark for the compiled
+// simulator: the Compiled variant must be >=3x faster and >=10x lighter in
+// allocations than Legacy.
 func BenchmarkExecuted(b *testing.B) {
 	f := benchFA()
 	traces := benchTraces(f, 32)
@@ -81,15 +80,6 @@ func BenchmarkExecuted(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sim.Executed(traces[i%len(traces)])
-		}
-	})
-	b.Run("Memoized", func(b *testing.B) {
-		sim := f.Sim()
-		sim.ExecutedShared(traces[0]) // prime
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sim.ExecutedShared(traces[i%len(traces)])
 		}
 	})
 }
@@ -111,34 +101,6 @@ func BenchmarkAccepts(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sim.Accepts(traces[i%len(traces)])
-		}
-	})
-}
-
-// BenchmarkExecutedAll measures the batch entry point on a multiset with
-// heavy class duplication (the TraceContext workload shape: many traces,
-// few classes).
-func BenchmarkExecutedAll(b *testing.B) {
-	f := benchFA()
-	classes := benchTraces(f, 16)
-	traces := make([]trace.Trace, 128)
-	for i := range traces {
-		traces[i] = classes[i%len(classes)]
-	}
-	b.Run("Legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, t := range traces {
-				f.legacyExecuted(t)
-			}
-		}
-	})
-	b.Run("Batch", func(b *testing.B) {
-		sim := f.Sim()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sim.ExecutedAll(traces)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package fa
 
 import (
 	"repro/internal/bitset"
+	"repro/internal/event"
 	"repro/internal/trace"
 )
 
@@ -106,4 +107,18 @@ func (f *FA) legacyExecuted(t trace.Trace) (executed *bitset.Set, ok bool) {
 		})
 	}
 	return executed, true
+}
+
+// matching returns the transition indices leaving s whose label matches e,
+// comparing labels by rendered string.
+func (f *FA) matching(s State, e event.Event) []int {
+	var out []int
+	key := e.String()
+	for _, ti := range f.byFrom[s] {
+		t := f.trans[ti]
+		if IsWildcard(t.Label) || t.Label.String() == key {
+			out = append(out, ti)
+		}
+	}
+	return out
 }

@@ -1,7 +1,6 @@
 package fa
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -67,10 +66,6 @@ func checkSimAgainstLegacy(t *testing.T, f *FA, tc trace.Trace) {
 	gotEx, gotOK := sim.Executed(tc)
 	if gotOK != wantOK || !gotEx.Equal(wantEx) {
 		t.Fatalf("Sim.Executed(%q) = %s/%v, legacy %s/%v on\n%s", tc.Key(), gotEx, gotOK, wantEx, wantOK, f)
-	}
-	shEx, shOK := sim.ExecutedShared(tc)
-	if shOK != wantOK || !shEx.Equal(wantEx) {
-		t.Fatalf("Sim.ExecutedShared(%q) = %s/%v, legacy %s/%v on\n%s", tc.Key(), shEx, shOK, wantEx, wantOK, f)
 	}
 }
 
@@ -187,47 +182,6 @@ func FuzzSimDifferential(f *testing.F) {
 	})
 }
 
-// TestSimExecutedAllSharesClassSets checks the batch entry point: results
-// line up with per-trace simulation and identical traces share one set
-// pointer (the class representative's), simulated exactly once.
-func TestSimExecutedAllSharesClassSets(t *testing.T) {
-	f := stdioFixtureFA(t)
-	sim := f.Sim()
-	a := trace.ParseEvents("a", "X = fopen()", "fread(X)", "fclose(X)")
-	b := trace.ParseEvents("b", "X = fopen()", "fclose(X)")
-	dup := trace.ParseEvents("dup", "X = fopen()", "fread(X)", "fclose(X)") // same class as a
-	rejected := trace.ParseEvents("r", "fread(X)")
-	traces := []trace.Trace{a, b, dup, rejected, a}
-	sets, oks, err := sim.ExecutedAllCtx(context.Background(), traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range traces {
-		wantSet, wantOK := f.legacyExecuted(tr)
-		if oks[i] != wantOK || !sets[i].Equal(wantSet) {
-			t.Fatalf("trace %d (%q): ExecutedAll %s/%v, legacy %s/%v", i, tr.Key(), sets[i], oks[i], wantSet, wantOK)
-		}
-	}
-	if sets[0] != sets[2] || sets[0] != sets[4] {
-		t.Error("identical traces do not share one executed set pointer")
-	}
-	if sets[0] == sets[1] {
-		t.Error("distinct classes share a set pointer")
-	}
-}
-
-// TestSimExecutedAllCancellation checks that a done context aborts the
-// batch between classes.
-func TestSimExecutedAllCancellation(t *testing.T) {
-	f := stdioFixtureFA(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	traces := []trace.Trace{trace.ParseEvents("", "X = fopen()", "fclose(X)")}
-	if _, _, err := f.Sim().ExecutedAllCtx(ctx, traces); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 // stdioFixtureFA builds the small fopen/fread/fclose automaton used by the
 // fixture tests.
 func stdioFixtureFA(t testing.TB) *FA {
@@ -244,9 +198,8 @@ func stdioFixtureFA(t testing.TB) *FA {
 }
 
 // TestSimSteadyStateZeroAlloc guards the pooled-scratch fast path: once the
-// plan is compiled and warm, Accepts and RejectsAt allocate nothing, and a
-// memoized ExecutedShared hit allocates nothing. This is the compiled
-// analogue of TestExecutedObsZeroAllocOverhead.
+// plan is compiled and warm, Accepts and RejectsAt allocate nothing. This
+// is the compiled analogue of TestExecutedObsZeroAllocOverhead.
 func TestSimSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector defeats sync.Pool caching; alloc counts unreliable")
@@ -270,16 +223,6 @@ func TestSimSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Sim.RejectsAt allocates %.1f per run in steady state, want 0", n)
-	}
-	if _, ok := sim.ExecutedShared(tr); !ok { // prime the memo
-		t.Fatal("trace unexpectedly rejected")
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if _, ok := sim.ExecutedShared(tr); !ok {
-			t.Fatal("trace unexpectedly rejected")
-		}
-	}); n != 0 {
-		t.Errorf("Sim.ExecutedShared memo hit allocates %.1f per run, want 0", n)
 	}
 }
 
@@ -309,7 +252,7 @@ func TestSimObsZeroAllocOverhead(t *testing.T) {
 }
 
 // TestSimSharedAcrossGoroutines exercises one compiled plan from 8
-// goroutines mixing every entry point; `make race` runs it under the race
+// goroutines mixing Accepts, RejectsAt and Executed; `make race` runs it under the race
 // detector. Each goroutine checks results against precomputed expectations.
 func TestSimSharedAcrossGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -352,23 +295,10 @@ func TestSimSharedAcrossGoroutines(t *testing.T) {
 					errs <- "RejectsAt mismatch"
 					return
 				}
-				ex, ok := sim.ExecutedShared(tc)
+				ex, ok := sim.Executed(tc)
 				if ok != want[i].ok || ex.String() != want[i].executed {
-					errs <- "ExecutedShared mismatch"
+					errs <- "Executed mismatch"
 					return
-				}
-				if round%10 == 0 {
-					sets, oks, err := sim.ExecutedAllCtx(context.Background(), traces)
-					if err != nil {
-						errs <- err.Error()
-						return
-					}
-					for j := range traces {
-						if oks[j] != want[j].ok || sets[j].String() != want[j].executed {
-							errs <- "ExecutedAll mismatch"
-							return
-						}
-					}
 				}
 			}
 		}(w)
@@ -406,8 +336,8 @@ func TestSimPlanCachedPerFA(t *testing.T) {
 func TestSimInternerExposesAlphabet(t *testing.T) {
 	f := stdioFixtureFA(t)
 	sim := f.Sim()
-	if got, want := sim.NumSymbols(), 4; got != want {
-		t.Fatalf("NumSymbols = %d, want %d", got, want)
+	if got, want := sim.numSyms, 4; got != want {
+		t.Fatalf("numSyms = %d, want %d", got, want)
 	}
 	if sim.FA() != f {
 		t.Error("Sim.FA does not return the source automaton")

@@ -16,9 +16,9 @@
 // registry is installed via Enable (typically by a CLI's -metrics flag).
 //
 // Span names follow a "<layer>.<phase>" convention (trace.read,
-// fa.compile, fa.accepts, fa.rejectsat, fa.executed, fa.executedall,
-// concept.context, lattice.build, lattice.link_covers, lattice.tables,
-// lattice.incr.add, cable.session, exp.prepare) so a snapshot reads as a
+// fa.compile, fa.accepts, fa.rejectsat, fa.executed, concept.context,
+// lattice.build, lattice.link_covers, lattice.tables, lattice.incr.add,
+// cable.session, exp.prepare) so a snapshot reads as a
 // phase-attributed profile of the Cable pipeline; see DESIGN.md's
 // Observability section.
 package obs

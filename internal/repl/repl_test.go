@@ -87,8 +87,8 @@ func TestLabelSelectors(t *testing.T) {
 		"label "+itoa(top)+" bad with good", // flip all
 	)
 	for i := 0; i < s.NumTraces(); i++ {
-		if must(s.LabelOf(i)) != cable.Bad {
-			t.Fatalf("trace %d label = %q", i, must(s.LabelOf(i)))
+		if s.Labels()[i] != cable.Bad {
+			t.Fatalf("trace %d label = %q", i, s.Labels()[i])
 		}
 	}
 }

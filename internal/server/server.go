@@ -132,10 +132,6 @@ func (s *Server) Janitor(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// EvictIdleNow runs one eviction sweep immediately; exported for tests
-// and operational tooling.
-func (s *Server) EvictIdleNow() int { return s.store.evictIdle(s.cfg.IdleTimeout) }
-
 // handlerFunc is an endpoint body: it gets the request-scoped context
 // (with the per-request deadline applied) and returns an error already
 // classified by the http* helpers, or nil after writing a response.

@@ -726,3 +726,6 @@ func TestJSONBodyOverLimit(t *testing.T) {
 		t.Fatalf("status %d, envelope %+v; want 413 too_large", code, apiErr)
 	}
 }
+
+// EvictIdleNow runs one eviction sweep immediately.
+func (s *Server) EvictIdleNow() int { return s.store.evictIdle(s.cfg.IdleTimeout) }

@@ -102,7 +102,7 @@ func TestStreamSoak(t *testing.T) {
 	fanOut(nStreams, workers, func(i int) {
 		ids[i] = c.openStream(sid, stdioSpec, 0).StreamID
 		var resp apiv1.StreamEventsResponse
-		if code := c.postRaw("/v1/streams/"+ids[i]+"/events", string(scripts[i].NDJSON()), &resp); code != http.StatusOK {
+		if code := c.postRaw("/v1/streams/"+ids[i]+"/events", scriptBody(scripts[i]), &resp); code != http.StatusOK {
 			t.Errorf("stream %d: events: status %d", i, code)
 		}
 	})
@@ -189,7 +189,7 @@ func BenchmarkStreamPump(b *testing.B) {
 	bodies := make([]string, nStreams)
 	fanOut(nStreams, 32, func(i int) {
 		ids[i] = c.openStream(created.SessionID, stdioSpec, 0).StreamID
-		bodies[i] = string(scripts[i].NDJSON())
+		bodies[i] = scriptBody(scripts[i])
 	})
 
 	events := 0
@@ -207,4 +207,13 @@ func BenchmarkStreamPump(b *testing.B) {
 		events += len(scripts[j].Events)
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// scriptBody renders a generated stream script as one NDJSON batch.
+func scriptBody(s xtrace.StreamScript) string {
+	events := make([]string, len(s.Events))
+	for i, e := range s.Events {
+		events[i] = e.String()
+	}
+	return ndjson(events...)
 }

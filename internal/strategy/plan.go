@@ -26,18 +26,6 @@ type Plan struct {
 	Ops []Op
 }
 
-// Cost returns the plan's cost under the Section 4.2 model: one inspection
-// per op plus one labeling per op that labels.
-func (p Plan) Cost() Cost {
-	c := Cost{Inspections: len(p.Ops)}
-	for _, op := range p.Ops {
-		if op.Label != cable.Unlabeled {
-			c.Labelings++
-		}
-	}
-	return c
-}
-
 // String renders the plan compactly: "c3!good c5 c7!bad ...".
 func (p Plan) String() string {
 	parts := make([]string, len(p.Ops))
@@ -49,25 +37,6 @@ func (p Plan) String() string {
 		}
 	}
 	return strings.Join(parts, " ")
-}
-
-// Apply replays the plan on a session using the public Cable commands,
-// labeling each op's concept's unlabeled traces. It returns an error if an
-// op labels a concept with no unlabeled traces (a malformed plan).
-func (p Plan) Apply(s *cable.Session) error {
-	for i, op := range p.Ops {
-		if op.Label == cable.Unlabeled {
-			continue // pure inspection
-		}
-		n, err := s.LabelTraces(op.Concept, cable.SelectUnlabeled(), op.Label)
-		if err != nil {
-			return fmt.Errorf("strategy: plan op %d: %w", i, err)
-		}
-		if n == 0 {
-			return fmt.Errorf("strategy: plan op %d labels concept %d with no unlabeled traces", i, op.Concept)
-		}
-	}
-	return nil
 }
 
 // planRun wraps run, recording each visit as a plan op.

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -71,8 +72,8 @@ func TestPlanApplyReproducesLabeling(t *testing.T) {
 		t.Fatal("session not fully labeled after replay")
 	}
 	for i := 0; i < s.NumTraces(); i++ {
-		if must(s.LabelOf(i)) != ref[i] {
-			t.Errorf("trace %d labeled %q, want %q", i, must(s.LabelOf(i)), ref[i])
+		if s.Labels()[i] != ref[i] {
+			t.Errorf("trace %d labeled %q, want %q", i, s.Labels()[i], ref[i])
 		}
 	}
 }
@@ -87,8 +88,8 @@ func TestExpertPlanApplyReproducesLabeling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < s.NumTraces(); i++ {
-		if must(s.LabelOf(i)) != ref[i] {
-			t.Errorf("trace %d labeled %q, want %q", i, must(s.LabelOf(i)), ref[i])
+		if s.Labels()[i] != ref[i] {
+			t.Errorf("trace %d labeled %q, want %q", i, s.Labels()[i], ref[i])
 		}
 	}
 }
@@ -126,8 +127,8 @@ func TestRandomPlanApplyMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < s.NumTraces(); i++ {
-			if must(s.LabelOf(i)) != ref[i] {
-				t.Fatalf("trial %d: trace %d labeled %q, want %q", trial, i, must(s.LabelOf(i)), ref[i])
+			if s.Labels()[i] != ref[i] {
+				t.Fatalf("trial %d: trace %d labeled %q, want %q", trial, i, s.Labels()[i], ref[i])
 			}
 		}
 	}
@@ -152,8 +153,8 @@ func TestOptimalPlanAchievesLabeling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < s.NumTraces(); i++ {
-		if must(s.LabelOf(i)) != ref[i] {
-			t.Errorf("trace %d labeled %q, want %q", i, must(s.LabelOf(i)), ref[i])
+		if s.Labels()[i] != ref[i] {
+			t.Errorf("trace %d labeled %q, want %q", i, s.Labels()[i], ref[i])
 		}
 	}
 	// And no shorter plan exists among the other strategies' plans.
@@ -209,4 +210,38 @@ func randomPlan(l *concept.Lattice, ref []cable.Label, rng *rand.Rand, maxOps in
 	var plan Plan
 	ok := r.randomWalk(rng, maxOps, &plan)
 	return plan, r.cost, ok
+}
+
+// Cost and Apply have no caller outside tests: the tests check a plan's
+// cost against the strategy's and replay it on a fresh session.
+
+// Cost returns the plan's cost under the Section 4.2 model: one inspection
+// per op plus one labeling per op that labels.
+func (p Plan) Cost() Cost {
+	c := Cost{Inspections: len(p.Ops)}
+	for _, op := range p.Ops {
+		if op.Label != cable.Unlabeled {
+			c.Labelings++
+		}
+	}
+	return c
+}
+
+// Apply replays the plan on a session using the public Cable commands,
+// labeling each op's concept's unlabeled traces. It returns an error if an
+// op labels a concept with no unlabeled traces (a malformed plan).
+func (p Plan) Apply(s *cable.Session) error {
+	for i, op := range p.Ops {
+		if op.Label == cable.Unlabeled {
+			continue // pure inspection
+		}
+		n, err := s.LabelTraces(op.Concept, cable.SelectUnlabeled(), op.Label)
+		if err != nil {
+			return fmt.Errorf("strategy: plan op %d: %w", i, err)
+		}
+		if n == 0 {
+			return fmt.Errorf("strategy: plan op %d labels concept %d with no unlabeled traces", i, op.Concept)
+		}
+	}
+	return nil
 }

@@ -252,11 +252,6 @@ func (s *Set) Representatives() []Trace {
 	return out
 }
 
-// ClassOf returns the class index of a trace identical to t, or -1.
-func (s *Set) ClassOf(t Trace) int {
-	return s.ClassOfKey(t.Key())
-}
-
 // ClassOfKey returns the class index of the trace with the given canonical
 // key (see Trace.Key), or -1. Callers that persist class identity — e.g. a
 // write-ahead log of labeling actions — store keys and resolve them here on

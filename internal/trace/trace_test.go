@@ -74,11 +74,11 @@ func TestSetDedup(t *testing.T) {
 	if len(reps) != 2 || reps[1].ID != "t2" {
 		t.Errorf("Representatives = %v", reps)
 	}
-	if got := s.ClassOf(tr("zzz", "X = popen()", "pclose(X)")); got != 1 {
-		t.Errorf("ClassOf = %d", got)
+	if got := s.ClassOfKey(tr("zzz", "X = popen()", "pclose(X)").Key()); got != 1 {
+		t.Errorf("ClassOfKey = %d", got)
 	}
-	if got := s.ClassOf(tr("zzz", "nope()")); got != -1 {
-		t.Errorf("ClassOf missing = %d", got)
+	if got := s.ClassOfKey(tr("zzz", "nope()").Key()); got != -1 {
+		t.Errorf("ClassOfKey missing = %d", got)
 	}
 }
 
@@ -111,7 +111,7 @@ func TestAlphabet(t *testing.T) {
 
 func TestEmptySetQueries(t *testing.T) {
 	var s Set
-	if s.Total() != 0 || s.NumClasses() != 0 || s.ClassOf(tr("x", "f()")) != -1 {
+	if s.Total() != 0 || s.NumClasses() != 0 || s.ClassOfKey(tr("x", "f()").Key()) != -1 {
 		t.Error("zero Set misbehaves")
 	}
 	if len(s.Alphabet()) != 0 || len(s.Representatives()) != 0 {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/bitset"
 	"repro/internal/fa"
 	"repro/internal/trace"
 )
@@ -46,47 +45,27 @@ func Explain(spec *fa.FA, t trace.Trace) (Explanation, bool) {
 		return Explanation{}, false
 	}
 	// Re-simulate to the rejection point to find the live state set there.
-	cur := stateSet(spec, spec.StartStates())
-	for i := 0; i < at && i < len(t.Events); i++ {
-		cur = step(spec, cur, t.Events[i].String())
+	cur := spec.Sim().NewCursor()
+	for _, e := range t.Events[:at] {
+		cur.Step(e)
+	}
+	live := make([]bool, spec.NumStates())
+	for _, s := range cur.States(nil) {
+		live[s] = true
 	}
 	exp := Explanation{At: at}
 	if at < len(t.Events) {
 		exp.Got = t.Events[at].String()
 	}
 	allowed := map[string]bool{}
-	cur.Range(func(s int) bool {
-		for _, tr := range spec.Transitions() {
-			if int(tr.From) == s {
-				allowed[tr.Label.String()] = true
-			}
+	for _, tr := range spec.Transitions() {
+		if live[tr.From] {
+			allowed[tr.Label.String()] = true
 		}
-		return true
-	})
+	}
 	for label := range allowed {
 		exp.Expected = append(exp.Expected, label)
 	}
 	sort.Strings(exp.Expected)
 	return exp, true
-}
-
-func stateSet(spec *fa.FA, states []fa.State) *bitset.Set {
-	out := bitset.New(spec.NumStates())
-	for _, s := range states {
-		out.Add(int(s))
-	}
-	return out
-}
-
-func step(spec *fa.FA, cur *bitset.Set, label string) *bitset.Set {
-	next := bitset.New(spec.NumStates())
-	cur.Range(func(s int) bool {
-		for _, tr := range spec.Transitions() {
-			if int(tr.From) == s && (fa.IsWildcard(tr.Label) || tr.Label.String() == label) {
-				next.Add(int(tr.To))
-			}
-		}
-		return true
-	})
-	return next
 }

@@ -70,7 +70,7 @@ func TestStaticAgainstBuggySpec(t *testing.T) {
 		t.Fatalf("set/violations mismatch: %d vs %d", set.Total(), len(violations))
 	}
 	want := trace.ParseEvents("", "X = popen()", "pclose(X)")
-	if set.ClassOf(want) < 0 {
+	if set.ClassOfKey(want.Key()) < 0 {
 		t.Error("popen;pclose not among static violations of the buggy spec")
 	}
 }

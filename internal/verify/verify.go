@@ -35,56 +35,16 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s <violates at event %d: %s>", v.Trace.Key(), v.At, v.Trace.Events[v.At])
 }
 
-// Checker binds a specification to its compiled simulation plan once, so
-// callers that check in a loop — cabled's stream path checks a session's
-// reference FA against every open stream — never pay recompilation. The
-// package-level Check/CheckSet/Partition remain as one-shot conveniences
-// built on it.
-//
-// A Checker is safe for concurrent use: the compiled plan is immutable
-// and shared.
-type Checker struct {
-	spec *fa.FA
-	sim  *fa.Sim
-}
-
-// NewChecker compiles the specification once and returns the reusable
-// checker. This is the plan-reuse hoist for loops: fa.Sim caches per
-// Builder-built automaton, but zero-value FAs recompile on every Sim
-// call, and even cached lookups repeat interner work per invocation —
-// the Checker pins the plan unconditionally.
-func NewChecker(spec *fa.FA) *Checker {
-	return &Checker{spec: spec, sim: spec.Sim()}
-}
-
-// Spec returns the specification the checker was compiled from.
-func (c *Checker) Spec() *fa.FA { return c.spec }
-
-// Sim exposes the pinned plan so online checkers (internal/stream) can
-// share it.
-func (c *Checker) Sim() *fa.Sim { return c.sim }
-
-// Check simulates each trace against the specification and returns the
-// violations in input order.
-func (c *Checker) Check(traces []trace.Trace) []Violation {
-	var out []Violation
-	for _, t := range traces {
-		if at := c.sim.RejectsAt(t); at >= 0 {
-			out = append(out, Violation{Trace: t, At: at})
-		}
-	}
-	return out
-}
-
 // CheckSet checks every trace of a set and returns the violating traces
-// as a set alongside the per-trace violations (duplicates included, in
-// set order). Each equivalence class is simulated once — duplicates
-// share their class's verdict instead of re-running the automaton.
-func (c *Checker) CheckSet(set *trace.Set) (*trace.Set, []Violation) {
+// as a set alongside the per-trace violations (duplicates included, in set
+// order). Each class of identical traces is simulated once on the
+// specification's compiled plan, and its duplicates share the verdict.
+func CheckSet(spec *fa.FA, set *trace.Set) (*trace.Set, []Violation) {
+	sim := spec.Sim()
 	vset := &trace.Set{}
 	var violations []Violation
 	for _, cl := range set.Classes() {
-		at := c.sim.RejectsAt(cl.Rep)
+		at := sim.RejectsAt(cl.Rep)
 		if at < 0 {
 			continue
 		}
@@ -96,29 +56,4 @@ func (c *Checker) CheckSet(set *trace.Set) (*trace.Set, []Violation) {
 		}
 	}
 	return vset, violations
-}
-
-// Partition splits a set into the traces the specification accepts and
-// the traces it rejects, preserving multiplicities. Each class is
-// simulated once.
-func (c *Checker) Partition(set *trace.Set) (accepted, rejected *trace.Set) {
-	accepted, rejected = &trace.Set{}, &trace.Set{}
-	for _, cl := range set.Classes() {
-		dst := accepted
-		if !c.sim.Accepts(cl.Rep) {
-			dst = rejected
-		}
-		for j := 0; j < cl.Count; j++ {
-			t := cl.Rep
-			t.ID = cl.IDs[j]
-			dst.Add(t)
-		}
-	}
-	return accepted, rejected
-}
-
-// CheckSet checks every trace of a set (duplicates included) and returns
-// the violating traces as a set alongside the per-class violations.
-func CheckSet(spec *fa.FA, set *trace.Set) (*trace.Set, []Violation) {
-	return NewChecker(spec).CheckSet(set)
 }

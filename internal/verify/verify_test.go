@@ -142,15 +142,32 @@ func checkRuns(spec *fa.FA, fe mine.FrontEnd, runs []mine.Run) (*trace.Set, []Vi
 }
 
 // check simulates each trace against the specification and returns the
-// violations in input order. The specification is compiled once (fa.Sim)
-// and the plan reused across all traces.
+// violations in input order.
 func check(spec *fa.FA, traces []trace.Trace) []Violation {
-	return NewChecker(spec).Check(traces)
+	var out []Violation
+	for _, t := range traces {
+		if at := spec.Sim().RejectsAt(t); at >= 0 {
+			out = append(out, Violation{Trace: t, At: at})
+		}
+	}
+	return out
 }
 
 // partition splits a set into the traces the specification accepts and the
-// traces it rejects, preserving multiplicities. Debugging sessions use it
-// to separate violations from conforming scenarios.
+// traces it rejects, preserving multiplicities; each class is simulated
+// once.
 func partition(spec *fa.FA, set *trace.Set) (accepted, rejected *trace.Set) {
-	return NewChecker(spec).Partition(set)
+	accepted, rejected = &trace.Set{}, &trace.Set{}
+	for _, cl := range set.Classes() {
+		dst := accepted
+		if !spec.Sim().Accepts(cl.Rep) {
+			dst = rejected
+		}
+		for j := 0; j < cl.Count; j++ {
+			t := cl.Rep
+			t.ID = cl.IDs[j]
+			dst.Add(t)
+		}
+	}
+	return accepted, rejected
 }

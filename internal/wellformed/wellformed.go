@@ -16,15 +16,15 @@ package wellformed
 
 import (
 	"repro/internal/bitset"
-	"repro/internal/cable"
 	"repro/internal/concept"
 )
 
 // Check reports whether the lattice is well-formed for the labeling, and
 // returns the IDs of the concepts that are not well-formed (empty when
-// well-formed). labels[i] is the desired label of object i; every object
-// must carry a non-empty label.
-func Check(l *concept.Lattice, labels []cable.Label) (ok bool, badConcepts []int) {
+// well-formed). labels[i] is the desired label of object i; labels are
+// compared with ==, so the caller picks the label type (cable.Label for a
+// session's labels).
+func Check[L comparable](l *concept.Lattice, labels []L) (ok bool, badConcepts []int) {
 	memo := make([]int8, l.Len()) // 0 unknown, 1 ok, 2 bad
 	var rec func(id int) bool
 	rec = func(id int) bool {
@@ -81,8 +81,8 @@ func properTraces(l *concept.Lattice, id int) *bitset.Set {
 
 // uniform reports whether all objects of the set carry the same label; the
 // empty set is uniform.
-func uniform(x *bitset.Set, labels []cable.Label) bool {
-	first := cable.Unlabeled
+func uniform[L comparable](x *bitset.Set, labels []L) bool {
+	var first L
 	seen := false
 	ok := true
 	x.Range(func(o int) bool {
@@ -103,7 +103,7 @@ func uniform(x *bitset.Set, labels []cable.Label) bool {
 // concepts: bad concepts none of whose children are bad. These are the
 // concepts the user would mark "mixed" and re-cluster with a different FA
 // in a Focus session.
-func MixedConcepts(l *concept.Lattice, labels []cable.Label) []int {
+func MixedConcepts[L comparable](l *concept.Lattice, labels []L) []int {
 	_, bad := Check(l, labels)
 	badSet := map[int]bool{}
 	for _, id := range bad {

@@ -1,4 +1,4 @@
-package wellformed
+package wellformed_test
 
 import (
 	"testing"
@@ -7,6 +7,7 @@ import (
 	"repro/internal/concept"
 	"repro/internal/fa"
 	"repro/internal/trace"
+	"repro/internal/wellformed"
 )
 
 // fooLattice builds the Section 4.3 counterexample: a specification whose
@@ -60,11 +61,11 @@ func stdioLattice(t *testing.T) (*concept.Lattice, []cable.Label) {
 
 func TestFooNotWellFormed(t *testing.T) {
 	l, labels := fooLattice(t)
-	ok, bad := Check(l, labels)
+	ok, bad := wellformed.Check(l, labels)
 	if ok || len(bad) == 0 {
 		t.Fatalf("foo lattice reported well-formed (bad=%v)", bad)
 	}
-	minimal := MixedConcepts(l, labels)
+	minimal := wellformed.MixedConcepts(l, labels)
 	if len(minimal) == 0 {
 		t.Fatal("no minimal mixed concepts")
 	}
@@ -78,11 +79,11 @@ func TestFooNotWellFormed(t *testing.T) {
 
 func TestStdioWellFormed(t *testing.T) {
 	l, labels := stdioLattice(t)
-	ok, bad := Check(l, labels)
+	ok, bad := wellformed.Check(l, labels)
 	if !ok {
 		t.Fatalf("stdio lattice not well-formed; bad concepts %v\n%s", bad, l)
 	}
-	if mixed := MixedConcepts(l, labels); len(mixed) != 0 {
+	if mixed := wellformed.MixedConcepts(l, labels); len(mixed) != 0 {
 		t.Errorf("MixedConcepts on well-formed lattice = %v", mixed)
 	}
 }
@@ -92,7 +93,7 @@ func TestUniformLabelingAlwaysWellFormed(t *testing.T) {
 	for i := range labels {
 		labels[i] = cable.Good
 	}
-	if ok, _ := Check(l, labels); !ok {
+	if ok, _ := wellformed.Check(l, labels); !ok {
 		t.Fatal("uniform labeling reported not well-formed")
 	}
 }
@@ -126,7 +127,7 @@ func TestFocusRepairsFooLattice(t *testing.T) {
 		t.Fatal(err)
 	}
 	labels := []cable.Label{cable.Good, cable.Bad, cable.Good, cable.Bad}
-	if ok, bad := Check(l, labels); !ok {
+	if ok, bad := wellformed.Check(l, labels); !ok {
 		t.Fatalf("parity lattice not well-formed; bad = %v\n%s", bad, l)
 	}
 }

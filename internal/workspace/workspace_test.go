@@ -44,8 +44,8 @@ func TestRoundTrip(t *testing.T) {
 		if must(got.Trace(i)).Key() != must(s.Trace(i)).Key() {
 			t.Errorf("trace %d changed", i)
 		}
-		if must(got.LabelOf(i)) != must(s.LabelOf(i)) {
-			t.Errorf("label %d: %q -> %q", i, must(s.LabelOf(i)), must(got.LabelOf(i)))
+		if got.Labels()[i] != s.Labels()[i] {
+			t.Errorf("label %d: %q -> %q", i, s.Labels()[i], got.Labels()[i])
 		}
 		if must(got.Multiplicity(i)) != must(s.Multiplicity(i)) {
 			t.Errorf("multiplicity %d changed", i)

@@ -15,13 +15,10 @@
 package xtrace
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/event"
-	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -39,22 +36,6 @@ type StreamScript struct {
 	// (counting the finalization violation); see the package comment for
 	// why the count is a lower bound.
 	Bad int
-}
-
-// NDJSON renders the script in the wire format of cabled's
-// /v1/streams/{id}/events endpoint and the cable CLI's offline mode:
-// one {"event": ...} object per line.
-func (s StreamScript) NDJSON() []byte {
-	var b bytes.Buffer
-	for _, e := range s.Events {
-		line, err := json.Marshal(stream.Line{Event: e.String()})
-		if err != nil {
-			panic(fmt.Sprintf("xtrace: marshalling event line: %v", err)) // cannot fail: Line is a string field
-		}
-		b.Write(line)
-		b.WriteByte('\n')
-	}
-	return b.Bytes()
 }
 
 // Streams generates n stream scripts of scenariosPerStream scenario

@@ -2,6 +2,8 @@ package xtrace
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/fa"
@@ -136,4 +138,20 @@ func TestStreamsOnline(t *testing.T) {
 	if !sawBad {
 		t.Fatal("no script carried a bad instance; enlarge the batch")
 	}
+}
+
+// NDJSON renders the script in the wire format of cabled's
+// /v1/streams/{id}/events endpoint and the cable CLI's offline mode:
+// one {"event": ...} object per line.
+func (s StreamScript) NDJSON() []byte {
+	var b bytes.Buffer
+	for _, e := range s.Events {
+		line, err := json.Marshal(stream.Line{Event: e.String()})
+		if err != nil {
+			panic(fmt.Sprintf("xtrace: marshalling event line: %v", err)) // cannot fail: Line is a string field
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
 }

@@ -63,9 +63,9 @@ go test -run '^$' -bench 'BenchmarkLatticeBig' \
 to_json < "$TMP_BIG" > BENCH_lattice_big.json
 echo "wrote BENCH_lattice_big.json"
 
-# The compiled FA simulator (legacy loop vs compiled plan vs memoized
-# classes) and the trace-context construction that rides on it.
-go test -run '^$' -bench 'BenchmarkExecuted$|BenchmarkExecutedAll|BenchmarkAccepts' \
+# The compiled FA simulator (legacy loop vs compiled plan) and the
+# trace-context construction that rides on it, warm and cold.
+go test -run '^$' -bench 'BenchmarkExecuted$|BenchmarkAccepts' \
     -benchmem -benchtime "$BENCHTIME" ./internal/fa | tee -a "$TMP_FA"
 go test -run '^$' -bench 'BenchmarkTraceContext' \
     -benchmem -benchtime "$BENCHTIME" ./internal/concept | tee -a "$TMP_FA"
