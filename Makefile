@@ -73,8 +73,10 @@ obs-smoke:
 # (traces, automata, Burmeister contexts), the trace reader against its
 # line-by-line oracle, every parseable event through a trace file, the
 # two semantic-engine differential properties (determinization vs. the
-# NFA, complement and self-inclusion vs. the bounded oracle), and the
-# sk-strings and k-tails learners against their map-and-string oracles.
+# NFA, complement and self-inclusion vs. the bounded oracle), the
+# sk-strings and k-tails learners against their map-and-string oracles,
+# and cabled's session snapshot and write-ahead log readers (no panic;
+# what they accept re-encodes to the input, or the log's accepted prefix).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatchesOracle$$' -fuzztime 10s ./internal/trace
@@ -84,6 +86,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeterminize$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzComplementInclusion$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzLearnMatchesOracle$$' -fuzztime 5s ./internal/learn
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionSnapshot$$' -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzWAL$$' -fuzztime 5s ./internal/server
 
 # Build the real cabled binary, exercise the API over TCP, and assert a
 # clean SIGTERM shutdown while a lattice build is in flight. The server

@@ -20,10 +20,10 @@ import (
 // A reference to a function is a pkg.Name selector from another package,
 // or an identifier in the declaring package that does not name a field, a
 // method or a composite literal key. A reference to a method is any x.Name
-// selector other than a pkg.Name selector into this module. The check is
-// syntactic: it does not resolve scopes or types, so a local name that
-// shadows a function, or any selector of the same name (os.Rename for a
-// Rename method), counts as a reference.
+// selector other than a pkg.Name selector into an imported package. The
+// check is syntactic: it does not resolve scopes or types, so a local name
+// that shadows a function or an import, or any other selector of the same
+// name, counts as a reference.
 func TestExportedFuncsHaveCallers(t *testing.T) {
 	// testOnlyExports lists the exported functions under internal/ that
 	// no non-test code calls, with the reason each stays: another
@@ -84,17 +84,20 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 				return err
 			}
 			dir := filepath.ToSlash(filepath.Dir(p))
-			imports := map[string]string{} // local name → directory in this module
+			// imports maps each import's local name to its directory in
+			// this module, or to "" for a package outside it, whose
+			// selectors (os.Rename) call no method.
+			imports := map[string]string{}
 			for _, imp := range f.Imports {
 				ip, _ := strconv.Unquote(imp.Path.Value)
-				if !strings.HasPrefix(ip, "repro/") {
-					continue
-				}
 				local := path.Base(ip)
 				if imp.Name != nil {
 					local = imp.Name.Name
 				}
-				imports[local] = strings.TrimPrefix(ip, "repro/")
+				imports[local] = ""
+				if strings.HasPrefix(ip, "repro/") {
+					imports[local] = strings.TrimPrefix(ip, "repro/")
+				}
 			}
 			// Names that declare a function or method, a field or an
 			// interface method, or that key a composite literal, refer to
@@ -120,7 +123,9 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 				case *ast.SelectorExpr:
 					if x, ok := n.X.(*ast.Ident); ok {
 						if target, ok := imports[x.Name]; ok {
-							selectors[target+"."+n.Sel.Name] = true
+							if target != "" {
+								selectors[target+"."+n.Sel.Name] = true
+							}
 							return false
 						}
 					}

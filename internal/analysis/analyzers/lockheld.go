@@ -30,7 +30,8 @@ var LockHeld = &analysis.Analyzer{
 var blockingCalls = map[string]string{
 	"repro/internal/cable.NewSession":           "builds the initial lattice",
 	"repro/internal/cable.Session.Focus":        "rebuilds the lattice",
-	"repro/internal/cable.Session.Suggest":      "scans the lattice",
+	"repro/internal/cable.Session.SuggestFocus": "builds a lattice per candidate template",
+	"repro/internal/cable.Suggest":              "builds a lattice per candidate template",
 	"repro/internal/concept.Build":              "builds a lattice",
 	"repro/internal/concept.BuildCtx":           "builds a lattice",
 	"repro/internal/concept.BuildFromTraces":    "builds a lattice",

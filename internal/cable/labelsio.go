@@ -1,18 +1,39 @@
 package cable
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/scanio"
 )
 
+// WriteLabels writes one "<label>\t<trace key>" line per labeled trace
+// class, sorted, and returns how many it wrote. It is the writing half of
+// label persistence, shared by the REPL's save command and by workspace
+// files.
+func WriteLabels(w io.Writer, s *Session) (int, error) {
+	var lines []string
+	for i, l := range s.labels {
+		if l != Unlabeled {
+			lines = append(lines, string(l)+"\t"+s.set.ClassKey(i))
+		}
+	}
+	sort.Strings(lines)
+	bw := bufio.NewWriter(w)
+	for _, line := range lines {
+		bw.WriteString(line)
+		bw.WriteByte('\n')
+	}
+	return len(lines), bw.Flush()
+}
+
 // ApplyLabels reads "<label>\t<trace key>" lines (blank lines and #
 // comments ignored) and labels the session's matching trace classes,
-// returning how many applied. It is the parsing half of label persistence,
-// shared by the REPL's load command and by workspace files.
+// returning how many applied. It is the parsing half of label persistence.
 func ApplyLabels(s *Session, in io.Reader) (int, error) {
 	byKey := map[string]int{}
 	for i, t := range s.Representatives() {

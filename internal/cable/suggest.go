@@ -1,6 +1,7 @@
 package cable
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/concept"
@@ -28,29 +29,44 @@ type Suggestion struct {
 
 // SuggestFocus examines the concept's traces and the labels they already
 // carry, and proposes a Focus template whose induced sub-lattice separates
-// the differently-labeled traces (is well-formed for the partial labeling,
-// extended to unlabeled traces by ignoring them). It tries the paper's
-// templates in order of induced lattice size: unordered, then a name
-// projection per mentioned name, then a seed order per alphabet event. It
-// returns an error if the concept's labeled traces do not disagree (no
-// split needed) or if no template separates them.
+// the differently-labeled traces; see Suggest. It returns an error if the
+// concept's labeled traces do not disagree (no split needed) or if no
+// template separates them.
 func (s *Session) SuggestFocus(id int) (Suggestion, error) {
 	objs, err := s.Select(id, SelectAll())
 	if err != nil {
 		return Suggestion{}, err
 	}
-	var traces []trace.Trace
-	var labels []Label
+	traces := make([]trace.Trace, len(objs))
+	labels := make([]Label, len(objs))
+	for i, o := range objs {
+		traces[i], labels[i] = s.traces[o], s.labels[o]
+	}
+	sug, err := Suggest(traces, labels)
+	if err != nil {
+		return Suggestion{}, fmt.Errorf("cable: concept %d: %w", id, err)
+	}
+	return sug, nil
+}
+
+// Suggest proposes a Focus template for traces carrying labels (one per
+// trace, Unlabeled allowed) whose induced lattice separates the
+// differently-labeled traces (is well-formed for the partial labeling,
+// extended to unlabeled traces by ignoring them). It tries the paper's
+// templates in order of induced lattice size: unordered, then a name
+// projection per mentioned name, then a seed order per alphabet event,
+// building a lattice per candidate until one separates the labels. It
+// returns an error if the labeled traces do not disagree or if no
+// template separates them.
+func Suggest(traces []trace.Trace, labels []Label) (Suggestion, error) {
 	distinct := map[Label]bool{}
-	for _, o := range objs {
-		traces = append(traces, s.traces[o])
-		labels = append(labels, s.labels[o])
-		if s.labels[o] != Unlabeled {
-			distinct[s.labels[o]] = true
+	for _, l := range labels {
+		if l != Unlabeled {
+			distinct[l] = true
 		}
 	}
 	if len(distinct) < 2 {
-		return Suggestion{}, fmt.Errorf("cable: concept %d is not mixed under the current labels", id)
+		return Suggestion{}, errors.New("not mixed under the current labels")
 	}
 	alphabet := trace.NewSet(traces...).Alphabet()
 
@@ -73,7 +89,7 @@ func (s *Session) SuggestFocus(id int) (Suggestion, error) {
 			return cand, nil
 		}
 	}
-	return Suggestion{}, fmt.Errorf("cable: no template separates the labels of concept %d; label by hand or supply a custom FA", id)
+	return Suggestion{}, errors.New("no template separates the labels; label by hand or supply a custom FA")
 }
 
 // separates reports whether the candidate reference FA accepts every

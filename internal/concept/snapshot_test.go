@@ -3,11 +3,15 @@ package concept
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/binio"
 	"repro/internal/bitset"
 )
 
@@ -24,7 +28,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err := WriteSnapshot(&buf, l); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		restored, err := ReadSnapshot(buf.Bytes())
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -48,14 +52,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsCorruption flips every byte of a valid snapshot and
-// requires that no corruption is silently accepted as the original
-// lattice: each flip must either fail to parse (the common case — the CRC
-// trailer catches anything structural validation misses) or, where the
-// mutation lands in a name length/content byte that still hashes... it
-// cannot: the CRC covers every payload byte, so only trailer flips parse,
-// and those fail the stored-vs-computed comparison. In short: every single
-// flip must return an error.
+// TestSnapshotRejectsCorruption requires that no truncation or bit flip of
+// a valid snapshot is accepted, and that each failure is typed: the reader
+// checks the CRC trailer first, so every strict prefix fails as truncated
+// input (io.ErrUnexpectedEOF) or as a checksum mismatch, and so does every
+// single-bit flip.
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	c := randomContext(rand.New(rand.NewSource(5)), 6, 5)
 	l := Build(c)
@@ -64,17 +65,71 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := buf.Bytes()
-	for i := range orig {
-		mut := append([]byte(nil), orig...)
-		mut[i] ^= 0x41
-		if _, err := ReadSnapshot(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("byte flip at offset %d accepted", i)
+	typed := func(err error) bool {
+		return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, binio.ErrChecksum)
+	}
+	for cut := 0; cut < len(orig); cut++ {
+		if _, err := ReadSnapshot(orig[:cut]); !typed(err) {
+			t.Fatalf("truncation to %d bytes: err = %v, want a truncation or checksum error", cut, err)
 		}
 	}
-	// Truncations must error too, never hang or panic.
-	for _, cut := range []int{0, 1, 4, 5, len(orig) / 2, len(orig) - 1} {
-		if _, err := ReadSnapshot(bytes.NewReader(orig[:cut])); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", cut)
+	for bit := 0; bit < 8*len(orig); bit++ {
+		mut := append([]byte(nil), orig...)
+		mut[bit/8] ^= 1 << (bit % 8)
+		if _, err := ReadSnapshot(mut); !typed(err) {
+			t.Fatalf("flip of bit %d: err = %v, want a truncation or checksum error", bit, err)
+		}
+	}
+}
+
+// TestSnapshotRejectsResealed covers the checks behind a valid CRC: a
+// payload edited and sealed again must still fail on its magic, version,
+// header, bits, parents or length.
+func TestSnapshotRejectsResealed(t *testing.T) {
+	c := NewContext([]string{"frog", "dog", "eagle"}, []string{"swims", "barks", "flies"})
+	for o := 0; o < 3; o++ {
+		c.Relate(o, o)
+	}
+	orig, err := AppendSnapshot(nil, Build(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := orig[:len(orig)-4]
+	// Offsets into the payload: the header's five counts follow the magic
+	// and version; the first object row follows the six names.
+	const header = 5
+	firstRow := header + 20 + 6*4 + len("frogdogeagleswimsbarksflies")
+	edit := func(f func(p []byte) []byte) []byte {
+		w := binio.Writer(f(append([]byte(nil), payload...)))
+		w.Seal(0)
+		return w
+	}
+	u32 := func(p []byte, at int, v uint32) []byte {
+		binary.LittleEndian.PutUint32(p[at:], v)
+		return p
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"magic", edit(func(p []byte) []byte { p[0] = 'X'; return p }), "bad magic"},
+		{"version", edit(func(p []byte) []byte { p[4] = 2; return p }), "unsupported version 2"},
+		{"object count", edit(func(p []byte) []byte { return u32(p, header, 1<<20) }), "unexpected EOF"},
+		{"dimension cap", edit(func(p []byte) []byte { return u32(p, header+8, 1<<25) }), "exceeds the cap 16777216"},
+		{"top", edit(func(p []byte) []byte { return u32(p, header+12, 99) }), "out of range"},
+		{"row bit", edit(func(p []byte) []byte { p[firstRow+4] = 1 << 3; return p }), "beyond universe 3"},
+		{"trailing", edit(func(p []byte) []byte { return append(p, 0) }), "1 trailing bytes"},
+		{"parents", edit(func(p []byte) []byte {
+			// Give the last concept's parent list a bad entry: the
+			// payload ends with it, and a lattice with several concepts
+			// has a parent for every concept but the top.
+			return u32(p, len(p)-4, 1<<20)
+		}), "not strictly ascending"},
+	} {
+		_, err := ReadSnapshot(tc.data)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "concept: snapshot: ") {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -97,7 +152,7 @@ func TestSnapshotRejectsUnclosedRow(t *testing.T) {
 	if err := WriteSnapshot(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	_, err := ReadSnapshot(buf.Bytes())
 	if err == nil {
 		t.Fatal("snapshot with an unclosed object row accepted")
 	}
@@ -122,7 +177,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte(snapshotMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := ReadSnapshot(bytes.NewReader(data))
+		l, err := ReadSnapshot(data)
 		if err != nil {
 			return
 		}
@@ -130,7 +185,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err := WriteSnapshot(&first, l); err != nil {
 			t.Fatalf("re-serializing an accepted snapshot failed: %v", err)
 		}
-		again, err := ReadSnapshot(bytes.NewReader(first.Bytes()))
+		again, err := ReadSnapshot(first.Bytes())
 		if err != nil {
 			t.Fatalf("round trip does not reparse: %v", err)
 		}

@@ -103,26 +103,6 @@ func (e Event) Mentions(name string) bool {
 	return false
 }
 
-// Rename returns a copy of the event with every variable name mapped through
-// subst; names absent from subst are kept unchanged.
-func (e Event) Rename(subst map[string]string) Event {
-	out := Event{Op: e.Op, Def: e.Def}
-	if n, ok := subst[e.Def]; ok {
-		out.Def = n
-	}
-	if len(e.Uses) > 0 {
-		out.Uses = make([]string, len(e.Uses))
-		for i, u := range e.Uses {
-			if n, ok := subst[u]; ok {
-				out.Uses[i] = n
-			} else {
-				out.Uses[i] = u
-			}
-		}
-	}
-	return out
-}
-
 // Parse parses the canonical rendering produced by String:
 //
 //	[def =] op ( [use {, use}] )

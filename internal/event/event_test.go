@@ -106,19 +106,6 @@ func TestNamesAndMentions(t *testing.T) {
 	}
 }
 
-func TestRename(t *testing.T) {
-	e := MustParse("Y = draw(X, Y)")
-	r := e.Rename(map[string]string{"Y": "A", "X": "B"})
-	if r.String() != "A = draw(B, A)" {
-		t.Errorf("Rename = %q", r)
-	}
-	// Unmapped names survive; original untouched.
-	r2 := e.Rename(map[string]string{"X": "Q"})
-	if r2.String() != "Y = draw(Q, Y)" || e.String() != "Y = draw(X, Y)" {
-		t.Errorf("Rename partial = %q, orig = %q", r2, e)
-	}
-}
-
 func TestConcrete(t *testing.T) {
 	c := Concrete{Op: "XCreateGC", Def: 7, Uses: []ObjID{3, 7}}
 	if got := c.String(); got != "#7 = XCreateGC(#3, #7)" {

@@ -37,7 +37,9 @@ func Compile(name, pattern string) (*FA, error) {
 	if p.pos != len(p.input) {
 		return nil, fmt.Errorf("fa: compile %q: trailing input at offset %d", pattern, p.pos)
 	}
-	return buildRx(name, ast)
+	var n EpsNFA
+	f := n.thompson(ast)
+	return n.Build(name, f.in, f.out)
 }
 
 // MustCompile is Compile that panics on error, for static patterns.
@@ -204,137 +206,56 @@ func (p *rxParser) parseEventLit() (rxNode, error) {
 
 // --- Thompson construction ---------------------------------------------------
 
-// epsNFA is the intermediate automaton with ε-transitions: Thompson's
-// construction builds one fragment per AST node, and ε-elimination turns
-// the result into the package's ε-free FA representation.
-type epsNFA struct {
-	numStates int
-	eps       map[int][]int
-	edges     []epsEdge
-}
-
-type epsEdge struct {
-	from, to int
-	label    event.Event
-	wild     bool
-}
-
-func (n *epsNFA) state() int {
-	s := n.numStates
-	n.numStates++
-	return s
-}
-
-func (n *epsNFA) addEps(from, to int) { n.eps[from] = append(n.eps[from], to) }
-
 // frag is a Thompson fragment with one entry and one exit state.
 type frag struct{ in, out int }
 
-func buildRx(name string, ast rxNode) (*FA, error) {
-	n := &epsNFA{eps: map[int][]int{}}
-	f := n.thompson(ast)
-
-	// ε-closures by DFS from each state.
-	closure := make([][]int, n.numStates)
-	for s := 0; s < n.numStates; s++ {
-		seen := map[int]bool{s: true}
-		stack := []int{s}
-		var cl []int
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			cl = append(cl, cur)
-			for _, t := range n.eps[cur] {
-				if !seen[t] {
-					seen[t] = true
-					stack = append(stack, t)
-				}
-			}
-		}
-		closure[s] = cl
-	}
-
-	// ε-elimination: state s gains every labeled edge leaving its closure,
-	// and accepts if its closure contains the fragment's exit.
-	b := NewBuilder(name)
-	states := b.States(n.numStates)
-	b.Start(states[f.in])
-	outBy := make(map[int][]epsEdge)
-	for _, e := range n.edges {
-		outBy[e.from] = append(outBy[e.from], e)
-	}
-	for s := 0; s < n.numStates; s++ {
-		accept := false
-		for _, t := range closure[s] {
-			if t == f.out {
-				accept = true
-			}
-			for _, e := range outBy[t] {
-				if e.wild {
-					b.WildcardEdge(states[s], states[e.to])
-				} else {
-					b.Edge(states[s], e.label, states[e.to])
-				}
-			}
-		}
-		if accept {
-			b.Accept(states[s])
-		}
-	}
-	fa, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return fa.Trim(), nil
-}
-
 // thompson builds the classic two-endpoint fragment for a node.
-func (n *epsNFA) thompson(node rxNode) frag {
+func (n *EpsNFA) thompson(node rxNode) frag {
 	switch node := node.(type) {
 	case rxEvent:
-		in, out := n.state(), n.state()
-		n.edges = append(n.edges, epsEdge{from: in, to: out, label: node.e})
+		in, out := n.State(), n.State()
+		n.Edge(in, node.e, out)
 		return frag{in, out}
 	case rxWild:
-		in, out := n.state(), n.state()
-		n.edges = append(n.edges, epsEdge{from: in, to: out, wild: true})
+		in, out := n.State(), n.State()
+		n.WildcardEdge(in, out)
 		return frag{in, out}
 	case rxSeq:
 		if len(node.parts) == 0 {
-			s := n.state()
+			s := n.State()
 			return frag{s, s}
 		}
 		cur := n.thompson(node.parts[0])
 		for _, part := range node.parts[1:] {
 			next := n.thompson(part)
-			n.addEps(cur.out, next.in)
+			n.Eps(cur.out, next.in)
 			cur = frag{cur.in, next.out}
 		}
 		return cur
 	case rxAlt:
-		in, out := n.state(), n.state()
+		in, out := n.State(), n.State()
 		for _, part := range node.parts {
 			sub := n.thompson(part)
-			n.addEps(in, sub.in)
-			n.addEps(sub.out, out)
+			n.Eps(in, sub.in)
+			n.Eps(sub.out, out)
 		}
 		return frag{in, out}
 	case rxStar:
-		in, out := n.state(), n.state()
+		in, out := n.State(), n.State()
 		sub := n.thompson(node.sub)
-		n.addEps(in, sub.in)
-		n.addEps(in, out)
-		n.addEps(sub.out, sub.in)
-		n.addEps(sub.out, out)
+		n.Eps(in, sub.in)
+		n.Eps(in, out)
+		n.Eps(sub.out, sub.in)
+		n.Eps(sub.out, out)
 		return frag{in, out}
 	case rxPlus:
 		return n.thompson(rxSeq{parts: []rxNode{node.sub, rxStar{sub: node.sub}}})
 	case rxOpt:
-		in, out := n.state(), n.state()
+		in, out := n.State(), n.State()
 		sub := n.thompson(node.sub)
-		n.addEps(in, sub.in)
-		n.addEps(in, out)
-		n.addEps(sub.out, out)
+		n.Eps(in, sub.in)
+		n.Eps(in, out)
+		n.Eps(sub.out, out)
 		return frag{in, out}
 	}
 	panic("fa: unknown regex node")

@@ -84,61 +84,41 @@ func (c Call) event() event.Event {
 // of event sequences of terminating executions. Construction goes through
 // an ε-NFA (branch/loop wiring) followed by ε-elimination.
 func (p *Program) Compile() (*fa.FA, error) {
-	n := &enfa{eps: map[int][]int{}}
-	start := n.state()
-	end := n.wire(p.Body, start)
-	return n.freeze(p.Name, start, end)
+	var n fa.EpsNFA
+	start := n.State()
+	end := wire(&n, p.Body, start)
+	return n.Build(p.Name, start, end)
 }
-
-// enfa is the intermediate ε-NFA.
-type enfa struct {
-	numStates int
-	eps       map[int][]int
-	edges     []enfaEdge
-}
-
-type enfaEdge struct {
-	from, to int
-	label    event.Event
-}
-
-func (n *enfa) state() int {
-	s := n.numStates
-	n.numStates++
-	return s
-}
-
-func (n *enfa) addEps(a, b int) { n.eps[a] = append(n.eps[a], b) }
 
 // wire threads the statements from state `from`, returning the exit state.
-func (n *enfa) wire(stmts []Stmt, from int) int {
+func wire(n *fa.EpsNFA, stmts []Stmt, from int) int {
 	cur := from
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case Call:
-			next := n.state()
-			n.edges = append(n.edges, enfaEdge{from: cur, to: next, label: s.event()})
+			next := n.State()
+			n.Edge(cur, s.event(), next)
 			cur = next
 		case Skip:
 		case Loop:
-			head := n.state()
-			n.addEps(cur, head)
-			tail := n.wire(s.Body, head)
-			n.addEps(tail, head)
-			exit := n.state()
-			n.addEps(head, exit)
+			head := n.State()
+			n.Eps(cur, head)
+			tail := wire(n, s.Body, head)
+			n.Eps(tail, head)
+			exit := n.State()
+			n.Eps(head, exit)
 			cur = exit
 		case Opt:
-			exit := n.state()
-			tail := n.wire(s.Body, cur)
-			n.addEps(tail, exit)
-			n.addEps(cur, exit)
+			exit := n.State()
+			tail := wire(n, s.Body, cur)
+			n.Eps(tail, exit)
+			n.Eps(cur, exit)
 			cur = exit
 		case Choice:
-			exit := n.state()
+			exit := n.State()
 			for _, alt := range s.Alts {
-				tail := n.wire(alt, cur)
-				n.addEps(tail, exit)
+				tail := wire(n, alt, cur)
+				n.Eps(tail, exit)
 			}
 			cur = exit
 		default:
@@ -146,50 +126,6 @@ func (n *enfa) wire(stmts []Stmt, from int) int {
 		}
 	}
 	return cur
-}
-
-// freeze eliminates ε-transitions and builds the immutable automaton.
-func (n *enfa) freeze(name string, start, end int) (*fa.FA, error) {
-	closure := make([][]int, n.numStates)
-	for s := 0; s < n.numStates; s++ {
-		seen := map[int]bool{s: true}
-		stack := []int{s}
-		var cl []int
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			cl = append(cl, cur)
-			for _, t := range n.eps[cur] {
-				if !seen[t] {
-					seen[t] = true
-					stack = append(stack, t)
-				}
-			}
-		}
-		closure[s] = cl
-	}
-	outBy := map[int][]enfaEdge{}
-	for _, e := range n.edges {
-		outBy[e.from] = append(outBy[e.from], e)
-	}
-	b := fa.NewBuilder(name)
-	states := b.States(n.numStates)
-	b.Start(states[start])
-	for s := 0; s < n.numStates; s++ {
-		for _, t := range closure[s] {
-			if t == end {
-				b.Accept(states[s])
-			}
-			for _, e := range outBy[t] {
-				b.Edge(states[s], e.label, states[e.to])
-			}
-		}
-	}
-	built, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return built.Trim(), nil
 }
 
 // ExecOptions bound random execution.

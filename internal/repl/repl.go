@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -275,21 +274,15 @@ func (r *REPL) save(s *cable.Session, path string) {
 		fmt.Fprintln(r.out, "error:", err)
 		return
 	}
-	var lines []string
-	for i, l := range s.Labels() {
-		if l != cable.Unlabeled {
-			lines = append(lines, fmt.Sprintf("%s\t%s", l, s.Representatives()[i].Key()))
-		}
+	n, err := cable.WriteLabels(w, s)
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		fmt.Fprintln(w, l)
-	}
-	if err := w.Close(); err != nil {
+	if err != nil {
 		fmt.Fprintln(r.out, "error:", err)
 		return
 	}
-	fmt.Fprintf(r.out, "saved %d label(s) to %s\n", len(lines), path)
+	fmt.Fprintf(r.out, "saved %d label(s) to %s\n", n, path)
 }
 
 // load applies a saved labeling to matching trace classes.
@@ -299,20 +292,12 @@ func (r *REPL) load(s *cable.Session, path string) {
 		fmt.Fprintln(r.out, "error:", err)
 		return
 	}
-	applied, err := ApplyLabels(s, strings.NewReader(string(data)))
+	applied, err := cable.ApplyLabels(s, strings.NewReader(string(data)))
 	if err != nil {
 		fmt.Fprintln(r.out, "error:", err)
 		return
 	}
 	fmt.Fprintf(r.out, "applied %d label(s) from %s\n", applied, path)
-}
-
-// ApplyLabels reads "<label>\t<trace key>" lines and labels the matching
-// trace classes of the session, returning how many applied. It delegates
-// to cable.ApplyLabels and exists for backward compatibility of the REPL
-// API.
-func ApplyLabels(s *cable.Session, in io.Reader) (int, error) {
-	return cable.ApplyLabels(s, in)
 }
 
 func (r *REPL) withConcept(s *cable.Session, fields []string, f func(id int)) {

@@ -196,12 +196,12 @@ func TestSaveAndLoad(t *testing.T) {
 
 func TestApplyLabelsPartialAndErrors(t *testing.T) {
 	s := newSession(t)
-	n, err := ApplyLabels(s, strings.NewReader(
+	n, err := cable.ApplyLabels(s, strings.NewReader(
 		"# comment\n\nbad\tX = popen(); fread(X)\nbad\tno such trace\n"))
 	if err != nil || n != 1 {
 		t.Fatalf("ApplyLabels = %d, %v", n, err)
 	}
-	if _, err := ApplyLabels(s, strings.NewReader("malformed line\n")); err == nil {
+	if _, err := cable.ApplyLabels(s, strings.NewReader("malformed line\n")); err == nil {
 		t.Error("malformed labels file accepted")
 	}
 }

@@ -28,16 +28,18 @@
 //	                         or "" when the stream checks the session's
 //	                         reference FA)
 //
-// str is u32 length + bytes, little-endian throughout. The snapshot is
-// rewritten — and the WAL truncated — whenever the full labeling changes
-// shape outside the WAL's vocabulary (focus merges, graceful drain); WAL
-// records carry trace-class *keys*, not indices, so replay stays correct
-// even though adds change the class numbering. Replay stops at the first
-// record whose CRC or structure fails: a torn tail loses that record
-// only, never the session. Open focus sub-sessions are deliberately not
-// persisted — a crash mid-focus restores the parent as of the last
-// snapshot plus WAL; the focus's unmerged labels are lost, matching the
-// paper's model of focus sessions as scratch workspaces.
+// str is u32 length + bytes, little-endian throughout (internal/binio);
+// the u8 flags are 0 or 1, and ring events are in event.Event's canonical
+// rendering. The snapshot is rewritten — and the WAL truncated — whenever
+// the full labeling changes shape outside the WAL's vocabulary (focus
+// merges, graceful drain); WAL records carry trace-class *keys*, not
+// indices, so replay stays correct even though adds change the class
+// numbering. Replay stops at the first record whose CRC or structure
+// fails: a torn tail loses that record only, never the session. Open
+// focus sub-sessions are deliberately not persisted — a crash mid-focus
+// restores the parent as of the last snapshot plus WAL; the focus's
+// unmerged labels are lost, matching the paper's model of focus sessions
+// as scratch workspaces.
 //
 // Stream records externalize an open online-verification stream's
 // checker (internal/stream.State): every ingest batch appends one, the
@@ -48,16 +50,14 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"repro/internal/binio"
 	"repro/internal/cable"
 	"repro/internal/concept"
 	"repro/internal/event"
@@ -97,101 +97,44 @@ func newPersister(dir string, m *obs.Metrics) (*persister, error) {
 func (p *persister) snapPath(id string) string { return filepath.Join(p.dir, id+".snap") }
 func (p *persister) walPath(id string) string  { return filepath.Join(p.dir, id+".wal") }
 
-// --- little-endian primitives over an in-memory buffer ---
-
-func putU32(b *bytes.Buffer, v uint32) {
-	var x [4]byte
-	binary.LittleEndian.PutUint32(x[:], v)
-	b.Write(x[:])
-}
-
-func putU64(b *bytes.Buffer, v uint64) {
-	var x [8]byte
-	binary.LittleEndian.PutUint64(x[:], v)
-	b.Write(x[:])
-}
-
-func putStr(b *bytes.Buffer, s string) {
-	putU32(b, uint32(len(s)))
-	b.WriteString(s)
-}
-
-// byteCursor reads the primitives back, failing on truncation instead of
-// panicking — snapshot files are trusted less than the process that wrote
-// them (partial writes, disk corruption).
-type byteCursor struct {
-	data []byte
-	off  int
-}
-
-func (c *byteCursor) take(n int) ([]byte, error) {
-	if n < 0 || c.off+n > len(c.data) {
-		return nil, errors.New("truncated")
-	}
-	b := c.data[c.off : c.off+n]
-	c.off += n
-	return b, nil
-}
-
-func (c *byteCursor) u8() (byte, error) {
-	b, err := c.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (c *byteCursor) u32() (uint32, error) {
-	b, err := c.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (c *byteCursor) u64() (uint64, error) {
-	b, err := c.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (c *byteCursor) str() (string, error) {
-	n, err := c.u32()
-	if err != nil {
-		return "", err
-	}
-	if n > maxPersistStr {
-		return "", fmt.Errorf("string of %d bytes exceeds limit", n)
-	}
-	b, err := c.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
 // --- snapshot files ---
 
-// snapData is a parsed .snap file, still in wire form: the caller turns
+// snapData is a .snap file's fields, still in wire form: the caller turns
 // the text payloads back into a live session.
 type snapData struct {
 	id      string
 	traces  string
 	ref     string
-	labels  []string
+	labels  []cable.Label
 	lattice []byte
+}
+
+// encode renders the .snap file, CRC trailer included.
+func (sd *snapData) encode() []byte {
+	size := len(snapMagic) + 1 + 12 + len(sd.id) + len(sd.traces) + len(sd.ref) + 4 + 8 + len(sd.lattice) + 4
+	for _, l := range sd.labels {
+		size += 4 + len(l)
+	}
+	w := make(binio.Writer, 0, size)
+	w = append(w, snapMagic...)
+	w.U8(persistVer)
+	w.Str(sd.id)
+	w.Str(sd.traces)
+	w.Str(sd.ref)
+	w.U32(uint32(len(sd.labels)))
+	for _, l := range sd.labels {
+		w.Str(string(l))
+	}
+	w.U64(uint64(len(sd.lattice)))
+	w = append(w, sd.lattice...)
+	w.Seal(0)
+	return w
 }
 
 // writeSnap atomically persists the session's full state and truncates
 // its WAL (the snapshot now subsumes every logged action). Callers hold
 // the session's entry lock.
 func (p *persister) writeSnap(id string, sess *cable.Session) error {
-	var body bytes.Buffer
-	body.WriteString(snapMagic)
-	body.WriteByte(persistVer)
-	putStr(&body, id)
 	var traces, ref strings.Builder
 	if err := trace.Write(&traces, sess.Set()); err != nil {
 		return fmt.Errorf("server: snapshot %s: traces: %w", id, err)
@@ -199,23 +142,14 @@ func (p *persister) writeSnap(id string, sess *cable.Session) error {
 	if err := fa.Write(&ref, sess.Ref()); err != nil {
 		return fmt.Errorf("server: snapshot %s: ref fa: %w", id, err)
 	}
-	putStr(&body, traces.String())
-	putStr(&body, ref.String())
-	labels := sess.Labels()
-	putU32(&body, uint32(len(labels)))
-	for _, l := range labels {
-		putStr(&body, string(l))
-	}
-	var lat bytes.Buffer
-	if err := concept.WriteSnapshot(&lat, sess.Lattice()); err != nil {
+	lat, err := concept.AppendSnapshot(nil, sess.Lattice())
+	if err != nil {
 		return fmt.Errorf("server: snapshot %s: lattice: %w", id, err)
 	}
-	putU64(&body, uint64(lat.Len()))
-	body.Write(lat.Bytes())
-	putU32(&body, crc32.ChecksumIEEE(body.Bytes()))
+	sd := snapData{id: id, traces: traces.String(), ref: ref.String(), labels: sess.Labels(), lattice: lat}
 
 	tmp := p.snapPath(id) + ".tmp"
-	if err := os.WriteFile(tmp, body.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(tmp, sd.encode(), 0o644); err != nil {
 		return fmt.Errorf("server: snapshot %s: %w", id, err)
 	}
 	if err := os.Rename(tmp, p.snapPath(id)); err != nil {
@@ -230,79 +164,58 @@ func (p *persister) writeSnap(id string, sess *cable.Session) error {
 	return nil
 }
 
-// parseSnap validates and decodes a .snap file.
+// parseSnap validates and decodes a .snap file, checking its CRC before
+// it decodes anything.
 func parseSnap(data []byte) (snapData, error) {
-	var sd snapData
-	if len(data) < len(snapMagic)+1+4 {
-		return sd, errors.New("server: snapshot: truncated")
-	}
-	stored := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(data[:len(data)-4]) != stored {
-		return sd, errors.New("server: snapshot: checksum mismatch")
-	}
-	c := &byteCursor{data: data[:len(data)-4]}
-	magic, err := c.take(len(snapMagic))
-	if err != nil || string(magic) != snapMagic {
-		return sd, errors.New("server: snapshot: bad magic")
-	}
-	ver, err := c.u8()
-	if err != nil || ver != persistVer {
-		return sd, fmt.Errorf("server: snapshot: unsupported version %d", ver)
-	}
-	if sd.id, err = c.str(); err != nil {
-		return sd, fmt.Errorf("server: snapshot: id: %w", err)
-	}
-	if sd.traces, err = c.str(); err != nil {
-		return sd, fmt.Errorf("server: snapshot: traces: %w", err)
-	}
-	if sd.ref, err = c.str(); err != nil {
-		return sd, fmt.Errorf("server: snapshot: ref fa: %w", err)
-	}
-	n, err := c.u32()
+	payload, err := binio.Unseal(data)
 	if err != nil {
-		return sd, fmt.Errorf("server: snapshot: labels: %w", err)
+		return snapData{}, fmt.Errorf("server: snapshot: %w", err)
 	}
-	sd.labels = make([]string, 0, min(int(n), 4096))
-	for i := 0; i < int(n); i++ {
-		l, err := c.str()
-		if err != nil {
-			return sd, fmt.Errorf("server: snapshot: label %d: %w", i, err)
-		}
-		sd.labels = append(sd.labels, l)
+	r := binio.NewReader(payload)
+	if magic, ver := r.Bytes(len(snapMagic)), r.U8(); string(magic) != snapMagic || ver != persistVer {
+		return snapData{}, fmt.Errorf("server: snapshot: bad magic %q or unsupported version %d", magic, ver)
 	}
-	latLen, err := c.u64()
-	if err != nil {
-		return sd, fmt.Errorf("server: snapshot: lattice: %w", err)
+	sd := snapData{id: r.Str(maxPersistStr), traces: r.Str(maxPersistStr), ref: r.Str(maxPersistStr)}
+	// One label per trace class: only the input's length bounds them.
+	sd.labels = make([]cable.Label, r.Count(4, math.MaxInt32))
+	for i := range sd.labels {
+		sd.labels[i] = cable.Label(r.Str(maxPersistStr))
 	}
-	lat, err := c.take(int(latLen))
-	if err != nil {
-		return sd, fmt.Errorf("server: snapshot: lattice: %w", err)
+	sd.lattice = r.Bytes(int(r.U64()))
+	if err := r.Err(); err != nil {
+		return snapData{}, fmt.Errorf("server: snapshot: %w", err)
 	}
-	sd.lattice = lat
-	if c.off != len(c.data) {
-		return sd, fmt.Errorf("server: snapshot: %d trailing bytes", len(c.data)-c.off)
+	if r.Len() > 0 {
+		return snapData{}, fmt.Errorf("server: snapshot: %d trailing bytes", r.Len())
 	}
 	return sd, nil
 }
 
 // --- write-ahead log ---
 
-// walRecord frames one action with its type, length, and CRC.
-func walRecord(typ byte, payload []byte) []byte {
-	var b bytes.Buffer
-	b.WriteByte(typ)
-	putU32(&b, uint32(len(payload)))
-	b.Write(payload)
-	putU32(&b, crc32.ChecksumIEEE(b.Bytes()))
-	return b.Bytes()
+// beginRecord starts a WAL record of type typ in a buffer with room for a
+// payload of n bytes: the type, then the payload length that endRecord
+// fills in.
+func beginRecord(typ byte, n int) binio.Writer {
+	w := make(binio.Writer, 0, 1+4+n+4)
+	w.U8(typ)
+	w.Mark()
+	return w
+}
+
+// endRecord fills in the record's payload length and appends its CRC.
+func endRecord(w binio.Writer) []byte {
+	w.Fill(1)
+	w.Seal(0)
+	return w
 }
 
 // walLabelRecord logs "class <key> now carries <label>".
 func walLabelRecord(key, label string) []byte {
-	var p bytes.Buffer
-	putStr(&p, key)
-	putStr(&p, label)
-	return walRecord(walTypeLbl, p.Bytes())
+	w := beginRecord(walTypeLbl, 8+len(key)+len(label))
+	w.Str(key)
+	w.Str(label)
+	return endRecord(w)
 }
 
 // walAddRecord logs one ingested trace in the trace text format.
@@ -311,112 +224,89 @@ func walAddRecord(t trace.Trace) ([]byte, error) {
 	if err := trace.WriteTrace(&text, t); err != nil {
 		return nil, err
 	}
-	var p bytes.Buffer
-	putStr(&p, text.String())
-	return walRecord(walTypeAdd, p.Bytes()), nil
+	w := beginRecord(walTypeAdd, 4+text.Len())
+	w.Str(text.String())
+	return endRecord(w), nil
 }
 
 // walStreamRecord externalizes one open stream's checker state (or its
 // tombstone when closed).
 func walStreamRecord(streamID, spec string, closed bool, st stream.State) []byte {
-	var p bytes.Buffer
-	putStr(&p, streamID)
-	putStr(&p, spec)
-	if closed {
-		p.WriteByte(1)
-	} else {
-		p.WriteByte(0)
-	}
-	putU32(&p, uint32(st.Window))
-	putU64(&p, st.Events)
-	putU64(&p, st.SinceReset)
-	putU64(&p, st.Truncations)
-	putU32(&p, uint32(st.Violations))
-	if st.Truncated {
-		p.WriteByte(1)
-	} else {
-		p.WriteByte(0)
-	}
-	putU32(&p, uint32(len(st.Frontier)))
-	for _, q := range st.Frontier {
-		putU32(&p, uint32(q))
-	}
-	putU32(&p, uint32(len(st.Ring)))
+	n := 50 + len(streamID) + len(spec) + 4*len(st.Frontier)
 	for _, e := range st.Ring {
-		putStr(&p, e.String())
+		// Length, " = ", the parentheses and a ", " per argument bound
+		// the rendering.
+		n += 9 + len(e.Def) + len(e.Op)
+		for _, u := range e.Uses {
+			n += 2 + len(u)
+		}
 	}
-	return walRecord(walTypeStream, p.Bytes())
+	w := beginRecord(walTypeStream, n)
+	w.Str(streamID)
+	w.Str(spec)
+	w.Bool(closed)
+	w.U32(uint32(st.Window))
+	w.U64(st.Events)
+	w.U64(st.SinceReset)
+	w.U64(st.Truncations)
+	w.U32(uint32(st.Violations))
+	w.Bool(st.Truncated)
+	w.U32(uint32(len(st.Frontier)))
+	for _, q := range st.Frontier {
+		w.U32(uint32(q))
+	}
+	w.U32(uint32(len(st.Ring)))
+	for _, e := range st.Ring {
+		at := w.Mark()
+		w = e.AppendString(w)
+		w.Fill(at)
+	}
+	return endRecord(w)
 }
 
-// parseStreamPayload decodes a type-3 payload back into checker state.
-func parseStreamPayload(pc *byteCursor) (streamID, spec string, closed bool, st stream.State, err error) {
-	fail := func(e error) (string, string, bool, stream.State, error) {
-		return "", "", false, stream.State{}, e
-	}
-	if streamID, err = pc.str(); err != nil {
-		return fail(err)
-	}
-	if spec, err = pc.str(); err != nil {
-		return fail(err)
-	}
-	cb, err := pc.u8()
+// parseRecord decodes one record after checking its CRC. Every byte must
+// belong to a field, and ring events must be in the canonical form the
+// writer renders, so re-encoding an action reproduces its record.
+func parseRecord(rec []byte) (walAction, error) {
+	body, err := binio.Unseal(rec)
 	if err != nil {
-		return fail(err)
+		return walAction{}, err
 	}
-	closed = cb != 0
-	w, err := pc.u32()
-	if err != nil {
-		return fail(err)
-	}
-	st.Window = int(w)
-	if st.Events, err = pc.u64(); err != nil {
-		return fail(err)
-	}
-	if st.SinceReset, err = pc.u64(); err != nil {
-		return fail(err)
-	}
-	if st.Truncations, err = pc.u64(); err != nil {
-		return fail(err)
-	}
-	v, err := pc.u32()
-	if err != nil {
-		return fail(err)
-	}
-	st.Violations = int(v)
-	tb, err := pc.u8()
-	if err != nil {
-		return fail(err)
-	}
-	st.Truncated = tb != 0
-	nf, err := pc.u32()
-	if err != nil || nf > uint32(stream.MaxWindow)*1024 {
-		return fail(errors.New("bad frontier count"))
-	}
-	st.Frontier = make([]int, 0, min(int(nf), 4096))
-	for i := 0; i < int(nf); i++ {
-		q, err := pc.u32()
-		if err != nil {
-			return fail(err)
+	r := binio.NewReader(body)
+	a := walAction{typ: r.U8()}
+	r.U32() // the payload length, which parseWAL checked
+	switch a.typ {
+	case walTypeLbl:
+		a.key, a.label = r.Str(maxPersistStr), r.Str(maxPersistStr)
+	case walTypeAdd:
+		a.text = r.Str(maxPersistStr)
+	case walTypeStream:
+		a.streamID, a.streamSpec, a.streamClosed = r.Str(maxPersistStr), r.Str(maxPersistStr), r.Bool()
+		st := &a.streamState
+		st.Window = int(r.U32())
+		st.Events, st.SinceReset, st.Truncations = r.U64(), r.U64(), r.U64()
+		st.Violations = int(r.U32())
+		st.Truncated = r.Bool()
+		st.Frontier = make([]int, r.Count(4, stream.MaxWindow*1024))
+		for i := range st.Frontier {
+			st.Frontier[i] = int(r.U32())
 		}
-		st.Frontier = append(st.Frontier, int(q))
-	}
-	nr, err := pc.u32()
-	if err != nil || nr > uint32(stream.MaxWindow) {
-		return fail(errors.New("bad ring count"))
-	}
-	st.Ring = make([]event.Event, 0, int(nr))
-	for i := 0; i < int(nr); i++ {
-		text, err := pc.str()
-		if err != nil {
-			return fail(err)
+		st.Ring = make([]event.Event, r.Count(4, stream.MaxWindow))
+		for i := range st.Ring {
+			text := r.Str(maxPersistStr)
+			if st.Ring[i], err = event.Parse(text); err != nil || st.Ring[i].String() != text {
+				r.Fail(fmt.Errorf("ring event %q is not an event in canonical form", text))
+			}
 		}
-		ev, err := event.Parse(text)
-		if err != nil {
-			return fail(err)
-		}
-		st.Ring = append(st.Ring, ev)
+	default:
+		// Unknown record type: written by a newer version; stop rather
+		// than misinterpret what follows.
+		return a, fmt.Errorf("unknown record type %d", a.typ)
 	}
-	return streamID, spec, closed, st, nil
+	if r.Len() > 0 {
+		r.Fail(fmt.Errorf("%d trailing bytes", r.Len()))
+	}
+	return a, r.Err()
 }
 
 // appendWAL appends framed records to the session's log, creating it
@@ -462,59 +352,24 @@ type walAction struct {
 // or structure check; a torn tail yields the valid prefix, never an
 // error — the session restores to the last durable action.
 func parseWAL(data []byte) []walAction {
-	c := &byteCursor{data: data}
-	magic, err := c.take(len(walMagic))
-	if err != nil || string(magic) != walMagic {
-		return nil
-	}
-	if ver, err := c.u8(); err != nil || ver != persistVer {
+	r := binio.NewReader(data)
+	if magic, ver := r.Bytes(len(walMagic)), r.U8(); string(magic) != walMagic || ver != persistVer {
 		return nil
 	}
 	var out []walAction
-	for c.off < len(c.data) {
-		start := c.off
-		typ, err := c.u8()
+	for r.Len() > 0 {
+		rec := data[len(data)-r.Len():]
+		r.U8()
+		n := r.Count(1, maxPersistStr)
+		r.Bytes(n + 4) // the payload and the CRC
+		if r.Err() != nil {
+			break
+		}
+		a, err := parseRecord(rec[:9+n])
 		if err != nil {
 			break
 		}
-		n, err := c.u32()
-		if err != nil || n > maxPersistStr {
-			break
-		}
-		payload, err := c.take(int(n))
-		if err != nil {
-			break
-		}
-		stored, err := c.u32()
-		if err != nil || crc32.ChecksumIEEE(c.data[start:start+5+int(n)]) != stored {
-			break
-		}
-		pc := &byteCursor{data: payload}
-		switch typ {
-		case walTypeLbl:
-			key, err1 := pc.str()
-			label, err2 := pc.str()
-			if err1 != nil || err2 != nil || pc.off != len(payload) {
-				return out
-			}
-			out = append(out, walAction{typ: typ, key: key, label: label})
-		case walTypeAdd:
-			text, err := pc.str()
-			if err != nil || pc.off != len(payload) {
-				return out
-			}
-			out = append(out, walAction{typ: typ, text: text})
-		case walTypeStream:
-			sid, spec, closed, sst, err := parseStreamPayload(pc)
-			if err != nil || pc.off != len(payload) {
-				return out
-			}
-			out = append(out, walAction{typ: typ, streamID: sid, streamSpec: spec, streamClosed: closed, streamState: sst})
-		default:
-			// Unknown record type: written by a newer version; stop
-			// rather than misinterpret what follows.
-			return out
-		}
+		out = append(out, a)
 	}
 	return out
 }
@@ -594,7 +449,7 @@ func (s *Server) loadOne(ctx context.Context, id string) error {
 	if err != nil {
 		return fmt.Errorf("server: snapshot %s: ref fa: %w", id, err)
 	}
-	lattice, err := concept.ReadSnapshot(bytes.NewReader(sd.lattice))
+	lattice, err := concept.ReadSnapshot(sd.lattice)
 	if err != nil {
 		return fmt.Errorf("server: snapshot %s: lattice: %w", id, err)
 	}
@@ -609,10 +464,10 @@ func (s *Server) loadOne(ctx context.Context, id string) error {
 		return fmt.Errorf("server: snapshot %s: %w", id, err)
 	}
 	for i, l := range sd.labels {
-		if l == "" {
+		if l == cable.Unlabeled {
 			continue
 		}
-		if err := sess.LabelTrace(i, cable.Label(l)); err != nil {
+		if err := sess.LabelTrace(i, l); err != nil {
 			return fmt.Errorf("server: snapshot %s: %w", id, err)
 		}
 	}

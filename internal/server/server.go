@@ -267,10 +267,22 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 // cannot stall the session's other callers. The lockheld analyzer
 // enforces this split.
 func (s *Server) withSession(w http.ResponseWriter, r *http.Request, fn func(e *entry, sess *cable.Session) (int, any, error)) error {
+	status, payload, err := s.withEntry(r, fn)
+	if err != nil {
+		return err
+	}
+	writeJSON(w, status, payload)
+	return nil
+}
+
+// withEntry is withSession without the response: it returns what fn
+// returned, for a handler with more work to do after the lock is
+// released.
+func (s *Server) withEntry(r *http.Request, fn func(e *entry, sess *cable.Session) (int, any, error)) (int, any, error) {
 	id := r.PathValue("id")
 	res, ok := s.store.resolve(id)
 	if !ok {
-		return notFound(fmt.Errorf("no session %q", id))
+		return 0, nil, notFound(fmt.Errorf("no session %q", id))
 	}
 	status, payload, err := func() (int, any, error) {
 		res.entry.mu.Lock()
@@ -289,11 +301,7 @@ func (s *Server) withSession(w http.ResponseWriter, r *http.Request, fn func(e *
 	// request start, so a request that outlived the idle window would
 	// otherwise hand its session straight to the janitor.
 	s.store.touch(res.entry)
-	if err != nil {
-		return err
-	}
-	writeJSON(w, status, payload)
-	return nil
+	return status, payload, err
 }
 
 func parseSelector(sel *apiv1.Selector) (cable.Selector, error) {
@@ -733,20 +741,36 @@ func (s *Server) handleSuggest(ctx context.Context, w http.ResponseWriter, r *ht
 	if err := decodeJSON(w, r, &req); err != nil {
 		return err
 	}
-	return s.withSession(w, r, func(e *entry, sess *cable.Session) (int, any, error) {
-		sug, err := sess.SuggestFocus(req.Concept)
+	// Copy the concept's traces and labels under the entry lock; the
+	// template search builds a lattice per candidate, so it runs after the
+	// lock is released.
+	var traces []trace.Trace
+	var labels []cable.Label
+	_, _, err := s.withEntry(r, func(e *entry, sess *cable.Session) (int, any, error) {
+		objs, err := sess.Select(req.Concept, cable.SelectAll())
 		if err != nil {
-			if errors.Is(err, cable.ErrBadConcept) {
-				return 0, nil, err
-			}
-			return 0, nil, sessionBusy(err)
-		}
-		var b strings.Builder
-		if err := fa.Write(&b, sug.Ref); err != nil {
 			return 0, nil, err
 		}
-		return http.StatusOK, apiv1.SuggestResponse{Template: sug.Template, RefFA: b.String()}, nil
+		reps, all := sess.Representatives(), sess.Labels()
+		for _, o := range objs {
+			traces = append(traces, reps[o])
+			labels = append(labels, all[o])
+		}
+		return 0, nil, nil
 	})
+	if err != nil {
+		return err
+	}
+	sug, err := cable.Suggest(traces, labels)
+	if err != nil {
+		return sessionBusy(fmt.Errorf("concept %d: %w", req.Concept, err))
+	}
+	var b strings.Builder
+	if err := fa.Write(&b, sug.Ref); err != nil {
+		return err
+	}
+	writeJSON(w, http.StatusOK, apiv1.SuggestResponse{Template: sug.Template, RefFA: b.String()})
+	return nil
 }
 
 func (s *Server) handleFocus(ctx context.Context, w http.ResponseWriter, r *http.Request) error {

@@ -21,7 +21,7 @@ import (
 // Traces share their events freely: Read gives every occurrence of an event
 // line the same event.Event, Uses slice included, and cuts the events of
 // all its classes from one slab. Treat Events, and each event's Uses, as
-// immutable; Rename and Project return fresh slices.
+// immutable; Project returns a fresh slice.
 type Trace struct {
 	// ID records where the trace came from, e.g. "xclock:run2:#17".
 	ID string
@@ -115,15 +115,6 @@ func (t Trace) Ops() []string {
 	out := make([]string, len(t.Events))
 	for i, e := range t.Events {
 		out[i] = e.Op
-	}
-	return out
-}
-
-// Rename returns a copy of the trace with every event renamed through subst.
-func (t Trace) Rename(subst map[string]string) Trace {
-	out := Trace{ID: t.ID, Events: make([]event.Event, len(t.Events))}
-	for i, e := range t.Events {
-		out.Events[i] = e.Rename(subst)
 	}
 	return out
 }

@@ -42,12 +42,8 @@ func TestNamesOpsMentions(t *testing.T) {
 	}
 }
 
-func TestRenameAndProject(t *testing.T) {
+func TestProject(t *testing.T) {
 	a := tr("a", "X = fopen()", "Y = popen()", "fread(X)", "pclose(Y)")
-	r := a.Rename(map[string]string{"X": "F"})
-	if r.Key() != "F = fopen(); Y = popen(); fread(F); pclose(Y)" {
-		t.Errorf("Rename = %q", r.Key())
-	}
 	p := a.Project("Y")
 	if p.Key() != "Y = popen(); pclose(Y)" {
 		t.Errorf("Project = %q", p.Key())

@@ -24,7 +24,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/cable"
@@ -54,15 +53,8 @@ func Save(w io.Writer, s *cable.Session) error {
 		return err
 	}
 	fmt.Fprintln(bw, sectionLabels)
-	var lines []string
-	for i, l := range s.Labels() {
-		if l != cable.Unlabeled {
-			lines = append(lines, fmt.Sprintf("%s\t%s", l, s.Representatives()[i].Key()))
-		}
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		fmt.Fprintln(bw, l)
+	if _, err := cable.WriteLabels(bw, s); err != nil {
+		return err
 	}
 	fmt.Fprintln(bw, sectionEnd)
 	return bw.Flush()
