@@ -99,9 +99,13 @@ cabled-smoke:
 # Crash-safety acceptance: build the real binary, start it with
 # -snapshot-dir, create and label a session over TCP, SIGKILL the process
 # (no drain), restart on the same directory, and assert the session comes
-# back with every label intact.
+# back with every label intact. The in-process persistence tests ride
+# along: a torn log tail keeps later records, a newborn session's
+# snapshot orders with labels racing it, a deleted session leaves no
+# file, each session reuses one log handle and gives its descriptor back,
+# and get_session's "snapshot" field follows the files.
 snapshot-smoke:
-	$(GO) test -run 'TestSnapshotKillRestart|TestSessionPersistRoundTrip' -count=1 \
+	$(GO) test -run 'TestSnapshotKillRestart|TestSessionPersistRoundTrip|TestWALTornTail|TestCreateSnapshotRacesLabel|TestWALNotWrittenAfterDelete|TestWALHandleReused|TestWALDescriptorsReturnToBaseline|TestSnapshotFieldFollowsLifecycle' -count=1 \
 	    ./cmd/cabled ./internal/server
 
 # Streaming acceptance: the real cabled binary carries 100 open streams

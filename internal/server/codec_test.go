@@ -55,9 +55,9 @@ func TestVersion1FilesReencode(t *testing.T) {
 		t.Fatalf("re-encoded snapshot differs: %d bytes, file has %d", len(got), len(snap))
 	}
 	wal := readSnapV1(t, ".wal")
-	actions := parseWAL(wal)
-	if len(actions) != 6 {
-		t.Fatalf("parsed %d WAL records, want 6", len(actions))
+	actions, valid := parseWAL(wal)
+	if len(actions) != 6 || valid != len(wal) {
+		t.Fatalf("parsed %d WAL records ending at byte %d, want 6 ending at %d", len(actions), valid, len(wal))
 	}
 	if got := encodeWAL(actions); !bytes.Equal(got, wal) {
 		t.Fatalf("re-encoded WAL differs: %d bytes, file has %d", len(got), len(wal))
@@ -118,20 +118,23 @@ func FuzzSessionSnapshot(f *testing.F) {
 }
 
 // FuzzWAL feeds arbitrary bytes to parseWAL: it must never panic, and the
-// records it accepts must re-encode to the prefix of the input they were
-// read from.
+// records it accepts must re-encode to exactly the valid prefix it
+// reports, which the loader keeps when it cuts a torn tail off.
 func FuzzWAL(f *testing.F) {
 	wal := readSnapV1(f, ".wal")
 	f.Add(wal)
 	f.Add(wal[:len(wal)-3])
 	f.Add([]byte(walMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		actions := parseWAL(data)
-		if actions == nil {
+		actions, valid := parseWAL(data)
+		if valid == 0 {
+			if actions != nil {
+				t.Fatalf("%d records accepted behind a rejected header", len(actions))
+			}
 			return
 		}
-		if got := encodeWAL(actions); !bytes.HasPrefix(data, got) {
-			t.Fatalf("accepted records re-encode to %q, not a prefix of %q", got, data)
+		if got := encodeWAL(actions); !bytes.Equal(got, data[:valid]) {
+			t.Fatalf("accepted records re-encode to %q, not the %d-byte valid prefix of %q", got, valid, data)
 		}
 	})
 }

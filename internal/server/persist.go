@@ -35,11 +35,12 @@
 // merges, graceful drain); WAL records carry trace-class *keys*, not
 // indices, so replay stays correct even though adds change the class
 // numbering. Replay stops at the first record whose CRC or structure
-// fails: a torn tail loses that record only, never the session. Open
-// focus sub-sessions are deliberately not persisted — a crash mid-focus
-// restores the parent as of the last snapshot plus WAL; the focus's
-// unmerged labels are lost, matching the paper's model of focus sessions
-// as scratch workspaces.
+// fails, and the loader cuts the log back to the records it replayed:
+// a torn tail loses that record only, never the session nor a record
+// appended after the restart. Open focus sub-sessions are deliberately
+// not persisted — a crash mid-focus restores the parent as of the last
+// snapshot plus WAL; the focus's unmerged labels are lost, matching the
+// paper's model of focus sessions as scratch workspaces.
 //
 // Stream records externalize an open online-verification stream's
 // checker (internal/stream.State): every ingest batch appends one, the
@@ -47,6 +48,14 @@
 // tombstone. Because writing a snapshot truncates the WAL, the server
 // re-appends one stream record per open stream right after every
 // snapshot, so open frontiers survive snapshot-then-crash.
+//
+// A session keeps its log open between requests (entry.wal), so an
+// acknowledged request costs one write(2): the first record after a
+// snapshot opens the file, and the next snapshot, the drain, a delete or
+// an idle eviction closes it. A session therefore holds at most one
+// descriptor, and only while its log holds records the snapshot does
+// not. Nothing is fsynced: a 2xx means the records are in the page
+// cache, which survives a killed process but not a power loss.
 package server
 
 import (
@@ -55,6 +64,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/binio"
@@ -133,8 +143,13 @@ func (sd *snapData) encode() []byte {
 
 // writeSnap atomically persists the session's full state and truncates
 // its WAL (the snapshot now subsumes every logged action). Callers hold
-// the session's entry lock.
-func (p *persister) writeSnap(id string, sess *cable.Session) error {
+// e.mu; a gone session writes nothing. A failed snapshot leaves the log
+// open and in place, so later records keep appending to it.
+func (p *persister) writeSnap(e *entry) error {
+	if e.gone {
+		return nil
+	}
+	id, sess := e.id, e.session
 	var traces, ref strings.Builder
 	if err := trace.Write(&traces, sess.Set()); err != nil {
 		return fmt.Errorf("server: snapshot %s: traces: %w", id, err)
@@ -156,10 +171,13 @@ func (p *persister) writeSnap(id string, sess *cable.Session) error {
 		os.Remove(tmp)
 		return fmt.Errorf("server: snapshot %s: %w", id, err)
 	}
+	e.snapped = true
 	// The snapshot includes everything; the log starts over.
+	_ = closeWAL(e) // deleted next, so a close error loses nothing
 	if err := os.Remove(p.walPath(id)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("server: snapshot %s: truncating wal: %w", id, err)
 	}
+	e.logged = false
 	p.metrics.Counter("server.snapshot.save").Inc()
 	return nil
 }
@@ -309,29 +327,48 @@ func parseRecord(rec []byte) (walAction, error) {
 	return a, r.Err()
 }
 
-// appendWAL appends framed records to the session's log, creating it
-// (with its header) on first use. Callers hold the session's entry lock,
-// which serializes appends per session.
-func (p *persister) appendWAL(id string, recs [][]byte) error {
-	if len(recs) == 0 {
+// appendWAL appends framed records to the session's log in one write.
+// The first record after a snapshot opens the log, creating it with its
+// header when it is empty; the handle stays on the entry for later
+// appends. Callers hold e.mu, which serializes appends per session; a
+// gone session logs nothing.
+func (p *persister) appendWAL(e *entry, recs [][]byte) error {
+	if len(recs) == 0 || e.gone {
 		return nil
 	}
-	f, err := os.OpenFile(p.walPath(id), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: wal %s: %w", id, err)
-	}
-	defer f.Close()
-	if st, err := f.Stat(); err == nil && st.Size() == 0 {
-		if _, err := f.Write(append([]byte(walMagic), persistVer)); err != nil {
-			return fmt.Errorf("server: wal %s: header: %w", id, err)
+	if e.wal == nil {
+		f, err := os.OpenFile(p.walPath(e.id), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		if err != nil {
+			return fmt.Errorf("server: wal %s: %w", e.id, err)
 		}
-	}
-	for _, rec := range recs {
-		if _, err := f.Write(rec); err != nil {
-			return fmt.Errorf("server: wal %s: %w", id, err)
+		st, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("server: wal %s: %w", e.id, err)
 		}
+		if st.Size() == 0 {
+			recs = append([][]byte{append([]byte(walMagic), persistVer)}, recs...)
+		}
+		e.wal, e.logged = f, true
+	}
+	buf := recs[0]
+	if len(recs) > 1 {
+		buf = slices.Concat(recs...)
+	}
+	if _, err := e.wal.Write(buf); err != nil {
+		return fmt.Errorf("server: wal %s: %w", e.id, err)
 	}
 	return nil
+}
+
+// closeWAL closes the session's open log, if any. Callers hold e.mu.
+func closeWAL(e *entry) error {
+	if e.wal == nil {
+		return nil
+	}
+	err := e.wal.Close()
+	e.wal = nil
+	return err
 }
 
 // walAction is one decoded WAL record.
@@ -349,14 +386,17 @@ type walAction struct {
 }
 
 // parseWAL decodes records until the data ends or a record fails its CRC
-// or structure check; a torn tail yields the valid prefix, never an
-// error — the session restores to the last durable action.
-func parseWAL(data []byte) []walAction {
+// or structure check, and returns them with the length of the valid
+// prefix they end (0 when the header fails). A torn tail yields the
+// valid prefix, never an error — the session restores to the last
+// durable action.
+func parseWAL(data []byte) ([]walAction, int) {
 	r := binio.NewReader(data)
 	if magic, ver := r.Bytes(len(walMagic)), r.U8(); string(magic) != walMagic || ver != persistVer {
-		return nil
+		return nil, 0
 	}
 	var out []walAction
+	valid := len(data) - r.Len()
 	for r.Len() > 0 {
 		rec := data[len(data)-r.Len():]
 		r.U8()
@@ -370,25 +410,32 @@ func parseWAL(data []byte) []walAction {
 			break
 		}
 		out = append(out, a)
+		valid = len(data) - r.Len()
 	}
-	return out
+	return out, valid
 }
 
-// removeFiles deletes a session's snapshot and WAL; called after the
-// session leaves the store (delete or idle eviction).
-func (p *persister) removeFiles(id string) {
-	_ = os.Remove(p.snapPath(id))
-	_ = os.Remove(p.walPath(id))
+// removeFiles closes a session's log and deletes its snapshot and WAL;
+// called after the session leaves the store (delete or idle eviction).
+// It marks the session gone under its lock, so a request that resolved
+// the session earlier cannot re-create either file.
+func (p *persister) removeFiles(e *entry) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.gone = true
+	_ = closeWAL(e) // the log is deleted next
+	_ = os.Remove(p.snapPath(e.id))
+	_ = os.Remove(p.walPath(e.id))
 }
 
-// state reports a session's durability form for introspection: "wal"
-// (snapshot plus a write-ahead tail), "snapshot" (snapshot only), or
-// "none".
-func (p *persister) state(id string) string {
-	if _, err := os.Stat(p.walPath(id)); err == nil {
+// durability reports a session's durability form for introspection:
+// "wal" (snapshot plus a write-ahead tail), "snapshot" (snapshot only),
+// or "none". Callers hold e.mu.
+func durability(e *entry) string {
+	switch {
+	case e.logged:
 		return "wal"
-	}
-	if _, err := os.Stat(p.snapPath(id)); err == nil {
+	case e.snapped:
 		return "snapshot"
 	}
 	return "none"
@@ -473,14 +520,24 @@ func (s *Server) loadOne(ctx context.Context, id string) error {
 	}
 	var actions []walAction
 	if wdata, err := os.ReadFile(s.persist.walPath(id)); err == nil {
-		actions = parseWAL(wdata)
+		var valid int
+		actions, valid = parseWAL(wdata)
 		replayed, err := replayWAL(ctx, sess, actions)
 		if err != nil {
 			return fmt.Errorf("server: snapshot %s: wal: %w", id, err)
 		}
+		// Cut a torn tail off before the session goes live: the next
+		// append must follow the last record replay accepted, or the next
+		// restart would stop at the torn bytes and drop it. A failed
+		// header leaves an empty log, which the next append re-heads.
+		if valid < len(wdata) {
+			if err := os.Truncate(s.persist.walPath(id), int64(valid)); err != nil {
+				return fmt.Errorf("server: snapshot %s: wal: %w", id, err)
+			}
+		}
 		s.metrics.Counter("server.snapshot.replay").Add(int64(replayed))
 	}
-	if err := s.store.restore(id, sess); err != nil {
+	if err := s.store.restore(id, sess, len(actions) > 0); err != nil {
 		return err
 	}
 	// Re-open the session's streams from their latest stream records
@@ -564,7 +621,7 @@ func replayWAL(ctx context.Context, sess *cable.Session, actions []walAction) (i
 // would otherwise lose the open frontiers. Callers hold e.mu (lock order
 // entry → stream is the sanctioned nesting; see streamEntry).
 func (s *Server) snapshotSession(e *entry) error {
-	if err := s.persist.writeSnap(e.id, e.session); err != nil {
+	if err := s.persist.writeSnap(e); err != nil {
 		return err
 	}
 	var recs [][]byte
@@ -575,14 +632,14 @@ func (s *Server) snapshotSession(e *entry) error {
 		}
 		se.mu.Unlock()
 	}
-	return s.persist.appendWAL(e.id, recs)
+	return s.persist.appendWAL(e, recs)
 }
 
 // SaveSnapshots writes a fresh snapshot for every live session — the
-// graceful-drain counterpart of LoadSnapshots — and returns how many it
-// saved. Idle-evicted and deleted sessions have no files left to write.
-// Open streams ride along as WAL stream records, so a restart resumes
-// them mid-protocol.
+// graceful-drain counterpart of LoadSnapshots — closes its log, and
+// returns how many it saved. Idle-evicted and deleted sessions have no
+// files left to write. Open streams ride along as WAL stream records, so
+// a restart resumes them mid-protocol.
 func (s *Server) SaveSnapshots() (int, error) {
 	if s.persist == nil {
 		return 0, nil
@@ -592,6 +649,9 @@ func (s *Server) SaveSnapshots() (int, error) {
 	for _, e := range s.store.list() {
 		e.mu.Lock()
 		err := s.snapshotSession(e)
+		if cerr := closeWAL(e); err == nil && cerr != nil {
+			err = fmt.Errorf("server: wal %s: %w", e.id, cerr)
+		}
 		e.mu.Unlock()
 		if err != nil {
 			if firstErr == nil {

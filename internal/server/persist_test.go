@@ -3,11 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -506,4 +508,325 @@ func TestVersion1SnapshotRestores(t *testing.T) {
 	if info.Events != 3 || info.Violations != 1 {
 		t.Fatalf("restored stream has %d events / %d violations, want 3 / 1", info.Events, info.Violations)
 	}
+}
+
+// labelTrace labels one trace class of a session and requires a 200.
+func (c *client) labelTrace(sid string, i int, label string) {
+	c.t.Helper()
+	if code := c.do("POST", "/v1/sessions/"+sid+"/label", apiv1.LabelRequest{Trace: &i, Label: label}, nil); code != http.StatusOK {
+		c.t.Fatalf("label trace %d of %s: status %d", i, sid, code)
+	}
+}
+
+// A torn tail must not swallow what comes after it: a label acknowledged
+// after the restart that found the tear survives the next restart, whether
+// the tear cut a record or the log's header.
+func TestWALTornTailKeepsLaterRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		keep func(wal []byte) int // how many bytes of the log survive the crash
+		want []string             // the first three classes' labels at the end
+	}{
+		{"record", func(wal []byte) int { return len(wal) - 3 }, []string{"good", "", "bad"}},
+		{"header", func([]byte) int { return 3 }, []string{"", "", "bad"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+			sid := c.mustCreate(violationFixture(t)).SessionID
+			c.labelTrace(sid, 0, "good")
+			c.labelTrace(sid, 1, "bad")
+			walPath := filepath.Join(dir, sid+".wal")
+			data, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(walPath, data[:tc.keep(data)], 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			_, c2 := restartServer(t, dir, obs.New())
+			c2.labelTrace(sid, 2, "bad")
+			_, c3 := restartServer(t, dir, obs.New())
+			classes := c3.sessionClasses(sid)
+			for i, want := range tc.want {
+				if classes[i].Label != want {
+					t.Errorf("class %d after two restarts: label %q, want %q", i, classes[i].Label, want)
+				}
+			}
+		})
+	}
+}
+
+// A client that finds a newborn session in a listing may label it while
+// the create request is still writing its snapshot. The snapshot must take
+// the entry lock (run with -race), and every acknowledged label must
+// survive a restart.
+func TestCreateSnapshotRacesLabel(t *testing.T) {
+	const n = 300
+	dir := t.TempDir()
+	_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	fixture := violationFixture(t)
+	created := make(chan struct{})
+	var labeled []string
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		seen := map[string]bool{}
+		for last := false; !last; {
+			select {
+			case <-created:
+				last = true // one more listing catches the final sessions
+			default:
+			}
+			var list apiv1.SessionList
+			if code := c.do("GET", "/v1/sessions", nil, &list); code != http.StatusOK {
+				t.Errorf("list sessions: status %d", code)
+				return
+			}
+			for _, info := range list.Sessions {
+				if seen[info.SessionID] {
+					continue
+				}
+				seen[info.SessionID] = true
+				zero := 0
+				code := c.do("POST", "/v1/sessions/"+info.SessionID+"/label", apiv1.LabelRequest{Trace: &zero, Label: "bad"}, nil)
+				if code != http.StatusOK {
+					t.Errorf("label %s: status %d", info.SessionID, code)
+					return
+				}
+				labeled = append(labeled, info.SessionID)
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		c.mustCreate(fixture)
+	}
+	close(created)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	srv2, c2 := restartServer(t, dir, obs.New())
+	if got := len(srv2.store.list()); got != n || len(labeled) != n {
+		t.Fatalf("%d sessions restored and %d labeled, want %d of each", got, len(labeled), n)
+	}
+	for _, sid := range labeled {
+		if l := c2.sessionClasses(sid)[0].Label; l != "bad" {
+			t.Fatalf("session %s: acknowledged label lost across the restart (label %q)", sid, l)
+		}
+	}
+}
+
+// A request that resolved a session before it was deleted still holds its
+// entry. Whatever it persists afterwards — a label record, a snapshot —
+// must not re-create the session's files.
+func TestWALNotWrittenAfterDelete(t *testing.T) {
+	dir := t.TempDir()
+	srv, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	sid := c.mustCreate(violationFixture(t)).SessionID
+	c.labelTrace(sid, 0, "good") // the log is open now
+	res, ok := srv.store.resolve(sid)
+	if !ok {
+		t.Fatal("resolve")
+	}
+	if code := c.do("DELETE", "/v1/sessions/"+sid, nil, nil); code != http.StatusNoContent {
+		t.Fatalf("delete: status %d", code)
+	}
+
+	e := res.entry
+	e.mu.Lock()
+	before := e.session.Labels()
+	labelErr := e.session.LabelTrace(1, "bad")
+	srv.walLabelDiff(e, e.session, before)
+	snapErr := srv.snapshotSession(e)
+	open := e.wal != nil
+	e.mu.Unlock()
+	if labelErr != nil || snapErr != nil {
+		t.Fatalf("label: %v; snapshot: %v", labelErr, snapErr)
+	}
+	if open {
+		t.Error("a deleted session holds an open log")
+	}
+	if des, err := os.ReadDir(dir); err != nil || len(des) != 0 {
+		t.Fatalf("files after delete: %v (err %v)", des, err)
+	}
+}
+
+// walOf returns the session's open log handle.
+func walOf(srv *Server, sid string) *os.File {
+	res, _ := srv.store.resolve(sid)
+	res.entry.mu.Lock()
+	defer res.entry.mu.Unlock()
+	return res.entry.wal
+}
+
+// writeCalls returns how many write(2) calls the process has made, from
+// /proc/self/io, and false where that count is not available.
+func writeCalls() (int64, bool) {
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, "syscw: "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			return n, err == nil
+		}
+	}
+	return 0, false
+}
+
+// The first record after a snapshot opens the log; later requests reuse
+// that handle and write all their records with one write(2). Relabeling
+// the top concept logs one record per class, so the parent's
+// write-per-record loop would make six.
+func TestWALHandleReused(t *testing.T) {
+	srv := New(Config{CacheSize: 4, SnapshotDir: t.TempDir(), Metrics: obs.New()})
+	c := &client{t: t, base: "http://cabled", http: &http.Client{Transport: inProcess{srv.Handler()}}}
+	created := c.mustCreate(violationFixture(t))
+	sid := created.SessionID
+	if f := walOf(srv, sid); f != nil {
+		t.Fatal("a session with no records since its snapshot holds an open log")
+	}
+	c.labelTrace(sid, 0, "good")
+	first := walOf(srv, sid)
+	if first == nil {
+		t.Fatal("no open log after a label")
+	}
+	// The fewest writes over a few requests, in case some other part of
+	// the process writes while one of them runs.
+	fewest, counted := int64(math.MaxInt64), true
+	for _, label := range []string{"bad", "good", "bad"} {
+		before, ok1 := writeCalls()
+		var lr apiv1.LabelResponse
+		code := c.do("POST", "/v1/sessions/"+sid+"/label", apiv1.LabelRequest{Concept: &created.Top, Label: label}, &lr)
+		after, ok2 := writeCalls()
+		if code != http.StatusOK || lr.Labeled != created.NumTraces {
+			t.Fatalf("label top concept: status %d, %d labeled, want %d", code, lr.Labeled, created.NumTraces)
+		}
+		if f := walOf(srv, sid); f != first {
+			t.Fatalf("label %q: log %p, first label's %p: want one handle", label, f, first)
+		}
+		counted = counted && ok1 && ok2
+		fewest = min(fewest, after-before)
+	}
+	if counted && fewest != 1 {
+		t.Fatalf("a %d-record label request made %d write calls, want 1", created.NumTraces, fewest)
+	}
+}
+
+// inProcess serves a client's requests straight from a handler, so no
+// socket descriptor opens or closes between two counts of /proc/self/fd.
+type inProcess struct{ h http.Handler }
+
+func (p inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		defer req.Body.Close()
+	}
+	rec := httptest.NewRecorder()
+	p.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
+
+// With persistence on, every way a session's log closes — a snapshot, a
+// delete, an idle eviction — gives its descriptor back: after a few
+// hundred sessions have come and gone the process holds no more
+// descriptors than before and none into the snapshot directory, and while
+// the sessions live they hold at most one each.
+func TestWALDescriptorsReturnToBaseline(t *testing.T) {
+	dir := t.TempDir()
+	// countFDs returns the process's descriptors and how many of them
+	// name a file in dir. Abandoned servers of earlier tests may close
+	// theirs meanwhile (os.File's finalizer), so the total can only be
+	// held to an upper bound.
+	countFDs := func() (total, inDir int) {
+		des, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count descriptors: %v", err)
+		}
+		for _, de := range des {
+			if target, err := os.Readlink(filepath.Join("/proc/self/fd", de.Name())); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+				inDir++
+			}
+		}
+		return len(des), inDir
+	}
+	base, _ := countFDs()
+	srv := New(Config{CacheSize: 4, SnapshotDir: dir, IdleTimeout: time.Minute, Metrics: obs.New()})
+	c := &client{t: t, base: "http://cabled", http: &http.Client{Transport: inProcess{srv.Handler()}}}
+	const n = 200
+	extra := trace.NewSet(trace.ParseEvents("n0", "X = popen()", "fwrite(X)"))
+	for i := 0; i < n; i++ {
+		created := c.mustCreate(anyRefFixture(t))
+		sid := created.SessionID
+		c.labelTrace(sid, 0, "good")
+		c.addTraces(sid, extra)
+		st := c.openStream(sid, stdioSpec, 8)
+		if code := c.postRaw("/v1/streams/"+st.StreamID+"/events", ndjson("X = popen()", "X = fopen()"), nil); code != http.StatusOK {
+			t.Fatalf("stream events: status %d", code)
+		}
+		var focus apiv1.FocusResponse
+		if code := c.do("POST", "/v1/sessions/"+sid+"/focus", apiv1.FocusRequest{Concept: created.Top, RefFA: anyRefFixture(t).RefFA}, &focus); code != http.StatusCreated {
+			t.Fatalf("focus: status %d", code)
+		}
+		if code := c.do("POST", "/v1/sessions/"+focus.SessionID+"/end", nil, nil); code != http.StatusOK {
+			t.Fatalf("end focus: status %d", code)
+		}
+		c.labelTrace(sid, 1, "bad")
+		if i%2 == 0 {
+			if code := c.do("DELETE", "/v1/sessions/"+sid, nil, nil); code != http.StatusNoContent {
+				t.Fatalf("delete: status %d", code)
+			}
+		}
+	}
+	if _, logs := countFDs(); logs != len(srv.store.list()) {
+		t.Fatalf("%d descriptors into the snapshot directory, want one per live session (%d)", logs, len(srv.store.list()))
+	}
+	now := time.Now()
+	srv.store.now = func() time.Time { return now.Add(2 * time.Minute) }
+	if evicted := srv.EvictIdleNow(); evicted != n/2 {
+		t.Fatalf("evicted %d sessions, want %d", evicted, n/2)
+	}
+	if total, logs := countFDs(); total > base || logs != 0 {
+		t.Fatalf("after every session left: %d descriptors (baseline %d), %d into the snapshot directory", total, base, logs)
+	}
+}
+
+// get_session and list_sessions report a session's durability form from
+// its entry: "snapshot" when created, "wal" once a record follows, back to
+// "snapshot" when a focus merge rewrites the snapshot, and "wal" again
+// after a restart that replays a log.
+func TestSnapshotFieldFollowsLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	created := c.mustCreate(violationFixture(t))
+	sid := created.SessionID
+	expect := func(c *client, step, want string) {
+		t.Helper()
+		var info apiv1.SessionInfo
+		if code := c.do("GET", "/v1/sessions/"+sid, nil, &info); code != http.StatusOK || info.Snapshot != want {
+			t.Fatalf("after %s: get_session status %d, snapshot %q; want %q", step, code, info.Snapshot, want)
+		}
+		var list apiv1.SessionList
+		if code := c.do("GET", "/v1/sessions", nil, &list); code != http.StatusOK || len(list.Sessions) != 1 || list.Sessions[0].Snapshot != want {
+			t.Fatalf("after %s: list_sessions status %d, %+v; want snapshot %q", step, code, list.Sessions, want)
+		}
+	}
+	expect(c, "create", "snapshot")
+	c.labelTrace(sid, 0, "good")
+	expect(c, "label", "wal")
+	var focus apiv1.FocusResponse
+	if code := c.do("POST", "/v1/sessions/"+sid+"/focus", apiv1.FocusRequest{Concept: created.Top, RefFA: violationFixture(t).RefFA}, &focus); code != http.StatusCreated {
+		t.Fatalf("focus: status %d", code)
+	}
+	if code := c.do("POST", "/v1/sessions/"+focus.SessionID+"/end", nil, nil); code != http.StatusOK {
+		t.Fatalf("end focus: status %d", code)
+	}
+	expect(c, "focus end", "snapshot")
+	c.labelTrace(sid, 1, "bad")
+	_, c2 := restartServer(t, dir, obs.New())
+	expect(c2, "restart with a log", "wal")
 }

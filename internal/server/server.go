@@ -367,25 +367,31 @@ func (s *Server) handleCreateSession(ctx context.Context, w http.ResponseWriter,
 		s.cache.Put(key, sess.Lattice())
 		shared = true
 	}
-	id, err := s.store.add(sess, shared, hit)
-	if err != nil {
-		return err
-	}
-	if s.persist != nil {
-		// Persist the newborn session before the client learns its ID, so
-		// a crash at any later point can restore it. Failure is counted,
-		// not fatal: the in-memory session still serves.
-		if err := s.persist.writeSnap(id, sess); err != nil {
-			s.metrics.Counter("server.snapshot.errors").Inc()
-		}
-	}
-	writeJSON(w, http.StatusCreated, apiv1.CreateSessionResponse{
-		SessionID:   id,
+	resp := apiv1.CreateSessionResponse{
 		NumTraces:   sess.NumTraces(),
 		NumConcepts: sess.Lattice().Len(),
 		Top:         sess.Lattice().Top(),
 		CacheHit:    hit,
-	})
+	}
+	e, err := s.store.add(sess, shared, hit)
+	if err != nil {
+		return err
+	}
+	resp.SessionID = e.id
+	if s.persist != nil {
+		// Persist the newborn session before the client learns its ID, so
+		// a crash at any later point can restore it. The session is
+		// already listable, so the snapshot takes the entry lock like any
+		// other request on it. Failure is counted, not fatal: the
+		// in-memory session still serves.
+		e.mu.Lock()
+		err := s.persist.writeSnap(e)
+		e.mu.Unlock()
+		if err != nil {
+			s.metrics.Counter("server.snapshot.errors").Inc()
+		}
+	}
+	writeJSON(w, http.StatusCreated, resp)
 	return nil
 }
 
@@ -411,7 +417,7 @@ func (s *Server) sessionInfo(e *entry, sess *cable.Session, focus bool, id strin
 	} else {
 		info.Streams = len(s.store.streamsOf(e.id))
 		if s.persist != nil {
-			info.Snapshot = s.persist.state(e.id)
+			info.Snapshot = durability(e)
 		}
 	}
 	return info
@@ -617,7 +623,7 @@ func (s *Server) handleLabel(ctx context.Context, w http.ResponseWriter, r *http
 			if err := sess.LabelTrace(*req.Trace, cable.Label(req.Label)); err != nil {
 				return 0, nil, err
 			}
-			s.walLabelDiff(e.id, sess, before)
+			s.walLabelDiff(e, sess, before)
 			return http.StatusOK, apiv1.LabelResponse{Labeled: 1}, nil
 		}
 		sel, err := parseSelector(req.Selector)
@@ -628,15 +634,16 @@ func (s *Server) handleLabel(ctx context.Context, w http.ResponseWriter, r *http
 		if err != nil {
 			return 0, nil, err
 		}
-		s.walLabelDiff(e.id, sess, before)
+		s.walLabelDiff(e, sess, before)
 		return http.StatusOK, apiv1.LabelResponse{Labeled: n}, nil
 	})
 }
 
 // walLabelDiff appends one WAL record per class whose label changed
 // between the before snapshot and the session's current labeling. A nil
-// before (persistence off, or a focus session) is a no-op.
-func (s *Server) walLabelDiff(id string, sess *cable.Session, before []cable.Label) {
+// before (persistence off, or a focus session) is a no-op. Callers hold
+// e.mu.
+func (s *Server) walLabelDiff(e *entry, sess *cable.Session, before []cable.Label) {
 	if before == nil {
 		return
 	}
@@ -648,7 +655,7 @@ func (s *Server) walLabelDiff(id string, sess *cable.Session, before []cable.Lab
 		}
 		recs = append(recs, walLabelRecord(sess.Set().ClassKey(i), string(after[i])))
 	}
-	if err := s.persist.appendWAL(id, recs); err != nil {
+	if err := s.persist.appendWAL(e, recs); err != nil {
 		s.metrics.Counter("server.snapshot.errors").Inc()
 	}
 }
@@ -720,7 +727,7 @@ func (s *Server) handleAddTraces(ctx context.Context, w http.ResponseWriter, r *
 			}
 		}
 		if s.persist != nil {
-			if err := s.persist.appendWAL(e.id, walRecs[:added]); err != nil {
+			if err := s.persist.appendWAL(e, walRecs[:added]); err != nil {
 				s.metrics.Counter("server.snapshot.errors").Inc()
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -42,6 +43,17 @@ type entry struct {
 	// janitor must read it without taking every session lock, and touch
 	// happens on the store-locked resolve path anyway.
 	lastUsed time.Time
+
+	// Persistence state (persist.go), guarded by mu. wal is the session's
+	// open write-ahead log: the first record after a snapshot opens it,
+	// and the next snapshot, the drain or the session leaving the store
+	// closes it. snapped marks a session whose snapshot file exists,
+	// logged one whose log holds records since that snapshot, and gone one
+	// deleted or evicted, for which nothing is persisted any more.
+	wal     *os.File
+	snapped bool
+	logged  bool
+	gone    bool
 }
 
 // streamEntry is one open online-verification stream bound to a session.
@@ -81,10 +93,10 @@ type store struct {
 	streams map[string]*streamEntry
 	metrics *obs.Metrics
 	now     func() time.Time // injectable for eviction tests
-	// onEvict, when set, runs with the ID of every session that leaves
-	// the table (delete or idle eviction), outside all locks; the server
-	// uses it to delete the session's snapshot and WAL files.
-	onEvict func(id string)
+	// onEvict, when set, runs with every session that leaves the table
+	// (delete or idle eviction), outside all locks; the server uses it to
+	// close the session's log and delete its snapshot and WAL files.
+	onEvict func(e *entry)
 }
 
 func newStore(m *obs.Metrics) *store {
@@ -106,38 +118,41 @@ func newID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// add registers a session and returns its new ID. latticeShared records
-// whether the session's lattice is also referenced by the lattice cache
-// (see entry.latticeShared); cacheHit whether the lattice was served
-// from that cache.
-func (st *store) add(s *cable.Session, latticeShared, cacheHit bool) (string, error) {
+// add registers a session under a new ID and returns its entry.
+// latticeShared records whether the session's lattice is also referenced
+// by the lattice cache (see entry.latticeShared); cacheHit whether the
+// lattice was served from that cache.
+func (st *store) add(s *cable.Session, latticeShared, cacheHit bool) (*entry, error) {
 	id, err := newID()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	st.insert(&entry{
+	e := &entry{
 		id:            id,
 		session:       s,
 		latticeShared: latticeShared,
 		cacheHit:      cacheHit,
 		created:       st.now(),
 		focuses:       make(map[string]*cable.Focus),
-	})
+	}
+	st.insert(e)
 	st.metrics.Counter("server.sessions.created").Inc()
-	return id, nil
+	return e, nil
 }
 
 // restore registers a session under a pre-existing ID — the snapshot
 // loader re-homes sessions from disk with the IDs their clients already
-// hold. A duplicate ID is an error rather than a silent overwrite.
-func (st *store) restore(id string, s *cable.Session) error {
+// hold; logged says whether its log holds records past the snapshot. A
+// duplicate ID is an error rather than a silent overwrite.
+func (st *store) restore(id string, s *cable.Session, logged bool) error {
 	st.mu.Lock()
 	_, dup := st.entries[id]
 	st.mu.Unlock()
 	if dup {
 		return fmt.Errorf("server: restoring session %q: ID already live", id)
 	}
-	st.insert(&entry{id: id, session: s, created: st.now(), focuses: make(map[string]*cable.Focus)})
+	st.insert(&entry{id: id, session: s, created: st.now(), focuses: make(map[string]*cable.Focus),
+		snapped: true, logged: logged})
 	return nil
 }
 
@@ -230,7 +245,7 @@ func (st *store) remove(id string) bool {
 	st.metrics.Counter("server.sessions.deleted").Inc()
 	st.closeStreamsOf(id)
 	if st.onEvict != nil {
-		st.onEvict(id)
+		st.onEvict(e)
 	}
 	return true
 }
@@ -394,7 +409,7 @@ func (st *store) evictIdle(maxIdle time.Duration) int {
 		}
 	}
 	st.mu.RUnlock()
-	var evicted []string
+	var evicted []*entry
 	for _, e := range stale {
 		if !e.mu.TryLock() {
 			continue // in use right now; next sweep retries
@@ -416,18 +431,18 @@ func (st *store) evictIdle(maxIdle time.Duration) int {
 		st.mu.Unlock()
 		e.focuses = make(map[string]*cable.Focus)
 		e.mu.Unlock()
-		evicted = append(evicted, e.id)
+		evicted = append(evicted, e)
 	}
 	if len(evicted) > 0 {
 		st.metrics.Counter("server.sessions.evicted").Add(int64(len(evicted)))
 	}
 	// Stream closure and file cleanup run outside every lock.
-	for _, id := range evicted {
-		st.closeStreamsOf(id)
+	for _, e := range evicted {
+		st.closeStreamsOf(e.id)
 	}
 	if st.onEvict != nil {
-		for _, id := range evicted {
-			st.onEvict(id)
+		for _, e := range evicted {
+			st.onEvict(e)
 		}
 	}
 	return len(evicted)

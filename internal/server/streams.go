@@ -86,7 +86,7 @@ func (s *Server) handleOpenStream(ctx context.Context, w http.ResponseWriter, r 
 	}
 	if s.persist != nil {
 		res.entry.mu.Lock()
-		perr := s.persist.appendWAL(res.entry.id, [][]byte{walStreamRecord(se.id, se.spec, false, chk.State())})
+		perr := s.persist.appendWAL(res.entry, [][]byte{walStreamRecord(se.id, se.spec, false, chk.State())})
 		res.entry.mu.Unlock()
 		if perr != nil {
 			s.metrics.Counter("server.snapshot.errors").Inc()
@@ -229,7 +229,7 @@ func (s *Server) appendViolations(ctx context.Context, se *streamEntry, violatio
 		}
 		if s.persist != nil {
 			logged = append(logged, walStreamRecord(se.id, se.spec, closed, state))
-			if err := s.persist.appendWAL(e.id, logged); err != nil {
+			if err := s.persist.appendWAL(e, logged); err != nil {
 				s.metrics.Counter("server.snapshot.errors").Inc()
 			}
 		}
