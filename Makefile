@@ -43,8 +43,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Includes TestSimSharedAcrossGoroutines: one compiled simulation plan
-# hammered from 8 goroutines across every entry point.
+# Includes TestSimSharedAcrossGoroutines (one compiled simulation plan
+# hammered from 8 goroutines across every entry point) and the
+# zero-allocation pins of internal/fa, internal/verify and internal/stream.
 race:
 	$(GO) test -race ./...
 

@@ -84,7 +84,7 @@ func run(addr string, cfg server.Config, shutdownTimeout time.Duration) error {
 			fmt.Fprintf(os.Stderr, "cabled: restored %d session(s) from %s\n", n, cfg.SnapshotDir)
 		}
 	}
-	go svc.Janitor(rootCtx, 0)
+	go svc.Janitor(rootCtx)
 
 	var fresh newConns
 	httpSrv := &http.Server{

@@ -1,15 +1,13 @@
 // Command cablevet runs the repository's invariant suite (obsspan,
-// poolescape, ctxpropagate, errwrapline, lockheld) over Go packages.
+// ctxpropagate, errwrapline, lockheld, poolarena, errenvelope) as a go
+// vet tool:
 //
-// Two modes share one binary:
-//
-//	cablevet [-run name[,name]] [-list] [packages...]
-//	    Standalone: load packages (default ./...) via the go tool's
-//	    export data and print diagnostics. Exit 1 when any are found.
-//
+//	go build -o bin/cablevet ./cmd/cablevet
 //	go vet -vettool=$(pwd)/bin/cablevet ./...
-//	    Vet tool: the go command invokes cablevet once per package with
-//	    a vet.cfg, caching results across builds. This is the CI lane.
+//
+// The go command invokes cablevet once per package with a vet.cfg,
+// caching results across builds; this is the CI lane. Any other
+// invocation prints the usage and exits 2.
 //
 // Findings are suppressed per line with
 //
@@ -19,27 +17,25 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/analyzers"
 )
 
 func main() {
-	// The go vet handshake (-V=full, -flags) and vet.cfg invocation
-	// bypass normal flag parsing: the go command controls that call
-	// shape, not the user.
 	if analysis.HandleVetFlags(os.Args[1:]) {
 		return
 	}
-	if len(os.Args) == 2 && analysis.IsVetConfig(os.Args[1]) {
-		os.Exit(runVetTool(os.Args[1]))
+	if len(os.Args) != 2 || !analysis.IsVetConfig(os.Args[1]) {
+		fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(pwd)/bin/cablevet [packages]\n\nanalyzers:\n")
+		for _, a := range analyzers.All() {
+			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
+		}
+		os.Exit(2)
 	}
-	os.Exit(runStandalone(os.Args[1:]))
+	os.Exit(runVetTool(os.Args[1]))
 }
 
 func runVetTool(cfg string) int {
@@ -48,83 +44,12 @@ func runVetTool(cfg string) int {
 		fmt.Fprintf(os.Stderr, "cablevet: %v\n", err)
 		return 1
 	}
-	if len(diags) == 0 {
-		return 0
-	}
 	for _, d := range diags {
 		p := d.Position(fset)
 		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s\n", p.Filename, p.Line, p.Column, d.Message)
 	}
-	return 1
-}
-
-func runStandalone(args []string) int {
-	fs := flag.NewFlagSet("cablevet", flag.ExitOnError)
-	runNames := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	list := fs.Bool("list", false, "list analyzers and exit")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: cablevet [-run name[,name]] [-list] [packages...]\n\n")
-		fs.PrintDefaults()
-		fmt.Fprintf(fs.Output(), "\nanalyzers:\n")
-		for _, a := range analyzers.All() {
-			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, a.Doc)
-		}
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *list {
-		for _, a := range analyzers.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	suite := analyzers.All()
-	if *runNames != "" {
-		suite = suite[:0:0]
-		for _, name := range strings.Split(*runNames, ",") {
-			a, ok := analyzers.ByName(strings.TrimSpace(name))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "cablevet: unknown analyzer %q\n", name)
-				return 2
-			}
-			suite = append(suite, a)
-		}
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cablevet: %v\n", err)
+	if len(diags) > 0 {
 		return 1
 	}
-	pkgs, err := analysis.LoadPackages(wd, patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cablevet: %v\n", err)
-		return 1
-	}
-	exit := 0
-	for _, pkg := range pkgs {
-		diags, err := analysis.RunPackage(pkg, suite)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cablevet: %s: %v\n", pkg.ImportPath, err)
-			exit = 1
-			continue
-		}
-		sort.Slice(diags, func(i, j int) bool {
-			pi, pj := diags[i].Position(pkg.Fset), diags[j].Position(pkg.Fset)
-			if pi.Filename != pj.Filename {
-				return pi.Filename < pj.Filename
-			}
-			return pi.Line < pj.Line
-		})
-		for _, d := range diags {
-			p := d.Position(pkg.Fset)
-			fmt.Printf("%s:%d:%d: %s (%s)\n", p.Filename, p.Line, p.Column, d.Message, d.Analyzer)
-			exit = 1
-		}
-	}
-	return exit
+	return 0
 }

@@ -5,12 +5,12 @@
 // checkers of cmd/cablevet: an Analyzer inspects one type-checked
 // package (a Pass) and reports Diagnostics.
 //
-// Three drivers share the framework:
+// Two drivers share the framework:
 //
-//   - cmd/cablevet run standalone on package patterns (LoadPackages),
 //   - cmd/cablevet invoked by `go vet -vettool=` (RunUnitchecker, which
 //     speaks the vet.cfg protocol), and
-//   - the analysistest golden-file runner used by the analyzer tests.
+//   - the analysistest golden-file runner used by the analyzer tests
+//     (LoadDir).
 //
 // Diagnostics can be suppressed at the source line with a comment of the
 // form

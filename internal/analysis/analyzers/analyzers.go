@@ -1,10 +1,9 @@
-// Package analyzers holds the cablevet invariant suite: seven
+// Package analyzers holds the cablevet invariant suite: six
 // project-specific checkers that enforce conventions no compiler pass
-// verifies — span hygiene (obsspan), sync.Pool scratch discipline
-// (poolescape), context plumbing (ctxpropagate), scanner error wrapping
-// (errwrapline), blocking calls under the per-session lock (lockheld),
-// arena ownership for lattice bitsets (poolarena), and the uniform HTTP
-// error envelope (errenvelope). See DESIGN.md's "Static analysis"
+// verifies — span hygiene (obsspan), context plumbing (ctxpropagate),
+// scanner error wrapping (errwrapline), blocking calls under the
+// per-session lock (lockheld), arena ownership for lattice bitsets
+// (poolarena), and the uniform HTTP error envelope (errenvelope). See DESIGN.md's "Static analysis"
 // section for the catalogue and the suppression syntax.
 package analyzers
 
@@ -18,17 +17,7 @@ import (
 
 // All returns the full cablevet analyzer suite in stable order.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{ObsSpan, PoolEscape, CtxPropagate, ErrWrapLine, LockHeld, PoolArena, ErrEnvelope}
-}
-
-// ByName resolves one analyzer, for the -run flag of cmd/cablevet.
-func ByName(name string) (*analysis.Analyzer, bool) {
-	for _, a := range All() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
+	return []*analysis.Analyzer{ObsSpan, CtxPropagate, ErrWrapLine, LockHeld, PoolArena, ErrEnvelope}
 }
 
 // obsPkgPath is the observability package every span rule keys on.
@@ -146,7 +135,7 @@ func identObj(pass *analysis.Pass, e ast.Expr) types.Object {
 
 // mentionsObj reports whether the expression tree references obj.
 // Subtrees that copy their operand — string(...) conversions and the
-// len/cap builtins — are skipped: a copy cannot retain pooled memory.
+// len/cap builtins — are skipped: a copy cannot retain arena memory.
 func mentionsObj(pass *analysis.Pass, n ast.Node, obj types.Object) bool {
 	if n == nil {
 		return false

@@ -13,30 +13,23 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 )
 
 // Package is one parsed and type-checked package, ready for analysis.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
 }
 
-// listEntry is the subset of `go list -json` output the loader consumes.
+// listEntry is the part of `go list -json` output the loader reads.
 type listEntry struct {
 	ImportPath string
-	Name       string
-	Dir        string
 	Export     string
-	GoFiles    []string
-	Standard   bool
-	DepOnly    bool
-	Incomplete bool
 }
 
 // goList runs `go list -deps -export -json` in dir over the patterns and
@@ -121,49 +114,6 @@ func checkPackage(fset *token.FileSet, path string, filenames []string, imp type
 	}, nil
 }
 
-// LoadPackages loads, parses, and type-checks the packages matching the
-// patterns (relative to dir, "" meaning the current directory), using
-// `go list -deps -export` so every import — standard library or module —
-// resolves through compiler export data. Standard-library packages and
-// pure dependencies are used for their export data only; the returned
-// slice holds just the pattern-matched packages, sorted by import path.
-func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
-	entries, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := map[string]string{}
-	var targets []listEntry
-	for _, e := range entries {
-		if e.Export != "" {
-			exports[e.ImportPath] = e.Export
-		}
-		if !e.DepOnly && !e.Standard {
-			targets = append(targets, e)
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports, nil)
-	var pkgs []*Package
-	for _, e := range targets {
-		if e.Incomplete || len(e.GoFiles) == 0 {
-			continue
-		}
-		filenames := make([]string, len(e.GoFiles))
-		for i, g := range e.GoFiles {
-			filenames[i] = filepath.Join(e.Dir, g)
-		}
-		pkg, err := checkPackage(fset, e.ImportPath, filenames, imp)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %s: %v", e.ImportPath, err)
-		}
-		pkg.Dir = e.Dir
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
 // LoadDir loads the single package rooted at dir — typically an
 // analysistest golden package under testdata, which `go list` patterns
 // skip. The directory's files are parsed directly; their imports are
@@ -175,34 +125,28 @@ func LoadDir(dir, moduleDir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(matches)
 	if len(matches) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	importSet := map[string]bool{}
+	slices.Sort(matches)
+	var imports []string
 	for _, name := range matches {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, f)
 		for _, spec := range f.Imports {
 			path, err := strconv.Unquote(spec.Path.Value)
 			if err == nil && path != "unsafe" {
-				importSet[path] = true
+				imports = append(imports, path)
 			}
 		}
 	}
+	slices.Sort(imports)
+	imports = slices.Compact(imports)
 	exports := map[string]string{}
-	if len(importSet) > 0 {
-		patterns := make([]string, 0, len(importSet))
-		for p := range importSet {
-			patterns = append(patterns, p)
-		}
-		sort.Strings(patterns)
-		entries, err := goList(moduleDir, patterns)
+	if len(imports) > 0 {
+		entries, err := goList(moduleDir, imports)
 		if err != nil {
 			return nil, err
 		}
@@ -212,20 +156,10 @@ func LoadDir(dir, moduleDir string) (*Package, error) {
 			}
 		}
 	}
-	imp := exportImporter(fset, exports, nil)
-	info := newInfo()
-	conf := types.Config{Importer: imp}
-	path := filepath.Base(dir)
-	tpkg, err := conf.Check(path, fset, files, info)
+	fset := token.NewFileSet()
+	pkg, err := checkPackage(fset, filepath.Base(dir), matches, exportImporter(fset, exports, nil))
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s: %v", dir, err)
 	}
-	return &Package{
-		ImportPath: path,
-		Dir:        dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}, nil
+	return pkg, nil
 }

@@ -106,7 +106,6 @@ func RunUnitchecker(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, *token
 		}
 		return nil, nil, fmt.Errorf("analysis: %s: %v", cfg.ImportPath, err)
 	}
-	pkg.Dir = cfg.Dir
 	diags, err := RunPackage(pkg, analyzers)
 	return diags, fset, err
 }

@@ -506,8 +506,6 @@ func childrenOf(parents [][]int, totalEdges int) [][]int {
 	return children
 }
 
-func wordsFor(n int) int { return (n + 63) / 64 }
-
 // minimalCovers appends to dst the upper covers of one concept among its
 // candidate upper bounds cand, and returns the extended slice. It sorts cand
 // in place by (extent size, ID) — a linear extension of the lattice order,

@@ -15,9 +15,6 @@ import (
 // the hooks cost, and both the disabled and enabled obs paths are
 // designed to be allocation-free.
 func TestExecutedObsZeroAllocOverhead(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector defeats sync.Pool caching; alloc counts unreliable")
-	}
 	b := NewBuilder("proto")
 	s := b.States(3)
 	b.Start(s[0])

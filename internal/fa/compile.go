@@ -22,15 +22,16 @@ import (
 //     backward CSR (predecessors per (state, symbol)) drives the backward
 //     pass of Executed.
 //   - Scratch state (frontier bitsets, the per-position forward frontiers,
-//     symbol and rendering buffers) lives in a sync.Pool, so steady-state
-//     simulation allocates nothing and one Sim can be shared across
-//     goroutines.
+//     symbol and rendering buffers) is built once with the plan and reused
+//     by every call, so steady-state simulation allocates nothing.
 //
-// A Sim is immutable after compilation apart from the scratch pool, which
-// is safe for concurrent use: all methods may be called from multiple
-// goroutines. It keeps no per-trace state: callers that want one
-// simulation per class of identical traces pass class representatives
-// (trace.Set.Representatives).
+// A Sim is immutable after compilation apart from its scratch, which a
+// mutex holds for the whole of each Accepts, RejectsAt and Executed call:
+// all methods may be called from multiple goroutines, which take turns.
+// No production caller shares a plan across goroutines; stream checkers
+// step their own Cursor, which never touches the scratch. A Sim keeps no
+// per-trace state: callers that want one simulation per class of
+// identical traces pass class representatives (trace.Set.Representatives).
 //
 // Obtain a Sim with FA.Sim(), which compiles on first use and caches the
 // plan for the automaton's lifetime.
@@ -63,12 +64,11 @@ type Sim struct {
 	wbFrom []int32
 	wbT    []int32
 
-	pool sync.Pool // *simScratch
+	mu sync.Mutex // held for the whole of each call that uses sc
+	sc simScratch
 }
 
-// simScratch is the reusable per-simulation state. One scratch is checked
-// out of the pool per call, so a shared Sim stays goroutine-safe while the
-// steady state allocates nothing.
+// simScratch is the reusable per-simulation state, one per plan.
 type simScratch struct {
 	syms   []int32       // per-event symbol IDs of the current trace (-1 = unknown)
 	evBuf  []byte        // event rendering buffer for symbol lookup
@@ -178,20 +178,15 @@ func newSim(f *FA) *Sim {
 			bfill[row]++
 		}
 	}
-	s.pool.New = func() any {
-		return &simScratch{
-			cur:    bitset.New(s.numStates),
-			nxt:    bitset.New(s.numStates),
-			bwdCur: bitset.New(s.numStates),
-			bwdNxt: bitset.New(s.numStates),
-		}
+	s.sc = simScratch{
+		cur:    bitset.New(n),
+		nxt:    bitset.New(n),
+		bwdCur: bitset.New(n),
+		bwdNxt: bitset.New(n),
 	}
 	obs.Count("fa.compile.plans", 1)
 	return s
 }
-
-func (s *Sim) get() *simScratch   { return s.pool.Get().(*simScratch) }
-func (s *Sim) put(sc *simScratch) { s.pool.Put(sc) }
 
 // FA returns the automaton this plan was compiled from.
 func (s *Sim) FA() *FA { return s.fa }
@@ -252,8 +247,9 @@ func (s *Sim) Accepts(t trace.Trace) bool {
 	sp := obs.StartSpan("fa.accepts")
 	defer sp.End()
 	obs.Count("fa.accepts.events", int64(len(t.Events)))
-	sc := s.get()
-	defer s.put(sc)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sc := &s.sc
 	s.mapSyms(sc, t.Events)
 	cur, next := sc.cur.CopyFrom(s.start), sc.nxt
 	for _, sym := range sc.syms {
@@ -274,8 +270,9 @@ func (s *Sim) RejectsAt(t trace.Trace) int {
 	sp := obs.StartSpan("fa.rejectsat")
 	defer sp.End()
 	obs.Count("fa.rejectsat.events", int64(len(t.Events)))
-	sc := s.get()
-	defer s.put(sc)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sc := &s.sc
 	s.mapSyms(sc, t.Events)
 	cur, next := sc.cur.CopyFrom(s.start), sc.nxt
 	for i, sym := range sc.syms {
@@ -299,8 +296,9 @@ func (s *Sim) Executed(t trace.Trace) (*bitset.Set, bool) {
 	sp := obs.StartSpan("fa.executed")
 	defer sp.End()
 	obs.Count("fa.executed.events", int64(len(t.Events)))
-	sc := s.get()
-	defer s.put(sc)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sc := &s.sc
 	out := bitset.New(len(s.fa.trans))
 	ok := s.executedInto(sc, t, out)
 	if !ok {

@@ -77,9 +77,6 @@ func TestCursorStatesRoundTrip(t *testing.T) {
 }
 
 func TestCursorZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc counts unreliable under the race detector")
-	}
 	f := protocolFA(t)
 	cur := f.Sim().NewCursor()
 	ev := event.MustParse("use(X)")

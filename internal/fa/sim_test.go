@@ -197,13 +197,10 @@ func stdioFixtureFA(t testing.TB) *FA {
 	return b.MustBuild()
 }
 
-// TestSimSteadyStateZeroAlloc guards the pooled-scratch fast path: once the
+// TestSimSteadyStateZeroAlloc guards the plan's one scratch: once the
 // plan is compiled and warm, Accepts and RejectsAt allocate nothing. This
 // is the compiled analogue of TestExecutedObsZeroAllocOverhead.
 func TestSimSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector defeats sync.Pool caching; alloc counts unreliable")
-	}
 	obs.Disable()
 	f := stdioFixtureFA(t)
 	sim := f.Sim()
@@ -230,9 +227,6 @@ func TestSimSteadyStateZeroAlloc(t *testing.T) {
 // the compiled path: enabling obs must not change the allocation count of
 // a steady-state simulation.
 func TestSimObsZeroAllocOverhead(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector defeats sync.Pool caching; alloc counts unreliable")
-	}
 	f := stdioFixtureFA(t)
 	sim := f.Sim()
 	tr := trace.ParseEvents("t", "X = fopen()", "fread(X)", "fclose(X)")

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -13,11 +12,9 @@ import (
 // -cpuprofile, and -memprofile.
 type CLIConfig struct {
 	// Metrics enables the process-default registry and dumps a text
-	// snapshot to MetricsOut when the returned stop function runs.
+	// snapshot to stderr, keeping stdout clean for the tool's own output,
+	// when the returned stop function runs.
 	Metrics bool
-	// MetricsOut receives the snapshot; nil means os.Stderr, keeping
-	// stdout clean for the tool's own output.
-	MetricsOut io.Writer
 	// CPUProfile, when non-empty, is the file to write a pprof CPU
 	// profile to.
 	CPUProfile string
@@ -32,10 +29,6 @@ type CLIConfig struct {
 // disables the registry. stop is idempotent, so it is safe to both defer
 // it and call it explicitly before an os.Exit path.
 func SetupCLI(cfg CLIConfig) (stop func(), err error) {
-	out := cfg.MetricsOut
-	if out == nil {
-		out = os.Stderr
-	}
 	var m *Metrics
 	if cfg.Metrics {
 		m = Enable()
@@ -78,7 +71,7 @@ func SetupCLI(cfg CLIConfig) (stop func(), err error) {
 			}
 		}
 		if m != nil {
-			if err := m.WriteText(out); err != nil {
+			if err := m.WriteText(os.Stderr); err != nil {
 				fmt.Fprintln(os.Stderr, "obs: snapshot:", err)
 			}
 			Disable()

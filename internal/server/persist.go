@@ -417,12 +417,11 @@ func parseWAL(data []byte) ([]walAction, int) {
 
 // removeFiles closes a session's log and deletes its snapshot and WAL;
 // called after the session leaves the store (delete or idle eviction).
-// It marks the session gone under its lock, so a request that resolved
-// the session earlier cannot re-create either file.
+// store.unlink has already marked the session gone under its lock, so a
+// request that resolved the session earlier cannot re-create either file.
 func (p *persister) removeFiles(e *entry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.gone = true
 	_ = closeWAL(e) // the log is deleted next
 	_ = os.Remove(p.snapPath(e.id))
 	_ = os.Remove(p.walPath(e.id))

@@ -108,19 +108,14 @@ func New(cfg Config) *Server {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Janitor evicts idle sessions every interval until ctx is done. It is a
-// no-op loop when idle eviction is disabled.
-func (s *Server) Janitor(ctx context.Context, interval time.Duration) {
+// Janitor evicts idle sessions every quarter of IdleTimeout (at least
+// every second) until ctx is done. It returns at once when idle eviction
+// is disabled.
+func (s *Server) Janitor(ctx context.Context) {
 	if s.cfg.IdleTimeout <= 0 {
 		return
 	}
-	if interval <= 0 {
-		interval = s.cfg.IdleTimeout / 4
-		if interval < time.Second {
-			interval = time.Second
-		}
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(max(s.cfg.IdleTimeout/4, time.Second))
 	defer t.Stop()
 	for {
 		select {
@@ -138,11 +133,14 @@ func (s *Server) Janitor(ctx context.Context, interval time.Duration) {
 type handlerFunc func(ctx context.Context, w http.ResponseWriter, r *http.Request) error
 
 // instrument wraps an endpoint with the per-endpoint counter, latency
-// span, deadline, and the uniform error envelope.
+// span, deadline, and the uniform error envelope. The instrument names
+// are built once per route, so a request with metrics off allocates
+// nothing here.
 func (s *Server) instrument(name string, h handlerFunc) http.HandlerFunc {
+	reqName, latName, errName := "server.req."+name, "server.latency."+name, "server.err."+name
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.Counter("server.req." + name).Inc()
-		sp := s.metrics.StartSpan("server.latency." + name)
+		s.metrics.Counter(reqName).Inc()
+		sp := s.metrics.StartSpan(latName)
 		defer sp.End()
 		ctx := r.Context()
 		if s.cfg.RequestTimeout > 0 {
@@ -151,7 +149,7 @@ func (s *Server) instrument(name string, h handlerFunc) http.HandlerFunc {
 			defer cancel()
 		}
 		if err := h(ctx, w, r); err != nil {
-			s.metrics.Counter("server.err." + name).Inc()
+			s.metrics.Counter(errName).Inc()
 			s.writeError(w, err)
 		}
 	}
@@ -287,7 +285,10 @@ func (s *Server) withEntry(r *http.Request, fn func(e *entry, sess *cable.Sessio
 	status, payload, err := func() (int, any, error) {
 		res.entry.mu.Lock()
 		defer res.entry.mu.Unlock()
-		sess := res.session
+		if res.entry.gone {
+			return 0, nil, notFound(fmt.Errorf("no session %q", id))
+		}
+		sess := res.entry.session
 		if res.focusID != "" {
 			f, ok := res.entry.focuses[res.focusID]
 			if !ok {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cable"
 	"repro/internal/fa"
 	"repro/internal/obs"
 	"repro/internal/server/apiv1"
@@ -687,6 +689,118 @@ func TestIdleEviction(t *testing.T) {
 	}
 	if code := c.do("GET", "/v1/sessions/"+kept.SessionID, nil, nil); code != 200 {
 		t.Errorf("fresh session was evicted: %d", code)
+	}
+}
+
+// A focus request that resolved its session before a concurrent DELETE
+// gets the entry lock after it. The focus must not register on the dead
+// entry: its ID would resolve to the deleted session, and focusParent
+// would keep that session's lattice alive forever, since idle eviction
+// walks only live entries.
+func TestFocusNotRegisteredAfterDelete(t *testing.T) {
+	srv, c := newTestServer(t, Config{CacheSize: 4})
+	created := c.mustCreate(violationFixture(t))
+	sid := created.SessionID
+	res, ok := srv.store.resolve(sid)
+	if !ok {
+		t.Fatal("resolve")
+	}
+	if code := c.do("DELETE", "/v1/sessions/"+sid, nil, nil); code != http.StatusNoContent {
+		t.Fatalf("delete: status %d", code)
+	}
+
+	e := res.entry
+	f, err := e.session.Focus(created.Top, cable.SelectAll(), e.session.Ref())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	fid, addErr := srv.store.addFocus(e, f)
+	e.mu.Unlock()
+	if addErr == nil {
+		var info apiv1.SessionInfo
+		code := c.do("GET", "/v1/sessions/"+fid, nil, &info)
+		t.Errorf("focus registered on a deleted session: GET answers %d with parent %q", code, info.Parent)
+	}
+	srv.store.mu.RLock()
+	n := len(srv.store.focusParent)
+	srv.store.mu.RUnlock()
+	if n != 0 {
+		t.Errorf("focusParent holds %d entries after the delete, want 0", n)
+	}
+}
+
+// Label and add-traces requests that resolved a session before a delete
+// or an eviction took its lock answer 404 and leave the session alone.
+func TestRequestFindsUnlinkedSessionGone(t *testing.T) {
+	srv, c := newTestServer(t, Config{CacheSize: 4})
+	top := 0
+	adds := fixtureFrom(t, trace.NewSet(trace.ParseEvents("n0", "X = popen()", "fwrite(X)")))
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/label", apiv1.LabelRequest{Concept: &top, Label: "good"}},
+		{"/traces", apiv1.AddTracesRequest{Traces: adds.Traces}},
+	} {
+		created := c.mustCreate(violationFixture(t))
+		top = created.Top
+		res, _ := srv.store.resolve(created.SessionID)
+		e := res.entry
+		resolved := make(chan struct{}, 1)
+		srv.store.now = func() time.Time {
+			select {
+			case resolved <- struct{}{}:
+			default:
+			}
+			return time.Now()
+		}
+		body, err := json.Marshal(tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest("POST", "/v1/sessions/"+created.SessionID+tc.path, bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		e.mu.Lock()
+		go func() {
+			defer close(done)
+			srv.Handler().ServeHTTP(rec, req)
+		}()
+		<-resolved // the request holds the entry and waits for its lock
+		ok := srv.store.unlink(e, time.Time{})
+		e.mu.Unlock()
+		<-done
+		srv.store.now = time.Now
+		if !ok {
+			t.Fatal("unlink refused a live session")
+		}
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("POST %s after the session left the table: status %d, want 404", tc.path, rec.Code)
+		}
+		e.mu.Lock()
+		labeled, n := e.session.Labels(), e.session.NumTraces()
+		e.mu.Unlock()
+		for _, l := range labeled {
+			if l != cable.Unlabeled {
+				t.Errorf("POST %s labeled a deleted session", tc.path)
+				break
+			}
+		}
+		if n != created.NumTraces {
+			t.Errorf("POST %s grew a deleted session to %d classes", tc.path, n)
+		}
+	}
+}
+
+// With metrics off, the request wrapper allocates nothing: the
+// instrument names are built once per route, not per request.
+func TestInstrumentZeroAllocWithoutMetrics(t *testing.T) {
+	s := &Server{}
+	h := s.instrument("noop", func(context.Context, http.ResponseWriter, *http.Request) error { return nil })
+	w, r := httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil)
+	if n := testing.AllocsPerRun(100, func() { h(w, r) }); n != 0 {
+		t.Fatalf("instrument allocates %v per request with metrics off, want 0", n)
 	}
 }
 

@@ -44,16 +44,19 @@ type entry struct {
 	// happens on the store-locked resolve path anyway.
 	lastUsed time.Time
 
+	// gone marks a session deleted or evicted (store.unlink): a request
+	// that resolved it earlier finds it gone under mu, and nothing is
+	// persisted for it any more. Guarded by mu.
+	gone bool
+
 	// Persistence state (persist.go), guarded by mu. wal is the session's
 	// open write-ahead log: the first record after a snapshot opens it,
 	// and the next snapshot, the drain or the session leaving the store
-	// closes it. snapped marks a session whose snapshot file exists,
-	// logged one whose log holds records since that snapshot, and gone one
-	// deleted or evicted, for which nothing is persisted any more.
+	// closes it. snapped marks a session whose snapshot file exists, and
+	// logged one whose log holds records since that snapshot.
 	wal     *os.File
 	snapped bool
 	logged  bool
-	gone    bool
 }
 
 // streamEntry is one open online-verification stream bound to a session.
@@ -174,8 +177,12 @@ func (st *store) touch(e *entry) {
 }
 
 // addFocus registers a focus sub-session under its parent entry and
-// returns the focus-session ID. Callers must hold e.mu.
+// returns the focus-session ID. Callers must hold e.mu; a gone entry
+// takes no focus.
 func (st *store) addFocus(e *entry, f *cable.Focus) (string, error) {
+	if e.gone {
+		return "", notFound(fmt.Errorf("no session %q", e.id))
+	}
 	id, err := newID()
 	if err != nil {
 		return "", err
@@ -189,23 +196,21 @@ func (st *store) addFocus(e *entry, f *cable.Focus) (string, error) {
 }
 
 // resolved is the result of looking up a session ID: the entry to lock,
-// the session to operate on (the sub-session for focus IDs), and the
-// Focus handle when the ID names one.
+// and the focus-session ID when the ID names one.
 type resolved struct {
 	entry   *entry
-	session *cable.Session
-	focus   *cable.Focus
 	focusID string
 }
 
 // resolve maps a session or focus-session ID to its entry, bumping the
-// idle clock. The caller locks res.entry.mu before using res.session.
+// idle clock. The caller locks res.entry.mu before using the session,
+// and finds it gone there if a delete or eviction won the lock first.
 func (st *store) resolve(id string) (resolved, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if e, ok := st.entries[id]; ok {
 		e.lastUsed = st.now()
-		return resolved{entry: e, session: e.session}, true
+		return resolved{entry: e}, true
 	}
 	if e, ok := st.focusParent[id]; ok {
 		e.lastUsed = st.now()
@@ -220,33 +225,46 @@ func (st *store) resolve(id string) (resolved, bool) {
 // false if the ID is unknown or names a focus (focuses end, they are not
 // deleted).
 func (st *store) remove(id string) bool {
-	st.mu.Lock()
+	st.mu.RLock()
 	e, ok := st.entries[id]
-	if ok {
-		delete(st.entries, id)
-		st.metrics.Gauge("server.sessions.live").Set(int64(len(st.entries)))
-	}
-	st.mu.Unlock()
+	st.mu.RUnlock()
 	if !ok {
 		return false
 	}
 	e.mu.Lock()
-	ids := make([]string, 0, len(e.focuses))
-	for fid := range e.focuses {
-		ids = append(ids, fid)
-	}
-	e.focuses = make(map[string]*cable.Focus)
+	ok = st.unlink(e, time.Time{})
 	e.mu.Unlock()
-	st.mu.Lock()
-	for _, fid := range ids {
-		delete(st.focusParent, fid)
+	if !ok {
+		return false // a concurrent delete or eviction got there first
 	}
-	st.mu.Unlock()
 	st.metrics.Counter("server.sessions.deleted").Inc()
 	st.closeStreamsOf(id)
 	if st.onEvict != nil {
 		st.onEvict(e)
 	}
+	return true
+}
+
+// unlink is the step delete and idle eviction share: it takes a session
+// out of the table with its focus IDs and marks it gone. Callers hold
+// e.mu, and the store lock nests inside it (the order addFocus uses), so
+// a request that resolved the session earlier and waits for its lock
+// finds it gone, and no focus can register on it afterwards. unlink
+// changes nothing and reports false when e has already left the table
+// or, for a non-zero idleBefore, was used at or after idleBefore.
+func (st *store) unlink(e *entry, idleBefore time.Time) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.entries[e.id] != e || !idleBefore.IsZero() && !e.lastUsed.Before(idleBefore) {
+		return false
+	}
+	delete(st.entries, e.id)
+	for fid := range e.focuses {
+		delete(st.focusParent, fid)
+	}
+	st.metrics.Gauge("server.sessions.live").Set(int64(len(st.entries)))
+	clear(e.focuses)
+	e.gone = true
 	return true
 }
 
@@ -414,24 +432,13 @@ func (st *store) evictIdle(maxIdle time.Duration) int {
 		if !e.mu.TryLock() {
 			continue // in use right now; next sweep retries
 		}
-		// Lock order entry → store, as in addFocus. remove() cannot be
-		// reused here: it takes the locks sequentially and would re-lock
-		// the entry mutex this goroutine already holds.
-		st.mu.Lock()
-		if cur, ok := st.entries[e.id]; !ok || cur != e || !e.lastUsed.Before(cutoff) {
-			st.mu.Unlock()
-			e.mu.Unlock()
-			continue
-		}
-		delete(st.entries, e.id)
-		for fid := range e.focuses {
-			delete(st.focusParent, fid)
-		}
-		st.metrics.Gauge("server.sessions.live").Set(int64(len(st.entries)))
-		st.mu.Unlock()
-		e.focuses = make(map[string]*cable.Focus)
+		// unlink re-checks staleness under the store lock: the request
+		// that held the entry lock touched the entry at completion.
+		ok := st.unlink(e, cutoff)
 		e.mu.Unlock()
-		evicted = append(evicted, e)
+		if ok {
+			evicted = append(evicted, e)
+		}
 	}
 	if len(evicted) > 0 {
 		st.metrics.Counter("server.sessions.evicted").Add(int64(len(evicted)))

@@ -58,8 +58,8 @@ func (s *Server) handleOpenStream(ctx context.Context, w http.ResponseWriter, r 
 	// FA, reusing its compiled plan — opening a stream never recompiles.
 	// An explicit spec compiles once here and is shared by every event
 	// batch on this stream.
-	sim := res.session.Ref().Sim()
-	specName := res.session.Ref().Name()
+	ref := res.entry.session.Ref()
+	sim, specName := ref.Sim(), ref.Name()
 	specText := ""
 	var warnings []apiv1.LintFinding
 	if req.Spec != "" {
@@ -188,7 +188,7 @@ func (s *Server) appendViolations(ctx context.Context, se *streamEntry, violatio
 	err := func() error {
 		res.entry.mu.Lock()
 		defer res.entry.mu.Unlock()
-		e, sess := res.entry, res.session
+		e, sess := res.entry, res.entry.session
 		traces := make([]trace.Trace, len(violations))
 		var walRecs [][]byte
 		for i, v := range violations {

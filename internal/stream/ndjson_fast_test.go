@@ -56,12 +56,9 @@ func TestDecodeLineFastMatchesSlow(t *testing.T) {
 // TestIngestAllocSteadyState is the Ingest analogue of
 // TestFeedZeroAllocSteadyState: pumping canonical NDJSON lines through a
 // live checker must cost O(1) allocations per Ingest call (scanner state),
-// not O(lines) — the regression pin for the pooled fast decode path. The
+// not O(lines) — the regression pin for the fast decode path. The
 // pre-fast-path decoder cost ~11 allocations per line.
 func TestIngestAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc counts unreliable under the race detector")
-	}
 	const lines = 200
 	var sb strings.Builder
 	sb.WriteString(`{"event": "X = open()"}` + "\n")

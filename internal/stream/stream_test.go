@@ -280,9 +280,6 @@ func TestDecodeLineRejects(t *testing.T) {
 }
 
 func TestFeedZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc counts unreliable under the race detector")
-	}
 	c := New(protocolFA(t).Sim(), Config{Window: 4})
 	open := event.MustParse("X = open()")
 	use := event.MustParse("use(X)")

@@ -63,9 +63,6 @@ func TestCheckerCompilesOnce(t *testing.T) {
 // the plan up with FA.Sim and simulating accepted traces allocates nothing
 // per call — in particular, no per-call recompilation.
 func TestCheckerCheckZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector defeats sync.Pool caching; alloc counts unreliable")
-	}
 	spec := buggyStdio()
 	traces := []trace.Trace{
 		tr("a", "X = fopen()", "fread(X)", "fclose(X)"),
