@@ -51,8 +51,10 @@ race:
 
 # A one-iteration pass over the lattice-engine (Table 2 included),
 # compiled-simulator, language-engine, stream, trace-I/O,
-# labeling-strategy, learner and enumeration benchmarks: catches
-# benchmark-code rot without paying for stable measurements.
+# labeling-strategy, learner and enumeration benchmarks, and the workload
+# generator and Strauss front end (XtFree's scenario set and runs, and one
+# 8,000-scenario Stdio run): catches benchmark-code rot without paying for
+# stable measurements.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$|BenchmarkLinkCovers|BenchmarkLatticeQueries|BenchmarkLatticeBig|BenchmarkBitset|BenchmarkArena|BenchmarkIncremental|BenchmarkBulkShaped|BenchmarkSortInts' \
 	    -benchtime 1x ./internal/concept ./internal/bitset
@@ -63,6 +65,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRead|BenchmarkWrite' -benchtime 1x ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2_Lattice|BenchmarkLatticeOps|BenchmarkTable3' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkLearn|BenchmarkEnumerate' -benchtime 1x ./internal/learn ./internal/fa
+	$(GO) test -run '^$$' -bench 'BenchmarkGenerate|BenchmarkExtract' -benchtime 1x ./internal/xtrace ./internal/mine
 
 # Run cmd/paper with -metrics and assert the snapshot attributes time to
 # the pipeline phases (a span line for lattice.build must be present).
@@ -76,8 +79,9 @@ obs-smoke:
 # two semantic-engine differential properties (determinization vs. the
 # NFA, complement and self-inclusion vs. the bounded oracle), the
 # sk-strings and k-tails learners against their map-and-string oracles,
-# and cabled's session snapshot and write-ahead log readers (no panic;
-# what they accept re-encodes to the input, or the log's accepted prefix).
+# the one-pass Strauss front end against its rescanning oracle, and
+# cabled's session snapshot and write-ahead log readers (no panic; what
+# they accept re-encodes to the input, or the log's accepted prefix).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatchesOracle$$' -fuzztime 10s ./internal/trace
@@ -87,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeterminize$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzComplementInclusion$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzLearnMatchesOracle$$' -fuzztime 5s ./internal/learn
+	$(GO) test -run '^$$' -fuzz '^FuzzExtractMatchesOracle$$' -fuzztime 5s ./internal/mine
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionSnapshot$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzWAL$$' -fuzztime 5s ./internal/server
 

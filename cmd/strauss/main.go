@@ -94,15 +94,16 @@ func main() {
 }
 
 // toRuns converts symbolic run records into concrete runs: each distinct
-// name within a record becomes an object identity.
+// name within a record becomes an object identity. A record without an ID
+// becomes "run<n>", n being its index among the returned runs.
 func toRuns(set *trace.Set) []mine.Run {
 	var runs []mine.Run
 	next := event.ObjID(1)
-	for i, c := range set.Classes() {
+	for _, c := range set.Classes() {
 		for j := 0; j < c.Count; j++ {
 			id := c.IDs[j]
 			if id == "" {
-				id = fmt.Sprintf("run%d", i)
+				id = fmt.Sprintf("run%d", len(runs))
 			}
 			objs := map[string]event.ObjID{}
 			alloc := func(name string) event.ObjID {

@@ -231,6 +231,45 @@ func TestEndToEndRelearn(t *testing.T) {
 	}
 }
 
+// TestStraussIDlessRunsDistinct mines two identical run records that carry
+// no ID: each run is named by its position, so the four extracted
+// scenarios keep four distinct IDs.
+func TestStraussIDlessRunsDistinct(t *testing.T) {
+	dir := t.TempDir()
+	record := "trace\n  f = fopen()\n  p = popen()\n  fclose(f)\n  pclose(p)\nend\n"
+	runsPath := filepath.Join(dir, "runs.txt")
+	if err := os.WriteFile(runsPath, []byte(record+record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scPath := filepath.Join(dir, "scenarios.txt")
+	out, code := runTool(t, "", "strauss", "-runs", runsPath, "-seeds", "fopen,popen",
+		"-scenarios", scPath, "-o", filepath.Join(dir, "mined.fa"))
+	if code != 0 {
+		t.Fatalf("strauss failed (%d):\n%s", code, out)
+	}
+	f, err := os.Open(scPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := trace.Read(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, c := range set.Classes() {
+		for _, id := range c.IDs {
+			if seen[id] {
+				t.Errorf("scenario ID %q written twice", id)
+			}
+			seen[id] = true
+		}
+	}
+	if len(seen) != 4 {
+		t.Errorf("%d distinct scenario IDs, want 4: %v", len(seen), seen)
+	}
+}
+
 func TestEndToEndFCA(t *testing.T) {
 	dir := t.TempDir()
 	cxtPath := filepath.Join(dir, "animals.cxt")

@@ -202,60 +202,3 @@ func (c Concrete) String() string {
 	b.WriteByte(')')
 	return b.String()
 }
-
-// Objects returns the distinct non-zero object identities the event touches,
-// in first-appearance order (result first).
-func (c Concrete) Objects() []ObjID {
-	seen := map[ObjID]bool{}
-	var out []ObjID
-	add := func(id ObjID) {
-		if id != 0 && !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	add(c.Def)
-	for _, u := range c.Uses {
-		add(u)
-	}
-	return out
-}
-
-// Touches reports whether the event defines or uses the given object.
-func (c Concrete) Touches(id ObjID) bool {
-	if id == 0 {
-		return false
-	}
-	if c.Def == id {
-		return true
-	}
-	for _, u := range c.Uses {
-		if u == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Abstract converts the concrete event to a symbolic one by renaming each
-// object identity through names; identities missing from names are rendered
-// as "_" (an anonymous, ignored object).
-func (c Concrete) Abstract(names map[ObjID]string) Event {
-	name := func(id ObjID) string {
-		if id == 0 {
-			return ""
-		}
-		if n, ok := names[id]; ok {
-			return n
-		}
-		return "_"
-	}
-	e := Event{Op: c.Op, Def: name(c.Def)}
-	if len(c.Uses) > 0 {
-		e.Uses = make([]string, len(c.Uses))
-		for i, u := range c.Uses {
-			e.Uses[i] = name(u)
-		}
-	}
-	return e
-}

@@ -111,26 +111,6 @@ func TestConcrete(t *testing.T) {
 	if got := c.String(); got != "#7 = XCreateGC(#3, #7)" {
 		t.Errorf("String = %q", got)
 	}
-	objs := c.Objects()
-	if len(objs) != 2 || objs[0] != 7 || objs[1] != 3 {
-		t.Errorf("Objects = %v", objs)
-	}
-	if !c.Touches(3) || !c.Touches(7) || c.Touches(9) || c.Touches(0) {
-		t.Error("Touches wrong")
-	}
-}
-
-func TestAbstract(t *testing.T) {
-	c := Concrete{Op: "XCreateGC", Def: 7, Uses: []ObjID{3, 9}}
-	e := c.Abstract(map[ObjID]string{7: "G", 3: "D"})
-	if e.String() != "G = XCreateGC(D, _)" {
-		t.Errorf("Abstract = %q", e)
-	}
-	// No result object.
-	c2 := Concrete{Op: "XFlush", Uses: []ObjID{3}}
-	if got := c2.Abstract(map[ObjID]string{3: "D"}).String(); got != "XFlush(D)" {
-		t.Errorf("Abstract = %q", got)
-	}
 }
 
 // Property: String/Parse is a bijection on generated events.

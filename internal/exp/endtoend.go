@@ -64,7 +64,7 @@ func EndToEnd(spec specs.Spec, cfg Config) (E2ERow, error) {
 	minedSim := mined.Sim()
 	badClasses := 0
 	for i, t := range session.Representatives() {
-		key := t.Key()
+		key := scenarios.ClassKey(i)
 		good, known := truth[key]
 		if !known {
 			return row, fmt.Errorf("exp: %s: extracted scenario %q missing from ground truth", spec.Name, key)

@@ -136,8 +136,8 @@ func Prepare(spec specs.Spec, cfg Config) (*Experiment, error) {
 	}
 	set = reread
 	truth := make([]cable.Label, set.NumClasses())
-	for i, c := range set.Classes() {
-		if truthByKey[c.Rep.Key()] {
+	for i := range truth {
+		if truthByKey[set.ClassKey(i)] {
 			truth[i] = cable.Good
 		} else {
 			truth[i] = cable.Bad

@@ -1,6 +1,7 @@
 package mine
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -25,9 +26,26 @@ func stdioRun() Run {
 	}
 }
 
+// extract returns the scenarios ExtractAll slices from one run, in
+// seed-occurrence order, each under its own ID.
+func extract(fe FrontEnd, run Run) []trace.Trace {
+	set := fe.ExtractAll([]Run{run})
+	out := make([]trace.Trace, set.Total())
+	for _, c := range set.Classes() {
+		for _, id := range c.IDs {
+			n, err := strconv.Atoi(id[strings.LastIndexByte(id, '#')+1:])
+			if err != nil {
+				panic(err)
+			}
+			out[n] = trace.Trace{ID: id, Events: c.Rep.Events}
+		}
+	}
+	return out
+}
+
 func TestExtractScenarios(t *testing.T) {
 	fe := FrontEnd{Seeds: []string{"fopen", "popen"}}
-	scenarios := fe.Extract(stdioRun())
+	scenarios := extract(fe, stdioRun())
 	if len(scenarios) != 2 {
 		t.Fatalf("got %d scenarios, want 2", len(scenarios))
 	}
@@ -54,7 +72,7 @@ func TestExtractInterleavingSeparated(t *testing.T) {
 		{Op: "fclose", Uses: []event.ObjID{1}},
 	}}
 	fe := FrontEnd{Seeds: []string{"fopen"}}
-	scenarios := fe.Extract(run)
+	scenarios := extract(fe, run)
 	if len(scenarios) != 2 {
 		t.Fatalf("got %d scenarios", len(scenarios))
 	}
@@ -76,13 +94,13 @@ func TestExtractFollowDerived(t *testing.T) {
 		{Op: "XFreeGC", Uses: []event.ObjID{2}},
 		{Op: "XCloseDisplay", Uses: []event.ObjID{1}},
 	}}
-	with := FrontEnd{Seeds: []string{"XOpenDisplay"}, FollowDerived: true}.Extract(run)
+	with := extract(FrontEnd{Seeds: []string{"XOpenDisplay"}, FollowDerived: true}, run)
 	if got := with[0].Key(); got != "X = XOpenDisplay(); Y = XCreateGC(X); XSetFont(Y); XFreeGC(Y); XCloseDisplay(X)" {
 		t.Errorf("derived scenario = %q", got)
 	}
 	// Without FollowDerived the GC object stays untracked: its definition
 	// renders anonymously and its later events are excluded.
-	without := FrontEnd{Seeds: []string{"XOpenDisplay"}}.Extract(run)
+	without := extract(FrontEnd{Seeds: []string{"XOpenDisplay"}}, run)
 	if got := without[0].Key(); got != "X = XOpenDisplay(); _ = XCreateGC(X); XCloseDisplay(X)" {
 		t.Errorf("non-derived scenario = %q", got)
 	}
@@ -94,7 +112,7 @@ func TestExtractUntrackedObjectsAnonymous(t *testing.T) {
 		{Op: "copy", Uses: []event.ObjID{1, 99}}, // 99 is unrelated
 		{Op: "fclose", Uses: []event.ObjID{1}},
 	}}
-	scenarios := FrontEnd{Seeds: []string{"fopen"}}.Extract(run)
+	scenarios := extract(FrontEnd{Seeds: []string{"fopen"}}, run)
 	if got := scenarios[0].Key(); got != "X = fopen(); copy(X, _); fclose(X)" {
 		t.Errorf("scenario = %q", got)
 	}
@@ -107,7 +125,7 @@ func TestExtractMaxEvents(t *testing.T) {
 		{Op: "fread", Uses: []event.ObjID{1}},
 		{Op: "fclose", Uses: []event.ObjID{1}},
 	}}
-	scenarios := FrontEnd{Seeds: []string{"fopen"}, MaxEvents: 2}.Extract(run)
+	scenarios := extract(FrontEnd{Seeds: []string{"fopen"}, MaxEvents: 2}, run)
 	if got := scenarios[0].Len(); got != 2 {
 		t.Errorf("capped scenario length = %d", got)
 	}
@@ -119,7 +137,7 @@ func TestExtractSeedWithoutDefIgnored(t *testing.T) {
 		{Op: "fopen", Def: 1},
 		{Op: "fclose", Uses: []event.ObjID{1}},
 	}}
-	scenarios := FrontEnd{Seeds: []string{"fopen"}}.Extract(run)
+	scenarios := extract(FrontEnd{Seeds: []string{"fopen"}}, run)
 	if len(scenarios) != 1 {
 		t.Fatalf("got %d scenarios, want 1", len(scenarios))
 	}

@@ -111,12 +111,12 @@ func TestExecuteProducesCompiledBehaviour(t *testing.T) {
 	fe := mine.FrontEnd{Seeds: []string{"fopen"}, FollowDerived: true}
 	for i := 0; i < 50; i++ {
 		events, _ := p.Execute(rng, 1, ExecOptions{})
-		scenarios := fe.Extract(mine.Run{ID: "r", Events: events})
-		if len(scenarios) != 1 {
-			t.Fatalf("run %d: %d scenarios", i, len(scenarios))
+		scenarios := fe.ExtractAll([]mine.Run{{ID: "r", Events: events}})
+		if scenarios.Total() != 1 {
+			t.Fatalf("run %d: %d scenarios", i, scenarios.Total())
 		}
-		if !f.Accepts(scenarios[0]) {
-			t.Fatalf("run %d: compiled FA rejects executed behaviour %q", i, scenarios[0].Key())
+		if sc := scenarios.Class(0).Rep; !f.Accepts(sc) {
+			t.Fatalf("run %d: compiled FA rejects executed behaviour %q", i, sc.Key())
 		}
 	}
 }
@@ -269,7 +269,7 @@ func TestProjectionMatchesFrontEnd(t *testing.T) {
 	fe := mine.FrontEnd{Seeds: []string{"fopen"}, FollowDerived: true}
 	for i := 0; i < 40; i++ {
 		events, _ := p.Execute(rng, 1, ExecOptions{})
-		for _, sc := range fe.Extract(mine.Run{ID: "r", Events: events}) {
+		for _, sc := range fe.ExtractAll([]mine.Run{{ID: "r", Events: events}}).Representatives() {
 			if !proj.Accepts(sc) {
 				t.Fatalf("projection rejects dynamic scenario %q", sc.Key())
 			}

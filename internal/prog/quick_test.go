@@ -68,7 +68,7 @@ func TestQuickExecuteWithinCompiledLanguage(t *testing.T) {
 		fe := mine.FrontEnd{Seeds: []string{"open"}, FollowDerived: true}
 		for i := 0; i < 5; i++ {
 			events, _ := p.Execute(rng, 1, ExecOptions{})
-			for _, sc := range fe.Extract(mine.Run{ID: "r", Events: events}) {
+			for _, sc := range fe.ExtractAll([]mine.Run{{ID: "r", Events: events}}).Representatives() {
 				if !proj.Accepts(sc) {
 					fmt.Printf("program:\n%s\nscenario: %s\n", p, sc.Key())
 					return false

@@ -15,7 +15,6 @@
 package xtrace
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/event"
@@ -40,23 +39,33 @@ type StreamScript struct {
 
 // Streams generates n stream scripts of scenariosPerStream scenario
 // instances each, sampling by weight, and the ground-truth labeling of
-// every instance's trace class. Generation is deterministic for a given
-// seed and independent of the other generator methods.
+// every instance's trace class. Script i is "stream<i>". Generation is
+// deterministic for a given seed and independent of the other generator
+// methods.
 func (g Generator) Streams(n, scenariosPerStream int) ([]StreamScript, Labeling) {
+	c := g.Model.compile()
 	rng := rand.New(rand.NewSource(g.Seed))
 	labels := Labeling{}
 	scripts := make([]StreamScript, 0, n)
+	var (
+		events []event.Event
+		buf    []byte // each script's ID, then each instance's key
+	)
 	for i := 0; i < n; i++ {
-		s := StreamScript{ID: fmt.Sprintf("stream%d", i)}
+		buf = appendNumbered(buf[:0], "stream", i)
+		s := StreamScript{ID: string(buf)}
+		events = events[:0]
 		for j := 0; j < scenariosPerStream; j++ {
-			sc := g.Model.Scenarios[g.Model.pick(rng)]
-			symbolic := sc.expand(rng)
-			labels[trace.Trace{Events: symbolic}.Key()] = sc.Good
-			if !sc.Good {
+			t := c.pick(rng)
+			start := len(events)
+			events = t.expand(rng, events)
+			buf = trace.Trace{Events: events[start:]}.AppendKey(buf[:0])
+			labels.set(buf, t.good)
+			if !t.good {
 				s.Bad++
 			}
-			s.Events = append(s.Events, symbolic...)
 		}
+		s.Events = append([]event.Event(nil), events...)
 		scripts = append(scripts, s)
 	}
 	return scripts, labels

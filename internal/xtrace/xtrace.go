@@ -18,6 +18,8 @@ package xtrace
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/event"
@@ -157,16 +159,19 @@ func (m Model) checkAmbiguity() error {
 	return nil
 }
 
-// boundedExpansions enumerates up to limit distinct expansions of the
-// template, capping each repetition at min+2 — enough to catch overlaps
-// without blowing up.
+// boundedExpansions enumerates up to limit expansions of the template,
+// capping each repetition at min+2 — enough to catch overlaps without
+// blowing up.
 func (sc Scenario) boundedExpansions(limit int) []string {
 	return sc.expansions(limit, true)
 }
 
-// Expansions enumerates up to limit distinct expansions of the scenario
-// template with its full repetition ranges; experiments use it to map
-// generated traces back to their generating scenario.
+// Expansions enumerates up to limit expansions of the scenario template
+// with its full repetition ranges, as trace keys (trace.Trace.Key);
+// experiments use it to map generated traces back to their generating
+// scenario. Every string is a whole expansion: past the limit, only the
+// first limit prefixes are carried on to the next template event. The
+// expansions are in template order, each event's fewest repetitions first.
 func Expansions(sc Scenario, limit int) []string {
 	return sc.expansions(limit, false)
 }
@@ -174,64 +179,35 @@ func Expansions(sc Scenario, limit int) []string {
 func (sc Scenario) expansions(limit int, capRepeats bool) []string {
 	expansions := []string{""}
 	for _, ev := range sc.Events {
+		sym := event.MustParse(ev.Sym).String()
 		max := ev.Max
 		if capRepeats && max > ev.Min+2 {
 			max = ev.Min + 2
 		}
 		var next []string
 		for _, prefix := range expansions {
+			if len(next) >= limit {
+				break
+			}
 			for n := ev.Min; n <= max; n++ {
 				s := prefix
 				for i := 0; i < n; i++ {
 					if s != "" {
 						s += "; "
 					}
-					s += event.MustParse(ev.Sym).String()
+					s += sym
 				}
 				next = append(next, s)
 			}
-			if len(next) > limit {
-				return next[:limit]
-			}
 		}
-		expansions = next
+		expansions = next[:min(len(next), limit)]
 	}
 	return expansions
 }
 
-// expand instantiates the template with concrete repetition counts.
-func (sc Scenario) expand(rng *rand.Rand) []event.Event {
-	var out []event.Event
-	for _, ev := range sc.Events {
-		n := ev.Min
-		if ev.Max > ev.Min {
-			n += rng.Intn(ev.Max - ev.Min + 1)
-		}
-		e := event.MustParse(ev.Sym)
-		for i := 0; i < n; i++ {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// pick samples a scenario index by weight.
-func (m Model) pick(rng *rand.Rand) int {
-	total := 0
-	for _, sc := range m.Scenarios {
-		total += sc.Weight
-	}
-	r := rng.Intn(total)
-	for i, sc := range m.Scenarios {
-		r -= sc.Weight
-		if r < 0 {
-			return i
-		}
-	}
-	return len(m.Scenarios) - 1
-}
-
-// Generator draws workloads from a model.
+// Generator draws workloads from a model. Every call compiles the model
+// first, so a model whose templates or noise fail to parse panics; Validate
+// reports those mistakes as errors.
 type Generator struct {
 	Model Model
 	Seed  int64
@@ -242,93 +218,215 @@ type Generator struct {
 // costed.
 type Labeling map[string]bool
 
+// set records good for the trace keyed key. The last write wins; a key
+// already holding good is left alone, so a repeated trace costs no
+// allocation.
+func (l Labeling) set(key []byte, good bool) {
+	if v, ok := l[string(key)]; !ok || v != good {
+		l[string(key)] = good
+	}
+}
+
+// compiled is a model ready to draw from: every template symbol and noise
+// operation parsed once, and the weights summed once.
+type compiled struct {
+	templates []template
+	total     int      // the sum of the scenario weights
+	noise     []string // the noise operations
+}
+
+// template is a scenario with its steps parsed.
+type template struct {
+	id     string // "<name>#", the prefix of ScenarioSet's trace IDs
+	good   bool
+	weight int
+	steps  []step
+	maxLen int // the length of its longest expansion
+}
+
+// step is a template event, parsed.
+type step struct {
+	ev       event.Event
+	min, max int
+}
+
+func (m Model) compile() *compiled {
+	c := &compiled{templates: make([]template, len(m.Scenarios))}
+	for i, sc := range m.Scenarios {
+		t := template{id: sc.Name + "#", good: sc.Good, weight: sc.Weight, steps: make([]step, len(sc.Events))}
+		for j, ev := range sc.Events {
+			t.steps[j] = step{ev: event.MustParse(ev.Sym), min: ev.Min, max: ev.Max}
+			t.maxLen += ev.Max
+		}
+		c.templates[i] = t
+		c.total += sc.Weight
+	}
+	for _, n := range m.Noise {
+		c.noise = append(c.noise, event.MustParse(n).Op)
+	}
+	return c
+}
+
+// pick samples a scenario by weight with one draw.
+func (c *compiled) pick(rng *rand.Rand) *template {
+	r := rng.Intn(c.total)
+	for i := range c.templates {
+		r -= c.templates[i].weight
+		if r < 0 {
+			return &c.templates[i]
+		}
+	}
+	return &c.templates[len(c.templates)-1]
+}
+
+// expand appends an instance of the template to dst, drawing the
+// repetition count of each step whose range is not a single count, in
+// template order.
+func (t *template) expand(rng *rand.Rand, dst []event.Event) []event.Event {
+	for _, s := range t.steps {
+		n := s.min
+		if s.max > s.min {
+			n += rng.Intn(s.max - s.min + 1)
+		}
+		for range n {
+			dst = append(dst, s.ev)
+		}
+	}
+	return dst
+}
+
+// appendNumbered appends prefix and the decimal i to dst.
+func appendNumbered(dst []byte, prefix string, i int) []byte {
+	return strconv.AppendInt(append(dst, prefix...), int64(i), 10)
+}
+
+// slabEvents is how many events ScenarioSet cuts from one allocation.
+const slabEvents = 1024
+
 // ScenarioSet generates n scenario traces directly (as the Strauss front
 // end would extract them), returning the multiset and the ground-truth
-// labeling of every generated class.
+// labeling of every generated class. Trace i is "<scenario>#<i>".
 func (g Generator) ScenarioSet(n int) (*trace.Set, Labeling) {
+	c := g.Model.compile()
 	rng := rand.New(rand.NewSource(g.Seed))
 	set := &trace.Set{}
 	labels := Labeling{}
+	var (
+		slab []event.Event // the traces' events are cut from shared slabs
+		id   []byte
+	)
 	for i := 0; i < n; i++ {
-		sc := g.Model.Scenarios[g.Model.pick(rng)]
-		tr := trace.Trace{ID: fmt.Sprintf("%s#%d", sc.Name, i), Events: sc.expand(rng)}
-		set.Add(tr)
-		labels[tr.Key()] = sc.Good
+		t := c.pick(rng)
+		if cap(slab)-len(slab) < t.maxLen {
+			slab = make([]event.Event, 0, max(t.maxLen, slabEvents))
+		}
+		start := len(slab)
+		slab = t.expand(rng, slab)
+		id = appendNumbered(id[:0], t.id, i)
+		class, _ := set.Add(trace.Trace{ID: string(id), Events: slab[start:len(slab):len(slab)]})
+		labels[set.ClassKey(class)] = t.good
 	}
 	return set, labels
 }
+
+// lane is one scenario instance of a run being interleaved: its concrete
+// events are pending[next:end].
+type lane struct{ next, end int }
 
 // Runs generates whole-program runs: each run interleaves several scenario
 // instances over distinct objects, with noise events sprinkled in. The
 // returned labeling covers the scenario traces a front end with
 // FollowDerived should extract.
+//
+// Run r is "sim:run<r>". Objects are numbered from 1 across all runs, each
+// instance's names in order of first appearance. Before each event the
+// interleaving draws whether noise comes first (one chance in four) and
+// which noise, then one of the unfinished instances, in instance order.
 func (g Generator) Runs(numRuns, scenariosPerRun int) ([]mine.Run, Labeling) {
+	c := g.Model.compile()
 	rng := rand.New(rand.NewSource(g.Seed))
 	labels := Labeling{}
 	runs := make([]mine.Run, 0, numRuns)
 	nextObj := event.ObjID(1)
-	for r := 0; r < numRuns; r++ {
-		type pending struct {
-			events []event.Concrete
-			next   int
-		}
-		var lanes []*pending
-		for s := 0; s < scenariosPerRun; s++ {
-			sc := g.Model.Scenarios[g.Model.pick(rng)]
-			symbolic := sc.expand(rng)
-			labels[trace.Trace{Events: symbolic}.Key()] = sc.Good
-			concrete, used := concretize(symbolic, nextObj)
-			nextObj += event.ObjID(used)
-			lanes = append(lanes, &pending{events: concrete})
-		}
-		var all []event.Concrete
-		for {
-			var ready []*pending
-			for _, l := range lanes {
-				if l.next < len(l.events) {
-					ready = append(ready, l)
-				}
-			}
-			if len(ready) == 0 {
-				break
-			}
-			if len(g.Model.Noise) > 0 && rng.Intn(4) == 0 {
-				all = append(all, event.Concrete{Op: event.MustParse(g.Model.Noise[rng.Intn(len(g.Model.Noise))]).Op})
-			}
-			lane := ready[rng.Intn(len(ready))]
-			all = append(all, lane.events[lane.next])
-			lane.next++
-		}
-		runs = append(runs, mine.Run{ID: fmt.Sprintf("sim:run%d", r), Events: all})
-	}
-	return runs, labels
-}
-
-// concretize maps the symbolic events to concrete ones with fresh object
-// identities per scenario name; it returns the events and how many objects
-// were allocated.
-func concretize(symbolic []event.Event, base event.ObjID) ([]event.Concrete, int) {
-	objs := map[string]event.ObjID{}
-	alloc := func(name string) event.ObjID {
+	var (
+		symbolic []event.Event    // the run's instances, one after another
+		bounds   []int            // instance s is symbolic[bounds[s]:bounds[s+1]]
+		names    []string         // an instance's names, in order of first appearance
+		pending  []event.Concrete // the run's instances, concretized
+		lanes    []lane
+		ready    []int // the unfinished lanes, in lane order
+		all      []event.Concrete
+		buf      []byte // each instance's key, then the run's ID
+	)
+	// obj returns the object the current instance's name stands for: the
+	// names are numbered from nextObj in order of first appearance.
+	obj := func(name string) event.ObjID {
 		if name == "" {
 			return 0
 		}
-		if id, ok := objs[name]; ok {
-			return id
+		k := slices.Index(names, name)
+		if k < 0 {
+			k = len(names)
+			names = append(names, name)
 		}
-		id := base + event.ObjID(len(objs))
-		objs[name] = id
-		return id
+		return nextObj + event.ObjID(k)
 	}
-	out := make([]event.Concrete, len(symbolic))
-	for i, e := range symbolic {
-		c := event.Concrete{Op: e.Op, Def: alloc(e.Def)}
-		for _, u := range e.Uses {
-			c.Uses = append(c.Uses, alloc(u))
+	for r := 0; r < numRuns; r++ {
+		symbolic, bounds = symbolic[:0], append(bounds[:0], 0)
+		numUses := 0
+		for s := 0; s < scenariosPerRun; s++ {
+			t := c.pick(rng)
+			start := len(symbolic)
+			symbolic = t.expand(rng, symbolic)
+			buf = trace.Trace{Events: symbolic[start:]}.AppendKey(buf[:0])
+			labels.set(buf, t.good)
+			for _, e := range symbolic[start:] {
+				numUses += len(e.Uses)
+			}
+			bounds = append(bounds, len(symbolic))
 		}
-		out[i] = c
+
+		// Concretize each instance over objects of its own.
+		uses := make([]event.ObjID, 0, numUses) // kept by the run's events
+		pending, lanes, ready = pending[:0], lanes[:0], ready[:0]
+		for s := 0; s < scenariosPerRun; s++ {
+			names = names[:0]
+			start := len(pending)
+			for _, e := range symbolic[bounds[s]:bounds[s+1]] {
+				ce := event.Concrete{Op: e.Op, Def: obj(e.Def)}
+				if len(e.Uses) > 0 {
+					from := len(uses)
+					for _, u := range e.Uses {
+						uses = append(uses, obj(u))
+					}
+					ce.Uses = uses[from:len(uses):len(uses)]
+				}
+				pending = append(pending, ce)
+			}
+			nextObj += event.ObjID(len(names))
+			if len(pending) > start {
+				ready = append(ready, len(lanes))
+			}
+			lanes = append(lanes, lane{next: start, end: len(pending)})
+		}
+
+		all = all[:0]
+		for len(ready) > 0 {
+			if len(c.noise) > 0 && rng.Intn(4) == 0 {
+				all = append(all, event.Concrete{Op: c.noise[rng.Intn(len(c.noise))]})
+			}
+			k := rng.Intn(len(ready))
+			l := &lanes[ready[k]]
+			all = append(all, pending[l.next])
+			l.next++
+			if l.next == l.end {
+				ready = slices.Delete(ready, k, k+1)
+			}
+		}
+		buf = appendNumbered(buf[:0], "sim:run", r)
+		runs = append(runs, mine.Run{ID: string(buf), Events: append([]event.Concrete(nil), all...)})
 	}
-	return out, len(objs)
+	return runs, labels
 }
 
 // SeedOps returns the operations that define the first-mentioned name of

@@ -77,6 +77,39 @@ func TestValidateAmbiguity(t *testing.T) {
 	}
 }
 
+// TestExpansionsWholePastLimit takes a template with 81 expansions, more
+// than Validate's 64: every string past the limit is still a whole
+// expansion, so a leak template with the same steps but no close does not
+// collide with the prefixes.
+func TestExpansionsWholePastLimit(t *testing.T) {
+	steps := func(close bool) []Event {
+		evs := []Event{Ev("X = open()"), Rep("a(X)", 0, 2), Rep("b(X)", 0, 2), Rep("c(X)", 0, 2), Rep("d(X)", 0, 2)}
+		if close {
+			evs = append(evs, Ev("close(X)"))
+		}
+		return evs
+	}
+	m := Model{Scenarios: []Scenario{
+		{Name: "s", Good: true, Weight: 1, Events: steps(true)},
+		{Name: "leak", Good: false, Kind: Leak, Weight: 1, Events: steps(false)},
+	}}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	got := Expansions(m.Scenarios[0], 20)
+	if len(got) != 20 {
+		t.Fatalf("%d expansions, want 20", len(got))
+	}
+	for _, s := range got {
+		if !strings.HasSuffix(s, "; close(X)") {
+			t.Errorf("expansion %q lacks close(X)", s)
+		}
+	}
+	if all := Expansions(m.Scenarios[0], 100); len(all) != 81 {
+		t.Errorf("%d expansions under a limit of 100, want all 81", len(all))
+	}
+}
+
 func TestScenarioSetDeterministic(t *testing.T) {
 	g := Generator{Model: model(), Seed: 42}
 	a, la := g.ScenarioSet(100)
