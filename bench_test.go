@@ -166,7 +166,7 @@ func BenchmarkFigure1to6_StdioPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		for j := 0; j < session.NumTraces(); j++ {
-			if truth[must(session.Trace(j)).Key()] {
+			if truth[session.Representatives()[j].Key()] {
 				session.LabelTrace(j, cable.Good)
 			} else {
 				session.LabelTrace(j, cable.Bad)
@@ -243,7 +243,10 @@ func BenchmarkAblation_ReferenceFA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ktails := learn.KTails{K: 2}.MustLearn("ktails", all)
+	ktails, err := learn.KTails{K: 2}.Learn("ktails", all)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, ref := range []struct {
 		name string
 		fa   *fa.FA

@@ -54,20 +54,21 @@ func runLint(args []string) {
 	case *faPath != "":
 		spec := readFAFile(*faPath)
 		specCount++
-		findings = speclint.LintAll(spec)
+		var set *trace.Set
 		if *tracesPath != "" {
 			tf, err := os.Open(*tracesPath)
 			die(err)
-			set, err := trace.Read(tf)
+			set, err = trace.Read(tf)
 			die(tf.Close())
 			die(err)
-			findings = append(findings, speclint.AlphabetFindings(spec, set.Representatives())...)
 		}
+		var ref *fa.FA
 		if *refPath != "" {
-			diff, err := speclint.Diff(spec, readFAFile(*refPath))
-			die(err)
-			findings = append(findings, diff...)
+			ref = readFAFile(*refPath)
 		}
+		var err error
+		findings, err = speclint.Check(spec, set, ref)
+		die(err)
 	default:
 		fs.Usage()
 		stop()

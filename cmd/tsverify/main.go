@@ -164,22 +164,22 @@ func main() {
 // language, and each disagreement prints its concrete witness trace.
 // Exits 1 on findings so CI can gate on it.
 func runLint(spec *fa.FA, tracesPath, refPath string) {
-	findings := speclint.LintAll(spec)
+	var set *trace.Set
 	if tracesPath != "" {
 		tf, err := os.Open(tracesPath)
 		die(err)
-		set, err := trace.Read(tf)
+		set, err = trace.Read(tf)
 		die(tf.Close())
 		die(err)
-		findings = append(findings, speclint.AlphabetFindings(spec, set.Representatives())...)
 	}
+	var ref *fa.FA
 	if refPath != "" {
-		ref, err := readFA(refPath)
+		var err error
+		ref, err = readFA(refPath)
 		die(err)
-		diff, err := speclint.Diff(spec, ref)
-		die(err)
-		findings = append(findings, diff...)
 	}
+	findings, err := speclint.Check(spec, set, ref)
+	die(err)
 	for _, f := range findings {
 		fmt.Println(f)
 		if f.Witness != "" {

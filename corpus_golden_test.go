@@ -39,7 +39,11 @@ func TestCorpusGolden(t *testing.T) {
 	}
 	for _, sp := range append(specs.All(), specs.Stdio()) {
 		add(sp.Name, "fa", writeFA(sp.FA))
-		add(sp.Name, "buggy", writeFA(sp.Buggy))
+		buggy, err := specs.BuggyFA(sp.Name, sp.Model)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		add(sp.Name, "buggy", writeFA(buggy))
 		program, err := specs.ProgramFA(sp.Name, sp.Model)
 		if err != nil {
 			t.Fatalf("%s: %v", sp.Name, err)

@@ -70,7 +70,7 @@ func main() {
 	}
 
 	// --- Dynamic: execute, mine, debug, relearn.
-	runs := p.Runs(rand.New(rand.NewSource(3)), 80, prog.ExecOptions{})
+	runs := p.Runs(rand.New(rand.NewSource(3)), 80)
 	miner := mine.Miner{FrontEnd: mine.FrontEnd{Seeds: []string{"fopen", "popen"}, FollowDerived: true}}
 	mined, scenarios, err := miner.Mine("editor-mined", runs)
 	if err != nil {

@@ -1,29 +1,42 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
-	"path"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestExportedFuncsHaveCallers fails when an exported top-level function
-// or method declared under internal/ has no reference outside its own
+// or method declared under internal/ has no caller outside its own
 // declaration in the non-test files of this module and of perfbench: such
 // a function is dead code, or test code that belongs in a _test.go file.
-// A reference to a function is a pkg.Name selector from another package,
-// or an identifier in the declaring package that does not name a field, a
-// method or a composite literal key. A reference to a method is any x.Name
-// selector other than a pkg.Name selector into an imported package. The
-// check is syntactic: it does not resolve scopes or types, so a local name
-// that shadows a function or an import, or any other selector of the same
-// name, counts as a reference.
+// It also fails when an exported field of an exported struct type declared
+// under internal/ is never written by that code: such a field is an
+// option only tests set.
+//
+// The check resolves references with go/types over the packages `go list`
+// reports, so a caller is the very function or method, not anything that
+// shares its name. A method reached only through an interface has no
+// static caller: String and Error methods count as called, and any other
+// goes in testOnlyMethods with its reason.
+//
+// A field counts as written by a keyed composite literal, an unkeyed
+// literal of its type, an assignment or ++/-- target, or &x.F, outside the
+// methods of its own type (defaulting is not configuring). Fields with a
+// json tag are wire input and are exempt.
 func TestExportedFuncsHaveCallers(t *testing.T) {
 	// testOnlyExports lists the exported functions under internal/ that
 	// no non-test code calls, with the reason each stays: another
@@ -35,6 +48,7 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 		"internal/event.Bind":                "trace's tests build assignment events with it",
 		"internal/event.ParseAll":            "fa's regex and property tests parse event lists with it",
 		"internal/fa.MustCompile":            "verify's static tests and wellformed's example build pattern automata with it",
+		"internal/specs.BuggyFA":             "the corpus golden, speclint's witness golden and fa's engine tests derive the seeded buggy specifications with it",
 		"internal/strategy.Random":           "the root benchmarks run single Random trials",
 		"internal/xtrace.Opt":                "concept's big-corpus fixture marks optional model steps with it",
 	}
@@ -43,178 +57,321 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 	// package's tests call, it lists methods that satisfy an interface
 	// and are only called through it.
 	testOnlyMethods := map[string]string{
-		"internal/bitset.Arena.Int32s":        "the poolarena analyzer's testdata calls it",
 		"internal/fa.FA.Sample":               "concept's benchmarks draw their traces with it",
 		"internal/scanio.Error.Unwrap":        "errors.Is and errors.As call it through the Unwrap() error interface",
 		"internal/server.httpError.Unwrap":    "errors.Is and errors.As call it through the Unwrap() error interface",
 		"internal/strategy.trialSource.Int63": "rand.Rand calls it through the rand.Source interface",
+		"internal/strategy.trialSource.Seed":  "rand.Rand calls it through the rand.Source interface",
 	}
-	type funcDecl struct {
-		key      string // "<directory>.<name>"
-		pos, end token.Pos
+	// unsetFields lists the exported fields no non-test code writes, with
+	// the reason each stays, keyed "<directory>.<type>.<field>".
+	unsetFields := map[string]string{
+		"internal/exp.Config.Workers": "perfbench reads it; it goes with the other perfbench shims of ROADMAP item 7",
 	}
-	var decls, methods []funcDecl
-	// selectors holds "<directory>.<name>" for every pkg.Name selector
-	// into this module; idents holds the positions of the exported
-	// identifiers each directory's files use, keyed the same way;
-	// fieldSels holds the positions of every other x.Name selector, keyed
-	// by Name.
-	selectors := map[string]bool{}
-	idents := map[string][]token.Pos{}
-	fieldSels := map[string][]token.Pos{}
-	fset := token.NewFileSet()
 
-	parseTree := func(root string) {
-		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			name := d.Name()
-			if d.IsDir() {
-				if p != root && (name == "testdata" || name == "bin" || strings.HasPrefix(name, ".") || name == "perfbench" && root == ".") {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			dir := filepath.ToSlash(filepath.Dir(p))
-			// imports maps each import's local name to its directory in
-			// this module, or to "" for a package outside it, whose
-			// selectors (os.Rename) call no method.
-			imports := map[string]string{}
-			for _, imp := range f.Imports {
-				ip, _ := strconv.Unquote(imp.Path.Value)
-				local := path.Base(ip)
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-				imports[local] = ""
-				if strings.HasPrefix(ip, "repro/") {
-					imports[local] = strings.TrimPrefix(ip, "repro/")
-				}
-			}
-			// Names that declare a function or method, a field or an
-			// interface method, or that key a composite literal, refer to
-			// no package-level function.
-			notRef := map[*ast.Ident]bool{}
+	pkgs := loadModule(t)
+
+	type decl struct {
+		key      string
+		pos, end token.Pos
+		called   bool
+	}
+	funcs := map[*types.Func]*decl{}
+	type field struct {
+		key     string
+		owner   *types.TypeName
+		written bool
+	}
+	fields := map[*types.Var]*field{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		for _, f := range p.files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				notRef[fd.Name] = true
-				if !fd.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
-					continue
-				}
-				if fd.Recv == nil {
-					decls = append(decls, funcDecl{dir + "." + fd.Name.Name, fd.Pos(), fd.End()})
-				} else {
-					methods = append(methods, funcDecl{dir + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name, fd.Pos(), fd.End()})
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); ok {
-						if target, ok := imports[x.Name]; ok {
-							if target != "" {
-								selectors[target+"."+n.Sel.Name] = true
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if !d.Name.IsExported() {
+						continue
+					}
+					fn := p.info.Defs[d.Name].(*types.Func)
+					key := p.dir + "." + d.Name.Name
+					if recv := recvType(fn); recv != nil {
+						key = p.dir + "." + recv.Name() + "." + d.Name.Name
+					}
+					funcs[fn] = &decl{key: key, pos: d.Pos(), end: d.End(), called: isStringer(fn)}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						ts, ok := s.(*ast.TypeSpec)
+						if !ok || !ts.Name.IsExported() {
+							continue
+						}
+						tn := p.info.Defs[ts.Name].(*types.TypeName)
+						st, ok := tn.Type().Underlying().(*types.Struct)
+						if !ok || tn.IsAlias() {
+							continue
+						}
+						for i := 0; i < st.NumFields(); i++ {
+							v := st.Field(i)
+							if _, wire := reflect.StructTag(st.Tag(i)).Lookup("json"); v.Exported() && !wire {
+								fields[v] = &field{key: p.dir + "." + tn.Name() + "." + v.Name(), owner: tn}
 							}
-							return false
 						}
 					}
-					notRef[n.Sel] = true
-					fieldSels[n.Sel.Name] = append(fieldSels[n.Sel.Name], n.Sel.Pos())
-				case *ast.Field:
-					for _, id := range n.Names {
-						notRef[id] = true
-					}
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok {
-						notRef[id] = true
-					}
-				case *ast.Ident:
-					if n.IsExported() && !notRef[n] {
-						idents[dir+"."+n.Name] = append(idents[dir+"."+n.Name], n.Pos())
-					}
 				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	parseTree(".")
-	parseTree("perfbench")
-
-	// outside reports whether a position lies outside the declaration.
-	outside := func(d funcDecl, positions []token.Pos) bool {
-		for _, pos := range positions {
-			if pos < d.pos || pos >= d.end {
-				return true
 			}
 		}
-		return false
+	}
+
+	for _, p := range pkgs {
+		// Uses holds the object of every x.Sel selector as well, so it
+		// covers method calls and method values.
+		for id, obj := range p.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			if d := funcs[fn.Origin()]; d != nil && (id.Pos() < d.pos || id.Pos() >= d.end) {
+				d.called = true
+			}
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				// The type whose methods may default its own fields.
+				var self *types.TypeName
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					self = recvType(p.info.Defs[fd.Name].(*types.Func))
+				}
+				write := func(v *types.Var) {
+					if fl := fields[v.Origin()]; fl != nil && fl.owner != self {
+						fl.written = true
+					}
+				}
+				writeExpr := func(e ast.Expr) {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+							write(s.Obj().(*types.Var))
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						typ := p.info.TypeOf(n)
+						if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+							typ = ptr.Elem()
+						}
+						st, ok := typ.Underlying().(*types.Struct)
+						if !ok || len(n.Elts) == 0 {
+							break
+						}
+						if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+							for i := 0; i < st.NumFields(); i++ {
+								write(st.Field(i))
+							}
+							break
+						}
+						for _, e := range n.Elts {
+							if v, ok := p.info.Uses[e.(*ast.KeyValueExpr).Key.(*ast.Ident)].(*types.Var); ok {
+								write(v)
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							writeExpr(lhs)
+						}
+					case *ast.IncDecStmt:
+						writeExpr(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							writeExpr(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	calledFuncs, calledMethods, writtenFields := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	for fn, d := range funcs {
+		if recvType(fn) == nil {
+			calledFuncs[d.key] = d.called
+		} else {
+			calledMethods[d.key] = d.called
+		}
+	}
+	for _, fl := range fields {
+		writtenFields[fl.key] = fl.written
 	}
 	var missing []string
-	// check collects the declarations nothing outside tests uses, and
-	// fails on allowlist entries that are stale.
-	check := func(decls []funcDecl, allowed map[string]string, list, kind string, used func(funcDecl) bool) {
-		seen := map[string]bool{}
-		for _, d := range decls {
-			seen[d.key] = true
-			_, ok := allowed[d.key]
-			switch u := used(d); {
+	// check collects the keys nothing outside tests uses, and fails on
+	// allowlist entries that are stale.
+	check := func(used map[string]bool, allowed map[string]string, list, kind, fix string) {
+		for key, u := range used {
+			switch _, ok := allowed[key]; {
 			case !u && !ok:
-				missing = append(missing, d.key)
+				missing = append(missing, key+fix)
 			case u && ok:
-				t.Errorf("%s has a non-test caller now; drop it from %s", d.key, list)
+				t.Errorf("%s is used outside tests now; drop it from %s", key, list)
 			}
 		}
 		for key := range allowed {
-			if !seen[key] {
+			if _, ok := used[key]; !ok {
 				t.Errorf("%s lists %s, which is not an exported %s any more", list, key, kind)
 			}
 		}
 	}
-	check(decls, testOnlyExports, "testOnlyExports", "function", func(d funcDecl) bool {
-		return selectors[d.key] || outside(d, idents[d.key])
-	})
-	check(methods, testOnlyMethods, "testOnlyMethods", "method", func(d funcDecl) bool {
-		return outside(d, fieldSels[d.key[strings.LastIndex(d.key, ".")+1:]])
-	})
+	callFix := " is exported but nothing outside tests calls it: delete it, move it into the _test.go file of its caller, or list it in testOnlyExports or testOnlyMethods with the reason"
+	check(calledFuncs, testOnlyExports, "testOnlyExports", "function", callFix)
+	check(calledMethods, testOnlyMethods, "testOnlyMethods", "method", callFix)
+	check(writtenFields, unsetFields, "unsetFields", "field",
+		" is an exported field that nothing outside tests sets: delete it, or list it in unsetFields with the reason")
 	sort.Strings(missing)
-	for _, key := range missing {
-		t.Errorf("%s is exported but nothing outside tests calls it: delete it, move it into the _test.go file of its caller, or list it in testOnlyExports or testOnlyMethods with the reason", key)
+	for _, m := range missing {
+		t.Error(m)
 	}
-	if len(decls) == 0 || len(methods) == 0 {
-		t.Fatal("found no exported functions or methods under internal/")
+	if len(calledFuncs) == 0 || len(calledMethods) == 0 || len(writtenFields) == 0 {
+		t.Fatal("found no exported functions, methods or fields under internal/")
 	}
 }
 
-// recvType returns the type name of a method receiver: T for T, *T, T[P]
-// and *T[P].
-func recvType(x ast.Expr) string {
-	for {
-		switch e := x.(type) {
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.IndexExpr:
-			x = e.X
-		case *ast.IndexListExpr:
-			x = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return "?"
+// recvType returns the named type a method is declared on, or nil for a
+// function.
+func recvType(fn *types.Func) *types.TypeName {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	t := types.Unalias(recv.Type())
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(ptr.Elem())
+	}
+	return t.(*types.Named).Obj()
+}
+
+// isStringer reports whether fn is a String() string or Error() string
+// method, which fmt and the error interface call.
+func isStringer(fn *types.Func) bool {
+	sig := fn.Type().(*types.Signature)
+	return sig.Recv() != nil && (fn.Name() == "String" || fn.Name() == "Error") &&
+		sig.Params().Len() == 0 && sig.Results().Len() == 1 &&
+		types.Identical(sig.Results().At(0).Type(), types.Typ[types.String])
+}
+
+// checkedPackage is one package of this module or of perfbench,
+// type-checked from its non-test files.
+type checkedPackage struct {
+	dir   string // relative to the module root, slash-separated
+	files []*ast.File
+	info  *types.Info
+}
+
+// loadModule type-checks the non-test files of every package of this
+// module and of perfbench, in dependency order. Standard-library imports
+// come from the export data `go list -export` reports; this module's
+// imports come from the packages already checked. The sources are read in
+// this process, so the test cache sees edits to them.
+func loadModule(t *testing.T) []checkedPackage {
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	exports := map[string]string{}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("go list reported no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	var out []checkedPackage
+	for _, dir := range []string{".", "perfbench"} {
+		for _, lp := range goList(t, filepath.Join(root, dir)) {
+			if lp.Standard {
+				exports[lp.ImportPath] = lp.Export
+				continue
+			}
+			if _, ok := checked[lp.ImportPath]; ok {
+				continue // perfbench's listing repeats this module's packages
+			}
+			rel, err := filepath.Rel(root, lp.Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := checkedPackage{dir: filepath.ToSlash(rel), info: &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}}
+			for _, name := range lp.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.files = append(p.files, f)
+			}
+			tp, err := conf.Check(lp.ImportPath, fset, p.files, p.info)
+			if err != nil {
+				t.Fatalf("type-checking %s: %v", lp.ImportPath, err)
+			}
+			checked[lp.ImportPath] = tp
+			out = append(out, p)
 		}
 	}
+	return out
 }
+
+// listedPackage is the part of a `go list -json` record the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Standard   bool
+	Error      *struct{ Err string }
+}
+
+// goList lists the packages of the module in dir and their dependencies,
+// dependencies first, with export data for each. The listing stays
+// offline, uses the local toolchain and ignores any workspace file.
+func goList(t *testing.T, dir string) []listedPackage {
+	pattern := "./..."
+	if filepath.Base(dir) == "perfbench" {
+		pattern = "."
+	}
+	cmd := exec.Command("go", "list", "-deps", "-export", "-json", pattern)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOPROXY=off", "GOTOOLCHAIN=local")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.String())
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			t.Fatalf("go list in %s: %v", dir, err)
+		}
+		if p.Error != nil {
+			t.Fatalf("go list in %s: %s: %s", dir, p.ImportPath, p.Error.Err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

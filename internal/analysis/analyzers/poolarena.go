@@ -13,8 +13,8 @@ const bitsetPkgPath = "repro/internal/bitset"
 
 // PoolArena enforces the arena ownership rule of the lattice builder
 // (internal/concept): a bitset carved from a bitset.Arena — via
-// arena.Set, arena.Clone, or arena.Int32s — belongs to the build that
-// allocated the arena and pins the arena's slabs for as long as it lives.
+// arena.Set or arena.Clone — belongs to the build that allocated the
+// arena and pins the arena's slabs for as long as it lives.
 // Such a value must not be captured by a goroutine (arenas are
 // single-goroutine allocators), stored in a package-level variable (which
 // would pin the slabs for the process lifetime), or returned from a

@@ -72,13 +72,6 @@ func aliasEscape() *bitset.Set {
 	return alias // want `arena-backed alias escapes via return from a function without an arena parameter`
 }
 
-// sparseEscape leaks an arena-carved int32 slice the same way.
-func sparseEscape() []int32 {
-	a := bitset.NewArena()
-	elems := a.Int32s(8)
-	return elems // want `arena-backed elems escapes via return from a function without an arena parameter`
-}
-
 // globalEscape pins the arena in a package-level variable.
 func globalEscape() {
 	a := bitset.NewArena()

@@ -4,9 +4,9 @@ package bitset
 // allocations. A lattice build creates tens of thousands of small intent
 // and extent bitsets whose lifetimes all end together (when the lattice is
 // dropped); backing them with per-set make calls costs one heap object —
-// and eventually one free — per set. An Arena instead carves word storage,
-// Set headers, and sparse element lists out of geometrically grown slabs,
-// so the garbage collector sees a handful of large objects.
+// and eventually one free — per set. An Arena instead carves word storage
+// and Set headers out of geometrically grown slabs, so the garbage
+// collector sees a handful of large objects.
 //
 // Ownership: everything an Arena hands out is referenced by the arena's
 // slabs, so arena-backed sets keep the whole slab alive and must not
@@ -17,7 +17,6 @@ package bitset
 type Arena struct {
 	words []uint64 // current word slab; len is the high-water mark
 	sets  []Set    // current Set-header slab
-	ints  []int32  // current sparse-element slab
 }
 
 // NewArena returns an empty arena.
@@ -116,25 +115,4 @@ func (a *Arena) header() *Set {
 	}
 	a.sets = a.sets[:len(a.sets)+1]
 	return &a.sets[len(a.sets)-1]
-}
-
-// Int32s returns a zero-length int32 slice with capacity n carved from the
-// arena, for sparse element lists that live exactly as long as their sets.
-func (a *Arena) Int32s(n int) []int32 {
-	if n == 0 {
-		return nil
-	}
-	if len(a.ints)+n > cap(a.ints) {
-		size := 2 * cap(a.ints)
-		if size < arenaMinWords {
-			size = arenaMinWords
-		}
-		if size < n {
-			size = n
-		}
-		a.ints = make([]int32, 0, size)
-	}
-	out := a.ints[len(a.ints) : len(a.ints) : len(a.ints)+n]
-	a.ints = a.ints[:len(a.ints)+n]
-	return out
 }

@@ -212,18 +212,6 @@ func (s *Set) Add(i int) {
 	s.pop = 0
 }
 
-// Remove deletes i from the set; removing an absent element is a no-op.
-func (s *Set) Remove(i int) {
-	if i < 0 {
-		return
-	}
-	w := i / wordBits
-	if w < len(s.words) {
-		s.words[w] &^= 1 << uint(i%wordBits)
-		s.pop = 0
-	}
-}
-
 // Has reports whether i is in the set.
 func (s *Set) Has(i int) bool {
 	if i < 0 {

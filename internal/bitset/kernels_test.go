@@ -96,7 +96,7 @@ func TestAppendKey(t *testing.T) {
 		// Trailing zero words never change the key.
 		padded := s.Clone()
 		padded.Add(1000)
-		padded.Remove(1000)
+		remove(padded, 1000)
 		if padded.Key() != s.Key() {
 			t.Fatalf("key not canonical under trailing zero words")
 		}

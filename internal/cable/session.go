@@ -161,15 +161,6 @@ func (s *Session) badTrace(i int) error {
 // by object. The slice is shared; do not mutate.
 func (s *Session) Representatives() []trace.Trace { return s.traces }
 
-// Trace returns the representative trace of object i, or ErrBadTrace when
-// i is out of range.
-func (s *Session) Trace(i int) (trace.Trace, error) {
-	if !s.ValidTrace(i) {
-		return trace.Trace{}, s.badTrace(i)
-	}
-	return s.traces[i], nil
-}
-
 // Multiplicity returns how many identical traces object i represents, or
 // ErrBadTrace when i is out of range.
 func (s *Session) Multiplicity(i int) (int, error) {
@@ -381,12 +372,4 @@ func (s *Session) extentOf(id int, sel Selector) *bitset.Set {
 		out.Add(o)
 	}
 	return out
-}
-
-// Validate panics if internal invariants are violated; used by tests.
-func (s *Session) Validate() error {
-	if len(s.labels) != len(s.traces) {
-		return fmt.Errorf("cable: %d labels for %d traces", len(s.labels), len(s.traces))
-	}
-	return nil
 }

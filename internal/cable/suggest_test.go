@@ -55,7 +55,7 @@ func TestSuggestFocusSeparatesOrders(t *testing.T) {
 	// In the sub-lattice, g1 and b1 must have different object concepts.
 	var gi, bi int = -1, -1
 	for i := 0; i < sub.NumTraces(); i++ {
-		switch must(sub.Trace(i)).ID {
+		switch sub.Representatives()[i].ID {
 		case "g1":
 			gi = i
 		case "b1":

@@ -1,6 +1,10 @@
 package concept
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
 	"repro/internal/bitset"
 )
 
@@ -32,7 +36,9 @@ func BuildNaive(ctx *Context) *Lattice {
 	for k := range intents {
 		keys = append(keys, k)
 	}
-	sortKeysBySize(keys, intents)
+	slices.SortFunc(keys, func(a, b string) int {
+		return cmp.Or(cmp.Compare(intents[b].Len(), intents[a].Len()), strings.Compare(a, b))
+	})
 	for _, k := range keys {
 		intent := intents[k]
 		c := &Concept{ID: len(l.concepts), Extent: ctx.Tau(intent), Intent: intent}
@@ -40,21 +46,4 @@ func BuildNaive(ctx *Context) *Lattice {
 	}
 	l.finalize()
 	return l
-}
-
-func sortKeysBySize(keys []string, intents map[string]*bitset.Set) {
-	less := func(a, b string) bool {
-		la, lb := intents[a].Len(), intents[b].Len()
-		if la != lb {
-			return la > lb
-		}
-		return a < b
-	}
-	// Insertion sort: key counts are small relative to the work of building
-	// the lattice, and this avoids importing sort for a closure over maps.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && less(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
 }

@@ -17,7 +17,7 @@ import (
 // standing in for the human labeler.
 func labelByTruth(s *Session, truth xtrace.Labeling) {
 	for i := 0; i < s.NumTraces(); i++ {
-		if truth[must(s.Trace(i)).Key()] {
+		if truth[s.Representatives()[i].Key()] {
 			s.LabelTrace(i, cable.Good)
 		} else {
 			s.LabelTrace(i, cable.Bad)
@@ -43,7 +43,7 @@ func TestDebugViolationsFlow(t *testing.T) {
 	// and erroneous leaks (program bugs).
 	sawGood, sawBad := false, false
 	for i := 0; i < session.NumTraces(); i++ {
-		if truth[must(session.Trace(i)).Key()] {
+		if truth[session.Representatives()[i].Key()] {
 			sawGood = true
 		} else {
 			sawBad = true
@@ -187,7 +187,7 @@ func TestRelearnGoodMultipleLabels(t *testing.T) {
 	}
 	// Assign split good labels by protocol, bad otherwise.
 	for i := 0; i < session.NumTraces(); i++ {
-		key := must(session.Trace(i)).Key()
+		key := session.Representatives()[i].Key()
 		switch {
 		case !truth[key]:
 			session.LabelTrace(i, cable.Bad)
@@ -240,7 +240,7 @@ func TestDebugProgramStatic(t *testing.T) {
 	// Label by the correct spec's verdict and fix; the fixed spec then
 	// accepts strictly more of the program's good behaviour.
 	for i := 0; i < session.NumTraces(); i++ {
-		if stdio.FA.Accepts(must(session.Trace(i))) {
+		if stdio.FA.Accepts(session.Representatives()[i]) {
 			session.LabelTrace(i, cable.Good)
 		} else {
 			session.LabelTrace(i, cable.Bad)

@@ -6,8 +6,6 @@
 package exp
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"time"
 
@@ -25,10 +23,6 @@ import (
 
 // Config controls experiment scale and determinism.
 type Config struct {
-	// Context, when non-nil, cancels in-flight sweeps early: the sweep
-	// drivers check it before each item, and lattice builds between work
-	// items, and return its error. Nil means context.Background().
-	Context context.Context
 	// Seed drives workload generation; rows are deterministic per seed.
 	Seed int64
 	// RandomTrials is the number of Random-strategy trials to average (the
@@ -68,14 +62,6 @@ func DefaultScale(specName string) int {
 	default:
 		return 90
 	}
-}
-
-// ctx returns the sweep context, defaulting to context.Background().
-func (c Config) ctx() context.Context {
-	if c.Context != nil {
-		return c.Context
-	}
-	return context.Background()
 }
 
 func (c Config) scale(name string) int {
@@ -121,20 +107,6 @@ func Prepare(spec specs.Spec, cfg Config) (*Experiment, error) {
 	defer sp.End()
 	gen := xtrace.Generator{Model: spec.Model, Seed: cfg.Seed}
 	set, truthByKey := gen.ScenarioSet(cfg.scale(spec.Name))
-	// Round-trip the generated workload through the trace text format so
-	// every experiment exercises the production parse path (trace.Write →
-	// trace.Read). Serialization emits classes in order with their IDs and
-	// Read re-adds them in the same order, so class numbering, keys, and
-	// counts — and therefore every downstream table — are unchanged.
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, set); err != nil {
-		return nil, fmt.Errorf("exp: %s: serialize workload: %w", spec.Name, err)
-	}
-	reread, err := trace.Read(&buf)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s: reparse workload: %w", spec.Name, err)
-	}
-	set = reread
 	truth := make([]cable.Label, set.NumClasses())
 	for i := range truth {
 		if truthByKey[set.ClassKey(i)] {
@@ -164,7 +136,7 @@ func Prepare(spec specs.Spec, cfg Config) (*Experiment, error) {
 		if err != nil {
 			return nil, err
 		}
-		l, err := concept.BuildFromTracesCtx(cfg.ctx(), set.Representatives(), res.FA)
+		l, err := concept.BuildFromTraces(set.Representatives(), res.FA)
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +153,7 @@ func Prepare(spec specs.Spec, cfg Config) (*Experiment, error) {
 	best := time.Duration(0)
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		if _, err := concept.BuildFromTracesCtx(cfg.ctx(), set.Representatives(), chosen); err != nil {
+		if _, err := concept.BuildFromTraces(set.Representatives(), chosen); err != nil {
 			return nil, err
 		}
 		if d := time.Since(start); i == 0 || d < best {

@@ -92,7 +92,7 @@ func ReferenceAblation(specName string, cfg Config) ([]RefRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		lattice, err := concept.BuildFromTracesCtx(cfg.ctx(), set.Representatives(), ref)
+		lattice, err := concept.BuildFromTraces(set.Representatives(), ref)
 		if err != nil {
 			return nil, err
 		}

@@ -23,13 +23,10 @@ type GrowthPoint struct {
 // 5.2's observation that "the size of the lattices generated for our
 // specifications varied roughly linearly with the number of FA
 // transitions" despite the exponential worst case. It stops at the first
-// error, and checks cfg.Context before each specification.
+// error.
 func LatticeGrowth(cfg Config) ([]GrowthPoint, error) {
 	var pts []GrowthPoint
 	for _, spec := range specs.All() {
-		if err := cfg.ctx().Err(); err != nil {
-			return nil, err
-		}
 		e, err := Prepare(spec, cfg)
 		if err != nil {
 			return nil, err
@@ -99,8 +96,7 @@ type ScalePoint struct {
 // AdvantageSweep grows one specification's workload and measures how
 // Cable's advantage over Baseline scales — Section 5.3's "the advantage of
 // using Cable increases as the number of different scenario traces
-// increases". It stops at the first error, and checks cfg.Context before
-// each size.
+// increases". It stops at the first error.
 func AdvantageSweep(specName string, cfg Config, sizes []int) ([]ScalePoint, error) {
 	spec, ok := specs.ByName(specName)
 	if !ok {
@@ -108,9 +104,6 @@ func AdvantageSweep(specName string, cfg Config, sizes []int) ([]ScalePoint, err
 	}
 	var pts []ScalePoint
 	for _, size := range sizes {
-		if err := cfg.ctx().Err(); err != nil {
-			return nil, err
-		}
 		c := cfg
 		c.Scale = func(string) int { return size }
 		e, err := Prepare(spec, c)

@@ -54,14 +54,10 @@ type Table2Row struct {
 }
 
 // Table2 prepares every specification, in corpus order, and measures
-// lattice construction. It stops at the first error, and checks
-// cfg.Context before each specification.
+// lattice construction. It stops at the first error.
 func Table2(cfg Config) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, spec := range specs.All() {
-		if err := cfg.ctx().Err(); err != nil {
-			return nil, err
-		}
 		e, err := Prepare(spec, cfg)
 		if err != nil {
 			return nil, err
@@ -99,14 +95,10 @@ type Table3Row struct {
 }
 
 // Table3 prepares every specification, in corpus order, and measures
-// every labeling method. It stops at the first error, and checks
-// cfg.Context before each specification.
+// every labeling method. It stops at the first error.
 func Table3(cfg Config) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, spec := range specs.All() {
-		if err := cfg.ctx().Err(); err != nil {
-			return nil, err
-		}
 		e, err := Prepare(spec, cfg)
 		if err != nil {
 			return nil, err

@@ -188,9 +188,6 @@ func newSim(f *FA) *Sim {
 	return s
 }
 
-// FA returns the automaton this plan was compiled from.
-func (s *Sim) FA() *FA { return s.fa }
-
 // CanonicalEvent returns the interned event whose canonical rendering
 // (event.AppendString) is exactly key, or ok=false when the bytes name no
 // transition label of this plan. Decoders that already hold the rendering

@@ -34,8 +34,6 @@ type DFA struct {
 	Accept []bool
 	// Delta[s][c] is the successor of state s on Alphabet[c].
 	Delta [][]int32
-
-	symIdx map[string]int
 }
 
 // Determinize compiles f into a complete DFA over the given analysis
@@ -72,7 +70,7 @@ func Determinize(f *FA, alphabet []event.Event) (*DFA, error) {
 		bySym[t.From][c] = append(bySym[t.From][c], int32(t.To))
 	}
 
-	d := &DFA{Alphabet: alpha, symIdx: idx}
+	d := &DFA{Alphabet: alpha}
 	seen := map[string]int{}
 	var sets []*bitset.Set
 	mk := func(set *bitset.Set) int {
@@ -139,20 +137,6 @@ func sortedEvents(byKey map[string]event.Event) ([]event.Event, []string) {
 	return out, keys
 }
 
-// Accepts reports membership of the trace in the DFA's language. Events
-// outside the analysis alphabet are rejected outright.
-func (d *DFA) Accepts(t trace.Trace) bool {
-	s := d.Start
-	for _, e := range t.Events {
-		c, ok := d.symIdx[e.String()]
-		if !ok {
-			return false
-		}
-		s = int(d.Delta[s][c])
-	}
-	return d.Accept[s]
-}
-
 // Complement flips the accepting set; over a complete DFA that is exact
 // language complement relative to the analysis alphabet. The delta table
 // is shared with the receiver.
@@ -161,7 +145,7 @@ func (d *DFA) Complement() *DFA {
 	for i, a := range d.Accept {
 		acc[i] = !a
 	}
-	return &DFA{Alphabet: d.Alphabet, Start: d.Start, Accept: acc, Delta: d.Delta, symIdx: d.symIdx}
+	return &DFA{Alphabet: d.Alphabet, Start: d.Start, Accept: acc, Delta: d.Delta}
 }
 
 // Product builds the synchronized product of two complete DFAs over the
@@ -182,7 +166,7 @@ func Product(a, b *DFA, accept func(aAcc, bAcc bool) bool) (*DFA, error) {
 	type pair struct{ x, y int32 }
 	id := map[pair]int{}
 	var pairs []pair
-	d := &DFA{Alphabet: a.Alphabet, symIdx: a.symIdx}
+	d := &DFA{Alphabet: a.Alphabet}
 	mk := func(p pair) int {
 		if i, ok := id[p]; ok {
 			return i

@@ -71,11 +71,12 @@ func BenchmarkLangMinimize(b *testing.B) {
 // union (big; inclusion fails, so a witness is extracted every time).
 func BenchmarkLangInclusion(b *testing.B) {
 	sp := specs.All()[0]
+	spBuggy := buggy(b, sp)
 	x11, big := x11FA(b), bigFA(b)
 	b.Run("x11", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			inc, _, err := fa.Includes(sp.Buggy, sp.FA)
+			inc, _, err := fa.Includes(spBuggy, sp.FA)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -227,7 +227,7 @@ func TestEquivalentMatchesOpsEquivalent(t *testing.T) {
 		pairs = append(pairs, pair{randomNFA(rng, false), randomNFA(rng, false)})
 	}
 	for _, sp := range corpus() {
-		pairs = append(pairs, pair{sp.FA, sp.Buggy}, pair{sp.FA, sp.FA})
+		pairs = append(pairs, pair{sp.FA, buggy(t, sp)}, pair{sp.FA, sp.FA})
 	}
 	for i, p := range pairs {
 		want, err := fa.CanonicalEquivalent(p.a, p.b)
@@ -312,7 +312,7 @@ func TestMinimizeMatchesMooreMinimize(t *testing.T) {
 	}
 	inputs = append(inputs, corpusNFAs()...)
 	for _, sp := range corpus() {
-		inputs = append(inputs, fa.Union(sp.FA, sp.Buggy))
+		inputs = append(inputs, fa.Union(sp.FA, buggy(t, sp)))
 	}
 	for i, f := range inputs {
 		min, err := fa.Minimize(f)
@@ -349,6 +349,16 @@ func writeFA(t *testing.T, f *fa.FA) string {
 
 // corpus is every shipped specification: specs.All() plus specs.Stdio().
 func corpus() []specs.Spec { return append(specs.All(), specs.Stdio()) }
+
+// buggy derives sp's seeded buggy specification.
+func buggy(t testing.TB, sp specs.Spec) *fa.FA {
+	t.Helper()
+	f, err := specs.BuggyFA(sp.Name, sp.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
 
 // corpusNFAs rebuilds the automata the corpus FAs are minimized from, in
 // the specs package's construction: one chain per scenario template with

@@ -48,17 +48,12 @@ func randomMultiStartNFA(rng *rand.Rand, wildcards bool) *fa.FA {
 // corpus FA and buggy FA, the nondeterministic automata the corpus FAs are
 // minimized from, the FAs the default learner mines from each spec's
 // language sample, and random NFAs.
-func enumAutomata() []*fa.FA {
+func enumAutomata(t *testing.T) []*fa.FA {
 	var out []*fa.FA
 	for _, sp := range corpus() {
-		out = append(out, sp.FA)
-		if sp.Buggy != nil {
-			out = append(out, sp.Buggy)
-		}
-		sample := sp.FA.Enumerate(8, 200)
-		if sp.Buggy != nil {
-			sample = append(sample, sp.Buggy.Enumerate(8, 200)...)
-		}
+		b := buggy(t, sp)
+		out = append(out, sp.FA, b)
+		sample := append(sp.FA.Enumerate(8, 200), b.Enumerate(8, 200)...)
 		out = append(out, learn.DefaultLearner.MustLearn(sp.Name+"-learned", sample).FA)
 	}
 	out = append(out, corpusNFAs()...)
@@ -72,7 +67,7 @@ func enumAutomata() []*fa.FA {
 // TestEnumerateMatchesOracle pins Enumerate to the reference enumeration:
 // the same traces in the same order, events and nil-ness included.
 func TestEnumerateMatchesOracle(t *testing.T) {
-	for i, f := range enumAutomata() {
+	for i, f := range enumAutomata(t) {
 		for _, c := range enumCases {
 			got := f.Enumerate(c[0], c[1])
 			want := fa.OracleEnumerate(f, c[0], c[1])

@@ -228,7 +228,7 @@ func EquivalentStates(f *FA) ([][]int, error) {
 	n := f.numStates
 	k := len(alpha)
 	// States 0..n-1 plus an explicit sink at n make the delta total.
-	d := &DFA{Alphabet: alpha, symIdx: idx}
+	d := &DFA{Alphabet: alpha}
 	d.Accept = make([]bool, n+1)
 	d.Delta = make([][]int32, n+1)
 	for s := 0; s <= n; s++ {

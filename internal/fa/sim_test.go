@@ -333,7 +333,7 @@ func TestSimInternerExposesAlphabet(t *testing.T) {
 	if got, want := sim.numSyms, 4; got != want {
 		t.Fatalf("numSyms = %d, want %d", got, want)
 	}
-	if sim.FA() != f {
-		t.Error("Sim.FA does not return the source automaton")
+	if sim.fa != f {
+		t.Error("Sim does not hold the source automaton")
 	}
 }

@@ -95,16 +95,14 @@ func minedInputs(sp specs.Spec, seed int64) []learnInput {
 }
 
 // learnConfigs are the sk-strings configurations the differential tests
-// compare: the paper pipeline's two, the edge values of K and S, OR
-// agreement, and capped merging.
+// compare: the paper pipeline's two, the edge values of K and S, and OR
+// agreement.
 var learnConfigs = []learn.Learner{
 	learn.DefaultLearner,
 	{K: 3, S: 0.95, Agreement: learn.And},
 	{K: 1, S: 0.9, Agreement: learn.And},
 	{K: 3, S: 0.3, Agreement: learn.Or},
 	{K: 4, S: 0.95, Agreement: learn.And},
-	{K: 2, S: 0.5, Agreement: learn.And, MaxMerges: 1},
-	{K: 2, S: 0.5, Agreement: learn.And, MaxMerges: 3},
 }
 
 // sameResult reports how got differs from the oracle's want: fa.Write

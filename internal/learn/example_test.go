@@ -41,7 +41,10 @@ func ExampleKTails() {
 		trace.ParseEvents("", "a()", "a()", "z()"),
 		trace.ParseEvents("", "a()", "a()", "a()", "z()"),
 	}
-	res := learn.KTails{K: 1}.MustLearn("loop", traces)
+	res, err := learn.KTails{K: 1}.Learn("loop", traces)
+	if err != nil {
+		panic(err)
+	}
 	long := trace.ParseEvents("", "a()", "a()", "a()", "a()", "a()", "z()")
 	fmt.Println("k-tails folds the loop:", res.FA.Accepts(long))
 	// Output:

@@ -22,11 +22,10 @@ var fuzzLabels = []event.Event{
 
 // decodeLearnInput turns fuzz bytes into sk-strings parameters and a small
 // trace multiset. Byte 0 picks K (1–4), byte 1 picks S (0 to 1.27 in
-// steps of 0.005, and NaN at 255), byte 2 picks the agreement and
-// MaxMerges (0–3). Each later byte either ends the current trace (bit 6),
-// repeats an earlier trace (bit 7; the trace just finished repeats
-// adjacently) or appends a label; traces hold at most 6 events, and the
-// multiset at most 12 traces.
+// steps of 0.005, and NaN at 255), and bit 0 of byte 2 the agreement. Each
+// later byte either ends the current trace (bit 6), repeats an earlier
+// trace (bit 7; the trace just finished repeats adjacently) or appends a
+// label; traces hold at most 6 events, and the multiset at most 12 traces.
 func decodeLearnInput(data []byte) (learn.Learner, []trace.Trace) {
 	var l learn.Learner
 	at := func(i int) byte {
@@ -43,7 +42,6 @@ func decodeLearnInput(data []byte) (learn.Learner, []trace.Trace) {
 	if at(2)&1 == 1 {
 		l.Agreement = learn.Or
 	}
-	l.MaxMerges = int(at(2)>>1) % 4
 	var traces []trace.Trace
 	var cur []event.Event
 	for _, b := range data[min(3, len(data)):] {

@@ -61,15 +61,6 @@ func (l KTails) Learn(name string, traces []trace.Trace) (*Result, error) {
 	return p.freeze(name)
 }
 
-// MustLearn is Learn that panics on error.
-func (l KTails) MustLearn(name string, traces []trace.Trace) *Result {
-	r, err := l.Learn(name, traces)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // ktailSignature appends to dst the accepting suffixes of length ≤ k from
 // state s, as keys in byte order joined by \x01. The end marker
 // distinguishes "can stop here" from "has continuations".

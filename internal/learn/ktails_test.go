@@ -31,7 +31,7 @@ func TestKTailsGeneralizesLoops(t *testing.T) {
 		tr("a()", "a()", "a()", "z()"),
 		tr("a()", "a()", "a()", "a()", "z()"),
 	}
-	res := KTails{K: 1}.MustLearn("loop", traces)
+	res := learnKTails(t, 1, "loop", traces)
 	if !res.FA.Accepts(tr("a()", "a()", "a()", "a()", "a()", "a()", "z()")) {
 		t.Error("k-tails failed to fold the loop")
 	}
@@ -43,7 +43,7 @@ func TestKTailsCoarsensWithSmallerK(t *testing.T) {
 	traces := figure8()
 	prev := -1
 	for _, k := range []int{1, 2, 3, 4} {
-		res := KTails{K: k}.MustLearn("kt", traces)
+		res := learnKTails(t, k, "kt", traces)
 		if prev >= 0 && res.FA.NumStates() < prev {
 			t.Errorf("k=%d gave fewer states (%d) than k-1 (%d)", k, res.FA.NumStates(), prev)
 		}
@@ -60,7 +60,7 @@ func TestKTailsExactEquivalenceMergesIdenticalFutures(t *testing.T) {
 		traces = append(traces, tr("a()", "x()", "end()"))
 	}
 	traces = append(traces, tr("b()", "x()", "end()")) // rare branch
-	res := KTails{K: 3}.MustLearn("merge", traces)
+	res := learnKTails(t, 3, "merge", traces)
 	// The states after a() and after b() have identical 3-tails
 	// (x;end$), so they merge: the automaton has one shared suffix path.
 	// Count states: start, merged mid, after-x, accept = 4.
@@ -81,8 +81,8 @@ func TestKTailsDeterministicOutput(t *testing.T) {
 			}
 			traces = append(traces, tr(evs...))
 		}
-		a := KTails{K: 2}.MustLearn("x", traces)
-		b := KTails{K: 2}.MustLearn("x", traces)
+		a := learnKTails(t, 2, "x", traces)
+		b := learnKTails(t, 2, "x", traces)
 		if a.FA.String() != b.FA.String() {
 			t.Fatalf("iter %d: nondeterministic learner output", iter)
 		}
@@ -92,4 +92,14 @@ func TestKTailsDeterministicOutput(t *testing.T) {
 			}
 		}
 	}
+}
+
+// learnKTails runs k-tails with tail depth k, failing the test on an error.
+func learnKTails(t *testing.T, k int, name string, traces []trace.Trace) *Result {
+	t.Helper()
+	res, err := KTails{K: k}.Learn(name, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -143,16 +143,6 @@ func TestLearnEmptyTrace(t *testing.T) {
 	}
 }
 
-func TestMaxMerges(t *testing.T) {
-	traces := figure8()
-	unlimited := DefaultLearner.MustLearn("u", traces)
-	capped := Learner{K: 2, S: 0.5, Agreement: And, MaxMerges: 1}.MustLearn("c", traces)
-	if capped.FA.NumStates() < unlimited.FA.NumStates() {
-		t.Errorf("capped learner merged more than unlimited: %d < %d",
-			capped.FA.NumStates(), unlimited.FA.NumStates())
-	}
-}
-
 func TestOrMergesAtLeastAsMuchAsAnd(t *testing.T) {
 	traces := figure8()
 	and := Learner{K: 2, S: 0.5, Agreement: And}.MustLearn("and", traces)

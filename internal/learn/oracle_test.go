@@ -189,17 +189,12 @@ func oracleLearn(l learn.Learner, name string, traces []trace.Trace) (*learn.Res
 		l.S = learn.DefaultLearner.S
 	}
 	p := oracleBuildPTA(traces)
-	merges := 0
 	for {
 		a, b := oracleFindMergeable(l, p)
 		if a < 0 {
 			break
 		}
 		p.merge(a, b)
-		merges++
-		if l.MaxMerges > 0 && merges >= l.MaxMerges {
-			break
-		}
 	}
 	return p.freeze(name)
 }

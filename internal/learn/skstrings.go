@@ -22,7 +22,9 @@ const (
 )
 
 // Learner configures the sk-strings method. The zero value is not useful;
-// start from DefaultLearner.
+// start from DefaultLearner. Raising K and S lowers merging, giving a
+// larger FA that makes finer distinctions among traces: the knob Section
+// 2.1 describes for varying the reference FA.
 type Learner struct {
 	// K is the maximum k-string length considered when comparing states.
 	K int
@@ -31,11 +33,6 @@ type Learner struct {
 	S float64
 	// Agreement is the merge criterion.
 	Agreement Agreement
-	// MaxMerges caps the number of merges (0 = unlimited); raising K and S
-	// lowers merging, giving a larger FA that makes finer distinctions
-	// among traces — the knob Section 2.1 describes for varying the
-	// reference FA.
-	MaxMerges int
 }
 
 // DefaultLearner is the configuration used by Strauss and Cable summaries:
@@ -61,17 +58,12 @@ func (l Learner) Learn(name string, traces []trace.Trace) (*Result, error) {
 	}
 	p := buildPTA(traces)
 	sc := newKScan()
-	merges := 0
 	for {
 		a, b := sc.findMergeable(p, l)
 		if a < 0 {
 			break
 		}
 		p.merge(a, b)
-		merges++
-		if l.MaxMerges > 0 && merges >= l.MaxMerges {
-			break
-		}
 	}
 	return p.freeze(name)
 }

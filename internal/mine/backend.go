@@ -43,17 +43,17 @@ func (be BackEnd) Infer(name string, scenarios *trace.Set) (*fa.FA, error) {
 	return res.FA, nil
 }
 
-// Miner is the full Strauss pipeline of Figure 7.
+// Miner is the full Strauss pipeline of Figure 7. Its back end is
+// BackEnd{}: DefaultLearner, no coring.
 type Miner struct {
 	FrontEnd FrontEnd
-	BackEnd  BackEnd
 }
 
 // Mine extracts scenarios from the runs and infers a specification.
 // It returns both, since debugging operates on the scenarios.
 func (m Miner) Mine(name string, runs []Run) (*fa.FA, *trace.Set, error) {
 	scenarios := m.FrontEnd.ExtractAll(runs)
-	spec, err := m.BackEnd.Infer(name, scenarios)
+	spec, err := BackEnd{}.Infer(name, scenarios)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -64,5 +64,5 @@ func (m Miner) Mine(name string, runs []Run) (*fa.FA, *trace.Set, error) {
 // debugging a mined specification: after labeling, "the expert just runs
 // the back end of the miner on the traces that have been labeled good".
 func (m Miner) Relearn(name string, good *trace.Set) (*fa.FA, error) {
-	return m.BackEnd.Infer(name, good)
+	return BackEnd{}.Infer(name, good)
 }

@@ -31,12 +31,11 @@ func sameSets(got, want *trace.Set) error {
 }
 
 // frontEnds are the configurations the differential tests run: the
-// paper's, one following only the seed's object, and a capped one.
+// paper's, and one following only the seed's object.
 func frontEnds(seeds []string) map[string]mine.FrontEnd {
 	return map[string]mine.FrontEnd{
 		"derived":   {Seeds: seeds, FollowDerived: true},
 		"seed-only": {Seeds: seeds},
-		"max3":      {Seeds: seeds, FollowDerived: true, MaxEvents: 3},
 	}
 }
 
@@ -93,13 +92,13 @@ func TestExtractNamesPastSeven(t *testing.T) {
 }
 
 // decodeRuns reads a fuzz input as a front-end configuration and runs.
-// The first byte sets FollowDerived (bit 0), MaxEvents (bits 1-2) and
-// which of the first five operations are seeds (bits 3-7). Every later
-// event takes a head byte, a result byte and one byte per argument: the
-// head's low three bits pick the operation, its next two the argument
-// count, and a head of 0xff starts a new run. Objects range over 0 (none)
-// to 15, so they are redefined, shared between scenarios and, with
-// FollowDerived, can outnumber the seven canonical names.
+// The first byte sets FollowDerived (bit 0) and which of the first five
+// operations are seeds (bits 3-7). Every later event takes a head byte, a
+// result byte and one byte per argument: the head's low three bits pick
+// the operation, its next two the argument count, and a head of 0xff
+// starts a new run. Objects range over 0 (none) to 15, so they are
+// redefined, shared between scenarios and, with FollowDerived, can
+// outnumber the seven canonical names.
 func decodeRuns(data []byte) (mine.FrontEnd, []mine.Run) {
 	ops := []string{"open", "make", "use", "close", "derive", "noise", "copy", "link"}
 	var fe mine.FrontEnd
@@ -107,7 +106,6 @@ func decodeRuns(data []byte) (mine.FrontEnd, []mine.Run) {
 		return fe, nil
 	}
 	fe.FollowDerived = data[0]&1 != 0
-	fe.MaxEvents = int(data[0]>>1) & 3
 	for i := range 5 {
 		if data[0]>>(3+i)&1 != 0 {
 			fe.Seeds = append(fe.Seeds, ops[i])
@@ -144,8 +142,8 @@ func FuzzExtractMatchesOracle(f *testing.F) {
 		chain = append(chain, 0x0c, o, o-1)
 	}
 	f.Add(append(chain, 0x1a, 0, 12, 3))
-	// Redefined seeds, zero objects and a second run, capped at two events.
-	f.Add([]byte{0x0d, 0, 3, 0x08, 0, 3, 0, 3, 0x1a, 0, 3, 0, 0xff, 0, 5, 0x0b, 0, 5})
+	// Redefined seeds, zero objects and a second run.
+	f.Add([]byte{0x09, 0, 3, 0x08, 0, 3, 0, 3, 0x1a, 0, 3, 0, 0xff, 0, 5, 0x0b, 0, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fe, runs := decodeRuns(data)
 		if err := sameSets(fe.ExtractAll(runs), oracleExtractAll(fe, runs)); err != nil {

@@ -35,9 +35,6 @@ type FrontEnd struct {
 	// events that use a scenario object (transitive data flow from the
 	// seed). Without it a scenario follows only the seed's own objects.
 	FollowDerived bool
-	// MaxEvents caps the length of a scenario trace (0 = unlimited); the
-	// paper's scenarios are short, "usually less than ten events long".
-	MaxEvents int
 }
 
 // Run is one whole-program execution trace.
@@ -93,7 +90,6 @@ type scenario struct {
 	objs    []event.ObjID // tracked objects in joining order; objs[k] gets the k'th name
 	len     int           // events sliced so far
 	offered int           // 1 + the index of the last event offered to it
-	closed  bool          // MaxEvents reached
 	next    int           // where its next event goes in the run's slab
 }
 
@@ -183,7 +179,7 @@ func (x *extractor) offer(obj event.ObjID, i int) {
 	}
 	for l := x.index[obj]; l != 0; l = x.links[l-1].next {
 		s := x.links[l-1].scenario
-		if sc := &x.open[s]; !sc.closed && sc.offered != i+1 {
+		if sc := &x.open[s]; sc.offered != i+1 {
 			sc.offered = i + 1
 			x.hit = append(x.hit, s)
 		}
@@ -205,9 +201,6 @@ func (x *extractor) slice(s int32, e event.Concrete) {
 	st.to = int32(len(x.uses))
 	x.steps = append(x.steps, st)
 	sc.len++
-	if x.fe.MaxEvents > 0 && sc.len >= x.fe.MaxEvents {
-		sc.closed = true
-	}
 }
 
 // rename returns the name scenario sc gives obj: "" for no object, the

@@ -118,19 +118,6 @@ func TestExtractUntrackedObjectsAnonymous(t *testing.T) {
 	}
 }
 
-func TestExtractMaxEvents(t *testing.T) {
-	run := Run{ID: "r", Events: []event.Concrete{
-		{Op: "fopen", Def: 1},
-		{Op: "fread", Uses: []event.ObjID{1}},
-		{Op: "fread", Uses: []event.ObjID{1}},
-		{Op: "fclose", Uses: []event.ObjID{1}},
-	}}
-	scenarios := extract(FrontEnd{Seeds: []string{"fopen"}, MaxEvents: 2}, run)
-	if got := scenarios[0].Len(); got != 2 {
-		t.Errorf("capped scenario length = %d", got)
-	}
-}
-
 func TestExtractSeedWithoutDefIgnored(t *testing.T) {
 	run := Run{ID: "r", Events: []event.Concrete{
 		{Op: "fopen"}, // ignored: no object defined

@@ -87,9 +87,6 @@ func oracleScenario(fe mine.FrontEnd, run mine.Run, start int, id string) trace.
 		}
 		// Untracked objects abstract to "_" via abstract's default.
 		events = append(events, abstract(e, names))
-		if fe.MaxEvents > 0 && len(events) >= fe.MaxEvents {
-			break
-		}
 	}
 	return trace.Trace{ID: id, Events: events}
 }

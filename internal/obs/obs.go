@@ -110,15 +110,6 @@ func (g *Gauge) Set(v int64) {
 	g.set.Store(true)
 }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-	g.set.Store(true)
-}
-
 // Value returns the gauge's current value (0 on a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -302,11 +293,6 @@ type Snapshot struct {
 	Counters map[string]int64
 	Gauges   map[string]int64
 	Hists    map[string]HistStat
-}
-
-// Empty reports whether the snapshot holds no instruments at all.
-func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Hists) == 0
 }
 
 // Snapshot copies the registry's current state. A nil registry yields the

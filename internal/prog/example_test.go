@@ -38,7 +38,7 @@ prog leaky {
 	fmt.Println("shortest counterexample:", violations[0].Trace.Key())
 
 	// The same program also produces concrete runs for the miner.
-	events, _ := p.Execute(rand.New(rand.NewSource(1)), 1, prog.ExecOptions{})
+	events, _ := p.Execute(rand.New(rand.NewSource(1)), 1)
 	fmt.Println("an execution has", len(events) > 0, "events")
 	// Output:
 	// conforms: false

@@ -128,39 +128,31 @@ func wire(n *fa.EpsNFA, stmts []Stmt, from int) int {
 	return cur
 }
 
-// ExecOptions bound random execution.
-type ExecOptions struct {
-	// LoopContinue is the probability of taking another loop iteration
-	// (default 0.5); it also drives opt bodies (taken with the same
-	// probability).
-	LoopContinue float64
-	// MaxSteps caps emitted events per run as a runaway guard (default
-	// 10000).
-	MaxSteps int
-}
-
-func (o ExecOptions) normalized() ExecOptions {
-	if o.LoopContinue <= 0 || o.LoopContinue >= 1 {
-		o.LoopContinue = 0.5
-	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = 10000
-	}
-	return o
-}
+const (
+	// loopContinue is the probability of taking another loop iteration,
+	// and of taking an opt body.
+	loopContinue = 0.5
+	// maxSteps caps the events of one run, a runaway guard.
+	maxSteps = 10000
+)
 
 // Execute runs the program once, resolving nondeterminism with rng and
 // allocating object identities starting at base. It returns the concrete
 // events and the next unused identity.
-func (p *Program) Execute(rng *rand.Rand, base event.ObjID, opts ExecOptions) ([]event.Concrete, event.ObjID) {
-	opts = opts.normalized()
+func (p *Program) Execute(rng *rand.Rand, base event.ObjID) ([]event.Concrete, event.ObjID) {
+	return p.execute(rng, base, loopContinue, maxSteps)
+}
+
+// execute is Execute with the loop probability and the step cap as
+// parameters, so a test can drive the runaway guard.
+func (p *Program) execute(rng *rand.Rand, base event.ObjID, continueProb float64, stepCap int) ([]event.Concrete, event.ObjID) {
 	vars := map[string]event.ObjID{}
 	next := base
 	var out []event.Concrete
 	var run func(stmts []Stmt) bool
 	run = func(stmts []Stmt) bool {
 		for _, s := range stmts {
-			if len(out) >= opts.MaxSteps {
+			if len(out) >= stepCap {
 				return false
 			}
 			switch s := s.(type) {
@@ -177,13 +169,13 @@ func (p *Program) Execute(rng *rand.Rand, base event.ObjID, opts ExecOptions) ([
 				out = append(out, c)
 			case Skip:
 			case Loop:
-				for rng.Float64() < opts.LoopContinue {
+				for rng.Float64() < continueProb {
 					if !run(s.Body) {
 						return false
 					}
 				}
 			case Opt:
-				if rng.Float64() < opts.LoopContinue {
+				if rng.Float64() < continueProb {
 					if !run(s.Body) {
 						return false
 					}
@@ -202,12 +194,12 @@ func (p *Program) Execute(rng *rand.Rand, base event.ObjID, opts ExecOptions) ([
 
 // Runs executes the program n times into miner-ready runs with disjoint
 // object identities.
-func (p *Program) Runs(rng *rand.Rand, n int, opts ExecOptions) []mine.Run {
+func (p *Program) Runs(rng *rand.Rand, n int) []mine.Run {
 	out := make([]mine.Run, 0, n)
 	next := event.ObjID(1)
 	for i := 0; i < n; i++ {
 		var events []event.Concrete
-		events, next = p.Execute(rng, next, opts)
+		events, next = p.Execute(rng, next)
 		out = append(out, mine.Run{ID: fmt.Sprintf("%s:run%d", p.Name, i), Events: events})
 	}
 	return out

@@ -110,7 +110,7 @@ func TestExecuteProducesCompiledBehaviour(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	fe := mine.FrontEnd{Seeds: []string{"fopen"}, FollowDerived: true}
 	for i := 0; i < 50; i++ {
-		events, _ := p.Execute(rng, 1, ExecOptions{})
+		events, _ := p.Execute(rng, 1)
 		scenarios := fe.ExtractAll([]mine.Run{{ID: "r", Events: events}})
 		if scenarios.Total() != 1 {
 			t.Fatalf("run %d: %d scenarios", i, scenarios.Total())
@@ -124,15 +124,15 @@ func TestExecuteProducesCompiledBehaviour(t *testing.T) {
 func TestExecuteLoopBound(t *testing.T) {
 	p := mustParse(`prog spin { loop { tick(); } }`)
 	rng := rand.New(rand.NewSource(1))
-	events, _ := p.Execute(rng, 1, ExecOptions{LoopContinue: 0.999999, MaxSteps: 50})
+	events, _ := p.execute(rng, 1, 0.999999, 50)
 	if len(events) > 50 {
-		t.Fatalf("MaxSteps not enforced: %d events", len(events))
+		t.Fatalf("step cap not enforced: %d events", len(events))
 	}
 }
 
 func TestRunsDistinctObjects(t *testing.T) {
 	p := mustParse(leakySrc)
-	runs := p.Runs(rand.New(rand.NewSource(2)), 10, ExecOptions{})
+	runs := p.Runs(rand.New(rand.NewSource(2)), 10)
 	seen := map[int]bool{}
 	for _, r := range runs {
 		for _, e := range r.Events {
@@ -198,7 +198,7 @@ func TestMineFromProgramRuns(t *testing.T) {
 	// mined spec accepts both the close and leak behaviours (the bug the
 	// debugging method then removes).
 	p := mustParse(leakySrc)
-	runs := p.Runs(rand.New(rand.NewSource(7)), 60, ExecOptions{})
+	runs := p.Runs(rand.New(rand.NewSource(7)), 60)
 	miner := mine.Miner{FrontEnd: mine.FrontEnd{Seeds: []string{"fopen"}, FollowDerived: true}}
 	mined, scenarios, err := miner.Mine("leaky-mined", runs)
 	if err != nil {
@@ -268,7 +268,7 @@ func TestProjectionMatchesFrontEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	fe := mine.FrontEnd{Seeds: []string{"fopen"}, FollowDerived: true}
 	for i := 0; i < 40; i++ {
-		events, _ := p.Execute(rng, 1, ExecOptions{})
+		events, _ := p.Execute(rng, 1)
 		for _, sc := range fe.ExtractAll([]mine.Run{{ID: "r", Events: events}}).Representatives() {
 			if !proj.Accepts(sc) {
 				t.Fatalf("projection rejects dynamic scenario %q", sc.Key())

@@ -67,7 +67,7 @@ func TestQuickExecuteWithinCompiledLanguage(t *testing.T) {
 		}
 		fe := mine.FrontEnd{Seeds: []string{"open"}, FollowDerived: true}
 		for i := 0; i < 5; i++ {
-			events, _ := p.Execute(rng, 1, ExecOptions{})
+			events, _ := p.Execute(rng, 1)
 			for _, sc := range fe.ExtractAll([]mine.Run{{ID: "r", Events: events}}).Representatives() {
 				if !proj.Accepts(sc) {
 					fmt.Printf("program:\n%s\nscenario: %s\n", p, sc.Key())
@@ -95,7 +95,7 @@ func TestQuickCompiledLanguageNonEmpty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		events, _ := p.Execute(rng, 1, ExecOptions{})
+		events, _ := p.Execute(rng, 1)
 		words := f.Enumerate(40, 10)
 		return len(events) == 0 || len(words) > 0
 	}, &quick.Config{MaxCount: 80})

@@ -107,10 +107,3 @@ func (c *latticeCache) Put(key string, l *concept.Lattice) {
 	}
 	c.metrics.Gauge("server.cache.size").Set(int64(c.order.Len()))
 }
-
-// Len reports the number of cached lattices.
-func (c *latticeCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}

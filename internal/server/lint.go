@@ -27,24 +27,21 @@ func (s *Server) handleLint(ctx context.Context, w http.ResponseWriter, r *http.
 	if err != nil {
 		return badRequest(fmt.Errorf("fa: %w", err))
 	}
-	findings := speclint.LintAll(spec)
+	var set *trace.Set
 	if req.Traces != "" {
-		set, err := trace.Read(strings.NewReader(req.Traces))
-		if err != nil {
+		if set, err = trace.Read(strings.NewReader(req.Traces)); err != nil {
 			return badRequest(fmt.Errorf("traces: %w", err))
 		}
-		findings = append(findings, speclint.AlphabetFindings(spec, set.Representatives())...)
 	}
+	var ref *fa.FA
 	if req.RefFA != "" {
-		ref, err := fa.Read(strings.NewReader(req.RefFA))
-		if err != nil {
+		if ref, err = fa.Read(strings.NewReader(req.RefFA)); err != nil {
 			return badRequest(fmt.Errorf("ref_fa: %w", err))
 		}
-		diff, err := speclint.Diff(spec, ref)
-		if err != nil {
-			return badRequest(fmt.Errorf("diff: %w", err))
-		}
-		findings = append(findings, diff...)
+	}
+	findings, err := speclint.Check(spec, set, ref)
+	if err != nil {
+		return badRequest(fmt.Errorf("diff: %w", err))
 	}
 	resp := apiv1.LintResponse{
 		Findings: lintFindings(findings),

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -468,18 +469,10 @@ func (s *Server) handleListSessions(ctx context.Context, w http.ResponseWriter, 
 		e.mu.Unlock()
 	}
 	// Map iteration order is random; pin a stable listing before paging.
-	sortSessions(infos)
+	slices.SortFunc(infos, func(a, b apiv1.SessionInfo) int { return strings.Compare(a.SessionID, b.SessionID) })
 	pageInfos, next := page(infos, func(i apiv1.SessionInfo) string { return i.SessionID }, cursor, limit)
 	writeJSON(w, http.StatusOK, apiv1.SessionList{Sessions: pageInfos, NextCursor: next})
 	return nil
-}
-
-func sortSessions(ss []apiv1.SessionInfo) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j].SessionID < ss[j-1].SessionID; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 func (s *Server) handleGetSession(ctx context.Context, w http.ResponseWriter, r *http.Request) error {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -61,6 +62,13 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *client) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, &client{t: t, base: ts.URL, http: ts.Client()}
+}
+
+// cachedLattices reports how many lattices srv's cache holds.
+func cachedLattices(srv *Server) int {
+	srv.cache.mu.Lock()
+	defer srv.cache.mu.Unlock()
+	return srv.cache.order.Len()
 }
 
 // do issues a request and decodes the response into out (unless nil),
@@ -424,8 +432,8 @@ func TestCacheNotPoisonedByIncrementalAdd(t *testing.T) {
 	if ev := m.Counter("server.cache.evictions").Value(); ev != 0 {
 		t.Errorf("server.cache.evictions = %d, want 0 (mutation must not evict)", ev)
 	}
-	if srv.cache.Len() != 1 {
-		t.Errorf("cache holds %d lattices, want 1", srv.cache.Len())
+	if cachedLattices(srv) != 1 {
+		t.Errorf("cache holds %d lattices, want 1", cachedLattices(srv))
 	}
 
 	// And the mutated session keeps its own private growth.
@@ -453,8 +461,8 @@ func TestLatticeCacheHit(t *testing.T) {
 	if first.NumConcepts != second.NumConcepts || first.Top != second.Top {
 		t.Errorf("cached lattice differs: %+v vs %+v", first, second)
 	}
-	if srv.cache.Len() != 1 {
-		t.Errorf("cache holds %d lattices, want 1", srv.cache.Len())
+	if cachedLattices(srv) != 1 {
+		t.Errorf("cache holds %d lattices, want 1", cachedLattices(srv))
 	}
 	if hits := m.Counter("server.cache.hits").Value(); hits != 1 {
 		t.Errorf("server.cache.hits = %d, want 1", hits)
@@ -501,8 +509,8 @@ func TestCacheEviction(t *testing.T) {
 	))
 	c.mustCreate(fxA)
 	c.mustCreate(fxB) // evicts A
-	if srv.cache.Len() != 1 {
-		t.Fatalf("cache size %d, want 1", srv.cache.Len())
+	if cachedLattices(srv) != 1 {
+		t.Fatalf("cache size %d, want 1", cachedLattices(srv))
 	}
 	if ev := m.Counter("server.cache.evictions").Value(); ev != 1 {
 		t.Errorf("evictions = %d, want 1", ev)
@@ -551,7 +559,7 @@ func TestMidBuildCancellation(t *testing.T) {
 	if n := len(srv.store.list()); n != 0 {
 		t.Errorf("%d sessions registered after cancelled build", n)
 	}
-	if srv.cache.Len() != 0 {
+	if cachedLattices(srv) != 0 {
 		t.Errorf("cancelled build populated the cache")
 	}
 }
@@ -727,6 +735,35 @@ func TestFocusNotRegisteredAfterDelete(t *testing.T) {
 	srv.store.mu.RUnlock()
 	if n != 0 {
 		t.Errorf("focusParent holds %d entries after the delete, want 0", n)
+	}
+}
+
+// TestSessionListPagesInOrder pages through a few hundred sessions: every
+// session comes back exactly once, in ascending ID order across pages.
+func TestSessionListPagesInOrder(t *testing.T) {
+	_, c := newTestServer(t, Config{CacheSize: 4})
+	const n = 300
+	want := make([]string, n)
+	for i := range want {
+		want[i] = c.mustCreate(violationFixture(t)).SessionID
+	}
+	slices.Sort(want)
+	var got []string
+	for cursor := ""; ; {
+		var list apiv1.SessionList
+		if code := c.do("GET", "/v1/sessions?limit=7&cursor="+cursor, nil, &list); code != http.StatusOK {
+			t.Fatalf("list sessions: status %d", code)
+		}
+		for _, s := range list.Sessions {
+			got = append(got, s.SessionID)
+		}
+		if list.NextCursor == "" {
+			break
+		}
+		cursor = list.NextCursor
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("paged listing of %d sessions is not the %d IDs in order", len(got), n)
 	}
 }
 

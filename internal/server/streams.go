@@ -171,24 +171,30 @@ func violationDTO(v stream.Violation) apiv1.StreamViolation {
 // The stream checker has already consumed the batch, so it is applied
 // whole and logged whatever ctx says: its WAL records are encoded before
 // the first mutation, and the adds run under a context that is never
-// cancelled.
+// cancelled. A session deleted while the batch was in flight takes
+// nothing: the stream is doomed (closeStreamsOf marks it), and the
+// violations count as orphans.
 func (s *Server) appendViolations(ctx context.Context, se *streamEntry, violations []stream.Violation, state stream.State, closed bool) (int, error) {
 	if len(violations) == 0 && s.persist == nil {
 		return 0, nil
 	}
-	res, ok := s.store.resolve(se.ownerID)
-	if !ok {
-		// Session deleted while the batch was in flight: the stream is
-		// doomed (closeStreamsOf marks it), the violations have nowhere
-		// to go.
+	orphans := func() (int, error) {
 		s.metrics.Counter("server.stream.orphan_violations").Add(int64(len(violations)))
 		return 0, nil
 	}
-	newClasses := 0
+	res, ok := s.store.resolve(se.ownerID)
+	if !ok {
+		return orphans()
+	}
+	newClasses, gone := 0, false
 	err := func() error {
 		res.entry.mu.Lock()
 		defer res.entry.mu.Unlock()
 		e, sess := res.entry, res.entry.session
+		if e.gone {
+			gone = true
+			return nil
+		}
 		traces := make([]trace.Trace, len(violations))
 		var walRecs [][]byte
 		for i, v := range violations {
@@ -235,6 +241,9 @@ func (s *Server) appendViolations(ctx context.Context, se *streamEntry, violatio
 		}
 		return nil
 	}()
+	if gone {
+		return orphans()
+	}
 	s.store.touch(res.entry)
 	return newClasses, err
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -455,6 +456,66 @@ func TestStreamsDieWithSession(t *testing.T) {
 	var list apiv1.StreamList
 	if code := c.do("GET", "/v1/streams", nil, &list); code != 200 || len(list.Streams) != 0 {
 		t.Errorf("streams survived their owners: %+v", list.Streams)
+	}
+}
+
+// TestStreamBatchFindsUnlinkedSessionGone holds a session's entry lock
+// while a violating stream batch resolves the session, unlinks it as a
+// DELETE would, then lets the batch go on: the batch finds the session
+// gone and adds nothing to it. Its violations still reach the client, as
+// orphans with no new class.
+func TestStreamBatchFindsUnlinkedSessionGone(t *testing.T) {
+	m := obs.New()
+	srv, c := newTestServer(t, Config{CacheSize: 4, Metrics: m})
+	created := c.mustCreate(violationFixture(t))
+	opened := c.openStream(created.SessionID, stdioSpec, 8)
+	res, _ := srv.store.resolve(created.SessionID)
+	e := res.entry
+	// resolveStream, then appendViolations' resolve, read the clock.
+	resolved := make(chan struct{}, 2)
+	srv.store.now = func() time.Time {
+		select {
+		case resolved <- struct{}{}:
+		default:
+		}
+		return time.Now()
+	}
+	req := httptest.NewRequest("POST", "/v1/streams/"+opened.StreamID+"/events",
+		strings.NewReader(ndjson("X = popen()", "fread(X)", "pclose(X)", "X = popen()", "X = fopen()")))
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	e.mu.Lock()
+	go func() {
+		defer close(done)
+		srv.Handler().ServeHTTP(rec, req)
+	}()
+	<-resolved // the stream
+	<-resolved // the owner session: the batch waits for its lock
+	ok := srv.store.unlink(e, time.Time{})
+	e.mu.Unlock()
+	<-done
+	srv.store.now = time.Now
+	if !ok {
+		t.Fatal("unlink refused a live session")
+	}
+	var ev apiv1.StreamEventsResponse
+	if rec.Code != http.StatusOK {
+		t.Fatalf("events: status %d: %s", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &ev); err != nil {
+		t.Fatal(err)
+	}
+	if len(ev.Violations) != 1 || ev.NewClasses != 0 {
+		t.Errorf("%d violations, %d new classes; want the 1 violation and no new class", len(ev.Violations), ev.NewClasses)
+	}
+	e.mu.Lock()
+	n := e.session.NumTraces()
+	e.mu.Unlock()
+	if n != created.NumTraces {
+		t.Errorf("stream batch grew a deleted session to %d classes, want %d", n, created.NumTraces)
+	}
+	if got := m.Counter("server.stream.orphan_violations").Value(); got != 1 {
+		t.Errorf("orphan violations = %d, want 1", got)
 	}
 }
 

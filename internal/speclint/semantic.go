@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/fa"
+	"repro/internal/trace"
 )
 
 // LintAll runs every automaton-only rule: the structural v1 set (Lint)
@@ -12,6 +13,26 @@ import (
 // cross-spec checks need more inputs and live in Diff and Corpus.
 func LintAll(f *fa.FA) []Finding {
 	return append(Lint(f), Semantic(f)...)
+}
+
+// Check lints one specification against whatever comes along with it:
+// every automaton-only rule (LintAll), then the alphabet-mismatch rule
+// when a trace corpus comes along, then the language diff (Diff) when a
+// reference automaton does. A nil traces or ref skips its rules. The
+// only error is Diff's.
+func Check(spec *fa.FA, traces *trace.Set, ref *fa.FA) ([]Finding, error) {
+	findings := LintAll(spec)
+	if traces != nil {
+		findings = append(findings, alphabetFindings(spec, traces.Representatives())...)
+	}
+	if ref != nil {
+		diff, err := Diff(spec, ref)
+		if err != nil {
+			return nil, err
+		}
+		findings = append(findings, diff...)
+	}
+	return findings, nil
 }
 
 // Semantic runs the single-spec semantic rules on internal/fa's DFA engine:

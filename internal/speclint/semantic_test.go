@@ -156,14 +156,15 @@ func TestCorpusWitnessGolden(t *testing.T) {
 	all := append(specs.All(), specs.Stdio())
 	var sb strings.Builder
 	for _, sp := range all {
-		if sp.Buggy == nil {
-			t.Fatalf("%s: no seeded buggy FA", sp.Name)
+		buggy, err := specs.BuggyFA(sp.Name, sp.Model)
+		if err != nil {
+			t.Fatalf("%s: no seeded buggy FA: %v", sp.Name, err)
 		}
 		// The seeding guarantees L(correct) ⊆ L(buggy), strictly.
-		if inc, _, err := fa.Includes(sp.FA, sp.Buggy); err != nil || !inc {
+		if inc, _, err := fa.Includes(sp.FA, buggy); err != nil || !inc {
 			t.Fatalf("%s: correct language not contained in buggy (inc=%v, err=%v)", sp.Name, inc, err)
 		}
-		findings, err := Diff(sp.Buggy, sp.FA)
+		findings, err := Diff(buggy, sp.FA)
 		if err != nil {
 			t.Fatalf("%s: Diff: %v", sp.Name, err)
 		}

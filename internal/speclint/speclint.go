@@ -96,10 +96,9 @@ func Lint(f *fa.FA) []Finding {
 	return out
 }
 
-// AlphabetFindings runs just the alphabet-mismatch rule, so callers that
-// already ran the automaton-only rules (LintAll) can add the corpus
-// checks without duplicating findings.
-func AlphabetFindings(f *fa.FA, traces []trace.Trace) []Finding {
+// alphabetFindings runs just the alphabet-mismatch rule, so Check can add
+// it after the automaton-only rules without duplicating findings.
+func alphabetFindings(f *fa.FA, traces []trace.Trace) []Finding {
 	var out []Finding
 	inTraces := map[string]bool{}
 	for _, t := range traces {

@@ -160,7 +160,7 @@ func TestRulesStable(t *testing.T) {
 // spells out but no trace ever performs (dead vocabulary, often a typo
 // in the spec).
 func lintWithTraces(f *fa.FA, traces []trace.Trace) []Finding {
-	return append(Lint(f), AlphabetFindings(f, traces)...)
+	return append(Lint(f), alphabetFindings(f, traces)...)
 }
 
 // rules lists every rule name in report order.

@@ -41,12 +41,6 @@ type Spec struct {
 	Model xtrace.Model
 	// FA is the correct (debugged) specification automaton.
 	FA *fa.FA
-	// Buggy is the seeded buggy variant of FA: the same good templates
-	// plus one of the model's error modes, so its language strictly
-	// contains the correct one and the speclint differ always has a
-	// concrete separating witness to extract. It plays the role of the
-	// pre-debugging specification the paper starts each session from.
-	Buggy *fa.FA
 }
 
 // DeriveFA builds the correct specification FA from the model's good
@@ -104,7 +98,8 @@ func deriveFA(name string, m xtrace.Model, include func(xtrace.Scenario) bool) (
 // the first error-mode scenario whose behaviours the correct FA rejects.
 // The result's language strictly contains the correct one — fa.Includes
 // verifies the strictness, so a separating witness is guaranteed to
-// exist.
+// exist. It plays the role of the pre-debugging specification the paper
+// starts each session from.
 func BuggyFA(name string, m xtrace.Model) (*fa.FA, error) {
 	correct, err := DeriveFA(name, m)
 	if err != nil {
@@ -142,11 +137,7 @@ func mustSpec(name, description string, m xtrace.Model) Spec {
 	if err != nil {
 		panic(fmt.Sprintf("specs: %s: %v", name, err))
 	}
-	buggy, err := BuggyFA(name, m)
-	if err != nil {
-		panic(err.Error())
-	}
-	return Spec{Name: name, Description: description, Model: m, FA: f, Buggy: buggy}
+	return Spec{Name: name, Description: description, Model: m, FA: f}
 }
 
 // Stdio returns the Section 2 example: the stdio file-pointer protocol

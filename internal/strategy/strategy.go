@@ -35,11 +35,6 @@ type Cost struct {
 // Total returns the number of user decisions: inspections plus labelings.
 func (c Cost) Total() int { return c.Inspections + c.Labelings }
 
-// Add accumulates another cost.
-func (c Cost) Add(d Cost) Cost {
-	return Cost{Inspections: c.Inspections + d.Inspections, Labelings: c.Labelings + d.Labelings}
-}
-
 func (c Cost) String() string {
 	return fmt.Sprintf("%d ops (%d inspections + %d labelings)", c.Total(), c.Inspections, c.Labelings)
 }

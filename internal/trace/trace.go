@@ -11,6 +11,8 @@
 package trace
 
 import (
+	"slices"
+
 	"repro/internal/event"
 )
 
@@ -71,29 +73,6 @@ func (t Trace) AppendKey(dst []byte) []byte {
 // String renders the trace as its key (IDs are provenance, not content).
 func (t Trace) String() string { return t.Key() }
 
-// Equal reports whether two traces have identical event sequences.
-func (t Trace) Equal(u Trace) bool {
-	if len(t.Events) != len(u.Events) {
-		return false
-	}
-	for i := range t.Events {
-		if !t.Events[i].Equal(u.Events[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Mentions reports whether any event in the trace mentions the variable name.
-func (t Trace) Mentions(name string) bool {
-	for _, e := range t.Events {
-		if e.Mentions(name) {
-			return true
-		}
-	}
-	return false
-}
-
 // Names returns the sorted distinct variable names mentioned by the trace.
 func (t Trace) Names() []string {
 	set := map[string]bool{}
@@ -106,38 +85,8 @@ func (t Trace) Names() []string {
 	for n := range set {
 		out = append(out, n)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
-}
-
-// Ops returns the operation name of each event, in order.
-func (t Trace) Ops() []string {
-	out := make([]string, len(t.Events))
-	for i, e := range t.Events {
-		out[i] = e.Op
-	}
-	return out
-}
-
-// Project returns the subtrace of events mentioning the given name. Events
-// not mentioning it are dropped. This is the trace-side counterpart of the
-// name-projection Focus template (Section 4.1).
-func (t Trace) Project(name string) Trace {
-	out := Trace{ID: t.ID}
-	for _, e := range t.Events {
-		if e.Mentions(name) {
-			out.Events = append(out.Events, e)
-		}
-	}
-	return out
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // Class is a group of identical traces within a Set.
@@ -269,7 +218,7 @@ func (s *Set) Alphabet() []event.Event {
 	for k := range seen {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	out := make([]event.Event, len(keys))
 	for i, k := range keys {
 		out[i] = seen[k]
