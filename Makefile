@@ -79,9 +79,11 @@ obs-smoke:
 # two semantic-engine differential properties (determinization vs. the
 # NFA, complement and self-inclusion vs. the bounded oracle), the
 # sk-strings and k-tails learners against their map-and-string oracles,
-# the one-pass Strauss front end against its rescanning oracle, and
-# cabled's session snapshot and write-ahead log readers (no panic; what
-# they accept re-encodes to the input, or the log's accepted prefix).
+# the one-pass Strauss front end against its rescanning oracle, the Random
+# and Optimal labeling strategies against their oracles on contexts of up
+# to 12 objects × 8 attributes, well-formed or not, and cabled's session
+# snapshot and write-ahead log readers (no panic; what they accept
+# re-encodes to the input, or the log's accepted prefix).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatchesOracle$$' -fuzztime 10s ./internal/trace
@@ -92,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzComplementInclusion$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzLearnMatchesOracle$$' -fuzztime 5s ./internal/learn
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractMatchesOracle$$' -fuzztime 5s ./internal/mine
+	$(GO) test -run '^$$' -fuzz '^FuzzStrategiesMatchOracle$$' -fuzztime 5s ./internal/strategy
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionSnapshot$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzWAL$$' -fuzztime 5s ./internal/server
 

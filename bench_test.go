@@ -6,7 +6,6 @@
 package repro
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -122,18 +121,8 @@ func BenchmarkTable3(b *testing.B) {
 				}
 			}
 		})
-		b.Run(name+"/Random", func(b *testing.B) {
-			b.ReportAllocs()
-			rng := rand.New(rand.NewSource(1))
-			for i := 0; i < b.N; i++ {
-				if _, ok := strategy.Random(e.Lattice, e.Truth, rng, 0); !ok {
-					b.Fatal("strategy failed")
-				}
-			}
-		})
 		// RandomMean is the Table 3 column: 1024 trials, each seeded
-		// afresh, so the lane includes the per-trial seeding cost that
-		// the single-RNG Random lane never pays.
+		// afresh.
 		b.Run(name+"/RandomMean", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

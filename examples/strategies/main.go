@@ -9,7 +9,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"time"
 
+	"repro/internal/concept"
 	"repro/internal/exp"
 	"repro/internal/specs"
 )
@@ -42,7 +44,11 @@ func main() {
 	fmt.Printf("scenarios: %d (%d unique classes)\n", e.Set.Total(), e.Set.NumClasses())
 	fmt.Printf("reference FA (%s): %d states, %d transitions\n",
 		e.RefKind, e.Ref.NumStates(), e.Ref.NumTransitions())
-	fmt.Printf("concept lattice: %d concepts, built in %v\n\n", e.Lattice.Len(), e.BuildTime)
+	start := time.Now()
+	if _, err := concept.BuildFromTraces(e.Set.Representatives(), e.Ref); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("concept lattice: %d concepts, built in %v\n\n", e.Lattice.Len(), time.Since(start))
 
 	st, err := e.RunStrategies(cfg)
 	if err != nil {

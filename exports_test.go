@@ -49,7 +49,6 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 		"internal/event.ParseAll":            "fa's regex and property tests parse event lists with it",
 		"internal/fa.MustCompile":            "verify's static tests and wellformed's example build pattern automata with it",
 		"internal/specs.BuggyFA":             "the corpus golden, speclint's witness golden and fa's engine tests derive the seeded buggy specifications with it",
-		"internal/strategy.Random":           "the root benchmarks run single Random trials",
 		"internal/xtrace.Opt":                "concept's big-corpus fixture marks optional model steps with it",
 	}
 	// testOnlyMethods is testOnlyExports for methods, keyed
@@ -57,11 +56,9 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 	// package's tests call, it lists methods that satisfy an interface
 	// and are only called through it.
 	testOnlyMethods := map[string]string{
-		"internal/fa.FA.Sample":               "concept's benchmarks draw their traces with it",
-		"internal/scanio.Error.Unwrap":        "errors.Is and errors.As call it through the Unwrap() error interface",
-		"internal/server.httpError.Unwrap":    "errors.Is and errors.As call it through the Unwrap() error interface",
-		"internal/strategy.trialSource.Int63": "rand.Rand calls it through the rand.Source interface",
-		"internal/strategy.trialSource.Seed":  "rand.Rand calls it through the rand.Source interface",
+		"internal/fa.FA.Sample":            "concept's benchmarks draw their traces with it",
+		"internal/scanio.Error.Unwrap":     "errors.Is and errors.As call it through the Unwrap() error interface",
+		"internal/server.httpError.Unwrap": "errors.Is and errors.As call it through the Unwrap() error interface",
 	}
 	// unsetFields lists the exported fields no non-test code writes, with
 	// the reason each stays, keyed "<directory>.<type>.<field>".

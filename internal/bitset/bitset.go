@@ -115,25 +115,6 @@ func IntersectInto(dst, a, b *Set) *Set {
 	return dst
 }
 
-// DifferenceInto sets dst = a \ b, reusing dst's storage, and returns dst.
-// dst may alias a but not b. It is the allocation-free set difference for
-// hot loops that recompute a remainder into a scratch set.
-func DifferenceInto(dst, a, b *Set) *Set {
-	n := len(a.words)
-	if cap(dst.words) < n {
-		dst.words = make([]uint64, n)
-	} else {
-		dst.words = dst.words[:n]
-	}
-	m := min(n, len(b.words))
-	for i := 0; i < m; i++ {
-		dst.words[i] = a.words[i] &^ b.words[i]
-	}
-	copy(dst.words[m:], a.words[m:])
-	dst.pop = 0
-	return dst
-}
-
 // IntersectEqualsInto sets dst = a ∩ b, reusing dst's storage, and reports
 // whether the intersection equals a — that is, whether a ⊆ b. It fuses the
 // SubsetOf + IntersectInto double pass the lattice builder's inner loop
@@ -405,16 +386,6 @@ func (s *Set) Range(f func(i int) bool) {
 			w &^= 1 << uint(b)
 		}
 	}
-}
-
-// Min returns the smallest element, or -1 if the set is empty.
-func (s *Set) Min() int {
-	for wi, w := range s.words {
-		if w != 0 {
-			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
 }
 
 // Key returns a string usable as a map key identifying the set's contents.

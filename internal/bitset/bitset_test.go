@@ -70,8 +70,10 @@ func TestSetAlgebra(t *testing.T) {
 	if got := Intersect(a, b).Elems(); !equalInts(got, []int{3, 200}) {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := DifferenceInto(FromSlice([]int{0, 7, 900}), a, b).Elems(); !equalInts(got, []int{1, 5}) {
-		t.Errorf("DifferenceInto = %v", got)
+	d := a.Clone()
+	d.DifferenceWith(b)
+	if got := d.Elems(); !equalInts(got, []int{1, 5}) {
+		t.Errorf("DifferenceWith = %v", got)
 	}
 	// Originals untouched.
 	if !equalInts(a.Elems(), []int{1, 3, 5, 200}) || !equalInts(b.Elems(), []int{3, 4, 200, 300}) {
@@ -118,15 +120,6 @@ func TestRangeEarlyStop(t *testing.T) {
 	})
 	if !equalInts(seen, []int{2, 4}) {
 		t.Errorf("Range early stop saw %v", seen)
-	}
-}
-
-func TestMin(t *testing.T) {
-	if (&Set{}).Min() != -1 {
-		t.Error("Min of empty != -1")
-	}
-	if got := FromSlice([]int{500, 70, 9}).Min(); got != 9 {
-		t.Errorf("Min = %d, want 9", got)
 	}
 }
 
@@ -186,7 +179,11 @@ func TestQuickAlgebraLaws(t *testing.T) {
 			return false
 		}
 		// De Morgan via difference: a \ (b ∪ c) = (a\b) ∩ (a\c).
-		diff := func(x, y *Set) *Set { return DifferenceInto(&Set{}, x, y) }
+		diff := func(x, y *Set) *Set {
+			d := x.Clone()
+			d.DifferenceWith(y)
+			return d
+		}
 		if !diff(a, Union(b, c)).Equal(Intersect(diff(a, b), diff(a, c))) {
 			return false
 		}

@@ -58,29 +58,6 @@ func TestIntersectInto(t *testing.T) {
 	}
 }
 
-func TestDifferenceInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for iter := 0; iter < 200; iter++ {
-		// Different maxima give operands of different word lengths.
-		a, b := randomSet(rng, 64+rng.Intn(300)), randomSet(rng, 64+rng.Intn(300))
-		want := &Set{}
-		a.Range(func(i int) bool {
-			if !b.Has(i) {
-				want.Add(i)
-			}
-			return true
-		})
-		dst := randomSet(rng, 400) // dirty scratch must not leak through
-		if got := DifferenceInto(dst, a, b); got != dst || !got.Equal(want) || got.Len() != want.Len() {
-			t.Fatalf("DifferenceInto(%s, %s) = %s, want %s", a, b, got, want)
-		}
-		// Aliasing: dst == a.
-		if aa := a.Clone(); !DifferenceInto(aa, aa, b).Equal(want) {
-			t.Fatal("DifferenceInto aliased with a is wrong")
-		}
-	}
-}
-
 func TestAppendKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 200; iter++ {

@@ -7,7 +7,6 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cable"
 	"repro/internal/concept"
@@ -90,13 +89,12 @@ const (
 
 // Experiment is one prepared specification experiment.
 type Experiment struct {
-	Spec      specs.Spec
-	Set       *trace.Set
-	Truth     []cable.Label // ground-truth label per trace class
-	Ref       *fa.FA
-	RefKind   RefKind
-	Lattice   *concept.Lattice
-	BuildTime time.Duration // lattice construction time (best of three)
+	Spec    specs.Spec
+	Set     *trace.Set
+	Truth   []cable.Label // ground-truth label per trace class
+	Ref     *fa.FA
+	RefKind RefKind
+	Lattice *concept.Lattice
 }
 
 // Prepare generates the workload, selects a reference FA whose lattice is
@@ -148,26 +146,13 @@ func Prepare(spec specs.Spec, cfg Config) (*Experiment, error) {
 	if chosen == nil {
 		return nil, fmt.Errorf("exp: %s: no candidate reference FA yields a well-formed lattice", spec.Name)
 	}
-	// Time the construction the way the paper does: best of three runs,
-	// excluding trace parsing and output.
-	best := time.Duration(0)
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		if _, err := concept.BuildFromTraces(set.Representatives(), chosen); err != nil {
-			return nil, err
-		}
-		if d := time.Since(start); i == 0 || d < best {
-			best = d
-		}
-	}
 	return &Experiment{
-		Spec:      spec,
-		Set:       set,
-		Truth:     truth,
-		Ref:       chosen,
-		RefKind:   chosenKind,
-		Lattice:   lattice,
-		BuildTime: best,
+		Spec:    spec,
+		Set:     set,
+		Truth:   truth,
+		Ref:     chosen,
+		RefKind: chosenKind,
+		Lattice: lattice,
 	}, nil
 }
 

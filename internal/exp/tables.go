@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/concept"
 	"repro/internal/specs"
 )
 
@@ -54,13 +55,25 @@ type Table2Row struct {
 }
 
 // Table2 prepares every specification, in corpus order, and measures
-// lattice construction. It stops at the first error.
+// lattice construction the way the paper does: the best of three builds
+// from the class representatives on the chosen reference FA, excluding
+// trace parsing and output. It stops at the first error.
 func Table2(cfg Config) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, spec := range specs.All() {
 		e, err := Prepare(spec, cfg)
 		if err != nil {
 			return nil, err
+		}
+		best := time.Duration(0)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			if _, err := concept.BuildFromTraces(e.Set.Representatives(), e.Ref); err != nil {
+				return nil, err
+			}
+			if d := time.Since(start); i == 0 || d < best {
+				best = d
+			}
 		}
 		rows = append(rows, Table2Row{
 			Name:      spec.Name,
@@ -69,7 +82,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 			Attrs:     e.Ref.NumTransitions(),
 			RefKind:   e.RefKind,
 			Concepts:  e.Lattice.Len(),
-			BuildTime: e.BuildTime,
+			BuildTime: best,
 		})
 	}
 	return rows, nil

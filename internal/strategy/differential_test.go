@@ -19,7 +19,9 @@ import (
 // with the same ok flag, and OptimalPlan to return the oracle's ops, cost
 // and ok under budgets that cut the search short and under the default.
 // The budgets of 1000 and 5000 states stop the shipped RegionsBig and
-// XtFree searches after their state tables have grown.
+// XtFree searches after their state tables have grown. Where a plan
+// exists, the search must also need exactly the oracle's state count: the
+// smallest budget under which OptimalPlan succeeds is the oracle's.
 func checkOracles(t *testing.T, where string, l *concept.Lattice, ref []cable.Label, seed int64, trials int) {
 	t.Helper()
 	mean, ok := strategy.RandomMean(l, ref, seed, trials)
@@ -33,6 +35,26 @@ func checkOracles(t *testing.T, where string, l *concept.Lattice, ref []cable.La
 		if !slices.Equal(plan.Ops, wantPlan.Ops) || cost != wantCost || ok != wantOK {
 			t.Fatalf("%s: OptimalPlan(budget %d) = %v, %v, %v; oracle %v, %v, %v",
 				where, budget, plan, cost, ok, wantPlan, wantCost, wantOK)
+		}
+	}
+	if _, _, ok := strategy.OptimalPlan(l, ref, 0); !ok {
+		return
+	}
+	lo, hi := 1, strategy.DefaultOptimalBudget
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if _, _, ok := strategy.OptimalPlan(l, ref, mid); ok {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if _, _, ok := oracleOptimalPlan(l, ref, lo); !ok {
+		t.Fatalf("%s: OptimalPlan succeeds within %d states, the oracle does not", where, lo)
+	}
+	if lo > 1 {
+		if _, _, ok := oracleOptimalPlan(l, ref, lo-1); ok {
+			t.Fatalf("%s: the oracle succeeds within %d states, OptimalPlan needs %d", where, lo-1, lo)
 		}
 	}
 }
@@ -119,9 +141,9 @@ func TestPropStrategiesVsWellFormedness(t *testing.T) {
 				t.Fatalf("iter %d: Optimal %s beaten (td %s, bu %s, ex %s)",
 					iter, optCost, tdCost, buCost, exCost)
 			}
-			rdCost, rd := strategy.Random(l, ref, rng, 0)
-			if !rd || rdCost.Total() < optCost.Total() {
-				t.Fatalf("iter %d: Random %s vs Optimal %s (ok=%v)", iter, rdCost, optCost, rd)
+			rdMean, rd := strategy.RandomMean(l, ref, int64(iter), 1)
+			if !rd || rdMean < float64(optCost.Total()) {
+				t.Fatalf("iter %d: one Random trial %v vs Optimal %s (ok=%v)", iter, rdMean, optCost, rd)
 			}
 		}
 	}
@@ -156,5 +178,66 @@ func TestPropStrategiesVsWellFormedness(t *testing.T) {
 	}
 	if !seen[true] || !seen[false] {
 		t.Fatalf("wide contexts were all well-formed = %v", seen[true])
+	}
+}
+
+// TestOracleWideLattices runs the differential check on lattices of more
+// than 64 concepts, so Optimal's per-state concept masks span more than
+// one word, and, beyond 64 objects, so do the extent rows. Contexts have 7
+// to 9 attributes; objects share rows in runs, which bounds the labeling
+// states. Each lattice is checked under three labelings: one random label
+// per row (well-formed), one random label per object (not well-formed
+// where a run mixes labels), and one fixed by attributes a0 to a2, whose
+// search ends within three labelings.
+func TestOracleWideLattices(t *testing.T) {
+	const (
+		byRow = 1 << iota
+		byObject
+		byAttrs
+	)
+	cases := []struct{ no, na, run, kinds int }{
+		{200, 9, 14, byRow | byObject | byAttrs},
+		{120, 9, 8, byRow | byObject | byAttrs},
+		{70, 9, 4, byRow | byObject | byAttrs},
+		{30, 7, 1, byRow | byAttrs},
+	}
+	seen := map[bool]bool{}
+	for i, c := range cases {
+		rng := rand.New(rand.NewSource(int64(2900 + i)))
+		l := randomLattice(rng, c.no, c.na, c.run)
+		if l.Len() <= 64 {
+			t.Fatalf("%d objects, %d attributes: %d concepts, want more than 64", c.no, c.na, l.Len())
+		}
+		for kind := byRow; kind <= byAttrs; kind <<= 1 {
+			if c.kinds&kind == 0 {
+				continue
+			}
+			rowLabel := map[string]cable.Label{}
+			ref := make([]cable.Label, c.no)
+			for o := range ref {
+				row := l.Context().Attributes(o)
+				switch kind {
+				case byRow:
+					if _, ok := rowLabel[row.Key()]; !ok {
+						rowLabel[row.Key()] = randomLabel(rng)
+					}
+					ref[o] = rowLabel[row.Key()]
+				case byObject:
+					ref[o] = randomLabel(rng)
+				case byAttrs:
+					ref[o] = cable.Good
+					if row.Has(0) && row.Has(1) || row.Has(2) {
+						ref[o] = cable.Bad
+					}
+				}
+			}
+			wf, _ := wellformed.Check(l, ref)
+			seen[wf] = true
+			where := fmt.Sprintf("%d objects, %d concepts, labeling %d (well-formed %v)", c.no, l.Len(), kind, wf)
+			checkOracles(t, where, l, ref, int64(c.no), 64)
+		}
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("wide lattices were all well-formed = %v", seen[true])
 	}
 }

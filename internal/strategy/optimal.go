@@ -29,68 +29,68 @@ func Optimal(l *concept.Lattice, ref []cable.Label, maxStates int) (Cost, bool) 
 // OptimalPlan is Optimal returning a witness: one minimum-length sequence
 // of (inspect, label) operations achieving the reference labeling.
 //
-// Every set the search touches is a row of ⌈n/64⌉ words over the n
-// objects: the concept extents and the per-label object sets are built as
-// rows once per call, and the states live in one stateSlab, so after that
-// set-up the search allocates only when the slab doubles.
+// The search runs on the strategies' table and keeps its states in one
+// stateSlab, so after building the table it allocates only when the slab
+// doubles.
+//
+// It skips successors it has already reached. Let cur be reached from p
+// by labeling concept a's remainder, and let c < a be a concept whose
+// remainder was labelable from p. Then p ∪ E_c was reached from p before
+// cur was, so the search expanded it before cur. That expansion reached
+// p ∪ E_c ∪ E_a, since a's remainder there is a subset of a labelable
+// remainder, so empty or labelable; and had that union been the goal, the
+// search would have stopped before reaching cur. So cur ∪ E_c is already
+// a state and not the goal, and the search moves on without building,
+// hashing or probing it. Each state's mask records the concepts whose
+// remainder from it is empty or labelable: a concept whose remainder was
+// empty from p has none from cur either, so the skip needs no other test,
+// and c's remainder from cur, a subset of its remainder from p, is again
+// empty or labelable. Visiting order, goal, plan and state count stay
+// those of the search without the skip.
 func OptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (Plan, Cost, bool) {
-	if checkRef(l, ref) != nil {
+	t, ok := newTable(l, ref)
+	if !ok {
 		return Plan{}, Cost{}, false
 	}
 	if maxStates <= 0 {
 		maxStates = DefaultOptimalBudget
 	}
-	n := len(ref)
-	if n == 0 {
+	if len(ref) == 0 {
 		return Plan{}, Cost{}, true
 	}
-	concepts := l.Concepts()
-	w := (n + 63) / 64
-	// labels lists the distinct reference labels; labelOf[o] numbers o's,
-	// and label k's objects are the row lab[k*w:][:w].
-	labels := make([]cable.Label, 0, 2)
-	labelOf := make([]int32, n)
-	for o, lb := range ref {
-		k := slices.Index(labels, lb)
-		if k < 0 {
-			k = len(labels)
-			labels = append(labels, lb)
-		}
-		labelOf[o] = int32(k)
-	}
-	words := make([]uint64, (len(concepts)+len(labels)+2)*w)
-	ext, words := words[:len(concepts)*w], words[len(concepts)*w:]
-	lab, words := words[:len(labels)*w], words[len(labels)*w:]
-	all, succ := words[:w], words[w:]
-	for o, k := range labelOf {
-		lab[int(k)*w+o/64] |= 1 << (o % 64)
-		all[o/64] |= 1 << (o % 64)
-	}
-	// mixed[ci] reports whether concept ci's extent carries more than one
-	// label; every non-empty remainder of an unmixed extent is labelable.
-	mixed := make([]bool, len(concepts))
-	for ci, c := range concepts {
-		e := ext[ci*w:][:w]
-		copy(e, c.Extent.Words())
-		if o := c.Extent.Min(); o >= 0 {
-			mixed[ci] = firstIn(e, lab[int(labelOf[o])*w:][:w]) >= 0
-		}
-	}
-
-	s := newStateSlab(w, len(concepts))
+	nc, w := l.Len(), t.w
+	s := newStateSlab(w, nc)
+	// succ is the successor under construction and mask cur's concepts
+	// with an empty or labelable remainder, copied into the slab once cur
+	// is expanded.
+	scratch := make([]uint64, w+s.mw)
+	succ, mask := scratch[:w], scratch[w:]
 	for cur := 0; cur < s.len(); cur++ {
 		row := s.row(cur)
-		for ci := range concepts {
-			e := ext[ci*w:][:w]
-			// The remainder e \ row is labelable iff it is non-empty and
-			// lies within the label row of its first object, which only
-			// a mixed extent can fail.
-			o := firstIn(e, row)
-			if o < 0 {
+		// A concept below skip is skipped when parentMask has it.
+		var skip int
+		var parentMask []uint64
+		if cur > 0 {
+			skip, parentMask = int(s.via[cur]), s.mask(int(s.parent[cur]))
+		}
+		clear(mask)
+		for ci := range nc {
+			bit := uint64(1) << (ci % 64)
+			if ci < skip && parentMask[ci/64]&bit != 0 {
+				mask[ci/64] |= bit
 				continue
 			}
-			if mixed[ci] {
-				lr := lab[int(labelOf[o])*w:][:w]
+			e := t.ext[ci*w:][:w]
+			o := firstIn(e, row)
+			if o < 0 {
+				mask[ci/64] |= bit
+				continue
+			}
+			// The remainder e \ row is labelable iff it lies within the
+			// label row of its first object, which only a mixed extent
+			// can fail.
+			if t.mixed[ci] {
+				lr := t.labelRow(o)
 				i := o / 64
 				for i < w && e[i]&^row[i]&^lr[i] == 0 {
 					i++
@@ -99,16 +99,17 @@ func OptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (Plan, Co
 					continue
 				}
 			}
+			mask[ci/64] |= bit
 			// missing is non-zero iff the successor leaves an object
 			// unlabeled.
 			var missing uint64
 			for j := range succ {
 				succ[j] = row[j] | e[j]
-				missing |= succ[j] ^ all[j]
+				missing |= succ[j] ^ t.all[j]
 			}
 			if missing == 0 {
-				plan := s.planTo(cur, concepts, ref)
-				plan.Ops = append(plan.Ops, Op{Concept: concepts[ci].ID, Label: ref[o]})
+				plan := s.planTo(cur, ref)
+				plan.Ops = append(plan.Ops, Op{Concept: ci, Label: ref[o]})
 				k := len(plan.Ops)
 				return plan, Cost{Inspections: k, Labelings: k}, true
 			}
@@ -121,6 +122,7 @@ func OptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (Plan, Co
 				return Plan{}, Cost{}, false
 			}
 		}
+		copy(s.mask(cur), mask)
 	}
 	// No plan reaches the full labeling: the lattice is not well-formed.
 	return Plan{}, Cost{}, false
@@ -133,7 +135,10 @@ const DefaultOptimalBudget = 200000
 // set iff object o is labeled). rows keeps them in visiting order and is
 // also the BFS queue; parent and via record, per state, the state it was
 // reached from and the index of the concept whose remainder was labeled,
-// so only the goal's plan is ever built.
+// so only the goal's plan is ever built. Each state's row in rows is
+// followed by its mask: mw words with bit c set iff concept c's remainder
+// from the state is empty or labelable, written once the state is
+// expanded.
 //
 // seen is an open-addressing table with linear probing whose slots hold
 // the rows themselves, so a probe compares words in place. An all-zero
@@ -143,12 +148,12 @@ const DefaultOptimalBudget = 200000
 // together with the slab's capacity, so the search allocates once per
 // doubling and never per state.
 type stateSlab struct {
-	w      int
-	rows   []uint64
+	w, mw  int
+	rows   []uint64 // w row words then mw mask words per state
 	parent []int32
 	via    []int32
 	seen   []uint64
-	mask   uint64 // slot count - 1
+	slots  uint64 // slot count - 1
 	shift  uint   // 64 - log2(slot count)
 }
 
@@ -156,13 +161,13 @@ type stateSlab struct {
 // table sized for the first level of a search over the given number of
 // concepts.
 func newStateSlab(w, concepts int) stateSlab {
-	s := stateSlab{w: w}
+	s := stateSlab{w: w, mw: (concepts + 63) / 64}
 	slots := 16
 	for slots < 4*concepts {
 		slots *= 2
 	}
 	s.resize(slots)
-	s.rows = append(s.rows, make([]uint64, w)...)
+	s.rows = s.rows[:w+s.mw]
 	s.parent = append(s.parent, -1)
 	s.via = append(s.via, -1)
 	return s
@@ -170,13 +175,15 @@ func newStateSlab(w, concepts int) stateSlab {
 
 func (s *stateSlab) len() int { return len(s.parent) }
 
-func (s *stateSlab) row(k int) []uint64 { return s.rows[k*s.w:][:s.w] }
+func (s *stateSlab) row(k int) []uint64 { return s.rows[k*(s.w+s.mw):][:s.w] }
+
+func (s *stateSlab) mask(k int) []uint64 { return s.rows[k*(s.w+s.mw)+s.w:][:s.mw] }
 
 // lookup probes the table for row, whose hashRow is h. It returns row's
 // slot and true if row is a state, or else the empty slot where the probe
 // ended and false. The caller hashes so that lookup inlines.
 func (s *stateSlab) lookup(row []uint64, h uint64) (uint64, bool) {
-	for i := h >> s.shift; ; i = (i + 1) & s.mask {
+	for i := h >> s.shift; ; i = (i + 1) & s.slots {
 		// One pass over the slot tells row from an empty slot.
 		var diff, used uint64
 		for j, x := range s.seen[int(i)*s.w:][:s.w] {
@@ -198,7 +205,11 @@ func (s *stateSlab) add(row []uint64, i uint64, parent, via int) {
 		i, _ = s.lookup(row, hashRow(row))
 	}
 	copy(s.seen[int(i)*s.w:], row)
-	s.rows = append(s.rows, row...)
+	// resize left room for every state the table may hold.
+	k := len(s.rows)
+	s.rows = s.rows[:k+s.w+s.mw]
+	copy(s.rows[k:], row)
+	clear(s.rows[k+s.w:])
 	s.parent = append(s.parent, int32(parent))
 	s.via = append(s.via, int32(via))
 }
@@ -207,10 +218,10 @@ func (s *stateSlab) add(row []uint64, i uint64, parent, via int) {
 // grows the slab to hold as many states as the table may.
 func (s *stateSlab) resize(slots int) {
 	s.seen = make([]uint64, slots*s.w)
-	s.mask = uint64(slots - 1)
+	s.slots = uint64(slots - 1)
 	s.shift = uint(64 - bits.TrailingZeros(uint(slots)))
 	states := slots/2 + 1
-	s.rows = slices.Grow(s.rows, states*s.w-len(s.rows))
+	s.rows = slices.Grow(s.rows, states*(s.w+s.mw)-len(s.rows))
 	s.parent = slices.Grow(s.parent, states-len(s.parent))
 	s.via = slices.Grow(s.via, states-len(s.via))
 	for k := 1; k < s.len(); k++ {
@@ -221,12 +232,12 @@ func (s *stateSlab) resize(slots int) {
 }
 
 // planTo returns the ops leading from the start state to state k.
-func (s *stateSlab) planTo(k int, concepts []*concept.Concept, ref []cable.Label) Plan {
+func (s *stateSlab) planTo(k int, ref []cable.Label) Plan {
 	var ops []Op
 	for ; k > 0; k = int(s.parent[k]) {
 		// The objects k added to its parent are the labeled remainder.
 		o := firstIn(s.row(k), s.row(int(s.parent[k])))
-		ops = append(ops, Op{Concept: concepts[s.via[k]].ID, Label: ref[o]})
+		ops = append(ops, Op{Concept: int(s.via[k]), Label: ref[o]})
 	}
 	slices.Reverse(ops)
 	return Plan{Ops: ops}
@@ -234,6 +245,7 @@ func (s *stateSlab) planTo(k int, concepts []*concept.Concept, ref []cable.Label
 
 // firstIn returns the smallest object in row a but not in row b, or -1.
 func firstIn(a, b []uint64) int {
+	b = b[:len(a)]
 	for i := range a {
 		if d := a[i] &^ b[i]; d != 0 {
 			return i*64 + bits.TrailingZeros64(d)

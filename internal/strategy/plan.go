@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/cable"
@@ -39,46 +40,36 @@ func (p Plan) String() string {
 	return strings.Join(parts, " ")
 }
 
-// planRun wraps run, recording each visit as a plan op.
-type planRun struct {
-	*run
-	plan Plan
-}
-
-func (r *planRun) visit(id int) bool {
-	label, ok := r.run.visit(id)
-	r.plan.Ops = append(r.plan.Ops, Op{Concept: id, Label: label})
-	return ok
-}
-
 // ExpertPlan is Expert returning its full operation sequence, which ends
 // with the Step 2b verification inspection of the top concept.
 func ExpertPlan(l *concept.Lattice, ref []cable.Label) (Plan, Cost, bool) {
-	r0, err := newRun(l, ref)
-	if err != nil {
+	t, ok := newTable(l, ref)
+	if !ok {
 		return Plan{}, Cost{}, false
 	}
-	r := &planRun{run: r0}
-	for !r.done() {
+	k := t.walk()
+	var plan Plan
+	for !k.done() {
 		best, bestCover := -1, 0
-		for _, c := range l.Concepts() {
-			un := r.unlabeledIn(c.ID)
-			if un.Empty() {
+		for ci := range l.Len() {
+			if k.labelable(ci, k.row) < 0 {
 				continue
 			}
-			if _, ok := r.uniformLabel(un); !ok {
-				continue
+			cover := 0
+			for i, x := range k.extent(ci) {
+				cover += bits.OnesCount64(x &^ k.row[i])
 			}
-			if cover := un.Len(); cover > bestCover {
-				best, bestCover = c.ID, cover
+			if cover > bestCover {
+				best, bestCover = ci, cover
 			}
 		}
 		if best < 0 {
-			return r.plan, r.cost, false
+			return plan, k.cost, false
 		}
-		r.visit(best)
+		label, _ := k.visit(best)
+		plan.Ops = append(plan.Ops, Op{Concept: best, Label: label})
 	}
-	r.cost.Inspections++
-	r.plan.Ops = append(r.plan.Ops, Op{Concept: l.Top()}) // Step 2b check
-	return r.plan, r.cost, true
+	k.cost.Inspections++
+	plan.Ops = append(plan.Ops, Op{Concept: l.Top()}) // Step 2b check
+	return plan, k.cost, true
 }

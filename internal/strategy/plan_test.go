@@ -57,6 +57,10 @@ func TestPlanCostMatchesStrategyCost(t *testing.T) {
 	if !ok || rplan.Cost() != rcost {
 		t.Errorf("Random plan cost %v vs %v (ok=%v)", rplan.Cost(), rcost, ok)
 	}
+	// RandomMean's first trial draws the same stream, so it costs the same.
+	if mean, ok := RandomMean(l, ref, 4, 1); !ok || mean != float64(rcost.Total()) {
+		t.Errorf("one RandomMean trial = %v (ok=%v), Random plan %v", mean, ok, rcost)
+	}
 }
 
 func TestPlanApplyReproducesLabeling(t *testing.T) {
@@ -175,41 +179,65 @@ func must[T any](v T, err error) T {
 
 // topDownPlan is TopDown returning the full operation sequence.
 func topDownPlan(l *concept.Lattice, ref []cable.Label) (Plan, Cost, bool) {
-	r0, err := newRun(l, ref)
-	if err != nil {
+	t, ok := newTable(l, ref)
+	if !ok {
 		return Plan{}, Cost{}, false
 	}
-	r := &planRun{run: r0}
+	k := t.walk()
+	var plan Plan
 	order := l.TopDownOrder()
-	for !r.done() {
+	for !k.done() {
 		progress := false
 		for _, id := range order {
-			if r.done() {
+			if k.done() {
 				break
 			}
-			if r.fullyLabeled(id) {
+			if k.fullyLabeled(id) {
 				continue
 			}
-			if r.visit(id) {
-				progress = true
-			}
+			label, ok := k.visit(id)
+			plan.Ops = append(plan.Ops, Op{Concept: id, Label: label})
+			progress = progress || ok
 		}
 		if !progress {
-			return r.plan, r.cost, false
+			return plan, k.cost, false
 		}
 	}
-	return r.plan, r.cost, true
+	return plan, k.cost, true
 }
 
-// randomPlan is Random returning the full operation sequence.
+// randomPlan walks the Random strategy on the table, drawing from rng,
+// and returns its full operation sequence. Its candidates are rebuilt
+// before each draw, in lattice order, so it makes RandomMean's draws by
+// another route. It reports false when the walk passes maxOps (0 means
+// 1000 × the number of concepts).
 func randomPlan(l *concept.Lattice, ref []cable.Label, rng *rand.Rand, maxOps int) (Plan, Cost, bool) {
-	r, err := newRun(l, ref)
-	if err != nil {
+	t, ok := newTable(l, ref)
+	if !ok {
 		return Plan{}, Cost{}, false
 	}
+	if maxOps <= 0 {
+		maxOps = 1000 * l.Len()
+	}
+	k := t.walk()
 	var plan Plan
-	ok := r.randomWalk(rng, maxOps, &plan)
-	return plan, r.cost, ok
+	for {
+		var cands []int
+		for ci := range l.Len() {
+			if !k.fullyLabeled(ci) {
+				cands = append(cands, ci)
+			}
+		}
+		if len(cands) == 0 {
+			return plan, k.cost, true
+		}
+		ci := cands[rng.Intn(len(cands))]
+		label, _ := k.visit(ci)
+		plan.Ops = append(plan.Ops, Op{Concept: ci, Label: label})
+		if k.cost.Total() > maxOps {
+			return plan, k.cost, false
+		}
+	}
 }
 
 // Cost and Apply have no caller outside tests: the tests check a plan's

@@ -29,11 +29,11 @@ var chainPow, rngCooked [rngLen]uint64
 func init() {
 	p := uint64(1)
 	for k := 0; k <= seedSkip; k++ {
-		p = p * 48271 % int32max
+		p = mulmod(p, 48271)
 	}
 	for i := range chainPow {
 		chainPow[i] = p
-		p = p * 48271 % int32max * 48271 % int32max * 48271 % int32max
+		p = mulmod(mulmod(mulmod(p, 48271), 48271), 48271)
 	}
 
 	const seed = 1
@@ -53,22 +53,37 @@ func init() {
 	}
 }
 
+// mulmod returns a·b mod (2³¹−1) for a, b < 2³¹−1 by the Mersenne
+// reduction: 2³¹ ≡ 1, so the product's bits above bit 30 fold onto its
+// low 31 bits without changing the residue. The product is at most
+// (2³¹−2)², so the fold is at most (2³¹−4) + (2³¹−1) < 2(2³¹−1), and one
+// conditional subtraction leaves exactly a·b % (2³¹−1).
+func mulmod(a, b uint64) uint64 {
+	p := a * b
+	r := p>>31 + p&int32max
+	if r >= int32max {
+		r -= int32max
+	}
+	return r
+}
+
 // chainWord is the seed-chain part of register word i for a normalized
 // seed in [1, 2³¹−2]: three consecutive chain values packed at bit offsets
 // 40, 20 and 0.
 func chainWord(seed uint64, i int) uint64 {
-	x0 := seed * chainPow[i] % int32max
-	x1 := x0 * 48271 % int32max
-	x2 := x1 * 48271 % int32max
+	x0 := mulmod(seed, chainPow[i])
+	x1 := mulmod(x0, 48271)
+	x2 := mulmod(x1, 48271)
 	return x0<<40 ^ x1<<20 ^ x2
 }
 
-// trialSource is a rand.Source64 whose Seed(s) yields exactly the stream of
-// rand.NewSource(s), but in O(1): instead of stepping the seed chain 1841
+// trialSource yields exactly the stream of rand.NewSource(s) after
+// Seed(s), but seeds in O(1): instead of stepping the seed chain 1841
 // times and filling all 607 register words, it builds each word on first
 // use. A Table 3 Random trial makes a few dozen draws on average, touching
 // a small fraction of the register, so reseeding one trialSource per trial
-// costs far less than a fresh rand.NewSource.
+// costs far less than a fresh rand.NewSource. Its intn is rand.Rand's
+// Intn, so a trial draws without a rand.Rand in between.
 type trialSource struct {
 	seed      uint64
 	tap, feed int
@@ -117,3 +132,19 @@ func (s *trialSource) Uint64() uint64 {
 
 // Int63 returns Uint64 with the sign bit cleared, as math/rand does.
 func (s *trialSource) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
+
+// intn returns what rand.New(s).Intn(n) would for 0 < n ≤ 2³¹−1: its
+// Int31n, which masks a draw for a power of two and otherwise rejects
+// draws above the largest multiple of n, each draw being Int63's top 31
+// bits.
+func (s *trialSource) intn(n int) int {
+	if n&(n-1) == 0 {
+		return int(int32(s.Int63()>>32) & int32(n-1))
+	}
+	max := int32(1<<31 - 1 - (1<<31)%uint32(n))
+	v := int32(s.Int63() >> 32)
+	for v > max {
+		v = int32(s.Int63() >> 32)
+	}
+	return int(v % int32(n))
+}

@@ -17,9 +17,9 @@ package strategy
 
 import (
 	"fmt"
-	"math/rand"
+	"math/bits"
+	"slices"
 
-	"repro/internal/bitset"
 	"repro/internal/cable"
 	"repro/internal/concept"
 )
@@ -39,97 +39,140 @@ func (c Cost) String() string {
 	return fmt.Sprintf("%d ops (%d inspections + %d labelings)", c.Total(), c.Inspections, c.Labelings)
 }
 
-// run tracks a strategy execution over a lattice toward a reference
-// labeling. Its helpers allocate nothing: remainders go to the un scratch
-// set, and uniformity is a word-level subset test against the objects
-// sharing a reference label.
-type run struct {
-	l       *concept.Lattice
+// table is one strategy call's lattice and reference labeling as rows of
+// w = ⌈n/64⌉ words over the n objects, and every strategy runs on it: a
+// labeling state is one such row (bit o set iff object o is labeled).
+// Concept ci, whose ID is ci, has the extent row ext[ci*w:][:w]; labelOf[o]
+// numbers object o's reference label, and label k's objects are the row
+// lab[k*w:][:w]. A strategy asks only two things of a concept: whether it
+// is fully labeled (within(extent, row)) and whether its remainder
+// extent \ row is labelable, that is non-empty and within the label row of
+// its first object.
+type table struct {
+	w       int
 	ref     []cable.Label
-	labeled *bitset.Set
-	cost    Cost
-	// sameLabel[o] is the set of objects whose reference label is ref[o].
-	sameLabel []*bitset.Set
-	// un is unlabeledIn's result; cands is the Random walk's candidates.
-	un    *bitset.Set
-	cands []int
+	ext     []uint64
+	lab     []uint64
+	labelOf []int32
+	all     []uint64 // every object
+	// mixed[ci] reports whether concept ci's extent carries more than one
+	// label; every non-empty remainder of an unmixed extent is labelable.
+	mixed []bool
 }
 
-// checkRef reports why ref cannot be a reference labeling of l's objects,
-// or nil if it can.
-func checkRef(l *concept.Lattice, ref []cable.Label) error {
-	if len(ref) != l.Context().NumObjects() {
-		return fmt.Errorf("strategy: %d reference labels for %d objects",
-			len(ref), l.Context().NumObjects())
+// newTable builds the table, reading each extent's words once. It reports
+// false when ref is not a reference labeling of l's objects: one label per
+// object, none of them Unlabeled.
+func newTable(l *concept.Lattice, ref []cable.Label) (table, bool) {
+	n := len(ref)
+	if n != l.Context().NumObjects() || slices.Contains(ref, cable.Unlabeled) {
+		return table{}, false
 	}
-	for i, lb := range ref {
-		if lb == cable.Unlabeled {
-			return fmt.Errorf("strategy: reference labeling leaves object %d unlabeled", i)
+	concepts := l.Concepts()
+	w := (n + 63) / 64
+	labels := make([]cable.Label, 0, 2)
+	labelOf := make([]int32, n)
+	for o, lb := range ref {
+		k := slices.Index(labels, lb)
+		if k < 0 {
+			k = len(labels)
+			labels = append(labels, lb)
+		}
+		labelOf[o] = int32(k)
+	}
+	words := make([]uint64, (len(concepts)+len(labels)+1)*w)
+	t := table{
+		w: w, ref: ref, labelOf: labelOf,
+		ext:   words[:len(concepts)*w],
+		lab:   words[len(concepts)*w : (len(concepts)+len(labels))*w],
+		all:   words[(len(concepts)+len(labels))*w:],
+		mixed: make([]bool, len(concepts)),
+	}
+	for o, k := range labelOf {
+		t.lab[int(k)*w+o/64] |= 1 << (o % 64)
+		t.all[o/64] |= 1 << (o % 64)
+	}
+	for ci, c := range concepts {
+		e := t.extent(ci)
+		copy(e, c.Extent.Words())
+		for i, x := range e {
+			if x != 0 {
+				o := i*64 + bits.TrailingZeros64(x)
+				t.mixed[ci] = firstIn(e, t.labelRow(o)) >= 0
+				break
+			}
 		}
 	}
-	return nil
+	return t, true
 }
 
-func newRun(l *concept.Lattice, ref []cable.Label) (*run, error) {
-	if err := checkRef(l, ref); err != nil {
-		return nil, err
+func (t *table) extent(ci int) []uint64 { return t.ext[ci*t.w:][:t.w] }
+
+// labelRow returns the objects sharing object o's reference label.
+func (t *table) labelRow(o int) []uint64 { return t.lab[int(t.labelOf[o])*t.w:][:t.w] }
+
+// labelable returns the first object of concept ci's remainder e \ row if
+// the remainder is labelable, or -1 if it is empty or mixed.
+func (t *table) labelable(ci int, row []uint64) int {
+	e := t.extent(ci)
+	o := firstIn(e, row)
+	if o < 0 || !t.mixed[ci] {
+		return o
 	}
-	byLabel := map[cable.Label]*bitset.Set{}
-	sameLabel := make([]*bitset.Set, len(ref))
-	for i, lb := range ref {
-		objs := byLabel[lb]
-		if objs == nil {
-			objs = bitset.New(len(ref))
-			byLabel[lb] = objs
+	lr := t.labelRow(o)
+	for i := o / 64; i < len(e); i++ {
+		if e[i]&^row[i]&^lr[i] != 0 {
+			return -1
 		}
-		objs.Add(i)
-		sameLabel[i] = objs
 	}
-	return &run{l: l, ref: ref, labeled: bitset.New(len(ref)), sameLabel: sameLabel, un: bitset.New(len(ref))}, nil
+	return o
 }
 
-// reset returns the run to the all-unlabeled state at zero cost.
-func (r *run) reset() {
-	r.labeled.Clear()
-	r.cost = Cost{}
+// walk is one run of a deterministic strategy: its labeled row and its
+// cost so far.
+type walk struct {
+	*table
+	row  []uint64
+	cost Cost
 }
 
-// unlabeledIn returns the concept's objects not yet labeled. The result is
-// the run's scratch set, valid until the next call.
-func (r *run) unlabeledIn(id int) *bitset.Set {
-	return bitset.DifferenceInto(r.un, r.l.Concept(id).Extent, r.labeled)
-}
+func (t *table) walk() walk { return walk{table: t, row: make([]uint64, t.w)} }
 
-// fullyLabeled reports whether the concept has no unlabeled traces.
-func (r *run) fullyLabeled(id int) bool {
-	return r.l.Concept(id).Extent.SubsetOf(r.labeled)
-}
-
-// uniformLabel returns the common reference label of the objects, or ok =
-// false if they disagree or the set is empty.
-func (r *run) uniformLabel(x *bitset.Set) (cable.Label, bool) {
-	o := x.Min()
-	if o < 0 || !x.SubsetOf(r.sameLabel[o]) {
+// visit inspects concept ci (cost) and labels its remainder if that is
+// labelable (cost). It returns the label applied and whether a labeling
+// happened.
+func (k *walk) visit(ci int) (cable.Label, bool) {
+	k.cost.Inspections++
+	o := k.labelable(ci, k.row)
+	if o < 0 {
 		return cable.Unlabeled, false
 	}
-	return r.ref[o], true
+	k.cost.Labelings++
+	orInto(k.row, k.extent(ci))
+	return k.ref[o], true
 }
 
-// visit inspects a concept (cost) and labels its unlabeled traces if they
-// are uniform (cost). It returns the label applied and whether a labeling
-// happened.
-func (r *run) visit(id int) (cable.Label, bool) {
-	r.cost.Inspections++
-	un := r.unlabeledIn(id)
-	label, ok := r.uniformLabel(un)
-	if ok {
-		r.cost.Labelings++
-		r.labeled.UnionWith(un)
+func (k *walk) fullyLabeled(ci int) bool { return within(k.extent(ci), k.row) }
+
+func (k *walk) done() bool { return within(k.all, k.row) }
+
+// within reports whether row holds every object of e.
+func within(e, row []uint64) bool {
+	row = row[:len(e)]
+	for i, x := range e {
+		if x&^row[i] != 0 {
+			return false
+		}
 	}
-	return label, ok
+	return true
 }
 
-func (r *run) done() bool { return r.labeled.Len() == len(r.ref) }
+// orInto sets row to row ∪ e.
+func orInto(row, e []uint64) {
+	for i, x := range e {
+		row[i] |= x
+	}
+}
 
 // TopDown implements the Top-down strategy: repeated breadth-first
 // traversals from the top concept, visiting concepts that still have
@@ -137,29 +180,30 @@ func (r *run) done() bool { return r.labeled.Len() == len(r.ref) }
 // fails (ok = false) if a full traversal makes no progress, which happens
 // exactly when the lattice is not well-formed for the labeling.
 func TopDown(l *concept.Lattice, ref []cable.Label) (Cost, bool) {
-	r, err := newRun(l, ref)
-	if err != nil {
+	t, ok := newTable(l, ref)
+	if !ok {
 		return Cost{}, false
 	}
+	k := t.walk()
 	order := l.TopDownOrder()
-	for !r.done() {
+	for !k.done() {
 		progress := false
 		for _, id := range order {
-			if r.done() {
+			if k.done() {
 				break
 			}
-			if r.fullyLabeled(id) {
+			if k.fullyLabeled(id) {
 				continue
 			}
-			if _, ok := r.visit(id); ok {
+			if _, ok := k.visit(id); ok {
 				progress = true
 			}
 		}
 		if !progress {
-			return r.cost, false
+			return k.cost, false
 		}
 	}
-	return r.cost, true
+	return k.cost, true
 }
 
 // BottomUp implements the Bottom-up strategy: repeatedly visit a concept
@@ -168,112 +212,126 @@ func TopDown(l *concept.Lattice, ref []cable.Label) (Cost, bool) {
 // the loop-free specifications of the evaluation this strategy degenerates
 // to Baseline: each class of identical traces sits in its own low concept.
 func BottomUp(l *concept.Lattice, ref []cable.Label) (Cost, bool) {
-	r, err := newRun(l, ref)
-	if err != nil {
+	t, ok := newTable(l, ref)
+	if !ok {
 		return Cost{}, false
 	}
-	for !r.done() {
+	k := t.walk()
+	for !k.done() {
 		ready := -1
-		for _, c := range l.Concepts() {
-			if r.fullyLabeled(c.ID) {
+		for ci := range l.Len() {
+			if k.fullyLabeled(ci) {
 				continue
 			}
 			allChildrenDone := true
-			for _, ch := range l.Children(c.ID) {
-				if !r.fullyLabeled(ch) {
+			for _, ch := range l.Children(ci) {
+				if !k.fullyLabeled(ch) {
 					allChildrenDone = false
 					break
 				}
 			}
 			if allChildrenDone {
-				ready = c.ID
+				ready = ci
 				break
 			}
 		}
 		if ready < 0 {
-			return r.cost, false
+			return k.cost, false
 		}
-		if _, ok := r.visit(ready); !ok {
+		if _, ok := k.visit(ready); !ok {
 			// Mixed remainder: the lattice is not well-formed.
-			return r.cost, false
+			return k.cost, false
 		}
 	}
-	return r.cost, true
+	return k.cost, true
 }
 
-// Random implements the Random strategy: visit uniformly-random concepts
-// that still have unlabeled traces, labeling when possible, until done.
-// maxOps bounds the walk so non-well-formed lattices terminate (0 means
-// 1000 × the number of concepts).
-func Random(l *concept.Lattice, ref []cable.Label, rng *rand.Rand, maxOps int) (Cost, bool) {
-	r, err := newRun(l, ref)
-	if err != nil {
-		return Cost{}, false
-	}
-	ok := r.randomWalk(rng, maxOps, nil)
-	return r.cost, ok
+// trial is one Random walk: the labeled row, the candidates (the concepts
+// not fully labeled, in lattice order) and the cost so far.
+type trial struct {
+	row   []uint64
+	cands []int32
+	cost  Cost
 }
 
-// randomWalk runs the Random strategy from the run's current state,
-// appending each visit to plan when plan is non-nil. It reports false when
-// the walk exceeds maxOps (0 means 1000 × the number of concepts).
-func (r *run) randomWalk(rng *rand.Rand, maxOps int, plan *Plan) bool {
-	if maxOps <= 0 {
-		maxOps = 1000 * r.l.Len()
-	}
-	// The labeled set only grows, so a fully labeled concept stays fully
-	// labeled: filtering the candidates in place after each labeling
-	// leaves the same list, in lattice order, as rebuilding it before each
-	// draw would, and so the same draws.
-	r.cands = r.cands[:0]
-	for _, c := range r.l.Concepts() {
-		if !r.fullyLabeled(c.ID) {
-			r.cands = append(r.cands, c.ID)
+// newTrial returns an empty trial and the candidates of the all-unlabeled
+// state: the concepts whose extent is not empty.
+func (t *table) newTrial() (trial, []int32) {
+	tr := trial{row: make([]uint64, t.w), cands: make([]int32, 0, len(t.mixed))}
+	start := make([]int32, 0, len(t.mixed))
+	for ci := range t.mixed {
+		if !within(t.extent(ci), tr.row) {
+			start = append(start, int32(ci))
 		}
 	}
-	for !r.done() && len(r.cands) > 0 {
-		id := r.cands[rng.Intn(len(r.cands))]
-		label, ok := r.visit(id)
-		if plan != nil {
-			plan.Ops = append(plan.Ops, Op{Concept: id, Label: label})
+	return tr, start
+}
+
+// randomTrial runs the Random strategy from the all-unlabeled state, whose
+// candidates are start: it visits uniformly random candidates, labeling
+// when possible, drawing from src as rand.Rand.Intn would. It reports
+// false when the walk passes maxOps operations.
+//
+// The labeled row only grows, so a fully labeled concept stays fully
+// labeled: filtering the candidates in place after each labeling leaves
+// the same list, in lattice order, as rebuilding it before each draw
+// would, and so the same draws. The top concept's extent is every object,
+// so the walk is done exactly when no candidate is left.
+func (t *table) randomTrial(tr *trial, start []int32, src *trialSource, maxOps int) bool {
+	ext, w, row := t.ext, t.w, tr.row
+	clear(row)
+	cands := append(tr.cands[:0], start...)
+	var cost Cost
+	for len(cands) > 0 {
+		ci := int(cands[src.intn(len(cands))])
+		cost.Inspections++
+		labeled := t.labelable(ci, row) >= 0
+		if labeled {
+			cost.Labelings++
+			orInto(row, ext[ci*w:][:w])
 		}
-		if r.cost.Total() > maxOps {
+		if cost.Total() > maxOps {
+			tr.cands, tr.cost = cands, cost
 			return false
 		}
-		if ok {
-			kept := r.cands[:0]
-			for _, c := range r.cands {
-				if !r.fullyLabeled(c) {
+		if labeled {
+			kept := cands[:0]
+			for _, c := range cands {
+				if !within(ext[int(c)*w:][:w], row) {
 					kept = append(kept, c)
 				}
 			}
-			r.cands = kept
+			cands = kept
 		}
 	}
+	tr.cands, tr.cost = cands, cost
 	return true
 }
 
-// RandomMean runs Random trials times (the paper uses 1024) and returns
-// the arithmetic mean total cost over the trials. Trial i draws from
-// rand.NewSource(seed+i)'s stream; the trials reseed one source and reset
-// one run instead of building them afresh.
+// RandomMean runs the Random strategy trials times (the paper uses 1024)
+// and returns the arithmetic mean total cost over the trials. Each walk
+// is bounded by 1000 × the number of concepts operations, so walks on
+// lattices that are not well-formed terminate and report failure. Trial i
+// draws from rand.NewSource(seed+i)'s stream; the trials reseed one
+// source and reuse one row and candidate buffer.
 func RandomMean(l *concept.Lattice, ref []cable.Label, seed int64, trials int) (float64, bool) {
 	if trials <= 0 {
 		return 0, false
 	}
-	r, err := newRun(l, ref)
-	if err != nil {
+	t, ok := newTable(l, ref)
+	if !ok {
 		return 0, false
 	}
-	rng := rand.New(new(trialSource))
+	tr, start := t.newTrial()
+	src := new(trialSource)
+	maxOps := 1000 * l.Len()
 	sum := 0
 	for i := 0; i < trials; i++ {
-		rng.Seed(seed + int64(i))
-		r.reset()
-		if !r.randomWalk(rng, 0, nil) {
+		src.Seed(seed + int64(i))
+		if !t.randomTrial(&tr, start, src, maxOps) {
 			return 0, false
 		}
-		sum += r.cost.Total()
+		sum += tr.cost.Total()
 	}
 	return float64(sum) / float64(trials), true
 }

@@ -60,7 +60,10 @@ func TestAllStrategiesSucceedOnWellFormed(t *testing.T) {
 		"BottomUp": func() (Cost, bool) { return BottomUp(l, ref) },
 		"Expert":   func() (Cost, bool) { return Expert(l, ref) },
 		"Optimal":  func() (Cost, bool) { return Optimal(l, ref, 0) },
-		"Random":   func() (Cost, bool) { return Random(l, ref, rand.New(rand.NewSource(1)), 0) },
+		"Random": func() (Cost, bool) {
+			_, cost, ok := randomPlan(l, ref, rand.New(rand.NewSource(1)), 0)
+			return cost, ok
+		},
 	}
 	for name, f := range checks {
 		cost, ok := f()
@@ -90,7 +93,7 @@ func TestAllStrategiesFailOnNotWellFormed(t *testing.T) {
 	if _, ok := Optimal(l, ref, 0); ok {
 		t.Error("Optimal succeeded")
 	}
-	if _, ok := Random(l, ref, rand.New(rand.NewSource(1)), 100); ok {
+	if _, _, ok := randomPlan(l, ref, rand.New(rand.NewSource(1)), 100); ok {
 		t.Error("Random succeeded")
 	}
 	if _, ok := RandomMean(l, ref, 1, 8); ok {
@@ -161,22 +164,25 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestRandomTrialAllocFree pins RandomMean's per-trial steady state:
-// reseeding the worker's source, resetting its run and walking a Random
-// trial allocates nothing.
+// reseeding its source and walking a Random trial from the reset row and
+// candidate list allocates nothing.
 func TestRandomTrialAllocFree(t *testing.T) {
 	l, ref := stdioFixture(t)
-	r, err := newRun(l, ref)
-	if err != nil {
-		t.Fatal(err)
+	tb, ok := newTable(l, ref)
+	if !ok {
+		t.Fatal("newTable rejected the fixture")
 	}
-	rng := rand.New(new(trialSource))
+	tr, start := tb.newTrial()
+	src := new(trialSource)
 	seed := int64(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		seed++
-		rng.Seed(seed)
-		r.reset()
-		if !r.randomWalk(rng, 0, nil) {
+		src.Seed(seed)
+		if !tb.randomTrial(&tr, start, src, 1000*l.Len()) {
 			t.Fatalf("seed %d: Random trial failed on a well-formed lattice", seed)
+		}
+		if tr.cost.Labelings == 0 {
+			t.Fatalf("seed %d: Random trial labeled nothing", seed)
 		}
 	})
 	if allocs != 0 {
