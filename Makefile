@@ -81,15 +81,21 @@ obs-smoke:
 # sk-strings and k-tails learners against their map-and-string oracles,
 # the one-pass Strauss front end against its rescanning oracle, the Random
 # and Optimal labeling strategies against their oracles on contexts of up
-# to 12 objects × 8 attributes, well-formed or not, and cabled's session
-# snapshot and write-ahead log readers (no panic; what they accept
-# re-encodes to the input, or the log's accepted prefix).
+# to 12 objects × 8 attributes, well-formed or not, the lattice builder
+# against its full-scan oracle and against incremental adds on contexts of
+# up to 16 objects × 80 attributes, the lattice snapshot reader (no panic;
+# what it accepts is the lattice of its own context and re-encodes as a
+# fixpoint), and cabled's session snapshot and write-ahead log readers (no
+# panic; what they accept re-encodes to the input, or the log's accepted
+# prefix).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatchesOracle$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzEventRoundTrip$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzFAIO$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzConceptIO$$' -fuzztime 5s ./internal/concept
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildMatchesOracle$$' -fuzztime 5s ./internal/concept
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime 5s ./internal/concept
 	$(GO) test -run '^$$' -fuzz '^FuzzDeterminize$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzComplementInclusion$$' -fuzztime 5s ./internal/fa
 	$(GO) test -run '^$$' -fuzz '^FuzzLearnMatchesOracle$$' -fuzztime 5s ./internal/learn

@@ -21,7 +21,7 @@ const bitsetPkgPath = "repro/internal/bitset"
 // function that does not itself take an *bitset.Arena parameter or
 // receiver. Functions that do take an arena are builder helpers: their
 // caller owns the arena, so handing arena-backed sets back to it is the
-// convention (tauUpToArena, and the build loop itself, work this way).
+// convention (tauArena, and the build loop itself, work this way).
 var PoolArena = &analysis.Analyzer{
 	Name: "poolarena",
 	Doc: "check that arena-backed bitsets do not escape the build that " +

@@ -13,7 +13,7 @@ func (l *Lattice) Clone() *Lattice {
 		top:    l.top,
 		bottom: l.bottom,
 		arena:  arena,
-		// reps/repRows/inv stay nil for lazy rebuild.
+		// reps/inv stay nil for lazy rebuild.
 	}
 	headers := make([]Concept, len(l.concepts))
 	nl.concepts = make([]*Concept, len(l.concepts))

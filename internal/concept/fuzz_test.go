@@ -2,8 +2,12 @@ package concept
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/bitset"
 )
 
 // FuzzConceptIO mirrors trace.FuzzTraceRoundTrip for the Burmeister
@@ -58,5 +62,67 @@ func FuzzConceptIO(f *testing.F) {
 		if buf2.String() != first {
 			t.Fatalf("serialization is not a fixpoint:\n%s\nvs\n%s", first, buf2.String())
 		}
+	})
+}
+
+// FuzzBuildMatchesOracle pins the Godin loop to its full-scan oracle on
+// contexts decoded from the input: at most 16 objects over 1–80
+// attributes, so both the one-word scan and the Set scan run, and each row
+// fresh, a repeat of an earlier row, or the intersection of two earlier
+// rows — the rows the loop skips as intents it already holds. Build must
+// write the snapshot bytes of buildLegacy, and a build over a prefix of
+// the objects grown by AddObjectCtx over the rest must equal Build of the
+// whole.
+func FuzzBuildMatchesOracle(f *testing.F) {
+	f.Add([]byte{9, 5, 2, 0, 0x0f, 0x01, 0, 0xf0, 0x03, 2, 0, 1, 1, 2, 0, 0x33})
+	f.Add([]byte{69, 6, 3, 0, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x0f, 0, 0x0f, 0xf0, 0, 0, 0, 0, 0, 0, 0x3f, 2, 0, 1, 1, 0, 2, 1, 2})
+	f.Add([]byte{79, 16, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		numAttr, numObj := 1+next()%80, next()%17
+		prefix := next() % (numObj + 1)
+		rows := make([]*bitset.Set, numObj)
+		for o := range rows {
+			switch kind := next() % 3; {
+			case kind == 1 && o > 0:
+				rows[o] = rows[next()%o].Clone()
+			case kind == 2 && o > 0:
+				rows[o] = bitset.Intersect(rows[next()%o], rows[next()%o])
+			default:
+				rows[o] = bitset.New(numAttr)
+				for a := 0; a < numAttr; a += 8 {
+					for b, bits := 0, next(); b < 8 && a+b < numAttr; b++ {
+						if bits&(1<<b) != 0 {
+							rows[o].Add(a + b)
+						}
+					}
+				}
+			}
+		}
+		ctxOf := func(n int) *Context {
+			c := NewContext(nil, make([]string, numAttr))
+			for o := 0; o < n; o++ {
+				c.addObject(fmt.Sprintf("o%d", o), rows[o])
+			}
+			return c
+		}
+		whole := Build(ctxOf(numObj))
+		if !bytes.Equal(snapshotBytes(t, whole), snapshotBytes(t, buildLegacy(ctxOf(numObj)))) {
+			t.Fatalf("Build differs from the full-scan oracle on\n%s", whole.Context())
+		}
+		grown := Build(ctxOf(prefix))
+		for o := prefix; o < numObj; o++ {
+			if err := grown.AddObjectCtx(context.Background(), fmt.Sprintf("o%d", o), rows[o]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireByteIdentical(t, grown, whole, fmt.Sprintf("build of %d objects grown to %d", prefix, numObj))
 	})
 }

@@ -25,17 +25,18 @@ import (
 //     Candidates are visited in ascending ID order (free: the mask is a
 //     bitset), which is the full scan's relative order over them.
 //
-//  2. Duplicate-row replay. The concept intents after inserting rows
-//     r_1..r_k are the closure system generated by those rows (every
-//     pairwise intersection of intents is itself an intent), so re-inserting
-//     a row already seen can create nothing: intent ∩ row is always an
-//     existing intent. The concepts it modifies are exactly those with
-//     intent ⊆ row; a per-distinct-row cache (rowCache) lists them, so the
-//     replay is a handful of extent Adds instead of a scan. At trace-corpus
-//     scale (many trace classes, few distinct executed-transition rows —
-//     every distinct row is itself a closed intent, so there are at most as
-//     many distinct rows as concepts) this removes almost all insertions
-//     from the scan path.
+//  2. Extents from intents. A concept's extent is τ of its intent over the
+//     whole context (X = τ(Y)), so each concept takes its extent once, when
+//     it is born, and BuildCtx's loop only has to find intents. The intents
+//     after inserting rows r_1..r_k are the closure system those rows
+//     generate with the full attribute set (every pairwise intersection of
+//     intents is itself an intent), so a row that is already an intent — a
+//     repeat, or the intersection of earlier rows — can create nothing, and
+//     BuildCtx skips it after one index probe. Creation order depends only
+//     on the intents and the candidate order, so concept IDs are those of
+//     the full scan. AddObjectCtx runs the scan for every row: its object
+//     is new to every extent, and joins those of the concepts whose intent
+//     the row contains.
 
 // invIndex is the per-attribute inverted concept index: attr[a] holds the
 // IDs of the concepts whose intent contains attribute a, and empty the ID
@@ -78,25 +79,14 @@ func (l *Lattice) invEnsure() {
 	}
 }
 
-// rowCache records, for one distinct context row, the concepts whose intent
-// is a subset of the row — exactly the concepts a repeated occurrence of
-// the row modifies (and the only ones: a repeat can create nothing). ids is
-// complete for concept IDs below upTo; concepts born later are folded in by
-// the next replay.
-type rowCache struct {
-	ids  []int32
-	upTo int
-}
-
 // godinScratch bundles the reusable per-insertion state of the pruned Godin
 // step and of the cover repair that follows an incremental add. BuildCtx
 // keeps one for the whole build; AddObjectCtx caches one on the lattice so
 // repeated incremental adds stay allocation-light.
 type godinScratch struct {
-	inter  bitset.Set // intersection scratch (must not alias its operands)
-	mask   bitset.Set // candidate mask: union of inverted-index rows
-	keyBuf []byte
-	words  []uint64 // flat intent words, one per concept (one-word universes)
+	inter bitset.Set // intersection scratch (must not alias its operands)
+	mask  bitset.Set // candidate mask: union of inverted-index rows
+	words []uint64   // flat intent words, one per concept (one-word universes)
 
 	// Cover-repair state (see coverParents): the candidate generator,
 	// the candidates' extent sizes, and the accepted-cover list.
@@ -105,47 +95,45 @@ type godinScratch struct {
 	covers []int32
 }
 
-// godinInsert replays the Godin loop iteration for object o, whose row must
-// already be the context's own row o. The caller must have ensured the
-// inverted index (invEnsure) and the row-representative tables (repsEnsure
-// or build-time maintenance). The result is byte-identical to the full scan
-// (buildLegacy in godin_test.go).
-func (l *Lattice) godinInsert(o int, row *bitset.Set, g *godinScratch) {
-	g.keyBuf = row.AppendKey(g.keyBuf[:0])
-	if rc, dup := l.repRows[string(g.keyBuf)]; dup {
-		l.godinReplay(o, row, rc)
-		return
-	}
-	rc := &rowCache{}
-	l.repRows[string(g.keyBuf)] = rc
-	l.reps = append(l.reps, int32(o))
-	l.godinScan(o, row, g, rc)
+// newGodinLattice starts BuildCtx's loop over ctx: a lattice holding the
+// seed concept, whose intent is the full attribute set (keeping it makes
+// the concept set closed under intersection of intents), and the
+// insertion scratch.
+func newGodinLattice(ctx *Context) (*Lattice, *godinScratch) {
+	arena := bitset.NewArena()
+	numAttr := ctx.NumAttributes()
+	l := &Lattice{ctx: ctx, arena: arena, inv: newInvIndex(numAttr)}
+	l.idx.initFor(256)
+	full := arena.Set(numAttr, numAttr).FillFull(numAttr)
+	l.newConcept(tauArena(arena, ctx, full), full)
+	g := &godinScratch{}
+	g.godinWordsEnsure(l)
+	return l, g
 }
 
-// godinReplay is the duplicate-row fast path: Add o to every concept whose
-// intent is contained in the row, extending the cache over concepts born
-// since it was last complete.
-func (l *Lattice) godinReplay(o int, row *bitset.Set, rc *rowCache) {
-	for _, id := range rc.ids {
-		c := l.concepts[id]
-		l.arena.EnsureBits(c.Extent, o+1)
-		c.Extent.Add(o)
+// godinInsert is BuildCtx's loop iteration for a row of the context. A row
+// that is already an intent creates nothing; any other takes the pruned
+// scan.
+func (l *Lattice) godinInsert(row *bitset.Set, g *godinScratch) {
+	var id int
+	if len(g.words) > 0 {
+		id = l.idx.lookupWord(g.words, word0(row))
+	} else {
+		id = l.idx.lookup(l.concepts, row)
 	}
-	n := len(l.concepts)
-	for id := rc.upTo; id < n; id++ {
-		c := l.concepts[id]
-		if c.Intent.SubsetOf(row) {
-			l.arena.EnsureBits(c.Extent, o+1)
-			c.Extent.Add(o)
-			rc.ids = append(rc.ids, int32(id))
-		}
+	if id < 0 {
+		l.godinScan(row, g, -1)
 	}
-	rc.upTo = n
 }
 
-// godinScan is the first-occurrence path: the pruned intersection scan over
-// the candidate concepts.
-func (l *Lattice) godinScan(o int, row *bitset.Set, g *godinScratch, rc *rowCache) {
+// godinScan runs the Godin loop iteration for one row, which must already
+// be a row of the context: the pruned intersection scan over the candidate
+// concepts spawns every novel intersection and, when o is an object (not
+// -1), adds o to the extent of every concept whose intent the row
+// contains. The caller must have ensured the inverted index (invEnsure).
+// The result is byte-identical to the full scan (buildLegacy in
+// godin_test.go).
+func (l *Lattice) godinScan(row *bitset.Set, g *godinScratch, o int) {
 	n := len(l.concepts)
 	mask := &g.mask
 	mask.Clear()
@@ -154,112 +142,97 @@ func (l *Lattice) godinScan(o int, row *bitset.Set, g *godinScratch, rc *rowCach
 		return true
 	})
 	// Concepts outside the mask intersect the row to ∅. If an ∅-intent
-	// concept exists it gains o below (like any intent ⊆ row); otherwise the
-	// first outside position is where the full scan creates it.
+	// concept exists it gains the object below (like any intent ⊆ row);
+	// otherwise the first outside position is where the full scan creates
+	// it.
 	preEmpty := l.inv.empty
 	emptyAt := -1
 	if preEmpty < 0 && mask.Len() < n {
 		emptyAt = firstAbsent(mask, n)
 	}
-	ids := l.godinScanSerial(o, row, g, emptyAt, rc.ids[:0])
-	if preEmpty >= 0 {
-		c := l.concepts[preEmpty]
-		l.arena.EnsureBits(c.Extent, o+1)
-		c.Extent.Add(o)
-		ids = append(ids, int32(preEmpty))
+	if len(g.words) > 0 {
+		l.scanWords(row, g, emptyAt, o)
+	} else {
+		l.scanSets(row, g, emptyAt, o)
 	}
-	rc.ids = ids
-	rc.upTo = len(l.concepts)
+	if preEmpty >= 0 && o >= 0 {
+		l.gain(preEmpty, o)
+	}
 }
 
-// godinScanSerial visits the candidates in ascending ID order, splitting
-// modified concepts from novel intersections exactly like the full scan,
+// scanSets visits the candidates in ascending ID order, splitting
+// contained intents from novel intersections exactly like the full scan,
 // and interleaving the single ∅-intent creation at snapshot position
-// emptyAt (-1: none pending). It returns ids extended with every concept
-// that gained o (modified or born).
-func (l *Lattice) godinScanSerial(o int, row *bitset.Set, g *godinScratch, emptyAt int, ids []int32) []int32 {
-	if len(g.words) > 0 {
-		return l.godinScanSerial1(o, row, g, emptyAt, ids)
-	}
+// emptyAt (-1: none pending). o is godinScan's.
+func (l *Lattice) scanSets(row *bitset.Set, g *godinScratch, emptyAt, o int) {
 	inter := &g.inter
 	g.mask.Range(func(ci int) bool {
 		if emptyAt >= 0 && ci > emptyAt {
-			ids = append(ids, l.spawnEmpty(o, g))
+			l.spawn(&bitset.Set{}, g)
 			emptyAt = -1
 		}
-		c := l.concepts[ci]
-		if bitset.IntersectEqualsInto(inter, c.Intent, row) {
-			l.arena.EnsureBits(c.Extent, o+1)
-			c.Extent.Add(o)
-			ids = append(ids, int32(ci))
+		if bitset.IntersectEqualsInto(inter, l.concepts[ci].Intent, row) {
+			if o >= 0 {
+				l.gain(ci, o)
+			}
 			return true
 		}
-		if l.idx.lookup(l.concepts, inter) >= 0 {
-			return true
+		if l.idx.lookup(l.concepts, inter) < 0 {
+			l.spawn(inter, g)
 		}
-		ids = append(ids, l.spawn(o, inter, g))
 		return true
 	})
 	if emptyAt >= 0 {
-		ids = append(ids, l.spawnEmpty(o, g))
+		l.spawn(&bitset.Set{}, g)
 	}
-	return ids
 }
 
-// godinScanSerial1 is godinScanSerial specialized for one-word attribute
-// universes (≤64 attributes — every shipped corpus): intents and the row
-// fit in registers, so the subset verdict is one AND+compare and known
-// intents are probed through the flat word table without touching a Set.
-func (l *Lattice) godinScanSerial1(o int, row *bitset.Set, g *godinScratch, emptyAt int, ids []int32) []int32 {
+// scanWords is scanSets specialized for one-word attribute universes (≤64
+// attributes — every shipped corpus): intents and the row fit in
+// registers, so the subset verdict is one AND+compare and known intents are
+// probed through the flat word table without touching a Set.
+func (l *Lattice) scanWords(row *bitset.Set, g *godinScratch, emptyAt, o int) {
 	rw := word0(row)
 	g.mask.Range(func(ci int) bool {
 		if emptyAt >= 0 && ci > emptyAt {
-			ids = append(ids, l.spawnEmpty(o, g))
+			l.spawn(&bitset.Set{}, g)
 			emptyAt = -1
 		}
 		yw := g.words[ci]
 		iw := yw & rw
 		if iw == yw {
-			c := l.concepts[ci]
-			l.arena.EnsureBits(c.Extent, o+1)
-			c.Extent.Add(o)
-			ids = append(ids, int32(ci))
+			if o >= 0 {
+				l.gain(ci, o)
+			}
 			return true
 		}
-		if l.idx.lookupWord(g.words, iw) >= 0 {
-			return true
+		if l.idx.lookupWord(g.words, iw) < 0 {
+			bitset.IntersectInto(&g.inter, l.concepts[ci].Intent, row)
+			l.spawn(&g.inter, g)
 		}
-		bitset.IntersectInto(&g.inter, l.concepts[ci].Intent, row)
-		ids = append(ids, l.spawn(o, &g.inter, g))
 		return true
 	})
 	if emptyAt >= 0 {
-		ids = append(ids, l.spawnEmpty(o, g))
+		l.spawn(&bitset.Set{}, g)
 	}
-	return ids
 }
 
-// spawn materializes the novel intersection inter as a new concept, exactly
-// as the full scan does: the intent is an arena clone of the scratch, the
-// extent τ(inter) over objects 0..o.
-func (l *Lattice) spawn(o int, inter *bitset.Set, g *godinScratch) int32 {
+// gain adds object o to the extent of concept ci.
+func (l *Lattice) gain(ci, o int) {
+	c := l.concepts[ci]
+	l.arena.EnsureBits(c.Extent, o+1)
+	c.Extent.Add(o)
+}
+
+// spawn materializes the novel intersection inter as a new concept: the
+// intent is an arena clone of the scratch, the extent τ(inter) over the
+// whole context.
+func (l *Lattice) spawn(inter *bitset.Set, g *godinScratch) {
 	in := l.arena.Clone(inter)
-	c := l.newConcept(tauUpToArena(l.arena, l.ctx, in, o), in)
+	l.newConcept(tauArena(l.arena, l.ctx, in), in)
 	if len(g.words) > 0 {
 		g.words = append(g.words, word0(in))
 	}
-	return int32(c.ID)
-}
-
-// spawnEmpty creates the ∅-intent concept with extent {0..o} — what the
-// full scan creates when it first meets a concept disjoint from the row.
-func (l *Lattice) spawnEmpty(o int, g *godinScratch) int32 {
-	in := l.arena.Set(0, 0)
-	c := l.newConcept(tauUpToArena(l.arena, l.ctx, in, o), in)
-	if len(g.words) > 0 {
-		g.words = append(g.words, 0)
-	}
-	return int32(c.ID)
 }
 
 // godinWordsEnsure (re)builds the flat intent-word table for one-word

@@ -41,6 +41,19 @@ func (l *Lattice) godinLegacy(o int, row *bitset.Set, scratch *bitset.Set) {
 	}
 }
 
+// tauUpToArena computes τ(y) restricted to objects 0..limit inclusive, into
+// an arena-backed set with capacity for the full object universe (so the
+// legacy loop can later Add objects in place).
+func tauUpToArena(a *bitset.Arena, ctx *Context, y *bitset.Set, limit int) *bitset.Set {
+	out := a.Set(0, ctx.NumObjects())
+	out.FillFull(limit + 1)
+	y.Range(func(attr int) bool {
+		out.IntersectWith(ctx.Objects(attr))
+		return true
+	})
+	return out
+}
+
 // buildLegacy is the differential oracle for the pruned Godin step: Build's
 // seed and loop with the full scan per object, then finalize.
 func buildLegacy(ctx *Context) *Lattice {
@@ -88,8 +101,9 @@ func TestPropParallelGodinDeterministic(t *testing.T) {
 }
 
 // TestParallelGodinDeterministicBigCorpus is the same property on a
-// mid-size slice of the >10⁴-class xtrace fixture — real duplicate-row
-// replay territory (thousands of trace classes, few distinct rows).
+// mid-size slice of the >10⁴-class xtrace fixture — thousands of trace
+// classes over few distinct rows, so almost every row is skipped as an
+// intent the build already holds.
 func TestParallelGodinDeterministicBigCorpus(t *testing.T) {
 	set := bigCorpusClasses(4000)
 	fc, err := TraceContext(set.Representatives(), bigCorpusRef())
@@ -105,8 +119,9 @@ func TestParallelGodinDeterministicBigCorpus(t *testing.T) {
 // incremental add sequences: a pruned lattice built over a prefix context
 // receives the remaining rows through AddObjectCtx one at a time, and after
 // every add it must be byte-identical to buildLegacy over the grown
-// context. This exercises the replay cache, the lazily built inverted
-// index, and the incremental updateTablesAfterAdd against the legacy loop.
+// context. This exercises the scan's extent growth, the lazily built
+// inverted index, and the incremental updateTablesAfterAdd against the
+// legacy loop.
 func TestGodinPrunedMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(99173))
 	iters := 30
@@ -150,10 +165,68 @@ func TestGodinPrunedMatchesLegacy(t *testing.T) {
 	}
 }
 
-// BenchmarkBulkShaped measures cover linking alone (LinkCovers) and
-// inside a full Build on the bulk-shaped corpus (1000 classes over 24
-// operations, 1328 concepts), the lattice shape of perfbench's bulk
-// workload.
+// TestBuildSkipsIntersectionRow pins the loop's skip of rows it already
+// holds as intents, on a row no earlier object has: object 2's row is the
+// intersection of rows 0 and 1, so the build scans nothing for it, yet
+// object 2 is its row's rep, lies in the extents of every concept whose
+// intent its row contains, and the covers are those of the all-pairs
+// oracle. The attributes span one word (10) and two (70); object 3 brings
+// a fresh row after the skip.
+func TestBuildSkipsIntersectionRow(t *testing.T) {
+	for _, na := range []int{10, 70} {
+		c := NewContext(nil, make([]string, na))
+		r0 := bitset.FromSlice([]int{0, 1, na - 1})
+		r1 := bitset.FromSlice([]int{1, 2, na - 1})
+		for o, row := range []*bitset.Set{r0, r1, bitset.Intersect(r0, r1), bitset.FromSlice([]int{2, 3})} {
+			c.addObject(fmt.Sprintf("o%d", o), row)
+		}
+		l := Build(c)
+		if got := fmt.Sprint(l.reps); got != "[0 1 2 3]" {
+			t.Fatalf("%d attributes: reps %s, want [0 1 2 3]", na, got)
+		}
+		id, ok := l.byIntent(bitset.FromSlice([]int{1, na - 1}))
+		if !ok || l.ObjectConcept(2) != id || !l.Concept(id).Extent.Equal(bitset.FromSlice([]int{0, 1, 2})) {
+			t.Fatalf("%d attributes: object 2's concept is %d, want the intent {1, %d} with extent {0, 1, 2}", na, l.ObjectConcept(2), na-1)
+		}
+		for _, cc := range l.concepts {
+			if want := cc.Intent.SubsetOf(c.Attributes(2)); cc.Extent.Has(2) != want {
+				t.Fatalf("%d attributes: concept %d has object 2: %v, want %v", na, cc.ID, !want, want)
+			}
+		}
+		parents, _ := linkCoversAllPairs(l)
+		for id := range l.concepts {
+			insertionSortInts(parents[id])
+			if !equalInts(l.Parents(id), parents[id]) {
+				t.Fatalf("%d attributes: parents of %d: %v, all-pairs %v", na, id, l.Parents(id), parents[id])
+			}
+		}
+		if !bytes.Equal(snapshotBytes(t, l), snapshotBytes(t, buildLegacy(c))) {
+			t.Fatalf("%d attributes: build differs from the full-scan oracle", na)
+		}
+	}
+}
+
+// TestBulkShapedBuildAllocs pins the allocations of a build over the
+// bulk-shaped corpus (1000 classes, 718 distinct rows, 1328 concepts).
+// Extents taken once per concept as τ of its intent need no per-row
+// state, so the build allocates a few hundred objects, not some per row.
+// Nothing in the build is pooled, so the pin holds under the race
+// detector too.
+func TestBulkShapedBuildAllocs(t *testing.T) {
+	ref, corpus, _ := bulkShapedCorpus(1000, 0)
+	fc, err := TraceContext(corpus, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { Build(fc) }); allocs > 400 {
+		t.Fatalf("Build allocates %.0f objects, want at most 400", allocs)
+	}
+}
+
+// BenchmarkBulkShaped measures cover linking alone (LinkCovers), inside a
+// full Build, and inside ReadSnapshot's checks on the bulk-shaped corpus
+// (1000 classes over 24 operations, 1328 concepts), the lattice shape of
+// perfbench's bulk workload.
 func BenchmarkBulkShaped(b *testing.B) {
 	ref, corpus, _ := bulkShapedCorpus(1000, 0)
 	fc, err := TraceContext(corpus, ref)
@@ -173,6 +246,15 @@ func BenchmarkBulkShaped(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := l.linkCovers(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ReadSnapshot", func(b *testing.B) {
+		data := snapshotBytes(b, Build(fc))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ReadSnapshot(data); err != nil {
 				b.Fatal(err)
 			}
 		}

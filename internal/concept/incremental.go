@@ -17,12 +17,13 @@ import (
 //
 // Adding is the direction the paper's own choice of Godin et al.'s
 // Algorithm 1 buys us: BuildCtx inserts objects one at a time, so adding
-// object n to a lattice over objects 0..n-1 replays exactly the loop
-// iteration the full rebuild would run next — the concept set, concept
-// IDs, and extents come out identical by construction. Only the cover
-// edges and the query tables need repair, and Godin's generator lemma
-// confines the cover repair to the new concepts plus one old concept per
-// new concept (see repairCoversAfterAdd).
+// object n to a lattice over objects 0..n-1 runs the loop iteration the
+// full rebuild would run next — the concept set and concept IDs come out
+// identical by construction, and the new object joins the extent of every
+// concept whose intent its row contains. Only the cover edges and the
+// query tables need repair, and Godin's generator lemma confines the cover
+// repair to the new concepts plus one old concept per new concept (see
+// repairCoversAfterAdd).
 //
 // Incremental mutation is not safe concurrently with queries; callers
 // (cable sessions, the server) serialize access per lattice.
@@ -95,16 +96,17 @@ func (l *Lattice) AddObjectCtx(cc context.Context, name string, row *bitset.Set)
 	l.ctx.addObject(name, row)
 	row = l.ctx.Attributes(o) // the context's own copy
 
-	// Godin step: replay exactly the loop iteration BuildCtx would run for
-	// object o. The new object joins reps iff its row is novel, and it must
-	// be there before cover repair: candidate generation is complete only
-	// over all distinct rows.
+	// Godin step: the loop iteration BuildCtx would run for object o, with
+	// o joining the old extents it belongs to. The new object joins reps
+	// iff no earlier object has its row, and it must be there before cover
+	// repair: candidate generation is complete only over all distinct rows.
 	firstNew := len(l.concepts)
-	l.godinInsert(o, row, g)
+	l.godinScan(row, g, o)
+	l.updateTablesAfterAdd(o, &g.inter)
+	l.addRep(o)
 
 	l.repairCoversAfterAdd(firstNew, g)
 	l.rescanTopBottom()
-	l.updateTablesAfterAdd(o, &g.inter)
 	obs.Count("lattice.incr.adds", 1)
 	return nil
 }
@@ -116,14 +118,9 @@ func (l *Lattice) AddObjectCtx(cc context.Context, name string, row *bitset.Set)
 // index lookup for γo. AttributeConcept changes only for the attributes a of
 // the new row: τ({a}) gains o, so μa's intent becomes
 // σ(τ({a}) ∪ {o}) = intent(μa) ∩ row, a closed intent the index resolves
-// directly.
+// directly. Every constructor builds or copies the tables, so they cover
+// the old objects.
 func (l *Lattice) updateTablesAfterAdd(o int, scratch *bitset.Set) {
-	if len(l.objConcept) != o || len(l.attrConcept) != l.ctx.NumAttributes() {
-		// A lattice whose tables were never built (or are from a foreign
-		// constructor) gets the full pass.
-		l.mustBuildTables()
-		return
-	}
 	sp := obs.StartSpan("lattice.tables")
 	defer sp.End()
 	row := l.ctx.Attributes(o)
@@ -244,23 +241,24 @@ func (l *Lattice) rescanTopBottom() {
 	}
 }
 
-// repsEnsure lazily builds the row-representative tables (one object per
-// distinct context row, first-occurrence order). Replay caches start empty
-// (upTo 0): the first repeat of each row folds the existing concepts in.
+// repsEnsure lazily builds the row reps from the γ table: objects with
+// equal rows share their object concept, so the first object of each
+// object concept is its row's rep.
 func (l *Lattice) repsEnsure() {
-	if l.repRows != nil {
+	if l.reps != nil {
 		return
 	}
-	numObj := l.ctx.NumObjects()
-	l.reps = make([]int32, 0, numObj)
-	l.repRows = make(map[string]*rowCache, numObj)
-	var keyBuf []byte
-	for o := 0; o < numObj; o++ {
-		keyBuf = l.ctx.Attributes(o).AppendKey(keyBuf[:0])
-		if _, dup := l.repRows[string(keyBuf)]; dup {
-			continue
-		}
-		l.repRows[string(keyBuf)] = &rowCache{}
+	l.reps = make([]int32, 0, len(l.objConcept))
+	l.repped = bitset.New(len(l.concepts))
+	for o := range l.objConcept {
+		l.addRep(o)
+	}
+}
+
+// addRep makes o the rep of its row unless an earlier object has the row.
+func (l *Lattice) addRep(o int) {
+	if id := l.objConcept[o]; !l.repped.Has(id) {
+		l.repped.Add(id)
 		l.reps = append(l.reps, int32(o))
 	}
 }

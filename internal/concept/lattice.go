@@ -48,13 +48,13 @@ type Lattice struct {
 	// poolarena check).
 	arena *bitset.Arena
 
-	// reps holds one representative object per distinct context row in
-	// first-occurrence order (the dedup both linkCovers and the pruned Godin
-	// step rely on), and repRows maps each distinct row key to its replay
-	// cache. Maintained incrementally by pruned builds, built lazily by
-	// repsEnsure otherwise; repRows == nil means not built.
-	reps    []int32
-	repRows map[string]*rowCache
+	// reps holds one representative object per distinct context row, the
+	// first object with that row (the dedup linkCovers' row path relies
+	// on), and repped the IDs of the object concepts they represent. Built
+	// from the γ table by repsEnsure and extended by AddObjectCtx; nil
+	// until built.
+	reps   []int32
+	repped *bitset.Set
 
 	// inv is the per-attribute inverted concept index the pruned Godin scan
 	// intersects against; nil until a pruned build or invEnsure creates it.
@@ -95,10 +95,10 @@ func WithWorkers(n int) BuildOption { return BuildOption{} }
 
 // Build constructs the concept lattice of a context by incremental object
 // insertion in the style of Godin et al.'s Algorithm 1: objects are added
-// one at a time; each existing concept whose intent survives intersection
-// with the new object's row is modified in place, and each novel
-// intersection spawns a new concept. Cover edges are computed in a final
-// pass. It is BuildCtx without cancellation.
+// one at a time, and each novel intersection of the new object's row with
+// an existing intent spawns a new concept, whose extent is τ of its intent
+// over the whole context. Cover edges are computed in a final pass. It is
+// BuildCtx without cancellation.
 func Build(ctx *Context) *Lattice {
 	l, err := BuildCtx(context.Background(), ctx)
 	if err != nil {
@@ -120,31 +120,15 @@ func Build(ctx *Context) *Lattice {
 func BuildCtx(cc context.Context, ctx *Context, _ ...BuildOption) (*Lattice, error) {
 	sp := obs.StartSpan("lattice.build")
 	defer sp.End()
-	arena := bitset.NewArena()
-	l := &Lattice{ctx: ctx, arena: arena}
-	numObj, numAttr := ctx.NumObjects(), ctx.NumAttributes()
-	l.idx.initFor(256)
-	l.inv = newInvIndex(numAttr)
-	l.repRows = make(map[string]*rowCache, numObj)
-	l.reps = make([]int32, 0, numObj)
-
-	// Seed with the bottom concept: intent = all attributes, extent = the
-	// objects (none yet) having all of them. Keeping the bottom in the
-	// lattice makes the concept set closed under intersection of intents.
-	// Extents get capacity for the full object universe so in-place Add
-	// never leaves the arena.
-	l.newConcept(arena.Set(numObj, numObj), arena.Set(numAttr, numAttr).FillFull(numAttr))
-
-	g := &godinScratch{}
-	g.godinWordsEnsure(l)
+	l, g := newGodinLattice(ctx)
 	done := cc.Done()
-	for o := 0; o < numObj; o++ {
+	for o := 0; o < ctx.NumObjects(); o++ {
 		select {
 		case <-done:
 			return nil, cc.Err()
 		default:
 		}
-		l.godinInsert(o, ctx.Attributes(o), g)
+		l.godinInsert(ctx.Attributes(o), g)
 	}
 	if err := l.finalizeCtx(cc); err != nil {
 		return nil, err
@@ -162,7 +146,9 @@ func (l *Lattice) finalize() {
 }
 
 // finalizeCtx is finalize with cancellation. The intent index is built
-// here if the constructing algorithm did not maintain one incrementally.
+// here if the constructing algorithm did not maintain one incrementally,
+// and the query tables before the covers, whose row reps come from the γ
+// table.
 func (l *Lattice) finalizeCtx(cc context.Context) error {
 	if l.idx.n == 0 && len(l.concepts) > 0 {
 		l.idx.initFor(len(l.concepts))
@@ -170,11 +156,10 @@ func (l *Lattice) finalizeCtx(cc context.Context) error {
 			l.idx.insert(l.concepts, c.ID)
 		}
 	}
-	if err := l.linkCovers(cc); err != nil {
-		return err
+	if err := l.buildTables(); err != nil {
+		panic("concept: " + err.Error())
 	}
-	l.mustBuildTables()
-	return nil
+	return l.linkCovers(cc)
 }
 
 // buildTables precomputes the ObjectConcept and AttributeConcept lookup
@@ -206,25 +191,10 @@ func (l *Lattice) buildTables() error {
 	return nil
 }
 
-// mustBuildTables is buildTables for lattices this package built or
-// maintained, where a miss is a programming error.
-func (l *Lattice) mustBuildTables() {
-	if err := l.buildTables(); err != nil {
-		panic("concept: " + err.Error())
-	}
-}
-
-// tauUpToArena computes τ(y) restricted to objects 0..limit inclusive, into
-// an arena-backed set with capacity for the full object universe (so the
-// Godin loop can later Add objects in place).
-func tauUpToArena(a *bitset.Arena, ctx *Context, y *bitset.Set, limit int) *bitset.Set {
-	out := a.Set(0, ctx.NumObjects())
-	out.FillFull(limit + 1)
-	y.Range(func(attr int) bool {
-		out.IntersectWith(ctx.Objects(attr))
-		return true
-	})
-	return out
+// tauArena computes τ(y) over every object of the context into an
+// arena-backed set.
+func tauArena(a *bitset.Arena, ctx *Context, y *bitset.Set) *bitset.Set {
+	return ctx.TauInto(a.Set(0, ctx.NumObjects()), y)
 }
 
 // linkChunk is the number of concepts the cover-linking scan handles
@@ -268,9 +238,7 @@ func (l *Lattice) linkCovers(cc context.Context) error {
 		}
 	}
 
-	// One representative object per distinct context row — the same dedup
-	// the pruned Godin step maintains, so builds that already paid for it
-	// reuse it here.
+	// One representative object per distinct context row.
 	l.repsEnsure()
 	attrReps := make([]bitset.Set, l.ctx.NumAttributes())
 	for k, rep := range l.reps {

@@ -1,8 +1,10 @@
 package concept
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/binio"
 	"repro/internal/bitset"
@@ -26,8 +28,10 @@ import (
 //
 // Only primary state is serialized: attribute columns, children edges, the
 // intent index, and the γ/μ query tables are all derived (and validated)
-// on read. Word lists are written trimmed, which makes the serialization a
-// fixpoint: write ∘ read ∘ write produces identical bytes.
+// on read, and the concepts, covers and top/bottom must be those of the
+// lattice of the stored context. Word lists are written trimmed, which
+// makes the serialization a fixpoint: write ∘ read ∘ write produces
+// identical bytes.
 //
 // The reader takes the snapshot's exact bytes and checks the CRC before it
 // decodes anything. It is hardened against adversarial input with a valid
@@ -90,9 +94,10 @@ func AppendSnapshot(dst []byte, l *Lattice) ([]byte, error) {
 
 // ReadSnapshot deserializes a lattice from the exact bytes WriteSnapshot
 // wrote, rebuilding the derived state (columns, children edges, intent
-// index, query tables) and validating both the CRC and every structural
-// invariant the lattice's query paths rely on. Truncated input fails with
-// an error wrapping io.ErrUnexpectedEOF and a corrupt one with
+// index, query tables), validating the CRC and every structural invariant
+// the lattice's query paths rely on, and accepting only the concept
+// lattice of the stored context, in any concept numbering. Truncated input
+// fails with an error wrapping io.ErrUnexpectedEOF and a corrupt one with
 // binio.ErrChecksum.
 func ReadSnapshot(data []byte) (*Lattice, error) {
 	sp := obs.StartSpan("lattice.snapshot.read")
@@ -142,7 +147,7 @@ func ReadSnapshot(data []byte) (*Lattice, error) {
 	}
 
 	arena := bitset.NewArena()
-	l := &Lattice{ctx: ctx, arena: arena, top: top, bottom: bottom}
+	l := &Lattice{ctx: ctx, arena: arena}
 	headers := make([]Concept, n)
 	l.concepts = make([]*Concept, n)
 	l.idx.initFor(n)
@@ -165,9 +170,9 @@ func ReadSnapshot(data []byte) (*Lattice, error) {
 
 	// The parent lists are the rest of the payload, so its length sizes
 	// their slab exactly.
-	l.parents = make([][]int, n)
+	stored := make([][]int, n)
 	edges := make([]int, 0, max(0, r.Len()/4-n))
-	for i := range l.parents {
+	for i := range stored {
 		// Count leaves at least 4·cnt bytes, so these reads cannot fail.
 		cnt, start, prev := r.Count(4, n), len(edges), -1
 		for j := 0; j < cnt; j++ {
@@ -178,7 +183,7 @@ func ReadSnapshot(data []byte) (*Lattice, error) {
 			prev = v
 			edges = append(edges, v)
 		}
-		l.parents[i] = edges[start:len(edges):len(edges)]
+		stored[i] = edges[start:len(edges):len(edges)]
 	}
 	if r.Err() != nil {
 		return nil, fmt.Errorf("concept: snapshot: parents: %w", r.Err())
@@ -186,9 +191,55 @@ func ReadSnapshot(data []byte) (*Lattice, error) {
 	if r.Len() > 0 {
 		return nil, fmt.Errorf("concept: snapshot: %d trailing bytes", r.Len())
 	}
-	l.children = childrenOf(l.parents, len(edges))
-	if err := l.buildTables(); err != nil {
+	if err := l.checkOwnLattice(stored, top, bottom); err != nil {
 		return nil, fmt.Errorf("concept: snapshot: %w", err)
 	}
 	return l, nil
+}
+
+// checkOwnLattice reports an error unless l, as decoded, is the concept
+// lattice of its own context with the given parent lists, top and bottom,
+// which it then holds. It checks with the build's own code: BuildCtx's
+// loop over the context's distinct rows must find exactly l's intents,
+// with l's extents, and linkCovers the stored covers and top/bottom. So
+// every extent is τ of its intent and every intent σ of its extent, the
+// full attribute set is an intent, and every intent meets every row in an
+// intent. The loop stops once it holds more concepts than l, which bounds
+// its work by the input.
+func (l *Lattice) checkOwnLattice(stored [][]int, top, bottom int) error {
+	if err := l.buildTables(); err != nil {
+		return err
+	}
+	n := len(l.concepts)
+	own, g := newGodinLattice(l.ctx)
+	l.repsEnsure()
+	for _, rep := range l.reps {
+		if own.godinInsert(l.ctx.Attributes(int(rep)), g); own.Len() > n {
+			return fmt.Errorf("the context has more than %d concepts", n)
+		}
+	}
+	if own.Len() < n {
+		return fmt.Errorf("%d concepts, the context has %d", n, own.Len())
+	}
+	for _, c := range own.concepts {
+		id := l.idx.lookup(l.concepts, c.Intent)
+		if id < 0 {
+			return fmt.Errorf("no concept has the context's intent %s", c.Intent)
+		}
+		if !l.concepts[id].Extent.Equal(c.Extent) {
+			return fmt.Errorf("extent of concept %d is not τ of its intent", id)
+		}
+	}
+	if err := l.linkCovers(context.Background()); err != nil {
+		return err
+	}
+	for i, ps := range stored {
+		if !slices.Equal(ps, l.parents[i]) {
+			return fmt.Errorf("parents of concept %d are not its covers", i)
+		}
+	}
+	if top != l.top || bottom != l.bottom {
+		return fmt.Errorf("top/bottom %d/%d, the covers give %d/%d", top, bottom, l.top, l.bottom)
+	}
+	return nil
 }

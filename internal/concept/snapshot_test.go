@@ -52,6 +52,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotAcceptsAnyNumbering pins the other side of the reader's
+// checks: the lattice of the stored context is accepted in any concept
+// numbering, such as BuildNaive's, and restored table for table.
+func TestSnapshotAcceptsAnyNumbering(t *testing.T) {
+	rng := rand.New(rand.NewSource(212))
+	for iter := 0; iter < 30; iter++ {
+		naive := BuildNaive(randomContext(rng, 10, 8))
+		restored, err := ReadSnapshot(snapshotBytes(t, naive))
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		requireByteIdentical(t, restored, naive, fmt.Sprintf("iter %d: restored naive-built snapshot", iter))
+	}
+}
+
 // TestSnapshotRejectsCorruption requires that no truncation or bit flip of
 // a valid snapshot is accepted, and that each failure is typed: the reader
 // checks the CRC trailer first, so every strict prefix fails as truncated
@@ -161,10 +176,115 @@ func TestSnapshotRejectsUnclosedRow(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsForeignLattice covers the checks ReadSnapshot runs
+// against the snapshot's own context: a dump with a valid CRC whose
+// extents, covers, top/bottom or concept set are not those of the lattice
+// of its context must come back as an error, never a panic, and one whose
+// context has far more concepts than it stores must fail before the check
+// builds them. Each input is a lattice edited or assembled before
+// WriteSnapshot, so the CRC covers the edit.
+func TestSnapshotRejectsForeignLattice(t *testing.T) {
+	diagonal := func() *Lattice {
+		c := NewContext([]string{"frog", "dog", "eagle"}, []string{"swims", "barks", "flies"})
+		for o := 0; o < 3; o++ {
+			c.Relate(o, o)
+		}
+		return Build(c)
+	}
+	for _, tc := range []struct {
+		name string
+		l    func() *Lattice
+		want string
+	}{
+		{"top extent", func() *Lattice {
+			l := diagonal()
+			l.concepts[l.top].Extent.DifferenceWith(bitset.FromSlice([]int{0}))
+			return l
+		}, "extent of concept 3 is not τ of its intent"},
+		{"bottom parents", func() *Lattice {
+			l := diagonal()
+			l.parents[l.bottom] = []int{l.top}
+			return l
+		}, "parents of concept 0 are not its covers"},
+		{"top/bottom swapped", func() *Lattice {
+			l := diagonal()
+			l.top, l.bottom = l.bottom, l.top
+			return l
+		}, "top/bottom 0/3, the covers give 3/0"},
+		{"dropped concept", func() *Lattice {
+			l := Build(contranominalContext(4))
+			for _, c := range l.concepts {
+				if c.Intent.Len() == 2 {
+					return dropConcept(l, c.ID)
+				}
+			}
+			t.Fatal("no 2-attribute concept")
+			return nil
+		}, "the context has more than 15 concepts"},
+		{"exponential context", func() *Lattice {
+			// Contranominal k=16 has 2^16 concepts. A dump of its 16
+			// rows, 16 attribute concepts and the full set passes the
+			// table checks, and the loop must stop past 33 concepts.
+			c := contranominalContext(16)
+			l := &Lattice{ctx: c}
+			add := func(intent *bitset.Set) {
+				l.concepts = append(l.concepts, &Concept{ID: len(l.concepts), Extent: c.Tau(intent), Intent: intent})
+				l.parents = append(l.parents, []int{})
+			}
+			add(bitset.Full(16))
+			for o := 0; o < 16; o++ {
+				add(c.Attributes(o))
+				add(bitset.FromSlice([]int{o}))
+			}
+			return l
+		}, "the context has more than 33 concepts"},
+	} {
+		data, err := AppendSnapshot(nil, tc.l())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadSnapshot(data)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), "concept: snapshot: ") {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// dropConcept returns l without concept d as WriteSnapshot sees it: later
+// IDs shift down by one and d leaves every parent list. In a contranominal
+// scale every child of a 2-attribute concept keeps two other covers, above
+// which d's own parents lie, so the lists left are the Hasse diagram of
+// the remaining concepts.
+func dropConcept(l *Lattice, d int) *Lattice {
+	id := func(c int) int {
+		if c > d {
+			return c - 1
+		}
+		return c
+	}
+	out := &Lattice{ctx: l.ctx, top: id(l.top), bottom: id(l.bottom)}
+	for ci, c := range l.concepts {
+		if ci == d {
+			continue
+		}
+		out.concepts = append(out.concepts, c)
+		ps := []int{}
+		for _, p := range l.parents[ci] {
+			if p != d {
+				ps = append(ps, id(p))
+			}
+		}
+		out.parents = append(out.parents, ps)
+	}
+	return out
+}
+
 // FuzzSnapshotRoundTrip feeds arbitrary bytes to ReadSnapshot — which must
 // never panic and never allocate unboundedly — and requires that anything
-// it does accept re-serializes as a fixpoint: write(read(b)) parses again
-// and writes identical bytes.
+// it does accept is the lattice Build makes of its context, up to concept
+// numbering (the same intent and extent pairs, covers, top and bottom),
+// and re-serializes as a fixpoint: write(read(b)) parses again and writes
+// identical bytes.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(89))
 	for i := 0; i < 5; i++ {
@@ -180,6 +300,12 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		l, err := ReadSnapshot(data)
 		if err != nil {
 			return
+		}
+		own := Build(l.Context().clone())
+		if !equalLattices(l, own) ||
+			!l.Concept(l.Top()).Intent.Equal(own.Concept(own.Top()).Intent) ||
+			!l.Concept(l.Bottom()).Intent.Equal(own.Concept(own.Bottom()).Intent) {
+			t.Fatalf("accepted snapshot is not the lattice of its context:\n%s\nBuild:\n%s", l, own)
 		}
 		var first bytes.Buffer
 		if err := WriteSnapshot(&first, l); err != nil {
