@@ -1,6 +1,7 @@
 // Package binio is the little-endian framing shared by the repository's
-// binary formats (FORMATS.md): the "CLTS" lattice snapshot, the "CSNP"
-// session snapshot and the "CWAL" action log.
+// binary formats (FORMATS.md): the "CLTS" lattice dump, which is only
+// written, and the "CSNP" session snapshot and "CWAL" action log, which
+// cabled reads back at boot.
 //
 // A Writer appends fields to a byte slice; Seal appends a CRC32 trailer.
 // A Reader decodes fields from a byte slice and keeps its first failure,
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 )
 
 var (
@@ -187,19 +187,4 @@ func (r *Reader) Str(max int) string {
 		r.Fail(fmt.Errorf("binio: string of %d bytes exceeds the %d-byte cap", n, max))
 	}
 	return string(r.Bytes(int(n)))
-}
-
-// Words reads a word list with its u32 length into buf, reusing its
-// storage, as a set over [0, universe): a list longer than the universe
-// needs, or a bit at or beyond it, fails.
-func (r *Reader) Words(buf []uint64, universe int) []uint64 {
-	n := r.Count(8, (universe+63)/64)
-	buf = slices.Grow(buf[:0], n)
-	for i := 0; i < n; i++ {
-		buf = append(buf, r.U64())
-	}
-	if rem := universe % 64; rem != 0 && n == (universe+63)/64 && buf[n-1]>>rem != 0 {
-		r.Fail(fmt.Errorf("binio: set bits at or beyond universe %d", universe))
-	}
-	return buf
 }

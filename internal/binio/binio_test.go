@@ -39,7 +39,13 @@ func readRecord(r *Reader) record {
 	rec.u32 = r.U32()
 	rec.u64 = r.U64()
 	rec.str = r.Str(64)
-	rec.words = r.Words(nil, 130)
+	// A word list, as the lattice dump writes it: a count, then the words.
+	if n := r.Count(8, 3); n > 0 {
+		rec.words = make([]uint64, n)
+		for i := range rec.words {
+			rec.words[i] = r.U64()
+		}
+	}
 	rec.count = r.Count(4, 8)
 	for i := 0; i < rec.count; i++ {
 		r.U32()
@@ -77,7 +83,7 @@ func TestTruncationAtEachField(t *testing.T) {
 		if err := r.Err(); !errors.Is(err, ErrTruncated) || !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut at %d: err = %v, want ErrTruncated", cut, err)
 		}
-		if r.U8() != 0 || r.Bool() || r.U32() != 0 || r.U64() != 0 || r.Str(64) != "" || r.Count(1, 8) != 0 || len(r.Words(nil, 64)) != 0 || r.Bytes(0) != nil {
+		if r.U8() != 0 || r.Bool() || r.U32() != 0 || r.U64() != 0 || r.Str(64) != "" || r.Count(1, 8) != 0 || r.Bytes(0) != nil {
 			t.Fatalf("cut at %d: a read after the failure returned a value", cut)
 		}
 	}
@@ -107,38 +113,6 @@ func TestCount(t *testing.T) {
 			t.Fatalf("Count(%d, %d) of %d with %d bytes left = %d, %v; want 0 and %q", tc.size, tc.max, tc.count, tc.left, n, err, tc.want)
 		case tc.want == "truncated" && !errors.Is(err, ErrTruncated):
 			t.Fatalf("Count(%d, %d) of %d: %v is not ErrTruncated", tc.size, tc.max, tc.count, err)
-		}
-	}
-}
-
-// TestWordsUniverse pins the word-list checks: a list may not be longer
-// than its universe needs, nor set a bit at or beyond it.
-func TestWordsUniverse(t *testing.T) {
-	for _, tc := range []struct {
-		words    []uint64
-		universe int
-		want     string
-	}{
-		{[]uint64{1<<5 - 1}, 5, ""},
-		{[]uint64{1 << 5}, 5, "beyond universe 5"},
-		{[]uint64{0, 1 << 63}, 128, ""},
-		{[]uint64{1, 1}, 64, "count 2 exceeds the cap 1"},
-		{nil, 0, ""},
-		{[]uint64{1}, 0, "count 1 exceeds the cap 0"},
-	} {
-		var w Writer
-		w.Words(tc.words)
-		r := NewReader(w)
-		got := r.Words([]uint64{9, 9, 9}, tc.universe)
-		switch err := r.Err(); {
-		case tc.want == "" && err != nil:
-			t.Fatalf("%v over %d: %v", tc.words, tc.universe, err)
-		case tc.want == "" && !reflect.DeepEqual(got, append([]uint64{}, tc.words...)):
-			t.Fatalf("read %v, wrote %v", got, tc.words)
-		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-			t.Fatalf("%v over %d: err = %v, want %q", tc.words, tc.universe, err, tc.want)
-		case tc.want != "" && errors.Is(err, ErrTruncated):
-			t.Fatalf("%v over %d: a universe error reads as truncation", tc.words, tc.universe)
 		}
 	}
 }

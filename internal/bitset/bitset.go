@@ -17,6 +17,7 @@
 package bitset
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -350,28 +351,14 @@ func (s *Set) Elems() []int {
 
 // Words returns the set's backing words with trailing zero words trimmed.
 // The slice aliases the set's storage and must be treated as read-only; it
-// is the raw view snapshot codecs serialize. Structurally equal sets return
-// equal word slices.
+// is the raw view the lattice dump writes and Key renders. Structurally
+// equal sets return equal word slices.
 func (s *Set) Words() []uint64 {
 	n := len(s.words)
 	for n > 0 && s.words[n-1] == 0 {
 		n--
 	}
 	return s.words[:n]
-}
-
-// LoadWords replaces s's contents with the given raw words (element i*64+b
-// present iff bit b of ws[i] is set), reusing s's storage when it is large
-// enough and zeroing any tail beyond len(ws). It is the inverse of Words
-// for snapshot readers that decode into preallocated (often arena-backed)
-// sets.
-func (s *Set) LoadWords(ws []uint64) {
-	s.ensure(len(ws) - 1)
-	copy(s.words, ws)
-	for i := len(ws); i < len(s.words); i++ {
-		s.words[i] = 0
-	}
-	s.pop = 0
 }
 
 // Range calls f on each element in increasing order; if f returns false the
@@ -388,32 +375,21 @@ func (s *Set) Range(f func(i int) bool) {
 	}
 }
 
-// Key returns a string usable as a map key identifying the set's contents.
-// Structurally equal sets produce equal keys.
+// Key returns a string usable as a map key identifying the set's contents:
+// the little-endian bytes of its trimmed words. Structurally equal sets
+// produce equal keys.
 func (s *Set) Key() string {
-	return string(s.AppendKey(nil))
-}
-
-// AppendKey appends the bytes of s.Key() to dst and returns the extended
-// slice. Structurally equal sets append equal bytes. Callers that look sets
-// up in maps can reuse one buffer across calls and convert with
-// string(buf), which the compiler optimizes to an allocation-free lookup.
-func (s *Set) AppendKey(dst []byte) []byte {
-	n := len(s.words)
-	for n > 0 && s.words[n-1] == 0 {
-		n--
+	ws := s.Words()
+	buf := make([]byte, 0, 8*len(ws))
+	for _, w := range ws {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
-	for _, w := range s.words[:n] {
-		dst = append(dst,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-	}
-	return dst
+	return string(buf)
 }
 
 // Hash returns a structural 64-bit hash of the set: equal sets hash
 // equally regardless of trailing zero words or construction history. It is
-// the word-level replacement for hashing AppendKey bytes — hot paths hash
+// the word-level replacement for hashing Key bytes — hot paths hash
 // the words directly and skip materializing key bytes entirely.
 func (s *Set) Hash() uint64 {
 	n := len(s.words)

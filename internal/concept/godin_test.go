@@ -223,10 +223,10 @@ func TestBulkShapedBuildAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkBulkShaped measures cover linking alone (LinkCovers), inside a
-// full Build, and inside ReadSnapshot's checks on the bulk-shaped corpus
-// (1000 classes over 24 operations, 1328 concepts), the lattice shape of
-// perfbench's bulk workload.
+// BenchmarkBulkShaped measures a full Build and cover linking alone
+// (LinkCovers) on the bulk-shaped corpus (1000 classes over 24
+// operations, 1328 concepts), the lattice shape of perfbench's bulk
+// workload.
 func BenchmarkBulkShaped(b *testing.B) {
 	ref, corpus, _ := bulkShapedCorpus(1000, 0)
 	fc, err := TraceContext(corpus, ref)
@@ -246,15 +246,6 @@ func BenchmarkBulkShaped(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := l.linkCovers(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ReadSnapshot", func(b *testing.B) {
-		data := snapshotBytes(b, Build(fc))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ReadSnapshot(data); err != nil {
 				b.Fatal(err)
 			}
 		}

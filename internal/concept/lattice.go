@@ -165,8 +165,8 @@ func (l *Lattice) finalizeCtx(cc context.Context) error {
 // buildTables precomputes the ObjectConcept and AttributeConcept lookup
 // tables. γo has intent σ({o}) = row(o); μa has intent σ(τ({a})). Both are
 // closed intents of a well-formed lattice, so the index resolves them
-// directly; a miss is reported as an error, which is how ReadSnapshot
-// rejects a corrupt snapshot.
+// directly; a miss is reported as an error, which finalizeCtx treats as a
+// broken invariant.
 func (l *Lattice) buildTables() error {
 	sp := obs.StartSpan("lattice.tables")
 	defer sp.End()

@@ -2,15 +2,21 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/binio"
+	"repro/internal/concept"
 	"repro/internal/event"
+	"repro/internal/fa"
 	"repro/internal/stream"
+	"repro/internal/trace"
 )
 
 const snapv1 = "testdata/snapv1/908d0724d6f7de1f4fca14f546b9aa74"
@@ -27,7 +33,7 @@ func readSnapV1(t testing.TB, ext string) []byte {
 // encodeWAL renders a log holding the given actions, as the server writes
 // it: the header, then one record per action.
 func encodeWAL(actions []walAction) []byte {
-	out := append([]byte(walMagic), persistVer)
+	out := append([]byte(walMagic), walVer)
 	for _, a := range actions {
 		switch a.typ {
 		case walTypeLbl:
@@ -43,17 +49,56 @@ func encodeWAL(actions []walAction) []byte {
 	return out
 }
 
-// TestVersion1FilesReencode decodes testdata/snapv1's snapshot and log and
-// requires the encoders to reproduce both byte for byte.
+// latticeFieldAt returns the offset of a version 1 snapshot's lattice
+// field, which follows the labels: the length of the fields before it,
+// as the version 2 encoding of its fields has them before its CRC.
+func latticeFieldAt(sd snapData) int { return len(sd.encode()) - 4 }
+
+// TestVersion1FilesReencode decodes testdata/snapv1's snapshot and log.
+// The log re-encodes byte for byte. The snapshot re-encodes as version 2:
+// the version 1 bytes up to the end of the labels, with version byte 2,
+// then a CRC. The version 1 lattice field skipped there is a u64 length
+// and that many bytes of lattice dump, and the dump is the lattice a
+// restore builds from the stored traces and reference FA.
 func TestVersion1FilesReencode(t *testing.T) {
 	snap := readSnapV1(t, ".snap")
 	sd, err := parseSnap(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sd.encode(); !bytes.Equal(got, snap) {
-		t.Fatalf("re-encoded snapshot differs: %d bytes, file has %d", len(got), len(snap))
+	v2, at := sd.encode(), latticeFieldAt(sd)
+	want := append([]byte(nil), snap[:at]...)
+	want[len(snapMagic)] = snapVer
+	if body, err := binio.Unseal(v2); err != nil || !bytes.Equal(body, want) {
+		t.Fatalf("version 2 encoding: %v; its %d bytes before the CRC differ from the version 1 fields", err, len(body))
 	}
+	dump := snap[at+8 : len(snap)-4]
+	if n := binary.LittleEndian.Uint64(snap[at:]); n != uint64(len(dump)) {
+		t.Fatalf("the lattice field's length is %d, its dump %d bytes", n, len(dump))
+	}
+	if again, err := parseSnap(v2); err != nil || !reflect.DeepEqual(again, sd) {
+		t.Fatalf("version 2 encoding parses to %+v, %v; want %+v", again, err, sd)
+	}
+	set, err := trace.Read(strings.NewReader(sd.traces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := fa.Read(strings.NewReader(sd.ref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := concept.BuildFromTraces(set.Representatives(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built bytes.Buffer
+	if err := concept.WriteSnapshot(&built, l); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(built.Bytes(), dump) {
+		t.Fatal("the stored lattice dump is not the lattice built from the stored traces and reference FA")
+	}
+
 	wal := readSnapV1(t, ".wal")
 	actions, valid := parseWAL(wal)
 	if len(actions) != 6 || valid != len(wal) {
@@ -65,23 +110,31 @@ func TestVersion1FilesReencode(t *testing.T) {
 }
 
 // TestSessionSnapshotRejectsCorruption: every strict prefix and every
-// single-bit flip of a valid session snapshot fails, and each failure is
-// typed — truncated input (io.ErrUnexpectedEOF) or a checksum mismatch.
+// single-bit flip of a valid session snapshot, in version 1 and in
+// version 2, fails, and each failure is typed — truncated input
+// (io.ErrUnexpectedEOF) or a checksum mismatch.
 func TestSessionSnapshotRejectsCorruption(t *testing.T) {
-	snap := readSnapV1(t, ".snap")
+	v1 := readSnapV1(t, ".snap")
+	sd, err := parseSnap(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	typed := func(err error) bool {
 		return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, binio.ErrChecksum)
 	}
-	for cut := 0; cut < len(snap); cut++ {
-		if _, err := parseSnap(snap[:cut]); !typed(err) {
-			t.Fatalf("truncation to %d bytes: err = %v, want a truncation or checksum error", cut, err)
+	for _, snap := range [][]byte{v1, sd.encode()} {
+		ver := snap[len(snapMagic)]
+		for cut := 0; cut < len(snap); cut++ {
+			if _, err := parseSnap(snap[:cut]); !typed(err) {
+				t.Fatalf("version %d, truncation to %d bytes: err = %v, want a truncation or checksum error", ver, cut, err)
+			}
 		}
-	}
-	for bit := 0; bit < 8*len(snap); bit++ {
-		mut := append([]byte(nil), snap...)
-		mut[bit/8] ^= 1 << (bit % 8)
-		if _, err := parseSnap(mut); !typed(err) {
-			t.Fatalf("flip of bit %d: err = %v, want a truncation or checksum error", bit, err)
+		for bit := 0; bit < 8*len(snap); bit++ {
+			mut := append([]byte(nil), snap...)
+			mut[bit/8] ^= 1 << (bit % 8)
+			if _, err := parseSnap(mut); !typed(err) {
+				t.Fatalf("version %d, flip of bit %d: err = %v, want a truncation or checksum error", ver, bit, err)
+			}
 		}
 	}
 }
@@ -102,17 +155,29 @@ func TestWALRecordAllocs(t *testing.T) {
 }
 
 // FuzzSessionSnapshot feeds arbitrary bytes to parseSnap: it must never
-// panic, and whatever it accepts must re-encode to the same bytes.
+// panic, a version 2 input it accepts must re-encode to the same bytes,
+// and the encoding of any input it accepts must parse back to the same
+// fields.
 func FuzzSessionSnapshot(f *testing.F) {
-	f.Add(readSnapV1(f, ".snap"))
+	v1 := readSnapV1(f, ".snap")
+	sd, err := parseSnap(v1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	f.Add(sd.encode())
 	f.Add([]byte(snapMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sd, err := parseSnap(data)
 		if err != nil {
 			return
 		}
-		if got := sd.encode(); !bytes.Equal(got, data) {
-			t.Fatalf("accepted snapshot re-encodes differently:\n got %q\nwant %q", got, data)
+		enc := sd.encode()
+		if data[len(snapMagic)] == snapVer && !bytes.Equal(enc, data) {
+			t.Fatalf("accepted snapshot re-encodes differently:\n got %q\nwant %q", enc, data)
+		}
+		if again, err := parseSnap(enc); err != nil || !reflect.DeepEqual(again, sd) {
+			t.Fatalf("encoding of an accepted snapshot parses to %+v, %v; want %+v", again, err, sd)
 		}
 	})
 }

@@ -6,15 +6,20 @@
 //
 //	<id>.snap — full session state, written atomically (temp + rename):
 //
-//	    "CSNP" | ver u8 |
+//	    "CSNP" | ver u8 (2) |
 //	    str sessionID | str traces | str refFA |
 //	    u32 numLabels | numLabels × str label |
-//	    u64 latticeLen | lattice bytes (concept.WriteSnapshot) |
 //	    u32 crc32(IEEE, everything before the trailer)
+//
+//	    Version 1 also stored the session's lattice (u64 latticeLen |
+//	    lattice bytes) before the CRC. Its files still restore: the
+//	    lattice bytes are skipped, never decoded, because restore builds
+//	    the lattice from the stored traces and reference FA, exactly as
+//	    session creation does.
 //
 //	<id>.wal — actions since the snapshot, append-only:
 //
-//	    "CWAL" | ver u8 | record*
+//	    "CWAL" | ver u8 (1) | record*
 //	    record := u8 type | u32 len | payload[len] |
 //	              u32 crc32(IEEE, type|len|payload)
 //	    type 1 (label):      payload = str classKey | str label
@@ -69,7 +74,6 @@ import (
 
 	"repro/internal/binio"
 	"repro/internal/cable"
-	"repro/internal/concept"
 	"repro/internal/event"
 	"repro/internal/fa"
 	"repro/internal/obs"
@@ -79,8 +83,9 @@ import (
 
 const (
 	snapMagic     = "CSNP"
+	snapVer       = 2
 	walMagic      = "CWAL"
-	persistVer    = 1
+	walVer        = 1
 	walTypeLbl    = 1
 	walTypeAdd    = 2
 	walTypeStream = 3
@@ -112,22 +117,22 @@ func (p *persister) walPath(id string) string  { return filepath.Join(p.dir, id+
 // snapData is a .snap file's fields, still in wire form: the caller turns
 // the text payloads back into a live session.
 type snapData struct {
-	id      string
-	traces  string
-	ref     string
-	labels  []cable.Label
-	lattice []byte
+	id     string
+	traces string
+	ref    string
+	labels []cable.Label
 }
 
-// encode renders the .snap file, CRC trailer included.
+// encode renders the .snap file in the current version, CRC trailer
+// included.
 func (sd *snapData) encode() []byte {
-	size := len(snapMagic) + 1 + 12 + len(sd.id) + len(sd.traces) + len(sd.ref) + 4 + 8 + len(sd.lattice) + 4
+	size := len(snapMagic) + 1 + 12 + len(sd.id) + len(sd.traces) + len(sd.ref) + 4 + 4
 	for _, l := range sd.labels {
 		size += 4 + len(l)
 	}
 	w := make(binio.Writer, 0, size)
 	w = append(w, snapMagic...)
-	w.U8(persistVer)
+	w.U8(snapVer)
 	w.Str(sd.id)
 	w.Str(sd.traces)
 	w.Str(sd.ref)
@@ -135,8 +140,6 @@ func (sd *snapData) encode() []byte {
 	for _, l := range sd.labels {
 		w.Str(string(l))
 	}
-	w.U64(uint64(len(sd.lattice)))
-	w = append(w, sd.lattice...)
 	w.Seal(0)
 	return w
 }
@@ -157,11 +160,7 @@ func (p *persister) writeSnap(e *entry) error {
 	if err := fa.Write(&ref, sess.Ref()); err != nil {
 		return fmt.Errorf("server: snapshot %s: ref fa: %w", id, err)
 	}
-	lat, err := concept.AppendSnapshot(nil, sess.Lattice())
-	if err != nil {
-		return fmt.Errorf("server: snapshot %s: lattice: %w", id, err)
-	}
-	sd := snapData{id: id, traces: traces.String(), ref: ref.String(), labels: sess.Labels(), lattice: lat}
+	sd := snapData{id: id, traces: traces.String(), ref: ref.String(), labels: sess.Labels()}
 
 	tmp := p.snapPath(id) + ".tmp"
 	if err := os.WriteFile(tmp, sd.encode(), 0o644); err != nil {
@@ -182,15 +181,16 @@ func (p *persister) writeSnap(e *entry) error {
 	return nil
 }
 
-// parseSnap validates and decodes a .snap file, checking its CRC before
-// it decodes anything.
+// parseSnap validates and decodes a .snap file of version 1 or 2,
+// checking its CRC before it decodes anything.
 func parseSnap(data []byte) (snapData, error) {
 	payload, err := binio.Unseal(data)
 	if err != nil {
 		return snapData{}, fmt.Errorf("server: snapshot: %w", err)
 	}
 	r := binio.NewReader(payload)
-	if magic, ver := r.Bytes(len(snapMagic)), r.U8(); string(magic) != snapMagic || ver != persistVer {
+	magic, ver := r.Bytes(len(snapMagic)), r.U8()
+	if string(magic) != snapMagic || ver < 1 || ver > snapVer {
 		return snapData{}, fmt.Errorf("server: snapshot: bad magic %q or unsupported version %d", magic, ver)
 	}
 	sd := snapData{id: r.Str(maxPersistStr), traces: r.Str(maxPersistStr), ref: r.Str(maxPersistStr)}
@@ -199,7 +199,11 @@ func parseSnap(data []byte) (snapData, error) {
 	for i := range sd.labels {
 		sd.labels[i] = cable.Label(r.Str(maxPersistStr))
 	}
-	sd.lattice = r.Bytes(int(r.U64()))
+	if ver == 1 {
+		// The lattice dump: derived from the traces and the reference
+		// FA, so it is skipped, not decoded.
+		r.Bytes(int(r.U64()))
+	}
 	if err := r.Err(); err != nil {
 		return snapData{}, fmt.Errorf("server: snapshot: %w", err)
 	}
@@ -347,7 +351,7 @@ func (p *persister) appendWAL(e *entry, recs [][]byte) error {
 			return fmt.Errorf("server: wal %s: %w", e.id, err)
 		}
 		if st.Size() == 0 {
-			recs = append([][]byte{append([]byte(walMagic), persistVer)}, recs...)
+			recs = append([][]byte{append([]byte(walMagic), walVer)}, recs...)
 		}
 		e.wal, e.logged = f, true
 	}
@@ -392,7 +396,7 @@ type walAction struct {
 // durable action.
 func parseWAL(data []byte) ([]walAction, int) {
 	r := binio.NewReader(data)
-	if magic, ver := r.Bytes(len(walMagic)), r.U8(); string(magic) != walMagic || ver != persistVer {
+	if magic, ver := r.Bytes(len(walMagic)), r.U8(); string(magic) != walMagic || ver != walVer {
 		return nil, 0
 	}
 	var out []walAction
@@ -443,12 +447,14 @@ func durability(e *entry) string {
 // --- server lifecycle hooks ---
 
 // LoadSnapshots restores every persisted session from the snapshot
-// directory: parse the .snap, rebuild the cable session around the
-// restored lattice (no concept.Build — that is the point), reapply the
-// snapshotted labels, then replay the WAL. It returns how many sessions
-// came back. A corrupt snapshot is skipped (counted in
-// server.snapshot.load_errors) so one bad file cannot hold the whole
-// service down; a torn WAL tail replays its valid prefix.
+// directory: parse the .snap, build the cable session from its traces and
+// reference FA as session creation does (without the lattice cache),
+// reapply the snapshotted labels, then replay the WAL. It returns how many
+// sessions came back. A snapshot that is corrupt, or whose reference FA
+// rejects one of its traces, is skipped (counted in
+// server.snapshot.load_errors, its files left in place) so one bad file
+// cannot hold the whole service down; a torn WAL tail replays its valid
+// prefix.
 func (s *Server) LoadSnapshots(ctx context.Context) (int, error) {
 	if s.persist == nil {
 		return 0, nil
@@ -495,17 +501,10 @@ func (s *Server) loadOne(ctx context.Context, id string) error {
 	if err != nil {
 		return fmt.Errorf("server: snapshot %s: ref fa: %w", id, err)
 	}
-	lattice, err := concept.ReadSnapshot(sd.lattice)
-	if err != nil {
-		return fmt.Errorf("server: snapshot %s: lattice: %w", id, err)
-	}
 	if len(sd.labels) != set.NumClasses() {
 		return fmt.Errorf("server: snapshot %s: %d labels for %d classes", id, len(sd.labels), set.NumClasses())
 	}
-	sess, err := cable.NewSession(set, ref,
-		cable.WithContext(ctx),
-		cable.WithObs(s.metrics),
-		cable.WithLattice(lattice))
+	sess, err := cable.NewSession(set, ref, cable.WithContext(ctx), cable.WithObs(s.metrics))
 	if err != nil {
 		return fmt.Errorf("server: snapshot %s: %w", id, err)
 	}

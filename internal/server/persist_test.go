@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -16,6 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/binio"
+	"repro/internal/concept"
 	"repro/internal/obs"
 	"repro/internal/server/apiv1"
 	"repro/internal/trace"
@@ -507,6 +510,130 @@ func TestVersion1SnapshotRestores(t *testing.T) {
 	}
 	if info.Events != 3 || info.Violations != 1 {
 		t.Fatalf("restored stream has %d events / %d violations, want 3 / 1", info.Events, info.Violations)
+	}
+}
+
+// A version 1 snapshot's lattice field is skipped, never decoded: restore
+// builds the lattice from the stored traces and reference FA. So a file
+// whose field holds, under a valid CRC, the lattice of another context
+// with as many objects must restore the same concepts as the untouched
+// file.
+func TestVersion1SnapshotIgnoresStoredLattice(t *testing.T) {
+	const sid = "908d0724d6f7de1f4fca14f546b9aa74"
+	snap := readSnapV1(t, ".snap")
+	sd, err := parseSnap(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Six objects, one per trace class, over two attributes: 4 concepts.
+	foreign := concept.NewContext([]string{"o0", "o1", "o2", "o3", "o4", "o5"}, []string{"a", "b"})
+	foreign.Relate(0, 0)
+	foreign.Relate(1, 1)
+	var dump bytes.Buffer
+	if err := concept.WriteSnapshot(&dump, concept.Build(foreign)); err != nil {
+		t.Fatal(err)
+	}
+	at := latticeFieldAt(sd)
+	swapped := binio.Writer(append([]byte(nil), snap[:at]...))
+	swapped.U64(uint64(dump.Len()))
+	swapped = append(swapped, dump.Bytes()...)
+	swapped.Seal(0)
+
+	concepts := func(data []byte) []apiv1.Concept {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, sid+".snap"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m := obs.New()
+		_, c := restartServer(t, dir, m)
+		var list apiv1.ConceptList
+		if code := c.do("GET", "/v1/sessions/"+sid+"/concepts", nil, &list); code != http.StatusOK {
+			t.Fatalf("list concepts: status %d, server.snapshot.load_errors = %d", code, m.Counter("server.snapshot.load_errors").Value())
+		}
+		return list.Concepts
+	}
+	want, got := concepts(snap), concepts(swapped)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored %d concepts %+v, the untouched file %d %+v", len(got), got, len(want), want)
+	}
+}
+
+// A snapshot whose reference FA rejects one of its traces holds no
+// session a create could make: boot must skip it like a corrupt file,
+// count it once, and leave its files in place.
+func TestSnapshotRefRejectingTraceSkipped(t *testing.T) {
+	dir := t.TempDir()
+	_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	sid := c.mustCreate(violationFixture(t)).SessionID
+	c.labelTrace(sid, 0, "bad")
+
+	path := filepath.Join(dir, sid+".snap")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := parseSnap(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without its fwrite(X) edge the reference FA rejects
+	// "X = popen(); fwrite(X); pclose(X)".
+	const edge = "edge 0 0 fwrite(X)\n"
+	if !strings.Contains(sd.ref, edge) {
+		t.Fatalf("reference FA has no %q:\n%s", edge, sd.ref)
+	}
+	sd.ref = strings.Replace(sd.ref, edge, "", 1)
+	if err := os.WriteFile(path, sd.encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m := obs.New()
+	srv2, c2 := restartServer(t, dir, m)
+	if code := c2.do("GET", "/v1/sessions/"+sid, nil, nil); code != http.StatusNotFound {
+		t.Errorf("session whose reference FA rejects a stored trace: status %d, want 404", code)
+	}
+	if n := len(srv2.store.list()); n != 0 {
+		t.Errorf("%d sessions restored, want 0", n)
+	}
+	if errs := m.Counter("server.snapshot.load_errors").Value(); errs != 1 {
+		t.Errorf("server.snapshot.load_errors = %d, want 1", errs)
+	}
+	for _, ext := range []string{".snap", ".wal"} {
+		if _, err := os.Stat(filepath.Join(dir, sid+ext)); err != nil {
+			t.Errorf("skipped session's %s file: %v", ext, err)
+		}
+	}
+}
+
+// Clients keep concept IDs across a restart, so the lattice boot builds
+// from a snapshot must be the live lattice byte for byte, incremental
+// adds included.
+func TestRestoredLatticeMatchesLive(t *testing.T) {
+	dir := t.TempDir()
+	srv, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	sid := c.mustCreate(violationFixture(t)).SessionID
+	c.addTraces(sid, trace.NewSet(
+		trace.ParseEvents("a0", "X = fopen()", "fwrite(X)", "pclose(X)"),
+		trace.ParseEvents("a1", "X = popen()", "fread(X)", "fwrite(X)")))
+	if _, err := srv.SaveSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	srv2, _ := restartServer(t, dir, obs.New())
+	dump := func(s *Server) []byte {
+		res, ok := s.store.resolve(sid)
+		if !ok {
+			t.Fatalf("session %s not found", sid)
+		}
+		res.entry.mu.Lock()
+		defer res.entry.mu.Unlock()
+		var b bytes.Buffer
+		if err := concept.WriteSnapshot(&b, res.entry.session.Lattice()); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	if live, restored := dump(srv), dump(srv2); !bytes.Equal(restored, live) {
+		t.Fatalf("restored lattice differs from the live one: %d vs %d bytes", len(restored), len(live))
 	}
 }
 

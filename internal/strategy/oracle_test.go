@@ -170,7 +170,6 @@ func oracleOptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (st
 	}
 	visited := map[string]bool{start.Key(): true}
 	frontier := []node{{labeled: start}}
-	var keyBuf []byte
 	for len(frontier) > 0 {
 		next := frontier[:0:0]
 		for _, cur := range frontier {
@@ -189,11 +188,11 @@ func oracleOptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (st
 					k := len(plan.Ops)
 					return plan, strategy.Cost{Inspections: k, Labelings: k}, true
 				}
-				keyBuf = succ.AppendKey(keyBuf[:0])
-				if visited[string(keyBuf)] {
+				key := succ.Key()
+				if visited[key] {
 					continue
 				}
-				visited[string(keyBuf)] = true
+				visited[key] = true
 				if len(visited) > maxStates {
 					return strategy.Plan{}, strategy.Cost{}, false
 				}
