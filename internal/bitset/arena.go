@@ -1,5 +1,7 @@
 package bitset
 
+import "sync/atomic"
+
 // Arena is a slab allocator for batch-building many sets with O(1)
 // allocations. A lattice build creates tens of thousands of small intent
 // and extent bitsets whose lifetimes all end together (when the lattice is
@@ -22,8 +24,25 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
+// NewArenaFor returns an empty arena whose first word slab holds words
+// words and whose first header slab holds sets headers, each capped at the
+// sizes an arena from NewArena starts with. A builder that knows about how
+// much it will carve sizes its arena this way, so a small lattice does not
+// pin a 32 KiB slab for a few hundred bytes of sets. Slabs after the first
+// grow as NewArena's do.
+func NewArenaFor(words, sets int) *Arena {
+	a := &Arena{}
+	if words > 0 {
+		a.words = make([]uint64, 0, min(words, arenaMinWords))
+	}
+	if sets > 0 {
+		a.sets = make([]Set, 0, min(sets, arenaSetChunk))
+	}
+	return a
+}
+
 const (
-	arenaMinWords = 1 << 12 // first word slab: 32 KiB
+	arenaMinWords = 1 << 12 // 32 KiB: NewArena's first slab, the least later one
 	arenaMaxWords = 1 << 20 // slab growth cap: 8 MiB per slab
 	arenaSetChunk = 256     // Set headers per header slab
 )
@@ -80,7 +99,7 @@ func (a *Arena) Clone(src *Set) *Set {
 		s.words = a.allocWords(len(src.words))
 		copy(s.words, src.words)
 	}
-	s.pop = src.pop
+	s.pop = atomic.LoadInt32(&src.pop) // Len may be storing it concurrently
 	return s
 }
 

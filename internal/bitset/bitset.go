@@ -11,9 +11,12 @@
 // SubsetOf, Equal, and Intersects return on the first mismatching word.
 // Len caches its popcount so repeated size queries on immutable sets (the
 // shape concept lattices produce) cost one atomic load; every mutator
-// invalidates the cache. For batch construction, Arena (arena.go) carves
-// many sets out of shared slabs so building a lattice performs O(1)
-// allocations instead of one per set.
+// invalidates the cache. For batch construction, Table cuts a fixed number
+// of equal-width sets (a context's rows or columns) from one exact-size
+// slab, and Arena (arena.go) carves many sets of any width out of shared
+// slabs, so building a context or a lattice performs O(1) allocations
+// instead of one or two per set. NewArenaFor sizes an arena's first slab
+// to the build, so a small lattice pins a small slab.
 package bitset
 
 import (
@@ -44,6 +47,23 @@ func New(n int) *Set {
 		n = 0
 	}
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits)}
+}
+
+// Table returns n empty sets whose words cover [0, bits), all cut from one
+// exact-size word slab: two allocations for the table instead of two per
+// set. Each set's words are capacity-clamped, so growing one past bits
+// moves that set onto the heap instead of writing over its neighbour.
+func Table(n, bits int) []Set {
+	sets := make([]Set, n)
+	nw := (bits + wordBits - 1) / wordBits
+	if nw == 0 {
+		return sets
+	}
+	slab := make([]uint64, n*nw)
+	for i := range sets {
+		sets[i].words = slab[i*nw : (i+1)*nw : (i+1)*nw]
+	}
+	return sets
 }
 
 // FromSlice returns a set containing exactly the given elements.
@@ -228,6 +248,10 @@ func (s *Set) Empty() bool {
 	}
 	return true
 }
+
+// StorageWords returns the number of words s stores, trailing zero words
+// included: what Clone and Arena.Clone copy.
+func (s *Set) StorageWords() int { return len(s.words) }
 
 // Clone returns an independent copy of s.
 func (s *Set) Clone() *Set {

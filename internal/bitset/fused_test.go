@@ -204,6 +204,64 @@ func TestArena(t *testing.T) {
 	}
 }
 
+// TestNewArenaFor pins the sizing of an arena's first slabs: exactly the
+// words and headers asked for, capped at NewArena's first slab, with the
+// slabs after it grown as NewArena's are.
+func TestNewArenaFor(t *testing.T) {
+	a := NewArenaFor(40, 4)
+	if cap(a.words) != 40 || cap(a.sets) != 4 {
+		t.Fatalf("first slabs hold %d words and %d headers, want 40 and 4", cap(a.words), cap(a.sets))
+	}
+	for i := 0; i < 4; i++ {
+		a.Set(640, 640)
+	}
+	if len(a.words) != 40 || cap(a.words) != 40 || len(a.sets) != 4 || cap(a.sets) != 4 {
+		t.Fatalf("four 10-word sets left slabs of %d/%d words and %d/%d headers, want the first slabs full",
+			len(a.words), cap(a.words), len(a.sets), cap(a.sets))
+	}
+	a.Set(64, 64)
+	if cap(a.words) != arenaMinWords || cap(a.sets) != arenaSetChunk {
+		t.Fatalf("second slabs hold %d words and %d headers, want %d and %d", cap(a.words), cap(a.sets), arenaMinWords, arenaSetChunk)
+	}
+	if big := NewArenaFor(1<<30, 1<<30); cap(big.words) != arenaMinWords || cap(big.sets) != arenaSetChunk {
+		t.Fatalf("capped first slabs hold %d words and %d headers, want %d and %d", cap(big.words), cap(big.sets), arenaMinWords, arenaSetChunk)
+	}
+	if empty := NewArenaFor(0, 0); empty.words != nil || empty.sets != nil {
+		t.Fatal("NewArenaFor(0, 0) allocated slabs")
+	}
+}
+
+// TestTable pins Table's sets as independent, empty, covering the asked
+// universe, and capacity-clamped: a set grown past its width leaves its
+// neighbour alone.
+func TestTable(t *testing.T) {
+	sets := Table(3, 70)
+	for i := range sets {
+		if !sets[i].Empty() || len(sets[i].words) != 2 || cap(sets[i].words) != 2 {
+			t.Fatalf("set %d: %v with %d words of capacity %d, want empty with 2 of 2", i, &sets[i], len(sets[i].words), cap(sets[i].words))
+		}
+	}
+	sets[0].Add(69)
+	sets[1].Add(0)
+	sets[0].Add(200)
+	sets[2].Add(1)
+	if got := sets[0].String(); got != "{69, 200}" {
+		t.Fatalf("grown set = %s, want {69, 200}", got)
+	}
+	if got := sets[1].String(); got != "{0}" {
+		t.Fatalf("neighbour of the grown set = %s, want {0}", got)
+	}
+	if got := sets[2].String(); got != "{1}" {
+		t.Fatalf("last set = %s, want {1}", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { Table(1000, 24) }); allocs != 2 {
+		t.Fatalf("Table(1000, 24) allocates %.0f objects, want 2", allocs)
+	}
+	if empty := Table(4, 0); len(empty) != 4 || empty[0].words != nil {
+		t.Fatal("Table over an empty universe cut words")
+	}
+}
+
 func BenchmarkBitsetIntersectEqualsInto(b *testing.B) {
 	x, y := benchSets(1 << 12)
 	dst := &Set{}

@@ -118,6 +118,7 @@ func BenchmarkTraceContext(b *testing.B) {
 func BenchmarkBuild(b *testing.B) {
 	c := benchContext()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if Build(c).Len() == 0 {
 			b.Fatal("empty lattice")

@@ -3,11 +3,17 @@ package concept
 import "repro/internal/bitset"
 
 // Clone returns an independent deep copy of the lattice, including its
-// context, backed by a fresh arena. Sessions that mutate a cached lattice
-// clone it first (copy-on-write), so the cache keeps serving the original
-// to later uploads of the same corpus.
+// context, backed by a fresh arena whose first slab is sized to the words
+// it copies. Sessions that mutate a cached lattice clone it first
+// (copy-on-write), so the cache keeps serving the original to later
+// uploads of the same corpus. Clone only reads l, so it may run while
+// other goroutines query l.
 func (l *Lattice) Clone() *Lattice {
-	arena := bitset.NewArena()
+	words := 0
+	for _, c := range l.concepts {
+		words += c.Extent.StorageWords() + c.Intent.StorageWords()
+	}
+	arena := bitset.NewArenaFor(words, 2*len(l.concepts))
 	nl := &Lattice{
 		ctx:    l.ctx.clone(),
 		top:    l.top,

@@ -21,6 +21,7 @@ package concept
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/bitset"
@@ -32,26 +33,37 @@ import (
 type Context struct {
 	objNames  []string
 	attrNames []string
-	rows      []*bitset.Set // rows[o] = attributes of object o
-	cols      []*bitset.Set // cols[a] = objects having attribute a
+	// rows[o] holds the attributes of object o and cols[a] the objects
+	// having attribute a. The sets of each side are cut from one
+	// bitset.Table, so a context of any size costs a handful of
+	// allocations; the pointers stay valid as addObject appends rows.
+	rows []*bitset.Set
+	cols []*bitset.Set
 }
 
 // NewContext creates a context with the given object and attribute names
 // and an empty relation.
 func NewContext(objects, attributes []string) *Context {
-	c := &Context{
-		objNames:  append([]string(nil), objects...),
-		attrNames: append([]string(nil), attributes...),
-		rows:      make([]*bitset.Set, len(objects)),
-		cols:      make([]*bitset.Set, len(attributes)),
+	return newContext(append([]string(nil), objects...), append([]string(nil), attributes...))
+}
+
+// newContext is NewContext taking ownership of the name slices.
+func newContext(objNames, attrNames []string) *Context {
+	return &Context{
+		objNames:  objNames,
+		attrNames: attrNames,
+		rows:      setPointers(bitset.Table(len(objNames), len(attrNames))),
+		cols:      setPointers(bitset.Table(len(attrNames), len(objNames))),
 	}
-	for i := range c.rows {
-		c.rows[i] = bitset.New(len(attributes))
+}
+
+// setPointers returns a pointer to every set of table.
+func setPointers(table []bitset.Set) []*bitset.Set {
+	out := make([]*bitset.Set, len(table))
+	for i := range table {
+		out[i] = &table[i]
 	}
-	for j := range c.cols {
-		c.cols[j] = bitset.New(len(objects))
-	}
-	return c
+	return out
 }
 
 // NumObjects returns the number of objects.
@@ -91,28 +103,30 @@ func (c *Context) Objects(a int) *bitset.Set { return c.cols[a] }
 // relation in place. The row is copied; the caller keeps ownership of its
 // set. Attributes must already be validated in range.
 func (c *Context) addObject(name string, row *bitset.Set) {
-	o := len(c.rows)
 	c.objNames = append(c.objNames, name)
 	c.rows = append(c.rows, row.Clone())
-	row.Range(func(a int) bool {
+	c.relateRow(len(c.rows) - 1)
+}
+
+// relateRow records object o in the column of every attribute of its row.
+func (c *Context) relateRow(o int) {
+	c.rows[o].Range(func(a int) bool {
 		c.cols[a].Add(o)
 		return true
 	})
 }
 
-// clone returns an independent deep copy of the context.
+// clone returns an independent deep copy of the context, its rows and
+// columns each cut from one table again. The name slices are shared:
+// names are never overwritten, and addObject's append on the clipped
+// copy reallocates before it writes.
 func (c *Context) clone() *Context {
-	out := &Context{
-		objNames:  append([]string(nil), c.objNames...),
-		attrNames: append([]string(nil), c.attrNames...),
-		rows:      make([]*bitset.Set, len(c.rows)),
-		cols:      make([]*bitset.Set, len(c.cols)),
-	}
+	out := newContext(slices.Clip(c.objNames), slices.Clip(c.attrNames))
 	for i, r := range c.rows {
-		out.rows[i] = r.Clone()
+		out.rows[i].CopyFrom(r)
 	}
 	for j, col := range c.cols {
-		out.cols[j] = col.Clone()
+		out.cols[j].CopyFrom(col)
 	}
 	return out
 }

@@ -106,13 +106,7 @@ func FuzzBuildMatchesOracle(f *testing.F) {
 				}
 			}
 		}
-		ctxOf := func(n int) *Context {
-			c := NewContext(nil, make([]string, numAttr))
-			for o := 0; o < n; o++ {
-				c.addObject(fmt.Sprintf("o%d", o), rows[o])
-			}
-			return c
-		}
+		ctxOf := func(n int) *Context { return contextOfRows(numAttr, rows[:n]) }
 		whole := Build(ctxOf(numObj))
 		if !bytes.Equal(snapshotBytes(t, whole), snapshotBytes(t, buildLegacy(ctxOf(numObj)))) {
 			t.Fatalf("Build differs from the full-scan oracle on\n%s", whole.Context())

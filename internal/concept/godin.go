@@ -40,10 +40,9 @@ import (
 
 // invIndex is the per-attribute inverted concept index: attr[a] holds the
 // IDs of the concepts whose intent contains attribute a, and empty the ID
-// of the (at most one) concept with an empty intent, or -1. It is
-// maintained incrementally by newConcept during pruned builds and rebuilt
-// lazily (invEnsure) for lattices constructed another way (naive builder,
-// snapshots, clones).
+// of the (at most one) concept with an empty intent, or -1. newConcept
+// maintains it during BuildCtx's loop, which then drops it, and
+// AddObjectCtx rebuilds it lazily (invEnsure) on the lattice it adds to.
 type invIndex struct {
 	attr  []bitset.Set
 	empty int
@@ -87,6 +86,7 @@ type godinScratch struct {
 	inter bitset.Set // intersection scratch (must not alias its operands)
 	mask  bitset.Set // candidate mask: union of inverted-index rows
 	words []uint64   // flat intent words, one per concept (one-word universes)
+	row   bitset.Set // AddTraceCtx's simulated row, before the context copies it
 
 	// Cover-repair state (see coverParents): the candidate generator,
 	// the candidates' extent sizes, and the accepted-cover list.
@@ -99,10 +99,17 @@ type godinScratch struct {
 // seed concept, whose intent is the full attribute set (keeping it makes
 // the concept set closed under intersection of intents), and the
 // insertion scratch.
+//
+// The arena's first slab and the first concept-header chunk are sized for
+// one concept per object plus the seed, capped at the sizes later chunks
+// take, so a lattice of a few dozen concepts does not pin 32 KiB of words
+// for a kilobyte of sets.
 func newGodinLattice(ctx *Context) (*Lattice, *godinScratch) {
-	arena := bitset.NewArena()
-	numAttr := ctx.NumAttributes()
+	numObj, numAttr := ctx.NumObjects(), ctx.NumAttributes()
+	guess := numObj + 1
+	arena := bitset.NewArenaFor(guess*(wordsFor(numAttr)+wordsFor(numObj)), 2*guess)
 	l := &Lattice{ctx: ctx, arena: arena, inv: newInvIndex(numAttr)}
+	l.hdr = make([]Concept, 0, min(guess, hdrChunk))
 	l.idx.initFor(256)
 	full := arena.Set(numAttr, numAttr).FillFull(numAttr)
 	l.newConcept(tauArena(arena, ctx, full), full)
@@ -191,8 +198,18 @@ func (l *Lattice) scanSets(row *bitset.Set, g *godinScratch, emptyAt, o int) {
 // attributes — every shipped corpus): intents and the row fit in
 // registers, so the subset verdict is one AND+compare and known intents are
 // probed through the flat word table without touching a Set.
+//
+// Many candidates of one scan meet the same intersection, and only the
+// first of them can spawn it: after that probe the word is in the index,
+// found or spawned. So the scan probes the index once per distinct
+// intersection and remembers the words it resolved in seen, a
+// direct-mapped memo on the stack. No candidate's intersection is 0 (each
+// shares an attribute with the row), so 0 marks an empty slot; a word
+// evicted by a collision is just probed again, which finds it, so spawn
+// order and IDs are the full scan's.
 func (l *Lattice) scanWords(row *bitset.Set, g *godinScratch, emptyAt, o int) {
 	rw := word0(row)
+	var seen [seenSlots]uint64
 	g.mask.Range(func(ci int) bool {
 		if emptyAt >= 0 && ci > emptyAt {
 			l.spawn(&bitset.Set{}, g)
@@ -206,6 +223,11 @@ func (l *Lattice) scanWords(row *bitset.Set, g *godinScratch, emptyAt, o int) {
 			}
 			return true
 		}
+		slot := seenSlot(iw)
+		if seen[slot] == iw {
+			return true
+		}
+		seen[slot] = iw
 		if l.idx.lookupWord(g.words, iw) < 0 {
 			bitset.IntersectInto(&g.inter, l.concepts[ci].Intent, row)
 			l.spawn(&g.inter, g)
@@ -254,6 +276,20 @@ func (g *godinScratch) godinWordsEnsure(l *Lattice) {
 
 // wordBitsPerSet mirrors bitset's word size for the one-word fast paths.
 const wordBitsPerSet = 64
+
+// seenSlots is the size of scanWords' memo. The bulk-shaped build meets
+// about a dozen distinct intersections per scanned row.
+const (
+	seenBits  = 8
+	seenSlots = 1 << seenBits
+)
+
+// seenSlot maps an intersection word to its memo slot (Fibonacci hashing
+// onto the top seenBits bits).
+func seenSlot(w uint64) uint64 { return (w * 0x9e3779b97f4a7c15) >> (64 - seenBits) }
+
+// wordsFor returns the number of words a set over n elements spans.
+func wordsFor(n int) int { return (n + wordBitsPerSet - 1) / wordBitsPerSet }
 
 // word0 returns the first backing word of s (0 for the empty set); only
 // meaningful on one-word universes.

@@ -223,16 +223,159 @@ func TestBulkShapedBuildAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkBulkShaped measures a full Build and cover linking alone
-// (LinkCovers) on the bulk-shaped corpus (1000 classes over 24
-// operations, 1328 concepts), the lattice shape of perfbench's bulk
-// workload.
+// TestBulkShapedContextAndCloneAllocs pins the allocations of the two
+// per-session steps around a build on the bulk-shaped corpus. Context
+// assembly simulates each trace straight into a row cut from one slab,
+// so it allocates per attribute and per context, not per trace (4,127
+// objects with a fresh set per simulation and per row). A clone copies
+// the lattice into one arena sized to its words and the context into two
+// slabs (2,078 objects with a set per row and column and an arena that
+// grows from 32 KiB).
+func TestBulkShapedContextAndCloneAllocs(t *testing.T) {
+	ref, corpus, _ := bulkShapedCorpus(1000, 0)
+	fc, err := TraceContext(corpus, ref) // compiles the plan
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(3, func() { TraceContext(corpus, ref) }); allocs > 100 {
+		t.Fatalf("TraceContext allocates %.0f objects, want at most 100", allocs)
+	}
+	l := Build(fc)
+	if allocs := testing.AllocsPerRun(3, func() { l.Clone() }); allocs > 64 {
+		t.Fatalf("Clone allocates %.0f objects, want at most 64", allocs)
+	}
+}
+
+// memoRows returns the rows of a context whose last scans each meet more
+// distinct intersections than scanWords' memo has slots, over 12
+// attributes. Ten rows of the contranominal scale on attributes 0–9, each
+// with attribute 10, make every S ∪ {10} (S ⊆ {0..9}) an intent. The row
+// {0..9, 11} then meets each of the 1023 nonempty S once and spawns it,
+// the row {0..8, 10, 11} meets 1023 other words once each, and the row
+// {0..7, 10} meets each of its distinct words up to three times, with
+// hundreds of other words between the meetings.
+func memoRows() []*bitset.Set {
+	var rows []*bitset.Set
+	for i := 0; i < 10; i++ {
+		r := bitset.FromSlice([]int{10})
+		for a := 0; a < 10; a++ {
+			if a != i {
+				r.Add(a)
+			}
+		}
+		rows = append(rows, r)
+	}
+	r1 := bitset.FromSlice([]int{11})
+	r2 := bitset.FromSlice([]int{10, 11})
+	r3 := bitset.FromSlice([]int{10})
+	for a := 0; a < 10; a++ {
+		r1.Add(a)
+		if a < 9 {
+			r2.Add(a)
+		}
+		if a < 8 {
+			r3.Add(a)
+		}
+	}
+	return append(rows, r1, r2, r3)
+}
+
+// intersections counts the words that a scan of row over l meets outside
+// the intents the row contains, the words scanWords resolves against the
+// intent index: how many meetings, and how many distinct words.
+func intersections(l *Lattice, row *bitset.Set) (meetings, distinct int) {
+	rw := word0(row)
+	seen := map[uint64]bool{}
+	for _, c := range l.concepts {
+		if yw := word0(c.Intent); yw&rw != 0 && yw&rw != yw {
+			meetings++
+			seen[yw&rw] = true
+		}
+	}
+	return meetings, len(seen)
+}
+
+// TestGodinMemoEviction pins scanWords' intersection memo where it
+// overflows: on rows of 9 or more attributes, where one scan meets more
+// distinct intersections than the memo has slots, Build must write
+// buildLegacy's snapshot bytes, and a build over every prefix grown by
+// AddObjectCtx over the rest must equal Build of the whole. The fixture is
+// memoRows plus random contexts of 12 to 20 attributes whose rows hold at
+// least 9.
+func TestGodinMemoEviction(t *testing.T) {
+	check := func(name string, numAttr int, rows []*bitset.Set, prefixes []int) {
+		t.Helper()
+		ctxOf := func(n int) *Context { return contextOfRows(numAttr, rows[:n]) }
+		whole := Build(ctxOf(len(rows)))
+		if !bytes.Equal(snapshotBytes(t, whole), snapshotBytes(t, buildLegacy(ctxOf(len(rows))))) {
+			t.Fatalf("%s: Build differs from the full-scan oracle", name)
+		}
+		for _, p := range prefixes {
+			grown := Build(ctxOf(p))
+			for o := p; o < len(rows); o++ {
+				if err := grown.AddObjectCtx(context.Background(), fmt.Sprintf("o%d", o), rows[o]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireByteIdentical(t, grown, whole, fmt.Sprintf("%s: build of %d objects grown to %d", name, p, len(rows)))
+		}
+	}
+
+	rows := memoRows()
+	n := len(rows)
+	meetings, distinct := intersections(Build(contextOfRows(12, rows[:n-1])), rows[n-1])
+	if distinct <= seenSlots || meetings < 2*distinct {
+		t.Fatalf("the last memo row meets %d distinct intersections %d times, want more than %d met twice on average",
+			distinct, meetings, seenSlots)
+	}
+	all := make([]int, n+1)
+	for p := range all {
+		all[p] = p
+	}
+	check("memoRows", 12, rows, all)
+
+	rng := rand.New(rand.NewSource(36))
+	for iter := 0; iter < 6; iter++ {
+		numAttr := 12 + rng.Intn(9)
+		rows := make([]*bitset.Set, 8+rng.Intn(10))
+		for o := range rows {
+			rows[o] = bitset.New(numAttr)
+			for _, a := range rng.Perm(numAttr)[:9+rng.Intn(numAttr-8)] {
+				rows[o].Add(a)
+			}
+		}
+		check(fmt.Sprintf("random %d", iter), numAttr, rows, []int{0, rng.Intn(len(rows) + 1)})
+	}
+}
+
+// contextOfRows returns the context of the given rows over numAttr
+// attributes.
+func contextOfRows(numAttr int, rows []*bitset.Set) *Context {
+	c := NewContext(nil, make([]string, numAttr))
+	for o, r := range rows {
+		c.addObject(fmt.Sprintf("o%d", o), r)
+	}
+	return c
+}
+
+// BenchmarkBulkShaped measures context assembly (TraceContext), a full
+// Build, cover linking alone (LinkCovers) and the copy-on-write Clone on
+// the bulk-shaped corpus (1000 classes over 24 operations, 1328
+// concepts), the lattice shape of perfbench's bulk workload.
 func BenchmarkBulkShaped(b *testing.B) {
 	ref, corpus, _ := bulkShapedCorpus(1000, 0)
 	fc, err := TraceContext(corpus, ref)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("TraceContext", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := TraceContext(corpus, ref); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("Build", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -244,9 +387,20 @@ func BenchmarkBulkShaped(b *testing.B) {
 	b.Run("LinkCovers", func(b *testing.B) {
 		l := Build(fc)
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := l.linkCovers(context.Background()); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Clone", func(b *testing.B) {
+		l := Build(fc)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if l.Clone().Len() == 0 {
+				b.Fatal("empty clone")
 			}
 		}
 	})

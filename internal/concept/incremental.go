@@ -32,25 +32,32 @@ import (
 // trace context (BuildFromTraces): the trace is simulated against the
 // reference FA and its executed-transition row extends the context and the
 // lattice in place. The reference FA must be the one the context was built
-// from (same transition set), and it must accept the trace.
+// from (same transition set), and it must accept the trace. The trace is
+// simulated into a scratch row the lattice keeps, which AddObjectCtx
+// copies into the context.
 func (l *Lattice) AddTraceCtx(cc context.Context, t trace.Trace, ref *fa.FA) error {
 	if ref.NumTransitions() != l.ctx.NumAttributes() {
 		return fmt.Errorf("concept: reference FA %q has %d transitions, lattice context has %d attributes",
 			ref.Name(), ref.NumTransitions(), l.ctx.NumAttributes())
 	}
-	executed, ok := ref.Executed(t)
-	if !ok {
-		name := t.ID
-		if name == "" {
-			name = fmt.Sprintf("t%d", l.ctx.NumObjects())
-		}
-		return fmt.Errorf("concept: reference FA %q rejects trace %q (%s)", ref.Name(), name, t.Key())
-	}
 	name := t.ID
 	if name == "" {
 		name = fmt.Sprintf("t%d", l.ctx.NumObjects())
 	}
-	return l.AddObjectCtx(cc, name, executed)
+	row := &l.scratch().row
+	if !ref.Sim().ExecutedInto(row, t) {
+		return fmt.Errorf("concept: reference FA %q rejects trace %q (%s)", ref.Name(), name, t.Key())
+	}
+	return l.AddObjectCtx(cc, name, row)
+}
+
+// scratch returns the insertion scratch cached on the lattice, creating it
+// on first use.
+func (l *Lattice) scratch() *godinScratch {
+	if l.godin == nil {
+		l.godin = &godinScratch{}
+	}
+	return l.godin
 }
 
 // AddObjectCtx appends one object with the given attribute row, updating
@@ -85,11 +92,7 @@ func (l *Lattice) AddObjectCtx(cc context.Context, name string, row *bitset.Set)
 	}
 	l.repsEnsure()
 	l.invEnsure()
-	g := l.godin
-	if g == nil {
-		g = &godinScratch{}
-		l.godin = g
-	}
+	g := l.scratch()
 	g.godinWordsEnsure(l)
 
 	o := l.ctx.NumObjects()

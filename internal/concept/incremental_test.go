@@ -192,6 +192,31 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestCloneWhileReadingIntentSizes pins Clone as a reader of the lattice:
+// one goroutine reads Intent.Len of every concept of a fresh bulk-shaped
+// lattice, storing popcounts no one has cached yet, while another clones
+// it. cabled does this when one session lists the concepts of a cached
+// lattice while another session's first add detaches it. Run it under
+// -race.
+func TestCloneWhileReadingIntentSizes(t *testing.T) {
+	ref, corpus, _ := bulkShapedCorpus(1000, 0)
+	fc, err := TraceContext(corpus, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := Build(fc)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, c := range l.concepts {
+			c.Intent.Len()
+		}
+	}()
+	cl := l.Clone()
+	<-done
+	requireByteIdentical(t, cl, l, "clone taken during Len reads")
+}
+
 // benchFreshTraces samples trace classes disjoint from the shared big
 // corpus (different generator seed) for the incremental-add benchmarks.
 func benchFreshTraces(b *testing.B) []trace.Trace {

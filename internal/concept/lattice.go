@@ -57,7 +57,9 @@ type Lattice struct {
 	repped *bitset.Set
 
 	// inv is the per-attribute inverted concept index the pruned Godin scan
-	// intersects against; nil until a pruned build or invEnsure creates it.
+	// intersects against. BuildCtx's loop drops the one it builds with, so
+	// a lattice that is only read does not hold it; the first add rebuilds
+	// it (invEnsure) and later adds keep it current.
 	inv *invIndex
 	// hdr is the current concept-header slab chunk (see newConcept).
 	hdr []Concept
@@ -65,12 +67,15 @@ type Lattice struct {
 	godin *godinScratch
 }
 
+// hdrChunk is the number of concept headers per header slab.
+const hdrChunk = 256
+
 // newConcept appends a concept with the next ID, indexing its intent in idx
 // and (when maintained) the inverted attribute index. Headers come from
-// chunked slabs: one allocation per 256 concepts, not per concept.
+// chunked slabs: one allocation per hdrChunk concepts, not per concept.
 func (l *Lattice) newConcept(extent, intent *bitset.Set) *Concept {
 	if len(l.hdr) == cap(l.hdr) {
-		l.hdr = make([]Concept, 0, 256)
+		l.hdr = make([]Concept, 0, hdrChunk)
 	}
 	l.hdr = l.hdr[:len(l.hdr)+1]
 	c := &l.hdr[len(l.hdr)-1]
@@ -130,6 +135,7 @@ func BuildCtx(cc context.Context, ctx *Context, _ ...BuildOption) (*Lattice, err
 		}
 		l.godinInsert(ctx.Attributes(o), g)
 	}
+	l.inv = nil // see Lattice.inv
 	if err := l.finalizeCtx(cc); err != nil {
 		return nil, err
 	}

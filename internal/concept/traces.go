@@ -20,9 +20,10 @@ import (
 // reference FA (fa.FromTraces always works).
 //
 // The reference FA is compiled once (fa.Sim) and every trace is simulated
-// once. Callers pass class representatives (trace.Set.Representatives), so
-// the relation costs one simulation per class of identical traces; a
-// duplicate trace is simulated again and gets an equal row.
+// once, straight into its context row. Callers pass class representatives
+// (trace.Set.Representatives), so the relation costs one simulation per
+// class of identical traces; a duplicate trace is simulated again and gets
+// an equal row.
 func TraceContext(traces []trace.Trace, ref *fa.FA) (*Context, error) {
 	return traceContext(context.Background(), traces, ref)
 }
@@ -72,20 +73,16 @@ func traceContext(ctx context.Context, traces []trace.Trace, ref *fa.FA) (*Conte
 		}
 		attrNames[i] = tr.String()
 	}
-	fc := NewContext(objNames, attrNames)
+	fc := newContext(objNames, attrNames)
 	sim := ref.Sim()
 	for o, t := range traces {
 		if cancelled() {
 			return nil, ctx.Err()
 		}
-		executed, ok := sim.Executed(t)
-		if !ok {
+		if !sim.ExecutedInto(fc.rows[o], t) {
 			return nil, fmt.Errorf("concept: reference FA %q rejects trace %q (%s)", ref.Name(), objNames[o], t.Key())
 		}
-		executed.Range(func(a int) bool {
-			fc.Relate(o, a)
-			return true
-		})
+		fc.relateRow(o)
 	}
 	return fc, nil
 }

@@ -26,7 +26,7 @@ import (
 //     by every call, so steady-state simulation allocates nothing.
 //
 // A Sim is immutable after compilation apart from its scratch, which a
-// mutex holds for the whole of each Accepts, RejectsAt and Executed call:
+// mutex holds for the whole of each Accepts, RejectsAt and ExecutedInto call:
 // all methods may be called from multiple goroutines, which take turns.
 // No production caller shares a plan across goroutines; stream checkers
 // step their own Cursor, which never touches the scratch. A Sim keeps no
@@ -290,22 +290,31 @@ func (s *Sim) RejectsAt(t trace.Trace) int {
 // FA.Executed). The returned set is fresh and owned by the caller; apart
 // from it, steady-state calls allocate nothing.
 func (s *Sim) Executed(t trace.Trace) (*bitset.Set, bool) {
+	out := bitset.New(len(s.fa.trans))
+	return out, s.ExecutedInto(out, t)
+}
+
+// ExecutedInto is Executed into a caller-owned set: it clears out, fills it
+// with the executed transitions and reports acceptance; a rejected trace
+// leaves out empty. Steady-state calls allocate nothing once out's words
+// cover the automaton's transitions, so a caller can simulate each trace
+// straight into its context row.
+func (s *Sim) ExecutedInto(out *bitset.Set, t trace.Trace) bool {
 	sp := obs.StartSpan("fa.executed")
 	defer sp.End()
 	obs.Count("fa.executed.events", int64(len(t.Events)))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sc := &s.sc
-	out := bitset.New(len(s.fa.trans))
-	ok := s.executedInto(sc, t, out)
+	out.Clear()
+	ok := s.executedInto(&s.sc, t, out)
 	if !ok {
 		obs.Count("fa.executed.rejected", 1)
 	}
-	return out, ok
+	return ok
 }
 
-// executedInto computes the executed-transition relation for t into out
-// (sized for the automaton's transitions) and reports acceptance. It is
+// executedInto adds the executed-transition relation for t to out, which
+// must be empty, and reports acceptance. It is
 // the forward/backward product of FA.Executed over the CSR tables, with
 // the backward pass rolled into two scratch frontiers and the per-position
 // transition sweep fused into it.

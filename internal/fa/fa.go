@@ -20,6 +20,7 @@ package fa
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/bitset"
@@ -49,7 +50,12 @@ type Transition struct {
 
 // String renders the transition as "s0 --X = fopen()--> s1".
 func (t Transition) String() string {
-	return fmt.Sprintf("s%d --%s--> s%d", int(t.From), t.Label, int(t.To))
+	var buf [64]byte
+	b := append(buf[:0], 's')
+	b = strconv.AppendInt(b, int64(t.From), 10)
+	b = t.Label.AppendString(append(b, " --"...))
+	b = strconv.AppendInt(append(b, "--> s"...), int64(t.To), 10)
+	return string(b)
 }
 
 // FA is an immutable nondeterministic finite automaton. Construct one with a

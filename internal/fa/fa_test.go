@@ -1,10 +1,12 @@
 package fa
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/event"
 	"repro/internal/trace"
 )
@@ -124,6 +126,42 @@ func TestExecuted(t *testing.T) {
 	ex, ok = f.Executed(tr("X = popen()", "fwrite(X)", "fread(X)", "fclose(X)"))
 	if !ok || ex.String() != "{1, 2, 3, 4}" {
 		t.Errorf("Executed = %s ok=%v, want {1, 2, 3, 4}", ex, ok)
+	}
+}
+
+// TestExecutedInto pins ExecutedInto to Executed on a set that already
+// holds elements: it clears the set first, leaves it empty on a rejected
+// trace, and allocates nothing once the set covers the transitions.
+func TestExecutedInto(t *testing.T) {
+	f := buggyStdio()
+	sim := f.Sim()
+	out := bitset.FromSlice([]int{0, 1, 2, 3, 4, 5})
+	for _, tc := range []trace.Trace{
+		tr("X = popen()", "fwrite(X)", "fread(X)", "fclose(X)"),
+		tr("X = fopen()", "fclose(X)"),
+		tr("X = fopen()"),
+	} {
+		want, wantOK := f.Executed(tc)
+		if ok := sim.ExecutedInto(out, tc); ok != wantOK || !out.Equal(want) {
+			t.Errorf("ExecutedInto(%s) = %s, %v; want %s, %v", tc.Key(), out, ok, want, wantOK)
+		}
+	}
+	accepted := tr("X = fopen()", "fclose(X)")
+	if allocs := testing.AllocsPerRun(10, func() { sim.ExecutedInto(out, accepted) }); allocs != 0 {
+		t.Errorf("ExecutedInto allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestTransitionString pins Transition.String to its fmt rendering.
+func TestTransitionString(t *testing.T) {
+	for _, tc := range []Transition{
+		{From: 0, To: 1, Label: event.MustParse("X = fopen()")},
+		{From: 12, To: 345678, Label: event.MustParse("fwrite(X, Y)")},
+		{From: 3, To: 3, Label: Wildcard()},
+	} {
+		if got, want := tc.String(), fmt.Sprintf("s%d --%s--> s%d", int(tc.From), tc.Label, int(tc.To)); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
 	}
 }
 

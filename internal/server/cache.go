@@ -1,11 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"strings"
 	"sync"
 
 	"repro/internal/concept"
@@ -51,18 +51,21 @@ func newLatticeCache(capacity int, m *obs.Metrics) *latticeCache {
 // reference FA's text serialization. Multiplicities are deliberately
 // excluded: the lattice is built over class representatives, so the same
 // classes with different counts share a lattice.
+//
+// Each class is hashed as its key's length (8 bytes, little-endian) and
+// then the key, both appended to one reused buffer.
 func cacheKey(set *trace.Set, ref *fa.FA) string {
 	h := sha256.New()
-	var b strings.Builder
-	if err := fa.Write(&b, ref); err == nil {
-		h.Write([]byte(b.String()))
+	var buf bytes.Buffer
+	if err := fa.Write(&buf, ref); err == nil {
+		h.Write(buf.Bytes())
 	}
-	var n [8]byte
+	kb := buf.Bytes()[:0] // the FA text is hashed; reuse its storage
 	for i := 0; i < set.NumClasses(); i++ {
 		k := set.ClassKey(i)
-		binary.LittleEndian.PutUint64(n[:], uint64(len(k)))
-		h.Write(n[:])
-		h.Write([]byte(k))
+		kb = binary.LittleEndian.AppendUint64(kb[:0], uint64(len(k)))
+		kb = append(kb, k...)
+		h.Write(kb)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

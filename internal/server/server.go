@@ -681,7 +681,7 @@ func (s *Server) handleAddTraces(ctx context.Context, w http.ResponseWriter, r *
 		var traces []trace.Trace
 		var walRecs [][]byte
 		for _, cl := range in.Classes() {
-			if _, ok := ref.Executed(cl.Rep); !ok {
+			if !ref.Accepts(cl.Rep) {
 				return 0, nil, validationFailed(fmt.Errorf("reference FA %q rejects trace %q", ref.Name(), cl.Rep.ID))
 			}
 			for j := 0; j < cl.Count; j++ {
