@@ -28,8 +28,9 @@ func NewArena() *Arena { return &Arena{} }
 // words and whose first header slab holds sets headers, each capped at the
 // sizes an arena from NewArena starts with. A builder that knows about how
 // much it will carve sizes its arena this way, so a small lattice does not
-// pin a 32 KiB slab for a few hundred bytes of sets. Slabs after the first
-// grow as NewArena's do.
+// pin a 32 KiB slab for a few hundred bytes of sets. Each later slab
+// doubles the one before it, up to the sizes NewArena's slabs grow to, so
+// a build that outgrows its guess does not jump to a 32 KiB slab either.
 func NewArenaFor(words, sets int) *Arena {
 	a := &Arena{}
 	if words > 0 {
@@ -42,10 +43,19 @@ func NewArenaFor(words, sets int) *Arena {
 }
 
 const (
-	arenaMinWords = 1 << 12 // 32 KiB: NewArena's first slab, the least later one
+	arenaMinWords = 1 << 12 // 32 KiB: NewArena's first slab
 	arenaMaxWords = 1 << 20 // slab growth cap: 8 MiB per slab
-	arenaSetChunk = 256     // Set headers per header slab
+	arenaSetChunk = 256     // Set headers per header slab, at most
 )
+
+// nextSlab returns the size of the slab after one of size prev: first when
+// there is none yet, else double prev, capped at most.
+func nextSlab(prev, first, most int) int {
+	if prev == 0 {
+		return first
+	}
+	return min(2*prev, most)
+}
 
 // allocWords returns a zeroed n-word slice carved from the slab. The result
 // is capacity-clamped so append on one set can never scribble over its slab
@@ -55,16 +65,7 @@ func (a *Arena) allocWords(n int) []uint64 {
 		return nil
 	}
 	if len(a.words)+n > cap(a.words) {
-		size := 2 * cap(a.words)
-		if size < arenaMinWords {
-			size = arenaMinWords
-		}
-		if size > arenaMaxWords {
-			size = arenaMaxWords
-		}
-		if size < n {
-			size = n
-		}
+		size := max(nextSlab(cap(a.words), arenaMinWords, arenaMaxWords), n)
 		// The old slab stays alive through the sets already carved from it.
 		a.words = make([]uint64, 0, size)
 	}
@@ -130,7 +131,7 @@ func (a *Arena) EnsureBits(s *Set, capBits int) {
 // header carves one Set header out of the header slab.
 func (a *Arena) header() *Set {
 	if len(a.sets) == cap(a.sets) {
-		a.sets = make([]Set, 0, arenaSetChunk)
+		a.sets = make([]Set, 0, nextSlab(cap(a.sets), arenaSetChunk, arenaSetChunk))
 	}
 	a.sets = a.sets[:len(a.sets)+1]
 	return &a.sets[len(a.sets)-1]

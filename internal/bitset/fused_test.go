@@ -204,9 +204,10 @@ func TestArena(t *testing.T) {
 	}
 }
 
-// TestNewArenaFor pins the sizing of an arena's first slabs: exactly the
-// words and headers asked for, capped at NewArena's first slab, with the
-// slabs after it grown as NewArena's are.
+// TestNewArenaFor pins the sizing of an arena's slabs: the first holds
+// exactly the words and headers asked for, capped at NewArena's first
+// slab, and each later one doubles the one before it, up to the sizes
+// NewArena's slabs grow to.
 func TestNewArenaFor(t *testing.T) {
 	a := NewArenaFor(40, 4)
 	if cap(a.words) != 40 || cap(a.sets) != 4 {
@@ -220,8 +221,29 @@ func TestNewArenaFor(t *testing.T) {
 			len(a.words), cap(a.words), len(a.sets), cap(a.sets))
 	}
 	a.Set(64, 64)
-	if cap(a.words) != arenaMinWords || cap(a.sets) != arenaSetChunk {
-		t.Fatalf("second slabs hold %d words and %d headers, want %d and %d", cap(a.words), cap(a.sets), arenaMinWords, arenaSetChunk)
+	if cap(a.words) != 80 || cap(a.sets) != 8 {
+		t.Fatalf("second slabs hold %d words and %d headers, want 80 and 8", cap(a.words), cap(a.sets))
+	}
+	// Fill each slab and carve one more: the words double past NewArena's
+	// first slab, the headers up to their chunk and no further.
+	wantWords := []int{160, 320, 640, 1280, 2560, 5120}
+	wantSets := []int{16, 32, 64, 128, 256, 256}
+	for i := range wantWords {
+		a.allocWords(cap(a.words) - len(a.words))
+		a.allocWords(1)
+		a.sets = a.sets[:cap(a.sets)]
+		a.header()
+		if cap(a.words) != wantWords[i] || cap(a.sets) != wantSets[i] {
+			t.Fatalf("slab %d holds %d words and %d headers, want %d and %d", i+3, cap(a.words), cap(a.sets), wantWords[i], wantSets[i])
+		}
+	}
+	if got := nextSlab(arenaMaxWords, arenaMinWords, arenaMaxWords); got != arenaMaxWords {
+		t.Fatalf("the slab after a full-size one holds %d words, want %d", got, arenaMaxWords)
+	}
+	b := NewArena()
+	b.Set(64, 64)
+	if cap(b.words) != arenaMinWords || cap(b.sets) != arenaSetChunk {
+		t.Fatalf("NewArena's first slabs hold %d words and %d headers, want %d and %d", cap(b.words), cap(b.sets), arenaMinWords, arenaSetChunk)
 	}
 	if big := NewArenaFor(1<<30, 1<<30); cap(big.words) != arenaMinWords || cap(big.sets) != arenaSetChunk {
 		t.Fatalf("capped first slabs hold %d words and %d headers, want %d and %d", cap(big.words), cap(big.sets), arenaMinWords, arenaSetChunk)

@@ -4,7 +4,8 @@ import "repro/internal/bitset"
 
 // Clone returns an independent deep copy of the lattice, including its
 // context, backed by a fresh arena whose first slab is sized to the words
-// it copies. Sessions that mutate a cached lattice clone it first
+// it copies, and with its concept headers in one slab that the headers of
+// later adds double. Sessions that mutate a cached lattice clone it first
 // (copy-on-write), so the cache keeps serving the original to later
 // uploads of the same corpus. Clone only reads l, so it may run while
 // other goroutines query l.
@@ -28,6 +29,7 @@ func (l *Lattice) Clone() *Lattice {
 		*h = Concept{ID: c.ID, Extent: arena.Clone(c.Extent), Intent: arena.Clone(c.Intent)}
 		nl.concepts[i] = h
 	}
+	nl.hdr = headers // full: the next concept takes a fresh chunk
 	nl.parents = cloneIntTable(l.parents)
 	nl.children = cloneIntTable(l.children)
 	nl.idx = l.idx.clone()

@@ -100,17 +100,17 @@ type godinScratch struct {
 // the concept set closed under intersection of intents), and the
 // insertion scratch.
 //
-// The arena's first slab and the first concept-header chunk are sized for
-// one concept per object plus the seed, capped at the sizes later chunks
-// take, so a lattice of a few dozen concepts does not pin 32 KiB of words
-// for a kilobyte of sets.
+// The arena's first slab, the first concept-header chunk and the intent
+// index are sized for one concept per object plus the seed, the first two
+// capped at the sizes later chunks grow to, so a lattice of a few dozen
+// concepts does not pin 32 KiB of words for a kilobyte of sets.
 func newGodinLattice(ctx *Context) (*Lattice, *godinScratch) {
 	numObj, numAttr := ctx.NumObjects(), ctx.NumAttributes()
 	guess := numObj + 1
 	arena := bitset.NewArenaFor(guess*(wordsFor(numAttr)+wordsFor(numObj)), 2*guess)
 	l := &Lattice{ctx: ctx, arena: arena, inv: newInvIndex(numAttr)}
 	l.hdr = make([]Concept, 0, min(guess, hdrChunk))
-	l.idx.initFor(256)
+	l.idx.initFor(guess)
 	full := arena.Set(numAttr, numAttr).FillFull(numAttr)
 	l.newConcept(tauArena(arena, ctx, full), full)
 	g := &godinScratch{}

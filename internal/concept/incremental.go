@@ -109,9 +109,23 @@ func (l *Lattice) AddObjectCtx(cc context.Context, name string, row *bitset.Set)
 	l.addRep(o)
 
 	l.repairCoversAfterAdd(firstNew, g)
-	l.rescanTopBottom()
+	l.updateTopAfterAdd(row, &g.inter)
 	obs.Count("lattice.incr.adds", 1)
 	return nil
+}
+
+// updateTopAfterAdd moves the top to the concept of the grown context's
+// common attributes. The top's intent is σ of every object, the attributes
+// all rows share, so after an add it is intent(top) ∩ row, a closed intent
+// one index probe finds. The bottom's intent holds every attribute (the
+// Godin seed), and it stays the bottom through every add.
+func (l *Lattice) updateTopAfterAdd(row, scratch *bitset.Set) {
+	bitset.IntersectInto(scratch, l.concepts[l.top].Intent, row)
+	id := l.idx.lookup(l.concepts, scratch)
+	if id < 0 {
+		panic("concept: common attributes are not a closed intent")
+	}
+	l.top = id
 }
 
 // updateTablesAfterAdd extends the query tables for one appended object.
@@ -223,25 +237,6 @@ func (l *Lattice) coverParents(ci int, g *godinScratch) []int {
 	}
 	insertionSortInts(out)
 	return out
-}
-
-// rescanTopBottom recomputes top and bottom the way linkCovers does:
-// first-win argmax/argmin over extent sizes in ID order.
-func (l *Lattice) rescanTopBottom() {
-	l.top, l.bottom = 0, 0
-	if len(l.concepts) == 0 {
-		return
-	}
-	topSize, botSize := l.concepts[0].Extent.Len(), l.concepts[0].Extent.Len()
-	for i, c := range l.concepts {
-		sz := c.Extent.Len()
-		if sz > topSize {
-			l.top, topSize = i, sz
-		}
-		if sz < botSize {
-			l.bottom, botSize = i, sz
-		}
-	}
 }
 
 // repsEnsure lazily builds the row reps from the γ table: objects with

@@ -67,15 +67,21 @@ type Lattice struct {
 	godin *godinScratch
 }
 
-// hdrChunk is the number of concept headers per header slab.
+// hdrChunk is the most concept headers a header slab holds.
 const hdrChunk = 256
 
 // newConcept appends a concept with the next ID, indexing its intent in idx
 // and (when maintained) the inverted attribute index. Headers come from
-// chunked slabs: one allocation per hdrChunk concepts, not per concept.
+// chunked slabs: one allocation per chunk of concepts, not per concept.
+// Each chunk doubles the one before it, up to hdrChunk headers, so a small
+// lattice that outgrows its first chunk does not pin a 6 KiB one.
 func (l *Lattice) newConcept(extent, intent *bitset.Set) *Concept {
 	if len(l.hdr) == cap(l.hdr) {
-		l.hdr = make([]Concept, 0, hdrChunk)
+		size := hdrChunk
+		if c := cap(l.hdr); c > 0 {
+			size = min(2*c, hdrChunk)
+		}
+		l.hdr = make([]Concept, 0, size)
 	}
 	l.hdr = l.hdr[:len(l.hdr)+1]
 	c := &l.hdr[len(l.hdr)-1]

@@ -111,6 +111,10 @@ func (e Event) Mentions(name string) bool {
 // comment marker of the trace, automaton and label file formats, so every
 // event Parse accepts can be written to those files and read back. Parse
 // returns an error for malformed input rather than guessing.
+//
+// The event's names are substrings of s, and its Uses is allocated once, at
+// its final length: parsing an event with arguments allocates one object,
+// and an event without arguments none.
 func Parse(s string) (Event, error) {
 	var e Event
 	rest := strings.TrimSpace(s)
@@ -132,14 +136,18 @@ func Parse(s string) (Event, error) {
 	}
 	e.Op = op
 	args := strings.TrimSpace(rest[open+1 : len(rest)-1])
-	if args != "" {
-		for _, a := range strings.Split(args, ",") {
-			a = strings.TrimSpace(a)
-			if !validName(a, "() \t\n\r") {
-				return e, fmt.Errorf("event: bad argument in %q", s)
-			}
-			e.Uses = append(e.Uses, a)
+	if args == "" {
+		return e, nil
+	}
+	e.Uses = make([]string, 0, strings.Count(args, ",")+1)
+	for more := true; more; {
+		var a string
+		a, args, more = strings.Cut(args, ",")
+		a = strings.TrimSpace(a)
+		if !validName(a, "() \t\n\r") {
+			return e, fmt.Errorf("event: bad argument in %q", s)
 		}
+		e.Uses = append(e.Uses, a)
 	}
 	return e, nil
 }

@@ -135,3 +135,18 @@ func TestQuickStringParse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Parse allocates nothing but the use list: the names are substrings of
+// its argument, and Uses is made once at its final length.
+func TestParseAllocs(t *testing.T) {
+	for s, max := range map[string]float64{
+		"X = fopen()":            0,
+		"XFlush()":               0,
+		"fclose(X)":              1,
+		" Y = XCreateGC( D, W )": 1,
+	} {
+		if n := testing.AllocsPerRun(100, func() { MustParse(s) }); n > max {
+			t.Errorf("Parse(%q) took %.0f allocations, want at most %.0f", s, n, max)
+		}
+	}
+}

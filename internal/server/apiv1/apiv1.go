@@ -14,8 +14,8 @@ package apiv1
 // CreateSessionRequest starts a debugging session from a trace multiset
 // and a reference FA, both in their text serializations.
 type CreateSessionRequest struct {
-	// Traces is the internal/trace text format: one "count<TAB>events"
-	// class per line.
+	// Traces is the internal/trace text format (FORMATS.md): records
+	// "trace <id>", one event per line, then "end".
 	Traces string `json:"traces"`
 	// RefFA is the internal/fa text format of the reference automaton
 	// whose executed-transition rows form the concept context.

@@ -230,12 +230,11 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorEnvelope(code, err))
 }
 
+// writeJSON writes v as the response body in compact JSON, one line.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // maxJSONBody bounds one JSON request body.

@@ -15,12 +15,23 @@ import (
 // operations are common and most are rare, until 1000 classes exist.
 // Duplicate traces stay in, so the text is about 61 KB.
 func bulkShapedText(tb testing.TB) []byte {
+	return bulkShaped(tb, func(s *Set) bool { return s.NumClasses() < 1000 })
+}
+
+// batchText renders the first four traces bulkShapedText draws: the size
+// of one of the benchmark's bulk add batches.
+func batchText(tb testing.TB) []byte {
+	return bulkShaped(tb, func(s *Set) bool { return s.Total() < 4 })
+}
+
+// bulkShaped renders bulk-shaped traces, drawing them while more holds.
+func bulkShaped(tb testing.TB, more func(*Set) bool) []byte {
 	tb.Helper()
-	const ops, classes = 24, 1000
+	const ops = 24
 	rng := rand.New(rand.NewSource(20030609))
 	z := rand.NewZipf(rng, 1.05, 1, ops-1)
 	set := &Set{}
-	for i := 0; set.NumClasses() < classes; i++ {
+	for i := 0; more(set); i++ {
 		evs := make([]event.Event, 2+rng.Intn(5))
 		for j := range evs {
 			evs[j] = event.Call(fmt.Sprintf("op%02d", z.Uint64()), "X")
@@ -36,8 +47,12 @@ func bulkShapedText(tb testing.TB) []byte {
 
 var benchSet *Set
 
-func BenchmarkRead(b *testing.B) {
-	text := bulkShapedText(b)
+func BenchmarkRead(b *testing.B) { benchmarkRead(b, bulkShapedText(b)) }
+
+// BenchmarkReadBatch reads one add batch of four traces.
+func BenchmarkReadBatch(b *testing.B) { benchmarkRead(b, batchText(b)) }
+
+func benchmarkRead(b *testing.B, text []byte) {
 	b.SetBytes(int64(len(text)))
 	b.ReportAllocs()
 	b.ResetTimer()

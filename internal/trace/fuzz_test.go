@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -95,9 +96,10 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzReadMatchesOracle checks Read, which interns event lines, keys each
-// record in one reused buffer and cuts events from a slab, against the
-// line-by-line oracle reader: the same error, at the same line, or the
+// FuzzReadMatchesOracle checks Read, which interns event lines, renders
+// each record's key into a slab and finds its class through a table over
+// that slab, and cuts keys, IDs and events from per-read slabs, against
+// the line-by-line oracle reader: the same error, at the same line, or the
 // same classes — same order, keys, counts, IDs and events. Whatever both
 // accept must also write the oracle writer's bytes.
 func FuzzReadMatchesOracle(f *testing.F) {
@@ -120,6 +122,16 @@ func FuzzReadMatchesOracle(f *testing.F) {
 		"  f()\n",
 		"trace a\n  f()\n",
 		"trace a\n  not an event\nend\n",
+		// Duplicate-heavy: most records repeat a class, so the key slab
+		// is truncated again and most IDs go to the second ID slab.
+		strings.Repeat("trace d\n  X = open()\n  use(X)\nend\n", 20) +
+			"trace e\n  use(X)\nend\n" + strings.Repeat("trace f\n  use(X)\nend\n", 5),
+		// Records that repeat an ID, in one class and across classes.
+		"trace a\n  f()\nend\ntrace a\n  g()\nend\ntrace a\n  f()\nend\ntrace\nend\ntrace\nend\n",
+		// IDs and a key longer than the first slabs hold.
+		strings.Repeat("trace "+strings.Repeat("i", 100)+"\n  "+strings.Repeat("v", 300)+" = op(x)\nend\n", 3),
+		manyClassesText(40),
+		longRecordText(60),
 	} {
 		f.Add(seed)
 	}
@@ -151,6 +163,35 @@ func FuzzReadMatchesOracle(f *testing.F) {
 			t.Fatalf("Write emitted %q, the oracle writer %q", buf.Bytes(), wantBuf.Bytes())
 		}
 	})
+}
+
+// manyClassesText renders n classes, more than Read's class table holds
+// before it grows, and then every third of them again, so that classes
+// are found again after the table has grown.
+func manyClassesText(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "trace c%d\n  X = f%d()\n  g(X)\nend\n", i, i)
+	}
+	for i := 0; i < n; i += 3 {
+		fmt.Fprintf(&b, "trace r%d\n  X = f%d()\n  g(X)\nend\n", i, i)
+	}
+	return b.String()
+}
+
+// longRecordText renders a record of n distinct events, more than Read's
+// pending table holds before it grows, twice, and then a short record.
+func longRecordText(n int) string {
+	var b strings.Builder
+	for r := 0; r < 2; r++ {
+		fmt.Fprintf(&b, "trace long%d\n", r)
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "  e%d(x)\n", i)
+		}
+		b.WriteString("end\n")
+	}
+	b.WriteString("trace short\n  e1(x)\nend\n")
+	return b.String()
 }
 
 // requireSameClasses fails unless got and want hold the same classes in

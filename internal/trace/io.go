@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"strings"
 	"unicode"
@@ -66,28 +67,47 @@ func WriteTrace(w io.Writer, t Trace) error {
 
 // Read parses a trace file into a Set.
 //
-// Each distinct event line is parsed once: every trace it occurs in shares
-// the one event.Event, Uses slice included. Each record is keyed in one
-// reused buffer, so only a new class allocates its key. The classes are
-// laid out once the input is read: their events are cut from one slab
-// and their ID lists from another, with capacities capped so that
-// appending to one class's slice never writes into another's. Events
-// returned in the set are therefore shared and must not be modified.
+// A read allocates in proportion to what the set keeps, not to the
+// records it reads. Each distinct event line is parsed once, into two
+// objects: its text, which the event's names share, and its use list.
+// Every trace it occurs in shares that one event.Event, Uses slice
+// included. Each record's class key is rendered into one byte slab as
+// its events are read and found through a table of class numbers over
+// that slab; a repeat truncates the slab again. The record's ID goes into
+// one of two more slabs: one for the first ID of each class, and one for
+// the rest. A lattice built over the classes keeps their first IDs as
+// object names, so with two slabs a cached lattice does not pin the IDs
+// of every duplicate. Once the input is read, each slab becomes one
+// string that the keys and IDs are cut from, the classes' events are cut
+// from one slab of events, and their ID lists from one slice, each with
+// its capacity capped so that appending to one class's slice never writes
+// into another's. Events returned in the set are therefore shared and
+// must not be modified.
 func Read(r io.Reader) (*Set, error) {
 	sp := obs.StartSpan("trace.read")
 	defer sp.End()
 	sc := scanio.NewScanner(r)
+	// The tables start at sizes that hold a typical add batch. The int32
+	// tables come from one allocation and the byte slabs from another,
+	// each cut with a capped capacity, so that an append which outgrows
+	// one table reallocates it instead of writing into the next.
+	ints := make([]int32, readPending+readRecords+readSlots)
+	slab := make([]byte, readKeyBytes+2*readIDBytes)
+	const recordsAt, slotsAt = readPending, readPending + readRecords
+	const repsAt, restAt = readKeyBytes, readKeyBytes + readIDBytes
 	var (
-		table   []event.Event        // each distinct event line, parsed
-		lines   = map[string]int32{} // trimmed event line -> its index in table
-		index   = map[string]int{}   // class key -> class
-		keys    []string             // class keys, in class order
-		pending []int32              // table indices of each class's events, then of the open record's
-		ends    []int32              // end of each class's events in pending
-		records []record             // each record's class and ID, in input order
-		start   = -1                 // start of the open record in pending; -1 outside a record
-		id      string               // the open record's ID
-		key     []byte               // the open record's key, built as its events are read
+		table   = make([]event.Event, 0, readEvents)             // each distinct event line, parsed
+		lines   = map[string]int32{}                             // trimmed event line -> its index in table
+		pending = ints[:0:recordsAt]                             // table indices of each class's events, then of the open record's
+		records = ints[recordsAt:recordsAt:slotsAt]              // each record's class, in input order
+		byKey   = classTable{ints[slotsAt:], maphash.MakeSeed()} // class keys -> classes
+		ends    = make([]classEnd, 0, readRecords)               // where each class's events, key and first ID end
+		keys    = slab[:0:repsAt]                                // class keys, then the open record's
+		reps    = slab[repsAt:repsAt:restAt]                     // each class's first ID, then the open record's
+		rest    = slab[restAt:restAt]                            // the other records' IDs, each followed by a newline
+		start   = -1                                             // start of the open record in pending; -1 outside a record
+		keyFrom int                                              // start of the open record's key in keys
+		idFrom  int                                              // start of the open record's ID in reps
 		lineno  int
 		events  int64
 	)
@@ -104,23 +124,25 @@ func Read(r io.Reader) (*Set, error) {
 			if !single {
 				return nil, scanio.LineError("trace", lineno, fmt.Errorf("trace ID must be a single word"))
 			}
-			start, id, key = len(pending), string(word), key[:0]
+			start, keyFrom, idFrom = len(pending), len(keys), len(reps)
+			reps = append(reps, word...)
 			continue
 		}
 		if string(line) == "end" {
 			if start < 0 {
 				return nil, scanio.LineError("trace", lineno, fmt.Errorf("end outside trace record"))
 			}
-			c, ok := index[string(key)]
-			if ok {
-				pending = pending[:start]
+			c, slot := byKey.find(keys[keyFrom:], keys, ends)
+			if c >= 0 {
+				pending, keys = pending[:start], keys[:keyFrom]
+				rest = append(append(rest, reps[idFrom:]...), '\n')
+				reps = reps[:idFrom]
 			} else {
-				c = len(keys)
-				keys = append(keys, string(key))
-				index[keys[c]] = c
-				ends = append(ends, int32(len(pending)))
+				c = len(ends)
+				ends = append(ends, classEnd{events: len(pending), key: len(keys), id: len(reps)})
+				byKey.insert(slot, keys, ends)
 			}
-			records = append(records, record{c, id})
+			records = append(records, int32(c))
 			start = -1
 			continue
 		}
@@ -140,9 +162,9 @@ func Read(r io.Reader) (*Set, error) {
 		}
 		// The same bytes as Trace.AppendKey.
 		if len(pending) > start {
-			key = append(key, "; "...)
+			keys = append(keys, "; "...)
 		}
-		key = table[x].AppendString(key)
+		keys = table[x].AppendString(keys)
 		pending = append(pending, x)
 		events++
 	}
@@ -150,34 +172,44 @@ func Read(r io.Reader) (*Set, error) {
 		return nil, scanio.LineError("trace", lineno+1, err)
 	}
 	if start >= 0 {
-		return nil, fmt.Errorf("trace: unterminated trace record %q", id) //cablevet:ignore errwrapline whole-input error, no line to blame
+		return nil, fmt.Errorf("trace: unterminated trace record %q", string(reps[idFrom:])) //cablevet:ignore errwrapline whole-input error, no line to blame
 	}
 
-	s := &Set{classes: make([]Class, len(keys)), keys: keys, index: index, total: len(records)}
-	for _, rec := range records {
-		s.classes[rec.class].Count++
+	n := len(ends)
+	s := &Set{classes: make([]Class, n), keys: make([]string, n), index: make(map[string]int, n), total: len(records)}
+	keyText, from := string(keys), 0
+	for c, end := range ends {
+		s.keys[c] = keyText[from:end.key]
+		s.index[s.keys[c]] = c
+		from = end.key
+	}
+	for _, c := range records {
+		s.classes[c].Count++
 	}
 	evs := make([]event.Event, len(pending))
 	for i, x := range pending {
 		evs[i] = table[x]
 	}
 	ids := make([]string, len(records))
-	var idFrom, evFrom int
-	for c := range s.classes {
+	repText, restText := string(reps), string(rest)
+	var idAt, evFrom, repFrom int
+	for c, end := range ends {
 		cl := &s.classes[c]
-		cl.IDs = ids[idFrom : idFrom : idFrom+cl.Count]
-		idFrom += cl.Count
-		if end := int(ends[c]); end > evFrom {
-			cl.Rep.Events = evs[evFrom:end:end]
-			evFrom = end
+		cl.IDs = ids[idAt : idAt : idAt+cl.Count]
+		idAt += cl.Count
+		if end.events > evFrom {
+			cl.Rep.Events = evs[evFrom:end.events:end.events]
+			evFrom = end.events
 		}
+		cl.Rep.ID, repFrom = repText[repFrom:end.id], end.id
 	}
-	for _, rec := range records {
-		cl := &s.classes[rec.class]
-		if len(cl.IDs) == 0 {
-			cl.Rep.ID = rec.id
+	for _, c := range records {
+		cl := &s.classes[c]
+		id := cl.Rep.ID
+		if len(cl.IDs) > 0 {
+			id, restText, _ = strings.Cut(restText, "\n")
 		}
-		cl.IDs = append(cl.IDs, rec.id)
+		cl.IDs = append(cl.IDs, id)
 	}
 	obs.Count("trace.read.lines", int64(lineno))
 	obs.Count("trace.read.traces", int64(s.Total()))
@@ -185,13 +217,73 @@ func Read(r io.Reader) (*Set, error) {
 	return s, nil
 }
 
-// record is one trace record read by Read: its class and its ID. IDs are
-// separate strings, not cut from one: a lattice built over the classes
-// keeps their representatives' IDs as object names, and must not pin the
-// IDs of every duplicate.
-type record struct {
-	class int
-	id    string
+// Read's tables start at these sizes, which hold an add batch of four
+// traces of up to six events each.
+const (
+	readEvents   = 16  // distinct event lines
+	readPending  = 32  // events of distinct records
+	readRecords  = 8   // records, and classes
+	readSlots    = 16  // class table slots: 12 classes at most before it grows
+	readKeyBytes = 256 // class keys
+	readIDBytes  = 64  // each of the two ID slabs
+)
+
+// classEnd is where a class read by Read ends in its tables: its events in
+// the pending indices, its key in the key slab and its first ID in the
+// representatives' ID slab. Each starts where the previous class's ends.
+type classEnd struct {
+	events, key, id int
+}
+
+// classTable finds the classes of a read by their keys. It is open
+// addressing with linear probing over a power-of-two array of class
+// numbers plus one (0 = empty), shaped like concept's intent index, and it
+// stores no keys: class c's key is its stretch of the key slab, which
+// hash/maphash hashes without allocating.
+type classTable struct {
+	slots []int32
+	seed  maphash.Seed
+}
+
+// find returns the class whose key is key, or -1 and the empty slot where
+// key belongs.
+func (t *classTable) find(key, keys []byte, ends []classEnd) (class int, slot uint64) {
+	mask := uint64(len(t.slots) - 1)
+	for i := maphash.Bytes(t.seed, key) & mask; ; i = (i + 1) & mask {
+		c := int(t.slots[i]) - 1
+		if c < 0 || bytes.Equal(classKey(keys, ends, c), key) {
+			return c, i
+		}
+	}
+}
+
+// insert records the last class of ends in the empty slot find returned
+// for its key, and doubles the table once it is more than three quarters
+// full.
+func (t *classTable) insert(slot uint64, keys []byte, ends []classEnd) {
+	n := len(ends)
+	t.slots[slot] = int32(n)
+	if n*4 <= len(t.slots)*3 {
+		return
+	}
+	t.slots = make([]int32, 2*len(t.slots))
+	mask := uint64(len(t.slots) - 1)
+	for c := range ends {
+		i := maphash.Bytes(t.seed, classKey(keys, ends, c)) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(c + 1)
+	}
+}
+
+// classKey returns class c's key in the key slab.
+func classKey(keys []byte, ends []classEnd, c int) []byte {
+	from := 0
+	if c > 0 {
+		from = ends[c-1].key
+	}
+	return keys[from:ends[c].key]
 }
 
 // traceHeader reports whether a trimmed line is a record header
