@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -60,7 +61,9 @@ func runStream(args []string) {
 			die(err)
 		}
 		c := stream.New(sim, stream.Config{Window: *window})
-		_, issues, err := stream.Ingest(c, src, func(v stream.Violation) {
+		// Ingest reads at most its line buffer's free space per call;
+		// the bufio.Reader keeps that from costing a read(2) each.
+		_, issues, err := stream.Ingest(c, bufio.NewReader(src), func(v stream.Violation) {
 			fmt.Printf("%s: %s\n", name, v)
 		})
 		if !stdin {

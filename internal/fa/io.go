@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/bitset"
 	"repro/internal/event"
 	"repro/internal/scanio"
 )
@@ -25,30 +26,48 @@ import (
 // written "*()". A record has one states line, declaring at most 65,536
 // states.
 
-// Write serializes the automaton.
+// Write serializes the automaton. It renders the whole record into one
+// buffer and writes it with one Write call; given a *bufio.Writer, it
+// renders straight into the writer's free buffer space.
 func Write(w io.Writer, f *FA) error {
-	bw := bufio.NewWriter(w)
-	name := f.name
-	if strings.ContainsAny(name, "\n") {
-		return fmt.Errorf("fa: name %q contains newline", name)
+	if strings.ContainsAny(f.name, "\n") {
+		return fmt.Errorf("fa: name %q contains newline", f.name)
 	}
-	fmt.Fprintf(bw, "fa %s\n", name)
-	fmt.Fprintf(bw, "states %d\n", f.numStates)
-	fmt.Fprint(bw, "start")
-	for _, s := range f.StartStates() {
-		fmt.Fprintf(bw, " %d", int(s))
+	var buf []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		buf = bw.AvailableBuffer()
+	} else {
+		buf = make([]byte, 0, 64+len(f.name)+32*len(f.trans))
 	}
-	fmt.Fprintln(bw)
-	fmt.Fprint(bw, "accept")
-	for _, s := range f.AcceptStates() {
-		fmt.Fprintf(bw, " %d", int(s))
-	}
-	fmt.Fprintln(bw)
+	buf = append(buf, "fa "...)
+	buf = append(buf, f.name...)
+	buf = append(buf, "\nstates "...)
+	buf = strconv.AppendInt(buf, int64(f.numStates), 10)
+	buf = append(buf, "\nstart"...)
+	buf = appendStates(buf, f.start)
+	buf = append(buf, "\naccept"...)
+	buf = appendStates(buf, f.accept)
+	buf = append(buf, '\n')
 	for _, t := range f.trans {
-		fmt.Fprintf(bw, "edge %d %d %s\n", int(t.From), int(t.To), t.Label)
+		buf = append(buf, "edge "...)
+		buf = strconv.AppendInt(buf, int64(t.From), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(t.To), 10)
+		buf = append(buf, ' ')
+		buf = t.Label.AppendString(buf)
+		buf = append(buf, '\n')
 	}
-	fmt.Fprintln(bw, "end")
-	return bw.Flush()
+	_, err := w.Write(append(buf, "end\n"...))
+	return err
+}
+
+// appendStates appends " <state>" for each member of states, ascending.
+func appendStates(buf []byte, states *bitset.Set) []byte {
+	states.Range(func(s int) bool {
+		buf = strconv.AppendInt(append(buf, ' '), int64(s), 10)
+		return true
+	})
+	return buf
 }
 
 // Read parses one automaton from r.

@@ -48,10 +48,11 @@
 // paper's model of focus sessions as scratch workspaces.
 //
 // Stream records externalize an open online-verification stream's
-// checker (internal/stream.State): every ingest batch appends one, the
-// latest record per stream ID wins on replay, and closed=1 is a
-// tombstone. Because writing a snapshot truncates the WAL, the server
-// re-appends one stream record per open stream right after every
+// checker (internal/stream.State): every ingest batch appends one, and
+// closed=1 is a tombstone. Replay keeps each stream ID's most advanced
+// record, the one with the largest events count, a tombstone winning a
+// tie (see advances). Because writing a snapshot truncates the WAL, the
+// server re-appends one stream record per open stream right after every
 // snapshot, so open frontiers survive snapshot-then-crash.
 //
 // A session keeps its log open between requests (entry.wal), so an
@@ -538,13 +539,16 @@ func (s *Server) loadOne(ctx context.Context, id string) error {
 	if err := s.store.restore(id, sess, len(actions) > 0); err != nil {
 		return err
 	}
-	// Re-open the session's streams from their latest stream records
+	// Re-open the session's streams from their most advanced records
 	// (closed records are tombstones). A record that no longer matches
 	// the reference FA — e.g. a frontier state out of range — loses that
 	// stream only, not the session.
 	latest := map[string]walAction{}
 	for _, a := range actions {
-		if a.typ == walTypeStream {
+		if a.typ != walTypeStream {
+			continue
+		}
+		if b, ok := latest[a.streamID]; !ok || advances(a, b) {
 			latest[a.streamID] = a
 		}
 	}
@@ -573,6 +577,20 @@ func (s *Server) loadOne(ctx context.Context, id string) error {
 		}
 	}
 	return nil
+}
+
+// advances reports whether stream record a supersedes b, an earlier
+// record of the same stream: a has consumed more events, or as many and
+// b is not a tombstone. Log order alone cannot tell: batches feed in
+// order under the stream lock but append their records under the session
+// lock in whatever order they reach it, and a batch that resolved its
+// stream before a close feeds nothing after Finalize yet still logs an
+// open record, which can land after the tombstone.
+func advances(a, b walAction) bool {
+	if a.streamState.Events != b.streamState.Events {
+		return a.streamState.Events > b.streamState.Events
+	}
+	return a.streamClosed || !b.streamClosed
 }
 
 // replayWAL applies logged actions to a restored session, in order.

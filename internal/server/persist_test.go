@@ -19,8 +19,11 @@ import (
 
 	"repro/internal/binio"
 	"repro/internal/concept"
+	"repro/internal/event"
+	"repro/internal/fa"
 	"repro/internal/obs"
 	"repro/internal/server/apiv1"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -956,4 +959,72 @@ func TestSnapshotFieldFollowsLifecycle(t *testing.T) {
 	c.labelTrace(sid, 1, "bad")
 	_, c2 := restartServer(t, dir, obs.New())
 	expect(c2, "restart with a log", "wal")
+}
+
+// replayStreamLog creates a session over violationFixture with persistence
+// on, replaces its log with the given stream records, and restarts the
+// server over the directory. The records come from render, which gets a
+// checker over the session's reference FA.
+func replayStreamLog(t *testing.T, render func(chk *stream.Checker, feed func(...string)) [][]byte) *client {
+	t.Helper()
+	fx := violationFixture(t)
+	ref, err := fa.Read(strings.NewReader(fx.RefFA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk := stream.New(ref.Sim(), stream.Config{})
+	feed := func(evs ...string) {
+		for _, e := range evs {
+			if _, fired, err := chk.Feed(event.MustParse(e)); fired || err != nil {
+				t.Fatalf("feeding %s: fired %v, err %v", e, fired, err)
+			}
+		}
+	}
+	dir := t.TempDir()
+	_, c := newTestServer(t, Config{SnapshotDir: dir})
+	sid := c.mustCreate(fx).SessionID
+	wal := append([]byte(walMagic), walVer)
+	for _, rec := range render(chk, feed) {
+		wal = append(wal, rec...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, sid+".wal"), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, c2 := restartServer(t, dir, obs.New())
+	return c2
+}
+
+// TestStreamReplayKeepsMostAdvancedRecord: two batches on one stream feed
+// in order under the stream lock but may log their records in the other
+// order; replay restores the stream from the record with more events, not
+// the one logged last.
+func TestStreamReplayKeepsMostAdvancedRecord(t *testing.T) {
+	const id = "5ea15ea15ea15ea15ea15ea15ea15ea1"
+	c := replayStreamLog(t, func(chk *stream.Checker, feed func(...string)) [][]byte {
+		feed("X = popen()", "fread(X)")
+		early := walStreamRecord(id, "", false, chk.State())
+		feed("fwrite(X)", "fread(X)", "pclose(X)")
+		late := walStreamRecord(id, "", false, chk.State())
+		return [][]byte{late, early}
+	})
+	var info apiv1.StreamInfo
+	if code := c.do("GET", "/v1/streams/"+id, nil, &info); code != http.StatusOK || info.Events != 5 {
+		t.Fatalf("restored stream: status %d, %d events; want 200 and the later record's 5", code, info.Events)
+	}
+}
+
+// TestStreamReplayTombstoneWinsTie: a batch that resolved its stream just
+// before a close feeds nothing after Finalize yet logs an open record with
+// the tombstone's count, and that record may land after the tombstone;
+// the stream stays closed on restart.
+func TestStreamReplayTombstoneWinsTie(t *testing.T) {
+	const id = "c105edc105edc105edc105edc105edc1"
+	c := replayStreamLog(t, func(chk *stream.Checker, feed func(...string)) [][]byte {
+		feed("X = popen()", "pclose(X)")
+		open := walStreamRecord(id, "", false, chk.State())
+		return [][]byte{open, walStreamRecord(id, "", true, chk.State()), open}
+	})
+	if code := c.do("GET", "/v1/streams/"+id, nil, nil); code != http.StatusNotFound {
+		t.Fatalf("closed stream restored: status %d, want 404", code)
+	}
 }

@@ -33,8 +33,11 @@ import (
 
 // Config sizes and paces the service.
 type Config struct {
-	// RequestTimeout bounds each request, including lattice builds;
-	// 0 means no per-request deadline.
+	// RequestTimeout bounds the requests that hand their context to
+	// cancellable work: create (its lattice build), add-traces (checked
+	// before the batch applies) and focus (its sub-lattice build). Other
+	// requests check no context, so it would bound nothing there. 0 means
+	// no deadline.
 	RequestTimeout time.Duration
 	// IdleTimeout evicts sessions untouched for this long; 0 disables
 	// eviction.
@@ -128,32 +131,37 @@ func (s *Server) Janitor(ctx context.Context) {
 	}
 }
 
-// handlerFunc is an endpoint body: it gets the request-scoped context
-// (with the per-request deadline applied) and returns an error already
-// classified by the http* helpers, or nil after writing a response.
+// handlerFunc is an endpoint body: it gets the request's context, which
+// the drain cancels, and returns an error already classified by the http*
+// helpers, or nil after writing a response. A handler that hands the
+// context to cancellable work bounds it with requestDeadline first.
 type handlerFunc func(ctx context.Context, w http.ResponseWriter, r *http.Request) error
 
 // instrument wraps an endpoint with the per-endpoint counter, latency
-// span, deadline, and the uniform error envelope. The instrument names
-// are built once per route, so a request with metrics off allocates
-// nothing here.
+// span and the uniform error envelope. The instrument names are built
+// once per route, so a request with metrics off allocates nothing here.
 func (s *Server) instrument(name string, h handlerFunc) http.HandlerFunc {
 	reqName, latName, errName := "server.req."+name, "server.latency."+name, "server.err."+name
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.Counter(reqName).Inc()
 		sp := s.metrics.StartSpan(latName)
 		defer sp.End()
-		ctx := r.Context()
-		if s.cfg.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-			defer cancel()
-		}
-		if err := h(ctx, w, r); err != nil {
+		if err := h(r.Context(), w, r); err != nil {
 			s.metrics.Counter(errName).Inc()
 			s.writeError(w, err)
 		}
 	}
+}
+
+// requestDeadline bounds ctx by Config.RequestTimeout. Only the handlers
+// whose context reaches work that checks it call it (create, add-traces
+// and focus): anywhere else the deadline would cost a timer per request
+// and cut nothing short.
+func (s *Server) requestDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.cfg.RequestTimeout <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, s.cfg.RequestTimeout)
 }
 
 // httpError carries a status and a stable code through handler returns.
@@ -230,9 +238,13 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorEnvelope(code, err))
 }
 
+// jsonContentType is every JSON response's Content-Type value. Responses
+// share it, so nothing may modify it.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON writes v as the response body in compact JSON, one line.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -325,6 +337,8 @@ func parseSelector(sel *apiv1.Selector) (cable.Selector, error) {
 }
 
 func (s *Server) handleCreateSession(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+	ctx, cancel := s.requestDeadline(ctx)
+	defer cancel()
 	var req apiv1.CreateSessionRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		return err
@@ -661,6 +675,8 @@ func (s *Server) walLabelDiff(e *entry, sess *cable.Session, before []cable.Labe
 // the first mutation: a batch cut short midway would leave live classes
 // that the response denies and the WAL never records.
 func (s *Server) handleAddTraces(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+	ctx, cancel := s.requestDeadline(ctx)
+	defer cancel()
 	var req apiv1.AddTracesRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		return err
@@ -774,6 +790,8 @@ func (s *Server) handleSuggest(ctx context.Context, w http.ResponseWriter, r *ht
 }
 
 func (s *Server) handleFocus(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+	ctx, cancel := s.requestDeadline(ctx)
+	defer cancel()
 	var req apiv1.FocusRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		return err

@@ -564,6 +564,68 @@ func TestMidBuildCancellation(t *testing.T) {
 	}
 }
 
+// TestDeadlineScope pins which requests RequestTimeout bounds: under a
+// 1 ns timeout, create, add-traces and focus, which hand their context to
+// cancellable work, answer 504, while label, get-concept and a stream
+// batch, which check no context, still answer 200.
+func TestDeadlineScope(t *testing.T) {
+	srv := New(Config{})
+	h := srv.Handler()
+	serve := func(method, path string, body any) (int, []byte) {
+		t.Helper()
+		var rd io.Reader
+		if s, ok := body.(string); ok {
+			rd = strings.NewReader(s)
+		} else if body != nil {
+			b, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd = bytes.NewReader(b)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, rd))
+		return rec.Code, rec.Body.Bytes()
+	}
+	fx := violationFixture(t)
+	code, body := serve("POST", "/v1/sessions", fx)
+	var created apiv1.CreateSessionResponse
+	if code != http.StatusCreated || json.Unmarshal(body, &created) != nil {
+		t.Fatalf("create without a deadline: %d %s", code, body)
+	}
+	sid := created.SessionID
+	code, body = serve("POST", "/v1/streams", apiv1.OpenStreamRequest{SessionID: sid, Spec: stdioSpec})
+	var opened apiv1.OpenStreamResponse
+	if code != http.StatusCreated || json.Unmarshal(body, &opened) != nil {
+		t.Fatalf("open stream: %d %s", code, body)
+	}
+
+	// ServeHTTP runs on this goroutine, so the handlers see the new value.
+	srv.cfg.RequestTimeout = time.Nanosecond
+	zero := 0
+	for _, tc := range []struct {
+		name, method, path string
+		body               any
+		status             int
+	}{
+		{"label", "POST", "/v1/sessions/" + sid + "/label", apiv1.LabelRequest{Trace: &zero, Label: "bad"}, http.StatusOK},
+		{"get concept", "GET", fmt.Sprintf("/v1/sessions/%s/concepts/%d", sid, created.Top), nil, http.StatusOK},
+		{"stream batch", "POST", "/v1/streams/" + opened.StreamID + "/events", ndjson("X = popen()", "X = fopen()"), http.StatusOK},
+		{"create", "POST", "/v1/sessions", fx, http.StatusGatewayTimeout},
+		{"add traces", "POST", "/v1/sessions/" + sid + "/traces",
+			apiv1.AddTracesRequest{Traces: "trace n1\n  X = popen()\n  fwrite(X)\nend\n"}, http.StatusGatewayTimeout},
+		{"focus", "POST", "/v1/sessions/" + sid + "/focus", apiv1.FocusRequest{Concept: created.Top, RefFA: fx.RefFA}, http.StatusGatewayTimeout},
+	} {
+		code, body := serve(tc.method, tc.path, tc.body)
+		if code != tc.status {
+			t.Errorf("%s under a 1 ns timeout: status %d, want %d: %s", tc.name, code, tc.status, body)
+		}
+		if tc.status == http.StatusGatewayTimeout && !bytes.Contains(body, []byte(`"code":"deadline"`)) {
+			t.Errorf("%s: %s, want the deadline envelope", tc.name, body)
+		}
+	}
+}
+
 // TestErrorMapping pins the v1 error contract: each failure mode maps to
 // a stable (status, code) pair. Codes are API surface — changing one is a
 // breaking change, so every stable code gets a row here. The deadline

@@ -10,11 +10,12 @@
 // and labels stay live while streams run.
 //
 // Concurrency: each batch holds only the stream's own lock while it
-// feeds events (so one slow stream never blocks another, nor any session
-// endpoint), then releases it and takes the owning session's entry lock
-// to append violations and persist. Neither lock is held while acquiring
-// the other on this path; the only sanctioned nesting is entry → stream,
-// used by snapshotSession.
+// feeds events and renders the stream's WAL record (so one slow stream
+// never blocks another, nor any session endpoint), then releases it and
+// takes the owning session's entry lock to append violations and
+// persist. Neither lock is held while acquiring the other on this path;
+// the only sanctioned nesting is entry → stream, used by
+// snapshotSession.
 package server
 
 import (
@@ -85,8 +86,13 @@ func (s *Server) handleOpenStream(ctx context.Context, w http.ResponseWriter, r 
 		return notFound(err)
 	}
 	if s.persist != nil {
+		// The stream is listable once added, so a batch may already be
+		// feeding it: the record is rendered under its lock.
+		se.mu.Lock()
+		rec := walStreamRecord(se.id, se.spec, false, chk.State())
+		se.mu.Unlock()
 		res.entry.mu.Lock()
-		perr := s.persist.appendWAL(res.entry, [][]byte{walStreamRecord(se.id, se.spec, false, chk.State())})
+		perr := s.persist.appendWAL(res.entry, [][]byte{rec})
 		res.entry.mu.Unlock()
 		if perr != nil {
 			s.metrics.Counter("server.snapshot.errors").Inc()
@@ -166,15 +172,16 @@ func violationDTO(v stream.Violation) apiv1.StreamViolation {
 // appendViolations pushes a batch's violation traces into the owning
 // session (entry lock held inside), returning how many started new
 // lattice classes. Violation trace IDs carry provenance:
-// "<streamID>@<offset>". The stream's current state rides along into
-// the session's WAL so a crash resumes the stream where it left off.
-// The stream checker has already consumed the batch, so it is applied
-// whole and logged whatever ctx says: its WAL records are encoded before
-// the first mutation, and the adds run under a context that is never
-// cancelled. A session deleted while the batch was in flight takes
+// "<streamID>@<offset>". streamRec, the stream's WAL record that the
+// caller rendered under the stream lock (nil with persistence off), rides
+// along into the session's WAL so a crash resumes the stream where it
+// left off. The stream checker has already consumed the batch, so it is
+// applied whole and logged whatever ctx says: its WAL records are encoded
+// before the first mutation, and the adds run under a context that is
+// never cancelled. A session deleted while the batch was in flight takes
 // nothing: the stream is doomed (closeStreamsOf marks it), and the
 // violations count as orphans.
-func (s *Server) appendViolations(ctx context.Context, se *streamEntry, violations []stream.Violation, state stream.State, closed bool) (int, error) {
+func (s *Server) appendViolations(ctx context.Context, se *streamEntry, violations []stream.Violation, streamRec []byte) (int, error) {
 	if len(violations) == 0 && s.persist == nil {
 		return 0, nil
 	}
@@ -234,8 +241,11 @@ func (s *Server) appendViolations(ctx context.Context, se *streamEntry, violatio
 			}
 		}
 		if s.persist != nil {
-			logged = append(logged, walStreamRecord(se.id, se.spec, closed, state))
-			if err := s.persist.appendWAL(e, logged); err != nil {
+			recs := [][]byte{streamRec} // a clean batch logs its stream record alone
+			if len(logged) > 0 {
+				recs = append(logged, streamRec)
+			}
+			if err := s.persist.appendWAL(e, recs); err != nil {
 				s.metrics.Counter("server.snapshot.errors").Inc()
 			}
 		}
@@ -258,7 +268,8 @@ func (s *Server) handleStreamEvents(ctx context.Context, w http.ResponseWriter, 
 	// only marks the connection for closing and writes nothing.
 	body := http.MaxBytesReader(w, r.Body, maxStreamBatch)
 	var violations []stream.Violation
-	var state stream.State
+	var rec []byte
+	var events uint64
 	accepted, issues, fatal := 0, []stream.LineIssue(nil), error(nil)
 	func() {
 		se.mu.Lock()
@@ -272,21 +283,27 @@ func (s *Server) handleStreamEvents(ctx context.Context, w http.ResponseWriter, 
 		// this one stream only.
 		accepted, issues, fatal = stream.Ingest(se.checker, body,
 			func(v stream.Violation) { violations = append(violations, v) })
-		state = se.checker.State()
+		events = se.checker.Events()
+		if s.persist != nil {
+			rec = walStreamRecord(se.id, se.spec, false, se.checker.State())
+		}
 	}()
-	var he *httpError
-	if fatal != nil && errors.As(fatal, &he) {
-		return fatal // closed-stream rejection, nothing was fed
+	if fatal != nil {
+		// Declared here, not above: errors.As moves he to the heap.
+		var he *httpError
+		if errors.As(fatal, &he) {
+			return fatal // closed-stream rejection, nothing was fed
+		}
 	}
 	s.metrics.Counter("server.stream.events").Add(int64(accepted))
 	s.metrics.Counter("server.stream.violations").Add(int64(len(violations)))
-	newClasses, err := s.appendViolations(ctx, se, violations, state, false)
+	newClasses, err := s.appendViolations(ctx, se, violations, rec)
 	if err != nil {
 		return err
 	}
 	resp := apiv1.StreamEventsResponse{
 		Accepted:   accepted,
-		Events:     state.Events,
+		Events:     events,
 		NewClasses: newClasses,
 	}
 	for _, v := range violations {
@@ -315,24 +332,25 @@ func (s *Server) handleCloseStream(ctx context.Context, w http.ResponseWriter, r
 	if !ok {
 		return notFound(fmt.Errorf("no stream %q", id))
 	}
-	var v stream.Violation
-	var fired bool
-	var state stream.State
+	var tombstone []byte
 	se.mu.Lock()
-	v, fired = se.checker.Finalize()
-	state = se.checker.State()
+	v, fired := se.checker.Finalize()
+	events, total := se.checker.Events(), se.checker.Violations()
+	if s.persist != nil {
+		tombstone = walStreamRecord(se.id, se.spec, true, se.checker.State())
+	}
 	se.mu.Unlock()
 	var violations []stream.Violation
 	if fired {
 		s.metrics.Counter("server.stream.violations").Inc()
 		violations = append(violations, v)
 	}
-	if _, err := s.appendViolations(ctx, se, violations, state, true); err != nil {
+	if _, err := s.appendViolations(ctx, se, violations, tombstone); err != nil {
 		return err
 	}
 	resp := apiv1.CloseStreamResponse{
-		Events:         state.Events,
-		ViolationTotal: state.Violations,
+		Events:         events,
+		ViolationTotal: total,
 	}
 	if fired {
 		dto := violationDTO(v)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -718,5 +719,79 @@ func TestStreamPersistRestart(t *testing.T) {
 	}
 	if closed.Violation != nil || closed.Events != 5 || closed.ViolationTotal != 1 {
 		t.Fatalf("close after restore = %+v (violation %+v)", closed, closed.Violation)
+	}
+}
+
+// reusedResponse is a ResponseWriter that keeps its header map and body
+// buffer across requests, so that an allocation count of a request sees
+// the server's allocations only.
+type reusedResponse struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (w *reusedResponse) Header() http.Header         { return w.header }
+func (w *reusedResponse) WriteHeader(status int)      { w.status = status }
+func (w *reusedResponse) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+// rewindBody is a request body that Reset replays.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// TestStreamBatchAllocs pins what one clean 32-event batch allocates
+// through ServeHTTP with persistence and a request deadline on, with its
+// request and response writer reused: the route's path match, the body
+// limit, the WAL record, and the response value the encoder takes. The
+// count is the fewest over several batches, because under -race
+// sync.Pool drops a quarter of what it is given, so encoding/json's
+// pooled encoder states are allocated again at random.
+func TestStreamBatchAllocs(t *testing.T) {
+	const maxAllocs = 4
+	srv := New(Config{RequestTimeout: 30 * time.Second, SnapshotDir: t.TempDir()})
+	h := srv.Handler()
+	call := func(method, path string, body any, out any) {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(b)))
+		if rec.Code/100 != 2 {
+			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var created apiv1.CreateSessionResponse
+	call("POST", "/v1/sessions", violationFixture(t), &created)
+	var opened apiv1.OpenStreamResponse
+	call("POST", "/v1/streams", apiv1.OpenStreamRequest{SessionID: created.SessionID, Spec: stdioSpec}, &opened)
+
+	events := []string{"X = popen()"}
+	for len(events) < 31 {
+		events = append(events, "fread(X)")
+	}
+	src := []byte(ndjson(append(events, "pclose(X)")...))
+	body := &rewindBody{}
+	req := httptest.NewRequest("POST", "/v1/streams/"+opened.StreamID+"/events", body)
+	w := &reusedResponse{header: http.Header{}}
+	batch := func() {
+		body.Reset(src)
+		w.body.Reset()
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK || !bytes.Contains(w.body.Bytes(), []byte(`"accepted":32`)) {
+			t.Fatalf("batch: status %d: %s", w.status, w.body.Bytes())
+		}
+	}
+	fewest := math.Inf(1)
+	for round := 0; round < 10; round++ {
+		fewest = min(fewest, testing.AllocsPerRun(1, batch))
+	}
+	if fewest > maxAllocs {
+		t.Fatalf("a clean 32-event batch allocates %v objects, want at most %d", fewest, maxAllocs)
 	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -85,6 +86,27 @@ func BenchmarkIngest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := New(sim, Config{})
 		if n, issues, err := Ingest(c, strings.NewReader(src), nil); n != 100 || len(issues) != 0 || err != nil {
+			b.Fatalf("ingest: n=%d issues=%v err=%v", n, issues, err)
+		}
+	}
+}
+
+// BenchmarkIngestWarm measures one 32-event batch into a checker that has
+// ingested before, as a cabled stream's batches are: the per-batch cost
+// without the checker's set-up.
+func BenchmarkIngestWarm(b *testing.B) {
+	c := New(protocolFA(b).Sim(), Config{})
+	if _, _, err := c.Feed(event.MustParse("X = open()")); err != nil {
+		b.Fatal(err)
+	}
+	src := []byte(strings.Repeat(`{"event": "use(X)"}`+"\n", 32))
+	r := bytes.NewReader(nil)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(src)
+		if n, issues, err := Ingest(c, r, nil); n != 32 || len(issues) != 0 || err != nil {
 			b.Fatalf("ingest: n=%d issues=%v err=%v", n, issues, err)
 		}
 	}

@@ -113,6 +113,12 @@ type LineIssue struct {
 	Err  error
 }
 
+// lineBufBytes sizes the line buffer a checker keeps for Ingest: room
+// for a batch's event lines, which run to tens of bytes, not for a file.
+// A longer line still reads: the scanner grows a larger buffer for that
+// call, up to scanio.MaxLineBytes.
+const lineBufBytes = 512
+
 // Ingest pumps NDJSON lines from r into the checker with
 // partial-progress semantics: malformed lines are reported as issues and
 // skipped, well-formed lines are fed, and violations are delivered to
@@ -123,10 +129,20 @@ type LineIssue struct {
 // counts and issues up to that point are still meaningful. A line the
 // source failed in the middle of is not fed: the error is reported at
 // that line instead.
+//
+// Lines are scanned through a buffer the checker keeps, so a batch of
+// canonical lines allocates nothing once the checker is warm; no event,
+// issue or error refers into that buffer. Each read from r asks for at
+// most the buffer's free space (512 bytes), so a caller reading a file
+// wraps it in a bufio.Reader.
 func Ingest(c *Checker, r io.Reader, onViolation func(Violation)) (accepted int, issues []LineIssue, err error) {
 	const subsystem = "stream"
 	sim := c.cur.Sim()
+	if c.line == nil {
+		c.line = make([]byte, lineBufBytes)
+	}
 	sc := scanio.NewScanner(r)
+	sc.Buffer(c.line, scanio.MaxLineBytes)
 	sc.Split(scanTerminatedLines)
 	line := 0
 	for sc.Scan() {

@@ -26,6 +26,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/event"
 	"repro/internal/fa"
@@ -99,12 +100,18 @@ func (v Violation) String() string {
 }
 
 // Checker is one stream's online verifier. It is not goroutine-safe:
-// each stream owns its checker and serializes Feed/Finalize itself; the
-// compiled fa.Sim underneath is shared and immutable, so any number of
-// checkers can wrap one plan.
+// each stream owns its checker and serializes every call on it itself,
+// State's included (State rotates the ring); the compiled fa.Sim
+// underneath is shared and immutable, so any number of checkers can wrap
+// one plan.
 type Checker struct {
 	cur    *fa.Cursor
 	window int
+
+	// line is Ingest's scanner buffer, kept so that a batch does not
+	// allocate one; frontier is State's buffer for the frontier's IDs.
+	line     []byte
+	frontier []int
 
 	// ring is the violation window: a circular buffer of the most recent
 	// events since the last reset. start indexes the oldest retained
@@ -249,8 +256,19 @@ type State struct {
 	Ring []event.Event
 }
 
-// State externalizes the checker. The returned slices are copies.
+// State externalizes the checker. Its Frontier and Ring alias the
+// checker's own buffers, so they stay valid only until the checker's next
+// Feed, Finalize or State: a caller renders or copies them before then.
+// To hand out the ring without a copy, State rotates it in place so that
+// the window starts at its first slot.
 func (c *Checker) State() State {
+	if c.start > 0 {
+		slices.Reverse(c.ring[:c.start])
+		slices.Reverse(c.ring[c.start:])
+		slices.Reverse(c.ring)
+		c.start = 0
+	}
+	c.frontier = c.cur.States(c.frontier[:0])
 	return State{
 		Window:      c.window,
 		Events:      c.events,
@@ -258,8 +276,8 @@ func (c *Checker) State() State {
 		Truncations: c.truncations,
 		Violations:  c.violations,
 		Truncated:   c.truncated,
-		Frontier:    c.cur.States(nil),
-		Ring:        c.snapshotWindow(),
+		Frontier:    c.frontier,
+		Ring:        c.ring[:c.n],
 	}
 }
 

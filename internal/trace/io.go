@@ -139,7 +139,7 @@ func Read(r io.Reader) (*Set, error) {
 				reps = reps[:idFrom]
 			} else {
 				c = len(ends)
-				ends = append(ends, classEnd{events: len(pending), key: len(keys), id: len(reps)})
+				ends = append(grow(ends, 1), classEnd{events: len(pending), key: len(keys), id: len(reps)})
 				byKey.insert(slot, keys, ends)
 			}
 			records = append(records, int32(c))
@@ -160,12 +160,15 @@ func Read(r io.Reader) (*Set, error) {
 			table = append(table, e)
 			lines[text] = x
 		}
-		// The same bytes as Trace.AppendKey.
+		// The same bytes as Trace.AppendKey. The event renders in at most
+		// twice its line plus two bytes: Parse drops only whitespace, and
+		// the rendering adds a space around "=" and after each ",".
+		keys = grow(keys, 2*len(line)+4)
 		if len(pending) > start {
 			keys = append(keys, "; "...)
 		}
 		keys = table[x].AppendString(keys)
-		pending = append(pending, x)
+		pending = append(grow(pending, 1), x)
 		events++
 	}
 	if err := sc.Err(); err != nil {
@@ -218,7 +221,8 @@ func Read(r io.Reader) (*Set, error) {
 }
 
 // Read's tables start at these sizes, which hold an add batch of four
-// traces of up to six events each.
+// traces of up to six events each. The key slab, the pending indices and
+// the class ends double when full (grow).
 const (
 	readEvents   = 16  // distinct event lines
 	readPending  = 32  // events of distinct records
@@ -227,6 +231,17 @@ const (
 	readKeyBytes = 256 // class keys
 	readIDBytes  = 64  // each of the two ID slabs
 )
+
+// grow returns s with room for n more elements. A full table moves to
+// twice its capacity, where append grows a slice of 256 or more elements
+// by about 1.25× at a time and so would copy a large read's keys several
+// times over.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(make([]T, 0, max(2*cap(s), len(s)+n)), s...)
+}
 
 // classEnd is where a class read by Read ends in its tables: its events in
 // the pending indices, its key in the key slab and its first ID in the
