@@ -121,7 +121,7 @@ cabled-smoke:
 # rejects a stored trace is skipped, and the lattice boot builds is the
 # live one byte for byte.
 snapshot-smoke:
-	$(GO) test -run 'TestSnapshotKillRestart|TestSessionPersistRoundTrip|TestWALTornTail|TestCreateSnapshotRacesLabel|TestWALNotWrittenAfterDelete|TestWALHandleReused|TestWALDescriptorsReturnToBaseline|TestSnapshotFieldFollowsLifecycle|TestVersion1SnapshotRestores|TestVersion1SnapshotIgnoresStoredLattice|TestSnapshotRefRejectingTraceSkipped|TestRestoredLatticeMatchesLive' -count=1 \
+	$(GO) test -run 'TestSnapshotKillRestart|TestSessionPersistRoundTrip|TestWALTornTail|TestCreateSnapshotRacesLabel|TestWALNotWrittenAfterDelete|TestWALHandleReused|TestWALDescriptorsReturnToBaseline|TestSnapshotFieldFollowsLifecycle|TestVersion1SnapshotRestores|TestVersion1SnapshotIgnoresStoredLattice|TestSnapshotRefRejectingTraceSkipped|TestRestoredLatticeMatchesLive|TestSnapshotTempFilesRemoved' -count=1 \
 	    ./cmd/cabled ./internal/server
 
 # Streaming acceptance: the real cabled binary carries 100 open streams

@@ -37,6 +37,10 @@ func runStream(args []string) {
 		stop()
 		os.Exit(2)
 	}
+	if *window < 0 {
+		fmt.Fprintf(os.Stderr, "cable stream: -window %d: want 0 (the default, %d) or a positive size\n", *window, stream.DefaultWindow)
+		os.Exit(2)
+	}
 	ff, err := os.Open(*faPath)
 	die(err)
 	spec, err := fa.Read(ff)

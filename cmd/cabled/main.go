@@ -1,11 +1,11 @@
 // Command cabled serves Cable debugging sessions over HTTP/JSON, so many
 // users (or scripted pipelines) can label trace sets concurrently against
-// one process that amortizes lattice construction through its cache.
+// one process. Each session builds and owns its concept lattice.
 //
 // Usage:
 //
 //	cabled [-addr :8372] [-request-timeout 30s] [-idle-timeout 30m]
-//	       [-cache-size 64] [-snapshot-dir DIR] [-metrics]
+//	       [-snapshot-dir DIR] [-metrics]
 //
 // The API is versioned under /v1; see API.md at the repository root for
 // the endpoint reference and a curl walkthrough. On SIGINT/SIGTERM the
@@ -44,7 +44,6 @@ func main() {
 		requestTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-request deadline (0 disables); also bounds lattice builds")
 		idleTimeout     = flag.Duration("idle-timeout", 30*time.Minute, "evict sessions untouched for this long (0 disables)")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "grace period for draining on SIGTERM")
-		cacheSize       = flag.Int("cache-size", 64, "lattice LRU capacity (0 disables the cache)")
 		snapshotDir     = flag.String("snapshot-dir", "", "persist sessions here and restore them on boot (empty disables)")
 		metrics         = flag.Bool("metrics", false, "collect metrics; snapshot on exit and live at /v1/metrics")
 		cpuprofile      = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -59,7 +58,6 @@ func main() {
 	if err := run(*addr, server.Config{
 		RequestTimeout: *requestTimeout,
 		IdleTimeout:    *idleTimeout,
-		CacheSize:      *cacheSize,
 		SnapshotDir:    *snapshotDir,
 	}, *shutdownTimeout); err != nil {
 		stop()

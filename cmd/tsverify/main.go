@@ -53,6 +53,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// A bound that enumerates nothing would report a clean result.
+	if *maxLen < 0 {
+		usageError("-maxlen %d: want 0 or more events", *maxLen)
+	}
+	if *limit < 1 {
+		usageError("-limit %d: want at least 1", *limit)
+	}
 	var spec *fa.FA
 	var err error
 	stop, err = obs.SetupCLI(obs.CLIConfig{Metrics: *metrics, CPUProfile: *cpuprofile, MemProfile: *memprofile})
@@ -206,6 +213,13 @@ func readFA(path string) (*fa.FA, error) {
 // stop flushes profiles and the metrics snapshot; die must run it before
 // os.Exit, which skips deferred calls.
 var stop = func() {}
+
+// usageError reports a flag value that cannot be honoured and exits with
+// status 2, as flag does for malformed flags.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "tsverify: "+format+"\n", args...)
+	os.Exit(2)
+}
 
 func die(err error) {
 	if err != nil {

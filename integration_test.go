@@ -382,11 +382,26 @@ func maskBuildTimes(out string) string {
 func TestToolUsageErrors(t *testing.T) {
 	// A valid scenario file, so strauss's flag cases fail only because of
 	// the flag under test.
-	good := filepath.Join(t.TempDir(), "good.txt")
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.txt")
 	if err := os.WriteFile(good, []byte(
 		"trace a\nX = fopen()\nfread(X)\nfclose(X)\nend\n"+
 			"trace b\nX = fopen()\nfwrite(X)\nfclose(X)\nend\n"), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	// A spec, a program model and a program source that leak the file,
+	// and an empty event stream: tsverify and cable stream fail only
+	// because of the flag under test.
+	spec, model, src, events := filepath.Join(dir, "spec.fa"), filepath.Join(dir, "model.fa"), filepath.Join(dir, "leaky.prog"), filepath.Join(dir, "events.ndjson")
+	for path, text := range map[string]string{
+		spec:   "fa spec\nstates 2\nstart 0\naccept 0\nedge 0 1 X = fopen()\nedge 1 1 fread(X)\nedge 1 0 fclose(X)\nend\n",
+		model:  "fa model\nstates 2\nstart 0\naccept 1\nedge 0 1 X = fopen()\nend\n",
+		src:    "prog leaky {\n  X := fopen();\n  fread(X);\n}\n",
+		events: "",
+	} {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, c := range []struct {
 		name string
@@ -412,6 +427,11 @@ func TestToolUsageErrors(t *testing.T) {
 		{"strauss", []string{"-relearn", good, "-s", "1.5"}, "-s"},
 		{"strauss", []string{"-relearn", good, "-s", "NaN"}, "-s"},
 		{"strauss", []string{"-relearn", good, "-core", "-2"}, "-core"},
+		{"tsverify", []string{"-fa", spec, "-program", model, "-limit", "0"}, "-limit"},
+		{"tsverify", []string{"-fa", spec, "-program", model, "-maxlen", "-1"}, "-maxlen"},
+		{"tsverify", []string{"-fa", spec, "-progsrc", src, "-limit", "0"}, "-limit"},
+		{"tsverify", []string{"-fa", spec, "-progsrc", src, "-maxlen", "-1"}, "-maxlen"},
+		{"cable", []string{"stream", "-fa", spec, "-window", "-1", events}, "-window"},
 	} {
 		out, code := runTool(t, "", c.name, c.args...)
 		if code == 0 {

@@ -50,15 +50,15 @@ func WithObs(m *obs.Metrics) Option {
 	return func(c *config) { c.metrics = m }
 }
 
-// WithLattice supplies a pre-built lattice instead of building one, so a
-// cache of lattices keyed by workload can skip the expensive construction.
-// The lattice must have been built from exactly this trace set's class
+// WithLattice supplies a pre-built lattice instead of building one. The
+// lattice must have been built from exactly this trace set's class
 // representatives (same classes, same order) and the same reference FA;
 // NewSession verifies the object count and rejects a mismatched lattice.
-// A lattice shared this way must be treated as copy-on-write: before the
-// first mutating call (Session.AddTraceCtx), the owner detaches its private
-// copy with Session.DetachLattice, so the cache keeps serving the pristine
-// lattice to later sessions of the same corpus.
+// The session adopts the lattice, and Session.AddTraceCtx mutates it in
+// place: a caller that still uses the lattice elsewhere calls
+// Session.DetachLattice before the first add. cabled does not use it,
+// since each of its sessions builds its own lattice; perfbench's traced
+// replay does.
 func WithLattice(l *concept.Lattice) Option {
 	return func(c *config) { c.lattice = l }
 }

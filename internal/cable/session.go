@@ -299,10 +299,10 @@ func (s *Session) LabelTraces(id int, sel Selector, label Label) (int, error) {
 // incrementally (concept.AddTraceCtx), and the new class starts Unlabeled.
 // It returns the trace's class index and whether the class is new.
 //
-// The session's lattice is mutated in place, so a session built over a
-// shared lattice (WithLattice) must call DetachLattice first. On error —
-// the reference FA rejects the trace, or cc is done — the session is
-// unchanged.
+// The session's lattice is mutated in place, so a session given a
+// lattice that its caller still uses (WithLattice) must call
+// DetachLattice first. On error — the reference FA rejects the trace, or
+// cc is done — the session is unchanged.
 func (s *Session) AddTraceCtx(cc context.Context, t trace.Trace) (class int, isNew bool, err error) {
 	class, isNew, err = s.set.AddChecked(t, func() error {
 		return s.lattice.AddTraceCtx(cc, t, s.ref)
@@ -321,10 +321,10 @@ func (s *Session) AddTraceCtx(cc context.Context, t trace.Trace) (class int, isN
 }
 
 // DetachLattice replaces the session's lattice with a private deep copy.
-// Call it before the first AddTraceCtx on a session whose lattice is shared
-// (supplied via WithLattice from a cache); afterwards mutations touch only
-// this session. Detaching an already-private lattice is harmless but wastes
-// a copy, so callers track sharing themselves.
+// Call it before the first AddTraceCtx on a session whose lattice came
+// from WithLattice and is still used elsewhere; afterwards mutations touch
+// only this session. Detaching an already-private lattice is harmless but
+// wastes a copy.
 func (s *Session) DetachLattice() {
 	s.lattice = s.lattice.Clone()
 }

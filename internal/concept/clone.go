@@ -5,10 +5,9 @@ import "repro/internal/bitset"
 // Clone returns an independent deep copy of the lattice, including its
 // context, backed by a fresh arena whose first slab is sized to the words
 // it copies, and with its concept headers in one slab that the headers of
-// later adds double. Sessions that mutate a cached lattice clone it first
-// (copy-on-write), so the cache keeps serving the original to later
-// uploads of the same corpus. Clone only reads l, so it may run while
-// other goroutines query l.
+// later adds double. cable.Session.DetachLattice clones a lattice that
+// its caller still uses before the session's first add mutates it. Clone
+// only reads l, so it may run while other goroutines query l.
 func (l *Lattice) Clone() *Lattice {
 	words := 0
 	for _, c := range l.concepts {

@@ -14,7 +14,8 @@ import (
 // context format: anything ReadContext accepts must write and reparse to
 // the same context — dimensions, names, and the full relation — and the
 // serialization must be a fixpoint. Seeds cover the optional name line,
-// the optional blank separator, lower-case cells, and empty dimensions.
+// the optional blank separator, lower-case cells, empty dimensions, and
+// a name line ending in carriage returns.
 func FuzzConceptIO(f *testing.F) {
 	for _, seed := range []string{
 		"B\nnamed\n2\n2\n\no1\no2\na1\na2\nX.\n.X\n",
@@ -22,6 +23,7 @@ func FuzzConceptIO(f *testing.F) {
 		"B\nk\n2\n1\no1\no2\na\nx\n.\n", // lower-case cell
 		"B\nempty\n0\n0\n\n",
 		"B\nwide\n1\n3\no\np\nq\nr\nX.X\n",
+		"B\n0\n1\n0\r\r\n00000", // attribute name line ending in two carriage returns
 	} {
 		f.Add(seed)
 	}

@@ -61,13 +61,15 @@ func WriteContext(w io.Writer, c *Context, name string) error {
 }
 
 // ReadContext parses a Burmeister-format context, returning the context
-// and its name line (empty when absent).
+// and its name line (empty when absent). Every trailing carriage return
+// is trimmed from each line, so CRLF files read as LF files do and no
+// name ends in '\r': WriteContext then gives back what ReadContext read.
 func ReadContext(r io.Reader) (*Context, string, error) {
 	sc := scanio.NewScanner(r)
 	// Collect lines, skipping blank lines only where the format allows.
 	var lines []string
 	for sc.Scan() {
-		lines = append(lines, sc.Text())
+		lines = append(lines, strings.TrimRight(sc.Text(), "\r"))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, "", scanio.LineError("concept", len(lines)+1, err)

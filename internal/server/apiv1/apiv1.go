@@ -36,16 +36,15 @@ type CreateSessionResponse struct {
 	NumConcepts int `json:"num_concepts"`
 	// Top is the concept ID of the lattice's top element.
 	Top int `json:"top"`
-	// CacheHit reports whether the lattice came from the server's cache
-	// instead of a fresh build (same traces and reference FA as an
-	// earlier session).
+	// CacheHit is always false: every session builds its own lattice.
+	// The field stays so that v1 clients decode the response unchanged.
 	CacheHit bool `json:"cache_hit"`
 }
 
 // SessionInfo summarizes one live session for list/describe calls. The
 // shape is stable so a router tier can discover and place sessions
-// without scraping: identity, creation time, class/label counts, cache
-// provenance, and durability state.
+// without scraping: identity, creation time, class/label counts, and
+// durability state.
 type SessionInfo struct {
 	SessionID   string `json:"session_id"`
 	NumTraces   int    `json:"num_traces"`
@@ -61,8 +60,8 @@ type SessionInfo struct {
 	Parent string `json:"parent,omitempty"`
 	// Created is the session's creation time, RFC 3339 UTC.
 	Created string `json:"created,omitempty"`
-	// CacheHit reports whether the session's lattice came from the
-	// server's cache rather than a fresh build.
+	// CacheHit is always false, so it is never on the wire; it stays for
+	// v1 clients that declare it.
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Snapshot is the session's durability state: "none" (nothing on
 	// disk), "snapshot" (snapshot current), or "wal" (snapshot plus

@@ -112,6 +112,7 @@ func newPersister(dir string, m *obs.Metrics) (*persister, error) {
 
 func (p *persister) snapPath(id string) string { return filepath.Join(p.dir, id+".snap") }
 func (p *persister) walPath(id string) string  { return filepath.Join(p.dir, id+".wal") }
+func (p *persister) tmpPath(id string) string  { return p.snapPath(id) + ".tmp" }
 
 // --- snapshot files ---
 
@@ -163,11 +164,12 @@ func (p *persister) writeSnap(e *entry) error {
 	}
 	sd := snapData{id: id, traces: traces.String(), ref: ref.String(), labels: sess.Labels()}
 
-	tmp := p.snapPath(id) + ".tmp"
-	if err := os.WriteFile(tmp, sd.encode(), 0o644); err != nil {
-		return fmt.Errorf("server: snapshot %s: %w", id, err)
+	tmp := p.tmpPath(id)
+	err := os.WriteFile(tmp, sd.encode(), 0o644)
+	if err == nil {
+		err = os.Rename(tmp, p.snapPath(id))
 	}
-	if err := os.Rename(tmp, p.snapPath(id)); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("server: snapshot %s: %w", id, err)
 	}
@@ -420,16 +422,18 @@ func parseWAL(data []byte) ([]walAction, int) {
 	return out, valid
 }
 
-// removeFiles closes a session's log and deletes its snapshot and WAL;
-// called after the session leaves the store (delete or idle eviction).
-// store.unlink has already marked the session gone under its lock, so a
-// request that resolved the session earlier cannot re-create either file.
+// removeFiles closes a session's log and deletes its snapshot, WAL and
+// any snapshot temp file; called after the session leaves the store
+// (delete or idle eviction). store.unlink has already marked the session
+// gone under its lock, so a request that resolved the session earlier
+// cannot re-create a file.
 func (p *persister) removeFiles(e *entry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	_ = closeWAL(e) // the log is deleted next
 	_ = os.Remove(p.snapPath(e.id))
 	_ = os.Remove(p.walPath(e.id))
+	_ = os.Remove(p.tmpPath(e.id))
 }
 
 // durability reports a session's durability form for introspection:
@@ -449,13 +453,14 @@ func durability(e *entry) string {
 
 // LoadSnapshots restores every persisted session from the snapshot
 // directory: parse the .snap, build the cable session from its traces and
-// reference FA as session creation does (without the lattice cache),
-// reapply the snapshotted labels, then replay the WAL. It returns how many
-// sessions came back. A snapshot that is corrupt, or whose reference FA
-// rejects one of its traces, is skipped (counted in
-// server.snapshot.load_errors, its files left in place) so one bad file
-// cannot hold the whole service down; a torn WAL tail replays its valid
-// prefix.
+// reference FA as session creation does, reapply the snapshotted labels,
+// then replay the WAL. It returns how many sessions came back. A snapshot
+// that is corrupt, or whose reference FA rejects one of its traces, is
+// skipped (counted in server.snapshot.load_errors, its files left in
+// place) so one bad file cannot hold the whole service down; a torn WAL
+// tail replays its valid prefix. A .snap.tmp file is a snapshot write
+// whose rename never happened, so the .snap and .wal beside it still hold
+// everything acknowledged: it is deleted.
 func (s *Server) LoadSnapshots(ctx context.Context) (int, error) {
 	if s.persist == nil {
 		return 0, nil
@@ -467,6 +472,9 @@ func (s *Server) LoadSnapshots(ctx context.Context) (int, error) {
 	loaded := 0
 	for _, de := range des {
 		name := de.Name()
+		if !de.IsDir() && strings.HasSuffix(name, ".snap.tmp") {
+			_ = os.Remove(filepath.Join(s.persist.dir, name))
+		}
 		if de.IsDir() || !strings.HasSuffix(name, ".snap") {
 			continue
 		}

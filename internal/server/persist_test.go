@@ -32,7 +32,7 @@ import (
 // carried over in memory — exactly the SIGKILL scenario.
 func restartServer(t *testing.T, dir string, m *obs.Metrics) (*Server, *client) {
 	t.Helper()
-	srv, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir, Metrics: m})
+	srv, c := newTestServer(t, Config{SnapshotDir: dir, Metrics: m})
 	if _, err := srv.LoadSnapshots(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func restartServer(t *testing.T, dir string, m *obs.Metrics) (*Server, *client) 
 func TestSessionPersistRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := obs.New()
-	_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir, Metrics: m})
+	_, c := newTestServer(t, Config{SnapshotDir: dir, Metrics: m})
 	created := c.mustCreate(violationFixture(t))
 	sid := created.SessionID
 
@@ -99,7 +99,7 @@ func TestSessionPersistRoundTrip(t *testing.T) {
 
 func TestSnapshotFilesFollowSessionLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	srv, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir, IdleTimeout: time.Minute})
+	srv, c := newTestServer(t, Config{SnapshotDir: dir, IdleTimeout: time.Minute})
 	a := c.mustCreate(violationFixture(t))
 	b := c.mustCreate(fixtureFrom(t, trace.NewSet(trace.ParseEvents("w0", "a()"))))
 
@@ -129,9 +129,45 @@ func TestSnapshotFilesFollowSessionLifecycle(t *testing.T) {
 	}
 }
 
+// A <id>.snap.tmp is a snapshot write whose rename never happened: boot
+// deletes it and restores the session from its .snap and .wal, and a
+// DELETE leaves no file named for the session behind.
+func TestSnapshotTempFilesRemoved(t *testing.T) {
+	dir := t.TempDir()
+	_, c := newTestServer(t, Config{SnapshotDir: dir})
+	sid := c.mustCreate(violationFixture(t)).SessionID
+	c.labelTrace(sid, 0, "bad")
+	tmp := filepath.Join(dir, sid+".snap.tmp")
+	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, c2 := restartServer(t, dir, obs.New())
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("boot left the stray temp file: %v", err)
+	}
+	if got := c2.sessionClasses(sid); got[0].Label != "bad" {
+		t.Errorf("restored class 0 has label %q, want bad", got[0].Label)
+	}
+
+	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := c2.do("DELETE", "/v1/sessions/"+sid, nil, nil); code != http.StatusNoContent {
+		t.Fatalf("delete: %d", code)
+	}
+	left, err := filepath.Glob(filepath.Join(dir, sid+"*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Errorf("files left for a deleted session: %v", left)
+	}
+}
+
 func TestWALTornTailRestoresPrefix(t *testing.T) {
 	dir := t.TempDir()
-	_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	_, c := newTestServer(t, Config{SnapshotDir: dir})
 	created := c.mustCreate(violationFixture(t))
 	sid := created.SessionID
 	zero, one := 0, 1
@@ -168,7 +204,7 @@ func TestWALTornTailRestoresPrefix(t *testing.T) {
 
 func TestCorruptSnapshotSkippedOnBoot(t *testing.T) {
 	dir := t.TempDir()
-	_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	_, c := newTestServer(t, Config{SnapshotDir: dir})
 	good := c.mustCreate(violationFixture(t))
 	bad := c.mustCreate(fixtureFrom(t, trace.NewSet(trace.ParseEvents("w0", "a()"))))
 
@@ -200,7 +236,7 @@ func TestCorruptSnapshotSkippedOnBoot(t *testing.T) {
 // a session whose entry lock is held (an in-flight request) must never be
 // evicted out from under the request, even when its idle stamp is stale.
 func TestEvictionSkipsBusySession(t *testing.T) {
-	srv, c := newTestServer(t, Config{CacheSize: 4, IdleTimeout: time.Minute})
+	srv, c := newTestServer(t, Config{IdleTimeout: time.Minute})
 	created := c.mustCreate(violationFixture(t))
 	e := srv.store.list()[0]
 
@@ -239,7 +275,7 @@ func TestEvictionSkipsBusySession(t *testing.T) {
 // response must be a clean 200 or 404 — never a hang, panic, or torn
 // state.
 func TestEvictionConcurrentWithRequests(t *testing.T) {
-	srv, c := newTestServer(t, Config{CacheSize: 4, IdleTimeout: time.Millisecond})
+	srv, c := newTestServer(t, Config{IdleTimeout: time.Millisecond})
 	created := c.mustCreate(violationFixture(t))
 
 	var mu sync.Mutex
@@ -346,7 +382,7 @@ func requireBatchAtomic(t *testing.T, c *client, sid string, code, before, want 
 // count, and a restart restores exactly the live classes and labels.
 func TestAddTracesCancelledMidBatchIsAtomic(t *testing.T) {
 	dir := t.TempDir()
-	srv, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	srv, c := newTestServer(t, Config{SnapshotDir: dir})
 	sid := c.mustCreate(violationFixture(t)).SessionID
 	before := len(c.sessionClasses(sid))
 
@@ -376,7 +412,7 @@ func TestAddTracesCancelledMidBatchIsAtomic(t *testing.T) {
 // must still apply and log the whole batch.
 func TestStreamEventsCancelledMidBatchIsAtomic(t *testing.T) {
 	dir := t.TempDir()
-	srv, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	srv, c := newTestServer(t, Config{SnapshotDir: dir})
 	sid := c.mustCreate(violationFixture(t)).SessionID
 	before := len(c.sessionClasses(sid))
 	st := c.openStream(sid, stdioSpec, 8)
@@ -421,7 +457,7 @@ func anyRefFixture(t *testing.T) apiv1.CreateSessionRequest {
 func streamRestart(t *testing.T, events ...string) (apiv1.StreamEventsResponse, []apiv1.TraceClass, *client, string, *obs.Metrics) {
 	t.Helper()
 	dir := t.TempDir()
-	_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	_, c := newTestServer(t, Config{SnapshotDir: dir})
 	sid := c.mustCreate(anyRefFixture(t)).SessionID
 	st := c.openStream(sid, stdioSpec, 8)
 	var resp apiv1.StreamEventsResponse
@@ -566,7 +602,7 @@ func TestVersion1SnapshotIgnoresStoredLattice(t *testing.T) {
 // count it once, and leave its files in place.
 func TestSnapshotRefRejectingTraceSkipped(t *testing.T) {
 	dir := t.TempDir()
-	_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	_, c := newTestServer(t, Config{SnapshotDir: dir})
 	sid := c.mustCreate(violationFixture(t)).SessionID
 	c.labelTrace(sid, 0, "bad")
 
@@ -613,7 +649,7 @@ func TestSnapshotRefRejectingTraceSkipped(t *testing.T) {
 // adds included.
 func TestRestoredLatticeMatchesLive(t *testing.T) {
 	dir := t.TempDir()
-	srv, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	srv, c := newTestServer(t, Config{SnapshotDir: dir})
 	sid := c.mustCreate(violationFixture(t)).SessionID
 	c.addTraces(sid, trace.NewSet(
 		trace.ParseEvents("a0", "X = fopen()", "fwrite(X)", "pclose(X)"),
@@ -662,7 +698,7 @@ func TestWALTornTailKeepsLaterRecords(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+			_, c := newTestServer(t, Config{SnapshotDir: dir})
 			sid := c.mustCreate(violationFixture(t)).SessionID
 			c.labelTrace(sid, 0, "good")
 			c.labelTrace(sid, 1, "bad")
@@ -695,7 +731,7 @@ func TestWALTornTailKeepsLaterRecords(t *testing.T) {
 func TestCreateSnapshotRacesLabel(t *testing.T) {
 	const n = 300
 	dir := t.TempDir()
-	_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	_, c := newTestServer(t, Config{SnapshotDir: dir})
 	fixture := violationFixture(t)
 	created := make(chan struct{})
 	var labeled []string
@@ -755,7 +791,7 @@ func TestCreateSnapshotRacesLabel(t *testing.T) {
 // must not re-create the session's files.
 func TestWALNotWrittenAfterDelete(t *testing.T) {
 	dir := t.TempDir()
-	srv, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	srv, c := newTestServer(t, Config{SnapshotDir: dir})
 	sid := c.mustCreate(violationFixture(t)).SessionID
 	c.labelTrace(sid, 0, "good") // the log is open now
 	res, ok := srv.store.resolve(sid)
@@ -814,7 +850,7 @@ func writeCalls() (int64, bool) {
 // the top concept logs one record per class, so the parent's
 // write-per-record loop would make six.
 func TestWALHandleReused(t *testing.T) {
-	srv := New(Config{CacheSize: 4, SnapshotDir: t.TempDir(), Metrics: obs.New()})
+	srv := New(Config{SnapshotDir: t.TempDir(), Metrics: obs.New()})
 	c := &client{t: t, base: "http://cabled", http: &http.Client{Transport: inProcess{srv.Handler()}}}
 	created := c.mustCreate(violationFixture(t))
 	sid := created.SessionID
@@ -885,7 +921,7 @@ func TestWALDescriptorsReturnToBaseline(t *testing.T) {
 		return len(des), inDir
 	}
 	base, _ := countFDs()
-	srv := New(Config{CacheSize: 4, SnapshotDir: dir, IdleTimeout: time.Minute, Metrics: obs.New()})
+	srv := New(Config{SnapshotDir: dir, IdleTimeout: time.Minute, Metrics: obs.New()})
 	c := &client{t: t, base: "http://cabled", http: &http.Client{Transport: inProcess{srv.Handler()}}}
 	const n = 200
 	extra := trace.NewSet(trace.ParseEvents("n0", "X = popen()", "fwrite(X)"))
@@ -931,7 +967,7 @@ func TestWALDescriptorsReturnToBaseline(t *testing.T) {
 // after a restart that replays a log.
 func TestSnapshotFieldFollowsLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	_, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	_, c := newTestServer(t, Config{SnapshotDir: dir})
 	created := c.mustCreate(violationFixture(t))
 	sid := created.SessionID
 	expect := func(c *client, step, want string) {

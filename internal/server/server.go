@@ -1,12 +1,12 @@
 // Package server hosts concurrent Cable debugging sessions behind a
 // stdlib-only HTTP/JSON service. Each session wraps a cable.Session keyed
 // by an opaque ID; per-session mutexes serialize labeling on one session
-// while distinct sessions proceed in parallel. Built lattices are cached
-// in an LRU keyed by the (trace set, reference FA) fingerprint, so
-// re-uploading known inputs skips concept.Build. Request deadlines are
-// enforced with context.Context and propagate into the lattice build, so
-// a cancelled upload or a server shutdown abandons its build between
-// work items instead of running it to completion.
+// while distinct sessions proceed in parallel. Every session builds and
+// owns its concept lattice, so an incremental add touches that session
+// alone. Request deadlines are enforced with context.Context and
+// propagate into the lattice build, so a cancelled upload or a server
+// shutdown abandons its build between work items instead of running it
+// to completion.
 //
 // The wire types live in the versioned internal/server/apiv1 package;
 // this package contains only transport and lifecycle.
@@ -42,7 +42,9 @@ type Config struct {
 	// IdleTimeout evicts sessions untouched for this long; 0 disables
 	// eviction.
 	IdleTimeout time.Duration
-	// CacheSize is the lattice LRU capacity; 0 disables the cache.
+	// CacheSize is ignored: every session builds and owns its lattice.
+	//
+	// Deprecated: leave it unset.
 	CacheSize int
 	// SnapshotDir, when non-empty, enables crash-safe session
 	// persistence: a snapshot per session plus a write-ahead log of
@@ -59,7 +61,6 @@ type Server struct {
 	cfg     Config
 	metrics *obs.Metrics
 	store   *store
-	cache   *latticeCache
 	persist *persister // nil when persistence is disabled
 	mux     *http.ServeMux
 }
@@ -76,7 +77,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		metrics: m,
 		store:   newStore(m),
-		cache:   newLatticeCache(cfg.CacheSize, m),
 	}
 	if p, err := newPersister(cfg.SnapshotDir, m); err == nil && p != nil {
 		s.persist = p
@@ -357,38 +357,19 @@ func (s *Server) handleCreateSession(ctx context.Context, w http.ResponseWriter,
 	if err != nil {
 		return badRequest(fmt.Errorf("ref_fa: %w", err))
 	}
-	key := cacheKey(set, ref)
-	opts := []cable.Option{
-		cable.WithContext(ctx),
-		cable.WithObs(s.metrics),
-	}
-	hit := false
-	if l := s.cache.Get(key); l != nil {
-		opts = append(opts, cable.WithLattice(l))
-		hit = true
-	}
-	sess, err := cable.NewSession(set, ref, opts...)
+	sess, err := cable.NewSession(set, ref, cable.WithContext(ctx), cable.WithObs(s.metrics))
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		return badRequest(err)
 	}
-	// After Put, the cache and the session reference one lattice; either
-	// way an enabled cache means this session must copy-on-write before
-	// its first incremental mutation (see handleAddTraces).
-	shared := hit
-	if !hit && s.cache.Enabled() {
-		s.cache.Put(key, sess.Lattice())
-		shared = true
-	}
 	resp := apiv1.CreateSessionResponse{
 		NumTraces:   sess.NumTraces(),
 		NumConcepts: sess.Lattice().Len(),
 		Top:         sess.Lattice().Top(),
-		CacheHit:    hit,
 	}
-	e, err := s.store.add(sess, shared, hit)
+	e, err := s.store.add(sess)
 	if err != nil {
 		return err
 	}
@@ -425,7 +406,6 @@ func (s *Server) sessionInfo(e *entry, sess *cable.Session, focus bool, id strin
 		Done:        sess.Done(),
 		Focus:       focus,
 		Created:     e.created.UTC().Format(time.RFC3339),
-		CacheHit:    e.cacheHit,
 	}
 	if focus {
 		info.Parent = e.id
@@ -714,12 +694,6 @@ func (s *Server) handleAddTraces(ctx context.Context, w http.ResponseWriter, r *
 		}
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err
-		}
-		if e.latticeShared {
-			// Copy-on-write: the cache may still serve this lattice to a
-			// re-upload of the original corpus, so mutate a private copy.
-			sess.DetachLattice()
-			e.latticeShared = false
 		}
 		added, newClasses := 0, 0
 		var addErr error

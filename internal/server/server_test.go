@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -64,13 +65,6 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *client) {
 	return srv, &client{t: t, base: ts.URL, http: ts.Client()}
 }
 
-// cachedLattices reports how many lattices srv's cache holds.
-func cachedLattices(srv *Server) int {
-	srv.cache.mu.Lock()
-	defer srv.cache.mu.Unlock()
-	return srv.cache.order.Len()
-}
-
 // do issues a request and decodes the response into out (unless nil),
 // returning the status code.
 func (c *client) do(method, path string, body, out any) int {
@@ -121,13 +115,13 @@ func (c *client) mustCreate(req apiv1.CreateSessionRequest) apiv1.CreateSessionR
 func TestHappyPath(t *testing.T) {
 	// The full Section 2.1 walkthrough over the wire: create, explore the
 	// lattice, label, focus, merge back, export.
-	_, c := newTestServer(t, Config{CacheSize: 4})
+	_, c := newTestServer(t, Config{})
 	created := c.mustCreate(violationFixture(t))
 	if created.NumTraces != 6 {
 		t.Fatalf("NumTraces = %d, want 6 (v0/v6 collapse)", created.NumTraces)
 	}
 	if created.CacheHit {
-		t.Error("first build reported a cache hit")
+		t.Error("create reported cache_hit")
 	}
 
 	var concepts apiv1.ConceptList
@@ -241,7 +235,7 @@ func TestConcurrentLabeling(t *testing.T) {
 	// Many goroutines hammer one session (plus a second session alongside)
 	// with labels; run under -race this is the data-race acceptance check,
 	// and the final export must account for every class exactly once.
-	_, c := newTestServer(t, Config{CacheSize: 4})
+	_, c := newTestServer(t, Config{})
 	created := c.mustCreate(violationFixture(t))
 	other := c.mustCreate(fixtureFrom(t, trace.NewSet(
 		trace.ParseEvents("w0", "a()", "b()"),
@@ -307,7 +301,7 @@ func (c *client) addTraces(sid string, set *trace.Set) apiv1.AddTracesResponse {
 }
 
 func TestAddTraces(t *testing.T) {
-	_, c := newTestServer(t, Config{CacheSize: 4})
+	_, c := newTestServer(t, Config{})
 	created := c.mustCreate(violationFixture(t))
 	sid := created.SessionID
 
@@ -399,124 +393,55 @@ func TestAddTraces(t *testing.T) {
 	}
 }
 
-// TestCacheNotPoisonedByIncrementalAdd is the staleness regression test:
-// growing one session incrementally must not mutate the lattice the cache
-// serves, so a re-upload of the original corpus still gets the original
-// lattice (and still hits the cache).
-func TestCacheNotPoisonedByIncrementalAdd(t *testing.T) {
-	m := obs.New()
-	srv, c := newTestServer(t, Config{CacheSize: 4, Metrics: m})
+// TestSessionsOwnTheirLattices checks that two sessions over one corpus
+// are independent: labeling and growing the first leaves the second's
+// labels, classes and concepts as they were, and a later upload of the
+// corpus gets the original lattice.
+func TestSessionsOwnTheirLattices(t *testing.T) {
+	_, c := newTestServer(t, Config{})
 	fx := violationFixture(t)
 	first := c.mustCreate(fx)
+	second := c.mustCreate(fx)
+	if second.NumTraces != first.NumTraces || second.NumConcepts != first.NumConcepts || second.Top != first.Top {
+		t.Fatalf("two uploads of one corpus differ: %+v vs %+v", first, second)
+	}
+	concepts := func(sid string) apiv1.ConceptList {
+		t.Helper()
+		var l apiv1.ConceptList
+		if code := c.do("GET", "/v1/sessions/"+sid+"/concepts", nil, &l); code != 200 {
+			t.Fatalf("list concepts of %s: status %d", sid, code)
+		}
+		return l
+	}
+	classes, lattice := c.sessionClasses(second.SessionID), concepts(second.SessionID)
 
-	// Mutate the first session: its lattice was just stored in the cache,
-	// so this must detach a private copy before touching anything.
+	top := first.Top
+	var labeled apiv1.LabelResponse
+	if code := c.do("POST", "/v1/sessions/"+first.SessionID+"/label", apiv1.LabelRequest{
+		Concept: &top, Selector: &apiv1.Selector{Mode: "all"}, Label: "bad",
+	}, &labeled); code != 200 || labeled.Labeled != first.NumTraces {
+		t.Fatalf("label first: status %d, %+v", code, labeled)
+	}
 	grown := c.addTraces(first.SessionID, trace.NewSet(
 		trace.ParseEvents("v8", "X = fopen()", "fwrite(X)", "pclose(X)")))
 	if grown.NumTraces != first.NumTraces+1 {
 		t.Fatalf("add: %+v", grown)
 	}
 
-	// Re-upload of the pristine corpus: must hit the cache AND see the
-	// unmutated lattice.
-	second := c.mustCreate(fx)
-	if !second.CacheHit {
-		t.Error("re-upload after incremental add missed the cache")
+	if got := c.sessionClasses(second.SessionID); !slices.Equal(got, classes) {
+		t.Errorf("session 1's label and add changed session 2's classes:\n got %+v\nwant %+v", got, classes)
 	}
-	if second.NumTraces != first.NumTraces || second.NumConcepts != first.NumConcepts {
-		t.Fatalf("cache served a mutated lattice: %+v, want the original %+v", second, first)
+	if got := concepts(second.SessionID); !reflect.DeepEqual(got, lattice) {
+		t.Errorf("session 1's label and add changed session 2's concepts:\n got %+v\nwant %+v", got, lattice)
 	}
-	if hits := m.Counter("server.cache.hits").Value(); hits != 1 {
-		t.Errorf("server.cache.hits = %d, want 1", hits)
+	third := c.mustCreate(fx)
+	if third.NumTraces != first.NumTraces || third.NumConcepts != first.NumConcepts || third.Top != first.Top {
+		t.Errorf("upload after the add got %+v, want the original %+v", third, first)
 	}
-	if ev := m.Counter("server.cache.evictions").Value(); ev != 0 {
-		t.Errorf("server.cache.evictions = %d, want 0 (mutation must not evict)", ev)
-	}
-	if cachedLattices(srv) != 1 {
-		t.Errorf("cache holds %d lattices, want 1", cachedLattices(srv))
-	}
-
-	// And the mutated session keeps its own private growth.
-	var info apiv1.SessionInfo
-	if code := c.do("GET", "/v1/sessions/"+first.SessionID, nil, &info); code != 200 {
-		t.Fatal("info")
-	}
-	if info.NumTraces != first.NumTraces+1 {
-		t.Errorf("mutated session lost its added class: %d", info.NumTraces)
-	}
-}
-
-func TestLatticeCacheHit(t *testing.T) {
-	m := obs.New()
-	srv, c := newTestServer(t, Config{CacheSize: 4, Metrics: m})
-	fx := violationFixture(t)
-	first := c.mustCreate(fx)
-	second := c.mustCreate(fx)
-	if first.CacheHit {
-		t.Error("first create hit the cache")
-	}
-	if !second.CacheHit {
-		t.Error("identical re-upload missed the cache")
-	}
-	if first.NumConcepts != second.NumConcepts || first.Top != second.Top {
-		t.Errorf("cached lattice differs: %+v vs %+v", first, second)
-	}
-	if cachedLattices(srv) != 1 {
-		t.Errorf("cache holds %d lattices, want 1", cachedLattices(srv))
-	}
-	if hits := m.Counter("server.cache.hits").Value(); hits != 1 {
-		t.Errorf("server.cache.hits = %d, want 1", hits)
-	}
-	// The two sessions share a lattice but label independently.
-	top := first.Top
-	var resp apiv1.LabelResponse
-	if code := c.do("POST", "/v1/sessions/"+first.SessionID+"/label", apiv1.LabelRequest{
-		Concept: &top, Selector: &apiv1.Selector{Mode: "all"}, Label: "bad",
-	}, &resp); code != 200 {
-		t.Fatalf("label first: %d", code)
-	}
-	var info apiv1.SessionInfo
-	if code := c.do("GET", "/v1/sessions/"+second.SessionID, nil, &info); code != 200 {
-		t.Fatalf("info second: %d", code)
-	}
-	if info.Labeled != 0 {
-		t.Errorf("labeling session 1 leaked %d labels into session 2", info.Labeled)
-	}
-
-	// A different reference FA over the same traces is a different key.
-	var refB strings.Builder
-	b := fa.NewBuilder("other")
-	st := b.State()
-	b.Start(st)
-	b.Accept(st)
-	b.WildcardEdge(st, st)
-	if err := fa.Write(&refB, b.MustBuild()); err != nil {
-		t.Fatal(err)
-	}
-	third := c.mustCreate(apiv1.CreateSessionRequest{Traces: fx.Traces, RefFA: refB.String()})
-	if third.CacheHit {
-		t.Error("different reference FA hit the cache")
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	m := obs.New()
-	srv, c := newTestServer(t, Config{CacheSize: 1, Metrics: m})
-	fxA := violationFixture(t)
-	fxB := fixtureFrom(t, trace.NewSet(
-		trace.ParseEvents("w0", "a()", "b()"),
-		trace.ParseEvents("w1", "b()"),
-	))
-	c.mustCreate(fxA)
-	c.mustCreate(fxB) // evicts A
-	if cachedLattices(srv) != 1 {
-		t.Fatalf("cache size %d, want 1", cachedLattices(srv))
-	}
-	if ev := m.Counter("server.cache.evictions").Value(); ev != 1 {
-		t.Errorf("evictions = %d, want 1", ev)
-	}
-	if again := c.mustCreate(fxA); again.CacheHit {
-		t.Error("evicted lattice reported a cache hit")
+	for _, r := range []apiv1.CreateSessionResponse{first, second, third} {
+		if r.CacheHit {
+			t.Errorf("create %s reported cache_hit", r.SessionID)
+		}
 	}
 }
 
@@ -547,7 +472,7 @@ func TestMidBuildCancellation(t *testing.T) {
 	// half-registered session behind.
 	fx := fixtureFrom(t, combinatorialSet(26))
 
-	srv, c := newTestServer(t, Config{RequestTimeout: time.Millisecond, CacheSize: 4})
+	srv, c := newTestServer(t, Config{RequestTimeout: time.Millisecond})
 	var apiErr apiv1.Error
 	code := c.do("POST", "/v1/sessions", fx, &apiErr)
 	if code != http.StatusGatewayTimeout {
@@ -558,9 +483,6 @@ func TestMidBuildCancellation(t *testing.T) {
 	}
 	if n := len(srv.store.list()); n != 0 {
 		t.Errorf("%d sessions registered after cancelled build", n)
-	}
-	if cachedLattices(srv) != 0 {
-		t.Errorf("cancelled build populated the cache")
 	}
 }
 
@@ -632,7 +554,7 @@ func TestDeadlineScope(t *testing.T) {
 // (504) mapping is exercised by TestMidBuildCancellation, which needs a
 // slow build to trigger it.
 func TestErrorMapping(t *testing.T) {
-	_, c := newTestServer(t, Config{CacheSize: 4})
+	_, c := newTestServer(t, Config{})
 	created := c.mustCreate(violationFixture(t))
 	sid := created.SessionID
 	bad := 9999
@@ -711,7 +633,7 @@ func TestCreateSessionWorkersBound(t *testing.T) {
 func TestSuggestRoundTrip(t *testing.T) {
 	// Label a mixed concept good/bad, ask for a template, and feed the
 	// suggested FA straight back into a focus request.
-	_, c := newTestServer(t, Config{CacheSize: 4})
+	_, c := newTestServer(t, Config{})
 	created := c.mustCreate(fixtureFrom(t, trace.NewSet(
 		trace.ParseEvents("t0", "open()", "read()", "close()"),
 		trace.ParseEvents("t1", "open()", "close()", "read()"),
@@ -740,7 +662,7 @@ func TestSuggestRoundTrip(t *testing.T) {
 }
 
 func TestIdleEviction(t *testing.T) {
-	srv, c := newTestServer(t, Config{CacheSize: 4, IdleTimeout: time.Minute})
+	srv, c := newTestServer(t, Config{IdleTimeout: time.Minute})
 	created := c.mustCreate(violationFixture(t))
 	kept := c.mustCreate(fixtureFrom(t, trace.NewSet(trace.ParseEvents("w0", "a()"))))
 
@@ -768,7 +690,7 @@ func TestIdleEviction(t *testing.T) {
 // would keep that session's lattice alive forever, since idle eviction
 // walks only live entries.
 func TestFocusNotRegisteredAfterDelete(t *testing.T) {
-	srv, c := newTestServer(t, Config{CacheSize: 4})
+	srv, c := newTestServer(t, Config{})
 	created := c.mustCreate(violationFixture(t))
 	sid := created.SessionID
 	res, ok := srv.store.resolve(sid)
@@ -803,7 +725,7 @@ func TestFocusNotRegisteredAfterDelete(t *testing.T) {
 // TestSessionListPagesInOrder pages through a few hundred sessions: every
 // session comes back exactly once, in ascending ID order across pages.
 func TestSessionListPagesInOrder(t *testing.T) {
-	_, c := newTestServer(t, Config{CacheSize: 4})
+	_, c := newTestServer(t, Config{})
 	const n = 300
 	want := make([]string, n)
 	for i := range want {
@@ -832,7 +754,7 @@ func TestSessionListPagesInOrder(t *testing.T) {
 // Label and add-traces requests that resolved a session before a delete
 // or an eviction took its lock answer 404 and leave the session alone.
 func TestRequestFindsUnlinkedSessionGone(t *testing.T) {
-	srv, c := newTestServer(t, Config{CacheSize: 4})
+	srv, c := newTestServer(t, Config{})
 	top := 0
 	adds := fixtureFrom(t, trace.NewSet(trace.ParseEvents("n0", "X = popen()", "fwrite(X)")))
 	for _, tc := range []struct {
@@ -905,9 +827,8 @@ func TestInstrumentZeroAllocWithoutMetrics(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	m := obs.New()
-	_, c := newTestServer(t, Config{CacheSize: 4, Metrics: m})
+	_, c := newTestServer(t, Config{Metrics: m})
 	c.mustCreate(violationFixture(t))
-	c.mustCreate(violationFixture(t)) // cache hit
 
 	resp, err := c.http.Get(c.base + "/v1/metrics")
 	if err != nil {
@@ -921,11 +842,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"server.req.create_session", "server.latency.create_session",
-		"server.cache.hits", "server.sessions.live",
+		"server.sessions.live",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics snapshot missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "server.cache.") {
+		t.Errorf("metrics snapshot has a lattice cache instrument:\n%s", text)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestStreamSoak(t *testing.T) {
 		workers  = 32
 	)
 	m := obs.New()
-	_, c := newTestServer(t, Config{CacheSize: 4, Metrics: m})
+	_, c := newTestServer(t, Config{Metrics: m})
 	created := c.mustCreate(violationFixture(t))
 	sid := created.SessionID
 
@@ -179,7 +179,7 @@ func TestStreamSoak(t *testing.T) {
 // per batch.
 func BenchmarkStreamPump(b *testing.B) {
 	const nStreams = 1000
-	_, c := newTestServer(b, Config{CacheSize: 4})
+	_, c := newTestServer(b, Config{})
 	created := c.mustCreate(violationFixture(b))
 
 	good := soakModel()

@@ -28,16 +28,8 @@ type entry struct {
 	session *cable.Session
 	// focuses maps focus-session IDs to their live Focus handles.
 	focuses map[string]*cable.Focus
-	// latticeShared marks a session whose lattice is also held by the
-	// server's cache (either served from it or just stored into it). A
-	// mutating request must DetachLattice first and clear this flag, so
-	// the cache keeps serving the pristine lattice to later uploads of
-	// the same corpus. Guarded by mu.
-	latticeShared bool
-	// created and cacheHit are immutable after insert: the session's
-	// creation time and whether its lattice came from the server cache.
-	created  time.Time
-	cacheHit bool
+	// created is the session's creation time, immutable after insert.
+	created time.Time
 
 	// lastUsed is guarded by the store's mutex (not the entry's): the
 	// janitor must read it without taking every session lock, and touch
@@ -122,21 +114,16 @@ func newID() (string, error) {
 }
 
 // add registers a session under a new ID and returns its entry.
-// latticeShared records whether the session's lattice is also referenced
-// by the lattice cache (see entry.latticeShared); cacheHit whether the
-// lattice was served from that cache.
-func (st *store) add(s *cable.Session, latticeShared, cacheHit bool) (*entry, error) {
+func (st *store) add(s *cable.Session) (*entry, error) {
 	id, err := newID()
 	if err != nil {
 		return nil, err
 	}
 	e := &entry{
-		id:            id,
-		session:       s,
-		latticeShared: latticeShared,
-		cacheHit:      cacheHit,
-		created:       st.now(),
-		focuses:       make(map[string]*cable.Focus),
+		id:      id,
+		session: s,
+		created: st.now(),
+		focuses: make(map[string]*cable.Focus),
 	}
 	st.insert(e)
 	st.metrics.Counter("server.sessions.created").Inc()

@@ -215,12 +215,6 @@ func (s *Server) appendViolations(ctx context.Context, se *streamEntry, violatio
 				walRecs = append(walRecs, rec)
 			}
 		}
-		if len(violations) > 0 && e.latticeShared {
-			// Copy-on-write, as in handleAddTraces: the cache may still
-			// serve this lattice to re-uploads of the original corpus.
-			sess.DetachLattice()
-			e.latticeShared = false
-		}
 		logged := walRecs[:0] // the records of the traces the session took
 		for i, t := range traces {
 			_, isNew, err := sess.AddTraceCtx(context.WithoutCancel(ctx), t)

@@ -110,7 +110,7 @@ func TestStreamOpenWarnings(t *testing.T) {
 
 func TestStreamLifecycle(t *testing.T) {
 	m := obs.New()
-	_, c := newTestServer(t, Config{CacheSize: 4, Metrics: m})
+	_, c := newTestServer(t, Config{Metrics: m})
 	created := c.mustCreate(violationFixture(t))
 	sid := created.SessionID
 
@@ -249,7 +249,7 @@ func TestStreamLifecycle(t *testing.T) {
 // they surface to the client and bump the append_rejected counter.
 func TestStreamDefaultSpec(t *testing.T) {
 	m := obs.New()
-	_, c := newTestServer(t, Config{CacheSize: 4, Metrics: m})
+	_, c := newTestServer(t, Config{Metrics: m})
 	created := c.mustCreate(violationFixture(t))
 	opened := c.openStream(created.SessionID, "", 0)
 
@@ -331,7 +331,7 @@ func TestStreamBatchOverLimit(t *testing.T) {
 }
 
 func TestStreamValidation(t *testing.T) {
-	_, c := newTestServer(t, Config{CacheSize: 4})
+	_, c := newTestServer(t, Config{})
 	created := c.mustCreate(violationFixture(t))
 
 	var apiErr apiv1.Error
@@ -361,7 +361,7 @@ func TestStreamValidation(t *testing.T) {
 }
 
 func TestStreamListPagination(t *testing.T) {
-	_, c := newTestServer(t, Config{CacheSize: 4})
+	_, c := newTestServer(t, Config{})
 	a := c.mustCreate(violationFixture(t))
 	b := c.mustCreate(fixtureFrom(t, trace.NewSet(trace.ParseEvents("w0", "a()"))))
 	for i := 0; i < 3; i++ {
@@ -430,7 +430,7 @@ func TestStreamListPagination(t *testing.T) {
 }
 
 func TestStreamsDieWithSession(t *testing.T) {
-	srv, c := newTestServer(t, Config{CacheSize: 4, IdleTimeout: time.Minute})
+	srv, c := newTestServer(t, Config{IdleTimeout: time.Minute})
 	a := c.mustCreate(violationFixture(t))
 	b := c.mustCreate(fixtureFrom(t, trace.NewSet(trace.ParseEvents("w0", "a()"))))
 	onA := c.openStream(a.SessionID, stdioSpec, 0)
@@ -467,7 +467,7 @@ func TestStreamsDieWithSession(t *testing.T) {
 // orphans with no new class.
 func TestStreamBatchFindsUnlinkedSessionGone(t *testing.T) {
 	m := obs.New()
-	srv, c := newTestServer(t, Config{CacheSize: 4, Metrics: m})
+	srv, c := newTestServer(t, Config{Metrics: m})
 	created := c.mustCreate(violationFixture(t))
 	opened := c.openStream(created.SessionID, stdioSpec, 8)
 	res, _ := srv.store.resolve(created.SessionID)
@@ -528,7 +528,7 @@ func TestStreamBatchFindsUnlinkedSessionGone(t *testing.T) {
 // over the same final trace corpus.
 func TestConcurrentStreamsLatticeMatchesBatch(t *testing.T) {
 	const nStreams = 48
-	srv, c := newTestServer(t, Config{CacheSize: 4})
+	srv, c := newTestServer(t, Config{})
 	created := c.mustCreate(violationFixture(t))
 	sid := created.SessionID
 
@@ -655,7 +655,7 @@ func TestConcurrentStreamsLatticeMatchesBatch(t *testing.T) {
 // and spec binding intact — while closed streams stay closed (tombstone).
 func TestStreamPersistRestart(t *testing.T) {
 	dir := t.TempDir()
-	srv, c := newTestServer(t, Config{CacheSize: 4, SnapshotDir: dir})
+	srv, c := newTestServer(t, Config{SnapshotDir: dir})
 	created := c.mustCreate(violationFixture(t))
 	sid := created.SessionID
 
