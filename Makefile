@@ -50,7 +50,7 @@ race:
 	$(GO) test -race ./...
 
 # A one-iteration pass over the lattice-engine (Table 2 included),
-# compiled-simulator, language-engine, stream, trace-I/O,
+# compiled-simulator, language-engine, stream, session-create, trace-I/O,
 # labeling-strategy, learner and enumeration benchmarks, and the workload
 # generator and Strauss front end (XtFree's scenario set and runs, and one
 # 8,000-scenario Stdio run): catches benchmark-code rot without paying for
@@ -60,7 +60,7 @@ bench-smoke:
 	    -benchtime 1x ./internal/concept ./internal/bitset
 	$(GO) test -run '^$$' -bench 'BenchmarkExecuted|BenchmarkAccepts|BenchmarkTraceContext|BenchmarkLang' \
 	    -benchtime 1x ./internal/fa ./internal/concept
-	$(GO) test -run '^$$' -bench 'BenchmarkFeed|BenchmarkManyStreams|BenchmarkIngest|BenchmarkStreamPump' \
+	$(GO) test -run '^$$' -bench 'BenchmarkFeed|BenchmarkManyStreams|BenchmarkIngest|BenchmarkStreamPump|BenchmarkCreateSession' \
 	    -benchtime 1x ./internal/stream ./internal/server
 	$(GO) test -run '^$$' -bench 'BenchmarkRead|BenchmarkWrite' -benchtime 1x ./internal/trace
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2_Lattice|BenchmarkLatticeOps|BenchmarkTable3' -benchtime 1x .
@@ -86,7 +86,8 @@ obs-smoke:
 # up to 16 objects × 80 attributes, and cabled's session snapshot and
 # write-ahead log readers (no panic; what they accept re-encodes to the
 # input, or the log's accepted prefix, and a version 1 snapshot's fields
-# to a version 2 file that parses back to them).
+# to a version 2 file that parses back to them), and cabled's one-pass
+# create and add-traces body decoder against encoding/json.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatchesOracle$$' -fuzztime 10s ./internal/trace
@@ -101,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStrategiesMatchOracle$$' -fuzztime 5s ./internal/strategy
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionSnapshot$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzWAL$$' -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMatchesOracle$$' -fuzztime 5s ./internal/server
 
 # Build the real cabled binary, exercise the API over TCP, and assert a
 # clean SIGTERM shutdown while a lattice build is in flight. The server

@@ -252,8 +252,12 @@ func (s *Session) Select(id int, sel Selector) ([]int, error) {
 
 // selectObjs is Select over a validated concept ID.
 func (s *Session) selectObjs(id int, sel Selector) []int {
+	ext := s.lattice.Concept(id).Extent
 	var out []int
-	s.lattice.Concept(id).Extent.Range(func(o int) bool {
+	if n := ext.Len(); n > 0 {
+		out = make([]int, 0, n)
+	}
+	ext.Range(func(o int) bool {
 		if sel.matches(s.labels[o]) {
 			out = append(out, o)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitset"
@@ -287,24 +288,13 @@ func BenchmarkIncremental(b *testing.B) {
 	fresh := benchFreshTraces(b)
 	build := func() *Lattice { return Build(fc.clone()) }
 	b.Run("AddTrace/Pruned", func(b *testing.B) {
-		l := build()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Reset the lattice (untimed) every 256 adds: without this,
-			// large b.N measures adds against an ever-growing corpus
-			// instead of the marginal add at baseline size.
-			if i > 0 && i%256 == 0 {
-				b.StopTimer()
-				l = build()
-				b.StartTimer()
-			}
-			tr := fresh[i%len(fresh)]
-			tr.ID = fmt.Sprintf("bench-add-%d", i)
-			if err := l.AddTraceCtx(context.Background(), tr, ref); err != nil {
-				b.Fatal(err)
-			}
+		// A cycle is 256 adds; their IDs are made here, not timed.
+		adds := make([]trace.Trace, 256)
+		for i := range adds {
+			adds[i] = fresh[i%len(fresh)]
+			adds[i].ID = fmt.Sprintf("bench-add-%d", i)
 		}
+		benchAddCycles(b, build, adds, ref)
 	})
 	b.Run("AddTrace/Novel", func(b *testing.B) {
 		bulkRef, bulkCorpus, novel := bulkShapedCorpus(1000, 256)
@@ -312,22 +302,8 @@ func BenchmarkIncremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		build := func() *Lattice { return Build(cx.clone()) }
-		l := build()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Reset the lattice (untimed) once every novel row is in, so
-			// each add brings a row the lattice has not seen.
-			if i > 0 && i%len(novel) == 0 {
-				b.StopTimer()
-				l = build()
-				b.StartTimer()
-			}
-			if err := l.AddTraceCtx(context.Background(), novel[i%len(novel)], bulkRef); err != nil {
-				b.Fatal(err)
-			}
-		}
+		// A cycle adds every novel row once, each new to the lattice.
+		benchAddCycles(b, func() *Lattice { return Build(cx.clone()) }, novel, bulkRef)
 	})
 	b.Run("Rebuild", func(b *testing.B) {
 		b.ReportAllocs()
@@ -337,4 +313,38 @@ func BenchmarkIncremental(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchAddCycles times AddTraceCtx in whole reset cycles. Each cycle
+// builds a fresh lattice, untimed, and adds every trace of adds to it in
+// order: the lattice never drifts from its baseline size by more than a
+// cycle, and no cycle is cut short, so the figures, which it reports per
+// add (ns/op, allocs/op and B/op), are the same at any -benchtime. b.N
+// counts cycles.
+func benchAddCycles(b *testing.B, build func() *Lattice, adds []trace.Trace, ref *fa.FA) {
+	var ms runtime.MemStats
+	var mallocs, bytes uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l := build()
+		runtime.ReadMemStats(&ms)
+		mallocs0, bytes0 := ms.Mallocs, ms.TotalAlloc
+		b.StartTimer()
+		for _, tr := range adds {
+			if err := l.AddTraceCtx(context.Background(), tr, ref); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - mallocs0
+		bytes += ms.TotalAlloc - bytes0
+		b.StartTimer()
+	}
+	n := float64(b.N * len(adds))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/op")
+	b.ReportMetric(float64(mallocs)/n, "allocs/op")
+	b.ReportMetric(float64(bytes)/n, "B/op")
 }

@@ -30,35 +30,47 @@ import (
 // buffer and writes it with one Write call; given a *bufio.Writer, it
 // renders straight into the writer's free buffer space.
 func Write(w io.Writer, f *FA) error {
-	if strings.ContainsAny(f.name, "\n") {
-		return fmt.Errorf("fa: name %q contains newline", f.name)
-	}
 	var buf []byte
 	if bw, ok := w.(*bufio.Writer); ok {
 		buf = bw.AvailableBuffer()
 	} else {
 		buf = make([]byte, 0, 64+len(f.name)+32*len(f.trans))
 	}
-	buf = append(buf, "fa "...)
-	buf = append(buf, f.name...)
-	buf = append(buf, "\nstates "...)
-	buf = strconv.AppendInt(buf, int64(f.numStates), 10)
-	buf = append(buf, "\nstart"...)
-	buf = appendStates(buf, f.start)
-	buf = append(buf, "\naccept"...)
-	buf = appendStates(buf, f.accept)
-	buf = append(buf, '\n')
-	for _, t := range f.trans {
-		buf = append(buf, "edge "...)
-		buf = strconv.AppendInt(buf, int64(t.From), 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, int64(t.To), 10)
-		buf = append(buf, ' ')
-		buf = t.Label.AppendString(buf)
-		buf = append(buf, '\n')
+	buf, err := AppendText(buf, f)
+	if err != nil {
+		return err
 	}
-	_, err := w.Write(append(buf, "end\n"...))
+	_, err = w.Write(buf)
 	return err
+}
+
+// AppendText appends the automaton's record in the text format to dst and
+// returns the extended slice: the bytes Write writes. A name containing a
+// newline would not read back, so it is an error, and dst comes back
+// unextended.
+func AppendText(dst []byte, f *FA) ([]byte, error) {
+	if strings.ContainsAny(f.name, "\n") {
+		return dst, fmt.Errorf("fa: name %q contains newline", f.name)
+	}
+	dst = append(dst, "fa "...)
+	dst = append(dst, f.name...)
+	dst = append(dst, "\nstates "...)
+	dst = strconv.AppendInt(dst, int64(f.numStates), 10)
+	dst = append(dst, "\nstart"...)
+	dst = appendStates(dst, f.start)
+	dst = append(dst, "\naccept"...)
+	dst = appendStates(dst, f.accept)
+	dst = append(dst, '\n')
+	for _, t := range f.trans {
+		dst = append(dst, "edge "...)
+		dst = strconv.AppendInt(dst, int64(t.From), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(t.To), 10)
+		dst = append(dst, ' ')
+		dst = t.Label.AppendString(dst)
+		dst = append(dst, '\n')
+	}
+	return append(dst, "end\n"...), nil
 }
 
 // appendStates appends " <state>" for each member of states, ascending.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/concept"
 	"repro/internal/event"
 	"repro/internal/fa"
+	"repro/internal/server/apiv1"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -28,6 +30,110 @@ func readSnapV1(t testing.TB, ext string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// encode renders the .snap file of sd's fields in the current version,
+// CRC trailer included: the reference for the bytes writeSnap renders in
+// place (TestSnapshotBytesMatchEncode).
+func (sd *snapData) encode() []byte {
+	size := len(snapMagic) + 1 + 12 + len(sd.id) + len(sd.traces) + len(sd.ref) + 4 + 4
+	for _, l := range sd.labels {
+		size += 4 + len(l)
+	}
+	w := make(binio.Writer, 0, size)
+	w = append(w, snapMagic...)
+	w.U8(snapVer)
+	w.Str(sd.id)
+	w.Str(sd.traces)
+	w.Str(sd.ref)
+	w.U32(uint32(len(sd.labels)))
+	for _, l := range sd.labels {
+		w.Str(string(l))
+	}
+	w.Seal(0)
+	return w
+}
+
+// TestSnapshotBytesMatchEncode holds the snapshots writeSnap renders in
+// place to encode of the same fields, each text rendered on its own: a
+// fresh session's (written by its create), a labeled one's, one's after
+// adds, one's after a focus merge (written by the end of the focus) and a
+// bulk-shaped corpus's (written by its create).
+func TestSnapshotBytesMatchEncode(t *testing.T) {
+	srv, c := newTestServer(t, Config{SnapshotDir: t.TempDir()})
+	fx := violationFixture(t)
+	check := func(name, sid string, snapshot bool) {
+		t.Helper()
+		res, ok := srv.store.resolve(sid)
+		if !ok {
+			t.Fatalf("%s: no session %s", name, sid)
+		}
+		e := res.entry
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if snapshot {
+			if err := srv.persist.writeSnap(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var traces, ref strings.Builder
+		if err := trace.Write(&traces, e.session.Set()); err != nil {
+			t.Fatal(err)
+		}
+		if err := fa.Write(&ref, e.session.Ref()); err != nil {
+			t.Fatal(err)
+		}
+		sd := snapData{id: sid, traces: traces.String(), ref: ref.String(), labels: e.session.Labels()}
+		got, err := os.ReadFile(srv.persist.snapPath(sid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sd.encode(); !bytes.Equal(got, want) {
+			t.Fatalf("%s: the snapshot's %d bytes differ from the %d encode makes of its fields", name, len(got), len(want))
+		}
+	}
+
+	check("fresh", c.mustCreate(fx).SessionID, false)
+
+	labeled := c.mustCreate(fx)
+	zero := 0
+	for _, req := range []apiv1.LabelRequest{
+		{Trace: &zero, Label: "bad"},
+		{Concept: &labeled.Top, Selector: &apiv1.Selector{Mode: "unlabeled"}, Label: "good"},
+	} {
+		if code := c.do("POST", "/v1/sessions/"+labeled.SessionID+"/label", req, nil); code != http.StatusOK {
+			t.Fatalf("label: status %d", code)
+		}
+	}
+	check("labeled", labeled.SessionID, true)
+
+	grown := c.mustCreate(fx).SessionID
+	c.addTraces(grown, trace.NewSet(
+		trace.ParseEvents("v7", "X = popen()", "pclose(X)"),
+		trace.ParseEvents("v8", "X = fopen()", "fwrite(X)", "pclose(X)"),
+		trace.ParseEvents("v9", "X = fopen()", "fwrite(X)", "pclose(X)"),
+	))
+	check("after adds", grown, true)
+
+	merged := c.mustCreate(fx)
+	var focus apiv1.FocusResponse
+	if code := c.do("POST", "/v1/sessions/"+merged.SessionID+"/focus", apiv1.FocusRequest{Concept: merged.Top, RefFA: fx.RefFA}, &focus); code != http.StatusCreated {
+		t.Fatalf("focus: status %d", code)
+	}
+	fTop := findTop(t, c, focus.SessionID)
+	if code := c.do("POST", "/v1/sessions/"+focus.SessionID+"/label", apiv1.LabelRequest{Concept: &fTop, Label: "good"}, nil); code != http.StatusOK {
+		t.Fatalf("label in focus: status %d", code)
+	}
+	if code := c.do("POST", "/v1/sessions/"+focus.SessionID+"/end", nil, nil); code != http.StatusOK {
+		t.Fatalf("end focus: status %d", code)
+	}
+	check("after a focus merge", merged.SessionID, false)
+
+	var bulk apiv1.CreateSessionResponse
+	if code := c.do("POST", "/v1/sessions", rawBody(createBodies(t)[1].body), &bulk); code != http.StatusCreated {
+		t.Fatalf("bulk create: status %d", code)
+	}
+	check("bulk-shaped", bulk.SessionID, false)
 }
 
 // encodeWAL renders a log holding the given actions, as the server writes
@@ -140,7 +246,8 @@ func TestSessionSnapshotRejectsCorruption(t *testing.T) {
 }
 
 // TestWALRecordAllocs pins the WAL encoders at one allocation per record:
-// each record is built in one presized buffer, ring events included.
+// each record is built in one presized buffer, ring events and trace text
+// included. An add record is the one encodeWAL makes of its trace's text.
 func TestWALRecordAllocs(t *testing.T) {
 	st := stream.State{Window: 32, Events: 100, Frontier: []int{0, 3}}
 	for i := 0; i < 32; i++ {
@@ -151,6 +258,18 @@ func TestWALRecordAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { walLabelRecord("X = popen(); pclose(X)", "bad") }); n > 1 {
 		t.Errorf("walLabelRecord: %.1f allocs, want at most 1", n)
+	}
+	tr := trace.ParseEvents("v8", "X = fopen()", "Y = fdopen(X, Z)", "fwrite(Y)", "pclose(X)")
+	if n := testing.AllocsPerRun(100, func() { _, _ = walAddRecord(tr) }); n > 1 {
+		t.Errorf("walAddRecord: %.1f allocs, want at most 1", n)
+	}
+	var text strings.Builder
+	if err := trace.WriteTrace(&text, tr); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := walAddRecord(tr)
+	if want := encodeWAL([]walAction{{typ: walTypeAdd, text: text.String()}})[len(walMagic)+1:]; err != nil || !bytes.Equal(rec, want) {
+		t.Errorf("walAddRecord = %q, %v; want %q", rec, err, want)
 	}
 }
 

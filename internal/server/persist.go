@@ -125,27 +125,6 @@ type snapData struct {
 	labels []cable.Label
 }
 
-// encode renders the .snap file in the current version, CRC trailer
-// included.
-func (sd *snapData) encode() []byte {
-	size := len(snapMagic) + 1 + 12 + len(sd.id) + len(sd.traces) + len(sd.ref) + 4 + 4
-	for _, l := range sd.labels {
-		size += 4 + len(l)
-	}
-	w := make(binio.Writer, 0, size)
-	w = append(w, snapMagic...)
-	w.U8(snapVer)
-	w.Str(sd.id)
-	w.Str(sd.traces)
-	w.Str(sd.ref)
-	w.U32(uint32(len(sd.labels)))
-	for _, l := range sd.labels {
-		w.Str(string(l))
-	}
-	w.Seal(0)
-	return w
-}
-
 // writeSnap atomically persists the session's full state and truncates
 // its WAL (the snapshot now subsumes every logged action). Callers hold
 // e.mu; a gone session writes nothing. A failed snapshot leaves the log
@@ -154,18 +133,17 @@ func (p *persister) writeSnap(e *entry) error {
 	if e.gone {
 		return nil
 	}
-	id, sess := e.id, e.session
-	var traces, ref strings.Builder
-	if err := trace.Write(&traces, sess.Set()); err != nil {
-		return fmt.Errorf("server: snapshot %s: traces: %w", id, err)
+	id := e.id
+	sc := getScratch()
+	defer putScratch(sc)
+	snap, err := appendSnap(sc.b[:0], id, e.session)
+	sc.b = snap
+	if err != nil {
+		return fmt.Errorf("server: snapshot %s: %w", id, err)
 	}
-	if err := fa.Write(&ref, sess.Ref()); err != nil {
-		return fmt.Errorf("server: snapshot %s: ref fa: %w", id, err)
-	}
-	sd := snapData{id: id, traces: traces.String(), ref: ref.String(), labels: sess.Labels()}
 
 	tmp := p.tmpPath(id)
-	err := os.WriteFile(tmp, sd.encode(), 0o644)
+	err = os.WriteFile(tmp, snap, 0o644)
 	if err == nil {
 		err = os.Rename(tmp, p.snapPath(id))
 	}
@@ -182,6 +160,41 @@ func (p *persister) writeSnap(e *entry) error {
 	e.logged = false
 	p.metrics.Counter("server.snapshot.save").Inc()
 	return nil
+}
+
+// appendSnap appends session sess's .snap file in the current version,
+// CRC trailer included, to w. The trace and FA texts render in place
+// behind length marks. The bytes are those snapData.encode (the _test.go
+// oracle) makes of the same fields.
+func appendSnap(w binio.Writer, id string, sess *cable.Session) (binio.Writer, error) {
+	w = append(w, snapMagic...)
+	w.U8(snapVer)
+	w.Str(id)
+	at := w.Mark()
+	for _, c := range sess.Set().Classes() {
+		for j := 0; j < c.Count; j++ {
+			t := c.Rep
+			t.ID = c.IDs[j]
+			var err error
+			if w, err = trace.AppendRecord(w, t); err != nil {
+				return w, fmt.Errorf("traces: %w", err)
+			}
+		}
+	}
+	w.Fill(at)
+	at = w.Mark()
+	w, err := fa.AppendText(w, sess.Ref())
+	if err != nil {
+		return w, fmt.Errorf("ref fa: %w", err)
+	}
+	w.Fill(at)
+	labels := sess.Labels()
+	w.U32(uint32(len(labels)))
+	for _, l := range labels {
+		w.Str(string(l))
+	}
+	w.Seal(0)
+	return w, nil
 }
 
 // parseSnap validates and decodes a .snap file of version 1 or 2,
@@ -243,15 +256,33 @@ func walLabelRecord(key, label string) []byte {
 	return endRecord(w)
 }
 
-// walAddRecord logs one ingested trace in the trace text format.
+// walAddRecord logs one ingested trace in the trace text format,
+// rendered in place behind its length mark.
 func walAddRecord(t trace.Trace) ([]byte, error) {
-	var text strings.Builder
-	if err := trace.WriteTrace(&text, t); err != nil {
+	// "trace ", the ID and its newline, "end\n", and per event its
+	// indent and newline around its rendering.
+	n := 11 + len(t.ID)
+	for _, e := range t.Events {
+		n += 3 + renderBound(e)
+	}
+	w := beginRecord(walTypeAdd, 4+n)
+	at := w.Mark()
+	w, err := trace.AppendRecord(w, t)
+	if err != nil {
 		return nil, err
 	}
-	w := beginRecord(walTypeAdd, 4+text.Len())
-	w.Str(text.String())
+	w.Fill(at)
 	return endRecord(w), nil
+}
+
+// renderBound bounds the length of e's canonical rendering: its names,
+// " = ", the parentheses and a ", " per argument.
+func renderBound(e event.Event) int {
+	n := 5 + len(e.Def) + len(e.Op)
+	for _, u := range e.Uses {
+		n += 2 + len(u)
+	}
+	return n
 }
 
 // walStreamRecord externalizes one open stream's checker state (or its
@@ -259,12 +290,7 @@ func walAddRecord(t trace.Trace) ([]byte, error) {
 func walStreamRecord(streamID, spec string, closed bool, st stream.State) []byte {
 	n := 50 + len(streamID) + len(spec) + 4*len(st.Frontier)
 	for _, e := range st.Ring {
-		// Length, " = ", the parentheses and a ", " per argument bound
-		// the rendering.
-		n += 9 + len(e.Def) + len(e.Op)
-		for _, u := range e.Uses {
-			n += 2 + len(u)
-		}
+		n += 4 + renderBound(e)
 	}
 	w := beginRecord(walTypeStream, n)
 	w.Str(streamID)

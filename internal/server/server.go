@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -253,20 +254,31 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 const maxJSONBody = 64 << 20
 
 // decodeJSON reads a request body into v, rejecting unknown fields so
-// typos in client payloads fail loudly instead of silently defaulting. A
-// body over maxJSONBody is refused with a 413, not cut short into a
-// syntax error.
+// typos in client payloads fail loudly instead of silently defaulting,
+// and anything but whitespace after the value. A body over maxJSONBody
+// is refused with a 413, not cut short into a syntax error. The
+// create-session and add-traces bodies go through decodeBody instead.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return tooLarge(mbe)
+	err := dec.Decode(v)
+	trailing := false
+	if err == nil {
+		// Decode stops at the end of the value: anything after it but
+		// whitespace, a second value or not, is an error.
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		return badRequest(fmt.Errorf("decoding request: %w", err))
+		trailing = true
 	}
-	return nil
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &mbe):
+		return tooLarge(mbe)
+	case trailing:
+		return badRequest(errors.New("decoding request: data after the JSON value"))
+	}
+	return badRequest(fmt.Errorf("decoding request: %w", err))
 }
 
 // withSession resolves the {id} path value (session or focus-session ID),
@@ -339,23 +351,9 @@ func parseSelector(sel *apiv1.Selector) (cable.Selector, error) {
 func (s *Server) handleCreateSession(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	ctx, cancel := s.requestDeadline(ctx)
 	defer cancel()
-	var req apiv1.CreateSessionRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	set, ref, err := readTraceBody(w, r, true)
+	if err != nil {
 		return err
-	}
-	if req.Workers < 0 {
-		return badRequest(fmt.Errorf("workers: %d is negative", req.Workers))
-	}
-	set, err := trace.Read(strings.NewReader(req.Traces))
-	if err != nil {
-		return badRequest(fmt.Errorf("traces: %w", err))
-	}
-	if set.NumClasses() == 0 {
-		return badRequest(errors.New("traces: empty trace set"))
-	}
-	ref, err := fa.Read(strings.NewReader(req.RefFA))
-	if err != nil {
-		return badRequest(fmt.Errorf("ref_fa: %w", err))
 	}
 	sess, err := cable.NewSession(set, ref, cable.WithContext(ctx), cable.WithObs(s.metrics))
 	if err != nil {
@@ -389,6 +387,39 @@ func (s *Server) handleCreateSession(ctx context.Context, w http.ResponseWriter,
 	}
 	writeJSON(w, http.StatusCreated, resp)
 	return nil
+}
+
+// readTraceBody decodes a create-session (create true) or add-traces
+// body and parses its traces and, for a create, its reference FA. The
+// body's scratch goes back to the pool before the caller builds or adds
+// anything, so a create's snapshot can render in it.
+func readTraceBody(w http.ResponseWriter, r *http.Request, create bool) (*trace.Set, *fa.FA, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	req, err := decodeBody(w, r, sc, create)
+	if err != nil {
+		return nil, nil, err
+	}
+	if req.workers < 0 {
+		return nil, nil, badRequest(fmt.Errorf("workers: %d is negative", req.workers))
+	}
+	sc.rd.Reset(req.traces)
+	set, err := trace.Read(&sc.rd)
+	if err != nil {
+		return nil, nil, badRequest(fmt.Errorf("traces: %w", err))
+	}
+	if set.Total() == 0 {
+		return nil, nil, badRequest(errors.New("traces: empty trace set"))
+	}
+	if !create {
+		return set, nil, nil
+	}
+	sc.rd.Reset(req.refFA)
+	ref, err := fa.Read(&sc.rd)
+	if err != nil {
+		return nil, nil, badRequest(fmt.Errorf("ref_fa: %w", err))
+	}
+	return set, ref, nil
 }
 
 func (s *Server) sessionInfo(e *entry, sess *cable.Session, focus bool, id string) apiv1.SessionInfo {
@@ -504,20 +535,13 @@ func conceptDTO(sess *cable.Session, id int, withTransitions bool) (apiv1.Concep
 	if err != nil {
 		return apiv1.Concept{}, err
 	}
-	objs, err := sess.Select(id, cable.SelectAll())
-	if err != nil {
-		return apiv1.Concept{}, err
-	}
-	total := 0
-	for _, o := range objs {
-		n, err := sess.Multiplicity(o)
-		if err != nil {
-			return apiv1.Concept{}, err
-		}
-		total += n
-	}
 	l := sess.Lattice()
 	c := l.Concept(id)
+	set, total := sess.Set(), 0
+	c.Extent.Range(func(o int) bool {
+		total += set.Class(o).Count
+		return true
+	})
 	dto := apiv1.Concept{
 		ID:          id,
 		State:       stateSlug(state),
@@ -657,16 +681,9 @@ func (s *Server) walLabelDiff(e *entry, sess *cable.Session, before []cable.Labe
 func (s *Server) handleAddTraces(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	ctx, cancel := s.requestDeadline(ctx)
 	defer cancel()
-	var req apiv1.AddTracesRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		return err
-	}
-	in, err := trace.Read(strings.NewReader(req.Traces))
+	in, _, err := readTraceBody(w, r, false)
 	if err != nil {
-		return badRequest(fmt.Errorf("traces: %w", err))
-	}
-	if in.Total() == 0 {
-		return badRequest(errors.New("traces: empty trace set"))
+		return err
 	}
 	return s.withSession(w, r, func(e *entry, sess *cable.Session) (int, any, error) {
 		if sess != e.session {

@@ -65,12 +65,20 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *client) {
 	return srv, &client{t: t, base: ts.URL, http: ts.Client()}
 }
 
+// rawBody is a request body do sends as it is, not JSON-encoded.
+type rawBody string
+
 // do issues a request and decodes the response into out (unless nil),
-// returning the status code.
+// returning the status code. A body is sent JSON-encoded, unless it is a
+// rawBody.
 func (c *client) do(method, path string, body, out any) int {
 	c.t.Helper()
 	var rd io.Reader
-	if body != nil {
+	switch body := body.(type) {
+	case nil:
+	case rawBody:
+		rd = strings.NewReader(string(body))
+	default:
 		b, err := json.Marshal(body)
 		if err != nil {
 			c.t.Fatal(err)
@@ -562,7 +570,7 @@ func TestErrorMapping(t *testing.T) {
 	rejected := apiv1.AddTracesRequest{
 		Traces: "trace nope\n  launch_missiles(X)\nend\n",
 	}
-	cases := []struct {
+	type errorCase struct {
 		name     string
 		method   string
 		path     string
@@ -570,7 +578,8 @@ func TestErrorMapping(t *testing.T) {
 		status   int
 		code     string
 		wantLine int
-	}{
+	}
+	cases := []errorCase{
 		{"unknown session", "GET", "/v1/sessions/deadbeef", nil, 404, "not_found", 0},
 		{"bad concept id", "GET", "/v1/sessions/" + sid + "/concepts/9999", nil, 404, "not_found", 0},
 		{"label bad trace", "POST", "/v1/sessions/" + sid + "/label",
@@ -592,6 +601,39 @@ func TestErrorMapping(t *testing.T) {
 		{"stream without session", "POST", "/v1/streams",
 			apiv1.OpenStreamRequest{}, 400, "bad_request", 0},
 		{"bad pagination limit", "GET", "/v1/sessions?limit=-1", nil, 400, "bad_request", 0},
+	}
+	// Every JSON endpoint refuses a malformed body with a 400: one that is
+	// not JSON, not an object, has an unknown member or a member of the
+	// wrong type, has data after the value, or is empty. valid is a body
+	// whose value alone the endpoint does not refuse with a 400, so its
+	// trailing-data row fails on the trailing data alone.
+	fx := violationFixture(t)
+	endpoints := []struct {
+		name, path       string
+		valid, wrongType string
+	}{
+		{"create", "/v1/sessions", string(mustMarshal(t, fx)), `{"traces":5}`},
+		{"add traces", "/v1/sessions/" + sid + "/traces", `{"traces":"trace more\n  X = popen()\n  pclose(X)\nend\n"}`, `{"traces":["x"]}`},
+		{"label", "/v1/sessions/" + sid + "/label", `{"trace":0,"label":"good"}`, `{"label":5}`},
+		{"suggest", "/v1/sessions/" + sid + "/suggest", fmt.Sprintf(`{"concept":%d}`, created.Top), `{"concept":"top"}`},
+		{"focus", "/v1/sessions/" + sid + "/focus", string(mustMarshal(t, apiv1.FocusRequest{Concept: bad, RefFA: fx.RefFA})), `{"concept":1.5}`},
+		{"open stream", "/v1/streams", `{"session_id":"deadbeef"}`, `{"session_id":5}`},
+		{"lint", "/v1/lint", string(mustMarshal(t, apiv1.LintRequest{FA: fx.RefFA})), `{"fa":{}}`},
+	}
+	for _, ep := range endpoints {
+		if code := c.do("POST", ep.path, rawBody(ep.valid), nil); code == http.StatusBadRequest {
+			t.Fatalf("%s: the valid body %s gets a 400", ep.name, ep.valid)
+		}
+		for _, raw := range []struct{ kind, body string }{
+			{"not JSON", "traces=x&ref_fa=y"},
+			{"not an object", `["traces"]`},
+			{"unknown member", `{"no_such_member":1}`},
+			{"wrong type", ep.wrongType},
+			{"trailing data", ep.valid + " x"},
+			{"empty body", ""},
+		} {
+			cases = append(cases, errorCase{ep.name + ", " + raw.kind, "POST", ep.path, rawBody(raw.body), 400, "bad_request", 0})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

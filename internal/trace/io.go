@@ -46,23 +46,35 @@ func Write(w io.Writer, s *Set) error {
 // WriteTrace serializes a single trace record. Given a *bufio.Writer, it
 // renders the record straight into the writer's free buffer space.
 func WriteTrace(w io.Writer, t Trace) error {
-	if strings.ContainsAny(t.ID, " \t\n") {
-		return fmt.Errorf("trace: ID %q contains whitespace", t.ID)
-	}
 	var buf []byte
 	if bw, ok := w.(*bufio.Writer); ok {
 		buf = bw.AvailableBuffer()
 	}
-	buf = append(buf, "trace "...)
-	buf = append(buf, t.ID...)
-	buf = append(buf, '\n')
-	for _, e := range t.Events {
-		buf = append(buf, "  "...)
-		buf = e.AppendString(buf)
-		buf = append(buf, '\n')
+	buf, err := AppendRecord(buf, t)
+	if err != nil {
+		return err
 	}
-	_, err := w.Write(append(buf, "end\n"...))
+	_, err = w.Write(buf)
 	return err
+}
+
+// AppendRecord appends t's record in the text format to dst and returns
+// the extended slice: the bytes WriteTrace writes. An ID containing
+// whitespace would not read back, so it is an error, and dst comes back
+// unextended.
+func AppendRecord(dst []byte, t Trace) ([]byte, error) {
+	if strings.ContainsAny(t.ID, " \t\n") {
+		return dst, fmt.Errorf("trace: ID %q contains whitespace", t.ID)
+	}
+	dst = append(dst, "trace "...)
+	dst = append(dst, t.ID...)
+	dst = append(dst, '\n')
+	for _, e := range t.Events {
+		dst = append(dst, "  "...)
+		dst = e.AppendString(dst)
+		dst = append(dst, '\n')
+	}
+	return append(dst, "end\n"...), nil
 }
 
 // Read parses a trace file into a Set.
