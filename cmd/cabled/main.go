@@ -50,6 +50,17 @@ func main() {
 		memprofile      = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
+	// A negative duration would act as 0: no request deadline, no idle
+	// eviction, or no drain grace at SIGTERM.
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{{"-request-timeout", *requestTimeout}, {"-idle-timeout", *idleTimeout}, {"-shutdown-timeout", *shutdownTimeout}} {
+		if f.d < 0 {
+			fmt.Fprintf(os.Stderr, "cabled: %s %v: want 0 or more\n", f.name, f.d)
+			os.Exit(2)
+		}
+	}
 	stop, err := obs.SetupCLI(obs.CLIConfig{Metrics: *metrics, CPUProfile: *cpuprofile, MemProfile: *memprofile})
 	if err != nil {
 		log.Fatal(err)

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -315,6 +317,27 @@ func TestDrainClosesUnusedConns(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		p.cmd.Process.Kill()
 		t.Fatal("cabled did not drain within 3 s with an unused connection open")
+	}
+}
+
+// TestNegativeDurationFlags: a negative -request-timeout, -idle-timeout or
+// -shutdown-timeout would run as 0 (no request deadline, no idle eviction,
+// no drain grace), so cabled must exit 2 naming the flag before it
+// listens. A cabled that serves instead is killed at the deadline.
+func TestNegativeDurationFlags(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "cabled")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, flag := range []string{"-request-timeout", "-idle-timeout", "-shutdown-timeout"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", flag, "-1s").CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), flag) {
+			t.Errorf("cabled %s -1s: %v, output %q; want exit 2 naming %s", flag, err, out, flag)
+		}
 	}
 }
 

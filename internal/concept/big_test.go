@@ -164,7 +164,7 @@ func BenchmarkLatticeBig(b *testing.B) {
 	b.Run("LinkCovers", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := l.linkCovers(context.Background()); err != nil {
+			if err := l.relink(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -14,9 +14,11 @@
 // plain context too.
 //
 // Lattices are built incrementally, one object at a time, in the style of
-// Godin et al.'s Algorithm 1 (the algorithm the paper uses); a naive
-// closure-enumeration builder is provided as an independently-implemented
-// oracle for property tests.
+// Godin et al.'s Algorithm 1 (the algorithm the paper uses). One step
+// inserts objects, their table entries and the covers of the concepts
+// they spawn: a build runs it over every row, and an add over the one row
+// it appends. A naive closure-enumeration builder is provided as an
+// independently-implemented oracle for property tests.
 package concept
 
 import (
@@ -94,10 +96,6 @@ func (c *Context) Has(o, a int) bool { return c.rows[o].Has(a) }
 // Attributes returns the attribute set of object o. The set is shared; do
 // not mutate.
 func (c *Context) Attributes(o int) *bitset.Set { return c.rows[o] }
-
-// Objects returns the object set of attribute a. The set is shared; do not
-// mutate.
-func (c *Context) Objects(a int) *bitset.Set { return c.cols[a] }
 
 // addObject appends one object with the given attribute row, extending the
 // relation in place. The row is copied; the caller keeps ownership of its

@@ -72,13 +72,16 @@ func FuzzConceptIO(f *testing.F) {
 // attributes, so both the one-word scan and the Set scan run, and each row
 // fresh, a repeat of an earlier row, or the intersection of two earlier
 // rows — the rows the loop skips as intents it already holds. Build must
-// write the snapshot bytes of buildLegacy, and a build over a prefix of
-// the objects grown by AddObjectCtx over the rest must equal Build of the
-// whole.
+// write the snapshot bytes of buildLegacy, its covers must be those of the
+// all-pairs oracle (buildLegacy links them through the code under test),
+// and a build over a prefix of the objects grown by AddObjectCtx over the
+// rest must equal Build of the whole. The last seed adds rows that lie in
+// no earlier row, so the bottom is the generator of their concepts.
 func FuzzBuildMatchesOracle(f *testing.F) {
 	f.Add([]byte{9, 5, 2, 0, 0x0f, 0x01, 0, 0xf0, 0x03, 2, 0, 1, 1, 2, 0, 0x33})
 	f.Add([]byte{69, 6, 3, 0, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x0f, 0, 0x0f, 0xf0, 0, 0, 0, 0, 0, 0, 0x3f, 2, 0, 1, 1, 0, 2, 1, 2})
 	f.Add([]byte{79, 16, 8})
+	f.Add([]byte{7, 3, 1, 0, 0x03, 0, 0x0c, 0, 0x30})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -112,6 +115,15 @@ func FuzzBuildMatchesOracle(f *testing.F) {
 		whole := Build(ctxOf(numObj))
 		if !bytes.Equal(snapshotBytes(t, whole), snapshotBytes(t, buildLegacy(ctxOf(numObj)))) {
 			t.Fatalf("Build differs from the full-scan oracle on\n%s", whole.Context())
+		}
+		parents, children := linkCoversAllPairs(whole)
+		for id := range whole.concepts {
+			insertionSortInts(parents[id])
+			insertionSortInts(children[id])
+			if !equalInts(whole.Parents(id), parents[id]) || !equalInts(whole.Children(id), children[id]) {
+				t.Fatalf("covers of %d: parents %v children %v, all-pairs %v %v on\n%s",
+					id, whole.Parents(id), whole.Children(id), parents[id], children[id], whole.Context())
+			}
 		}
 		grown := Build(ctxOf(prefix))
 		for o := prefix; o < numObj; o++ {

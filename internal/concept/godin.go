@@ -1,15 +1,18 @@
 package concept
 
 import (
+	"context"
 	"math/bits"
 
 	"repro/internal/bitset"
 )
 
-// This file implements the pruned Godin object-insertion step shared by
-// BuildCtx and AddObjectCtx. The full scan it replaces (kept in
-// godin_test.go as the buildLegacy oracle) intersects the new row against
-// every existing concept. The pruned step cuts that two ways, each
+// This file implements insert, the one object-insertion step behind
+// BuildCtx (every row of a fresh context) and AddObjectCtx (one appended
+// row): the pruned Godin scan, then the query tables, then the covers
+// (link, in lattice.go). The full scan it replaces (kept in godin_test.go
+// as the buildLegacy oracle) intersects the new row against every
+// existing concept. The pruned scan cuts that two ways, each
 // byte-identical to the full scan by construction:
 //
 //  1. Candidate pruning. An inverted index keeps, per attribute, the set of
@@ -27,22 +30,22 @@ import (
 //
 //  2. Extents from intents. A concept's extent is τ of its intent over the
 //     whole context (X = τ(Y)), so each concept takes its extent once, when
-//     it is born, and BuildCtx's loop only has to find intents. The intents
-//     after inserting rows r_1..r_k are the closure system those rows
-//     generate with the full attribute set (every pairwise intersection of
-//     intents is itself an intent), so a row that is already an intent — a
-//     repeat, or the intersection of earlier rows — can create nothing, and
-//     BuildCtx skips it after one index probe. Creation order depends only
-//     on the intents and the candidate order, so concept IDs are those of
-//     the full scan. AddObjectCtx runs the scan for every row: its object
-//     is new to every extent, and joins those of the concepts whose intent
-//     the row contains.
+//     it is born, and a build only has to find intents. The intents after
+//     inserting rows r_1..r_k are the closure system those rows generate
+//     with the full attribute set (every pairwise intersection of intents
+//     is itself an intent), so a row that is already an intent — a
+//     repeat, or the intersection of earlier rows — can create nothing,
+//     and a build skips it after one index probe. Creation order depends
+//     only on the intents and the candidate order, so concept IDs are
+//     those of the full scan. An add scans its row even when it is an
+//     intent: its object is new to the extents that already exist, and
+//     joins those of the concepts whose intent the row contains.
 
 // invIndex is the per-attribute inverted concept index: attr[a] holds the
 // IDs of the concepts whose intent contains attribute a, and empty the ID
 // of the (at most one) concept with an empty intent, or -1. newConcept
-// maintains it during BuildCtx's loop, which then drops it, and
-// AddObjectCtx rebuilds it lazily (invEnsure) on the lattice it adds to.
+// maintains it during a build's scan, which then drops it, and an add
+// rebuilds it lazily (invEnsure) on the lattice it adds to.
 type invIndex struct {
 	attr  []bitset.Set
 	empty int
@@ -78,33 +81,36 @@ func (l *Lattice) invEnsure() {
 	}
 }
 
-// godinScratch bundles the reusable per-insertion state of the pruned Godin
-// step and of the cover repair that follows an incremental add. BuildCtx
-// keeps one for the whole build; AddObjectCtx caches one on the lattice so
-// repeated incremental adds stay allocation-light.
+// godinScratch bundles the reusable state of insert: the pruned scan's,
+// the query tables' and the cover linker's. insert keeps one on the
+// lattice (scratch), so repeated incremental adds stay allocation-light;
+// a build drops its own once the lattice is built.
 type godinScratch struct {
 	inter bitset.Set // intersection scratch (must not alias its operands)
 	mask  bitset.Set // candidate mask: union of inverted-index rows
 	words []uint64   // flat intent words, one per concept (one-word universes)
 	row   bitset.Set // AddTraceCtx's simulated row, before the context copies it
 
-	// Cover-repair state (see coverParents): the candidate generator,
-	// the candidates' extent sizes, and the accepted-cover list.
+	// Cover-linking state (see link): the candidate generator, the
+	// candidates' extent sizes, the accepted covers of each new concept
+	// back to back with their ends, and the new concepts' child counts.
 	cover  coverGen
 	sizes  []int32
 	covers []int32
+	ends   []int32
+	counts []int32
 }
 
-// newGodinLattice starts BuildCtx's loop over ctx: a lattice holding the
-// seed concept, whose intent is the full attribute set (keeping it makes
-// the concept set closed under intersection of intents), and the
-// insertion scratch.
+// newGodinLattice starts a build over ctx: a lattice holding the seed
+// concept, whose intent is the full attribute set (keeping it makes the
+// concept set closed under intersection of intents), and the inverted
+// index insert's scan maintains.
 //
 // The arena's first slab, the first concept-header chunk and the intent
 // index are sized for one concept per object plus the seed, the first two
 // capped at the sizes later chunks grow to, so a lattice of a few dozen
 // concepts does not pin 32 KiB of words for a kilobyte of sets.
-func newGodinLattice(ctx *Context) (*Lattice, *godinScratch) {
+func newGodinLattice(ctx *Context) *Lattice {
 	numObj, numAttr := ctx.NumObjects(), ctx.NumAttributes()
 	guess := numObj + 1
 	arena := bitset.NewArenaFor(guess*(wordsFor(numAttr)+wordsFor(numObj)), 2*guess)
@@ -113,34 +119,63 @@ func newGodinLattice(ctx *Context) (*Lattice, *godinScratch) {
 	l.idx.initFor(guess)
 	full := arena.Set(numAttr, numAttr).FillFull(numAttr)
 	l.newConcept(tauArena(arena, ctx, full), full)
-	g := &godinScratch{}
-	g.godinWordsEnsure(l)
-	return l, g
+	return l
 }
 
-// godinInsert is BuildCtx's loop iteration for a row of the context. A row
-// that is already an intent creates nothing; any other takes the pruned
-// scan.
-func (l *Lattice) godinInsert(row *bitset.Set, g *godinScratch) {
-	var id int
-	if len(g.words) > 0 {
-		id = l.idx.lookupWord(g.words, word0(row))
-	} else {
-		id = l.idx.lookup(l.concepts, row)
-	}
-	if id < 0 {
-		l.godinScan(row, g, -1)
-	}
+// tauArena computes τ(y) over every object of the context into an
+// arena-backed set.
+func tauArena(a *bitset.Arena, ctx *Context, y *bitset.Set) *bitset.Set {
+	return ctx.TauInto(a.Set(0, ctx.NumObjects()), y)
 }
 
-// godinScan runs the Godin loop iteration for one row, which must already
-// be a row of the context: the pruned intersection scan over the candidate
-// concepts spawns every novel intersection and, when o is an object (not
-// -1), adds o to the extent of every concept whose intent the row
-// contains. The caller must have ensured the inverted index (invEnsure).
-// The result is byte-identical to the full scan (buildLegacy in
-// godin_test.go).
-func (l *Lattice) godinScan(row *bitset.Set, g *godinScratch, o int) {
+// insert is the one way concepts enter a lattice: the object-insertion
+// step of Godin et al.'s Algorithm 1 for context rows first.. (which the
+// context already holds), then the query tables over those objects
+// (extendTables) and the covers of every concept born since old (link).
+// Concepts below old were in the lattice before the step, and they gain
+// each new object whose row contains their intent. A concept born inside
+// the loop takes τ of its intent over the whole context, so it is
+// complete at birth. With old = 0 nothing gains an object, and a row that
+// is already an intent can spawn nothing, so it is skipped after one
+// index probe. cc is checked between rows and between strides of the
+// cover scan.
+func (l *Lattice) insert(cc context.Context, first, old int) error {
+	l.invEnsure()
+	g := l.scratch()
+	done := cc.Done()
+	for o := first; o < l.ctx.NumObjects(); o++ {
+		select {
+		case <-done:
+			return cc.Err()
+		default:
+		}
+		row := l.ctx.Attributes(o)
+		if old == 0 && l.lookupIntent(row, g.words) >= 0 {
+			continue
+		}
+		l.godinScan(row, g, o, old)
+	}
+	l.extendTables(first)
+	return l.link(cc, old)
+}
+
+// lookupIntent returns the ID of the concept whose intent is s, or -1,
+// probing through the flat intent words on one-word universes (words
+// non-nil).
+func (l *Lattice) lookupIntent(s *bitset.Set, words []uint64) int {
+	if words != nil {
+		return l.idx.lookupWord(words, word0(s))
+	}
+	return l.idx.lookup(l.concepts, s)
+}
+
+// godinScan runs the Godin loop iteration for row o of the context: the
+// pruned intersection scan over the candidate concepts spawns every novel
+// intersection, and o joins the extent of every concept below old whose
+// intent the row contains. The caller must have ensured the inverted
+// index (invEnsure). The result is byte-identical to the full scan
+// (buildLegacy in godin_test.go).
+func (l *Lattice) godinScan(row *bitset.Set, g *godinScratch, o, old int) {
 	n := len(l.concepts)
 	mask := &g.mask
 	mask.Clear()
@@ -158,11 +193,11 @@ func (l *Lattice) godinScan(row *bitset.Set, g *godinScratch, o int) {
 		emptyAt = firstAbsent(mask, n)
 	}
 	if len(g.words) > 0 {
-		l.scanWords(row, g, emptyAt, o)
+		l.scanWords(row, g, emptyAt, o, old)
 	} else {
-		l.scanSets(row, g, emptyAt, o)
+		l.scanSets(row, g, emptyAt, o, old)
 	}
-	if preEmpty >= 0 && o >= 0 {
+	if 0 <= preEmpty && preEmpty < old {
 		l.gain(preEmpty, o)
 	}
 }
@@ -170,8 +205,8 @@ func (l *Lattice) godinScan(row *bitset.Set, g *godinScratch, o int) {
 // scanSets visits the candidates in ascending ID order, splitting
 // contained intents from novel intersections exactly like the full scan,
 // and interleaving the single ∅-intent creation at snapshot position
-// emptyAt (-1: none pending). o is godinScan's.
-func (l *Lattice) scanSets(row *bitset.Set, g *godinScratch, emptyAt, o int) {
+// emptyAt (-1: none pending). o and old are godinScan's.
+func (l *Lattice) scanSets(row *bitset.Set, g *godinScratch, emptyAt, o, old int) {
 	inter := &g.inter
 	g.mask.Range(func(ci int) bool {
 		if emptyAt >= 0 && ci > emptyAt {
@@ -179,7 +214,7 @@ func (l *Lattice) scanSets(row *bitset.Set, g *godinScratch, emptyAt, o int) {
 			emptyAt = -1
 		}
 		if bitset.IntersectEqualsInto(inter, l.concepts[ci].Intent, row) {
-			if o >= 0 {
+			if ci < old {
 				l.gain(ci, o)
 			}
 			return true
@@ -207,7 +242,7 @@ func (l *Lattice) scanSets(row *bitset.Set, g *godinScratch, emptyAt, o int) {
 // shares an attribute with the row), so 0 marks an empty slot; a word
 // evicted by a collision is just probed again, which finds it, so spawn
 // order and IDs are the full scan's.
-func (l *Lattice) scanWords(row *bitset.Set, g *godinScratch, emptyAt, o int) {
+func (l *Lattice) scanWords(row *bitset.Set, g *godinScratch, emptyAt, o, old int) {
 	rw := word0(row)
 	var seen [seenSlots]uint64
 	g.mask.Range(func(ci int) bool {
@@ -218,7 +253,7 @@ func (l *Lattice) scanWords(row *bitset.Set, g *godinScratch, emptyAt, o int) {
 		yw := g.words[ci]
 		iw := yw & rw
 		if iw == yw {
-			if o >= 0 {
+			if ci < old {
 				l.gain(ci, o)
 			}
 			return true

@@ -7,7 +7,7 @@ import (
 // intentIndex maps closed intents to concept IDs. It replaces the
 // map[string]int over Set.Key() bytes the builder used before: lookups hash
 // the intent's words directly (bitset.Hash), so the hot paths — the Godin
-// inner loop and every linkCovers closure probe — materialize no key bytes
+// inner loop and every cover-linking closure probe — materialize no key bytes
 // at all. The table is open-addressing with linear probing over a
 // power-of-two slot array; slots hold id+1 with 0 meaning empty, and
 // collisions fall back to a word-level Equal against the stored concept's

@@ -49,21 +49,25 @@ type Lattice struct {
 	arena *bitset.Arena
 
 	// reps holds one representative object per distinct context row, the
-	// first object with that row (the dedup linkCovers' row path relies
-	// on), and repped the IDs of the object concepts they represent. Built
-	// from the γ table by repsEnsure and extended by AddObjectCtx; nil
-	// until built.
-	reps   []int32
-	repped *bitset.Set
+	// first object with that row (the dedup the cover generator's row path
+	// relies on), repped the IDs of the object concepts they represent, and
+	// attrReps[a] the positions in reps of the reps whose row holds
+	// attribute a. extendTables keeps all three current (addRep); a clone
+	// leaves them nil, and its first add rebuilds them from the γ table
+	// (repsEnsure).
+	reps     []int32
+	repped   *bitset.Set
+	attrReps []bitset.Set
 
 	// inv is the per-attribute inverted concept index the pruned Godin scan
-	// intersects against. BuildCtx's loop drops the one it builds with, so
-	// a lattice that is only read does not hold it; the first add rebuilds
+	// intersects against. BuildCtx drops the one it builds with, so a
+	// lattice that is only read does not hold it; the first add rebuilds
 	// it (invEnsure) and later adds keep it current.
 	inv *invIndex
 	// hdr is the current concept-header slab chunk (see newConcept).
 	hdr []Concept
-	// godin caches the insertion scratch across incremental adds.
+	// godin is insert's scratch, kept across incremental adds; a build
+	// drops its own, like inv.
 	godin *godinScratch
 }
 
@@ -108,8 +112,9 @@ func WithWorkers(n int) BuildOption { return BuildOption{} }
 // insertion in the style of Godin et al.'s Algorithm 1: objects are added
 // one at a time, and each novel intersection of the new object's row with
 // an existing intent spawns a new concept, whose extent is τ of its intent
-// over the whole context. Cover edges are computed in a final pass. It is
-// BuildCtx without cancellation.
+// over the whole context. The query tables and cover edges follow the
+// loop, through the same step (insert) that AddObjectCtx runs for one
+// appended object. It is BuildCtx without cancellation.
 func Build(ctx *Context) *Lattice {
 	l, err := BuildCtx(context.Background(), ctx)
 	if err != nil {
@@ -131,94 +136,85 @@ func Build(ctx *Context) *Lattice {
 func BuildCtx(cc context.Context, ctx *Context, _ ...BuildOption) (*Lattice, error) {
 	sp := obs.StartSpan("lattice.build")
 	defer sp.End()
-	l, g := newGodinLattice(ctx)
-	done := cc.Done()
-	for o := 0; o < ctx.NumObjects(); o++ {
-		select {
-		case <-done:
-			return nil, cc.Err()
-		default:
-		}
-		l.godinInsert(ctx.Attributes(o), g)
-	}
-	l.inv = nil // see Lattice.inv
-	if err := l.finalizeCtx(cc); err != nil {
+	l := newGodinLattice(ctx)
+	if err := l.insert(cc, 0, 0); err != nil {
 		return nil, err
 	}
+	l.inv, l.godin = nil, nil // see Lattice.inv
 	obs.Observe("lattice.concepts", int64(len(l.concepts)))
 	return l, nil
 }
 
-// finalize computes the Hasse diagram and the query tables; used by
-// builders (BuildNaive) that populate l.concepts directly.
-func (l *Lattice) finalize() {
-	if err := l.finalizeCtx(context.Background()); err != nil {
-		panic("concept: finalize: " + err.Error())
-	}
-}
-
-// finalizeCtx is finalize with cancellation. The intent index is built
-// here if the constructing algorithm did not maintain one incrementally,
-// and the query tables before the covers, whose row reps come from the γ
-// table.
-func (l *Lattice) finalizeCtx(cc context.Context) error {
-	if l.idx.n == 0 && len(l.concepts) > 0 {
-		l.idx.initFor(len(l.concepts))
-		for _, c := range l.concepts {
-			l.idx.insert(l.concepts, c.ID)
-		}
-	}
-	if err := l.buildTables(); err != nil {
-		panic("concept: " + err.Error())
-	}
-	return l.linkCovers(cc)
-}
-
-// buildTables precomputes the ObjectConcept and AttributeConcept lookup
-// tables. γo has intent σ({o}) = row(o); μa has intent σ(τ({a})). Both are
-// closed intents of a well-formed lattice, so the index resolves them
-// directly; a miss is reported as an error, which finalizeCtx treats as a
-// broken invariant.
-func (l *Lattice) buildTables() error {
+// extendTables extends the ObjectConcept and AttributeConcept tables, and
+// the top, over the objects first.., whose rows the concept set already
+// closes. γo is the concept whose intent is row(o). The top's intent is σ
+// of every object, the attributes all rows share, and μa's is σ(τ({a})),
+// which o joins when a is in its row: each shrinks to the concept whose
+// intent is its old intent ∩ row(o), a closed intent one index probe
+// finds. Earlier objects keep their γ entries: concept IDs never change,
+// intents are immutable, and old rows are untouched. A build starts the
+// tables at the seed, concept 0, which is the top, the bottom and every
+// μa of a context with no objects. An object whose row no earlier object
+// has becomes its row's rep (addRep); a repeated row leaves the top and
+// every μa as they are, since their intents already lie within it.
+func (l *Lattice) extendTables(first int) {
 	sp := obs.StartSpan("lattice.tables")
 	defer sp.End()
-	scratch := &bitset.Set{}
-	l.objConcept = make([]int, l.ctx.NumObjects())
-	for o := range l.objConcept {
-		id := l.idx.lookup(l.concepts, l.ctx.Attributes(o))
-		if id < 0 {
-			return fmt.Errorf("row of object %d is not a closed intent", o)
-		}
-		l.objConcept[o] = id
+	if first == 0 {
+		l.objConcept = make([]int, 0, l.ctx.NumObjects())
+		l.attrConcept = make([]int, l.ctx.NumAttributes())
+		l.top, l.bottom = 0, 0
 	}
-	l.attrConcept = make([]int, l.ctx.NumAttributes())
-	for a := range l.attrConcept {
-		l.ctx.SigmaInto(scratch, l.ctx.Objects(a))
-		id := l.idx.lookup(l.concepts, scratch)
-		if id < 0 {
-			return fmt.Errorf("closure of attribute %d is not a closed intent", a)
+	l.repsEnsure()
+	g := l.scratch()
+	for o := first; o < l.ctx.NumObjects(); o++ {
+		row := l.ctx.Attributes(o)
+		l.objConcept = append(l.objConcept, l.meetRow(l.bottom, row, g))
+		if !l.addRep(o) {
+			continue
 		}
-		l.attrConcept[a] = id
+		l.top = l.meetRow(l.top, row, g)
+		row.Range(func(a int) bool {
+			l.attrConcept[a] = l.meetRow(l.attrConcept[a], row, g)
+			return true
+		})
 	}
-	return nil
 }
 
-// tauArena computes τ(y) over every object of the context into an
-// arena-backed set.
-func tauArena(a *bitset.Arena, ctx *Context, y *bitset.Set) *bitset.Set {
-	return ctx.TauInto(a.Set(0, ctx.NumObjects()), y)
+// meetRow returns the concept whose intent is intent(id) ∩ row, where row
+// is an object's row: an intersection of intents, so a closed one.
+func (l *Lattice) meetRow(id int, row *bitset.Set, g *godinScratch) int {
+	if g.words != nil {
+		yw := g.words[id]
+		iw := yw & word0(row)
+		if iw == yw {
+			return id
+		}
+		id = l.idx.lookupWord(g.words, iw)
+	} else {
+		if bitset.IntersectEqualsInto(&g.inter, l.concepts[id].Intent, row) {
+			return id
+		}
+		id = l.idx.lookup(l.concepts, &g.inter)
+	}
+	if id < 0 {
+		panic("concept: intent ∩ row is not a closed intent")
+	}
+	return id
 }
 
 // linkChunk is the number of concepts the cover-linking scan handles
 // between cancellation checks.
 const linkChunk = 64
 
-// linkCovers computes the Hasse diagram: c is a child of d iff
-// extent(c) ⊂ extent(d) with no concept strictly between.
+// link gives every concept born since old its cover edges: c is a child
+// of d iff extent(c) ⊂ extent(d) with no concept strictly between. With
+// old = 0 that is the whole Hasse diagram; with old > 0 the concepts from
+// old on must be those one row's insertion spawned.
 //
-// Each concept's upper covers are found through the intent index rather
-// than by scanning all concepts: coverGen collects a candidate set of
-// concepts strictly above it that contains every cover — its closed
+// Each new concept's upper covers are found through the intent index
+// rather than by scanning all concepts: coverGen collects a candidate set
+// of concepts strictly above it that contains every cover — its closed
 // proper sub-intents or its closures with one object per distinct row,
 // whichever takes fewer index probes — and minimalCovers keeps the
 // candidates minimal by extent inclusion, testing one extent-size layer at
@@ -228,61 +224,59 @@ const linkChunk = 64
 // distinct rows) probes plus a few subset tests among candidates, versus
 // the all-pairs-plus-dominated scan (cubic in concept count) this
 // replaces.
-func (l *Lattice) linkCovers(cc context.Context) error {
+//
+// The old concepts keep their edges but for the generator rule. The
+// generator of a new concept n is the old concept g with the largest
+// extent whose intent strictly contains intent(n): extent(g) =
+// τ(intent(n)) over the old objects, so intent(g) is the old closure of
+// intent(n), the smallest old intent containing it, and the bottom always
+// qualifies. The add never modified g (intent(g) ⊆ row would make
+// intent(n) an old intent), distinct new concepts have distinct
+// generators, and every old concept c below n has extent(c) ⊆ extent(g),
+// so c sits at or below g. Hence an old concept that generates nothing
+// keeps its parents (g lies strictly between it and any new n above it),
+// and g gains n as a cover and loses exactly its old covers above n.
+// Extent inclusion among old concepts is preserved by the add (if
+// intent(d) ⊆ intent(c) and c gains o then intent(d) ⊆ row, so d gains o
+// too), so an add that spawns nothing changes no edge.
+//
+// The new concepts' parent lists share one slab and their child lists
+// another, each list ascending by ID; an old parent takes a new child in
+// place.
+func (l *Lattice) link(cc context.Context, old int) error {
+	n := len(l.concepts)
+	if n == old {
+		return nil // an add that spawns nothing changes no edge
+	}
 	sp := obs.StartSpan("lattice.link_covers")
 	defer sp.End()
-	n := len(l.concepts)
-	l.parents = make([][]int, n)
-	if n == 0 {
-		l.children = [][]int{}
-		l.top, l.bottom = 0, 0
-		return nil
+	g := l.scratch()
+	words := g.words
+	sizes := grow(g.sizes, n)
+	g.sizes = sizes
+	for ci := old; ci < n; ci++ {
+		sizes[ci] = int32(l.concepts[ci].Extent.Len())
 	}
-	sizes := make([]int32, n)
-	l.top, l.bottom = 0, 0
-	for i, c := range l.concepts {
-		sizes[i] = int32(c.Extent.Len())
-		if sizes[i] > sizes[l.top] {
-			l.top = i
-		}
-		if sizes[i] < sizes[l.bottom] {
-			l.bottom = i
-		}
-	}
-
-	// One representative object per distinct context row.
-	l.repsEnsure()
-	attrReps := make([]bitset.Set, l.ctx.NumAttributes())
-	for k, rep := range l.reps {
-		l.ctx.Attributes(int(rep)).Range(func(a int) bool {
-			attrReps[a].Add(k)
-			return true
-		})
-	}
-	var words []uint64
-	if l.ctx.NumAttributes() <= wordBitsPerSet {
-		words = make([]uint64, n)
-		for i, c := range l.concepts {
-			words[i] = word0(c.Intent)
-		}
-	}
-	cover := coverGen{
-		l: l, words: words, attrReps: attrReps,
-		emptyID: l.idx.lookup(l.concepts, &bitset.Set{}),
+	cover := &g.cover
+	cover.l, cover.words = l, words
+	cover.emptyID = l.lookupIntent(&bitset.Set{}, words)
+	cover.subsetProbes, cover.repProbes = 0, 0
+	if cover.cand == nil {
 		// The sub-intent path runs only when it has fewer subsets to probe
 		// than there are reps; the row path finds at most one candidate per
 		// rep, plus ∅.
-		cand: make([]int32, 0, len(l.reps)+1),
+		cover.cand = make([]int32, 0, len(l.reps)+1)
 	}
 
-	// covers holds every concept's covers back to back: concept ci's are
-	// covers[ends[ci-1]:ends[ci]].
-	covers := make([]int32, 0, 4096)
-	ends := make([]int32, n)
+	// covers holds the new concepts' covers back to back, about four per
+	// concept on the shipped corpora: concept old+i's are
+	// covers[ends[i-1]:ends[i]].
+	covers := grow(g.covers[:0], 4*(n-old))[:0]
+	ends := grow(g.ends[:0], n-old)
 	done := cc.Done()
 	var layers, cands int64
-	for ci := 0; ci < n; ci++ {
-		if ci%linkChunk == 0 {
+	for ci := old; ci < n; ci++ {
+		if (ci-old)%linkChunk == 0 {
 			select {
 			case <-done:
 				return cc.Err()
@@ -290,8 +284,14 @@ func (l *Lattice) linkCovers(cc context.Context) error {
 			}
 		}
 		cand := cover.next(ci)
+		for _, id := range cand {
+			if int(id) < old {
+				// The add may have grown an old extent.
+				sizes[id] = int32(l.concepts[id].Extent.Len())
+			}
+		}
 		covers = l.minimalCovers(covers, cand, sizes, words)
-		ends[ci] = int32(len(covers))
+		ends[ci-old] = int32(len(covers))
 		cands += int64(len(cand))
 		if len(cand) > 0 {
 			layers++
@@ -302,33 +302,105 @@ func (l *Lattice) linkCovers(cc context.Context) error {
 			}
 		}
 	}
+	g.covers, g.ends = covers, ends
 	obs.Count("lattice.linkcovers.layers", layers)
 	obs.Count("lattice.linkcovers.candidates", cands)
 	obs.Count("lattice.linkcovers.subset_probes", cover.subsetProbes)
 	obs.Count("lattice.linkcovers.rep_probes", cover.repProbes)
 
-	// Each concept's covers re-sorted ascending by ID into one parent slab,
-	// then the children derived from them.
+	// Each new concept's covers re-sorted ascending by ID into one parent
+	// slab.
+	l.parents, l.children = grow(l.parents, n), grow(l.children, n)
 	parentSlab := make([]int, len(covers))
 	start := 0
-	for ci, end := range ends {
+	for i, end := range ends {
 		p := parentSlab[start:start:end]
 		for _, cj := range covers[start:end] {
 			p = append(p, int(cj))
 		}
 		insertionSortInts(p)
-		l.parents[ci] = p
+		l.parents[old+i] = p
 		start = int(end)
 	}
-	l.children = childrenOf(l.parents, len(covers))
+
+	// The new concepts' child lists, sized by a counting pass: each has its
+	// generator (old > 0) and the new concepts it covers.
+	counts := grow(g.counts[:0], n-old)
+	g.counts = counts
+	total := 0
+	for ci := old; ci < n; ci++ {
+		if old > 0 {
+			counts[ci-old]++
+			total++
+		}
+		for _, p := range l.parents[ci] {
+			if p >= old {
+				counts[p-old]++
+				total++
+			}
+		}
+	}
+	childSlab := make([]int, total)
+	pos := 0
+	for i, cnt := range counts {
+		l.children[old+i] = childSlab[pos : pos : pos+int(cnt)]
+		pos += int(cnt)
+	}
+
+	// Generators come first in their child lists: they are old, and so
+	// below every new ID.
+	for ci := old; old > 0 && ci < n; ci++ {
+		gen := -1
+		for cj := 0; cj < old; cj++ {
+			if l.intentSubset(words, int32(ci), int32(cj)) &&
+				(gen < 0 || l.intentSubset(words, int32(cj), int32(gen))) {
+				gen = cj
+			}
+		}
+		kept := l.parents[gen][:0]
+		for _, p := range l.parents[gen] {
+			if l.intentSubset(words, int32(p), int32(ci)) {
+				l.children[p] = removeSortedInt(l.children[p], gen)
+				continue
+			}
+			kept = append(kept, p)
+		}
+		l.parents[gen] = insertSortedInt(kept, ci)
+		l.children[ci] = append(l.children[ci], gen)
+	}
+	for ci := old; ci < n; ci++ {
+		for _, p := range l.parents[ci] {
+			if p >= old {
+				l.children[p] = append(l.children[p], ci)
+			} else {
+				l.children[p] = insertSortedInt(l.children[p], ci)
+			}
+		}
+	}
 	return nil
+}
+
+// grow returns s extended to length n, its new elements zero. Short of
+// capacity it moves s to an array with half as much again, so a table that
+// grows a few entries per add reallocates O(log n) times; it spares the
+// temporary slice append(s, make([]T, k)...) allocates under the race
+// detector.
+func grow[T any](s []T, n int) []T {
+	if n > cap(s) {
+		t := make([]T, n, max(n, cap(s)+cap(s)/2))
+		copy(t, s)
+		return t
+	}
+	m := len(s)
+	s = s[:n]
+	clear(s[m:])
+	return s
 }
 
 // coverGen collects cover candidates one concept at a time: a deduplicated
 // list of concepts strictly above the concept that contains all of its
-// upper covers, which minimalCovers reduces to exactly the covers.
-// linkCovers runs one per build; coverParents keeps one in the Godin
-// scratch for incremental adds.
+// upper covers, which minimalCovers reduces to exactly the covers. link
+// keeps one in insert's scratch.
 //
 // A concept c = (X, Y) has two such lists, and next takes whichever costs
 // fewer intent-index probes:
@@ -353,14 +425,12 @@ type coverGen struct {
 	// words is the flat per-concept intent-word table on one-word
 	// universes and nil above them.
 	words []uint64
-	// attrReps[a], when set, holds the positions in l.reps of the reps
-	// whose row contains attribute a, so the row path visits only the
-	// union over Y: every rep outside it closes to ∅ (and so lies outside
-	// X), and all of those name one candidate, the ∅-intent concept
-	// emptyID, which exists whenever any of them does (intersections of
-	// closed intents are closed). nil means visit every rep.
-	attrReps []bitset.Set
-	emptyID  int
+	// emptyID is the ∅-intent concept, or -1. The row path visits only
+	// the reps in the union of l.attrReps over the intent: every rep
+	// outside it closes to ∅ (and so lies outside the extent), and all of
+	// those name one candidate, emptyID, which exists whenever any of them
+	// does (intersections of closed intents are closed).
+	emptyID int
 
 	cand    []int32
 	seen    []int32 // seen[id] == gen marks id as a row-closure candidate of the current concept
@@ -409,15 +479,9 @@ func (g *coverGen) next(ci int) []int32 {
 		clear(g.seen)
 		g.gen = 1
 	}
-	if g.attrReps == nil {
-		for k := range l.reps {
-			g.probeRep(c, k)
-		}
-		return g.cand
-	}
 	g.mask.Clear()
 	c.Intent.Range(func(a int) bool {
-		g.mask.UnionWith(&g.attrReps[a])
+		g.mask.UnionWith(&l.attrReps[a])
 		return true
 	})
 	g.mask.Range(func(k int) bool {
@@ -458,32 +522,6 @@ func (g *coverGen) probeRep(c *Concept, k int) {
 		g.seen[id] = g.gen
 		g.cand = append(g.cand, int32(id))
 	}
-}
-
-// childrenOf derives the downward cover lists from the upward ones: a
-// counting pass sizes each list inside one slab of totalEdges entries, and
-// filling in ascending concept order leaves every list sorted.
-func childrenOf(parents [][]int, totalEdges int) [][]int {
-	n := len(parents)
-	childCount := make([]int, n)
-	for _, ps := range parents {
-		for _, p := range ps {
-			childCount[p]++
-		}
-	}
-	children := make([][]int, n)
-	childSlab := make([]int, totalEdges)
-	pos := 0
-	for i, cnt := range childCount {
-		children[i] = childSlab[pos : pos : pos+cnt]
-		pos += cnt
-	}
-	for ci, ps := range parents {
-		for _, p := range ps {
-			children[p] = append(children[p], ci)
-		}
-	}
-	return children
 }
 
 // minimalCovers appends to dst the upper covers of one concept among its

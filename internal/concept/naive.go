@@ -2,6 +2,7 @@ package concept
 
 import (
 	"cmp"
+	"context"
 	"slices"
 	"strings"
 
@@ -41,9 +42,14 @@ func BuildNaive(ctx *Context) *Lattice {
 	})
 	for _, k := range keys {
 		intent := intents[k]
-		c := &Concept{ID: len(l.concepts), Extent: ctx.Tau(intent), Intent: intent}
-		l.concepts = append(l.concepts, c)
+		l.newConcept(ctx.Tau(intent), intent)
 	}
-	l.finalize()
+	// Concept 0 has the full intent, as a build's seed does, so the tables
+	// and covers follow as they do after insert's scan.
+	l.extendTables(0)
+	if err := l.link(context.Background(), 0); err != nil {
+		panic("concept: BuildNaive: " + err.Error())
+	}
+	l.godin = nil
 	return l
 }

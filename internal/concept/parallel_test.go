@@ -123,19 +123,19 @@ func contranominalContext(k int) *Context {
 	return c
 }
 
-// TestBuildCancelledDuringLinkCovers exercises the scan's cancellation
-// path: a context cancelled before the build reaches cover linking must
-// surface ctx.Err().
+// TestBuildCancelledDuringLinkCovers exercises the cover scan's
+// cancellation path: a relink under a cancelled context must surface
+// ctx.Err(), and an uncancelled relink must then leave a valid lattice.
 func TestBuildCancelledDuringLinkCovers(t *testing.T) {
 	c := denseRandomContext(rand.New(rand.NewSource(5)), 40, 12)
 	l := Build(c)
 	cc, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := l.linkCovers(cc); err != context.Canceled {
+	if err := l.relink(cc); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// Relink uncancelled so the lattice is left consistent.
-	if err := l.linkCovers(context.Background()); err != nil {
+	if err := l.relink(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	checkLatticeInvariants(t, l)

@@ -61,7 +61,7 @@ func TestQuickConceptsAreMaximalRectangles(t *testing.T) {
 				}
 			}
 			for a := 0; a < c.NumAttributes(); a++ {
-				if !cc.Intent.Has(a) && cc.Extent.SubsetOf(c.Objects(a)) {
+				if !cc.Intent.Has(a) && cc.Extent.SubsetOf(c.cols[a]) {
 					violated = true
 				}
 			}

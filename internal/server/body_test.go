@@ -295,7 +295,7 @@ func TestConcurrentCreatesDistinctBodies(t *testing.T) {
 // drops a quarter of what it is given, so a scratch is grown again at
 // random.
 func TestCreateDecodeAllocs(t *testing.T) {
-	const maxCreateAllocs = 244 // 242 without -race, which adds two
+	const maxCreateAllocs = 244 // 237 without -race, which adds two
 	srv := New(Config{SnapshotDir: t.TempDir()})
 	h := srv.Handler()
 	src := mustMarshal(t, violationFixture(t))
