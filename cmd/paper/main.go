@@ -13,9 +13,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/exp"
 	"repro/internal/obs"
+	"repro/internal/specs"
 	"repro/internal/textplot"
 )
 
@@ -48,6 +50,15 @@ func main() {
 	}
 	if *trials < 1 {
 		usageError("-trials %d: want at least 1", *trials)
+	}
+	if *figure != "" && !slices.Contains(figureKeys, *figure) {
+		usageError("-figure %q: want 1..10 or wf", *figure)
+	}
+	if *sweep != "" && !isSpec(*sweep) {
+		usageError("-sweep %q: no such spec", *sweep)
+	}
+	if *refabl != "" && !isSpec(*refabl) {
+		usageError("-refablation %q: no such spec", *refabl)
 	}
 	var err error
 	stop, err = obs.SetupCLI(obs.CLIConfig{Metrics: *metrics, CPUProfile: *cpuprofile, MemProfile: *memprofile})
@@ -121,17 +132,23 @@ func main() {
 		figs, err := exp.Figures(cfg)
 		die(err)
 		if *all {
-			for _, key := range []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "wf"} {
+			for _, key := range figureKeys {
 				fmt.Println(figs[key])
 			}
-		} else if f, ok := figs[*figure]; ok {
-			fmt.Println(f)
 		} else {
-			fmt.Fprintf(os.Stderr, "paper: unknown figure %q (1..10 or wf)\n", *figure)
-			stop()
-			os.Exit(2)
+			fmt.Println(figs[*figure])
 		}
 	}
+}
+
+// figureKeys are the figures exp.Figures renders, in paper order.
+var figureKeys = []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "wf"}
+
+// isSpec reports whether name names a specification -sweep and
+// -refablation can run.
+func isSpec(name string) bool {
+	_, ok := specs.ByName(name)
+	return ok
 }
 
 // stop flushes profiles and the metrics snapshot; die must run it before

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -53,21 +54,29 @@ func tool(name string) string { return filepath.Join(binDir, name) }
 // runTool executes a built binary, returning stdout+stderr and the exit code.
 func runTool(t *testing.T, stdin string, name string, args ...string) (string, int) {
 	t.Helper()
+	var buf bytes.Buffer
+	code := runToolTo(t, &buf, &buf, stdin, name, args...)
+	return buf.String(), code
+}
+
+// runToolTo runs a tool like runTool, writing its stdout and stderr to the
+// given writers, and returns its exit status.
+func runToolTo(t *testing.T, stdout, stderr io.Writer, stdin string, name string, args ...string) int {
+	t.Helper()
 	cmd := exec.Command(tool(name), args...)
 	if stdin != "" {
 		cmd.Stdin = strings.NewReader(stdin)
 	}
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
+	cmd.Stdout = stdout
+	cmd.Stderr = stderr
 	err := cmd.Run()
 	code := 0
 	if ee, ok := err.(*exec.ExitError); ok {
 		code = ee.ExitCode()
 	} else if err != nil {
-		t.Fatalf("%s %v: %v\n%s", name, args, err, buf.String())
+		t.Fatalf("%s %v: %v", name, args, err)
 	}
-	return buf.String(), code
+	return code
 }
 
 // writeRunsFile converts generated concrete runs into the symbolic run
@@ -421,6 +430,9 @@ func TestToolUsageErrors(t *testing.T) {
 		{"paper", []string{"-table", "3", "-optbudget", "-5"}, "-optbudget"},
 		{"paper", []string{"-table", "3", "-trials", "0"}, "-trials"},
 		{"paper", []string{"-table", "3", "-trials", "-1"}, "-trials"},
+		{"paper", []string{"-table", "1", "-figure", "99"}, "-figure"},
+		{"paper", []string{"-table", "1", "-sweep", "Nope"}, "-sweep"},
+		{"paper", []string{"-table", "1", "-refablation", "Nope"}, "-refablation"},
 		{"strauss", []string{"-relearn", good, "-k", "0"}, "-k"},
 		{"strauss", []string{"-relearn", good, "-k", "-3"}, "-k"},
 		{"strauss", []string{"-relearn", good, "-s", "0"}, "-s"},
@@ -433,11 +445,16 @@ func TestToolUsageErrors(t *testing.T) {
 		{"tsverify", []string{"-fa", spec, "-progsrc", src, "-maxlen", "-1"}, "-maxlen"},
 		{"cable", []string{"stream", "-fa", spec, "-window", "-1", events}, "-window"},
 	} {
-		out, code := runTool(t, "", c.name, c.args...)
+		var stdout, stderr bytes.Buffer
+		code := runToolTo(t, &stdout, &stderr, "", c.name, c.args...)
 		if code == 0 {
 			t.Errorf("%s %v succeeded, want nonzero exit", c.name, c.args)
-		} else if c.flag != "" && (code != 2 || !strings.Contains(out, c.flag)) {
-			t.Errorf("%s %v: exit %d, output %q; want exit 2 naming %s", c.name, c.args, code, out, c.flag)
+		} else if c.flag != "" && (code != 2 || !strings.Contains(stderr.String(), c.flag)) {
+			t.Errorf("%s %v: exit %d, stderr %q; want exit 2 naming %s", c.name, c.args, code, stderr.String(), c.flag)
+		}
+		// A rejected flag value stops the tool before it does any work.
+		if c.flag != "" && stdout.Len() > 0 {
+			t.Errorf("%s %v wrote %q to stdout before rejecting %s", c.name, c.args, stdout.String(), c.flag)
 		}
 	}
 }

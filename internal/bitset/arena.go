@@ -107,9 +107,12 @@ func (a *Arena) Clone(src *Set) *Set {
 // EnsureBits grows s so its words cover the universe [0, capBits) without
 // leaving the arena. Growth extends in place when the set's carve has
 // capacity (zeroing the exposed words, which may hold stale data from an
-// earlier truncation); otherwise it carves a fresh region and copies — the
-// old words stay pinned in their slab, the accepted cost of incremental
-// updates on arena-backed lattices.
+// earlier truncation); otherwise it carves a fresh region of at least
+// twice the old capacity and copies — the old words stay pinned in their
+// slab, the accepted cost of incremental updates on arena-backed lattices.
+// Doubling keeps that cost a constant factor of the set's final words: a
+// set gaining one element at a time re-carves O(log n) times, not once
+// per word.
 func (a *Arena) EnsureBits(s *Set, capBits int) {
 	cw := (capBits + wordBits - 1) / wordBits
 	if cw <= len(s.words) {
@@ -123,7 +126,7 @@ func (a *Arena) EnsureBits(s *Set, capBits int) {
 		}
 		return
 	}
-	grown := a.allocWords(cw)
+	grown := a.allocWords(max(cw, 2*cap(s.words)))[:cw]
 	copy(grown, s.words)
 	s.words = grown
 }

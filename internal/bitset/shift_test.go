@@ -71,3 +71,49 @@ func TestArenaEnsureBits(t *testing.T) {
 		t.Fatalf("EnsureBits exposed stale words: %v", d.Elems())
 	}
 }
+
+// TestArenaEnsureBitsDoubles grows sets one element at a time, as a
+// lattice's extents gain objects, and requires the words the arena carves
+// for them to stay within a constant factor of the words they end with.
+// Carving only the words a set needs would re-carve it once per word it
+// gains, about n²/2 words for n.
+func TestArenaEnsureBitsDoubles(t *testing.T) {
+	const sets, elems = 8, 256 * wordBits
+	a := NewArena()
+	// slab returns the current word slab's first element, which changes
+	// exactly when the arena starts a new slab.
+	slab := func() *uint64 {
+		if cap(a.words) == 0 {
+			return nil
+		}
+		return &a.words[:1][0]
+	}
+	carved := 0
+	ss := make([]*Set, sets)
+	for i := range ss {
+		ss[i] = a.Set(1, 1)
+		carved++
+	}
+	for e := 0; e < elems; e++ {
+		for _, s := range ss {
+			before, first := len(a.words), slab()
+			a.EnsureBits(s, e+1)
+			if slab() != first {
+				carved += len(a.words)
+			} else {
+				carved += len(a.words) - before
+			}
+			s.Add(e)
+		}
+	}
+	final := 0
+	for _, s := range ss {
+		if s.Len() != elems {
+			t.Fatalf("a grown set holds %d elements, want %d", s.Len(), elems)
+		}
+		final += s.StorageWords()
+	}
+	if carved > 3*final {
+		t.Fatalf("growing %d sets to %d words each carved %d words, want at most %d", sets, final/sets, carved, 3*final)
+	}
+}

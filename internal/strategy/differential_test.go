@@ -183,12 +183,15 @@ func TestPropStrategiesVsWellFormedness(t *testing.T) {
 
 // TestOracleWideLattices runs the differential check on lattices of more
 // than 64 concepts, so Optimal's per-state concept masks span more than
-// one word, and, beyond 64 objects, so do the extent rows. Contexts have 7
-// to 9 attributes; objects share rows in runs, which bounds the labeling
-// states. Each lattice is checked under three labelings: one random label
+// one word. Contexts have 7 to 9 attributes; objects share rows in runs,
+// which bounds the labeling states. The strategies' rows are over blocks
+// of objects that share a row and a label, and the first four contexts
+// have at most 30 distinct rows, so their tables are one word wide; the
+// last has more than 64 distinct rows, so its block rows span two words.
+// Each lattice is checked under up to three labelings: one random label
 // per row (well-formed), one random label per object (not well-formed
-// where a run mixes labels), and one fixed by attributes a0 to a2, whose
-// search ends within three labelings.
+// where a run or a repeated row mixes labels), and one fixed by
+// attributes a0 to a2, whose search ends within three labelings.
 func TestOracleWideLattices(t *testing.T) {
 	const (
 		byRow = 1 << iota
@@ -200,14 +203,21 @@ func TestOracleWideLattices(t *testing.T) {
 		{120, 9, 8, byRow | byObject | byAttrs},
 		{70, 9, 4, byRow | byObject | byAttrs},
 		{30, 7, 1, byRow | byAttrs},
+		{100, 9, 1, byObject | byAttrs},
 	}
 	seen := map[bool]bool{}
+	mostRows := 0
 	for i, c := range cases {
 		rng := rand.New(rand.NewSource(int64(2900 + i)))
 		l := randomLattice(rng, c.no, c.na, c.run)
 		if l.Len() <= 64 {
 			t.Fatalf("%d objects, %d attributes: %d concepts, want more than 64", c.no, c.na, l.Len())
 		}
+		rows := map[string]bool{}
+		for o := range c.no {
+			rows[l.Context().Attributes(o).Key()] = true
+		}
+		mostRows = max(mostRows, len(rows))
 		for kind := byRow; kind <= byAttrs; kind <<= 1 {
 			if c.kinds&kind == 0 {
 				continue
@@ -239,5 +249,8 @@ func TestOracleWideLattices(t *testing.T) {
 	}
 	if !seen[true] || !seen[false] {
 		t.Fatalf("wide lattices were all well-formed = %v", seen[true])
+	}
+	if mostRows <= 64 {
+		t.Fatalf("no context has more than 64 distinct rows (at most %d)", mostRows)
 	}
 }

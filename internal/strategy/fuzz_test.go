@@ -20,6 +20,9 @@ func FuzzStrategiesMatchOracle(f *testing.F) {
 	f.Add([]byte{5, 3, 1, 2, 4, 3, 6, 0b10101, 0, 7, 3, 0})
 	f.Add([]byte{11, 7, 0xff, 0x0f, 0xf0, 0x33, 0xcc, 0x55, 0xaa, 1, 2, 4, 8, 16, 0x5a, 0x03, 9, 7, 40})
 	f.Add([]byte{1, 0, 0, 1, 0, 0, 1})
+	// Objects 0 and 1 share a row under different labels: two blocks that
+	// sit in the same extents.
+	f.Add([]byte{2, 1, 1, 1, 2, 0, 1, 0, 0, 7, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {

@@ -3,6 +3,7 @@ package strategy
 import (
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/cable"
 	"repro/internal/concept"
@@ -29,9 +30,11 @@ func Optimal(l *concept.Lattice, ref []cable.Label, maxStates int) (Cost, bool) 
 // OptimalPlan is Optimal returning a witness: one minimum-length sequence
 // of (inspect, label) operations achieving the reference labeling.
 //
-// The search runs on the strategies' table and keeps its states in one
-// stateSlab, so after building the table it allocates only when the slab
-// doubles.
+// The search runs on the strategies' block table. With at most 64 blocks
+// and at most 64 concepts, a state's row and mask are one word each and
+// the search runs in optimalWord on a pooled wordSlab, so a warm search
+// allocates only its table and its plan. Wider lattices keep their states
+// in one stateSlab, which allocates only when it doubles.
 //
 // It skips successors it has already reached. Let cur be reached from p
 // by labeling concept a's remainder, and let c < a be a concept whose
@@ -59,6 +62,9 @@ func OptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (Plan, Co
 		return Plan{}, Cost{}, true
 	}
 	nc, w := l.Len(), t.w
+	if w == 1 && nc <= 64 {
+		return t.optimalWord(nc, maxStates)
+	}
 	s := newStateSlab(w, nc)
 	// succ is the successor under construction and mask cur's concepts
 	// with an empty or labelable remainder, copied into the slab once cur
@@ -81,17 +87,17 @@ func OptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (Plan, Co
 				continue
 			}
 			e := t.ext[ci*w:][:w]
-			o := firstIn(e, row)
-			if o < 0 {
+			b := firstIn(e, row)
+			if b < 0 {
 				mask[ci/64] |= bit
 				continue
 			}
 			// The remainder e \ row is labelable iff it lies within the
-			// label row of its first object, which only a mixed extent
+			// label row of its first block, which only a mixed extent
 			// can fail.
-			if t.mixed[ci] {
-				lr := t.labelRow(o)
-				i := o / 64
+			if t.isMixed(ci) {
+				lr := t.labelRow(b)
+				i := b / 64
 				for i < w && e[i]&^row[i]&^lr[i] == 0 {
 					i++
 				}
@@ -100,7 +106,7 @@ func OptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (Plan, Co
 				}
 			}
 			mask[ci/64] |= bit
-			// missing is non-zero iff the successor leaves an object
+			// missing is non-zero iff the successor leaves a block
 			// unlabeled.
 			var missing uint64
 			for j := range succ {
@@ -108,10 +114,7 @@ func OptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (Plan, Co
 				missing |= succ[j] ^ t.all[j]
 			}
 			if missing == 0 {
-				plan := s.planTo(cur, ref)
-				plan.Ops = append(plan.Ops, Op{Concept: ci, Label: ref[o]})
-				k := len(plan.Ops)
-				return plan, Cost{Inspections: k, Labelings: k}, true
+				return s.planTo(&t, cur, Op{Concept: ci, Label: t.label(b)})
 			}
 			slot, found := s.lookup(succ, hashRow(succ))
 			if found {
@@ -128,11 +131,153 @@ func OptimalPlan(l *concept.Lattice, ref []cable.Label, maxStates int) (Plan, Co
 	return Plan{}, Cost{}, false
 }
 
+// optimalWord is OptimalPlan's search on a one-word table of nc ≤ 64
+// concepts: each state's row and mask are one word, a remainder r is
+// labelable iff r&^blockLab[first block of r] == 0, and the concepts a
+// state must test are the bits of one word, visited in increasing order.
+// Visiting order, skip rule, goal test and budget count are the wide
+// search's.
+func (t *table) optimalWord(nc, maxStates int) (Plan, Cost, bool) {
+	s := wordSlabs.Get().(*wordSlab)
+	defer wordSlabs.Put(s)
+	s.reset(nc)
+	ext, lab, all := t.ext[:nc], t.blockLab, t.all[0]
+	every := ^uint64(0) >> (64 - nc)
+	for cur := 0; cur < len(s.rows); cur++ {
+		row := s.rows[cur]
+		// mask collects the concepts whose remainder from cur is empty
+		// or labelable; it starts with those below via[cur] that the
+		// parent's mask has, which the search skips.
+		var mask uint64
+		if cur > 0 {
+			mask = s.masks[s.parent[cur]] & (1<<s.via[cur] - 1)
+		}
+		for todo := every &^ mask; todo != 0; todo &= todo - 1 {
+			ci := bits.TrailingZeros64(todo)
+			r := ext[ci] &^ row
+			if r == 0 {
+				mask |= 1 << ci
+				continue
+			}
+			b := bits.TrailingZeros64(r)
+			if r&^lab[b] != 0 {
+				continue
+			}
+			mask |= 1 << ci
+			succ := row | r
+			if succ == all {
+				return s.planTo(t, cur, Op{Concept: ci, Label: t.label(b)})
+			}
+			if s.add(succ, cur, ci) && len(s.rows) > maxStates {
+				return Plan{}, Cost{}, false
+			}
+		}
+		s.masks = append(s.masks, mask)
+	}
+	return Plan{}, Cost{}, false
+}
+
+// wordSlab holds the states of one single-word Optimal search: rows keeps
+// their rows (bit k set iff block k is labeled) in visiting order and is
+// also the BFS queue, masks the mask of each expanded state, and parent
+// and via, per state, the state it was reached from and the concept whose
+// remainder was labeled. seen is an open-addressing table of rows with
+// linear probing; an all-zero slot is empty, as in stateSlab, and the
+// table stays at most half full.
+//
+// Searches take their slab from wordSlabs and put it back, so a search
+// reuses the buffers of the ones before it instead of allocating and
+// zeroing fresh tables at every doubling. The pool, unlike a package
+// variable holding a slab, lets the collector reclaim an idle slab.
+type wordSlab struct {
+	rows   []uint64
+	masks  []uint64
+	parent []int32
+	via    []int32
+	seen   []uint64
+	shift  uint // 64 - log2(len(seen))
+}
+
+var wordSlabs = sync.Pool{New: func() any { return new(wordSlab) }}
+
+// reset empties the slab down to the start state, with a table sized for
+// the first level of a search over nc concepts.
+func (s *wordSlab) reset(nc int) {
+	s.rows = append(s.rows[:0], 0)
+	s.masks = s.masks[:0]
+	s.parent = append(s.parent[:0], -1)
+	s.via = append(s.via[:0], -1)
+	slots := 16
+	for slots < 4*nc {
+		slots *= 2
+	}
+	s.resize(slots)
+}
+
+// add makes row a state reached from parent via concept via unless it
+// already is one, and reports whether it was new.
+func (s *wordSlab) add(row uint64, parent, via int) bool {
+	// The table holds every state but the start; keep it at most half full.
+	if 2*len(s.rows) > len(s.seen) {
+		s.resize(2 * len(s.seen))
+	}
+	i := s.slot(row)
+	if s.seen[i] == row {
+		return false
+	}
+	s.seen[i] = row
+	s.rows = append(s.rows, row)
+	s.parent = append(s.parent, int32(parent))
+	s.via = append(s.via, int32(via))
+	return true
+}
+
+// slot returns row's slot in the table, or the empty slot where its probe
+// ended.
+func (s *wordSlab) slot(row uint64) uint64 {
+	mask := uint64(len(s.seen) - 1)
+	i := (row * 0x9e3779b97f4a7c15) >> s.shift
+	for s.seen[i] != row && s.seen[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// resize empties the table to the given power-of-two slot count, reusing
+// the slab's buffer when it is large enough, and places every state but
+// the start in it again.
+func (s *wordSlab) resize(slots int) {
+	if cap(s.seen) < slots {
+		s.seen = make([]uint64, slots)
+	} else {
+		s.seen = s.seen[:slots]
+		clear(s.seen)
+	}
+	s.shift = uint(64 - bits.TrailingZeros(uint(slots)))
+	for _, row := range s.rows[1:] {
+		s.seen[s.slot(row)] = row
+	}
+}
+
+// planTo returns the plan that reaches state k and then takes the goal
+// op last.
+func (s *wordSlab) planTo(t *table, k int, last Op) (Plan, Cost, bool) {
+	ops := make([]Op, depth(s.parent, k)+1)
+	ops[len(ops)-1] = last
+	for i := len(ops) - 2; k > 0; i, k = i-1, int(s.parent[k]) {
+		// The blocks k added to its parent are the labeled remainder.
+		b := bits.TrailingZeros64(s.rows[k] &^ s.rows[s.parent[k]])
+		ops[i] = Op{Concept: int(s.via[k]), Label: t.label(b)}
+	}
+	return finished(ops)
+}
+
 // DefaultOptimalBudget is the default bound on explored labeling states.
 const DefaultOptimalBudget = 200000
 
-// stateSlab holds the states of one Optimal search as w-word rows (bit o
-// set iff object o is labeled). rows keeps them in visiting order and is
+// stateSlab holds the states of one Optimal search on a table of more
+// than 64 blocks or more than 64 concepts, as w-word rows (bit k set iff
+// block k is labeled). rows keeps them in visiting order and is
 // also the BFS queue; parent and via record, per state, the state it was
 // reached from and the index of the concept whose remainder was labeled,
 // so only the goal's plan is ever built. Each state's row in rows is
@@ -231,19 +376,35 @@ func (s *stateSlab) resize(slots int) {
 	}
 }
 
-// planTo returns the ops leading from the start state to state k.
-func (s *stateSlab) planTo(k int, ref []cable.Label) Plan {
-	var ops []Op
-	for ; k > 0; k = int(s.parent[k]) {
-		// The objects k added to its parent are the labeled remainder.
-		o := firstIn(s.row(k), s.row(int(s.parent[k])))
-		ops = append(ops, Op{Concept: int(s.via[k]), Label: ref[o]})
+// planTo returns the plan that reaches state k and then takes the goal
+// op last.
+func (s *stateSlab) planTo(t *table, k int, last Op) (Plan, Cost, bool) {
+	ops := make([]Op, depth(s.parent, k)+1)
+	ops[len(ops)-1] = last
+	for i := len(ops) - 2; k > 0; i, k = i-1, int(s.parent[k]) {
+		// The blocks k added to its parent are the labeled remainder.
+		b := firstIn(s.row(k), s.row(int(s.parent[k])))
+		ops[i] = Op{Concept: int(s.via[k]), Label: t.label(b)}
 	}
-	slices.Reverse(ops)
-	return Plan{Ops: ops}
+	return finished(ops)
 }
 
-// firstIn returns the smallest object in row a but not in row b, or -1.
+// depth returns the number of steps from the start state to state k.
+func depth(parent []int32, k int) int {
+	d := 0
+	for ; k > 0; k = int(parent[k]) {
+		d++
+	}
+	return d
+}
+
+// finished returns a found plan of the given ops and its cost: one
+// inspection and one labeling per op.
+func finished(ops []Op) (Plan, Cost, bool) {
+	return Plan{Ops: ops}, Cost{Inspections: len(ops), Labelings: len(ops)}, true
+}
+
+// firstIn returns the smallest block in row a but not in row b, or -1.
 func firstIn(a, b []uint64) int {
 	b = b[:len(a)]
 	for i := range a {

@@ -55,9 +55,12 @@ func ExpertPlan(l *concept.Lattice, ref []cable.Label) (Plan, Cost, bool) {
 			if k.labelable(ci, k.row) < 0 {
 				continue
 			}
+			// The cover counts objects: each block its weight.
 			cover := 0
 			for i, x := range k.extent(ci) {
-				cover += bits.OnesCount64(x &^ k.row[i])
+				for x &^= k.row[i]; x != 0; x &= x - 1 {
+					cover += int(k.weight[i*64+bits.TrailingZeros64(x)])
+				}
 			}
 			if cover > bestCover {
 				best, bestCover = ci, cover

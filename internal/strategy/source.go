@@ -1,6 +1,9 @@
 package strategy
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 // math/rand's Source (frozen by the Go 1 compatibility promise) is an
 // additive lagged Fibonacci generator over a 607-word register with tap
@@ -14,12 +17,16 @@ const (
 	seedSkip = 20
 )
 
-// chainPow[i] is 48271^(seedSkip+1+3i) mod (2³¹−1), so the first chain
-// value register word i is built from is seed·chainPow[i] mod (2³¹−1):
-// any word can be computed directly instead of by stepping the chain from
-// the seed. rngCooked[i] is the constant Seed XORs into register word i.
-// Both are filled once by init.
-var chainPow, rngCooked [rngLen]uint64
+// chainPow[i][j] is 48271^(seedSkip+1+3i+j) mod (2³¹−1), so the three
+// chain values register word i is built from are seed·chainPow[i][j] mod
+// (2³¹−1): any word can be computed directly instead of by stepping the
+// chain from the seed, and its three products do not wait on each other.
+// rngCooked[i] is the constant Seed XORs into register word i. Both are
+// filled once by init.
+var (
+	chainPow  [rngLen][3]uint64
+	rngCooked [rngLen]uint64
+)
 
 // init derives both tables. The cooked constants are recovered from a real
 // rand.NewSource stream rather than copied: after rngLen outputs every
@@ -32,8 +39,10 @@ func init() {
 		p = mulmod(p, 48271)
 	}
 	for i := range chainPow {
-		chainPow[i] = p
-		p = mulmod(mulmod(mulmod(p, 48271), 48271), 48271)
+		for j := range chainPow[i] {
+			chainPow[i][j] = p
+			p = mulmod(p, 48271)
+		}
 	}
 
 	const seed = 1
@@ -71,10 +80,8 @@ func mulmod(a, b uint64) uint64 {
 // seed in [1, 2³¹−2]: three consecutive chain values packed at bit offsets
 // 40, 20 and 0.
 func chainWord(seed uint64, i int) uint64 {
-	x0 := mulmod(seed, chainPow[i])
-	x1 := mulmod(x0, 48271)
-	x2 := mulmod(x1, 48271)
-	return x0<<40 ^ x1<<20 ^ x2
+	p := &chainPow[i]
+	return mulmod(seed, p[0])<<40 ^ mulmod(seed, p[1])<<20 ^ mulmod(seed, p[2])
 }
 
 // trialSource yields exactly the stream of rand.NewSource(s) after
@@ -83,7 +90,8 @@ func chainWord(seed uint64, i int) uint64 {
 // use. A Table 3 Random trial makes a few dozen draws on average, touching
 // a small fraction of the register, so reseeding one trialSource per trial
 // costs far less than a fresh rand.NewSource. Its intn is rand.Rand's
-// Intn, so a trial draws without a rand.Rand in between.
+// Intn read from a draw table that RandomMean fills once per call, so a
+// trial draws with no rand.Rand in between and no division.
 type trialSource struct {
 	seed      uint64
 	tap, feed int
@@ -133,18 +141,41 @@ func (s *trialSource) Uint64() uint64 {
 // Int63 returns Uint64 with the sign bit cleared, as math/rand does.
 func (s *trialSource) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
 
-// intn returns what rand.New(s).Intn(n) would for 0 < n ≤ 2³¹−1: its
+// fillDraws fills the draw table d with bound(n) for the bounds
+// n = 1..len(d)/2, entry n at d[2n−2] and d[2n−1].
+func fillDraws(d []uint64) {
+	for i := 0; i+1 < len(d); i += 2 {
+		d[i], d[i+1] = bound(i/2 + 1)
+	}
+}
+
+// bound returns the two numbers a draw below n needs: Int31n's rejection
+// threshold, the largest draw it keeps (one below the largest multiple of
+// n up to 2³¹, so 2³¹−1 for a power of two), and Lemire's fastmod
+// multiplier ⌊(2⁶⁴−1)/n⌋+1 (which wraps to 0 for n = 1).
+func bound(n int) (thr, mul uint64) {
+	return 1<<31 - 1 - 1<<31%uint64(n), ^uint64(0)/uint64(n) + 1
+}
+
+// intn returns what rand.New(s).Intn(n) would for 0 < n ≤ len(d)/2, where
+// d is a draw table.
+func (s *trialSource) intn(d []uint64, n int) int {
+	e := d[2*n-2:][:2]
+	return s.below(e[0], e[1], n)
+}
+
+// below returns rand.Rand.Intn(n) for 0 < n ≤ 2³¹−1 given bound(n): its
 // Int31n, which masks a draw for a power of two and otherwise rejects
 // draws above the largest multiple of n, each draw being Int63's top 31
-// bits.
-func (s *trialSource) intn(n int) int {
-	if n&(n-1) == 0 {
-		return int(int32(s.Int63()>>32) & int32(n-1))
+// bits. Both cases are one test against the threshold, and the remainder
+// is Lemire's fastmod: for 32-bit v and n, v mod n is the high word of
+// (mul·v mod 2⁶⁴)·n, and for a power of two that is v's low bits, the
+// mask.
+func (s *trialSource) below(thr, mul uint64, n int) int {
+	v := uint64(s.Int63() >> 32)
+	for v > thr {
+		v = uint64(s.Int63() >> 32)
 	}
-	max := int32(1<<31 - 1 - (1<<31)%uint32(n))
-	v := int32(s.Int63() >> 32)
-	for v > max {
-		v = int32(s.Int63() >> 32)
-	}
-	return int(v % int32(n))
+	r, _ := bits.Mul64(mul*v, uint64(n))
+	return int(r)
 }

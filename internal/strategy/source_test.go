@@ -47,17 +47,32 @@ func TestTrialSourceMatchesMathRand(t *testing.T) {
 // rand.New(rand.NewSource(s)).Intn(n): one, powers of two (masked), odd
 // bounds and 2³¹−1 (the rejection loop's path), and 2³⁰+1, which rejects
 // about every other draw, over 3×607 draws per seed so the register
-// wraps.
+// wraps; and, through a draw table as RandomMean fills it, every bound
+// from 1 to 64, drawn in turn.
 func TestTrialSourceIntnMatchesMathRand(t *testing.T) {
 	var src trialSource
+	seeds := []int64{0, 1, 20030407, -1 << 62}
 	for _, n := range []int{1, 2, 3, 64, 97, int32max, 1<<30 + 1} {
-		for _, seed := range []int64{0, 1, 20030407, -1 << 62} {
+		thr, mul := bound(n)
+		for _, seed := range seeds {
 			want := rand.New(rand.NewSource(seed))
 			src.Seed(seed)
 			for k := 0; k < 3*rngLen; k++ {
-				if w, g := want.Intn(n), src.intn(n); g != w {
+				if w, g := want.Intn(n), src.below(thr, mul, n); g != w {
 					t.Fatalf("seed %d: draw %d of Intn(%d) = %d, want %d", seed, k, n, g, w)
 				}
+			}
+		}
+	}
+	draws := make([]uint64, 2*64)
+	fillDraws(draws)
+	for _, seed := range seeds {
+		want := rand.New(rand.NewSource(seed))
+		src.Seed(seed)
+		for k := 0; k < 3*rngLen; k++ {
+			n := 1 + k%64
+			if w, g := want.Intn(n), src.intn(draws, n); g != w {
+				t.Fatalf("seed %d: draw %d of Intn(%d) from the table = %d, want %d", seed, k, n, g, w)
 			}
 		}
 	}
@@ -67,7 +82,9 @@ func TestTrialSourceIntnMatchesMathRand(t *testing.T) {
 // the edges of its range and on the seed chain's own products.
 func TestMulmodMatchesRemainder(t *testing.T) {
 	vals := []uint64{0, 1, 2, 48271, 1<<31 - 3, int32max - 1, 1 << 30, 89482311}
-	vals = append(vals, chainPow[:]...)
+	for _, p := range chainPow {
+		vals = append(vals, p[:]...)
+	}
 	for _, a := range vals {
 		for _, b := range vals {
 			if g, w := mulmod(a, b), a*b%int32max; g != w {

@@ -1,6 +1,8 @@
 package strategy
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -163,29 +165,74 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestRandomTrialAllocFree pins RandomMean's per-trial steady state:
-// reseeding its source and walking a Random trial from the reset row and
-// candidate list allocates nothing.
-func TestRandomTrialAllocFree(t *testing.T) {
-	l, ref := stdioFixture(t)
-	tb, ok := newTable(l, ref)
-	if !ok {
-		t.Fatal("newTable rejected the fixture")
+// wideFixture builds a lattice of 70 objects with distinct rows over
+// seven attributes (object o has attribute a iff bit a of o is set), each
+// object labeled by the parity of its row. Every row is its own block, so
+// its table spans two words, and every remainder Bottom-up meets is one
+// object, so the lattice is well-formed for the labeling.
+func wideFixture(t *testing.T) (*concept.Lattice, []cable.Label) {
+	t.Helper()
+	const no, na = 70, 7
+	objs, attrs := make([]string, no), make([]string, na)
+	for i := range objs {
+		objs[i] = fmt.Sprintf("o%d", i)
 	}
-	tr, start := tb.newTrial()
-	src := new(trialSource)
-	seed := int64(0)
-	allocs := testing.AllocsPerRun(100, func() {
-		seed++
-		src.Seed(seed)
-		if !tb.randomTrial(&tr, start, src, 1000*l.Len()) {
-			t.Fatalf("seed %d: Random trial failed on a well-formed lattice", seed)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("a%d", i)
+	}
+	ctx := concept.NewContext(objs, attrs)
+	ref := make([]cable.Label, no)
+	for o := range objs {
+		for a := range attrs {
+			if o>>a&1 != 0 {
+				ctx.Relate(o, a)
+			}
 		}
-		if tr.cost.Labelings == 0 {
-			t.Fatalf("seed %d: Random trial labeled nothing", seed)
+		ref[o] = cable.Good
+		if bits.OnesCount(uint(o))%2 != 0 {
+			ref[o] = cable.Bad
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("a reset-and-walk Random trial allocates %v times, want 0", allocs)
+	}
+	l := concept.Build(ctx)
+	if ok, _ := wellformed.Check(l, ref); !ok {
+		t.Fatal("wide fixture not well-formed")
+	}
+	return l, ref
+}
+
+// TestRandomTrialAllocFree pins RandomMean's per-trial steady state:
+// reseeding its source and walking a Random trial from the reset
+// candidate list allocates nothing, on the single-word walk (the stdio
+// fixture's six blocks) and on the w-word walk (the wide fixture's 70).
+func TestRandomTrialAllocFree(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		fixture func(*testing.T) (*concept.Lattice, []cable.Label)
+		w       int
+	}{{"stdio", stdioFixture, 1}, {"wide", wideFixture, 2}} {
+		l, ref := c.fixture(t)
+		tb, ints, words, ok := buildTable(l, ref, 2*l.Len())
+		if !ok {
+			t.Fatalf("%s: buildTable rejected the fixture", c.name)
+		}
+		if tb.w != c.w {
+			t.Fatalf("%s: table of %d words, want %d", c.name, tb.w, c.w)
+		}
+		tr := tb.newTrial(l.Len(), ints, words)
+		src := new(trialSource)
+		seed := int64(0)
+		allocs := testing.AllocsPerRun(100, func() {
+			seed++
+			src.Seed(seed)
+			if !tb.randomTrial(&tr, src, 1000*l.Len()) {
+				t.Fatalf("%s seed %d: Random trial failed on a well-formed lattice", c.name, seed)
+			}
+			if tr.cost.Labelings == 0 {
+				t.Fatalf("%s seed %d: Random trial labeled nothing", c.name, seed)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: a reset-and-walk Random trial allocates %v times, want 0", c.name, allocs)
+		}
 	}
 }
