@@ -16,13 +16,13 @@ fmt:
 	@out="$$(gofmt -l . | grep -v testdata || true)"; \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# The repo's own invariant suite (internal/analysis): build the cablevet
-# multichecker and run it over every package through go vet's unitchecker
-# protocol. Findings fail the build; see DESIGN.md for the rule catalogue
-# and the //cablevet:ignore suppression syntax.
+# The repo's own invariant suite (internal/analysis/analyzers), the test
+# tier-1 runs too: TestCablevet type-checks the module and runs the six
+# analyzers over the package variants `go vet ./...` vets, test files
+# included. Findings and stale //cablevet:ignore directives fail it; see
+# DESIGN.md for the rule catalogue and the suppression syntax.
 cablevet:
-	$(GO) build -o bin/cablevet ./cmd/cablevet
-	$(GO) vet -vettool=$$PWD/bin/cablevet ./...
+	$(GO) test -count=1 -run '^TestCablevet$$' .
 
 # The specification-level counterpart: every shipped paper spec must lint
 # clean — structural and semantic rules plus the cross-spec

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cliflag"
 	"repro/internal/fa"
 	"repro/internal/speclint"
 	"repro/internal/specs"
@@ -35,6 +36,11 @@ func runLint(args []string) {
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
+	var unread []string // the corpus replaces the one spec and its inputs
+	if *corpus {
+		unread = []string{"fa", "traces", "ref"}
+	}
+	cliflag.Check(fs, "-corpus", unread...)
 
 	var findings []speclint.Finding
 	specCount := 0

@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"repro/internal/cable"
+	"repro/internal/cliflag"
 	"repro/internal/core"
 	"repro/internal/fa"
 	"repro/internal/obs"
@@ -52,6 +53,11 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
+	var unread []string // a workspace holds its own traces and reference FA
+	if *wsPath != "" {
+		unread = []string{"traces", "fa"}
+	}
+	cliflag.Check(flag.CommandLine, "-workspace", unread...)
 	var err error
 	stop, err = obs.SetupCLI(obs.CLIConfig{Metrics: *metrics, CPUProfile: *cpuprofile, MemProfile: *memprofile})
 	die(err)

@@ -34,6 +34,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cliflag"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -50,6 +51,7 @@ func main() {
 		memprofile      = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
+	cliflag.Check(flag.CommandLine, "")
 	// A negative duration would act as 0: no request deadline, no idle
 	// eviction, or no drain grace at SIGTERM.
 	for _, f := range []struct {

@@ -330,13 +330,14 @@ func TestNegativeDurationFlags(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, flag := range []string{"-request-timeout", "-idle-timeout", "-shutdown-timeout"} {
+	// An argument after the flags is refused the same way, naming it.
+	for _, args := range [][]string{{"-request-timeout", "-1s"}, {"-idle-timeout", "-1s"}, {"-shutdown-timeout", "-1s"}, {"stray"}} {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", flag, "-1s").CombinedOutput()
+		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), flag) {
-			t.Errorf("cabled %s -1s: %v, output %q; want exit 2 naming %s", flag, err, out, flag)
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), args[0]) {
+			t.Errorf("cabled %v: %v, output %q; want exit 2 naming %s", args, err, out, args[0])
 		}
 	}
 }

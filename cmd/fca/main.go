@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cliflag"
 	"repro/internal/concept"
 	"repro/internal/fa"
 	"repro/internal/trace"
@@ -31,6 +32,15 @@ func main() {
 		emitCxt    = flag.String("emitcxt", "", "also write the context in Burmeister format here")
 	)
 	flag.Parse()
+	// Each input mode reads only its own flags.
+	switch {
+	case *cxtPath != "":
+		cliflag.Check(flag.CommandLine, "-cxt", "traces", "fa", "pattern")
+	case *pattern != "":
+		cliflag.Check(flag.CommandLine, "-pattern", "fa")
+	default:
+		cliflag.Check(flag.CommandLine, "")
+	}
 
 	var (
 		ctx  *concept.Context

@@ -15,6 +15,7 @@ import (
 	"os"
 	"slices"
 
+	"repro/internal/cliflag"
 	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/specs"
@@ -39,6 +40,7 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
+	cliflag.Check(flag.CommandLine, "")
 	// Reject flag values the run cannot honour before doing any work.
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "table" && (*table < 1 || *table > 3) {

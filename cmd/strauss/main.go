@@ -19,6 +19,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cliflag"
 	"repro/internal/event"
 	"repro/internal/fa"
 	"repro/internal/learn"
@@ -48,6 +49,11 @@ func main() {
 	if *coreAt < 0 {
 		usageError("-core %d: want 0 (off) or a positive count", *coreAt)
 	}
+	var unread []string // the front end's flags, when it is skipped
+	if *relearn != "" {
+		unread = []string{"runs", "seeds", "scenarios"}
+	}
+	cliflag.Check(flag.CommandLine, "-relearn", unread...)
 
 	backend := mine.BackEnd{
 		Learner:       learn.Learner{K: *k, S: *s, Agreement: learn.And},

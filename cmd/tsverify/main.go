@@ -20,6 +20,7 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/cliflag"
 	"repro/internal/fa"
 	"repro/internal/obs"
 	"repro/internal/prog"
@@ -59,6 +60,27 @@ func main() {
 	}
 	if *limit < 1 {
 		usageError("-limit %d: want at least 1", *limit)
+	}
+	// -pattern replaces -fa, and each mode reads only its own flags.
+	if *pattern != "" {
+		cliflag.Check(flag.CommandLine, "-pattern", "fa")
+	}
+	switch {
+	case *lint:
+		cliflag.Check(flag.CommandLine, "-lint", "program", "progsrc", "maxlen", "limit", "violations", "rank", "explain", "q")
+	case *progSrc != "":
+		cliflag.Check(flag.CommandLine, "-progsrc", "program", "traces", "ref")
+	case *progPath != "":
+		cliflag.Check(flag.CommandLine, "-program", "traces", "ref")
+	default:
+		cliflag.Check(flag.CommandLine, "-traces", "maxlen", "limit", "ref")
+	}
+	// -q prints only the summary; -rank lists classes without diagnoses.
+	switch {
+	case *quiet:
+		cliflag.Check(flag.CommandLine, "-q", "rank", "explain")
+	case *ranked:
+		cliflag.Check(flag.CommandLine, "-rank", "explain")
 	}
 	var spec *fa.FA
 	var err error

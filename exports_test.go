@@ -1,22 +1,15 @@
 package repro
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 // TestExportedFuncsHaveCallers fails when an exported top-level function
@@ -27,11 +20,12 @@ import (
 // under internal/ is never written by that code: such a field is an
 // option only tests set.
 //
-// The check resolves references with go/types over the packages `go list`
-// reports, so a caller is the very function or method, not anything that
-// shares its name. A method reached only through an interface has no
-// static caller: String and Error methods count as called, and any other
-// goes in testOnlyMethods with its reason.
+// The check resolves references with go/types over the packages
+// analysis.Load type-checks (moduleLoad, shared with TestCablevet), so a
+// caller is the very function or method, not anything that shares its
+// name. A method reached only through an interface has no static caller:
+// String and Error methods count as called, and any other goes in
+// testOnlyMethods with its reason.
 //
 // A field counts as written by a keyed composite literal, an unkeyed
 // literal of its type, an assignment or ++/-- target, or &x.F, outside the
@@ -43,7 +37,9 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 	// package's tests call it, and a test cannot import a _test.go file.
 	// Keys are "<directory>.<name>".
 	testOnlyExports := map[string]string{
+		"internal/analysis.Load":             "this package's module-wide checks, TestCablevet and this one, load the module through it",
 		"internal/analysis/analysistest.Run": "the analyzers' golden tests run their testdata packages through it",
+		"internal/analysis/analyzers.All":    "TestCablevet runs the invariant suite over the module through it",
 		"internal/bitset.Union":              "strategy's oracle tests build label sets with it",
 		"internal/event.Bind":                "trace's tests build assignment events with it",
 		"internal/event.ParseAll":            "fa's regex and property tests parse event lists with it",
@@ -56,9 +52,10 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 	// package's tests call, it lists methods that satisfy an interface
 	// and are only called through it.
 	testOnlyMethods := map[string]string{
-		"internal/fa.FA.Sample":            "concept's benchmarks draw their traces with it",
-		"internal/scanio.Error.Unwrap":     "errors.Is and errors.As call it through the Unwrap() error interface",
-		"internal/server.httpError.Unwrap": "errors.Is and errors.As call it through the Unwrap() error interface",
+		"internal/analysis.importerFunc.Import": "go/types calls it through the types.Importer interface while Load checks a package",
+		"internal/fa.FA.Sample":                 "concept's benchmarks draw their traces with it",
+		"internal/scanio.Error.Unwrap":          "errors.Is and errors.As call it through the Unwrap() error interface",
+		"internal/server.httpError.Unwrap":      "errors.Is and errors.As call it through the Unwrap() error interface",
 	}
 	// unsetFields lists the exported fields no non-test code writes, with
 	// the reason each stays, keyed "<directory>.<type>.<field>".
@@ -66,7 +63,18 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 		"internal/exp.Config.Workers": "perfbench reads it; it goes with the other perfbench shims of ROADMAP item 7",
 	}
 
-	pkgs := loadModule(t)
+	mods, err := moduleLoad()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The callers are this module's plain packages and perfbench's.
+	var pkgs []*analysis.Package
+	for _, p := range mods[0] {
+		if p.ForTest == "" {
+			pkgs = append(pkgs, p)
+		}
+	}
+	pkgs = append(pkgs, mods[1]...)
 
 	type decl struct {
 		key      string
@@ -81,20 +89,21 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 	}
 	fields := map[*types.Var]*field{}
 	for _, p := range pkgs {
-		if !strings.HasPrefix(p.dir, "internal/") {
+		dir := strings.TrimPrefix(p.Types.Path(), "repro/")
+		if !strings.HasPrefix(dir, "internal/") {
 			continue
 		}
-		for _, f := range p.files {
+		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					if !d.Name.IsExported() {
 						continue
 					}
-					fn := p.info.Defs[d.Name].(*types.Func)
-					key := p.dir + "." + d.Name.Name
+					fn := p.Info.Defs[d.Name].(*types.Func)
+					key := dir + "." + d.Name.Name
 					if recv := recvType(fn); recv != nil {
-						key = p.dir + "." + recv.Name() + "." + d.Name.Name
+						key = dir + "." + recv.Name() + "." + d.Name.Name
 					}
 					funcs[fn] = &decl{key: key, pos: d.Pos(), end: d.End(), called: isStringer(fn)}
 				case *ast.GenDecl:
@@ -103,7 +112,7 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 						if !ok || !ts.Name.IsExported() {
 							continue
 						}
-						tn := p.info.Defs[ts.Name].(*types.TypeName)
+						tn := p.Info.Defs[ts.Name].(*types.TypeName)
 						st, ok := tn.Type().Underlying().(*types.Struct)
 						if !ok || tn.IsAlias() {
 							continue
@@ -111,7 +120,7 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 						for i := 0; i < st.NumFields(); i++ {
 							v := st.Field(i)
 							if _, wire := reflect.StructTag(st.Tag(i)).Lookup("json"); v.Exported() && !wire {
-								fields[v] = &field{key: p.dir + "." + tn.Name() + "." + v.Name(), owner: tn}
+								fields[v] = &field{key: dir + "." + tn.Name() + "." + v.Name(), owner: tn}
 							}
 						}
 					}
@@ -123,7 +132,7 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 	for _, p := range pkgs {
 		// Uses holds the object of every x.Sel selector as well, so it
 		// covers method calls and method values.
-		for id, obj := range p.info.Uses {
+		for id, obj := range p.Info.Uses {
 			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
@@ -132,12 +141,12 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 				d.called = true
 			}
 		}
-		for _, f := range p.files {
+		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				// The type whose methods may default its own fields.
 				var self *types.TypeName
 				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
-					self = recvType(p.info.Defs[fd.Name].(*types.Func))
+					self = recvType(p.Info.Defs[fd.Name].(*types.Func))
 				}
 				write := func(v *types.Var) {
 					if fl := fields[v.Origin()]; fl != nil && fl.owner != self {
@@ -146,7 +155,7 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 				}
 				writeExpr := func(e ast.Expr) {
 					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-						if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+						if s := p.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
 							write(s.Obj().(*types.Var))
 						}
 					}
@@ -154,7 +163,7 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 				ast.Inspect(d, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.CompositeLit:
-						typ := p.info.TypeOf(n)
+						typ := p.Info.TypeOf(n)
 						if ptr, ok := typ.Underlying().(*types.Pointer); ok {
 							typ = ptr.Elem()
 						}
@@ -169,7 +178,7 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 							break
 						}
 						for _, e := range n.Elts {
-							if v, ok := p.info.Uses[e.(*ast.KeyValueExpr).Key.(*ast.Ident)].(*types.Var); ok {
+							if v, ok := p.Info.Uses[e.(*ast.KeyValueExpr).Key.(*ast.Ident)].(*types.Var); ok {
 								write(v)
 							}
 						}
@@ -255,120 +264,3 @@ func isStringer(fn *types.Func) bool {
 		sig.Params().Len() == 0 && sig.Results().Len() == 1 &&
 		types.Identical(sig.Results().At(0).Type(), types.Typ[types.String])
 }
-
-// checkedPackage is one package of this module or of perfbench,
-// type-checked from its non-test files.
-type checkedPackage struct {
-	dir   string // relative to the module root, slash-separated
-	files []*ast.File
-	info  *types.Info
-}
-
-// loadModule type-checks the non-test files of every package of this
-// module and of perfbench, in dependency order. Standard-library imports
-// come from the export data `go list -export` reports; this module's
-// imports come from the packages already checked. The sources are read in
-// this process, so the test cache sees edits to them.
-func loadModule(t *testing.T) []checkedPackage {
-	root, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	exports := map[string]string{}
-	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("go list reported no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	checked := map[string]*types.Package{}
-	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := checked[path]; ok {
-			return p, nil
-		}
-		return std.Import(path)
-	})}
-	var out []checkedPackage
-	for _, dir := range []string{".", "perfbench"} {
-		for _, lp := range goList(t, filepath.Join(root, dir)) {
-			if lp.Standard {
-				exports[lp.ImportPath] = lp.Export
-				continue
-			}
-			if _, ok := checked[lp.ImportPath]; ok {
-				continue // perfbench's listing repeats this module's packages
-			}
-			rel, err := filepath.Rel(root, lp.Dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := checkedPackage{dir: filepath.ToSlash(rel), info: &types.Info{
-				Types:      map[ast.Expr]types.TypeAndValue{},
-				Defs:       map[*ast.Ident]types.Object{},
-				Uses:       map[*ast.Ident]types.Object{},
-				Selections: map[*ast.SelectorExpr]*types.Selection{},
-			}}
-			for _, name := range lp.GoFiles {
-				f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p.files = append(p.files, f)
-			}
-			tp, err := conf.Check(lp.ImportPath, fset, p.files, p.info)
-			if err != nil {
-				t.Fatalf("type-checking %s: %v", lp.ImportPath, err)
-			}
-			checked[lp.ImportPath] = tp
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// listedPackage is the part of a `go list -json` record the loader reads.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	Standard   bool
-	Error      *struct{ Err string }
-}
-
-// goList lists the packages of the module in dir and their dependencies,
-// dependencies first, with export data for each. The listing stays
-// offline, uses the local toolchain and ignores any workspace file.
-func goList(t *testing.T, dir string) []listedPackage {
-	pattern := "./..."
-	if filepath.Base(dir) == "perfbench" {
-		pattern = "."
-	}
-	cmd := exec.Command("go", "list", "-deps", "-export", "-json", pattern)
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "GOWORK=off", "GOPROXY=off", "GOTOOLCHAIN=local")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.String())
-	}
-	var pkgs []listedPackage
-	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
-		var p listedPackage
-		if err := dec.Decode(&p); err != nil {
-			t.Fatalf("go list in %s: %v", dir, err)
-		}
-		if p.Error != nil {
-			t.Fatalf("go list in %s: %s: %s", dir, p.ImportPath, p.Error.Err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -444,6 +444,37 @@ func TestToolUsageErrors(t *testing.T) {
 		{"tsverify", []string{"-fa", spec, "-progsrc", src, "-limit", "0"}, "-limit"},
 		{"tsverify", []string{"-fa", spec, "-progsrc", src, "-maxlen", "-1"}, "-maxlen"},
 		{"cable", []string{"stream", "-fa", spec, "-window", "-1", events}, "-window"},
+		// A flag the chosen mode does not read, or an argument after the
+		// flags, is refused rather than dropped.
+		{"fca", []string{"-traces", good, "-pattern", "fopen()", "-fa", "/nonexistent"}, "-fa"},
+		{"fca", []string{"-cxt", "/nonexistent", "-traces", good}, "-traces"},
+		{"fca", []string{"-cxt", "/nonexistent", "-fa", spec}, "-fa"},
+		{"fca", []string{"-cxt", "/nonexistent", "-pattern", "fopen()"}, "-pattern"},
+		{"fca", []string{"-traces", good, "extra", "args"}, "extra"},
+		{"strauss", []string{"-relearn", good, "-runs", "/nonexistent"}, "-runs"},
+		{"strauss", []string{"-relearn", good, "-seeds", "zz"}, "-seeds"},
+		{"strauss", []string{"-relearn", good, "-scenarios", "/nonexistent/x"}, "-scenarios"},
+		{"strauss", []string{"-relearn", good, "stray"}, "stray"},
+		{"tsverify", []string{"-fa", spec, "-traces", good, "-program", model}, "-traces"},
+		{"tsverify", []string{"-fa", spec, "-traces", good, "-progsrc", src}, "-traces"},
+		{"tsverify", []string{"-fa", spec, "-program", model, "-progsrc", src}, "-program"},
+		{"tsverify", []string{"-fa", "/nonexistent", "-pattern", "fopen()", "-traces", good}, "-fa"},
+		{"tsverify", []string{"-fa", spec, "-traces", good, "-maxlen", "5"}, "-maxlen"},
+		{"tsverify", []string{"-fa", spec, "-traces", good, "-ref", spec}, "-ref"},
+		{"tsverify", []string{"-fa", spec, "-lint", "-program", model}, "-program"},
+		{"tsverify", []string{"-fa", spec, "-lint", "-violations", "/nonexistent/x"}, "-violations"},
+		{"tsverify", []string{"-fa", spec, "-traces", good, "stray"}, "stray"},
+		{"tsverify", []string{"-fa", spec, "-traces", good, "-q", "-rank"}, "-rank"},
+		{"tsverify", []string{"-fa", spec, "-traces", good, "-q", "-explain"}, "-explain"},
+		{"tsverify", []string{"-fa", spec, "-traces", good, "-rank", "-explain"}, "-explain"},
+		{"cable", []string{"-workspace", "/nonexistent", "-traces", good}, "-traces"},
+		{"cable", []string{"-workspace", "/nonexistent", "-fa", spec}, "-fa"},
+		{"cable", []string{"-traces", good, "stray"}, "stray"},
+		{"cable", []string{"lint", "-corpus", "-fa", spec}, "-fa"},
+		{"cable", []string{"lint", "-corpus", "-traces", good}, "-traces"},
+		{"cable", []string{"lint", "-corpus", "-ref", spec}, "-ref"},
+		{"cable", []string{"lint", "-fa", spec, "stray"}, "stray"},
+		{"paper", []string{"-table", "1", "stray"}, "stray"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := runToolTo(t, &stdout, &stderr, "", c.name, c.args...)

@@ -2,15 +2,13 @@
 // shape of golang.org/x/tools/go/analysis, reimplemented over the
 // standard library's go/ast and go/types because this repository carries
 // no module dependencies. It hosts the project-specific invariant
-// checkers of cmd/cablevet: an Analyzer inspects one type-checked
-// package (a Pass) and reports Diagnostics.
+// checkers of internal/analysis/analyzers (cablevet): an Analyzer
+// inspects one type-checked package (a Pass) and reports Diagnostics.
 //
-// Two drivers share the framework:
-//
-//   - cmd/cablevet invoked by `go vet -vettool=` (RunUnitchecker, which
-//     speaks the vet.cfg protocol), and
-//   - the analysistest golden-file runner used by the analyzer tests
-//     (LoadDir).
+// One loader feeds it. Load type-checks a module and its test variants
+// from source, for the root package's module-wide checks: the cablevet
+// sweep runs every analyzer over the variants `go vet ./...` would vet.
+// LoadDir loads one golden package for the analysistest runner.
 //
 // Diagnostics can be suppressed at the source line with a comment of the
 // form
@@ -19,7 +17,7 @@
 //
 // placed on the flagged line or the line above it. The analyzer name
 // "all" suppresses every checker. Suppressions are applied centrally by
-// RunPackage, so every driver honors them identically.
+// RunPackage, which also reports a directive that suppresses nothing.
 package analysis
 
 import (
@@ -38,7 +36,8 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics, suppression
 	// comments, and test golden files. Lowercase, no spaces.
 	Name string
-	// Doc is a one-paragraph description shown by `cablevet -help`.
+	// Doc is a one-paragraph description; the analyzer catalogue
+	// that heads a failing cablevet sweep lists it.
 	Doc string
 	// Run performs the analysis.
 	Run func(*Pass) error
@@ -88,55 +87,57 @@ func (d Diagnostic) Position(fset *token.FileSet) token.Position {
 // ignoreDirective is the comment prefix of a suppression.
 const ignoreDirective = "//cablevet:ignore"
 
-// suppressions maps "file:line" to the set of analyzer names ignored at
-// that line.
-type suppressions map[string]map[string]bool
+// directive is one suppression comment. It silences diagnostics of the
+// named analyzer ("all": of every analyzer) on its own line and the next,
+// so it works both trailing a statement and on its own line above one.
+type directive struct {
+	pos  token.Pos
+	file string
+	line int
+	name string
+	used bool
+}
 
-// collectSuppressions scans the package's comments for ignore
-// directives. A directive suppresses its own line and the next line, so
-// it works both trailing a statement and on its own line above one.
-func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressions {
-	sup := suppressions{}
-	add := func(file string, line int, name string) {
-		key := fmt.Sprintf("%s:%d", file, line)
-		if sup[key] == nil {
-			sup[key] = map[string]bool{}
-		}
-		sup[key][name] = true
-	}
+// collectDirectives scans the package's comments for ignore directives.
+func collectDirectives(fset *token.FileSet, files []*ast.File) []directive {
+	var dirs []directive
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, ignoreDirective) {
-					continue
-				}
-				rest := strings.TrimPrefix(c.Text, ignoreDirective)
+				rest, ok := strings.CutPrefix(c.Text, ignoreDirective)
 				fields := strings.Fields(rest)
-				if len(fields) == 0 {
+				if !ok || len(fields) == 0 {
 					continue
 				}
-				pos := fset.Position(c.Pos())
-				add(pos.Filename, pos.Line, fields[0])
-				add(pos.Filename, pos.Line+1, fields[0])
+				p := fset.Position(c.Pos())
+				dirs = append(dirs, directive{pos: c.Pos(), file: p.Filename, line: p.Line, name: fields[0]})
 			}
 		}
 	}
-	return sup
+	return dirs
 }
 
-// suppressed reports whether a diagnostic of the named analyzer at pos
-// is covered by an ignore directive.
-func (s suppressions) suppressed(fset *token.FileSet, pos token.Pos, analyzer string) bool {
-	p := fset.Position(pos)
-	names := s[fmt.Sprintf("%s:%d", p.Filename, p.Line)]
-	return names != nil && (names[analyzer] || names["all"])
+// suppress reports whether a directive covers a diagnostic of the named
+// analyzer at p, and marks every directive that does as used.
+func suppress(dirs []directive, p token.Position, analyzer string) bool {
+	hit := false
+	for i := range dirs {
+		d := &dirs[i]
+		if d.file == p.Filename && (d.line == p.Line || d.line+1 == p.Line) && (d.name == analyzer || d.name == "all") {
+			d.used, hit = true, true
+		}
+	}
+	return hit
 }
 
 // RunPackage runs every analyzer over one loaded package and returns the
-// surviving (non-suppressed) diagnostics sorted by position. Analyzer
-// errors are returned joined after all analyzers have run.
+// surviving (non-suppressed) diagnostics sorted by position. A directive
+// that suppressed nothing in this run is itself a diagnostic, reported
+// under the analyzer it names, so a fixed finding cannot leave a stale
+// suppression behind. Analyzer errors are returned joined after all
+// analyzers have run.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	sup := collectSuppressions(pkg.Fset, pkg.Files)
+	dirs := collectDirectives(pkg.Fset, pkg.Files)
 	var diags []Diagnostic
 	var errs []string
 	for _, a := range analyzers {
@@ -149,7 +150,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			TypesInfo: pkg.Info,
 			Report: func(d Diagnostic) {
 				d.Analyzer = a.Name
-				if sup.suppressed(pkg.Fset, d.Pos, a.Name) {
+				if suppress(dirs, pkg.Fset.Position(d.Pos), a.Name) {
 					return
 				}
 				diags = append(diags, d)
@@ -157,6 +158,12 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		if err := a.Run(pass); err != nil {
 			errs = append(errs, fmt.Sprintf("%s: %v", a.Name, err))
+		}
+	}
+	for _, d := range dirs {
+		if !d.used {
+			diags = append(diags, Diagnostic{Pos: d.pos, Analyzer: d.name,
+				Message: fmt.Sprintf("%s %s suppresses no diagnostic on its line or the next", ignoreDirective, d.name)})
 		}
 	}
 	sort.SliceStable(diags, func(i, j int) bool {

@@ -13,19 +13,18 @@
 // on its line, and every diagnostic must be matched by an expectation.
 // Suppressed-negative cases are plain lines carrying a
 // //cablevet:ignore directive and no want comment: the framework drops
-// the diagnostic before matching, so an unexpected report fails the
-// test.
+// the diagnostic before matching, and reports a directive that drops
+// nothing, so either way an unexpected report fails the test.
 //
 // Golden packages import real repository packages — the runner resolves
-// imports through `go list -export` from the module root — so analyzers
-// are exercised against the production types they match in CI.
+// imports through `go list -export` from the test's own directory, inside
+// the module — so analyzers are exercised against the production types
+// they match in CI.
 package analysistest
 
 import (
 	"go/ast"
 	"go/token"
-	"os/exec"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -45,27 +44,12 @@ type expectation struct {
 // wantRe captures each backquoted or quoted pattern in a want comment.
 var wantRe = regexp.MustCompile("`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)*)\"")
 
-// moduleRoot locates the enclosing module so golden-package imports
-// resolve against the repository, wherever the test binary runs.
-func moduleRoot(t *testing.T) string {
-	t.Helper()
-	out, err := exec.Command("go", "env", "GOMOD").Output()
-	if err != nil {
-		t.Fatalf("go env GOMOD: %v", err)
-	}
-	gomod := strings.TrimSpace(string(out))
-	if gomod == "" || gomod == "/dev/null" {
-		t.Fatalf("analysistest requires running inside the module")
-	}
-	return filepath.Dir(gomod)
-}
-
 // Run loads the golden package at dir (relative to the caller's
 // directory), applies the analyzer, and reports any mismatch between
 // diagnostics and want comments as test errors.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	pkg, err := analysis.LoadDir(dir, moduleRoot(t))
+	pkg, err := analysis.LoadDir(dir, ".")
 	if err != nil {
 		t.Fatalf("loading golden package %s: %v", dir, err)
 	}

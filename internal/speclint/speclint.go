@@ -10,9 +10,9 @@
 // corpus is supplied — alphabet mismatch in both directions between the
 // spec and the traces it is meant to classify.
 //
-// speclint is the specification-level counterpart of cmd/cablevet: vet
-// checks the Go code of this repo, speclint checks the FA artifacts the
-// repo consumes. Both run in `make ci`.
+// speclint is the specification-level counterpart of the cablevet
+// invariant suite: cablevet checks the Go code of this repo, speclint
+// checks the FA artifacts the repo consumes. Both run in `make ci`.
 package speclint
 
 import (
